@@ -298,7 +298,7 @@ impl PointSamBank {
     /// sequence of the paper's runtime CX optimization (Sec. VI-A) as one
     /// bank call. Observationally identical to `peek_load` ×2 + `load` +
     /// `in_memory_two_qubit_access` + `store` issued back to back (the
-    /// executable spec kept in `Simulator::run_classified`), but the
+    /// executable spec `Simulator::execute` runs on a `Classified` program), but the
     /// positions and load costs feeding the operand choice are computed once
     /// and reused for the load itself, and the intermediate checkout-state
     /// transitions stay inside a single call. Returns the `(load, access,

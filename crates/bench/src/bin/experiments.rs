@@ -63,34 +63,20 @@
 //! Exit codes: `0` = complete, `2` = completed with quarantined sweep points
 //! (see `--help`), `1` = fatal.
 
-use lsqca_bench::{
-    ablation, fig08, fig13, fig14, fig15, headline, hotpath, hybrid_migrate, supervisor, table1,
-    Scale, FACTORY_COUNTS,
-};
-use lsqca_json::ToJson;
+use lsqca_bench::{supervisor, Scale, REPORT_COMMANDS};
 use std::process::ExitCode;
 use std::time::Duration;
 
-const COMMANDS: [&str; 11] = [
-    "table1",
-    "fig8",
-    "fig13",
-    "fig14",
-    "fig15",
-    "headline",
-    "ablation",
-    "hybrid-migrate",
-    "hotpath",
-    "all",
-    "merge",
-];
+/// Commands beside the [`REPORT_COMMANDS`] generators.
+const OTHER_COMMANDS: [&str; 3] = ["hotpath", "all", "merge"];
 
 fn usage_line() -> String {
     format!(
-        "usage: experiments <{}> [--full] [--json] [--store-dir <dir>] [--no-store] [--resume] \
-         [--shards <n>] [--shard <k/n>] [--stall-timeout-ms <ms>] [--metrics-out <file>] \
-         [--trace-out <file>]",
-        COMMANDS.join("|")
+        "usage: experiments <{}|{}> [--full] [--json] [--store-dir <dir>] [--no-store] \
+         [--resume] [--shards <n>] [--shard <k/n>] [--stall-timeout-ms <ms>] \
+         [--metrics-out <file>] [--trace-out <file>]",
+        REPORT_COMMANDS.join("|"),
+        OTHER_COMMANDS.join("|")
     )
 }
 
@@ -203,7 +189,11 @@ fn main() -> ExitCode {
                 if command.is_some() {
                     return usage(&format!("unexpected extra argument `{name}`"));
                 }
-                let Some(&known) = COMMANDS.iter().find(|&&c| c == name) else {
+                let Some(&known) = REPORT_COMMANDS
+                    .iter()
+                    .chain(&OTHER_COMMANDS)
+                    .find(|&&c| c == name)
+                else {
                     return usage(&format!("unknown experiment `{name}`"));
                 };
                 command = Some(known);
@@ -313,107 +303,16 @@ fn main() -> ExitCode {
         }
     }
 
-    let scale = Scale::from_flag(full);
-    let factories: Vec<u32> = if full {
-        FACTORY_COUNTS.to_vec()
-    } else {
-        vec![1, 4]
-    };
-    let fraction_step = if full { 0.05 } else { 0.25 };
-    let fig15_terms = if full { None } else { Some(200) };
-
-    let run = |name: &str| -> String {
-        match name {
-            "table1" => {
-                if json {
-                    table1::rows().to_json().pretty()
-                } else {
-                    table1::render()
-                }
-            }
-            "fig8" => {
-                if json {
-                    fig08::generate(scale).to_json().pretty()
-                } else {
-                    fig08::render(scale)
-                }
-            }
-            "fig13" => {
-                if json {
-                    fig13::generate(scale, &[], &factories).to_json().pretty()
-                } else {
-                    fig13::render(scale, &[], &factories)
-                }
-            }
-            "fig14" => {
-                if json {
-                    fig14::generate(scale, &[], &factories, fraction_step)
-                        .to_json()
-                        .pretty()
-                } else {
-                    fig14::render(scale, &[], &factories, fraction_step)
-                }
-            }
-            "fig15" => {
-                if json {
-                    fig15::generate(scale, &factories, fig15_terms)
-                        .to_json()
-                        .pretty()
-                } else {
-                    fig15::render(scale, &factories, fig15_terms)
-                }
-            }
-            "headline" => {
-                if json {
-                    headline::generate(scale).to_json().pretty()
-                } else {
-                    headline::render(scale)
-                }
-            }
-            "ablation" => {
-                let floorplan = lsqca::prelude::FloorplanKind::PointSam { banks: 1 };
-                if json {
-                    ablation::generate(scale, &[], floorplan).to_json().pretty()
-                } else {
-                    ablation::render(scale, &[], floorplan)
-                }
-            }
-            "hybrid-migrate" => {
-                if json {
-                    hybrid_migrate::generate(scale, &[], &factories)
-                        .to_json()
-                        .pretty()
-                } else {
-                    hybrid_migrate::render(scale, &[], &factories)
-                }
-            }
-            "hotpath" => {
-                if json {
-                    hotpath::generate(scale).to_json().pretty()
-                } else {
-                    hotpath::render(scale)
-                }
-            }
-            other => unreachable!("command `{other}` is validated above"),
-        }
-    };
-
-    if command == "all" || command == "merge" {
-        // `all` covers the deterministic figure/table generators only, so its
-        // output can be diffed across runs; the timing-dependent `hotpath`
-        // measurements must be requested explicitly. `merge` renders the same
-        // report from the shard-published records, byte-identical to a
-        // single-process `all` over the same sweep.
-        for name in COMMANDS
-            .iter()
-            .filter(|&&c| c != "all" && c != "hotpath" && c != "merge")
-        {
-            println!("==== {name} ====");
-            println!("{}", run(name));
-        }
-    } else {
-        println!("{}", run(command));
-    }
+    // `all` covers the deterministic figure/table generators only, so its
+    // output can be diffed across runs; the timing-dependent `hotpath`
+    // measurements must be requested explicitly. `merge` renders the same
+    // report from the shard-published records, byte-identical to a
+    // single-process `all` over the same sweep.
+    let rendered = if command == "merge" { "all" } else { command };
+    println!(
+        "{}",
+        lsqca_bench::report(rendered, Scale::from_flag(full), json)
+    );
     // A worker leaves its final metrics snapshot next to its journal so the
     // supervisor/merge aggregation sees the completed totals (a no-op in
     // every other mode).

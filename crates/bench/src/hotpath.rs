@@ -26,7 +26,8 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Reference implementations of the pre-optimization hot path, kept verbatim
-/// (modulo the return-type rename) so micro benches can compare against them.
+/// (modulo the return-type rename) so the hot-path report can compare against
+/// them.
 pub mod legacy {
     use lsqca::arch::Residence;
     use lsqca::isa::{
@@ -320,8 +321,7 @@ fn measure_ns(budget: MeasureBudget, mut f: impl FnMut()) -> f64 {
 }
 
 /// One walk of the engine's per-instruction operand queries over `program`
-/// with the current inline implementation. Shared by [`generate`] and the
-/// `micro_hotpath` criterion group so both measure the same loop.
+/// with the current inline implementation, as [`generate`] measures it.
 pub fn operand_walk(program: &lsqca::isa::Program) -> usize {
     let mut acc = 0usize;
     for instr in program.iter() {
@@ -777,52 +777,6 @@ pub fn generate_with(scale: Scale, budget: MeasureBudget) -> HotpathReport {
         optimized_ns,
     });
 
-    // Snapshot fork: the copy-on-write fork `run_batch` takes per sweep
-    // point vs the full warm-up (memory-system placement, vacancy-ring
-    // construction, ready-table allocation) it replaces. Measured on a
-    // large machine so the contrast is the one a paper-scale sweep sees:
-    // warm-up is O(cells), a fork is O(pages) — a handful of
-    // reference-count bumps.
-    let fork_arch = ArchConfig::new(FloorplanKind::PointSam { banks: 1 }, 1);
-    let fork_qubits_large = 4096u32;
-    let legacy_ns = measure_ns(budget, || {
-        black_box(
-            lsqca::sim::Simulator::builder(black_box(&fork_arch), fork_qubits_large)
-                .build()
-                .expect("valid bench configuration"),
-        );
-    });
-    let warmed_large = lsqca::sim::Simulator::builder(&fork_arch, fork_qubits_large)
-        .build()
-        .expect("valid bench configuration");
-    let optimized_ns = measure_ns(budget, || {
-        black_box(black_box(&warmed_large).fork());
-    });
-    comparisons.push(Comparison {
-        name: "snapshot_fork".to_string(),
-        legacy_ns,
-        optimized_ns,
-    });
-
-    // Fork scaling: the same fork on a 64× smaller machine vs the large one.
-    // A speedup near 1.0 is the point — fork cost must be independent of
-    // qubit count and grid size (O(pages), not O(cells)), so the "legacy"
-    // (small-machine) and "optimized" (large-machine) sides should tie.
-    let warmed_small = lsqca::sim::Simulator::builder(&fork_arch, fork_qubits_large / 64)
-        .build()
-        .expect("valid bench configuration");
-    let legacy_ns = measure_ns(budget, || {
-        black_box(black_box(&warmed_small).fork());
-    });
-    let optimized_ns = measure_ns(budget, || {
-        black_box(black_box(&warmed_large).fork());
-    });
-    comparisons.push(Comparison {
-        name: "snapshot_fork_scaling".to_string(),
-        legacy_ns,
-        optimized_ns,
-    });
-
     // Same-machine calibration for the ratio-based CI gate: the frozen
     // legacy BFS on a fixed open grid, untouched by any optimization work,
     // so its wall time tracks only the machine's speed.
@@ -930,9 +884,9 @@ mod tests {
     #[test]
     fn report_has_the_expected_shape() {
         // Shape-only with a near-zero time budget: timing assertions live in
-        // the benches, not unit tests.
+        // `scripts/bench.sh`, not unit tests.
         let report = generate_with(Scale::Quick, MeasureBudget::smoke());
-        assert_eq!(report.comparisons.len(), 11);
+        assert_eq!(report.comparisons.len(), 9);
         assert_eq!(report.end_to_end.len(), 3);
         assert!(report.calibration_ns_per_op > 0.0);
         let json = report.to_json().pretty();
@@ -948,8 +902,6 @@ mod tests {
             "latency_class",
             "trace_lowering",
             "trace_dispatch",
-            "snapshot_fork",
-            "snapshot_fork_scaling",
         ] {
             assert!(json.contains(name), "missing comparison `{name}`");
         }
@@ -1079,10 +1031,6 @@ mod tests {
         // And again on the dirty simulators, as the measurement loop does.
         let expected = legacy::interpret(&mut interpreter, program, &classes);
         assert_eq!(expected, engine.execute(&trace));
-        // A fork of either warmed simulator is the third equal party — the
-        // `snapshot_fork` micro's two sides compute interchangeable machines.
-        let mut fork = build().fork();
-        assert_eq!(expected, fork.execute(&trace));
     }
 
     #[test]

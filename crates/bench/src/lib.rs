@@ -1,7 +1,7 @@
 //! Shared harness code for regenerating every table and figure of the paper.
 //!
-//! The `experiments` binary and the Criterion benches both call into this
-//! crate. Each `figXX` module produces the data series of the corresponding
+//! The `experiments` binary renders its reports through [`report`]. Each
+//! `figXX` module produces the data series of the corresponding
 //! figure and can render it as a text table whose rows mirror what the paper
 //! plots:
 //!
@@ -1235,6 +1235,117 @@ pub mod headline {
             ],
             &rows,
         )
+    }
+}
+
+/// The deterministic generators `experiments all` renders, in report order.
+/// `hotpath` is left out: its timings differ run to run.
+pub const REPORT_COMMANDS: [&str; 8] = [
+    "table1",
+    "fig8",
+    "fig13",
+    "fig14",
+    "fig15",
+    "headline",
+    "ablation",
+    "hybrid-migrate",
+];
+
+/// Renders one `experiments` command's report at `scale`, as JSON or as text
+/// tables: exactly the bytes the binary prints on stdout, less the final
+/// newline. `all` renders every [`REPORT_COMMANDS`] report in order, each
+/// under a `==== name ====` header line.
+///
+/// # Panics
+///
+/// Panics on a command other than `all`, `hotpath`, and the
+/// [`REPORT_COMMANDS`].
+pub fn report(command: &str, scale: Scale, json: bool) -> String {
+    let full = scale == Scale::Full;
+    let factories: Vec<u32> = if full {
+        FACTORY_COUNTS.to_vec()
+    } else {
+        vec![1, 4]
+    };
+    let fraction_step = if full { 0.05 } else { 0.25 };
+    let fig15_terms = if full { None } else { Some(200) };
+    match command {
+        "table1" => {
+            if json {
+                table1::rows().to_json().pretty()
+            } else {
+                table1::render()
+            }
+        }
+        "fig8" => {
+            if json {
+                fig08::generate(scale).to_json().pretty()
+            } else {
+                fig08::render(scale)
+            }
+        }
+        "fig13" => {
+            if json {
+                fig13::generate(scale, &[], &factories).to_json().pretty()
+            } else {
+                fig13::render(scale, &[], &factories)
+            }
+        }
+        "fig14" => {
+            if json {
+                fig14::generate(scale, &[], &factories, fraction_step)
+                    .to_json()
+                    .pretty()
+            } else {
+                fig14::render(scale, &[], &factories, fraction_step)
+            }
+        }
+        "fig15" => {
+            if json {
+                fig15::generate(scale, &factories, fig15_terms)
+                    .to_json()
+                    .pretty()
+            } else {
+                fig15::render(scale, &factories, fig15_terms)
+            }
+        }
+        "headline" => {
+            if json {
+                headline::generate(scale).to_json().pretty()
+            } else {
+                headline::render(scale)
+            }
+        }
+        "ablation" => {
+            let floorplan = FloorplanKind::PointSam { banks: 1 };
+            if json {
+                ablation::generate(scale, &[], floorplan).to_json().pretty()
+            } else {
+                ablation::render(scale, &[], floorplan)
+            }
+        }
+        "hybrid-migrate" => {
+            if json {
+                hybrid_migrate::generate(scale, &[], &factories)
+                    .to_json()
+                    .pretty()
+            } else {
+                hybrid_migrate::render(scale, &[], &factories)
+            }
+        }
+        "hotpath" => {
+            if json {
+                hotpath::generate(scale).to_json().pretty()
+            } else {
+                hotpath::render(scale)
+            }
+        }
+        "all" => REPORT_COMMANDS
+            .iter()
+            .map(|name| format!("==== {name} ====\n{}", report(name, scale, json)))
+            .collect::<Vec<_>>()
+            .join("\n"),
+        other => panic!("unknown experiments command `{other}`"),
     }
 }
 

@@ -6,7 +6,7 @@
 //! fault-injection tests build several stores per process), so their totals
 //! are *synced* into the registry at snapshot time rather than double-counted
 //! at the bump sites. Everything else (`trace.lowered`, `sim.warmed`,
-//! `sim.forked`, `sim.runs`, spans, beat histograms) reports straight into
+//! `sim.runs`, spans, beat histograms) reports straight into
 //! `lsqca_telemetry`.
 
 use crate::{result_store, workload_cache};
@@ -21,7 +21,7 @@ use std::path::Path;
 /// out of the aggregated metrics JSON, which only works if an untouched
 /// counter still shows up.
 pub fn sync_registry() {
-    for name in ["trace.lowered", "sim.warmed", "sim.forked", "sim.runs"] {
+    for name in ["trace.lowered", "sim.warmed", "sim.runs"] {
         lsqca_telemetry::counter(name);
     }
     let cache = workload_cache().stats();
@@ -49,7 +49,7 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
 /// workload cache: N compiled, M hits, K invalidated (<dir>)
 /// result store: N computed, M hits, K quarantined (<dir>)
 /// trace engine: N lowered
-/// snapshot engine: N warmed, M forked
+/// simulator: N warmed
 /// ```
 pub fn telemetry_summary() -> String {
     let snapshot = metrics_snapshot();
@@ -82,10 +82,9 @@ pub fn telemetry_summary() -> String {
         (None, _) => format!("result store: disabled; {store_stats}"),
     };
     format!(
-        "{cache_line}\n{store_line}\ntrace engine: {} lowered\nsnapshot engine: {} warmed, {} forked",
+        "{cache_line}\n{store_line}\ntrace engine: {} lowered\nsimulator: {} warmed",
         count("trace.lowered"),
         count("sim.warmed"),
-        count("sim.forked"),
     )
 }
 
@@ -176,8 +175,7 @@ mod tests {
         assert!(lines[1].starts_with("result store: "));
         assert!(lines[1].contains(" computed, ") && lines[1].contains(" quarantined"));
         assert!(lines[2].starts_with("trace engine: ") && lines[2].ends_with(" lowered"));
-        assert!(lines[3].starts_with("snapshot engine: ") && lines[3].contains(" warmed, "));
-        assert!(lines[3].ends_with(" forked"));
+        assert!(lines[3].starts_with("simulator: ") && lines[3].ends_with(" warmed"));
     }
 
     #[test]

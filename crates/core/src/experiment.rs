@@ -271,39 +271,18 @@ impl Workload {
     /// model; the compiler only produces well-formed programs, so this
     /// indicates a corrupted artifact.
     pub fn run(&self, config: &ExperimentConfig) -> ExperimentResult {
-        self.run_with_hot(config, self.hot_qubits(config))
-    }
-
-    /// The simulator's qubit capacity for this workload. The footprint is
-    /// precomputed in the artifact, so sizing the simulator is O(1) per run
-    /// instead of a pass over the program.
-    fn simulator_qubits(&self) -> u32 {
-        self.num_qubits()
-            .max(self.artifact.memory_footprint())
-            .max(1)
-    }
-
-    /// Warms a policy-free simulator for one `(architecture, hot set, sim
-    /// config)` group — the expensive part (placement, vacancy-ring
-    /// construction) that [`Workload::run_batch`] pays once per group and
-    /// then forks per configuration.
-    fn warm(&self, arch: &ArchConfig, hot: &[QubitTag], sim: SimConfig) -> Simulator {
-        Simulator::builder(arch, self.simulator_qubits())
-            .hot_qubits(hot)
-            .config(sim)
+        let hot = self.hot_qubits(config);
+        let mut builder = Simulator::builder(&config.arch_config(), self.simulator_qubits())
+            .hot_qubits(&hot)
+            .config(config.sim);
+        if let Some(policy) = config.migration {
+            builder = builder.migration_policy(policy.build());
+        }
+        let mut simulator = builder
             .build()
-            .unwrap_or_else(|err| panic!("invalid simulator configuration: {err}"))
-    }
-
-    /// Executes the artifact's pre-lowered execution trace on `simulator` —
-    /// the whole sweep stack funnels through `Simulator::execute` here — and
-    /// assembles the result.
-    fn finish(
-        &self,
-        config: &ExperimentConfig,
-        hot_qubits: u32,
-        mut simulator: Simulator,
-    ) -> ExperimentResult {
+            .unwrap_or_else(|err| panic!("invalid simulator configuration: {err}"));
+        // The whole sweep stack funnels through `Simulator::execute` here, on
+        // the artifact's pre-lowered execution trace.
         let _span = lsqca_telemetry::span("point.execute");
         let outcome = match simulator.execute(&self.artifact) {
             Ok(outcome) => outcome,
@@ -319,94 +298,19 @@ impl Workload {
             cpi: outcome.stats.cpi(),
             memory_density: outcome.stats.memory_density,
             total_cells: outcome.stats.total_cells,
-            hot_qubits,
+            hot_qubits: hot.len() as u32,
             stats: outcome.stats,
             trace: outcome.trace,
         }
     }
 
-    /// [`Workload::run`] with the hot set already selected (the batch path
-    /// amortizes that selection across configurations sharing a strategy).
-    fn run_with_hot(&self, config: &ExperimentConfig, hot: Vec<QubitTag>) -> ExperimentResult {
-        let mut builder = Simulator::builder(&config.arch_config(), self.simulator_qubits())
-            .hot_qubits(&hot)
-            .config(config.sim);
-        if let Some(policy) = config.migration {
-            builder = builder.migration_policy(policy.build());
-        }
-        let simulator = builder
-            .build()
-            .unwrap_or_else(|err| panic!("invalid simulator configuration: {err}"));
-        self.finish(config, hot.len() as u32, simulator)
-    }
-
-    /// Executes the workload's single pre-lowered execution trace against
-    /// every configuration in `configs`, in order — the batched sweep path.
-    ///
-    /// The per-point work a naive `configs.iter().map(|c| w.run(c))` loop
-    /// repeats is amortized here: the trace is lowered zero times (the
-    /// artifact carries it), the hot-set selection — a sort over the
-    /// program's access counts per point — is computed once per distinct
-    /// `(hot-set size, strategy)` pair, and the simulator itself is warmed
-    /// **once** per distinct `(architecture, hot set, sim config)` group and
-    /// then copy-on-write-[`fork`](Simulator::fork)ed per configuration, so
-    /// placement and vacancy-ring construction are never repeated for policy
-    /// variants of the same machine. Results are identical to running each
-    /// configuration individually; a sweep driver can therefore batch all
-    /// points of one workload and keep its per-point result-store keys
-    /// unchanged.
-    pub fn run_batch(&self, configs: &[ExperimentConfig]) -> Vec<ExperimentResult> {
-        self.run_batch_impl(configs).0
-    }
-
-    /// [`Workload::run_batch`] plus the batch's own `(warmed, forked)`
-    /// simulator counts — the local view of the process-wide
-    /// `lsqca_sim::snapshot` counters, returned so tests can assert the
-    /// amortization contract without racing other threads.
-    fn run_batch_impl(&self, configs: &[ExperimentConfig]) -> (Vec<ExperimentResult>, u64, u64) {
-        // Sweeps vary floorplan/factories far more often than hot-set shape,
-        // so tiny linear-scan memos beat hash maps here (typically a handful
-        // of distinct entries per batch).
-        let mut selected: Vec<(usize, HotSetStrategy, Vec<QubitTag>)> = Vec::new();
-        let mut parents: Vec<(ArchConfig, Vec<QubitTag>, SimConfig, Simulator)> = Vec::new();
-        let mut results = Vec::with_capacity(configs.len());
-        for config in configs {
-            let hot = if config.hybrid_fraction <= 0.0 || config.floorplan.is_conventional() {
-                Vec::new()
-            } else {
-                let count = hot_set_size(self.num_qubits(), config.hybrid_fraction);
-                match selected
-                    .iter()
-                    .find(|(c, strategy, _)| *c == count && *strategy == config.hot_set)
-                {
-                    Some((_, _, hot)) => hot.clone(),
-                    None => {
-                        let hot = self.hot_qubits(config);
-                        selected.push((count, config.hot_set.clone(), hot.clone()));
-                        hot
-                    }
-                }
-            };
-            let arch = config.arch_config();
-            let parent = match parents
-                .iter()
-                .position(|(a, h, s, _)| *a == arch && *h == hot && *s == config.sim)
-            {
-                Some(index) => &parents[index].3,
-                None => {
-                    let warmed = self.warm(&arch, &hot, config.sim);
-                    parents.push((arch, hot.clone(), config.sim, warmed));
-                    &parents.last().expect("just pushed").3
-                }
-            };
-            // The fork shares every page of the warmed parent and swaps in
-            // this point's migration policy; the parent stays pristine.
-            let simulator = parent.fork_with_policy(config.migration.map(PolicyKind::build));
-            results.push(self.finish(config, hot.len() as u32, simulator));
-        }
-        let warmed = parents.len() as u64;
-        let forked = configs.len() as u64;
-        (results, warmed, forked)
+    /// The simulator's qubit capacity for this workload. The footprint is
+    /// precomputed in the artifact, so sizing the simulator is O(1) per run
+    /// instead of a pass over the program.
+    fn simulator_qubits(&self) -> u32 {
+        self.num_qubits()
+            .max(self.artifact.memory_footprint())
+            .max(1)
     }
 
     /// Runs `config` and the conventional baseline with the same factory count,
@@ -419,10 +323,7 @@ impl Workload {
             floorplan: FloorplanKind::Conventional,
             ..config.clone()
         };
-        let mut results = self.run_batch(&[config.clone(), baseline]).into_iter();
-        let lsqca = results.next().expect("batch of two returns two results");
-        let baseline = results.next().expect("batch of two returns two results");
-        (lsqca, baseline)
+        (self.run(config), self.run(&baseline))
     }
 }
 
@@ -595,63 +496,6 @@ mod tests {
                 .with_migration(PolicyKind::FreqDecay),
         );
         assert_eq!(adaptive.stats, again.stats);
-    }
-
-    #[test]
-    fn run_batch_matches_individual_runs() {
-        let w = workload();
-        let configs = vec![
-            ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 1),
-            ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 1)
-                .with_hybrid_fraction(0.25),
-            ExperimentConfig::new(FloorplanKind::LineSam { banks: 2 }, 2)
-                .with_hybrid_fraction(0.25),
-            ExperimentConfig::new(FloorplanKind::LineSam { banks: 2 }, 2).with_hybrid_fraction(0.5),
-            ExperimentConfig::baseline(1),
-            ExperimentConfig::new(FloorplanKind::DualPointSam { banks: 1 }, 1)
-                .with_hybrid_fraction(0.25)
-                .with_migration(PolicyKind::FreqDecay),
-        ];
-        let batched = w.run_batch(&configs);
-        assert_eq!(batched.len(), configs.len());
-        for (config, batched) in configs.iter().zip(&batched) {
-            assert_eq!(&w.run(config), batched);
-        }
-        // The two f = 0.25 points share one hot-set selection; the batch must
-        // still report per-config hot sizes, not a merged one.
-        assert_eq!(batched[1].hot_qubits, batched[2].hot_qubits);
-        assert_ne!(batched[2].hot_qubits, batched[3].hot_qubits);
-        assert_eq!(batched[4].hot_qubits, 0);
-    }
-
-    #[test]
-    fn run_batch_warms_once_per_group_and_forks_per_config() {
-        let w = workload();
-        let base = ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 1)
-            .with_hybrid_fraction(0.15);
-        let configs = vec![
-            base.clone(),
-            base.clone().with_migration(PolicyKind::Static),
-            base.clone().with_migration(PolicyKind::Lru),
-            base.clone().with_migration(PolicyKind::FreqDecay),
-            ExperimentConfig::baseline(1),
-        ];
-        let warm_before = lsqca_sim::snapshot::warm_count();
-        let fork_before = lsqca_sim::snapshot::fork_count();
-        let (results, warmed, forked) = w.run_batch_impl(&configs);
-        // The four policy variants share one warmed machine; the baseline is
-        // its own group. Every point is a copy-on-write fork of its parent.
-        assert_eq!(warmed, 2);
-        assert_eq!(forked, configs.len() as u64);
-        // The process-wide observability counters advance with the batch
-        // (only lower bounds: other tests run in this process too).
-        assert!(lsqca_sim::snapshot::warm_count() >= warm_before + warmed);
-        assert!(lsqca_sim::snapshot::fork_count() >= fork_before + forked);
-        // Forked runs are indistinguishable from individually warmed ones.
-        assert_eq!(results.len(), configs.len());
-        for (config, batched) in configs.iter().zip(&results) {
-            assert_eq!(&w.run(config), batched);
-        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! lowering pass and stored in a dense struct-of-arrays [`ExecutionTrace`]:
 //!
 //! ```text
-//! Program ──lower()──▶ ExecutionTrace ──Simulator::run_trace──▶ ExecutionStats
-//!   (enum stream)        (flat SoA columns)                       (identical to
-//!                                                                  the interpreter)
+//! Program ──lower()──▶ ExecutionTrace ──Simulator::execute──▶ ExecutionStats
+//!   (enum stream)        (flat SoA columns)                     (identical to
+//!                                                                the interpreter)
 //! ```
 //!
 //! Per record the trace stores the execution kind (the pre-resolved duration

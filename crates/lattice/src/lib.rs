@@ -15,8 +15,6 @@
 //!   measurements.
 //! * [`cell`] — cell kinds (data, auxiliary, scan, register, port, factory) and
 //!   occupancy.
-//! * [`cow`] — the copy-on-write [`Page`] behind O(1) simulator
-//!   snapshot/fork: cloning shares storage, the first write copies.
 //! * [`grid`] — the [`CellGrid`] occupancy map with path finding on
 //!   vacant cells, used by the SAM models to simulate sliding-puzzle loads.
 //! * [`patch`] — logical patches and boundary orientations.
@@ -45,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod cow;
 pub mod error;
 pub mod geom;
 pub mod grid;
@@ -56,7 +53,6 @@ pub mod query;
 pub mod timing;
 
 pub use cell::{CellKind, CellState, QubitTag};
-pub use cow::Page;
 pub use error::LatticeError;
 pub use geom::{Coord, Direction, Rect};
 pub use grid::CellGrid;

@@ -2,14 +2,13 @@
 
 use crate::config::SimConfig;
 use crate::metrics::ExecutionStats;
-use crate::snapshot::{builds_counter, forks_counter, Snapshot};
 use crate::trace::MemoryTrace;
 use lsqca_arch::{ArchConfig, MagicStateSupply, MemorySystem, MigrationPolicy, MsfConfig};
 use lsqca_isa::trace_compile::flags;
 use lsqca_isa::{
     ClassicalId, ExecKind, ExecutionTrace, Instruction, LatencyClass, MemAddr, Program, RegId,
 };
-use lsqca_lattice::{Beats, LatticeError, Page, QubitTag};
+use lsqca_lattice::{Beats, LatticeError, QubitTag};
 use lsqca_workloads::CompiledWorkload;
 use std::error::Error;
 use std::fmt;
@@ -30,6 +29,20 @@ fn runs_counter() -> &'static lsqca_telemetry::Counter {
 /// `sim.runs` counter).
 pub fn simulation_count() -> u64 {
     runs_counter().get()
+}
+
+/// Registry counter of full simulator warm-ups (constructions) in this
+/// process: every successful [`SimulatorBuilder::build`]. CI asserts a
+/// warm-store rerun performs zero of them.
+fn builds_counter() -> &'static lsqca_telemetry::Counter {
+    static COUNTER: OnceLock<&'static lsqca_telemetry::Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| lsqca_telemetry::counter("sim.warmed"))
+}
+
+/// Total simulator warm-ups (constructions) performed by this process so far
+/// (the registry's `sim.warmed` counter).
+pub fn warm_count() -> u64 {
+    builds_counter().get()
 }
 
 /// Opt-in per-instance telemetry knobs, set on
@@ -109,7 +122,7 @@ pub enum SimError {
     },
     /// The architecture bounds CR registers but provides zero register slots,
     /// so no `CX` (or any register-dependent instruction) could ever be
-    /// scheduled. Detected at [`Simulator::try_new`] so a sweep fails before
+    /// scheduled. Detected at [`SimulatorBuilder::build`] so a sweep fails before
     /// executing a single instruction instead of panicking mid-program.
     NoCrSlots {
         /// Debug rendering of the offending floorplan.
@@ -117,7 +130,7 @@ pub enum SimError {
     },
     /// The run exceeded the configured instruction budget (the sharded-sweep
     /// per-point timeout hook, set via `LSQCA_INSTRUCTION_BUDGET` or
-    /// [`Simulator::set_instruction_budget`]): a deterministic stand-in for a
+    /// [`SimulatorBuilder::instruction_budget`]): a deterministic stand-in for a
     /// wall-clock timeout, so a runaway point aborts the worker at the same
     /// instruction on every attempt and the supervisor can quarantine it.
     InstructionBudget {
@@ -179,35 +192,27 @@ pub struct SimOutcome {
 ///
 /// A `Simulator` owns the architectural state (memory system, magic-state
 /// supply, resource ready-times) for one run; use [`simulate`] for the common
-/// one-shot case. Construct one with [`Simulator::builder`], execute any
-/// input kind with [`Simulator::execute`], and clone a warmed instance in
-/// O(1) with [`Simulator::fork`] — the bulk state lives in copy-on-write
-/// [`Page`]s shared between forks until first write.
+/// one-shot case. Construct one with [`Simulator::builder`] and execute any
+/// input kind with [`Simulator::execute`]; a reused simulator resets itself
+/// before each run.
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    /// The whole memory system behind one copy-on-write page. The page is
-    /// detached exactly once per run — [`Simulator::execute_trace`] and
-    /// [`Simulator::execute_classified`] call `make_mut` up front — so the
-    /// hot loop mutates a plain `MemorySystem` with zero per-operation
-    /// refcount traffic, while [`Simulator::fork`] and
-    /// [`Simulator::snapshot`] stay reference-count bumps.
-    memory: Page<MemorySystem>,
+    memory: MemorySystem,
     magic: MagicStateSupply,
     config: SimConfig,
     unbounded_registers: bool,
-    /// Dense per-qubit ready times. Copy-on-write so a fork of a warmed
-    /// simulator shares the table until its first run writes it.
-    mem_ready: Page<Vec<Beats>>,
+    /// Dense per-qubit ready times.
+    mem_ready: Vec<Beats>,
     slot_ready: Vec<Beats>,
-    /// Dense per-classical-value ready times. Copy-on-write like `mem_ready`.
-    classical_ready: Page<Vec<Beats>>,
+    /// Dense per-classical-value ready times.
+    classical_ready: Vec<Beats>,
     bank_ready: Vec<Beats>,
     skip_guard: Option<Beats>,
-    /// Reusable lowering scratch for [`Simulator::run`]: the execution trace
-    /// of one program is lowered into this buffer and its column vectors are
-    /// recycled across runs, so a simulator re-running ad-hoc programs
-    /// allocates nothing in steady state. (`run_compiled` never touches it —
-    /// artifacts carry their own pre-lowered trace.)
+    /// Reusable lowering scratch for executing a [`Program`]: the execution
+    /// trace of one program is lowered into this buffer and its column
+    /// vectors are recycled across runs, so a simulator re-running ad-hoc
+    /// programs allocates nothing in steady state. (A [`CompiledWorkload`]
+    /// never touches it — artifacts carry their own pre-lowered trace.)
     scratch_trace: ExecutionTrace,
     /// The construction inputs, kept so [`Simulator::reset`] can rebuild the
     /// pristine architectural state on demand. Rebuilding costs the same as
@@ -217,7 +222,7 @@ pub struct Simulator {
     arch: ArchConfig,
     num_qubits: u32,
     hot_qubits: Vec<QubitTag>,
-    /// True once `run` has mutated the architectural state.
+    /// True once a run has mutated the architectural state.
     dirty: bool,
     /// Optional runtime hot-set migration policy. Consulted for every memory
     /// operand of every load/store/in-memory instruction; legal proposals are
@@ -253,47 +258,8 @@ impl Simulator {
         }
     }
 
-    /// Builds a simulator for `num_qubits` data qubits on the given architecture.
-    ///
-    /// `hot_qubits` lists the qubits pinned into the conventional region of a
-    /// hybrid floorplan (see [`MemorySystem::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see [`SimulatorBuilder::build`]
-    /// for the fallible form).
-    #[deprecated(note = "use `Simulator::builder(arch, num_qubits).build()` instead")]
-    pub fn new(
-        arch: &ArchConfig,
-        num_qubits: u32,
-        hot_qubits: &[QubitTag],
-        config: SimConfig,
-    ) -> Self {
-        match Self::construct(arch, num_qubits, hot_qubits, config) {
-            Ok(simulator) => simulator,
-            Err(err) => panic!("invalid simulator configuration: {err}"),
-        }
-    }
-
-    /// Builds a simulator, rejecting invalid configurations with a typed
-    /// [`SimError`] instead of panicking mid-run.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SimulatorBuilder::build`].
-    #[deprecated(note = "use `Simulator::builder(arch, num_qubits).build()` instead")]
-    pub fn try_new(
-        arch: &ArchConfig,
-        num_qubits: u32,
-        hot_qubits: &[QubitTag],
-        config: SimConfig,
-    ) -> Result<Self, SimError> {
-        Self::construct(arch, num_qubits, hot_qubits, config)
-    }
-
-    /// The single validated construction path behind [`SimulatorBuilder`]
-    /// and the deprecated constructors. Every successful pass counts as one
-    /// full warm-up in [`crate::snapshot::warm_count`].
+    /// The validated construction behind [`SimulatorBuilder::build`]. Every
+    /// successful pass counts as one full warm-up in [`warm_count`].
     ///
     /// # Errors
     ///
@@ -337,29 +303,17 @@ impl Simulator {
             hot_qubits: hot_qubits.to_vec(),
             dirty: false,
             migration: None,
-            // The memory system goes behind one copy-on-write page, so `fork`
-            // and `snapshot` are reference-count bumps. A fresh simulator
-            // owns its page uniquely — no other handle exists — so the
-            // first run's up-front detach is free.
-            memory: Page::new(memory),
+            memory,
             magic,
             config,
-            mem_ready: Page::new(vec![Beats::ZERO; num_qubits as usize]),
+            mem_ready: vec![Beats::ZERO; num_qubits as usize],
             slot_ready: vec![Beats::ZERO; cr_slots],
-            classical_ready: Page::default(),
+            classical_ready: Vec::new(),
             bank_ready: vec![Beats::ZERO; bank_count],
             skip_guard: None,
             scratch_trace: ExecutionTrace::new(),
             instruction_budget: env_instruction_budget(),
         })
-    }
-
-    /// Overrides the instruction budget (see [`SimError::InstructionBudget`]).
-    /// `None` disables the guard. The budget survives [`Simulator::reset`]:
-    /// it belongs to the process, not to one run.
-    #[deprecated(note = "set the budget via `SimulatorBuilder::instruction_budget` instead")]
-    pub fn set_instruction_budget(&mut self, budget: Option<u64>) {
-        self.instruction_budget = budget;
     }
 
     /// The magic-state supply for `arch`, shared by construction and reset.
@@ -376,21 +330,9 @@ impl Simulator {
         &self.memory
     }
 
-    /// Attaches a runtime hot-set [`MigrationPolicy`]. The policy is
-    /// (re)initialized with this simulator's qubit count and pinned hot set,
-    /// here and on every [`Simulator::reset`], so consecutive runs each start
-    /// from the compile-time hot set. Pass the boxed policy from
-    /// [`lsqca_arch::PolicyKind::build`] or a custom implementation.
-    #[deprecated(
-        note = "attach the policy via `SimulatorBuilder::migration_policy` (or \
-                `Simulator::fork_with_policy` on a warmed parent) instead"
-    )]
-    pub fn set_migration_policy(&mut self, policy: Box<dyn MigrationPolicy>) {
-        self.attach_policy(policy);
-    }
-
-    /// [`Simulator::set_migration_policy`] without the deprecation: the shared
-    /// attach path behind the builder, `fork_with_policy`, and the delegate.
+    /// Initializes `policy` with this simulator's qubit count and pinned hot
+    /// set and attaches it. [`Simulator::reset`] re-initializes it, so
+    /// consecutive runs each start from the compile-time hot set.
     fn attach_policy(&mut self, mut policy: Box<dyn MigrationPolicy>) {
         policy.begin(self.num_qubits, &self.hot_qubits);
         self.migration = Some(policy);
@@ -413,20 +355,14 @@ impl Simulator {
     /// already executed a program, so consecutive runs each start from the
     /// pristine architectural state rather than silently continuing from
     /// wherever the previous program left the memory. The restore rebuilds
-    /// the memory system from the kept construction inputs: retaining a
-    /// pristine page instead would alias the live one and force every
-    /// build-once-run-once simulator — the dominant sweep path — to deep-copy
-    /// it at its first (only) run, so explicit reuse pays for reuse here and
-    /// the one-shot path pays nothing. Fresh starts for the batched sweeps
-    /// come from [`Simulator::fork`]ing a warmed parent, not from `reset`.
+    /// the memory system from the kept construction inputs, so the dominant
+    /// build-once-run-once path (every sweep point) keeps no pristine copy
+    /// and pays nothing for reuse.
     pub fn reset(&mut self) {
-        self.memory = Page::new(MemorySystem::new(
-            &self.arch,
-            self.num_qubits,
-            &self.hot_qubits,
-        ));
+        self.memory = MemorySystem::new(&self.arch, self.num_qubits, &self.hot_qubits);
         self.magic = Self::build_magic(&self.arch);
-        Self::reset_table(&mut self.mem_ready, self.num_qubits as usize);
+        self.mem_ready.clear();
+        self.mem_ready.resize(self.num_qubits as usize, Beats::ZERO);
         // Restore the construction *length* too, not just the values: a
         // program touching a `RegId` beyond the CR grows `slot_ready`, and
         // the CX scheduler treats every entry as a claimable slot — leftover
@@ -435,7 +371,7 @@ impl Simulator {
         self.slot_ready.clear();
         self.slot_ready
             .resize(self.memory.effective_cr_slots() as usize, Beats::ZERO);
-        Self::reset_table(&mut self.classical_ready, 0);
+        self.classical_ready.clear();
         for t in &mut self.bank_ready {
             *t = Beats::ZERO;
         }
@@ -444,105 +380,6 @@ impl Simulator {
             policy.begin(self.num_qubits, &self.hot_qubits);
         }
         self.dirty = false;
-    }
-
-    /// Zeroes a copy-on-write ready table back to `len` entries: in place
-    /// when the page is uniquely owned, by swapping in a fresh page when it
-    /// is shared with a fork (copying just to overwrite would be waste).
-    fn reset_table(table: &mut Page<Vec<Beats>>, len: usize) {
-        match table.unique_mut() {
-            Some(ready) => {
-                ready.clear();
-                ready.resize(len, Beats::ZERO);
-            }
-            None => table.set(vec![Beats::ZERO; len]),
-        }
-    }
-
-    /// Copy-on-write fork: a new simulator sharing every page of this one's
-    /// state — the whole memory system (grids, position tables, checkout
-    /// ledgers, vacancy rings) behind one page, plus the dense ready tables
-    /// — until the fork (or the parent) first writes it. The cost is
-    /// O(pages), independent of qubit count and grid size, so a sweep warms
-    /// one simulator per architecture and forks it per variant instead of
-    /// re-running construction N times.
-    ///
-    /// The fork owns its state: dropping (or further running) the parent
-    /// never disturbs it. An attached migration policy is cloned as-is;
-    /// use [`Simulator::fork_with_policy`] to fork into a different policy
-    /// variant in one step.
-    pub fn fork(&self) -> Simulator {
-        forks_counter().inc();
-        let _span = lsqca_telemetry::span("sim.fork");
-        let mut fork = self.clone();
-        // The lowering scratch is per-instance working memory, not
-        // architectural state; a fresh fork starts with an empty one.
-        fork.scratch_trace = ExecutionTrace::new();
-        fork
-    }
-
-    /// Forks (see [`Simulator::fork`]) and swaps the migration policy in the
-    /// same step: `Some` attaches and initializes the policy on the fork,
-    /// `None` detaches whatever the parent carried. This is the
-    /// `run_batch` entry point — one warmed parent, N policy variants.
-    pub fn fork_with_policy(&self, policy: Option<Box<dyn MigrationPolicy>>) -> Simulator {
-        let mut fork = self.fork();
-        match policy {
-            Some(policy) => fork.attach_policy(policy),
-            None => fork.migration = None,
-        }
-        fork
-    }
-
-    /// Captures the architectural and scheduler state as an O(pages)
-    /// [`Snapshot`] handle (see the [`crate::snapshot`] module docs for the
-    /// sharing semantics and what is deliberately excluded).
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            memory: self.memory.clone(),
-            magic: self.magic.clone(),
-            mem_ready: self.mem_ready.clone(),
-            slot_ready: self.slot_ready.clone(),
-            classical_ready: self.classical_ready.clone(),
-            bank_ready: self.bank_ready.clone(),
-            skip_guard: self.skip_guard,
-            dirty: self.dirty,
-        }
-    }
-
-    /// Rewinds the simulator to a previously captured [`Snapshot`] — an
-    /// O(pages) restore. An attached migration policy is re-initialized from
-    /// the pinned hot set, exactly as [`Simulator::reset`] does.
-    pub fn restore(&mut self, snapshot: &Snapshot) {
-        self.memory = snapshot.memory.clone();
-        self.magic = snapshot.magic.clone();
-        self.mem_ready = snapshot.mem_ready.clone();
-        self.slot_ready = snapshot.slot_ready.clone();
-        self.classical_ready = snapshot.classical_ready.clone();
-        self.bank_ready = snapshot.bank_ready.clone();
-        self.skip_guard = snapshot.skip_guard;
-        self.dirty = snapshot.dirty;
-        if let Some(policy) = &mut self.migration {
-            policy.begin(self.num_qubits, &self.hot_qubits);
-        }
-    }
-
-    /// True when two simulators hold observationally identical run state:
-    /// memory system, magic supply, every ready table, the skip guard, the
-    /// dirty flag, and the (Debug-rendered) migration policy state. This is
-    /// the equivalence the fork shadow proptests assert between a fork and a
-    /// fresh simulator replaying the same prefix.
-    #[doc(hidden)]
-    pub fn state_eq(&self, other: &Simulator) -> bool {
-        self.memory == other.memory
-            && self.magic == other.magic
-            && self.mem_ready == other.mem_ready
-            && self.slot_ready == other.slot_ready
-            && self.classical_ready == other.classical_ready
-            && self.bank_ready == other.bank_ready
-            && self.skip_guard == other.skip_guard
-            && self.dirty == other.dirty
-            && format!("{:?}", self.migration) == format!("{:?}", other.migration)
     }
 
     fn mem_ready(&self, m: MemAddr) -> Beats {
@@ -554,11 +391,10 @@ impl Simulator {
 
     fn set_mem_ready(&mut self, m: MemAddr, t: Beats) {
         let idx = m.index() as usize;
-        let mem_ready = self.mem_ready.make_mut();
-        if idx >= mem_ready.len() {
-            mem_ready.resize(idx + 1, Beats::ZERO);
+        if idx >= self.mem_ready.len() {
+            self.mem_ready.resize(idx + 1, Beats::ZERO);
         }
-        mem_ready[idx] = t;
+        self.mem_ready[idx] = t;
     }
 
     fn slot_ready(&self, r: RegId) -> Beats {
@@ -585,11 +421,10 @@ impl Simulator {
 
     fn set_classical_ready(&mut self, v: ClassicalId, t: Beats) {
         let idx = v.index() as usize;
-        let classical_ready = self.classical_ready.make_mut();
-        if idx >= classical_ready.len() {
-            classical_ready.resize(idx + 1, Beats::ZERO);
+        if idx >= self.classical_ready.len() {
+            self.classical_ready.resize(idx + 1, Beats::ZERO);
         }
-        classical_ready[idx] = t;
+        self.classical_ready[idx] = t;
     }
 
     fn tag(m: MemAddr) -> QubitTag {
@@ -632,27 +467,6 @@ impl Simulator {
         input.execute_on(self)
     }
 
-    /// Executes `program` and returns the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::execute`].
-    #[deprecated(note = "use `Simulator::execute(&program)` instead")]
-    pub fn run(&mut self, program: &Program) -> Result<SimOutcome, SimError> {
-        self.execute_program(program)
-    }
-
-    /// Executes a [`CompiledWorkload`] artifact through its pre-lowered
-    /// execution trace.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::execute`].
-    #[deprecated(note = "use `Simulator::execute(&workload)` instead")]
-    pub fn run_compiled(&mut self, workload: &CompiledWorkload) -> Result<SimOutcome, SimError> {
-        self.execute_trace(workload.trace())
-    }
-
     /// The [`Program`] engine path: lower into the engine's reusable scratch
     /// trace (the column vectors are recycled across runs), then execute
     /// through the trace engine. Callers holding a [`CompiledWorkload`] skip
@@ -663,25 +477,6 @@ impl Simulator {
         let outcome = self.execute_trace(&trace);
         self.scratch_trace = trace;
         outcome
-    }
-
-    /// Executes `program` against an externally precompiled latency-class
-    /// vector through the reference interpreter.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::execute`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is not parallel to the instruction stream.
-    #[deprecated(note = "use `Simulator::execute(&Classified::new(program, classes))` instead")]
-    pub fn run_classified(
-        &mut self,
-        program: &Program,
-        classes: &[LatencyClass],
-    ) -> Result<SimOutcome, SimError> {
-        self.execute_classified(program, classes)
     }
 
     /// The [`Classified`] engine path — the **reference interpreter**,
@@ -711,10 +506,6 @@ impl Simulator {
             self.reset();
         }
         self.dirty = true;
-        // Detach the copy-on-write memory page up front, so a fork pays its
-        // copy here, once, and every `make_mut` at the access sites below
-        // takes the unique-owner fast path.
-        self.memory.make_mut();
         let mut stats = ExecutionStats {
             memory_density: self.memory.memory_density(),
             total_cells: self.memory.total_cells(),
@@ -775,10 +566,10 @@ impl Simulator {
             // An optimized CX claims one CR slot for its surgery ancilla.
             let mut cx_slot: Option<usize> = None;
             if matches!(instr, Instruction::Cx { .. }) && !self.unbounded_registers {
-                // Construction ([`Simulator::try_new`]) rejects the bounded-
-                // registers-with-zero-slots state, so a slot always exists;
-                // the `else` keeps the error typed instead of panicking if
-                // that invariant is ever broken.
+                // `SimulatorBuilder::build` rejects the bounded-registers-
+                // with-zero-slots state, so a slot always exists; the `else`
+                // keeps the error typed instead of panicking if that
+                // invariant is ever broken.
                 let Some((slot, ready)) = self
                     .slot_ready
                     .iter()
@@ -814,7 +605,7 @@ impl Simulator {
                         if self.memory.is_checked_out(qubit) {
                             continue;
                         }
-                        if let Ok(cost) = self.memory.make_mut().migrate(qubit, victim) {
+                        if let Ok(cost) = self.memory.migrate(qubit, victim) {
                             policy.applied(qubit, victim);
                             let total = cost + policy.overhead();
                             stats.migrations += 1;
@@ -829,13 +620,13 @@ impl Simulator {
             let duration = match *instr {
                 Instruction::Ld { mem, .. } => {
                     stats.loads += 1;
-                    let cost = self.memory.make_mut().load(Self::tag(mem)).map_err(wrap)?;
+                    let cost = self.memory.load(Self::tag(mem)).map_err(wrap)?;
                     stats.memory_access_beats += cost;
                     cost
                 }
                 Instruction::St { mem, .. } => {
                     stats.stores += 1;
-                    let cost = self.memory.make_mut().store(Self::tag(mem)).map_err(wrap)?;
+                    let cost = self.memory.store(Self::tag(mem)).map_err(wrap)?;
                     stats.memory_access_beats += cost;
                     cost
                 }
@@ -859,20 +650,12 @@ impl Simulator {
                 Instruction::Sk { .. } => Beats::ZERO,
                 Instruction::PzM { .. } | Instruction::PpM { .. } => Beats::ZERO,
                 Instruction::HdM { mem } => {
-                    let seek = self
-                        .memory
-                        .make_mut()
-                        .in_memory_seek(Self::tag(mem))
-                        .map_err(wrap)?;
+                    let seek = self.memory.in_memory_seek(Self::tag(mem)).map_err(wrap)?;
                     stats.memory_access_beats += seek;
                     seek + Beats(3)
                 }
                 Instruction::PhM { mem } => {
-                    let seek = self
-                        .memory
-                        .make_mut()
-                        .in_memory_seek(Self::tag(mem))
-                        .map_err(wrap)?;
+                    let seek = self.memory.in_memory_seek(Self::tag(mem)).map_err(wrap)?;
                     stats.memory_access_beats += seek;
                     seek + Beats(2)
                 }
@@ -880,7 +663,6 @@ impl Simulator {
                 Instruction::MxxM { mem, .. } | Instruction::MzzM { mem, .. } => {
                     let access = self
                         .memory
-                        .make_mut()
                         .in_memory_two_qubit_access(Self::tag(mem))
                         .map_err(wrap)?;
                     stats.memory_access_beats += access;
@@ -897,13 +679,12 @@ impl Simulator {
                     let peek_c = self.memory.peek_load(qc).map_err(wrap)?;
                     let peek_t = self.memory.peek_load(qt).map_err(wrap)?;
                     let (loaded, other) = if peek_c <= peek_t { (qc, qt) } else { (qt, qc) };
-                    let load = self.memory.make_mut().load(loaded).map_err(wrap)?;
+                    let load = self.memory.load(loaded).map_err(wrap)?;
                     let access = self
                         .memory
-                        .make_mut()
                         .in_memory_two_qubit_access(other)
                         .map_err(wrap)?;
-                    let store = self.memory.make_mut().store(loaded).map_err(wrap)?;
+                    let store = self.memory.store(loaded).map_err(wrap)?;
                     // The internal load/store pair is counted separately from
                     // explicit LD/ST instructions: `stats.loads`/`stats.stores`
                     // track the program text, `implicit_*` track what the CX
@@ -955,16 +736,6 @@ impl Simulator {
         Ok(SimOutcome { stats, trace })
     }
 
-    /// Executes a pre-lowered [`ExecutionTrace`] — the optimized engine path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::execute`].
-    #[deprecated(note = "use `Simulator::execute(&trace)` instead")]
-    pub fn run_trace(&mut self, trace: &ExecutionTrace) -> Result<SimOutcome, SimError> {
-        self.execute_trace(trace)
-    }
-
     /// The [`ExecutionTrace`] engine path — the optimized engine.
     ///
     /// The trace is a struct-of-arrays rendering of the instruction stream
@@ -985,31 +756,27 @@ impl Simulator {
         }
         self.dirty = true;
 
-        // Detach the copy-on-write ready tables up front — this run writes
-        // them unconditionally, so a fork pays its page copies here, once,
-        // and the hot loop below indexes plain vectors. Presize them so the
-        // loop needs no per-write grow checks, plus one scratch slot past
-        // every real operand: absent operands read slot 0 under a zero mask
-        // and write the scratch slot, so the dependency pass needs no
-        // per-operand branches at all. Reads of never-written entries return
-        // `Beats::ZERO` either way, so sizing up front is observationally
-        // free. `slot_ready` deliberately keeps its lazy growth instead: the
+        // Presize the ready tables so the loop needs no per-write grow
+        // checks, plus one scratch slot past every real operand: absent
+        // operands read slot 0 under a zero mask and write the scratch slot,
+        // so the dependency pass needs no per-operand branches at all. Reads
+        // of never-written entries return `Beats::ZERO` either way, so sizing
+        // up front is observationally free. `slot_ready` deliberately keeps its lazy growth instead: the
         // CX slot claim scans the *current* table, and presizing it would
         // hand CXs slots the program has not touched yet.
         let mem_bound = trace.mem_bound() as usize;
-        let mem_ready_table = self.mem_ready.make_mut();
-        if mem_ready_table.len() < mem_bound + 1 {
-            mem_ready_table.resize(mem_bound + 1, Beats::ZERO);
+        if self.mem_ready.len() < mem_bound + 1 {
+            self.mem_ready.resize(mem_bound + 1, Beats::ZERO);
         }
         // Any index past every real operand works as the write sink: nothing
         // in this run reads indices at or above `mem_bound`.
-        let mem_scratch = mem_ready_table.len() - 1;
+        let mem_scratch = self.mem_ready.len() - 1;
         let classical_bound = trace.classical_bound() as usize;
-        let classical_ready_table = self.classical_ready.make_mut();
-        if classical_ready_table.len() < classical_bound + 1 {
-            classical_ready_table.resize(classical_bound + 1, Beats::ZERO);
+        if self.classical_ready.len() < classical_bound + 1 {
+            self.classical_ready
+                .resize(classical_bound + 1, Beats::ZERO);
         }
-        let classical_scratch = classical_ready_table.len() - 1;
+        let classical_scratch = self.classical_ready.len() - 1;
 
         let mut stats = ExecutionStats {
             memory_density: self.memory.memory_density(),
@@ -1072,14 +839,6 @@ impl Simulator {
             arch,
             ..
         } = self;
-        // Already detached above, so these are the unique-owner fast path:
-        // plain `&mut Vec<Beats>` for the rest of the walk.
-        let mem_ready = mem_ready.make_mut();
-        let classical_ready = classical_ready.make_mut();
-        // Detach the memory page once — a fork pays its whole-system copy
-        // here — and the loop below mutates a plain `&mut MemorySystem`,
-        // byte-for-byte the pre-copy-on-write hot path.
-        let memory = memory.make_mut();
 
         for index in 0..trace.len() {
             if index as u64 >= budget {
@@ -1169,7 +928,7 @@ impl Simulator {
                 cx_slot = Some(slot);
             }
 
-            // Runtime hot-set migration (see `run_classified` for the
+            // Runtime hot-set migration (see `execute_classified` for the
             // policy contract — proposals observed per memory operand,
             // applied before the access, dropped when checked out).
             let mut migration_delay = Beats::ZERO;
@@ -1243,7 +1002,7 @@ impl Simulator {
                     // Runtime optimization (Sec. VI-A): load the cheaper
                     // operand, access the other in memory, store the loaded
                     // one back, as one fused memory call (see
-                    // `run_classified` for the unfused executable spec).
+                    // `execute_classified` for the unfused executable spec).
                     let (load, access, store) =
                         memory.cx_access(QubitTag(m0), QubitTag(m1)).map_err(wrap)?;
                     stats.implicit_loads += 1;
@@ -1504,7 +1263,7 @@ impl SimulatorBuilder {
 /// a positive integer enables the guard, anything else (unset, empty, `0`,
 /// non-numeric) disables it. Read once; every simulator constructed in this
 /// process inherits it (override per instance with
-/// [`Simulator::set_instruction_budget`]).
+/// [`SimulatorBuilder::instruction_budget`]).
 fn env_instruction_budget() -> Option<u64> {
     static BUDGET: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
     *BUDGET.get_or_init(|| {
@@ -1527,7 +1286,7 @@ fn env_instruction_budget() -> Option<u64> {
 /// Panics if the program is malformed with respect to the memory model (for
 /// example, an in-memory operation on a qubit that is still checked out). Use
 /// [`Program::validate`] and the compiler to produce well-formed programs, or
-/// drive [`Simulator::run`] directly to handle the error.
+/// drive [`Simulator::execute`] directly to handle the error.
 pub fn simulate(
     program: &Program,
     num_qubits: u32,
@@ -2166,125 +1925,5 @@ mod tests {
         // removed the acquisition wait entirely.
         assert_eq!(outcome.trace.len(), 2);
         assert_eq!(outcome.stats.magic_wait_beats, Beats::ZERO);
-    }
-
-    #[test]
-    fn fork_is_equivalent_to_a_fresh_build() {
-        let mut program = Program::new("forked");
-        for q in 0..12u32 {
-            program.push(Instruction::Cx {
-                control: MemAddr(q),
-                target: MemAddr((q + 5) % 12),
-            });
-        }
-        let parent = sim(&point(1), 12);
-        let mut fork = parent.fork();
-        assert!(fork.state_eq(&parent));
-        let mut fresh = sim(&point(1), 12);
-        assert!(fork.state_eq(&fresh));
-        // Kill the parent: the fork owns its state.
-        drop(parent);
-        let via_fork = fork.execute(&program).unwrap();
-        let via_fresh = fresh.execute(&program).unwrap();
-        assert_eq!(via_fork, via_fresh);
-        assert!(fork.state_eq(&fresh));
-    }
-
-    #[test]
-    fn fork_with_policy_swaps_the_variant() {
-        use lsqca_arch::PolicyKind;
-        let mut program = Program::new("variants");
-        for _ in 0..40 {
-            program.push(Instruction::HdM { mem: MemAddr(30) });
-            program.push(Instruction::Cx {
-                control: MemAddr(30),
-                target: MemAddr(31),
-            });
-        }
-        let arch = point(1).with_hybrid_fraction(0.05);
-        let hot = [QubitTag(0), QubitTag(1)];
-        let parent = Simulator::builder(&arch, 64)
-            .hot_qubits(&hot)
-            .build()
-            .unwrap();
-        let mut plain = parent.fork_with_policy(None);
-        let mut adaptive = parent.fork_with_policy(Some(PolicyKind::FreqDecay.build()));
-        assert_eq!(plain.migration_policy_name(), None);
-        assert_eq!(adaptive.migration_policy_name(), Some("freq-decay"));
-        let static_run = plain.execute(&program).unwrap();
-        let dynamic_run = adaptive.execute(&program).unwrap();
-        assert_eq!(static_run.stats.migrations, 0);
-        assert!(dynamic_run.stats.migrations > 0);
-        // Each fork matches a fresh builder-constructed simulator.
-        let mut fresh = Simulator::builder(&arch, 64)
-            .hot_qubits(&hot)
-            .migration_policy(PolicyKind::FreqDecay.build())
-            .build()
-            .unwrap();
-        assert_eq!(fresh.execute(&program).unwrap(), dynamic_run);
-    }
-
-    #[test]
-    fn snapshot_restore_rewinds_a_dirty_simulator() {
-        let mut program = Program::new("rewind");
-        for q in 0..8u32 {
-            program.push(Instruction::Cx {
-                control: MemAddr(q),
-                target: MemAddr(q + 8),
-            });
-        }
-        let mut simulator = sim(&point(1), 16);
-        let pristine = simulator.snapshot();
-        let first = simulator.execute(&program).unwrap();
-        let warmed = simulator.snapshot();
-        // Restoring the pristine snapshot is observationally a fresh start.
-        simulator.restore(&pristine);
-        assert!(simulator.state_eq(&sim(&point(1), 16)));
-        let again = simulator.execute(&program).unwrap();
-        assert_eq!(first, again);
-        // Restoring the warmed snapshot reproduces the post-run state.
-        simulator.restore(&warmed);
-        let mut reference = sim(&point(1), 16);
-        reference.execute(&program).unwrap();
-        assert!(simulator.state_eq(&reference));
-    }
-
-    #[test]
-    fn fork_and_warm_counters_advance() {
-        let warmed_before = crate::snapshot::warm_count();
-        let forked_before = crate::snapshot::fork_count();
-        let parent = sim(&point(1), 8);
-        let _forks: Vec<Simulator> = (0..3).map(|_| parent.fork()).collect();
-        assert_eq!(crate::snapshot::warm_count() - warmed_before, 1);
-        assert_eq!(crate::snapshot::fork_count() - forked_before, 3);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_points_delegate_to_the_new_api() {
-        let mut program = Program::new("legacy");
-        program.push(Instruction::Ld {
-            mem: MemAddr(3),
-            reg: RegId(0),
-        });
-        program.push(Instruction::HdC { reg: RegId(0) });
-        program.push(Instruction::St {
-            reg: RegId(0),
-            mem: MemAddr(3),
-        });
-        let mut trace = ExecutionTrace::new();
-        lsqca_isa::lower_into(&program, &mut trace);
-        let classes = lsqca_isa::LatencyTable::paper().classify_program(&program);
-
-        let mut modern = sim(&point(1), 8);
-        let expected = modern.execute(&program).unwrap();
-
-        let mut legacy = Simulator::new(&point(1), 8, &[], SimConfig::default());
-        assert_eq!(legacy.run(&program).unwrap(), expected);
-        assert_eq!(legacy.run_trace(&trace).unwrap(), expected);
-        assert_eq!(legacy.run_classified(&program, &classes).unwrap(), expected);
-        let mut fallible = Simulator::try_new(&point(1), 8, &[], SimConfig::default()).unwrap();
-        fallible.set_instruction_budget(Some(1));
-        assert!(fallible.run(&program).is_err());
     }
 }

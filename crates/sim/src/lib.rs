@@ -49,16 +49,14 @@
 pub mod config;
 pub mod engine;
 pub mod metrics;
-pub mod snapshot;
 pub mod trace;
 
 pub use config::SimConfig;
 pub use engine::{
-    simulate, simulation_count, Classified, Executable, SimError, SimOutcome, Simulator,
-    SimulatorBuilder, TelemetryConfig,
+    simulate, simulation_count, warm_count, Classified, Executable, SimError, SimOutcome,
+    Simulator, SimulatorBuilder, TelemetryConfig,
 };
 pub use metrics::{ExecutionStats, StatsDecodeError, STATS_SCHEMA};
-pub use snapshot::Snapshot;
 pub use trace::{MemoryTrace, TraceEvent};
 
 /// Revision of the simulation semantics, mixed into every result-store key.

@@ -169,6 +169,24 @@ proptest! {
         prop_assert_eq!(&expected_again, &actual_again);
     }
 
+    /// Reset-on-reuse is the only rerun path: a simulator that already ran
+    /// a prefix — one that may have failed part-way, leaving qubits checked
+    /// out and ready tables grown — runs any program exactly like a freshly
+    /// built one.
+    #[test]
+    fn reused_simulator_runs_like_a_fresh_one(
+        prefix in any_program(),
+        program in any_program(),
+        arch in any_arch(),
+        hot in proptest::collection::vec(0u32..QUBITS, 0..4),
+        policy in any_policy(),
+    ) {
+        let hot: Vec<QubitTag> = hot.into_iter().map(QubitTag).collect();
+        let (mut reused, mut fresh) = pair(&arch, &hot, SimConfig::default(), policy, None);
+        let _ = reused.execute(&prefix);
+        prop_assert_eq!(fresh.execute(&program), reused.execute(&program));
+    }
+
     /// A trace that round-trips through its on-disk text executes
     /// identically to the freshly lowered one — the artifact path
     /// (`ExecutionTrace::decode` on cache load) cannot drift from the

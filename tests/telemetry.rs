@@ -106,19 +106,16 @@ proptest! {
             .iter()
             .map(|&(line_sam, banks, factories)| sweep_config(line_sam, banks, factories))
             .collect();
-        let results = workload.run_batch(&configs);
+        let results: Vec<_> = configs.iter().map(|config| workload.run(config)).collect();
         lsqca_telemetry::set_spans_enabled(false);
         let spans = lsqca_telemetry::take_spans();
 
         prop_assert_eq!(results.len(), configs.len());
         assert_balanced_nesting(&spans);
         let count = |name: &str| spans.iter().filter(|span| span.name == name).count();
-        // One warm per batch group and one fork + execute per point — the
-        // parent stays pristine, so even a group's first point forks.
-        prop_assert!(count("sim.warm") >= 1, "no sim.warm span recorded");
-        prop_assert!(count("sim.warm") <= configs.len());
+        // Every point builds its own simulator and executes once on it.
+        prop_assert_eq!(count("sim.warm"), configs.len());
         prop_assert_eq!(count("point.execute"), configs.len());
-        prop_assert_eq!(count("sim.fork"), configs.len());
     }
 }
 
