@@ -575,7 +575,7 @@ pub fn generate(scale: Scale) -> HotpathReport {
 /// Runs every hot-path measurement under an explicit time budget.
 pub fn generate_with(scale: Scale, budget: MeasureBudget) -> HotpathReport {
     let workload = workload(scale);
-    let program = &workload.compiled().program;
+    let program = workload.compiled().program();
     let instructions = program.len() as u64;
 
     let mut comparisons = Vec::new();
@@ -851,7 +851,7 @@ mod tests {
     #[test]
     fn legacy_operand_extraction_matches_the_optimized_one() {
         let workload = workload(Scale::Quick);
-        for instr in workload.compiled().program.iter() {
+        for instr in workload.compiled().program().iter() {
             assert_eq!(
                 instr.memory_operands().as_slice(),
                 legacy::memory_operands(instr).as_slice()
@@ -1011,7 +1011,7 @@ mod tests {
         // equivalence over random programs lives in the sim crate's shadow
         // proptests; this pins the measured configuration.)
         let workload = workload(Scale::Quick);
-        let program = &workload.compiled().program;
+        let program = workload.compiled().program();
         let classes = LatencyTable::paper().classify_program(program);
         let trace = lsqca::isa::lower(program);
         let arch = ArchConfig::new(FloorplanKind::PointSam { banks: 1 }, 1);
@@ -1036,7 +1036,7 @@ mod tests {
     #[test]
     fn legacy_command_count_matches_the_class_vector() {
         let workload = workload(Scale::Quick);
-        let program = &workload.compiled().program;
+        let program = workload.compiled().program();
         let table = LatencyTable::paper();
         let classes = table.classify_program(program);
         assert_eq!(classes.len(), program.len());

@@ -19,6 +19,7 @@ use lsqca_lattice::{Beats, QubitTag};
 use lsqca_sim::{ExecutionStats, MemoryTrace, SimConfig, Simulator};
 use lsqca_workloads::CompiledWorkload;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// How the hot set of a hybrid floorplan is chosen.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -145,12 +146,63 @@ impl ExperimentConfig {
         }
         label
     }
+
+    /// The canonical, versioned encoding of every field, used in result-store
+    /// keys. A pure Line #SAM=2 configuration with 4 factories encodes as
+    ///
+    /// ```text
+    /// v1;floorplan=line;banks=2;factories=4;hybrid=0000000000000000;hot=access-count;store=locality;migration=none;trace=0;infinite-magic=0
+    /// ```
+    ///
+    /// Each field is written explicitly, so a derive reorder or a `Debug`
+    /// change cannot re-key the store. The encoding is injective: the hybrid
+    /// fraction is its exact `f64` bit pattern, and no name or number in a
+    /// field contains the `;`, `:` or `,` separators. Changing the format
+    /// means bumping the leading version.
+    pub fn canonical_encoding(&self) -> String {
+        let floorplan = match self.floorplan {
+            FloorplanKind::PointSam { .. } => "point",
+            FloorplanKind::DualPointSam { .. } => "dual-point",
+            FloorplanKind::LineSam { .. } => "line",
+            FloorplanKind::Conventional => "conventional",
+        };
+        let hot = match &self.hot_set {
+            HotSetStrategy::ByAccessCount => "access-count".to_string(),
+            HotSetStrategy::ByRole(roles) => {
+                let names: Vec<&str> = roles.iter().map(|r| r.name()).collect();
+                format!("role:{}", names.join(","))
+            }
+            HotSetStrategy::Explicit(qubits) => {
+                let indices: Vec<String> = qubits.iter().map(|q| q.0.to_string()).collect();
+                format!("explicit:{}", indices.join(","))
+            }
+        };
+        format!(
+            "v1;floorplan={floorplan};banks={};factories={};hybrid={:016x};hot={hot};\
+             store={};migration={};trace={};infinite-magic={}",
+            self.floorplan.bank_count(),
+            self.factories,
+            self.hybrid_fraction.to_bits(),
+            if self.locality_aware_store {
+                "locality"
+            } else {
+                "home"
+            },
+            self.migration.map_or("none", PolicyKind::name),
+            u8::from(self.sim.record_trace),
+            u8::from(self.sim.assume_infinite_magic),
+        )
+    }
 }
 
 /// A compiled workload, ready to be simulated under many configurations.
 #[derive(Debug, Clone)]
 pub struct Workload {
     artifact: CompiledWorkload,
+    /// Every referenced qubit, most referenced first (ties by ascending
+    /// index), ranked on first use. `hot_set_by_access_count(program, k)` is
+    /// exactly its length-`k` prefix, so sweeps rank once per workload.
+    access_ranking: OnceLock<Vec<QubitTag>>,
 }
 
 impl Workload {
@@ -162,15 +214,16 @@ impl Workload {
     /// Compiles `circuit` with an explicit compiler configuration.
     pub fn with_compiler(circuit: Circuit, config: CompilerConfig) -> Self {
         let descriptor = format!("adhoc:{}", circuit.name());
-        Workload {
-            artifact: CompiledWorkload::compile(descriptor, &circuit, config),
-        }
+        Workload::from_artifact(CompiledWorkload::compile(descriptor, &circuit, config))
     }
 
     /// Wraps an existing artifact (e.g. one loaded from the on-disk cache of
     /// `lsqca_workloads::cache`) without compiling anything.
     pub fn from_artifact(artifact: CompiledWorkload) -> Self {
-        Workload { artifact }
+        Workload {
+            artifact,
+            access_ranking: OnceLock::new(),
+        }
     }
 
     /// The compiled-workload artifact backing this workload.
@@ -186,7 +239,7 @@ impl Workload {
 
     /// Number of data qubits (SAM addresses) the workload needs.
     pub fn num_qubits(&self) -> u32 {
-        self.artifact.num_qubits
+        self.artifact.num_qubits()
     }
 
     /// Selects the hot qubits for the given configuration.
@@ -196,7 +249,7 @@ impl Workload {
         }
         let count = hot_set_size(self.num_qubits(), config.hybrid_fraction);
         match &config.hot_set {
-            HotSetStrategy::ByAccessCount => hot_set_by_access_count(&self.artifact.program, count),
+            HotSetStrategy::ByAccessCount => self.most_accessed(count),
             HotSetStrategy::ByRole(roles) => {
                 // Role-based pinning uses the whole register set even when it
                 // is smaller than `count`; `count` only caps the list.
@@ -212,25 +265,36 @@ impl Workload {
         }
     }
 
+    /// The `count` most referenced qubits: the prefix of the ranking computed
+    /// on first use, equal to `hot_set_by_access_count(program, count)`.
+    fn most_accessed(&self, count: usize) -> Vec<QubitTag> {
+        let ranking = self
+            .access_ranking
+            .get_or_init(|| hot_set_by_access_count(self.artifact.program(), usize::MAX));
+        ranking[..count.min(ranking.len())].to_vec()
+    }
+
     /// The content-addressed result-store key for running this workload under
     /// `config`.
     ///
     /// The key covers everything the resulting statistics depend on: the full
     /// compiled-workload identity (the generator/compiler descriptor, pinned
-    /// to the exact instruction stream by the payload hash), the complete
-    /// experiment configuration (floorplan, factories, hybrid fraction,
-    /// hot-set strategy, store policy, migration policy, simulator options,
-    /// via `Debug`), the instruction-set version, and the
-    /// simulation-semantics revision ([`lsqca_sim::RESULTS_REVISION`]) plus
-    /// the stats payload schema. Changing any of them changes the key, so
-    /// stale records are simply never found again — the same invalidation
-    /// contract as the workload cache.
+    /// to the exact instruction stream by the artifact's payload hash, which
+    /// is computed once per artifact), the complete experiment configuration
+    /// (floorplan, factories, hybrid fraction, hot-set strategy, store
+    /// policy, migration policy, simulator options, via
+    /// [`ExperimentConfig::canonical_encoding`]), the instruction-set
+    /// version, and the simulation-semantics revision
+    /// ([`lsqca_sim::RESULTS_REVISION`]) plus the stats payload schema.
+    /// Changing any of them changes the key, so stale records are simply
+    /// never found again — the same invalidation contract as the workload
+    /// cache.
     pub fn result_key(&self, config: &ExperimentConfig) -> String {
         format!(
-            "{}|payload={:016x}|experiment={:?}|isa=v{}|sim=r{}|stats={}",
+            "{}|payload={:016x}|experiment={}|isa=v{}|sim=r{}|stats={}",
             self.artifact.descriptor(),
             self.artifact.payload_hash(),
-            config,
+            config.canonical_encoding(),
             lsqca_isa::ISA_VERSION,
             lsqca_sim::RESULTS_REVISION,
             lsqca_sim::STATS_SCHEMA,
@@ -250,7 +314,7 @@ impl Workload {
         stats: ExecutionStats,
     ) -> ExperimentResult {
         ExperimentResult {
-            workload: self.artifact.program.name().to_string(),
+            workload: self.artifact.program().name().to_string(),
             config_label: config.label(),
             total_beats: stats.total_beats,
             cpi: stats.cpi(),
@@ -288,11 +352,11 @@ impl Workload {
             Ok(outcome) => outcome,
             Err(err) => panic!(
                 "simulation of `{}` failed: {err}",
-                self.artifact.program.name()
+                self.artifact.program().name()
             ),
         };
         ExperimentResult {
-            workload: self.artifact.program.name().to_string(),
+            workload: self.artifact.program().name().to_string(),
             config_label: config.label(),
             total_beats: outcome.stats.total_beats,
             cpi: outcome.stats.cpi(),
@@ -536,6 +600,170 @@ mod tests {
         // A different workload must change the key.
         let other = Workload::from_circuit(Benchmark::Cat.reduced_instance());
         assert_ne!(key, other.result_key(&config));
+    }
+
+    /// The canonical key is pinned byte for byte: a change to it re-keys every
+    /// stored record, so it must be deliberate (and bump the encoding version
+    /// or `RESULTS_REVISION`).
+    #[test]
+    fn result_keys_are_pinned() {
+        let mut circuit = Circuit::new("golden", 3);
+        circuit.h(0);
+        circuit.cnot(0, 1);
+        circuit.t(2);
+        let w = Workload::from_circuit(circuit);
+        let prefix = "adhoc:golden|payload=071a5eb96cd01eec";
+        let suffix = "|isa=v1|sim=r3|stats=lsqca-stats-v1";
+        let pure = ExperimentConfig::new(FloorplanKind::LineSam { banks: 2 }, 4);
+        let by_role = ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 2)
+            .with_hybrid_fraction(0.3)
+            .with_hot_set(HotSetStrategy::ByRole(vec![
+                RegisterRole::Control,
+                RegisterRole::Temporal,
+            ]));
+        let migrating = ExperimentConfig::new(FloorplanKind::DualPointSam { banks: 2 }, 1)
+            .with_hybrid_fraction(0.25)
+            .with_hot_set(HotSetStrategy::Explicit(vec![QubitTag(0), QubitTag(2)]))
+            .with_migration(PolicyKind::FreqDecay)
+            .with_home_store()
+            .with_infinite_magic();
+        for (config, experiment) in [
+            (
+                &pure,
+                "v1;floorplan=line;banks=2;factories=4;hybrid=0000000000000000;\
+                 hot=access-count;store=locality;migration=none;trace=0;infinite-magic=0",
+            ),
+            (
+                &by_role,
+                "v1;floorplan=point;banks=1;factories=2;hybrid=3fd3333333333333;\
+                 hot=role:control,temporal;store=locality;migration=none;trace=0;\
+                 infinite-magic=0",
+            ),
+            (
+                &migrating,
+                "v1;floorplan=dual-point;banks=2;factories=1;hybrid=3fd0000000000000;\
+                 hot=explicit:0,2;store=home;migration=freq-decay;trace=0;\
+                 infinite-magic=1",
+            ),
+        ] {
+            assert_eq!(config.canonical_encoding(), experiment);
+            assert_eq!(
+                w.result_key(config),
+                format!("{prefix}|experiment={experiment}{suffix}")
+            );
+        }
+    }
+
+    fn config_strategy() -> impl proptest::strategy::Strategy<Value = ExperimentConfig> {
+        use proptest::prelude::*;
+        // Small domains, so generated pairs often agree on a field; 0.1 + 0.2
+        // and 0.3 differ only in the last bit.
+        const FRACTIONS: [f64; 5] = [0.0, 0.25, 0.3, 0.1 + 0.2, 1.0];
+        let floorplan = (0u32..4, 0u32..3).prop_map(|(kind, banks)| match kind {
+            0 => FloorplanKind::PointSam { banks },
+            1 => FloorplanKind::DualPointSam { banks },
+            2 => FloorplanKind::LineSam { banks },
+            _ => FloorplanKind::Conventional,
+        });
+        let hot_set = prop_oneof![
+            Just(HotSetStrategy::ByAccessCount),
+            proptest::collection::vec(0usize..RegisterRole::ALL.len(), 0..3).prop_map(|roles| {
+                HotSetStrategy::ByRole(roles.into_iter().map(|r| RegisterRole::ALL[r]).collect())
+            }),
+            proptest::collection::vec(0u32..12, 0..3).prop_map(|qubits| {
+                HotSetStrategy::Explicit(qubits.into_iter().map(QubitTag).collect())
+            }),
+        ];
+        let flags = (
+            proptest::bool::ANY,
+            0usize..4,
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+        );
+        (floorplan, 1u32..3, 0usize..FRACTIONS.len(), hot_set, flags).prop_map(
+            |(floorplan, factories, fraction, hot_set, (locality, migration, trace, magic))| {
+                ExperimentConfig {
+                    floorplan,
+                    factories,
+                    hybrid_fraction: FRACTIONS[fraction],
+                    hot_set,
+                    locality_aware_store: locality,
+                    migration: [None, Some(PolicyKind::Static), Some(PolicyKind::Lru)]
+                        .get(migration)
+                        .copied()
+                        .unwrap_or(Some(PolicyKind::FreqDecay)),
+                    sim: SimConfig {
+                        record_trace: trace,
+                        assume_infinite_magic: magic,
+                    },
+                }
+            },
+        )
+    }
+
+    proptest::proptest! {
+        /// Two configurations share an encoding exactly when they are equal,
+        /// so distinct sweep points can never collide in the store. Each case
+        /// compares `a` with every configuration that differs from it in one
+        /// field (taken from `other`), and with `other` itself.
+        #[test]
+        fn canonical_encoding_is_injective(a in config_strategy(), other in config_strategy()) {
+            let neighbours = [
+                ExperimentConfig { floorplan: other.floorplan, ..a.clone() },
+                ExperimentConfig { factories: other.factories, ..a.clone() },
+                ExperimentConfig { hybrid_fraction: other.hybrid_fraction, ..a.clone() },
+                ExperimentConfig { hot_set: other.hot_set.clone(), ..a.clone() },
+                ExperimentConfig { locality_aware_store: other.locality_aware_store, ..a.clone() },
+                ExperimentConfig { migration: other.migration, ..a.clone() },
+                ExperimentConfig {
+                    sim: SimConfig { record_trace: other.sim.record_trace, ..a.sim },
+                    ..a.clone()
+                },
+                ExperimentConfig {
+                    sim: SimConfig { assume_infinite_magic: other.sim.assume_infinite_magic, ..a.sim },
+                    ..a.clone()
+                },
+                other.clone(),
+            ];
+            for b in &neighbours {
+                proptest::prop_assert_eq!(
+                    a.canonical_encoding() == b.canonical_encoding(),
+                    a == *b,
+                    "{:?} vs {:?}",
+                    a,
+                    b
+                );
+            }
+        }
+    }
+
+    /// The memoized ranking reproduces a from-scratch selection at every
+    /// size, and stored-result reconstruction reports the same hot-set size
+    /// as a fresh run.
+    #[test]
+    fn memoized_hot_sets_match_fresh_selection() {
+        for benchmark in [Benchmark::Multiplier, Benchmark::Select] {
+            let w = Workload::from_circuit(benchmark.reduced_instance());
+            for count in 0..=w.num_qubits() as usize + 1 {
+                assert_eq!(
+                    w.most_accessed(count),
+                    hot_set_by_access_count(w.compiled().program(), count),
+                    "{benchmark:?}, count {count}"
+                );
+            }
+            for config in [
+                ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 1),
+                ExperimentConfig::new(FloorplanKind::LineSam { banks: 2 }, 2)
+                    .with_hybrid_fraction(0.3),
+                ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 1)
+                    .with_hybrid_fraction(0.2)
+                    .with_hot_set(HotSetStrategy::ByRole(vec![RegisterRole::Control])),
+            ] {
+                let fresh = w.run(&config);
+                let rebuilt = w.result_from_stats(&config, fresh.stats.clone());
+                assert_eq!(rebuilt.hot_qubits, fresh.hot_qubits, "{benchmark:?}");
+            }
+        }
     }
 
     #[test]

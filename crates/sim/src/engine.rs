@@ -1654,9 +1654,9 @@ mod tests {
             &cfg.build(),
             lsqca_compiler::CompilerConfig::default(),
         );
-        let qubits = workload.num_qubits.max(workload.memory_footprint());
+        let qubits = workload.num_qubits().max(workload.memory_footprint());
         let mut simulator = sim(&point(1), qubits);
-        let via_program = simulator.execute(&workload.program).unwrap();
+        let via_program = simulator.execute(workload.program()).unwrap();
         let via_artifact = simulator.execute(&workload).unwrap();
         assert_eq!(via_program, via_artifact);
         assert!(via_artifact.stats.command_count > 0);

@@ -66,4 +66,4 @@ pub use trace::{MemoryTrace, TraceEvent};
 /// produces for an unchanged workload and configuration; stored records keyed
 /// under the old revision then become unreachable and every point recomputes,
 /// exactly like `ISA_VERSION` invalidates compiled-workload artifacts.
-pub const RESULTS_REVISION: u32 = 2;
+pub const RESULTS_REVISION: u32 = 3;

@@ -384,7 +384,7 @@ fn default_cache_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::compile_count;
+    use crate::compiled::thread_compile_count;
     use crate::registry::{Benchmark, InstanceSize};
     use lsqca_store::FaultyIo;
     use std::fs;
@@ -410,10 +410,14 @@ mod tests {
         let (first, event) = cache.load_or_compile(&desc, config, &build);
         assert_eq!(event, CacheEvent::Compiled);
 
-        let before = compile_count();
+        let before = thread_compile_count();
         let (second, event) = cache.load_or_compile(&desc, config, &build);
         assert_eq!(event, CacheEvent::Hit);
-        assert_eq!(compile_count(), before, "a cache hit must not compile");
+        assert_eq!(
+            thread_compile_count(),
+            before,
+            "a cache hit must not compile"
+        );
         assert_eq!(first, second);
         assert_eq!(
             cache.stats(),
@@ -443,7 +447,7 @@ mod tests {
         let (w, event) =
             cache.load_or_compile(&b.descriptor(), CompilerConfig::default(), || b.build());
         assert_eq!(event, CacheEvent::Compiled);
-        assert_eq!(w.num_qubits, 127);
+        assert_eq!(w.num_qubits(), 127);
     }
 
     #[test]
@@ -458,7 +462,7 @@ mod tests {
         cache.load_or_compile(&desc, in_memory, &build);
         let (w, event) = cache.load_or_compile(&desc, load_store, &build);
         assert_eq!(event, CacheEvent::Compiled);
-        assert!(w.program.iter().any(|i| !i.is_in_memory()));
+        assert!(w.program().iter().any(|i| !i.is_in_memory()));
         // Both artifacts now hit independently.
         assert_eq!(
             cache.load_or_compile(&desc, in_memory, &build).1,
@@ -559,7 +563,7 @@ mod tests {
             ),
             "unexpected event {event:?}"
         );
-        assert_eq!(w.trace().len(), w.program.len(), "re-lowered on reject");
+        assert_eq!(w.trace().len(), w.program().len(), "re-lowered on reject");
         // The quarantined entry was rewritten at the current revision.
         assert_eq!(
             cache.load_or_compile(&desc, config, &build).1,
@@ -614,7 +618,7 @@ mod tests {
             ),
             "unexpected event {event:?}"
         );
-        assert_eq!(w.num_qubits, 32, "the cat workload must be recompiled");
+        assert_eq!(w.num_qubits(), 32, "the cat workload must be recompiled");
     }
 
     #[test]
@@ -681,10 +685,10 @@ mod tests {
         io.crash();
 
         let fresh = WorkloadCache::with_io(Some(PathBuf::from("/cache")), io);
-        let before = compile_count();
+        let before = thread_compile_count();
         let (second, event) = fresh.load_or_compile(&desc, CompilerConfig::default(), &build);
         assert_eq!(event, CacheEvent::Hit);
-        assert_eq!(compile_count(), before);
+        assert_eq!(thread_compile_count(), before);
         assert_eq!(first, second);
     }
 

@@ -11,12 +11,16 @@
 //!   program, previously re-derived by every `Simulator::run`),
 //! * the operand tables — memory footprint and the circuit's register map,
 //!   which role-based hybrid placement (Fig. 15) needs,
-//! * qubit-count metadata (`num_qubits`, `t_gates`).
+//! * qubit-count metadata (`num_qubits`, `t_gates`),
+//! * the FNV-1a payload hash that identifies all of the above.
 //!
 //! Artifacts serialize to a JSON document (`lsqca-json`) whose integrity is
-//! protected by an FNV-1a content hash, which is what the on-disk cache of
+//! protected by that content hash, which is what the on-disk cache of
 //! [`crate::cache`] stores; see that module for the keying and invalidation
-//! rules.
+//! rules. The hash is computed once per artifact — at compile time, or taken
+//! from the verified document at load time — so callers that key results on
+//! it (`Workload::result_key` in `lsqca`) pay nothing per call. Every field it
+//! covers is private, so nothing can change the content behind it.
 
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
 use lsqca_compiler::{compile, CompilerConfig};
@@ -35,26 +39,37 @@ pub const ARTIFACT_SCHEMA: &str = "lsqca-workload-artifact-v1";
 /// acceptance tests assert this stays flat across a cache-served sweep.
 static COMPILE_COUNT: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// The calling thread's share of [`COMPILE_COUNT`], so a test can assert
+    /// on its own compilations while sibling tests compile concurrently.
+    static THREAD_COMPILE_COUNT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Total circuit compilations performed by this process so far.
 pub fn compile_count() -> u64 {
     COMPILE_COUNT.load(Ordering::Relaxed)
+}
+
+/// Circuit compilations performed by the calling thread so far.
+#[cfg(test)]
+pub(crate) fn thread_compile_count() -> u64 {
+    THREAD_COMPILE_COUNT.with(std::cell::Cell::get)
 }
 
 /// A workload compiled down to everything the simulator consumes, produced
 /// once per `(generator config, compiler config)` pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledWorkload {
-    /// The LSQCA instruction stream.
-    pub program: Program,
-    /// Number of data qubits (SAM addresses) the program was compiled for.
-    pub num_qubits: u32,
-    /// Number of T / T† gates translated into magic-state teleportations.
-    pub t_gates: u64,
+    program: Program,
+    num_qubits: u32,
+    t_gates: u64,
     descriptor: String,
     classes: Vec<LatencyClass>,
     trace: ExecutionTrace,
     memory_footprint: u32,
     registers: RegisterMap,
+    payload_hash: u64,
 }
 
 impl CompiledWorkload {
@@ -67,6 +82,8 @@ impl CompiledWorkload {
         config: CompilerConfig,
     ) -> Self {
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        THREAD_COMPILE_COUNT.with(|n| n.set(n.get() + 1));
         let compiled = compile(circuit, config);
         let classes = LatencyTable::paper().classify_program(&compiled.program);
         let trace = lsqca_isa::lower(&compiled.program);
@@ -77,16 +94,46 @@ impl CompiledWorkload {
             .map(|m| m.index() + 1)
             .max()
             .unwrap_or(0);
+        let descriptor = descriptor.into();
+        let registers = circuit.registers().clone();
+        let payload_hash = Self::payload_hash_of(
+            &descriptor,
+            compiled.num_qubits,
+            compiled.t_gates,
+            memory_footprint,
+            &registers,
+            [
+                &format_program(&compiled.program),
+                &encode_classes(&classes),
+                &trace.encode(),
+            ],
+        );
         CompiledWorkload {
-            descriptor: descriptor.into(),
+            descriptor,
             classes,
             trace,
             memory_footprint,
-            registers: circuit.registers().clone(),
+            registers,
             num_qubits: compiled.num_qubits,
             t_gates: compiled.t_gates,
             program: compiled.program,
+            payload_hash,
         }
+    }
+
+    /// The LSQCA instruction stream.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// Number of data qubits (SAM addresses) the program was compiled for.
+    pub fn num_qubits(&self) -> u32 {
+        self.num_qubits
+    }
+
+    /// Number of T / T† gates translated into magic-state teleportations.
+    pub fn t_gates(&self) -> u64 {
+        self.t_gates
     }
 
     /// The workload-generator descriptor this artifact was compiled from.
@@ -149,23 +196,15 @@ impl CompiledWorkload {
         hash.finish()
     }
 
-    /// The FNV-1a content hash of the artifact payload.
+    /// The FNV-1a content hash of the artifact payload, computed once when
+    /// the artifact was compiled or loaded (O(1) per call).
     pub fn payload_hash(&self) -> u64 {
-        Self::payload_hash_of(
-            &self.descriptor,
-            self.num_qubits,
-            self.t_gates,
-            self.memory_footprint,
-            &self.registers,
-            [
-                &format_program(&self.program),
-                &encode_classes(&self.classes),
-                &self.trace.encode(),
-            ],
-        )
+        self.payload_hash
     }
 
-    /// Serializes the artifact to its on-disk JSON document.
+    /// Serializes the artifact to its on-disk JSON document. The stored
+    /// `payload_hash` is recomputed from the rendered texts, so the document
+    /// always describes exactly the content it carries.
     pub fn to_json(&self) -> Json {
         let program_text = format_program(&self.program);
         let classes_text = encode_classes(&self.classes);
@@ -284,17 +323,15 @@ impl CompiledWorkload {
         // (potentially multi-megabyte) instruction stream: corruption is
         // rejected at memcmp cost, and a verified artifact is decoded once.
         let stored_hash = str_field("payload_hash")?;
-        let actual = format!(
-            "{:016x}",
-            Self::payload_hash_of(
-                &descriptor,
-                num_qubits,
-                t_gates,
-                memory_footprint,
-                &registers,
-                [&program_text, &classes_text, &trace_text],
-            )
+        let payload_hash = Self::payload_hash_of(
+            &descriptor,
+            num_qubits,
+            t_gates,
+            memory_footprint,
+            &registers,
+            [&program_text, &classes_text, &trace_text],
         );
+        let actual = format!("{payload_hash:016x}");
         if stored_hash != actual {
             return Err(ArtifactError::PayloadHashMismatch {
                 stored: stored_hash,
@@ -340,6 +377,7 @@ impl CompiledWorkload {
             num_qubits,
             t_gates,
             program,
+            payload_hash,
         })
     }
 }
@@ -451,9 +489,9 @@ mod tests {
 
     #[test]
     fn compile_fills_every_table() {
-        let before = compile_count();
+        let before = thread_compile_count();
         let w = sample();
-        assert_eq!(compile_count(), before + 1);
+        assert_eq!(thread_compile_count(), before + 1);
         assert!(!w.program.is_empty());
         assert_eq!(w.classes().len(), w.program.len());
         assert_eq!(w.num_qubits, 16);
@@ -485,6 +523,34 @@ mod tests {
         // Round-trips through text too (the on-disk representation).
         let reparsed = lsqca_json::parse(&doc.pretty()).unwrap();
         assert_eq!(CompiledWorkload::from_json(&reparsed).unwrap(), w);
+    }
+
+    /// The memoized hash is the one `to_json` derives from the rendered
+    /// texts, both for a fresh compile and for a verified load.
+    #[test]
+    fn memoized_payload_hash_matches_the_serialized_one() {
+        let stored = |w: &CompiledWorkload| {
+            w.to_json()
+                .get("payload_hash")
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .unwrap()
+        };
+        for benchmark in [Benchmark::Ghz, Benchmark::Select] {
+            let cfg = benchmark.config(InstanceSize::Reduced);
+            let w = CompiledWorkload::compile(
+                cfg.descriptor(),
+                &cfg.build(),
+                CompilerConfig::default(),
+            );
+            assert_eq!(format!("{:016x}", w.payload_hash()), stored(&w));
+            let restored = CompiledWorkload::from_json(&w.to_json()).unwrap();
+            assert_eq!(restored.payload_hash(), w.payload_hash());
+            assert_eq!(
+                format!("{:016x}", restored.payload_hash()),
+                stored(&restored)
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn select_control_and_temporal_registers_are_the_hot_set() {
     let registers = circuit.registers().clone();
     let workload = Workload::from_circuit(circuit);
     let hot = hot_set_by_access_count(
-        &workload.compiled().program,
+        workload.compiled().program(),
         (registers.by_name("control").unwrap().len()
             + registers.by_name("temporal").unwrap().len())
             / 2,
@@ -77,7 +77,7 @@ fn multiplier_trace_shows_sequential_access() {
 fn compiled_workloads_round_trip_through_assembly_text() {
     for benchmark in [Benchmark::Ghz, Benchmark::SquareRoot, Benchmark::Select] {
         let workload = Workload::from_circuit(benchmark.reduced_instance());
-        let program = &workload.compiled().program;
+        let program = workload.compiled().program();
         let text = format_program(program);
         let parsed = parse_program(program.name(), &text).expect("assembly parses");
         assert_eq!(
@@ -97,8 +97,8 @@ fn compiled_t_gate_counts_match_the_magic_state_demand() {
         let workload = Workload::from_circuit(benchmark.reduced_instance());
         let compiled = workload.compiled();
         assert_eq!(
-            compiled.t_gates,
-            compiled.program.stats().magic_state_count,
+            compiled.t_gates(),
+            compiled.program().stats().magic_state_count,
             "{benchmark}: every T gate should consume exactly one magic state"
         );
     }

@@ -22,7 +22,7 @@ fn every_benchmark_compiles_validates_and_simulates_on_every_floorplan() {
         let circuit = benchmark.reduced_instance();
         let workload = Workload::from_circuit(circuit);
         assert!(
-            workload.compiled().program.validate().is_ok(),
+            workload.compiled().program().validate().is_ok(),
             "{benchmark}: compiled program does not validate"
         );
         let baseline = workload.run(&ExperimentConfig::baseline(1));

@@ -139,5 +139,5 @@ fn mutated_config_gets_its_own_artifact() {
         CacheEvent::Compiled,
         "one changed parameter = new key"
     );
-    assert_eq!(artifact.num_qubits, 9);
+    assert_eq!(artifact.num_qubits(), 9);
 }
