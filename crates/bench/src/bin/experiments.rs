@@ -41,24 +41,25 @@
 //! The figure sweeps run in parallel across CPU cores; set `LSQCA_THREADS=1`
 //! to force serial execution.
 //!
-//! Compiled workloads are cached on disk (default `target/lsqca-cache/`,
-//! override with `LSQCA_CACHE_DIR`, disable with `LSQCA_NO_CACHE=1`), so a
-//! repeated invocation over the same workloads — e.g. `all --full` run twice —
-//! performs zero compilation on the second run. A one-line cache summary is
-//! printed to stderr after every command; delete the cache directory (or run
-//! with `LSQCA_NO_CACHE=1`) to force recompilation.
-//!
-//! Simulation results are likewise persisted to a crash-safe result store
-//! (default `target/lsqca-store/`, override with `--store-dir`/`LSQCA_STORE_DIR`,
+//! Simulation results are persisted to a crash-safe result store (default
+//! `target/lsqca-store/`, override with `--store-dir`/`LSQCA_STORE_DIR`,
 //! disable with `--no-store`/`LSQCA_NO_STORE=1`). Every point is journaled and
 //! durably written before use, so an invocation killed mid-sweep loses at most
 //! the in-flight points: rerunning the same command picks up the stored
 //! results and produces the same report, and `--resume` prints a journal
-//! audit (intact/torn/missing record counts) before doing so. A one-line
-//! `result store: N computed, M hits, K quarantined` summary is printed to
-//! stderr after every command, followed by a `trace engine: N lowered` line
-//! counting in-process trace lowerings (cached artifacts carry their traces
-//! pre-lowered, so a warm run reports `0 lowered`).
+//! audit (intact/torn/missing record counts) before doing so.
+//!
+//! Workloads are compiled in process, at most once per process, and only
+//! when one of their sweep points misses the store: store keys derive from
+//! the workload's generator descriptor and compiler configuration, not from
+//! the compiled program, so a warm rerun compiles nothing. Nothing about
+//! workloads is written to disk.
+//!
+//! After every command, stderr gets a four-line summary:
+//! `workloads: N compiled`, `result store: N computed, M hits, K quarantined`,
+//! `trace engine: N lowered` (in-process trace lowerings, one per compile)
+//! and `simulator: N warmed`. A warm rerun compiles, computes, lowers and
+//! warms nothing.
 //!
 //! Exit codes: `0` = complete, `2` = completed with quarantined sweep points
 //! (see `--help`), `1` = fatal.
@@ -318,12 +319,10 @@ fn main() -> ExitCode {
     // every other mode).
     supervisor::export_worker_metrics();
 
-    // Stderr so `--json` stdout stays machine-readable; `table1` compiles no
-    // workloads, everything else reports its compile/hit split here. The
-    // block is rendered from one registry snapshot; its four line formats
-    // are stable and CI-greppable. A warm run loads every execution trace
-    // from the artifact cache and answers every point from the result store,
-    // so it reports `0 lowered` and `0 warmed`.
+    // Stderr so `--json` stdout stays machine-readable. The block is
+    // rendered from one registry snapshot; its four line formats are stable
+    // and CI-greppable. A warm run answers every point from the result store,
+    // so it compiles, lowers and warms nothing.
     eprintln!("{}", lsqca_bench::telemetry_summary());
 
     if let Some(path) = &metrics_out {

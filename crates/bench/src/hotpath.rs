@@ -561,10 +561,12 @@ impl ToJson for HotpathReport {
 }
 
 /// The workload the hot-path measurements run on: the mid-sized multiplier of
-/// `micro_simulator` (Quick) or the paper-sized instance (Full), compiled or
-/// cache-loaded through the shared workload cache.
+/// `micro_simulator` (Quick) or the paper-sized instance (Full), compiled in
+/// process.
 pub fn workload(scale: Scale) -> Workload {
-    crate::cached_workload(Benchmark::Multiplier, scale)
+    crate::WorkloadHandle::benchmark(Benchmark::Multiplier, scale)
+        .workload()
+        .clone()
 }
 
 /// Runs every hot-path measurement with the baseline budget.

@@ -22,6 +22,7 @@ use lsqca::prelude::*;
 use lsqca::workloads::{Benchmark, BenchmarkConfig, InstanceSize};
 use lsqca_json::{Json, ToJson};
 use lsqca_store::ResultStore;
+use std::sync::OnceLock;
 
 pub mod hotpath;
 pub mod par;
@@ -66,8 +67,8 @@ impl Scale {
     }
 }
 
-/// Builds the benchmark circuit for the given scale (bypassing the workload
-/// cache; sweep drivers use [`cached_workload`] instead).
+/// Builds the benchmark circuit for the given scale (sweep drivers compile
+/// through a [`WorkloadHandle`] instead).
 pub fn instance(benchmark: Benchmark, scale: Scale) -> Circuit {
     match scale {
         Scale::Quick => benchmark.reduced_instance(),
@@ -75,31 +76,66 @@ pub fn instance(benchmark: Benchmark, scale: Scale) -> Circuit {
     }
 }
 
-/// The process-wide on-disk workload cache every sweep driver compiles or
-/// loads through (`$LSQCA_CACHE_DIR` / `$LSQCA_NO_CACHE` aware; see
-/// `lsqca_workloads::cache`). A second `experiments` invocation over the same
-/// workloads performs zero compilation.
-pub fn workload_cache() -> &'static WorkloadCache {
-    static CACHE: std::sync::OnceLock<WorkloadCache> = std::sync::OnceLock::new();
-    CACHE.get_or_init(WorkloadCache::from_env)
+/// A workload that compiles in process, at most once, on first use.
+///
+/// A handle knows its [`workload_key`](lsqca::workloads::workload_key)
+/// without compiling, and result-store keys derive from it
+/// ([`lsqca::experiment::result_key`]). So a sweep point served from the
+/// result store, or a placeholder for a point another shard owns, never
+/// compiles anything. The first point that misses compiles the workload, in
+/// a `workload.compile` span and counted as `workloads.compiled`; every
+/// later point, on any thread, reuses it.
+pub struct WorkloadHandle {
+    key: String,
+    generator: BenchmarkConfig,
+    compiler: CompilerConfig,
+    workload: OnceLock<Workload>,
 }
 
-/// Compiles or cache-loads the benchmark instance for `scale`.
-pub fn cached_workload(benchmark: Benchmark, scale: Scale) -> Workload {
-    let cfg = benchmark.config(scale.instance_size());
-    cached_workload_with(&cfg.descriptor(), CompilerConfig::default(), || cfg.build())
-}
+impl WorkloadHandle {
+    /// A handle on the workload `generator` builds, compiled with `compiler`.
+    pub fn new(generator: BenchmarkConfig, compiler: CompilerConfig) -> Self {
+        WorkloadHandle {
+            key: lsqca::workloads::workload_key(&generator.descriptor(), &compiler),
+            generator,
+            compiler,
+            workload: OnceLock::new(),
+        }
+    }
 
-/// Compiles or cache-loads an arbitrary workload generator. `descriptor` must
-/// identify the generator configuration content (include every parameter);
-/// `build` only runs on a cache miss.
-pub fn cached_workload_with(
-    descriptor: &str,
-    config: CompilerConfig,
-    build: impl FnOnce() -> Circuit,
-) -> Workload {
-    let (artifact, _) = workload_cache().load_or_compile(descriptor, config, build);
-    Workload::from_artifact(artifact)
+    /// A handle on the benchmark instance for `scale`, with the default
+    /// compiler configuration.
+    pub fn benchmark(benchmark: Benchmark, scale: Scale) -> Self {
+        WorkloadHandle::new(
+            benchmark.config(scale.instance_size()),
+            CompilerConfig::default(),
+        )
+    }
+
+    /// The result-store key for running this workload under `config`,
+    /// derived without compiling.
+    pub fn result_key(&self, config: &ExperimentConfig) -> String {
+        lsqca::experiment::result_key(&self.key, config)
+    }
+
+    /// The compiled workload, compiling it on the first call.
+    pub fn workload(&self) -> &Workload {
+        self.workload.get_or_init(|| {
+            let _span = lsqca_telemetry::span("workload.compile");
+            lsqca_telemetry::counter("workloads.compiled").inc();
+            let artifact = CompiledWorkload::compile(
+                self.key.as_str(),
+                &self.generator.build(),
+                self.compiler,
+            );
+            Workload::from_artifact(artifact)
+        })
+    }
+
+    /// Whether [`WorkloadHandle::workload`] has compiled the workload yet.
+    pub fn is_compiled(&self) -> bool {
+        self.workload.get().is_some()
+    }
 }
 
 /// The process-wide crash-safe result store every sweep driver runs through
@@ -107,17 +143,16 @@ pub fn cached_workload_with(
 /// `experiments` invocation over the same sweep performs zero simulation, and
 /// a SIGKILLed invocation resumes from its journal.
 pub fn result_store() -> &'static ResultStore {
-    static STORE: std::sync::OnceLock<ResultStore> = std::sync::OnceLock::new();
+    static STORE: OnceLock<ResultStore> = OnceLock::new();
     STORE.get_or_init(ResultStore::from_env)
 }
 
-/// Runs `workload` under `config` through the process-wide result store:
-/// a verified stored record skips the simulation entirely, a computed result
-/// is published durably before being returned.
-///
-/// Trace-recording configurations bypass the store — traces are not persisted
-/// and a trace-hungry caller (fig. 8) must always simulate.
-pub fn stored_run(workload: &Workload, config: &ExperimentConfig) -> ExperimentResult {
+/// Runs `workload` under `config` through the process-wide result store and
+/// returns the statistics: a verified stored record skips the simulation
+/// entirely, a computed result is published durably before being returned.
+/// Every figure field derives from these statistics. Only a miss this process
+/// computes compiles the workload.
+pub fn stored_run(workload: &WorkloadHandle, config: &ExperimentConfig) -> ExecutionStats {
     stored_run_in(result_store(), workload, config)
 }
 
@@ -125,40 +160,32 @@ pub fn stored_run(workload: &Workload, config: &ExperimentConfig) -> ExperimentR
 /// kill-resume tests drive this with a [`lsqca_store::FaultyIo`] backend.
 pub fn stored_run_in(
     store: &ResultStore,
-    workload: &Workload,
+    workload: &WorkloadHandle,
     config: &ExperimentConfig,
-) -> ExperimentResult {
-    if config.sim.record_trace {
-        return workload.run(config);
-    }
+) -> ExecutionStats {
     let key = workload.result_key(config);
     // Under a shard plan, points owned by other shards (and quarantined
     // points) are never computed here: a stored record from any shard is
     // rendered as-is, an absent one as a placeholder row. Only the owning
     // shard's worker fills the gap, so shards never duplicate work.
     if !supervisor::should_compute(&key) {
-        if let Some(payload) = store.probe(&key) {
-            if let Ok(stats) = ExecutionStats::from_json(&payload) {
-                return workload.result_from_stats(config, stats);
-            }
-        }
-        return workload.result_from_stats(config, ExecutionStats::default());
+        return store
+            .probe(&key)
+            .and_then(|payload| ExecutionStats::from_json(&payload).ok())
+            .unwrap_or_default();
     }
     let (payload, _event) = store.load_or_compute(&key, || {
         // The in-flight mark makes a mid-computation death attributable to
         // this point; it survives a panic/abort and clears on success.
         let _guard = supervisor::InflightGuard::enter(&key);
-        workload.run(config).stats.to_json()
+        workload.workload().run(config).stats.to_json()
     });
-    match ExecutionStats::from_json(&payload) {
-        // Both the hit and the computed path reconstruct the result from the
-        // stored payload, so a resumed sweep is byte-identical to a clean one
-        // by construction.
-        Ok(stats) => workload.result_from_stats(config, stats),
-        // Unreachable past the record checksum (the payload schema is part of
-        // the result key), but never trust a store over a recomputation.
-        Err(_) => workload.run(config),
-    }
+    // Both the hit and the computed path decode the stored payload, so a
+    // resumed sweep is byte-identical to a clean one by construction. A
+    // payload that fails to decode is unreachable past the record checksum
+    // (the payload schema is part of the result key), but never trust a
+    // store over a recomputation.
+    ExecutionStats::from_json(&payload).unwrap_or_else(|_| workload.workload().run(config).stats)
 }
 
 /// The factory counts evaluated in the paper's figures.
@@ -311,14 +338,17 @@ pub mod fig08 {
         }
     }
 
-    fn analyze(name: &str, workload: Workload) -> BenchmarkLocality {
+    fn analyze(name: &str, generator: BenchmarkConfig) -> BenchmarkLocality {
         // Motivation-study assumptions: unbounded parallelism (conventional
         // floorplan) and instant magic states, with trace recording on.
         let config = ExperimentConfig::baseline(1)
             .with_trace()
             .with_infinite_magic();
-        // Trace-recording config: `stored_run` always simulates this one.
-        let result = crate::stored_run(&workload, &config);
+        // The trace is not persisted, so this run never goes through the
+        // result store: it compiles and simulates directly.
+        let handle = WorkloadHandle::new(generator, CompilerConfig::default());
+        let workload = handle.workload();
+        let result = workload.run(&config);
         let report =
             AccessLocalityReport::from_trace(&result.trace, Some(result.stats.magic_states));
         BenchmarkLocality {
@@ -330,8 +360,8 @@ pub mod fig08 {
         }
     }
 
-    /// Generates the Fig. 8 data for both benchmarks, compiling or
-    /// cache-loading each instance.
+    /// Generates the Fig. 8 data for both benchmarks, compiling each
+    /// instance.
     pub fn generate(scale: Scale) -> Vec<BenchmarkLocality> {
         let (select_cfg, mult_cfg) = match scale {
             Scale::Quick => (
@@ -343,25 +373,9 @@ pub mod fig08 {
             ),
             Scale::Full => (SelectConfig::paper_motivation(), MultiplierConfig::paper()),
         };
-        let select = BenchmarkConfig::Select(select_cfg);
-        let multiplier = BenchmarkConfig::Multiplier(mult_cfg);
         vec![
-            analyze(
-                "SELECT",
-                crate::cached_workload_with(
-                    &select.descriptor(),
-                    CompilerConfig::default(),
-                    || select.build(),
-                ),
-            ),
-            analyze(
-                "multiplier",
-                crate::cached_workload_with(
-                    &multiplier.descriptor(),
-                    CompilerConfig::default(),
-                    || multiplier.build(),
-                ),
-            ),
+            analyze("SELECT", BenchmarkConfig::Select(select_cfg)),
+            analyze("multiplier", BenchmarkConfig::Multiplier(mult_cfg)),
         ]
     }
 
@@ -449,9 +463,11 @@ pub mod fig13 {
         } else {
             benchmarks.to_vec()
         };
-        // Compile or cache-load each benchmark once, in parallel.
-        let workloads =
-            crate::par::par_map(&list, |&benchmark| crate::cached_workload(benchmark, scale));
+        // Each benchmark compiles on its first store miss.
+        let workloads: Vec<WorkloadHandle> = list
+            .iter()
+            .map(|&benchmark| WorkloadHandle::benchmark(benchmark, scale))
+            .collect();
 
         let mut jobs = Vec::new();
         for (i, &benchmark) in list.iter().enumerate() {
@@ -463,14 +479,14 @@ pub mod fig13 {
         }
         crate::par::par_map(&jobs, |&(i, benchmark, factories, floorplan)| {
             let config = ExperimentConfig::new(floorplan, factories);
-            let result = crate::stored_run(&workloads[i], &config);
+            let stats = crate::stored_run(&workloads[i], &config);
             Point {
                 benchmark: benchmark.name().to_string(),
                 floorplan: floorplan.label(),
                 factories,
-                cpi: result.cpi,
-                beats: result.total_beats.as_u64(),
-                density: result.memory_density,
+                cpi: stats.cpi(),
+                beats: stats.total_beats.as_u64(),
+                density: stats.memory_density,
             }
         })
     }
@@ -543,9 +559,9 @@ pub mod fig14 {
     }
 
     /// Generates the trade-off curves. `fraction_step` is 0.05 in the paper.
-    /// Compilation, the per-`(benchmark, factories)` baselines, and the full
-    /// `(floorplan × fraction)` grid all run in parallel; output order matches
-    /// the serial nesting.
+    /// The per-`(benchmark, factories)` baselines and the full `(floorplan ×
+    /// fraction)` grid run in parallel, each benchmark compiling on its first
+    /// store miss; output order matches the serial nesting.
     pub fn generate(
         scale: Scale,
         benchmarks: &[Benchmark],
@@ -558,8 +574,10 @@ pub mod fig14 {
             benchmarks.to_vec()
         };
         let steps = (1.0 / fraction_step).round() as u32;
-        let workloads =
-            crate::par::par_map(&list, |&benchmark| crate::cached_workload(benchmark, scale));
+        let workloads: Vec<WorkloadHandle> = list
+            .iter()
+            .map(|&benchmark| WorkloadHandle::benchmark(benchmark, scale))
+            .collect();
 
         // Baselines per (benchmark, factories), indexed by position.
         let mut baseline_keys = Vec::new();
@@ -589,14 +607,14 @@ pub mod fig14 {
                 let fraction = (step as f64 * fraction_step).min(1.0);
                 let config =
                     ExperimentConfig::new(floorplan, factories).with_hybrid_fraction(fraction);
-                let result = crate::stored_run(&workloads[i], &config);
+                let stats = crate::stored_run(&workloads[i], &config);
                 Point {
                     benchmark: benchmark.name().to_string(),
                     floorplan: floorplan.label(),
                     factories,
                     fraction,
-                    density: result.memory_density,
-                    overhead: result.overhead_vs(baseline_of(i, f_idx)),
+                    density: stats.memory_density,
+                    overhead: stats.overhead_vs(baseline_of(i, f_idx)),
                 }
             },
         )
@@ -711,25 +729,26 @@ pub mod fig15 {
 
     /// Generates the Fig. 15 points. For hybrid variants the control and
     /// temporal registers are pinned into the conventional region, as in the
-    /// paper. Instance compilation, the per-`(width, factories)` baselines,
-    /// and the plain/hybrid simulations all run in parallel; output order
-    /// matches the serial nesting.
+    /// paper. The per-`(width, factories)` baselines and the plain/hybrid
+    /// simulations run in parallel, each SELECT instance compiling on its
+    /// first store miss; output order matches the serial nesting.
     pub fn generate(scale: Scale, factories: &[u32], max_terms: Option<u64>) -> Vec<Point> {
         let widths = widths(scale);
-        // Compile or cache-load each SELECT instance once, in parallel.
-        let instances = crate::par::par_map(&widths, |&width| {
-            let mut select_cfg = SelectConfig::for_width(width);
-            select_cfg.max_terms = max_terms;
-            let qubits = select_cfg.total_qubits();
-            let hybrid_fraction =
-                (select_cfg.control_bits() + select_cfg.temporal_bits()) as f64 / qubits as f64;
-            let cfg = BenchmarkConfig::Select(select_cfg);
-            let workload =
-                crate::cached_workload_with(&cfg.descriptor(), CompilerConfig::default(), || {
-                    cfg.build()
-                });
-            (qubits, hybrid_fraction, workload)
-        });
+        let instances: Vec<(u32, f64, WorkloadHandle)> = widths
+            .iter()
+            .map(|&width| {
+                let mut select_cfg = SelectConfig::for_width(width);
+                select_cfg.max_terms = max_terms;
+                let qubits = select_cfg.total_qubits();
+                let hybrid_fraction =
+                    (select_cfg.control_bits() + select_cfg.temporal_bits()) as f64 / qubits as f64;
+                let workload = WorkloadHandle::new(
+                    BenchmarkConfig::Select(select_cfg),
+                    CompilerConfig::default(),
+                );
+                (qubits, hybrid_fraction, workload)
+            })
+            .collect();
 
         let mut baseline_keys = Vec::new();
         for i in 0..widths.len() {
@@ -884,8 +903,8 @@ pub mod hybrid_migrate {
     }
 
     /// Generates the sweep (defaults to SELECT and the multiplier when
-    /// `benchmarks` is empty). Workloads compile or cache-load through the
-    /// shared on-disk cache like every other sweep; the `(benchmark ×
+    /// `benchmarks` is empty). Workloads compile on their first store miss
+    /// like every other sweep; the `(benchmark ×
     /// factories × floorplan)` grid runs in parallel, with the three policy
     /// runs of one cell kept together so the `vs_static` ratios are computed
     /// against the cell's own baseline.
@@ -895,8 +914,10 @@ pub mod hybrid_migrate {
         } else {
             benchmarks.to_vec()
         };
-        let workloads =
-            crate::par::par_map(&list, |&benchmark| crate::cached_workload(benchmark, scale));
+        let workloads: Vec<WorkloadHandle> = list
+            .iter()
+            .map(|&benchmark| WorkloadHandle::benchmark(benchmark, scale))
+            .collect();
 
         let mut jobs = Vec::new();
         for (i, &benchmark) in list.iter().enumerate() {
@@ -930,22 +951,22 @@ pub mod hybrid_migrate {
                 }
             };
             runs.iter()
-                .map(|(policy, result)| Point {
+                .map(|(policy, stats)| Point {
                     benchmark: benchmark.name().to_string(),
                     floorplan: floorplan.label(),
                     policy: policy.name().to_string(),
                     fraction: FRACTION,
                     factories,
-                    beats: result.total_beats.as_u64(),
-                    seek_beats: result.stats.memory_access_beats.as_u64(),
-                    migration_beats: result.stats.migration_beats.as_u64(),
-                    migrations: result.stats.migrations,
-                    density: result.memory_density,
+                    beats: stats.total_beats.as_u64(),
+                    seek_beats: stats.memory_access_beats.as_u64(),
+                    migration_beats: stats.migration_beats.as_u64(),
+                    migrations: stats.migrations,
+                    density: stats.memory_density,
                     seek_vs_static: ratio(
-                        result.stats.memory_access_beats.as_u64(),
-                        baseline.stats.memory_access_beats.as_u64(),
+                        stats.memory_access_beats.as_u64(),
+                        baseline.memory_access_beats.as_u64(),
                     ),
-                    vs_static: ratio(result.total_beats.as_u64(), baseline.total_beats.as_u64()),
+                    vs_static: ratio(stats.total_beats.as_u64(), baseline.total_beats.as_u64()),
                 })
                 .collect()
         })
@@ -1048,24 +1069,23 @@ pub mod ablation {
                     use_in_memory_ops: in_memory_ops,
                     ..CompilerConfig::default()
                 };
-                // The compiler configuration is part of the cache key, so the
-                // two ablation arms get distinct artifacts.
-                let workload =
-                    crate::cached_workload_with(&cfg.descriptor(), compiler, || cfg.build());
+                // The compiler configuration is part of the workload key, so
+                // the two ablation arms get distinct workloads and records.
+                let workload = WorkloadHandle::new(cfg.clone(), compiler);
                 let baseline = crate::stored_run(&workload, &ExperimentConfig::baseline(1));
                 for locality in [true, false] {
                     let mut config = ExperimentConfig::new(floorplan, 1);
                     if !locality {
                         config = config.with_home_store();
                     }
-                    let result = crate::stored_run(&workload, &config);
+                    let stats = crate::stored_run(&workload, &config);
                     points.push(Point {
                         benchmark: benchmark.name().to_string(),
                         floorplan: floorplan.label(),
                         locality_aware_store: locality,
                         in_memory_ops,
-                        beats: result.total_beats.as_u64(),
-                        overhead: result.overhead_vs(&baseline),
+                        beats: stats.total_beats.as_u64(),
+                        overhead: stats.overhead_vs(&baseline),
                     });
                 }
             }
@@ -1150,11 +1170,10 @@ pub mod headline {
             },
             Scale::Full => MultiplierConfig::paper(),
         };
-        let cfg = BenchmarkConfig::Multiplier(mult_cfg);
-        let workload =
-            crate::cached_workload_with(&cfg.descriptor(), CompilerConfig::default(), || {
-                cfg.build()
-            });
+        let workload = WorkloadHandle::new(
+            BenchmarkConfig::Multiplier(mult_cfg),
+            CompilerConfig::default(),
+        );
         let config = ExperimentConfig::new(FloorplanKind::LineSam { banks: 1 }, 1);
         let lsqca = crate::stored_run(&workload, &config);
         let baseline = crate::stored_run(
@@ -1181,11 +1200,10 @@ pub mod headline {
         select_cfg.max_terms = max_terms;
         let fraction = (select_cfg.control_bits() + select_cfg.temporal_bits()) as f64
             / select_cfg.total_qubits() as f64;
-        let cfg = BenchmarkConfig::Select(select_cfg);
-        let workload =
-            crate::cached_workload_with(&cfg.descriptor(), CompilerConfig::default(), || {
-                cfg.build()
-            });
+        let workload = WorkloadHandle::new(
+            BenchmarkConfig::Select(select_cfg),
+            CompilerConfig::default(),
+        );
         let config = ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 1)
             .with_hybrid_fraction(fraction)
             .with_hot_set(HotSetStrategy::ByRole(vec![

@@ -2,32 +2,33 @@
 //! operator summary block, metrics/trace artifact export, and cross-process
 //! shard-metrics aggregation.
 //!
-//! The workload cache and result store keep per-instance atomics (the
-//! fault-injection tests build several stores per process), so their totals
-//! are *synced* into the registry at snapshot time rather than double-counted
-//! at the bump sites. Everything else (`trace.lowered`, `sim.warmed`,
+//! The result store keeps per-instance atomics (the fault-injection tests
+//! build several stores per process), so its totals are *synced* into the
+//! registry at snapshot time rather than double-counted at the bump sites.
+//! Everything else (`workloads.compiled`, `trace.lowered`, `sim.warmed`,
 //! `sim.runs`, spans, beat histograms) reports straight into
 //! `lsqca_telemetry`.
 
-use crate::{result_store, workload_cache};
+use crate::result_store;
 use lsqca_store::{atomic_write, DiskIo, StoreIo};
 use lsqca_telemetry::MetricsSnapshot;
 use std::path::Path;
 
-/// Syncs the process-wide workload-cache and result-store instance counters
-/// into the registry (`workload_cache.*`, `result_store.*`), and interns the
-/// core lifecycle counters so every exported artifact carries them even at
-/// zero — the warm-rerun CI assertions grep `"trace.lowered": 0` and friends
-/// out of the aggregated metrics JSON, which only works if an untouched
-/// counter still shows up.
+/// Syncs the process-wide result-store instance counters into the registry
+/// (`result_store.*`), and interns the core lifecycle counters so every
+/// exported artifact carries them even at zero — the warm-rerun CI
+/// assertions grep `"workloads.compiled": 0` and friends out of the
+/// aggregated metrics JSON, which only works if an untouched counter still
+/// shows up.
 pub fn sync_registry() {
-    for name in ["trace.lowered", "sim.warmed", "sim.runs"] {
+    for name in [
+        "workloads.compiled",
+        "trace.lowered",
+        "sim.warmed",
+        "sim.runs",
+    ] {
         lsqca_telemetry::counter(name);
     }
-    let cache = workload_cache().stats();
-    lsqca_telemetry::counter("workload_cache.compiled").set(cache.compiled);
-    lsqca_telemetry::counter("workload_cache.hits").set(cache.hits);
-    lsqca_telemetry::counter("workload_cache.invalidated").set(cache.invalidated);
     let store = result_store().stats();
     lsqca_telemetry::counter("result_store.computed").set(store.computed);
     lsqca_telemetry::counter("result_store.hits").set(store.hits);
@@ -42,11 +43,10 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
 }
 
 /// The operator summary block, rendered from one registry snapshot. The four
-/// line formats are stable and CI-greppable — they predate the registry and
-/// the warm-cache assertions grep them verbatim:
+/// line formats are stable and CI-greppable:
 ///
 /// ```text
-/// workload cache: N compiled, M hits, K invalidated (<dir>)
+/// workloads: N compiled
 /// result store: N computed, M hits, K quarantined (<dir>)
 /// trace engine: N lowered
 /// simulator: N warmed
@@ -54,16 +54,6 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
 pub fn telemetry_summary() -> String {
     let snapshot = metrics_snapshot();
     let count = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
-    let cache_stats = format!(
-        "{} compiled, {} hits, {} invalidated",
-        count("workload_cache.compiled"),
-        count("workload_cache.hits"),
-        count("workload_cache.invalidated"),
-    );
-    let cache_line = match workload_cache().dir() {
-        Some(dir) => format!("workload cache: {cache_stats} ({})", dir.display()),
-        None => format!("workload cache: disabled; {cache_stats}"),
-    };
     let store_stats = format!(
         "{} computed, {} hits, {} quarantined",
         count("result_store.computed"),
@@ -82,7 +72,8 @@ pub fn telemetry_summary() -> String {
         (None, _) => format!("result store: disabled; {store_stats}"),
     };
     format!(
-        "{cache_line}\n{store_line}\ntrace engine: {} lowered\nsimulator: {} warmed",
+        "workloads: {} compiled\n{store_line}\ntrace engine: {} lowered\nsimulator: {} warmed",
+        count("workloads.compiled"),
         count("trace.lowered"),
         count("sim.warmed"),
     )
@@ -170,8 +161,7 @@ mod tests {
         let summary = telemetry_summary();
         let lines: Vec<&str> = summary.lines().collect();
         assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("workload cache: "));
-        assert!(lines[0].contains(" compiled, ") && lines[0].contains(" invalidated"));
+        assert!(lines[0].starts_with("workloads: ") && lines[0].ends_with(" compiled"));
         assert!(lines[1].starts_with("result store: "));
         assert!(lines[1].contains(" computed, ") && lines[1].contains(" quarantined"));
         assert!(lines[2].starts_with("trace engine: ") && lines[2].ends_with(" lowered"));

@@ -61,6 +61,36 @@ impl Default for CompilerConfig {
     }
 }
 
+impl CompilerConfig {
+    /// The canonical, versioned encoding of every field, used in workload and
+    /// result-store keys. The default configuration encodes as
+    ///
+    /// ```text
+    /// v1;in-memory-ops=1;expand-toffoli=1;expand-cz=1
+    /// ```
+    ///
+    /// Each field, including those of [`DecomposeConfig`], is written
+    /// explicitly, so a derive reorder or a `Debug` change cannot re-key
+    /// anything, and adding a field fails to compile here until it is encoded.
+    /// Changing the format means bumping the leading version.
+    pub fn canonical_encoding(&self) -> String {
+        let CompilerConfig {
+            use_in_memory_ops,
+            decompose:
+                DecomposeConfig {
+                    expand_toffoli,
+                    expand_cz,
+                },
+        } = *self;
+        format!(
+            "v1;in-memory-ops={};expand-toffoli={};expand-cz={}",
+            u8::from(use_in_memory_ops),
+            u8::from(expand_toffoli),
+            u8::from(expand_cz),
+        )
+    }
+}
+
 /// The result of compiling a circuit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledProgram {
@@ -284,6 +314,25 @@ mod tests {
             use_in_memory_ops: false,
             ..CompilerConfig::default()
         }
+    }
+
+    #[test]
+    fn canonical_encoding_is_pinned() {
+        assert_eq!(
+            in_memory().canonical_encoding(),
+            "v1;in-memory-ops=1;expand-toffoli=1;expand-cz=1"
+        );
+        let raw = CompilerConfig {
+            use_in_memory_ops: false,
+            decompose: DecomposeConfig {
+                expand_toffoli: false,
+                expand_cz: true,
+            },
+        };
+        assert_eq!(
+            raw.canonical_encoding(),
+            "v1;in-memory-ops=0;expand-toffoli=0;expand-cz=1"
+        );
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! overhead relative to the conventional baseline. Artifacts can also be
 //! loaded from the on-disk cache (`lsqca_workloads::cache`) via
 //! [`Workload::from_artifact`], in which case nothing is compiled at all.
+//!
+//! A result-store key is computable without compiling: [`result_key`] takes
+//! the workload's [`workload_key`](lsqca_workloads::workload_key) (generator
+//! descriptor, compiler configuration, ISA version, trace revision) and the
+//! experiment configuration, so a sweep driver can probe the store first and
+//! compile only on a miss.
 
 use lsqca_analysis::{hot_set_by_access_count, hot_set_by_role_map, hot_set_size};
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
@@ -195,6 +201,30 @@ impl ExperimentConfig {
     }
 }
 
+/// The content-addressed result-store key for running the workload
+/// identified by `workload_key` under `config`.
+///
+/// `workload_key` is the [`workload_key`](lsqca_workloads::workload_key) of
+/// the workload: the generator descriptor (every generator parameter plus
+/// the generator's `REVISION`), the compiler configuration's canonical
+/// encoding, the ISA version and the trace revision. Ad-hoc workloads carry
+/// their payload hash in the descriptor instead
+/// ([`CompiledWorkload::compile_adhoc`]). To it the key adds the complete
+/// experiment configuration (floorplan, factories, hybrid fraction, hot-set
+/// strategy, store policy, migration policy, simulator options, via
+/// [`ExperimentConfig::canonical_encoding`]), the simulation-semantics
+/// revision ([`lsqca_sim::RESULTS_REVISION`]) and the stats payload schema.
+/// Changing any of them changes the key, so stale records are simply never
+/// found again.
+pub fn result_key(workload_key: &str, config: &ExperimentConfig) -> String {
+    format!(
+        "{workload_key}|experiment={}|sim=r{}|stats={}",
+        config.canonical_encoding(),
+        lsqca_sim::RESULTS_REVISION,
+        lsqca_sim::STATS_SCHEMA,
+    )
+}
+
 /// A compiled workload, ready to be simulated under many configurations.
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -211,14 +241,17 @@ impl Workload {
         Workload::with_compiler(circuit, CompilerConfig::default())
     }
 
-    /// Compiles `circuit` with an explicit compiler configuration.
+    /// Compiles `circuit` with an explicit compiler configuration. The
+    /// circuit has no generator identity, so its key carries the payload hash
+    /// of the compiled content ([`CompiledWorkload::compile_adhoc`]).
     pub fn with_compiler(circuit: Circuit, config: CompilerConfig) -> Self {
-        let descriptor = format!("adhoc:{}", circuit.name());
-        Workload::from_artifact(CompiledWorkload::compile(descriptor, &circuit, config))
+        Workload::from_artifact(CompiledWorkload::compile_adhoc(&circuit, config))
     }
 
     /// Wraps an existing artifact (e.g. one loaded from the on-disk cache of
-    /// `lsqca_workloads::cache`) without compiling anything.
+    /// `lsqca_workloads::cache`) without compiling anything. Result keys are
+    /// derived from the artifact's descriptor, which must be a workload key
+    /// that determines the compiled content.
     pub fn from_artifact(artifact: CompiledWorkload) -> Self {
         Workload {
             artifact,
@@ -275,30 +308,9 @@ impl Workload {
     }
 
     /// The content-addressed result-store key for running this workload under
-    /// `config`.
-    ///
-    /// The key covers everything the resulting statistics depend on: the full
-    /// compiled-workload identity (the generator/compiler descriptor, pinned
-    /// to the exact instruction stream by the artifact's payload hash, which
-    /// is computed once per artifact), the complete experiment configuration
-    /// (floorplan, factories, hybrid fraction, hot-set strategy, store
-    /// policy, migration policy, simulator options, via
-    /// [`ExperimentConfig::canonical_encoding`]), the instruction-set
-    /// version, and the simulation-semantics revision
-    /// ([`lsqca_sim::RESULTS_REVISION`]) plus the stats payload schema.
-    /// Changing any of them changes the key, so stale records are simply
-    /// never found again — the same invalidation contract as the workload
-    /// cache.
+    /// `config`: the free [`result_key`] of the artifact's descriptor.
     pub fn result_key(&self, config: &ExperimentConfig) -> String {
-        format!(
-            "{}|payload={:016x}|experiment={}|isa=v{}|sim=r{}|stats={}",
-            self.artifact.descriptor(),
-            self.artifact.payload_hash(),
-            config.canonical_encoding(),
-            lsqca_isa::ISA_VERSION,
-            lsqca_sim::RESULTS_REVISION,
-            lsqca_sim::STATS_SCHEMA,
-        )
+        result_key(self.artifact.descriptor(), config)
     }
 
     /// Reconstructs the [`ExperimentResult`] for `config` from previously
@@ -612,8 +624,9 @@ mod tests {
         circuit.cnot(0, 1);
         circuit.t(2);
         let w = Workload::from_circuit(circuit);
-        let prefix = "adhoc:golden|payload=071a5eb96cd01eec";
-        let suffix = "|isa=v1|sim=r3|stats=lsqca-stats-v1";
+        let prefix = "adhoc:golden#payload=071a5eb96cd01eec\
+                      |compiler=v1;in-memory-ops=1;expand-toffoli=1;expand-cz=1|isa=v1|trace=v1";
+        let suffix = "|sim=r4|stats=lsqca-stats-v1";
         let pure = ExperimentConfig::new(FloorplanKind::LineSam { banks: 2 }, 4);
         let by_role = ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 2)
             .with_hybrid_fraction(0.3)
@@ -652,6 +665,47 @@ mod tests {
                 format!("{prefix}|experiment={experiment}{suffix}")
             );
         }
+        // A generator workload's key needs no compiled artifact.
+        let ghz = lsqca_workloads::BenchmarkConfig::Ghz(lsqca_workloads::GhzConfig { qubits: 8 });
+        let key = lsqca_workloads::workload_key(&ghz.descriptor(), &CompilerConfig::default());
+        assert_eq!(
+            result_key(&key, &pure),
+            "Ghz(GhzConfig { qubits: 8 })#rev1\
+             |compiler=v1;in-memory-ops=1;expand-toffoli=1;expand-cz=1|isa=v1|trace=v1\
+             |experiment=v1;floorplan=line;banks=2;factories=4;hybrid=0000000000000000;\
+             hot=access-count;store=locality;migration=none;trace=0;infinite-magic=0\
+             |sim=r4|stats=lsqca-stats-v1"
+        );
+    }
+
+    /// Ad-hoc circuits have no generator identity: two different circuits
+    /// under one name must still get different keys, and the same circuit
+    /// must get the same key.
+    #[test]
+    fn same_name_adhoc_circuits_get_different_keys() {
+        let circuit = |target: u32| {
+            let mut c = Circuit::new("same-name", 3);
+            c.h(0);
+            c.cnot(0, target);
+            c
+        };
+        let config = ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 1);
+        let a = Workload::from_circuit(circuit(1));
+        let b = Workload::from_circuit(circuit(2));
+        assert_ne!(a.result_key(&config), b.result_key(&config));
+        assert_eq!(
+            a.result_key(&config),
+            Workload::from_circuit(circuit(1)).result_key(&config)
+        );
+        // The compiler configuration is part of the key as well.
+        let load_store = Workload::with_compiler(
+            circuit(1),
+            CompilerConfig {
+                use_in_memory_ops: false,
+                ..CompilerConfig::default()
+            },
+        );
+        assert_ne!(a.result_key(&config), load_store.result_key(&config));
     }
 
     fn config_strategy() -> impl proptest::strategy::Strategy<Value = ExperimentConfig> {
@@ -735,6 +789,66 @@ mod tests {
                 );
             }
         }
+
+        /// The same holds for whole result keys over generated compiler
+        /// configurations: two `(compiler, experiment)` pairs share a key
+        /// exactly when they are equal. Each case compares `a` with every pair
+        /// that differs from it in one compiler field, in the experiment
+        /// configuration, or in both.
+        #[test]
+        fn result_keys_are_injective(
+            a in (compiler_strategy(), config_strategy()),
+            other in (compiler_strategy(), config_strategy()),
+        ) {
+            use lsqca_circuit::DecomposeConfig;
+            let key = |(compiler, config): &(CompilerConfig, ExperimentConfig)| {
+                result_key(&lsqca_workloads::workload_key("Ghz#rev1", compiler), config)
+            };
+            let (ca, ea) = &a;
+            let (cb, eb) = &other;
+            let neighbours = [
+                (CompilerConfig { use_in_memory_ops: cb.use_in_memory_ops, ..*ca }, ea.clone()),
+                (
+                    CompilerConfig {
+                        decompose: DecomposeConfig {
+                            expand_toffoli: cb.decompose.expand_toffoli,
+                            ..ca.decompose
+                        },
+                        ..*ca
+                    },
+                    ea.clone(),
+                ),
+                (
+                    CompilerConfig {
+                        decompose: DecomposeConfig { expand_cz: cb.decompose.expand_cz, ..ca.decompose },
+                        ..*ca
+                    },
+                    ea.clone(),
+                ),
+                (*ca, eb.clone()),
+                other.clone(),
+            ];
+            for b in &neighbours {
+                proptest::prop_assert_eq!(key(&a) == key(b), a == *b, "{:?} vs {:?}", a, b);
+            }
+        }
+    }
+
+    fn compiler_strategy() -> impl proptest::strategy::Strategy<Value = CompilerConfig> {
+        use lsqca_circuit::DecomposeConfig;
+        use proptest::prelude::*;
+        (
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+        )
+            .prop_map(|(in_memory, toffoli, cz)| CompilerConfig {
+                use_in_memory_ops: in_memory,
+                decompose: DecomposeConfig {
+                    expand_toffoli: toffoli,
+                    expand_cz: cz,
+                },
+            })
     }
 
     /// The memoized ranking reproduces a from-scratch selection at every

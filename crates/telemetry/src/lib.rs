@@ -1,7 +1,7 @@
 //! Unified telemetry for the sweep stack: a process-wide metrics registry
 //! and low-overhead span tracing.
 //!
-//! Every layer of the stack (workload cache, trace lowering, simulator
+//! Every layer of the stack (workload compilation, trace lowering, simulator
 //! warm/execute, result store, sharded supervisor) reports through the same two
 //! primitives:
 //!

@@ -55,7 +55,7 @@ impl Counter {
     }
 
     /// Overwrites the counter with an absolute value. Used by layers that
-    /// keep their own per-instance atomics (workload cache, result store)
+    /// keep their own per-instance atomics (the result store)
     /// and sync the process-wide total into the registry at snapshot time.
     #[inline]
     pub fn set(&self, value: u64) {

@@ -1,59 +1,66 @@
 //! The on-disk compiled-workload cache.
 //!
-//! Repeated sweep invocations (`experiments --full` run twice, CI reruns,
-//! iterating on simulator changes) used to pay full workload compilation every
-//! time. A [`WorkloadCache`] persists [`CompiledWorkload`] artifacts as JSON
-//! under a cache directory so the second invocation performs **zero**
-//! compilation:
+//! The `experiments` binary no longer uses this module: it compiles each
+//! workload in process, at most once per process and only when one of its
+//! sweep points misses the result store, because loading a paper-scale
+//! artifact is slower than compiling it. The cache stays only until the
+//! pipeline benchmark's traced replay (`perfbench/replay`) moves off it;
+//! then it and the artifact codec can go.
 //!
-//! * **Location** — `$LSQCA_CACHE_DIR` if set; otherwise `lsqca-cache/` inside
-//!   the build's `target/` directory (discovered from the running executable's
-//!   path, falling back to `./target/lsqca-cache`). `LSQCA_NO_CACHE=1`
-//!   disables the disk entirely.
-//! * **Key** — the FNV-1a content hash of the workload-generator descriptor
-//!   (every generator parameter **plus the generator's emission-logic
-//!   revision**, see
+//! A [`WorkloadCache`] persists [`CompiledWorkload`] artifacts as JSON under
+//! a cache directory so a second request for the same workload performs
+//! **zero** compilation:
+//!
+//! * **Location** — the directory passed to [`WorkloadCache::at`];
+//!   [`WorkloadCache::disabled`] never touches disk.
+//! * **Key** — the [`workload_key`]: the
+//!   workload-generator descriptor (every generator parameter **plus the
+//!   generator's emission-logic revision**, see
 //!   [`BenchmarkConfig::descriptor`](crate::registry::BenchmarkConfig::descriptor)),
-//!   the compiler configuration, [`ISA_VERSION`], and [`TRACE_REVISION`].
-//!   Changing any of them changes the file name, so stale entries are simply
-//!   never found again.
+//!   the compiler configuration's canonical encoding,
+//!   [`ISA_VERSION`](lsqca_isa::ISA_VERSION), and
+//!   [`TRACE_REVISION`](lsqca_isa::TRACE_REVISION). Changing any of them changes the file name, so stale
+//!   entries are simply never found again. Result-store keys are built on the
+//!   same workload key.
 //!
 //! # When to bump what
 //!
-//! The key protects against two different kinds of staleness; each has its
-//! own version knob, and using the wrong one over-invalidates:
+//! The workload key protects against different kinds of staleness; each has
+//! its own version knob, and using the wrong one over-invalidates. Result-store
+//! keys start with the workload key, so every bump below also re-keys the
+//! stored results of the workloads it covers.
 //!
 //! * **A generator's emission logic changed** (the circuit emitted for an
 //!   *unchanged* configuration is different — reordered gates, a fixed
 //!   off-by-one, a new decomposition): bump that generator module's
 //!   `REVISION` constant (e.g. `lsqca_workloads::select::REVISION`). Only
-//!   that generator's cached artifacts are invalidated. A `Debug`-rendered
-//!   config alone cannot catch this case — the descriptor text would be
-//!   byte-identical before and after the logic change.
+//!   that generator's artifacts and records are invalidated. A
+//!   `Debug`-rendered config alone cannot catch this case — the descriptor
+//!   text would be byte-identical before and after the logic change, and no
+//!   hash of the compiled program is part of a generator's key.
 //! * **The instruction set or its serialized form changed** (new opcode,
 //!   changed operand encoding, different latency-class mapping): bump
-//!   [`ISA_VERSION`] in `lsqca-isa`. Every cached artifact of every
-//!   generator is invalidated, because all of them embed programs in the old
-//!   dialect.
+//!   [`ISA_VERSION`](lsqca_isa::ISA_VERSION) in `lsqca-isa`. Every cached
+//!   artifact of every generator is invalidated, because all of them embed
+//!   programs in the old dialect.
 //! * **The trace lowering changed** (new [`ExecKind`](lsqca_isa::ExecKind),
 //!   different flag bits or fixed-beat values, a changed trace text format):
-//!   bump [`TRACE_REVISION`] in `lsqca-isa`. Artifacts embed the pre-lowered
-//!   execution trace next to the program text, so every cached artifact is
-//!   invalidated and re-lowered — the program text itself is unchanged, which
-//!   is exactly why `ISA_VERSION` alone cannot catch this case. An artifact
-//!   found under an old key path anyway (hand-copied file) is quarantined by
+//!   bump [`TRACE_REVISION`](lsqca_isa::TRACE_REVISION) in `lsqca-isa`.
+//!   Artifacts embed the pre-lowered execution trace next to the program
+//!   text, so every cached artifact is invalidated and re-lowered — the
+//!   program text itself is unchanged, which is exactly why `ISA_VERSION`
+//!   alone cannot catch this case. An artifact found under an old key path
+//!   anyway (hand-copied file) is quarantined by
 //!   [`ArtifactError::TraceRevisionMismatch`] at load time and recompiled.
 //! * **The simulator's result semantics changed** (same artifact, different
 //!   numbers): that is `lsqca_sim::RESULTS_REVISION`'s job, keyed by the
-//!   *result store*, not this cache. The trace engine reproduces the
-//!   interpreter's statistics exactly (shadow-equivalence proptests in
-//!   `lsqca-sim`), so introducing `TRACE_REVISION` did **not** bump
-//!   `RESULTS_REVISION`: cached *results* stay valid even as cached
-//!   *artifacts* are re-lowered. Bump both only when a lowering change also
-//!   changes what the simulator reports.
+//!   *result store* only. Bump it only when a change alters what the
+//!   simulator reports for an unchanged workload.
 //! * **A generator config field was renamed or added**: nothing to bump —
 //!   the `Debug` rendering (and therefore the key) already changed; the old
-//!   entries are simply never found again.
+//!   entries are simply never found again. A compiler config field added to
+//!   [`CompilerConfig`] must be added to its `canonical_encoding` (which
+//!   fails to compile until it is).
 //! * **Integrity** — each artifact stores the key it was compiled for, the ISA
 //!   version, and a payload hash. A truncated file, a hand-edited field, a
 //!   hash-colliding key, or a version mismatch is detected at load time and
@@ -68,10 +75,9 @@
 //!   — degrades the cache to in-memory compilation for the rest of the
 //!   process with a single stderr warning, instead of erroring per entry.
 
-use crate::compiled::{fnv1a64, ArtifactError, CompiledWorkload};
+use crate::compiled::{fnv1a64, workload_key, ArtifactError, CompiledWorkload};
 use lsqca_circuit::Circuit;
 use lsqca_compiler::CompilerConfig;
-use lsqca_isa::{ISA_VERSION, TRACE_REVISION};
 use lsqca_store::{atomic_write, slug, DiskIo, StoreIo};
 use std::fmt;
 use std::io::{self, ErrorKind};
@@ -182,23 +188,6 @@ impl WorkloadCache {
         }
     }
 
-    /// The cache the environment selects: `$LSQCA_CACHE_DIR` if set,
-    /// disabled if `$LSQCA_NO_CACHE` is set to anything but `0`/empty,
-    /// otherwise `lsqca-cache/` inside the build's `target/` directory.
-    pub fn from_env() -> Self {
-        if let Ok(no_cache) = std::env::var("LSQCA_NO_CACHE") {
-            if !no_cache.is_empty() && no_cache != "0" {
-                return WorkloadCache::disabled();
-            }
-        }
-        if let Ok(dir) = std::env::var("LSQCA_CACHE_DIR") {
-            if !dir.is_empty() {
-                return WorkloadCache::at(dir);
-            }
-        }
-        WorkloadCache::at(default_cache_dir())
-    }
-
     /// The directory artifacts are stored in; `None` when disabled.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
@@ -219,17 +208,10 @@ impl WorkloadCache {
         }
     }
 
-    /// The full cache key for a workload descriptor under a compiler
-    /// configuration: generator config + compiler config + ISA version +
-    /// trace revision, per the invalidation contract of the module docs.
-    pub fn key(descriptor: &str, config: &CompilerConfig) -> String {
-        format!("{descriptor}|compiler={config:?}|isa=v{ISA_VERSION}|trace=v{TRACE_REVISION}")
-    }
-
     /// The on-disk path the artifact for `(descriptor, config)` lives at.
     /// Returns `None` when caching is disabled.
     pub fn path_for(&self, descriptor: &str, config: &CompilerConfig) -> Option<PathBuf> {
-        let key = Self::key(descriptor, config);
+        let key = workload_key(descriptor, config);
         self.dir.as_ref().map(|d| {
             d.join(format!(
                 "{}-{:016x}.json",
@@ -248,7 +230,7 @@ impl WorkloadCache {
         config: CompilerConfig,
         build: impl FnOnce() -> Circuit,
     ) -> (CompiledWorkload, CacheEvent) {
-        let key = Self::key(descriptor, &config);
+        let key = workload_key(descriptor, &config);
         let path = if self.is_degraded() {
             None
         } else {
@@ -366,26 +348,12 @@ fn store_artifact(io: &dyn StoreIo, path: &Path, artifact: &CompiledWorkload) ->
     atomic_write(io, path, artifact.to_json().pretty().as_bytes())
 }
 
-/// The default cache location: `lsqca-cache/` inside the `target/` directory
-/// the running executable was built into, so binaries, tests, and benches all
-/// share one cache per checkout. Falls back to `./target/lsqca-cache` when no
-/// ancestor directory is named `target` (e.g. an installed binary).
-fn default_cache_dir() -> PathBuf {
-    if let Ok(exe) = std::env::current_exe() {
-        for ancestor in exe.ancestors().skip(1) {
-            if ancestor.file_name().is_some_and(|n| n == "target") {
-                return ancestor.join("lsqca-cache");
-            }
-        }
-    }
-    PathBuf::from("target").join("lsqca-cache")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compiled::thread_compile_count;
     use crate::registry::{Benchmark, InstanceSize};
+    use lsqca_isa::{ISA_VERSION, TRACE_REVISION};
     use lsqca_store::FaultyIo;
     use std::fs;
 

@@ -12,15 +12,21 @@
 //! * the operand tables — memory footprint and the circuit's register map,
 //!   which role-based hybrid placement (Fig. 15) needs,
 //! * qubit-count metadata (`num_qubits`, `t_gates`),
-//! * the FNV-1a payload hash that identifies all of the above.
+//! * the descriptor that identifies the workload: normally its
+//!   [`workload_key`], which names the generator configuration, the compiler
+//!   configuration, the ISA version and the trace revision.
+//!
+//! Result-store keys are derived from the descriptor alone, so keying a
+//! result never needs the compiled program. The FNV-1a payload hash over
+//! the rendered program, class vector and trace is computed on demand
+//! ([`CompiledWorkload::payload_hash`]): the artifact codec stores and
+//! verifies it, and ad-hoc workloads without a generator identity fold it
+//! into their descriptor once, at construction
+//! ([`CompiledWorkload::compile_adhoc`]).
 //!
 //! Artifacts serialize to a JSON document (`lsqca-json`) whose integrity is
 //! protected by that content hash, which is what the on-disk cache of
-//! [`crate::cache`] stores; see that module for the keying and invalidation
-//! rules. The hash is computed once per artifact — at compile time, or taken
-//! from the verified document at load time — so callers that key results on
-//! it (`Workload::result_key` in `lsqca`) pay nothing per call. Every field it
-//! covers is private, so nothing can change the content behind it.
+//! [`crate::cache`] stores; see that module for the invalidation rules.
 
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
 use lsqca_compiler::{compile, CompilerConfig};
@@ -57,6 +63,22 @@ pub(crate) fn thread_compile_count() -> u64 {
     THREAD_COMPILE_COUNT.with(std::cell::Cell::get)
 }
 
+/// The identity of a workload for every key derived from it: the generator
+/// `descriptor` (every generator parameter plus the generator's `REVISION`),
+/// the compiler configuration's canonical encoding, [`ISA_VERSION`], and
+/// [`TRACE_REVISION`]. Computable without compiling anything; the default
+/// compiler configuration gives
+///
+/// ```text
+/// <descriptor>|compiler=v1;in-memory-ops=1;expand-toffoli=1;expand-cz=1|isa=v1|trace=v<n>
+/// ```
+pub fn workload_key(descriptor: &str, config: &CompilerConfig) -> String {
+    format!(
+        "{descriptor}|compiler={}|isa=v{ISA_VERSION}|trace=v{TRACE_REVISION}",
+        config.canonical_encoding()
+    )
+}
+
 /// A workload compiled down to everything the simulator consumes, produced
 /// once per `(generator config, compiler config)` pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,13 +91,14 @@ pub struct CompiledWorkload {
     trace: ExecutionTrace,
     memory_footprint: u32,
     registers: RegisterMap,
-    payload_hash: u64,
 }
 
 impl CompiledWorkload {
     /// Compiles `circuit` into an artifact. `descriptor` identifies the
-    /// workload-generator configuration that produced the circuit and becomes
-    /// part of the cache key; ad-hoc callers can pass any stable string.
+    /// workload and is what result-store keys are derived from, so it must
+    /// determine the compiled content: pass the [`workload_key`] of the
+    /// generator configuration (ad-hoc circuits use
+    /// [`CompiledWorkload::compile_adhoc`]). Nothing is rendered or hashed.
     pub fn compile(
         descriptor: impl Into<String>,
         circuit: &Circuit,
@@ -94,31 +117,31 @@ impl CompiledWorkload {
             .map(|m| m.index() + 1)
             .max()
             .unwrap_or(0);
-        let descriptor = descriptor.into();
-        let registers = circuit.registers().clone();
-        let payload_hash = Self::payload_hash_of(
-            &descriptor,
-            compiled.num_qubits,
-            compiled.t_gates,
-            memory_footprint,
-            &registers,
-            [
-                &format_program(&compiled.program),
-                &encode_classes(&classes),
-                &trace.encode(),
-            ],
-        );
         CompiledWorkload {
-            descriptor,
+            descriptor: descriptor.into(),
             classes,
             trace,
             memory_footprint,
-            registers,
+            registers: circuit.registers().clone(),
             num_qubits: compiled.num_qubits,
             t_gates: compiled.t_gates,
             program: compiled.program,
-            payload_hash,
         }
+    }
+
+    /// Compiles an ad-hoc `circuit`, one without a generator identity. Its
+    /// descriptor is the [`workload_key`] of `adhoc:<name>#payload=<hex>`,
+    /// where `<hex>` is the payload hash of the compiled content, so two
+    /// different circuits that share a name never share a key. The hash is
+    /// computed once, here.
+    pub fn compile_adhoc(circuit: &Circuit, config: CompilerConfig) -> Self {
+        let name = format!("adhoc:{}", circuit.name());
+        let mut artifact = CompiledWorkload::compile(name.as_str(), circuit, config);
+        artifact.descriptor = workload_key(
+            &format!("{name}#payload={:016x}", artifact.payload_hash()),
+            &config,
+        );
+        artifact
     }
 
     /// The LSQCA instruction stream.
@@ -196,27 +219,43 @@ impl CompiledWorkload {
         hash.finish()
     }
 
-    /// The FNV-1a content hash of the artifact payload, computed once when
-    /// the artifact was compiled or loaded (O(1) per call).
+    /// The FNV-1a content hash of the artifact payload, exactly the
+    /// `payload_hash` that [`CompiledWorkload::to_json`] stores. Computed on
+    /// demand: it renders the program text, class vector and trace, which
+    /// costs hundreds of milliseconds on a paper-sized workload.
     pub fn payload_hash(&self) -> u64 {
-        self.payload_hash
+        self.hash_rendered(&self.render())
+    }
+
+    /// The program text, class vector and trace hex, in hash order.
+    fn render(&self) -> [String; 3] {
+        [
+            format_program(&self.program),
+            encode_classes(&self.classes),
+            self.trace.encode(),
+        ]
+    }
+
+    /// `payload_hash_of` over this artifact's metadata and
+    /// its rendered `texts`.
+    fn hash_rendered(&self, texts: &[String; 3]) -> u64 {
+        Self::payload_hash_of(
+            &self.descriptor,
+            self.num_qubits,
+            self.t_gates,
+            self.memory_footprint,
+            &self.registers,
+            [&texts[0], &texts[1], &texts[2]],
+        )
     }
 
     /// Serializes the artifact to its on-disk JSON document. The stored
     /// `payload_hash` is recomputed from the rendered texts, so the document
     /// always describes exactly the content it carries.
     pub fn to_json(&self) -> Json {
-        let program_text = format_program(&self.program);
-        let classes_text = encode_classes(&self.classes);
-        let trace_text = self.trace.encode();
-        let payload_hash = Self::payload_hash_of(
-            &self.descriptor,
-            self.num_qubits,
-            self.t_gates,
-            self.memory_footprint,
-            &self.registers,
-            [&program_text, &classes_text, &trace_text],
-        );
+        let texts = self.render();
+        let payload_hash = self.hash_rendered(&texts);
+        let [program_text, classes_text, trace_text] = texts;
         Json::obj([
             ("schema", ARTIFACT_SCHEMA.to_json()),
             ("isa_version", ISA_VERSION.to_json()),
@@ -323,7 +362,7 @@ impl CompiledWorkload {
         // (potentially multi-megabyte) instruction stream: corruption is
         // rejected at memcmp cost, and a verified artifact is decoded once.
         let stored_hash = str_field("payload_hash")?;
-        let payload_hash = Self::payload_hash_of(
+        let actual = Self::payload_hash_of(
             &descriptor,
             num_qubits,
             t_gates,
@@ -331,7 +370,7 @@ impl CompiledWorkload {
             &registers,
             [&program_text, &classes_text, &trace_text],
         );
-        let actual = format!("{payload_hash:016x}");
+        let actual = format!("{actual:016x}");
         if stored_hash != actual {
             return Err(ArtifactError::PayloadHashMismatch {
                 stored: stored_hash,
@@ -377,7 +416,6 @@ impl CompiledWorkload {
             num_qubits,
             t_gates,
             program,
-            payload_hash,
         })
     }
 }
@@ -525,10 +563,10 @@ mod tests {
         assert_eq!(CompiledWorkload::from_json(&reparsed).unwrap(), w);
     }
 
-    /// The memoized hash is the one `to_json` derives from the rendered
-    /// texts, both for a fresh compile and for a verified load.
+    /// The on-demand hash is the one `to_json` stores, both for a fresh
+    /// compile and for a verified load.
     #[test]
-    fn memoized_payload_hash_matches_the_serialized_one() {
+    fn on_demand_payload_hash_matches_the_serialized_one() {
         let stored = |w: &CompiledWorkload| {
             w.to_json()
                 .get("payload_hash")
@@ -551,6 +589,47 @@ mod tests {
                 stored(&restored)
             );
         }
+    }
+
+    #[test]
+    fn workload_keys_name_every_identity_component() {
+        let cfg = Benchmark::Ghz.config(InstanceSize::Reduced);
+        let config = CompilerConfig::default();
+        assert_eq!(
+            workload_key(&cfg.descriptor(), &config),
+            format!(
+                "{}|compiler={}|isa=v{ISA_VERSION}|trace=v{TRACE_REVISION}",
+                cfg.descriptor(),
+                config.canonical_encoding()
+            )
+        );
+        let load_store = CompilerConfig {
+            use_in_memory_ops: false,
+            ..config
+        };
+        assert_ne!(
+            workload_key(&cfg.descriptor(), &config),
+            workload_key(&cfg.descriptor(), &load_store)
+        );
+    }
+
+    /// Ad-hoc artifacts carry their payload hash in the descriptor, and a
+    /// codec round trip preserves it.
+    #[test]
+    fn adhoc_descriptors_embed_the_payload_hash() {
+        let circuit = Benchmark::Ghz.reduced_instance();
+        let config = CompilerConfig::default();
+        let w = CompiledWorkload::compile_adhoc(&circuit, config);
+        let name = format!("adhoc:{}", circuit.name());
+        let plain = CompiledWorkload::compile(name.as_str(), &circuit, config);
+        assert_eq!(
+            w.descriptor(),
+            workload_key(
+                &format!("{name}#payload={:016x}", plain.payload_hash()),
+                &config
+            )
+        );
+        assert_eq!(CompiledWorkload::from_json(&w.to_json()).unwrap(), w);
     }
 
     #[test]

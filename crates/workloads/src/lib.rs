@@ -47,7 +47,7 @@ pub use adder::{ripple_carry_adder, AdderConfig};
 pub use bv::{bernstein_vazirani, BvConfig};
 pub use cache::{CacheEvent, CacheStats, InvalidationReason, WorkloadCache};
 pub use cat::{cat_state, CatConfig};
-pub use compiled::{compile_count, ArtifactError, CompiledWorkload, ARTIFACT_SCHEMA};
+pub use compiled::{compile_count, workload_key, ArtifactError, CompiledWorkload, ARTIFACT_SCHEMA};
 pub use ghz::{ghz_state, GhzConfig};
 pub use multiplier::{shift_add_multiplier, MultiplierConfig};
 pub use registry::{paper_qubit_count, paper_suite, Benchmark, BenchmarkConfig, InstanceSize};

@@ -129,9 +129,10 @@ pub enum InstanceSize {
 
 /// The concrete generator configuration of one benchmark instance.
 ///
-/// This is the value the on-disk workload cache hashes: the `Debug`
-/// rendering includes every generator parameter, so two instances share a
-/// cache entry exactly when their generators would produce the same circuit.
+/// Its [`descriptor`](BenchmarkConfig::descriptor) starts every workload key
+/// (and so every result-store key): the `Debug` rendering includes every
+/// generator parameter, so two instances share a key exactly when their
+/// generators would produce the same circuit.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BenchmarkConfig {
     /// Ripple-carry adder parameters.
@@ -165,9 +166,9 @@ impl BenchmarkConfig {
     }
 
     /// Emission-logic revision of the generator this configuration names.
-    /// Part of the cache key: bumping a generator's `REVISION` invalidates
-    /// that generator's cached artifacts (and only those) even when the
-    /// configuration is unchanged — the footgun a `Debug`-rendered config
+    /// Part of the workload key: bumping a generator's `REVISION` invalidates
+    /// that generator's stored results and cached artifacts (and only those)
+    /// even when the configuration is unchanged — the footgun a `Debug`-rendered config
     /// alone cannot catch. See `crate::cache` for the
     /// revision-vs-`ISA_VERSION` bump rule.
     pub fn revision(&self) -> u32 {

@@ -18,10 +18,11 @@
 use lsqca_circuit::register::RegisterRole;
 use lsqca_circuit::{Circuit, Qubit};
 
-/// Emission-logic revision of this generator, part of the workload-cache
-/// key (see `lsqca_workloads::cache`). Bump it whenever the circuit emitted
-/// for an *unchanged* configuration changes, so stale cached artifacts are
-/// invalidated; a config-field change already changes the key by itself.
+/// Emission-logic revision of this generator, part of the workload key (see
+/// `lsqca_workloads::workload_key`) that result-store records and cached
+/// artifacts are keyed on. Bump it whenever the circuit emitted for an
+/// *unchanged* configuration changes, so stale records and artifacts are
+/// never found again; a config-field change already changes the key by itself.
 pub const REVISION: u32 = 1;
 
 /// Parameters of the square-root benchmark.

@@ -31,7 +31,7 @@ cd "$(dirname "$0")/.."
 
 # Benchmarks measure simulation, so the crash-safe result store must not short
 # circuit it: a warm store would turn every timed sweep into a disk read and
-# report nonsense speedups. The workload cache stays on — compilation is not
+# report nonsense speedups. Workloads compile in process; compilation is not
 # what the benches time.
 export LSQCA_NO_STORE=1
 
@@ -76,7 +76,7 @@ validate_metrics_json() {
     '"trace.lowered"' \
     '"sim.warmed"' \
     '"sim.runs"' \
-    '"workload_cache.compiled"' \
+    '"workloads.compiled"' \
     '"result_store.computed"'; do
     if ! grep -qF "$needle" "$file"; then
       echo "error: $file is missing $needle (schema lsqca-metrics-v1)" >&2

@@ -4,16 +4,15 @@
 //! fails here; a deliberate change regenerates the file with
 //!
 //! ```text
-//! LSQCA_NO_CACHE=1 LSQCA_NO_STORE=1 cargo run --release -p lsqca-bench \
+//! LSQCA_NO_STORE=1 cargo run --release -p lsqca-bench \
 //!     --bin experiments -- all --json > tests/golden/quick_all.json
 //! ```
 
 #[test]
 fn quick_all_json_report_matches_the_golden_file() {
-    // Render from scratch: no workload artifacts or stored results from an
-    // earlier run may stand in for compilation and simulation. Both settings
-    // are read once, at first use, so they are set before anything else runs.
-    std::env::set_var("LSQCA_NO_CACHE", "1");
+    // Render from scratch: no stored results from an earlier run may stand
+    // in for simulation. The setting is read once, at first use, so it is set
+    // before anything else runs.
     std::env::set_var("LSQCA_NO_STORE", "1");
 
     // `println!` appends the final newline the binary prints.

@@ -2,11 +2,10 @@
 //! sweep with zero simulation, a sweep killed mid-run resumes to a byte-
 //! identical report, and tampered records are quarantined, never served.
 
-use lsqca::experiment::{ExperimentConfig, Workload};
+use lsqca::experiment::ExperimentConfig;
 use lsqca::prelude::*;
 use lsqca::sim::simulation_count;
-use lsqca::workloads::InstanceSize;
-use lsqca_bench::stored_run_in;
+use lsqca_bench::{stored_run_in, Scale, WorkloadHandle};
 use lsqca_json::ToJson;
 use lsqca_store::{FaultPlan, FaultyIo, ResultStore, StoreEvent};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -25,10 +24,10 @@ fn temp_store(tag: &str) -> ResultStore {
     ResultStore::at(dir)
 }
 
-fn sweep_workloads() -> Vec<Workload> {
+fn sweep_workloads() -> Vec<WorkloadHandle> {
     [Benchmark::Ghz, Benchmark::Cat]
         .iter()
-        .map(|b| Workload::from_circuit(b.config(InstanceSize::Reduced).build()))
+        .map(|&b| WorkloadHandle::benchmark(b, Scale::Quick))
         .collect()
 }
 
@@ -42,17 +41,17 @@ fn sweep_configs() -> Vec<ExperimentConfig> {
 
 /// The report a sweep driver would merge: every point's rendered result, in
 /// sweep order. Byte-compared across interrupted/resumed/clean runs.
-fn merged_report(store: &ResultStore, workloads: &[Workload]) -> String {
+fn merged_report(store: &ResultStore, workloads: &[WorkloadHandle]) -> String {
     let mut report = String::new();
     for workload in workloads {
         for config in sweep_configs() {
-            let result = stored_run_in(store, workload, &config);
+            let stats = stored_run_in(store, workload, &config);
             report.push_str(&format!(
                 "{} beats={} cpi={:.6} density={:.6}\n",
                 workload.result_key(&config),
-                result.total_beats.as_u64(),
-                result.cpi,
-                result.memory_density,
+                stats.total_beats.as_u64(),
+                stats.cpi(),
+                stats.memory_density,
             ));
         }
     }
@@ -156,7 +155,8 @@ fn tampered_records_are_quarantined_and_recomputed() {
 
     let reopened = ResultStore::at(&dir);
     let key = workload.result_key(&config);
-    let (_, event) = reopened.load_or_compute(&key, || workload.run(&config).stats.to_json());
+    let (_, event) =
+        reopened.load_or_compute(&key, || workload.workload().run(&config).stats.to_json());
     assert!(
         matches!(event, StoreEvent::Quarantined(_)),
         "checksum must catch the edit: {event:?}"

@@ -9,19 +9,18 @@
 //! the shards ran as processes or loops. Process-level supervision (restart,
 //! backoff, quarantine) is exercised by the CI smoke against the real binary.
 
-use lsqca::experiment::{ExperimentConfig, Workload};
+use lsqca::experiment::ExperimentConfig;
 use lsqca::prelude::*;
-use lsqca::workloads::InstanceSize;
-use lsqca_bench::{stored_run_in, supervisor::owning_shard};
+use lsqca_bench::{stored_run_in, supervisor::owning_shard, Scale, WorkloadHandle};
 use lsqca_store::{merge_audit, FaultPlan, FaultyIo, MergeError, ResultStore};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-fn sweep_workloads() -> Vec<Workload> {
+fn sweep_workloads() -> Vec<WorkloadHandle> {
     [Benchmark::Ghz, Benchmark::Cat]
         .iter()
-        .map(|b| Workload::from_circuit(b.config(InstanceSize::Reduced).build()))
+        .map(|&b| WorkloadHandle::benchmark(b, Scale::Quick))
         .collect()
 }
 
@@ -35,7 +34,7 @@ fn sweep_configs() -> Vec<ExperimentConfig> {
 
 /// Every sweep point, in sweep order: `(workload index, config)` plus its
 /// result key (the partition domain).
-fn sweep_points(workloads: &[Workload]) -> Vec<(usize, ExperimentConfig, String)> {
+fn sweep_points(workloads: &[WorkloadHandle]) -> Vec<(usize, ExperimentConfig, String)> {
     let mut points = Vec::new();
     for (w, workload) in workloads.iter().enumerate() {
         for config in sweep_configs() {
@@ -53,15 +52,15 @@ fn store_labeled(io: &Arc<FaultyIo>, label: &str) -> ResultStore {
 }
 
 /// The merged report: every point rendered through `store`, in sweep order.
-fn report(store: &ResultStore, workloads: &[Workload]) -> String {
+fn report(store: &ResultStore, workloads: &[WorkloadHandle]) -> String {
     let mut out = String::new();
     for (w, config, key) in sweep_points(workloads) {
-        let result = stored_run_in(store, &workloads[w], &config);
+        let stats = stored_run_in(store, &workloads[w], &config);
         out.push_str(&format!(
             "{key} beats={} cpi={:.6} density={:.6}\n",
-            result.total_beats.as_u64(),
-            result.cpi,
-            result.memory_density,
+            stats.total_beats.as_u64(),
+            stats.cpi(),
+            stats.memory_density,
         ));
     }
     out

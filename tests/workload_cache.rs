@@ -1,6 +1,9 @@
-//! End-to-end tests of the compiled-workload artifact subsystem: a warm cache
-//! serves a full sweep with zero compilation, and every corruption/staleness
-//! mode forces recompilation instead of serving a stale artifact.
+//! End-to-end tests of workload acquisition. The figure generators compile
+//! nothing against a warm result store, because result keys derive from the
+//! workload descriptor rather than the compiled program. The on-disk artifact
+//! cache, which the traced pipeline replay still uses, serves a warm sweep
+//! with zero compilation, and every corruption/staleness mode forces
+//! recompilation instead of serving a stale artifact.
 
 use lsqca::experiment::{ExperimentConfig, Workload};
 use lsqca::prelude::*;
@@ -70,26 +73,52 @@ fn warm_cache_sweep_performs_zero_compilation() {
     assert_eq!(stats.invalidated, 0);
 }
 
-/// The `experiments` sweep drivers go through the shared process cache, so
-/// generating the same figure twice compiles each workload at most once.
+/// The figure generators key every sweep point without compiling and compile
+/// a workload only when one of its points misses the result store, so
+/// regenerating fig13 against a warm store compiles nothing and yields
+/// identical points.
 #[test]
-fn figure_generators_reuse_cached_artifacts_across_invocations() {
+fn figure_generators_compile_nothing_against_a_warm_store() {
     let _serial = compile_lock();
-    // First generation warms the cache (either this call compiles, or an
-    // earlier run of the suite already left valid artifacts on disk).
+    // The process-wide store reads its directory once, at first use; no other
+    // test in this binary touches it.
+    let dir = std::env::temp_dir().join(format!("lsqca-itest-warm-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::env::remove_var("LSQCA_NO_STORE");
+    std::env::set_var("LSQCA_STORE_DIR", &dir);
+
+    let before = compile_count();
     let first = fig13::generate(Scale::Quick, &[Benchmark::Ghz], &[1]);
     let compiles_after_first = compile_count();
-    // The second generation must be served entirely from the cache.
+    assert_eq!(
+        compiles_after_first,
+        before + 1,
+        "the cold generation compiles its one workload exactly once"
+    );
+    let cold = lsqca_bench::result_store().stats();
+    assert_eq!(cold.computed, first.len() as u64);
+    assert_eq!(cold.hits, 0);
+
+    // The second generation must be served entirely from the store.
     let second = fig13::generate(Scale::Quick, &[Benchmark::Ghz], &[1]);
     assert_eq!(
         compile_count(),
         compiles_after_first,
-        "regenerating fig13 with a warm cache must not compile"
+        "regenerating fig13 against a warm store must not compile"
     );
+    let warm = lsqca_bench::result_store().stats();
+    assert_eq!(warm.computed, cold.computed);
+    assert_eq!(warm.hits, second.len() as u64);
     assert_eq!(first.len(), second.len());
     for (a, b) in first.iter().zip(&second) {
-        assert_eq!(a.beats, b.beats, "{}/{}", a.benchmark, a.floorplan);
+        assert_eq!(
+            (&a.benchmark, &a.floorplan, a.factories, a.beats),
+            (&b.benchmark, &b.floorplan, b.factories, b.beats)
+        );
+        assert_eq!(a.cpi.to_bits(), b.cpi.to_bits(), "{}", a.floorplan);
+        assert_eq!(a.density.to_bits(), b.density.to_bits(), "{}", a.floorplan);
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every tamper mode recompiles rather than serving the stale artifact.
