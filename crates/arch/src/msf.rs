@@ -9,7 +9,6 @@
 //! latency behind.
 
 use lsqca_lattice::Beats;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Static configuration of the magic-state supply.
@@ -67,22 +66,88 @@ pub struct MagicStateSupply {
     config: MsfConfig,
     /// Delivery times of the last `factories` states (oldest first): a factory is
     /// free to start a new distillation once it has delivered its previous state.
-    recent_deliveries: VecDeque<Beats>,
+    recent_deliveries: Window,
     /// Consumption times of the last `buffer_capacity` states (oldest first): a
     /// completed state can be delivered only once a buffer slot is free, i.e.
     /// once the state `buffer_capacity` places earlier has been consumed.
-    recent_consumptions: VecDeque<Beats>,
+    recent_consumptions: Window,
     /// Total number of states handed out.
     consumed: u64,
 }
+
+/// The most recent `capacity` times of a stream, oldest first: a fixed ring
+/// that, once full, overwrites its oldest entry on every push.
+#[derive(Debug, Clone)]
+struct Window {
+    times: Box<[Beats]>,
+    /// Index of the oldest entry.
+    head: usize,
+    len: usize,
+}
+
+impl Window {
+    fn new(capacity: u32) -> Window {
+        Window {
+            times: vec![Beats::ZERO; capacity as usize].into_boxed_slice(),
+            head: 0,
+            len: 0,
+        }
+    }
+
+    /// The oldest time once the window holds `capacity` entries; zero while
+    /// it is still filling.
+    fn oldest_when_full(&self) -> Beats {
+        if self.len < self.times.len() {
+            Beats::ZERO
+        } else {
+            self.times[self.head]
+        }
+    }
+
+    /// Appends `time`, dropping the oldest entry when the window is full.
+    fn push(&mut self, time: Beats) {
+        let capacity = self.times.len();
+        if self.len < capacity {
+            let slot = self.head + self.len;
+            self.times[if slot >= capacity {
+                slot - capacity
+            } else {
+                slot
+            }] = time;
+            self.len += 1;
+        } else if capacity > 0 {
+            self.times[self.head] = time;
+            self.head = if self.head + 1 == capacity {
+                0
+            } else {
+                self.head + 1
+            };
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Beats> + '_ {
+        let capacity = self.times.len();
+        (0..self.len).map(move |i| self.times[(self.head + i) % capacity])
+    }
+}
+
+/// Two windows are equal when they hold the same times in the same order,
+/// wherever their rings happen to start.
+impl PartialEq for Window {
+    fn eq(&self, other: &Window) -> bool {
+        self.times.len() == other.times.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Window {}
 
 impl MagicStateSupply {
     /// Creates a supply that starts distilling at beat zero with an empty buffer.
     pub fn new(config: MsfConfig) -> Self {
         MagicStateSupply {
             config,
-            recent_deliveries: VecDeque::with_capacity(config.factories as usize),
-            recent_consumptions: VecDeque::with_capacity(config.buffer_capacity as usize),
+            recent_deliveries: Window::new(config.factories),
+            recent_consumptions: Window::new(config.buffer_capacity),
             consumed: 0,
         }
     }
@@ -101,26 +166,11 @@ impl MagicStateSupply {
     fn next_delivery(&self) -> Beats {
         // The producing factory can start once it delivered its previous state
         // (the state `factories` places earlier).
-        let start = if self.recent_deliveries.len() < self.config.factories as usize {
-            Beats::ZERO
-        } else {
-            *self
-                .recent_deliveries
-                .front()
-                .expect("non-empty by length check")
-        };
-        let distilled = start + Beats(self.config.beats_per_state);
+        let distilled =
+            self.recent_deliveries.oldest_when_full() + Beats(self.config.beats_per_state);
         // The state can leave the factory once a buffer slot is guaranteed: the
         // state `buffer_capacity` places earlier must have been consumed.
-        let slot_free = if self.recent_consumptions.len() < self.config.buffer_capacity as usize {
-            Beats::ZERO
-        } else {
-            *self
-                .recent_consumptions
-                .front()
-                .expect("non-empty by length check")
-        };
-        distilled.max(slot_free)
+        distilled.max(self.recent_consumptions.oldest_when_full())
     }
 
     /// Requests one magic state at beat `now`; returns the beat at which the
@@ -128,14 +178,8 @@ impl MagicStateSupply {
     pub fn acquire(&mut self, now: Beats) -> Beats {
         let delivery = self.next_delivery();
         let consumed_at = delivery.max(now);
-        self.recent_deliveries.push_back(delivery);
-        if self.recent_deliveries.len() > self.config.factories as usize {
-            self.recent_deliveries.pop_front();
-        }
-        self.recent_consumptions.push_back(consumed_at);
-        if self.recent_consumptions.len() > self.config.buffer_capacity as usize {
-            self.recent_consumptions.pop_front();
-        }
+        self.recent_deliveries.push(delivery);
+        self.recent_consumptions.push(consumed_at);
         self.consumed += 1;
         consumed_at
     }
@@ -244,6 +288,45 @@ mod tests {
         let one_done = (0..10).map(|_| one.acquire(Beats(0))).max().unwrap();
         let four_done = (0..10).map(|_| four.acquire(Beats(0))).max().unwrap();
         assert!(four_done < one_done);
+    }
+
+    #[test]
+    fn ring_windows_match_the_full_history_model() {
+        // The model stated in full: the state `factories` places earlier
+        // frees its factory, the state `buffer_capacity` places earlier
+        // frees a buffer slot. Irregular demand exercises both windows
+        // filling and wrapping.
+        for factories in 1..=4u32 {
+            for buffer_capacity in 1..=6u32 {
+                let mut supply = MagicStateSupply::new(MsfConfig {
+                    factories,
+                    beats_per_state: 15,
+                    buffer_capacity,
+                });
+                let (mut deliveries, mut consumptions) = (Vec::new(), Vec::new());
+                let earlier = |history: &Vec<Beats>, places: u32| {
+                    let places = places as usize;
+                    if history.len() < places {
+                        Beats::ZERO
+                    } else {
+                        history[history.len() - places]
+                    }
+                };
+                let (mut now, mut seed) = (0u64, 0x2545_f491_4f6c_dd1du64);
+                for _ in 0..300 {
+                    seed = seed
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    now += (seed >> 33) % 23;
+                    let delivery = (earlier(&deliveries, factories) + Beats(15))
+                        .max(earlier(&consumptions, buffer_capacity));
+                    let expected = delivery.max(Beats(now));
+                    assert_eq!(supply.acquire(Beats(now)), expected);
+                    deliveries.push(delivery);
+                    consumptions.push(expected);
+                }
+            }
+        }
     }
 
     #[test]

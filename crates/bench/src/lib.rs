@@ -21,7 +21,7 @@ use lsqca::experiment::Workload;
 use lsqca::prelude::*;
 use lsqca::workloads::{Benchmark, BenchmarkConfig, InstanceSize};
 use lsqca_json::{Json, ToJson};
-use lsqca_store::ResultStore;
+use lsqca_store::{Lookup, ResultStore, StoreEvent};
 use std::sync::OnceLock;
 
 pub mod hotpath;
@@ -151,7 +151,7 @@ pub fn result_store() -> &'static ResultStore {
 /// returns the statistics: a verified stored record skips the simulation
 /// entirely, a computed result is published durably before being returned.
 /// Every figure field derives from these statistics. Only a miss this process
-/// computes compiles the workload.
+/// computes compiles the workload. The one-element case of [`stored_runs`].
 pub fn stored_run(workload: &WorkloadHandle, config: &ExperimentConfig) -> ExecutionStats {
     stored_run_in(result_store(), workload, config)
 }
@@ -163,29 +163,95 @@ pub fn stored_run_in(
     workload: &WorkloadHandle,
     config: &ExperimentConfig,
 ) -> ExecutionStats {
-    let key = workload.result_key(config);
-    // Under a shard plan, points owned by other shards (and quarantined
-    // points) are never computed here: a stored record from any shard is
-    // rendered as-is, an absent one as a placeholder row. Only the owning
-    // shard's worker fills the gap, so shards never duplicate work.
-    if !supervisor::should_compute(&key) {
-        return store
-            .probe(&key)
-            .and_then(|payload| ExecutionStats::from_json(&payload).ok())
-            .unwrap_or_default();
-    }
-    let (payload, _event) = store.load_or_compute(&key, || {
-        // The in-flight mark makes a mid-computation death attributable to
-        // this point; it survives a panic/abort and clears on success.
-        let _guard = supervisor::InflightGuard::enter(&key);
-        workload.workload().run(config).stats.to_json()
-    });
+    stored_runs_in(store, workload, config, &[config.factories])
+        .pop()
+        .expect("one result per factory count")
+}
+
+/// Runs `workload` under `base` at every factory count of `factories`
+/// through the process-wide result store, returning the statistics in the
+/// same order. Each point is keyed and probed exactly as [`stored_run`]
+/// would; the points that miss are computed together, with one memory walk
+/// shared by their factory counts ([`Workload::run_factories`]), and each
+/// is published as its own record.
+pub fn stored_runs(
+    workload: &WorkloadHandle,
+    base: &ExperimentConfig,
+    factories: &[u32],
+) -> Vec<ExecutionStats> {
+    stored_runs_in(result_store(), workload, base, factories)
+}
+
+/// [`stored_runs`] against an explicit store.
+pub fn stored_runs_in(
+    store: &ResultStore,
+    workload: &WorkloadHandle,
+    base: &ExperimentConfig,
+    factories: &[u32],
+) -> Vec<ExecutionStats> {
+    let configs: Vec<ExperimentConfig> = factories
+        .iter()
+        .map(|&factories| ExperimentConfig {
+            factories,
+            ..base.clone()
+        })
+        .collect();
+    let keys: Vec<String> = configs.iter().map(|c| workload.result_key(c)).collect();
     // Both the hit and the computed path decode the stored payload, so a
     // resumed sweep is byte-identical to a clean one by construction. A
     // payload that fails to decode is unreachable past the record checksum
     // (the payload schema is part of the result key), but never trust a
     // store over a recomputation.
-    ExecutionStats::from_json(&payload).unwrap_or_else(|_| workload.workload().run(config).stats)
+    let decode = |payload: &Json, config: &ExperimentConfig| {
+        ExecutionStats::from_json(payload).unwrap_or_else(|_| workload.workload().run(config).stats)
+    };
+    let mut results: Vec<Option<ExecutionStats>> = vec![None; keys.len()];
+    let mut misses: Vec<(usize, StoreEvent)> = Vec::new();
+    for (i, key) in keys.iter().enumerate() {
+        // Under a shard plan, points owned by other shards (and quarantined
+        // points) are never computed here: a stored record from any shard is
+        // rendered as-is, an absent one as a placeholder row. Only the owning
+        // shard's worker fills the gap, so shards never duplicate work.
+        if !supervisor::should_compute(key) {
+            results[i] = Some(
+                store
+                    .probe(key)
+                    .and_then(|payload| ExecutionStats::from_json(&payload).ok())
+                    .unwrap_or_default(),
+            );
+            continue;
+        }
+        match store.lookup(key) {
+            Lookup::Hit(payload) => results[i] = Some(decode(&payload, &configs[i])),
+            Lookup::Miss(event) => misses.push((i, event)),
+        }
+    }
+    if !misses.is_empty() {
+        // The in-flight marks make a mid-computation death attributable to
+        // the group; each survives a panic/abort and clears once the shared
+        // walk has produced its point.
+        let missed_keys: Vec<&str> = misses.iter().map(|&(i, _)| keys[i].as_str()).collect();
+        let guards = supervisor::InflightGuard::enter_all(&missed_keys);
+        let counts: Vec<u32> = misses.iter().map(|&(i, _)| factories[i]).collect();
+        let computed = workload.workload().run_factories(base, &counts);
+        for (((i, event), stats), guard) in misses.into_iter().zip(computed).zip(guards) {
+            drop(guard);
+            let payload = stats.to_json();
+            store.store_computed(&keys[i], &payload, &event);
+            results[i] = Some(decode(&payload, &configs[i]));
+        }
+    }
+    results
+        .into_iter()
+        .map(|stats| stats.expect("every point was probed, hit or computed"))
+        .collect()
+}
+
+/// The base configuration of a factory-sweep cell on `floorplan`: every
+/// sweep driver passes it to [`stored_runs`] with the sweep's factory
+/// counts, which replace its own (placeholder) count.
+fn cell_config(floorplan: FloorplanKind) -> ExperimentConfig {
+    ExperimentConfig::new(floorplan, 1)
 }
 
 /// The factory counts evaluated in the paper's figures.
@@ -421,7 +487,6 @@ pub mod fig08 {
 /// Fig. 13: CPI of every benchmark under every floorplan and factory count.
 pub mod fig13 {
     use super::*;
-    use lsqca::experiment::ExperimentConfig;
 
     /// One bar of Fig. 13.
     #[derive(Debug, Clone)]
@@ -454,8 +519,9 @@ pub mod fig13 {
     }
 
     /// Generates every bar of Fig. 13 for the given benchmarks (defaults to all
-    /// seven when `benchmarks` is empty). The `(benchmark × factories ×
-    /// floorplan)` grid is simulated in parallel (see [`crate::par`]); output
+    /// seven when `benchmarks` is empty). The `(benchmark × floorplan)` cells
+    /// are simulated in parallel (see [`crate::par`]), each cell's factory
+    /// counts over one shared memory walk ([`crate::stored_runs`]); output
     /// order matches the serial nesting of the paper's figure.
     pub fn generate(scale: Scale, benchmarks: &[Benchmark], factories: &[u32]) -> Vec<Point> {
         let list: Vec<Benchmark> = if benchmarks.is_empty() {
@@ -468,27 +534,35 @@ pub mod fig13 {
             .iter()
             .map(|&benchmark| WorkloadHandle::benchmark(benchmark, scale))
             .collect();
+        let floorplans = ArchConfig::paper_floorplans();
 
         let mut jobs = Vec::new();
-        for (i, &benchmark) in list.iter().enumerate() {
-            for &factories in factories {
-                for floorplan in ArchConfig::paper_floorplans() {
-                    jobs.push((i, benchmark, factories, floorplan));
+        for i in 0..list.len() {
+            for &floorplan in &floorplans {
+                jobs.push((i, floorplan));
+            }
+        }
+        let cells = crate::par::par_map(&jobs, |&(i, floorplan)| {
+            crate::stored_runs(&workloads[i], &cell_config(floorplan), factories)
+        });
+
+        let mut points = Vec::new();
+        for (i, benchmark) in list.iter().enumerate() {
+            for (f_idx, &factories) in factories.iter().enumerate() {
+                for (fp_idx, floorplan) in floorplans.iter().enumerate() {
+                    let stats = &cells[i * floorplans.len() + fp_idx][f_idx];
+                    points.push(Point {
+                        benchmark: benchmark.name().to_string(),
+                        floorplan: floorplan.label(),
+                        factories,
+                        cpi: stats.cpi(),
+                        beats: stats.total_beats.as_u64(),
+                        density: stats.memory_density,
+                    });
                 }
             }
         }
-        crate::par::par_map(&jobs, |&(i, benchmark, factories, floorplan)| {
-            let config = ExperimentConfig::new(floorplan, factories);
-            let stats = crate::stored_run(&workloads[i], &config);
-            Point {
-                benchmark: benchmark.name().to_string(),
-                floorplan: floorplan.label(),
-                factories,
-                cpi: stats.cpi(),
-                beats: stats.total_beats.as_u64(),
-                density: stats.memory_density,
-            }
-        })
+        points
     }
 
     /// Renders Fig. 13 as a text table.
@@ -516,7 +590,6 @@ pub mod fig13 {
 /// Fig. 14: hybrid-floorplan trade-off between density and execution time.
 pub mod fig14 {
     use super::*;
-    use lsqca::experiment::ExperimentConfig;
 
     /// One point of a Fig. 14 curve.
     #[derive(Debug, Clone)]
@@ -559,9 +632,10 @@ pub mod fig14 {
     }
 
     /// Generates the trade-off curves. `fraction_step` is 0.05 in the paper.
-    /// The per-`(benchmark, factories)` baselines and the full `(floorplan ×
-    /// fraction)` grid run in parallel, each benchmark compiling on its first
-    /// store miss; output order matches the serial nesting.
+    /// The per-benchmark baselines and the `(benchmark × floorplan ×
+    /// fraction)` cells run in parallel, each cell's factory counts over one
+    /// shared memory walk, each benchmark compiling on its first store miss;
+    /// output order matches the serial nesting.
     pub fn generate(
         scale: Scale,
         benchmarks: &[Benchmark],
@@ -574,50 +648,58 @@ pub mod fig14 {
             benchmarks.to_vec()
         };
         let steps = (1.0 / fraction_step).round() as u32;
+        let fraction_of = |step: u32| (step as f64 * fraction_step).min(1.0);
         let workloads: Vec<WorkloadHandle> = list
             .iter()
             .map(|&benchmark| WorkloadHandle::benchmark(benchmark, scale))
             .collect();
+        let floorplans = floorplans();
 
-        // Baselines per (benchmark, factories), indexed by position.
-        let mut baseline_keys = Vec::new();
-        for i in 0..list.len() {
-            for &factories in factories {
-                baseline_keys.push((i, factories));
-            }
-        }
-        let baselines = crate::par::par_map(&baseline_keys, |&(i, factories)| {
-            crate::stored_run(&workloads[i], &ExperimentConfig::baseline(factories))
+        // Baselines per benchmark, one entry per factory count.
+        let indices: Vec<usize> = (0..list.len()).collect();
+        let baselines = crate::par::par_map(&indices, |&i| {
+            crate::stored_runs(
+                &workloads[i],
+                &cell_config(FloorplanKind::Conventional),
+                factories,
+            )
         });
-        let baseline_of = |i: usize, f_idx: usize| &baselines[i * factories.len() + f_idx];
 
         let mut jobs = Vec::new();
-        for (i, &benchmark) in list.iter().enumerate() {
+        for i in 0..list.len() {
+            for &floorplan in &floorplans {
+                for step in 0..=steps {
+                    jobs.push((i, floorplan, step));
+                }
+            }
+        }
+        let cells = crate::par::par_map(&jobs, |&(i, floorplan, step)| {
+            let base = cell_config(floorplan).with_hybrid_fraction(fraction_of(step));
+            crate::stored_runs(&workloads[i], &base, factories)
+        });
+
+        let cell_of = |i: usize, fp_idx: usize, step: u32| {
+            &cells[(i * floorplans.len() + fp_idx) * (steps as usize + 1) + step as usize]
+        };
+        let mut points = Vec::new();
+        for (i, benchmark) in list.iter().enumerate() {
             for (f_idx, &factories) in factories.iter().enumerate() {
-                for floorplan in floorplans() {
+                for (fp_idx, floorplan) in floorplans.iter().enumerate() {
                     for step in 0..=steps {
-                        jobs.push((i, benchmark, f_idx, factories, floorplan, step));
+                        let stats = &cell_of(i, fp_idx, step)[f_idx];
+                        points.push(Point {
+                            benchmark: benchmark.name().to_string(),
+                            floorplan: floorplan.label(),
+                            factories,
+                            fraction: fraction_of(step),
+                            density: stats.memory_density,
+                            overhead: stats.overhead_vs(&baselines[i][f_idx]),
+                        });
                     }
                 }
             }
         }
-        crate::par::par_map(
-            &jobs,
-            |&(i, benchmark, f_idx, factories, floorplan, step)| {
-                let fraction = (step as f64 * fraction_step).min(1.0);
-                let config =
-                    ExperimentConfig::new(floorplan, factories).with_hybrid_fraction(fraction);
-                let stats = crate::stored_run(&workloads[i], &config);
-                Point {
-                    benchmark: benchmark.name().to_string(),
-                    floorplan: floorplan.label(),
-                    factories,
-                    fraction,
-                    density: stats.memory_density,
-                    overhead: stats.overhead_vs(baseline_of(i, f_idx)),
-                }
-            },
-        )
+        points
     }
 
     /// Geometric-mean overhead and density across benchmarks for each
@@ -686,7 +768,7 @@ pub mod fig14 {
 /// Fig. 15: SELECT scaling with hybrid layouts.
 pub mod fig15 {
     use super::*;
-    use lsqca::experiment::{ExperimentConfig, HotSetStrategy};
+    use lsqca::experiment::HotSetStrategy;
     use lsqca::workloads::SelectConfig;
 
     /// One point of Fig. 15.
@@ -729,9 +811,10 @@ pub mod fig15 {
 
     /// Generates the Fig. 15 points. For hybrid variants the control and
     /// temporal registers are pinned into the conventional region, as in the
-    /// paper. The per-`(width, factories)` baselines and the plain/hybrid
-    /// simulations run in parallel, each SELECT instance compiling on its
-    /// first store miss; output order matches the serial nesting.
+    /// paper. The per-width baselines and the `(width × floorplan ×
+    /// plain/hybrid)` cells run in parallel, each cell's factory counts over
+    /// one shared memory walk, each SELECT instance compiling on its first
+    /// store miss; output order matches the serial nesting.
     pub fn generate(scale: Scale, factories: &[u32], max_terms: Option<u64>) -> Vec<Point> {
         let widths = widths(scale);
         let instances: Vec<(u32, f64, WorkloadHandle)> = widths
@@ -750,59 +833,66 @@ pub mod fig15 {
             })
             .collect();
 
-        let mut baseline_keys = Vec::new();
-        for i in 0..widths.len() {
-            for &factories in factories {
-                baseline_keys.push((i, factories));
-            }
-        }
-        let baselines = crate::par::par_map(&baseline_keys, |&(i, factories)| {
-            crate::stored_run(&instances[i].2, &ExperimentConfig::baseline(factories))
+        // Baselines per width, one entry per factory count.
+        let indices: Vec<usize> = (0..widths.len()).collect();
+        let baselines = crate::par::par_map(&indices, |&i| {
+            crate::stored_runs(
+                &instances[i].2,
+                &cell_config(FloorplanKind::Conventional),
+                factories,
+            )
         });
 
+        // Plain LSQCA and hybrid (control + temporal registers pinned) cells.
+        let floorplans = super::fig14::floorplans();
         let mut jobs = Vec::new();
-        for (i, &width) in widths.iter().enumerate() {
-            for (f_idx, &factories) in factories.iter().enumerate() {
-                for floorplan in super::fig14::floorplans() {
-                    jobs.push((i, width, f_idx, factories, floorplan));
+        for i in 0..widths.len() {
+            for &floorplan in &floorplans {
+                for hybrid in [false, true] {
+                    jobs.push((i, floorplan, hybrid));
                 }
             }
         }
-        let factory_count = factories.len();
-        crate::par::par_flat_map(&jobs, |&(i, width, f_idx, factories, floorplan)| {
-            let (qubits, hybrid_fraction, ref workload) = instances[i];
-            let baseline = &baselines[i * factory_count + f_idx];
-            // Plain LSQCA.
-            let plain = crate::stored_run(workload, &ExperimentConfig::new(floorplan, factories));
-            // Hybrid: pin control + temporal registers.
-            let hybrid = crate::stored_run(
-                workload,
-                &ExperimentConfig::new(floorplan, factories)
-                    .with_hybrid_fraction(hybrid_fraction)
-                    .with_hot_set(HotSetStrategy::ByRole(vec![
-                        RegisterRole::Control,
-                        RegisterRole::Temporal,
-                    ])),
-            );
-            vec![
-                Point {
-                    instance_width: width,
-                    qubits,
-                    floorplan: floorplan.label(),
-                    factories,
-                    density: plain.memory_density,
-                    overhead: plain.overhead_vs(baseline),
-                },
-                Point {
-                    instance_width: width,
-                    qubits,
-                    floorplan: format!("Hybrid {}", floorplan.label()),
-                    factories,
-                    density: hybrid.memory_density,
-                    overhead: hybrid.overhead_vs(baseline),
-                },
-            ]
-        })
+        let cells = crate::par::par_map(&jobs, |&(i, floorplan, hybrid)| {
+            let (_, hybrid_fraction, ref workload) = instances[i];
+            let mut base = cell_config(floorplan);
+            if hybrid {
+                base = base.with_hybrid_fraction(hybrid_fraction).with_hot_set(
+                    HotSetStrategy::ByRole(vec![RegisterRole::Control, RegisterRole::Temporal]),
+                );
+            }
+            crate::stored_runs(workload, &base, factories)
+        });
+
+        let mut points = Vec::new();
+        for (i, &width) in widths.iter().enumerate() {
+            let qubits = instances[i].0;
+            for (f_idx, &factories) in factories.iter().enumerate() {
+                for (fp_idx, floorplan) in floorplans.iter().enumerate() {
+                    let baseline = &baselines[i][f_idx];
+                    let cell = (i * floorplans.len() + fp_idx) * 2;
+                    let plain = &cells[cell][f_idx];
+                    let hybrid = &cells[cell + 1][f_idx];
+                    points.push(Point {
+                        instance_width: width,
+                        qubits,
+                        floorplan: floorplan.label(),
+                        factories,
+                        density: plain.memory_density,
+                        overhead: plain.overhead_vs(baseline),
+                    });
+                    points.push(Point {
+                        instance_width: width,
+                        qubits,
+                        floorplan: format!("Hybrid {}", floorplan.label()),
+                        factories,
+                        density: hybrid.memory_density,
+                        overhead: hybrid.overhead_vs(baseline),
+                    });
+                }
+            }
+        }
+        points
     }
 
     /// Renders Fig. 15 as a text table.
@@ -839,7 +929,6 @@ pub mod fig15 {
 /// ratios < 1 mean the policy wins).
 pub mod hybrid_migrate {
     use super::*;
-    use lsqca::experiment::ExperimentConfig;
 
     /// The hybrid fraction the sweep pins (a small conventional region, where
     /// adapting its contents matters most).
@@ -904,10 +993,11 @@ pub mod hybrid_migrate {
 
     /// Generates the sweep (defaults to SELECT and the multiplier when
     /// `benchmarks` is empty). Workloads compile on their first store miss
-    /// like every other sweep; the `(benchmark ×
-    /// factories × floorplan)` grid runs in parallel, with the three policy
-    /// runs of one cell kept together so the `vs_static` ratios are computed
-    /// against the cell's own baseline.
+    /// like every other sweep. The `(benchmark × floorplan × policy)` cells
+    /// run in parallel, each cell's factory counts over one shared memory
+    /// walk; the points are then assembled in `(benchmark × factories ×
+    /// floorplan × policy)` order, each `vs_static` ratio against the static
+    /// policy's run at the same benchmark, factory count and floorplan.
     pub fn generate(scale: Scale, benchmarks: &[Benchmark], factories: &[u32]) -> Vec<Point> {
         let list: Vec<Benchmark> = if benchmarks.is_empty() {
             vec![Benchmark::Select, Benchmark::Multiplier]
@@ -918,58 +1008,67 @@ pub mod hybrid_migrate {
             .iter()
             .map(|&benchmark| WorkloadHandle::benchmark(benchmark, scale))
             .collect();
+        let floorplans = floorplans();
 
         let mut jobs = Vec::new();
-        for (i, &benchmark) in list.iter().enumerate() {
-            for &factories in factories {
-                for floorplan in floorplans() {
-                    jobs.push((i, benchmark, factories, floorplan));
+        for i in 0..list.len() {
+            for &floorplan in &floorplans {
+                for policy in PolicyKind::ALL {
+                    jobs.push((i, floorplan, policy));
                 }
             }
         }
-        crate::par::par_flat_map(&jobs, |&(i, benchmark, factories, floorplan)| {
-            let base = ExperimentConfig::new(floorplan, factories).with_hybrid_fraction(FRACTION);
-            let runs: Vec<_> = PolicyKind::ALL
-                .iter()
-                .map(|&policy| {
-                    (
-                        policy,
-                        crate::stored_run(&workloads[i], &base.clone().with_migration(policy)),
-                    )
-                })
-                .collect();
-            let baseline = &runs
-                .iter()
-                .find(|(policy, _)| *policy == PolicyKind::Static)
-                .expect("PolicyKind::ALL contains the static baseline")
-                .1;
-            let ratio = |a: u64, b: u64| {
-                if b == 0 {
-                    1.0
-                } else {
-                    a as f64 / b as f64
+        let cells = crate::par::par_map(&jobs, |&(i, floorplan, policy)| {
+            let base = cell_config(floorplan)
+                .with_hybrid_fraction(FRACTION)
+                .with_migration(policy);
+            crate::stored_runs(&workloads[i], &base, factories)
+        });
+
+        let static_index = PolicyKind::ALL
+            .iter()
+            .position(|&policy| policy == PolicyKind::Static)
+            .expect("PolicyKind::ALL contains the static baseline");
+        let ratio = |a: u64, b: u64| {
+            if b == 0 {
+                1.0
+            } else {
+                a as f64 / b as f64
+            }
+        };
+        let mut points = Vec::new();
+        for (i, benchmark) in list.iter().enumerate() {
+            for (f_idx, &factories) in factories.iter().enumerate() {
+                for (fp_idx, floorplan) in floorplans.iter().enumerate() {
+                    let cell = (i * floorplans.len() + fp_idx) * PolicyKind::ALL.len();
+                    let baseline = &cells[cell + static_index][f_idx];
+                    for (p_idx, policy) in PolicyKind::ALL.iter().enumerate() {
+                        let stats = &cells[cell + p_idx][f_idx];
+                        points.push(Point {
+                            benchmark: benchmark.name().to_string(),
+                            floorplan: floorplan.label(),
+                            policy: policy.name().to_string(),
+                            fraction: FRACTION,
+                            factories,
+                            beats: stats.total_beats.as_u64(),
+                            seek_beats: stats.memory_access_beats.as_u64(),
+                            migration_beats: stats.migration_beats.as_u64(),
+                            migrations: stats.migrations,
+                            density: stats.memory_density,
+                            seek_vs_static: ratio(
+                                stats.memory_access_beats.as_u64(),
+                                baseline.memory_access_beats.as_u64(),
+                            ),
+                            vs_static: ratio(
+                                stats.total_beats.as_u64(),
+                                baseline.total_beats.as_u64(),
+                            ),
+                        });
+                    }
                 }
-            };
-            runs.iter()
-                .map(|(policy, stats)| Point {
-                    benchmark: benchmark.name().to_string(),
-                    floorplan: floorplan.label(),
-                    policy: policy.name().to_string(),
-                    fraction: FRACTION,
-                    factories,
-                    beats: stats.total_beats.as_u64(),
-                    seek_beats: stats.memory_access_beats.as_u64(),
-                    migration_beats: stats.migration_beats.as_u64(),
-                    migrations: stats.migrations,
-                    density: stats.memory_density,
-                    seek_vs_static: ratio(
-                        stats.memory_access_beats.as_u64(),
-                        baseline.memory_access_beats.as_u64(),
-                    ),
-                    vs_static: ratio(stats.total_beats.as_u64(), baseline.total_beats.as_u64()),
-                })
-                .collect()
-        })
+            }
+        }
+        points
     }
 
     /// Renders the sweep as a text table.

@@ -188,16 +188,34 @@ impl InflightGuard {
             return InflightGuard { key: None };
         };
         tracker.add(key);
-        if let Some(fragments) = poison_fragments() {
-            if fragments.iter().all(|f| key.contains(f.as_str())) {
-                eprintln!("worker: poisoned point `{key}`; aborting");
-                std::process::abort();
-            }
+        if is_poisoned(key) {
+            eprintln!("worker: poisoned point `{key}`; aborting");
+            std::process::abort();
         }
         InflightGuard {
             key: Some(key.to_string()),
         }
     }
+
+    /// Marks every key of a group computed together (one shared simulation
+    /// walk) in flight, in order. A poisoned key is entered before any of
+    /// its siblings, so its synthetic abort blames only itself; a real crash
+    /// in the shared computation blames the whole group.
+    pub fn enter_all(keys: &[&str]) -> Vec<InflightGuard> {
+        if INFLIGHT.get().is_some() {
+            if let Some(poisoned) = keys.iter().find(|key| is_poisoned(key)) {
+                InflightGuard::enter(poisoned);
+            }
+        }
+        keys.iter().map(|key| InflightGuard::enter(key)).collect()
+    }
+}
+
+/// Whether `key` matches the `LSQCA_POISON_KEY` conjunction.
+fn is_poisoned(key: &str) -> bool {
+    poison_fragments()
+        .as_ref()
+        .is_some_and(|fragments| fragments.iter().all(|f| key.contains(f.as_str())))
 }
 
 impl Drop for InflightGuard {

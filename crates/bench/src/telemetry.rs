@@ -6,8 +6,8 @@
 //! build several stores per process), so its totals are *synced* into the
 //! registry at snapshot time rather than double-counted at the bump sites.
 //! Everything else (`workloads.compiled`, `trace.lowered`, `sim.warmed`,
-//! `sim.runs`, spans, beat histograms) reports straight into
-//! `lsqca_telemetry`.
+//! `sim.runs`, `sim.memory_walks`, spans, beat histograms) reports straight
+//! into `lsqca_telemetry`.
 
 use crate::result_store;
 use lsqca_store::{atomic_write, DiskIo, StoreIo};
@@ -26,6 +26,7 @@ pub fn sync_registry() {
         "trace.lowered",
         "sim.warmed",
         "sim.runs",
+        "sim.memory_walks",
     ] {
         lsqca_telemetry::counter(name);
     }

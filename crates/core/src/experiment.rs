@@ -22,7 +22,7 @@ use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
 use lsqca_compiler::CompilerConfig;
 use lsqca_lattice::{Beats, QubitTag};
-use lsqca_sim::{ExecutionStats, MemoryTrace, SimConfig, Simulator};
+use lsqca_sim::{ExecutionStats, MemoryTrace, SimConfig, SimError, Simulator};
 use lsqca_workloads::CompiledWorkload;
 use std::fmt;
 use std::sync::OnceLock;
@@ -348,24 +348,13 @@ impl Workload {
     /// indicates a corrupted artifact.
     pub fn run(&self, config: &ExperimentConfig) -> ExperimentResult {
         let hot = self.hot_qubits(config);
-        let mut builder = Simulator::builder(&config.arch_config(), self.simulator_qubits())
-            .hot_qubits(&hot)
-            .config(config.sim);
-        if let Some(policy) = config.migration {
-            builder = builder.migration_policy(policy.build());
-        }
-        let mut simulator = builder
-            .build()
-            .unwrap_or_else(|err| panic!("invalid simulator configuration: {err}"));
+        let mut simulator = self.simulator(config, &hot);
         // The whole sweep stack funnels through `Simulator::execute` here, on
         // the artifact's pre-lowered execution trace.
         let _span = lsqca_telemetry::span("point.execute");
         let outcome = match simulator.execute(&self.artifact) {
             Ok(outcome) => outcome,
-            Err(err) => panic!(
-                "simulation of `{}` failed: {err}",
-                self.artifact.program().name()
-            ),
+            Err(err) => self.failed(err),
         };
         ExperimentResult {
             workload: self.artifact.program().name().to_string(),
@@ -378,6 +367,51 @@ impl Workload {
             stats: outcome.stats,
             trace: outcome.trace,
         }
+    }
+
+    /// Simulates this workload under `config` at every factory count of
+    /// `factories` (the `factories` field of `config` is ignored) and returns
+    /// the statistics in the same order. Each entry equals
+    /// `self.run(&ExperimentConfig { factories: f, ..config.clone() }).stats`,
+    /// but the factory counts share one simulator build and one memory walk
+    /// (see [`Simulator::execute_factories`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`Workload::run`].
+    pub fn run_factories(
+        &self,
+        config: &ExperimentConfig,
+        factories: &[u32],
+    ) -> Vec<ExecutionStats> {
+        let hot = self.hot_qubits(config);
+        let mut simulator = self.simulator(config, &hot);
+        let _span = lsqca_telemetry::span("point.execute");
+        match simulator.execute_factories(&self.artifact, factories) {
+            Ok(outcomes) => outcomes.into_iter().map(|outcome| outcome.stats).collect(),
+            Err(err) => self.failed(err),
+        }
+    }
+
+    /// Builds the simulator for `config` with the pinned hot set `hot`.
+    fn simulator(&self, config: &ExperimentConfig, hot: &[QubitTag]) -> Simulator {
+        let mut builder = Simulator::builder(&config.arch_config(), self.simulator_qubits())
+            .hot_qubits(hot)
+            .config(config.sim);
+        if let Some(policy) = config.migration {
+            builder = builder.migration_policy(policy.build());
+        }
+        builder
+            .build()
+            .unwrap_or_else(|err| panic!("invalid simulator configuration: {err}"))
+    }
+
+    /// Panics with a simulation failure of this workload's artifact.
+    fn failed(&self, err: SimError) -> ! {
+        panic!(
+            "simulation of `{}` failed: {err}",
+            self.artifact.program().name()
+        )
     }
 
     /// The simulator's qubit capacity for this workload. The footprint is
@@ -454,6 +488,24 @@ mod tests {
 
     fn workload() -> Workload {
         Workload::from_circuit(Benchmark::Multiplier.reduced_instance())
+    }
+
+    #[test]
+    fn factory_sweep_equals_one_run_per_count() {
+        let workload = workload();
+        let config = ExperimentConfig::new(FloorplanKind::LineSam { banks: 2 }, 1)
+            .with_hybrid_fraction(0.1)
+            .with_migration(PolicyKind::Lru);
+        let factories = [4, 1, 2];
+        let swept = workload.run_factories(&config, &factories);
+        assert_eq!(swept.len(), factories.len());
+        for (stats, factories) in swept.iter().zip(factories) {
+            let single = ExperimentConfig {
+                factories,
+                ..config.clone()
+            };
+            assert_eq!(stats, &workload.run(&single).stats);
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use crate::config::SimConfig;
 use crate::metrics::ExecutionStats;
 use crate::trace::MemoryTrace;
-use lsqca_arch::{ArchConfig, MagicStateSupply, MemorySystem, MigrationPolicy, MsfConfig};
+use lsqca_arch::{
+    ArchConfig, FloorplanKind, MagicStateSupply, MemorySystem, MigrationPolicy, MsfConfig,
+};
 use lsqca_isa::trace_compile::flags;
 use lsqca_isa::{
     ClassicalId, ExecKind, ExecutionTrace, Instruction, LatencyClass, MemAddr, Program, RegId,
@@ -12,10 +14,12 @@ use lsqca_lattice::{Beats, LatticeError, QubitTag};
 use lsqca_workloads::CompiledWorkload;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Registry counter of simulation runs performed by this process (every
-/// trace-engine execution — which [`Simulator::execute`] funnels `Program`,
+/// Registry counter of simulation runs performed by this process: one per
+/// [`SimOutcome`] a run attempt is asked for (each factory count of a
+/// trace-engine walk — which [`Simulator::execute`] funnels `Program`,
 /// `ExecutionTrace`, and `CompiledWorkload` inputs through — plus every
 /// [`Classified`] reference-interpreter run). The warm-store acceptance
 /// tests assert this stays flat across a sweep served entirely from the
@@ -29,6 +33,21 @@ fn runs_counter() -> &'static lsqca_telemetry::Counter {
 /// `sim.runs` counter).
 pub fn simulation_count() -> u64 {
     runs_counter().get()
+}
+
+/// Registry counter of memory walks performed by this process: one per
+/// trace-engine walk, however many factory counts share it, and one per
+/// [`Classified`] reference-interpreter run.
+fn walks_counter() -> &'static lsqca_telemetry::Counter {
+    static COUNTER: OnceLock<&'static lsqca_telemetry::Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| lsqca_telemetry::counter("sim.memory_walks"))
+}
+
+/// Total memory walks performed by this process so far (the registry's
+/// `sim.memory_walks` counter). Below [`simulation_count`] exactly when
+/// walks were shared across factory counts.
+pub fn memory_walk_count() -> u64 {
+    walks_counter().get()
 }
 
 /// Registry counter of full simulator warm-ups (constructions) in this
@@ -188,32 +207,446 @@ pub struct SimOutcome {
     pub trace: MemoryTrace,
 }
 
-/// The code-beat-accurate simulator.
-///
-/// A `Simulator` owns the architectural state (memory system, magic-state
-/// supply, resource ready-times) for one run; use [`simulate`] for the common
-/// one-shot case. Construct one with [`Simulator::builder`] and execute any
-/// input kind with [`Simulator::execute`]; a reused simulator resets itself
-/// before each run.
-#[derive(Debug, Clone)]
-pub struct Simulator {
-    memory: MemorySystem,
+/// Instructions per block of the trace walk. The memory pass resolves one
+/// block into the simulator's [`BlockScratch`], then every timing state
+/// advances over the same block, so the block's trace columns and scratch
+/// are still cache-resident when the timing passes read them.
+const BLOCK: usize = 1024;
+
+/// An absent entry of the bank column.
+const NO_BANK: u32 = u32::MAX;
+
+/// How scan-resource banks reach the timing pass. Both passes take the mode
+/// as a const parameter, so each floorplan shape runs its own loop.
+mod bank_mode {
+    /// No banks at all (conventional floorplan): nothing serializes on a
+    /// scan resource and the bank column is never written.
+    pub const BANKLESS: u8 = 0;
+    /// One SAM bank and no conventional region: every memory operand
+    /// resolves to bank 0 (residence is constant over a run: checkout does
+    /// not retag, and hot-set migration only exists on hybrid floorplans,
+    /// which have conventional residents). Every scanning instruction
+    /// serializes on bank 0 and the bank column is never written.
+    /// Out-of-range operands still error identically: the memory access
+    /// rejects them.
+    pub const UNIFORM: u8 = 1;
+    /// Banks are resolved per instruction into the bank column.
+    pub const RESOLVED: u8 = 2;
+}
+
+/// Per-block output of the memory pass, owned by the simulator so its
+/// columns are allocated once and reused across blocks and runs.
+#[derive(Debug, Clone, Default)]
+struct BlockScratch {
+    /// Beats each instruction occupies after its start, magic wait excluded:
+    /// the migration delay plus the memory or fixed-latency duration.
+    cost: Vec<u64>,
+    /// The migration-delay share of `cost`, which beat attribution leaves
+    /// out. Sized and written only under a migration policy.
+    delay: Vec<u64>,
+    /// The distinct banks each instruction serializes on, resolved before
+    /// migration can move an operand ([`NO_BANK`] when absent). Sized and
+    /// written only under [`bank_mode::RESOLVED`].
+    banks: Vec<[u32; 2]>,
+}
+
+impl BlockScratch {
+    /// Sizes the columns a walk of `len` records writes.
+    fn reserve(&mut self, len: usize, migrating: bool, resolve_banks: bool) {
+        let rows = len.min(BLOCK);
+        if self.cost.len() < rows {
+            self.cost.resize(rows, 0);
+        }
+        if migrating && self.delay.len() < rows {
+            self.delay.resize(rows, 0);
+        }
+        if resolve_banks && self.banks.len() < rows {
+            self.banks.resize(rows, [NO_BANK; 2]);
+        }
+    }
+}
+
+/// The factory-dependent half of one run: every quantity that depends on
+/// *when* instructions start. One timing state exists per factory count of
+/// a walk; all of them observe the same memory evolution.
+struct TimingState {
     magic: MagicStateSupply,
-    config: SimConfig,
-    unbounded_registers: bool,
     /// Dense per-qubit ready times.
     mem_ready: Vec<Beats>,
     slot_ready: Vec<Beats>,
     /// Dense per-classical-value ready times.
     classical_ready: Vec<Beats>,
     bank_ready: Vec<Beats>,
-    skip_guard: Option<Beats>,
+    /// Start floor armed by an `SK`; it gates only the next instruction.
+    guard: Beats,
+    makespan: Beats,
+    magic_wait: Beats,
+    trace: MemoryTrace,
+    /// Opt-in beat attribution: a run-local, non-atomic histogram whose
+    /// registry atomics are paid once, when the run's outcome is produced.
+    beats: Option<BeatBuckets>,
+}
+
+/// The run-wide inputs of a timing pass.
+struct TimingContext<'a> {
+    bounded_registers: bool,
+    infinite_magic: bool,
+    record_trace: bool,
+    migrating: bool,
+    floorplan: &'a FloorplanKind,
+}
+
+impl TimingState {
+    /// The pristine timing state of `memory` under `arch` with `factories`
+    /// magic-state factories. The buffer follows the factory count unless
+    /// `arch` overrides it, exactly as a simulator built for that count.
+    fn new(
+        arch: &ArchConfig,
+        factories: u32,
+        memory: &MemorySystem,
+        num_qubits: u32,
+        beat_attribution: bool,
+    ) -> TimingState {
+        let buffer_capacity = ArchConfig {
+            factories,
+            ..arch.clone()
+        }
+        .magic_buffer_capacity();
+        TimingState {
+            magic: MagicStateSupply::new(MsfConfig {
+                factories,
+                beats_per_state: 15,
+                buffer_capacity,
+            }),
+            mem_ready: vec![Beats::ZERO; num_qubits as usize],
+            // The CX scheduler treats every entry as a claimable slot, so the
+            // table starts at the memory system's CR slot count and grows
+            // only when a program touches a `RegId` beyond it.
+            slot_ready: vec![Beats::ZERO; memory.effective_cr_slots() as usize],
+            classical_ready: Vec::new(),
+            bank_ready: vec![Beats::ZERO; memory.bank_count()],
+            guard: Beats::ZERO,
+            makespan: Beats::ZERO,
+            magic_wait: Beats::ZERO,
+            trace: MemoryTrace::new(),
+            beats: beat_attribution.then(BeatBuckets::new),
+        }
+    }
+
+    fn mem_ready(&self, m: MemAddr) -> Beats {
+        self.mem_ready
+            .get(m.index() as usize)
+            .copied()
+            .unwrap_or(Beats::ZERO)
+    }
+
+    fn set_mem_ready(&mut self, m: MemAddr, t: Beats) {
+        let idx = m.index() as usize;
+        if idx >= self.mem_ready.len() {
+            self.mem_ready.resize(idx + 1, Beats::ZERO);
+        }
+        self.mem_ready[idx] = t;
+    }
+
+    fn slot_ready(&self, r: RegId) -> Beats {
+        self.slot_ready
+            .get(r.index() as usize)
+            .copied()
+            .unwrap_or(Beats::ZERO)
+    }
+
+    fn set_slot_ready(&mut self, r: RegId, t: Beats) {
+        let idx = r.index() as usize;
+        if idx >= self.slot_ready.len() {
+            self.slot_ready.resize(idx + 1, Beats::ZERO);
+        }
+        self.slot_ready[idx] = t;
+    }
+
+    fn classical_ready(&self, v: ClassicalId) -> Beats {
+        self.classical_ready
+            .get(v.index() as usize)
+            .copied()
+            .unwrap_or(Beats::ZERO)
+    }
+
+    fn set_classical_ready(&mut self, v: ClassicalId, t: Beats) {
+        let idx = v.index() as usize;
+        if idx >= self.classical_ready.len() {
+            self.classical_ready.resize(idx + 1, Beats::ZERO);
+        }
+        self.classical_ready[idx] = t;
+    }
+
+    /// Presizes the ready tables for a trace walk, plus one scratch slot past
+    /// every real operand: absent operands read slot 0 under a zero mask and
+    /// write the scratch slot, so the dependency pass needs no per-operand
+    /// branches at all. Reads of never-written entries return `Beats::ZERO`
+    /// either way, so sizing up front is observationally free. `slot_ready`
+    /// deliberately keeps its lazy growth instead: the CX slot claim scans
+    /// the *current* table, and presizing it would hand CXs slots the
+    /// program has not touched yet.
+    fn presize(&mut self, trace: &ExecutionTrace) {
+        let mem_bound = trace.mem_bound() as usize;
+        if self.mem_ready.len() < mem_bound + 1 {
+            self.mem_ready.resize(mem_bound + 1, Beats::ZERO);
+        }
+        let classical_bound = trace.classical_bound() as usize;
+        if self.classical_ready.len() < classical_bound + 1 {
+            self.classical_ready
+                .resize(classical_bound + 1, Beats::ZERO);
+        }
+    }
+
+    /// The timing pass: advances this state over the trace records in
+    /// `range`, whose memory-side results the memory pass left in `scratch`
+    /// (indexed from `range.start`) under the bank mode `MODE`. Requires
+    /// [`TimingState::presize`].
+    fn advance<const MODE: u8>(
+        &mut self,
+        trace: &ExecutionTrace,
+        range: Range<usize>,
+        scratch: &BlockScratch,
+        ctx: &TimingContext<'_>,
+    ) -> Result<(), SimError> {
+        let len = range.len();
+        let exec = &trace.exec_kinds()[range.clone()];
+        let flag = &trace.flag_bits()[range.clone()];
+        let mem0 = &trace.mem0()[range.clone()];
+        let mem1 = &trace.mem1()[range.clone()];
+        let reg0 = &trace.reg0()[range.clone()];
+        let reg1 = &trace.reg1()[range.clone()];
+        let cio = &trace.cio()[range];
+        let cost = &scratch.cost[..len];
+        let bounded_registers = ctx.bounded_registers;
+        let infinite_magic = ctx.infinite_magic;
+        let record_trace = ctx.record_trace;
+        let migrating = ctx.migrating;
+
+        // Any index past every real operand works as the write sink: nothing
+        // in this run reads indices at or above the trace's bounds.
+        let mem_scratch = self.mem_ready.len() - 1;
+        let classical_scratch = self.classical_ready.len() - 1;
+
+        // Disjoint field borrows, and the scalars in locals: the table
+        // pointers and lengths stay in registers across the opaque
+        // `magic.acquire` call below.
+        let TimingState {
+            magic,
+            mem_ready,
+            slot_ready,
+            classical_ready,
+            bank_ready,
+            trace: mem_trace,
+            beats,
+            ..
+        } = self;
+        // Fixed-size tables as slices: their pointers and lengths are locals,
+        // never reloaded from the state after the `magic.acquire` call.
+        let mem_ready = &mut mem_ready[..];
+        let classical_ready = &mut classical_ready[..];
+        let bank_ready = &mut bank_ready[..];
+        let mut guard = self.guard;
+        let mut makespan = self.makespan;
+        let mut magic_wait = self.magic_wait;
+        // A single bank's ready time chains every scanning instruction, so
+        // it lives in a register for the pass, not behind a store-to-load
+        // round trip per instruction.
+        let mut bank0 = if MODE == bank_mode::UNIFORM {
+            bank_ready[0]
+        } else {
+            Beats::ZERO
+        };
+
+        for k in 0..len {
+            let fl = flag[k];
+            let kind = exec[k];
+            let has_m0 = fl & flags::HAS_MEM0 != 0;
+            let has_m1 = fl & flags::HAS_MEM1 != 0;
+            let m0 = mem0[k];
+            let m1 = mem1[k];
+
+            // Dependency collection, branchless: absent operand slots encode
+            // as 0 (see `trace_compile`), so the table read is always in
+            // bounds, and a zero mask drops it below any real ready time.
+            let dep0 = mem_ready[m0 as usize].0 & (has_m0 as u64).wrapping_neg();
+            let dep1 = mem_ready[m1 as usize].0 & (has_m1 as u64).wrapping_neg();
+            let depc = classical_ready[cio[k] as usize].0
+                & ((fl & flags::HAS_CIN != 0) as u64).wrapping_neg();
+            let mut start = Beats(guard.0.max(dep0).max(dep1).max(depc));
+            guard = Beats::ZERO;
+            if bounded_registers {
+                if fl & flags::HAS_REG0 != 0 {
+                    let ready = slot_ready
+                        .get(reg0[k] as usize)
+                        .copied()
+                        .unwrap_or(Beats::ZERO);
+                    start = start.max(ready);
+                }
+                if fl & flags::HAS_REG1 != 0 {
+                    let ready = slot_ready
+                        .get(reg1[k] as usize)
+                        .copied()
+                        .unwrap_or(Beats::ZERO);
+                    start = start.max(ready);
+                }
+            }
+
+            // Bank (scan-resource) serialization on the banks the memory
+            // pass resolved.
+            let scans = fl & flags::NEEDS_SCAN != 0;
+            let mut banks = [NO_BANK; 2];
+            if MODE == bank_mode::UNIFORM && scans {
+                start = start.max(bank0);
+            } else if MODE == bank_mode::RESOLVED {
+                banks = scratch.banks[k];
+                for b in banks {
+                    if b != NO_BANK {
+                        start = start.max(bank_ready[b as usize]);
+                    }
+                }
+            }
+
+            // An optimized CX claims one CR slot for its surgery ancilla.
+            let mut cx_slot: Option<usize> = None;
+            if kind == ExecKind::Cx && bounded_registers {
+                let Some((slot, ready)) = slot_ready
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .min_by_key(|&(_, t)| t)
+                else {
+                    return Err(no_cr_slots(ctx.floorplan));
+                };
+                start = start.max(ready);
+                cx_slot = Some(slot);
+            }
+
+            // The magic wait is the one timing-dependent part of a duration.
+            let wait = if kind == ExecKind::Magic && !infinite_magic {
+                magic.acquire(start).saturating_sub(start)
+            } else {
+                Beats::ZERO
+            };
+            magic_wait += wait;
+            let finish = start + Beats(cost[k]) + wait;
+            if let Some(beats) = beats.as_mut() {
+                let migration = if migrating { scratch.delay[k] } else { 0 };
+                beats.record(kind, Beats(cost[k] - migration) + wait);
+            }
+
+            // Bookkeeping: flag tests instead of instruction re-matching.
+            // Ready-table writes are unconditional — an absent operand is
+            // steered to the scratch slot past every real index, which is
+            // never read, so no write needs a branch.
+            if record_trace {
+                if has_m0 {
+                    mem_trace.record(MemAddr(m0), start.as_u64());
+                }
+                if has_m1 {
+                    mem_trace.record(MemAddr(m1), start.as_u64());
+                }
+            }
+            let w0 = if has_m0 { m0 as usize } else { mem_scratch };
+            let w1 = if has_m1 { m1 as usize } else { mem_scratch };
+            mem_ready[w0] = finish;
+            mem_ready[w1] = finish;
+            // Register slots are only ever read under bounded registers.
+            if bounded_registers {
+                if fl & flags::HAS_REG0 != 0 {
+                    let idx = reg0[k] as usize;
+                    if idx >= slot_ready.len() {
+                        slot_ready.resize(idx + 1, Beats::ZERO);
+                    }
+                    slot_ready[idx] = finish;
+                }
+                if fl & flags::HAS_REG1 != 0 {
+                    let idx = reg1[k] as usize;
+                    if idx >= slot_ready.len() {
+                        slot_ready.resize(idx + 1, Beats::ZERO);
+                    }
+                    slot_ready[idx] = finish;
+                }
+                if let Some(slot) = cx_slot {
+                    slot_ready[slot] = finish;
+                }
+            }
+            if MODE == bank_mode::UNIFORM && scans {
+                bank0 = finish;
+            } else if MODE == bank_mode::RESOLVED {
+                for b in banks {
+                    if b != NO_BANK {
+                        bank_ready[b as usize] = finish;
+                    }
+                }
+            }
+            let wc = if fl & flags::HAS_COUT != 0 {
+                cio[k] as usize
+            } else {
+                classical_scratch
+            };
+            classical_ready[wc] = finish;
+            if kind == ExecKind::Skip {
+                guard = finish;
+            }
+            makespan = makespan.max(finish);
+        }
+        if MODE == bank_mode::UNIFORM {
+            bank_ready[0] = bank0;
+        }
+        self.guard = guard;
+        self.makespan = makespan;
+        self.magic_wait = magic_wait;
+        Ok(())
+    }
+
+    /// The outcome of this state: the shared memory-side `stats` completed
+    /// with this state's makespan and magic wait. Flushes the beat
+    /// attribution, once per outcome.
+    fn finish(self, stats: &ExecutionStats) -> SimOutcome {
+        if let Some(beats) = &self.beats {
+            beats.flush();
+        }
+        SimOutcome {
+            stats: ExecutionStats {
+                total_beats: self.makespan,
+                magic_wait_beats: self.magic_wait,
+                ..stats.clone()
+            },
+            trace: self.trace,
+        }
+    }
+}
+
+/// The typed error for a bounded-register floorplan with no register slot.
+fn no_cr_slots(floorplan: &FloorplanKind) -> SimError {
+    SimError::NoCrSlots {
+        floorplan: format!("{floorplan:?}"),
+    }
+}
+
+/// The code-beat-accurate simulator.
+///
+/// A `Simulator` owns the memory system (and the migration policy driving
+/// it) for one run; the resource ready-times and the magic-state supply live
+/// in per-run timing states. Use [`simulate`] for the common one-shot case.
+/// Construct one with [`Simulator::builder`] and execute any input kind with
+/// [`Simulator::execute`], or with [`Simulator::execute_factories`] to run
+/// one input at several magic-state factory counts over one shared memory
+/// walk; a reused simulator resets itself before each run.
+#[derive(Debug, Clone)]
+pub struct Simulator {
+    memory: MemorySystem,
+    config: SimConfig,
+    unbounded_registers: bool,
     /// Reusable lowering scratch for executing a [`Program`]: the execution
     /// trace of one program is lowered into this buffer and its column
     /// vectors are recycled across runs, so a simulator re-running ad-hoc
     /// programs allocates nothing in steady state. (A [`CompiledWorkload`]
     /// never touches it — artifacts carry their own pre-lowered trace.)
     scratch_trace: ExecutionTrace,
+    /// The memory pass's per-block output, read by every timing pass.
+    block: BlockScratch,
     /// The construction inputs, kept so [`Simulator::reset`] can rebuild the
     /// pristine architectural state on demand. Rebuilding costs the same as
     /// the original construction and nothing is cloned up front, so the
@@ -274,8 +707,6 @@ impl Simulator {
     ) -> Result<Self, SimError> {
         let _span = lsqca_telemetry::span("sim.warm");
         let memory = MemorySystem::new(arch, num_qubits, hot_qubits);
-        let magic = Self::build_magic(arch);
-        let bank_count = memory.bank_count();
         // The register-slot count is the memory system's own CR accounting:
         // `effective_cr_slots` floors the configured count at
         // `MemorySystem::MIN_CR_SLOTS` because the minimal CR charged by
@@ -283,16 +714,14 @@ impl Simulator {
         // of Fig. 10b) already contains two register cells. On CR-less
         // floorplans the value only sizes the scheduler's slot array — the
         // slots impose no constraint there (see `unbounded_registers`).
-        let cr_slots = memory.effective_cr_slots() as usize;
+        let cr_slots = memory.effective_cr_slots();
         // The conventional baseline has no CR, so register slots impose no
         // constraint; a hybrid floorplan whose hot set covers every qubit
         // (f = 1) degenerates to the same baseline, matching the paper's
         // statement that the f = 1 endpoint is the conventional floorplan.
-        let unbounded_registers = arch.floorplan.is_conventional() || bank_count == 0;
+        let unbounded_registers = arch.floorplan.is_conventional() || memory.bank_count() == 0;
         if !unbounded_registers && cr_slots == 0 {
-            return Err(SimError::NoCrSlots {
-                floorplan: format!("{:?}", arch.floorplan),
-            });
+            return Err(no_cr_slots(&arch.floorplan));
         }
         builds_counter().inc();
         Ok(Simulator {
@@ -304,24 +733,10 @@ impl Simulator {
             dirty: false,
             migration: None,
             memory,
-            magic,
             config,
-            mem_ready: vec![Beats::ZERO; num_qubits as usize],
-            slot_ready: vec![Beats::ZERO; cr_slots],
-            classical_ready: Vec::new(),
-            bank_ready: vec![Beats::ZERO; bank_count],
-            skip_guard: None,
             scratch_trace: ExecutionTrace::new(),
+            block: BlockScratch::default(),
             instruction_budget: env_instruction_budget(),
-        })
-    }
-
-    /// The magic-state supply for `arch`, shared by construction and reset.
-    fn build_magic(arch: &ArchConfig) -> MagicStateSupply {
-        MagicStateSupply::new(MsfConfig {
-            factories: arch.factories,
-            beats_per_state: 15,
-            buffer_capacity: arch.magic_buffer_capacity(),
         })
     }
 
@@ -348,8 +763,10 @@ impl Simulator {
         self.migration.as_deref().map(MigrationPolicy::name)
     }
 
-    /// Restores the simulator to its just-constructed state: memory system,
-    /// magic-state supply, every resource ready-time, and the skip guard.
+    /// Restores the simulator to its just-constructed state: the memory
+    /// system and the migration policy. (Ready times, the skip guard and the
+    /// magic-state supply belong to per-run timing states, which every run
+    /// builds fresh.)
     ///
     /// [`Simulator::execute`] calls this automatically when the simulator has
     /// already executed a program, so consecutive runs each start from the
@@ -360,71 +777,41 @@ impl Simulator {
     /// and pays nothing for reuse.
     pub fn reset(&mut self) {
         self.memory = MemorySystem::new(&self.arch, self.num_qubits, &self.hot_qubits);
-        self.magic = Self::build_magic(&self.arch);
-        self.mem_ready.clear();
-        self.mem_ready.resize(self.num_qubits as usize, Beats::ZERO);
-        // Restore the construction *length* too, not just the values: a
-        // program touching a `RegId` beyond the CR grows `slot_ready`, and
-        // the CX scheduler treats every entry as a claimable slot — leftover
-        // grown entries would hand a rerun more CR slots than a fresh
-        // simulator has.
-        self.slot_ready.clear();
-        self.slot_ready
-            .resize(self.memory.effective_cr_slots() as usize, Beats::ZERO);
-        self.classical_ready.clear();
-        for t in &mut self.bank_ready {
-            *t = Beats::ZERO;
-        }
-        self.skip_guard = None;
         if let Some(policy) = &mut self.migration {
             policy.begin(self.num_qubits, &self.hot_qubits);
         }
         self.dirty = false;
     }
 
-    fn mem_ready(&self, m: MemAddr) -> Beats {
-        self.mem_ready
-            .get(m.index() as usize)
-            .copied()
-            .unwrap_or(Beats::ZERO)
-    }
-
-    fn set_mem_ready(&mut self, m: MemAddr, t: Beats) {
-        let idx = m.index() as usize;
-        if idx >= self.mem_ready.len() {
-            self.mem_ready.resize(idx + 1, Beats::ZERO);
+    /// Starts a run: resets a dirty simulator and counts `runs` simulated
+    /// points over one memory walk.
+    fn begin_walk(&mut self, runs: usize) {
+        runs_counter().add(runs as u64);
+        walks_counter().inc();
+        if self.dirty {
+            self.reset();
         }
-        self.mem_ready[idx] = t;
+        self.dirty = true;
     }
 
-    fn slot_ready(&self, r: RegId) -> Beats {
-        self.slot_ready
-            .get(r.index() as usize)
-            .copied()
-            .unwrap_or(Beats::ZERO)
+    /// The pristine timing state for `factories` magic-state factories.
+    fn timing_state(&self, factories: u32) -> TimingState {
+        TimingState::new(
+            &self.arch,
+            factories,
+            &self.memory,
+            self.num_qubits,
+            self.telemetry.beat_attribution,
+        )
     }
 
-    fn set_slot_ready(&mut self, r: RegId, t: Beats) {
-        let idx = r.index() as usize;
-        if idx >= self.slot_ready.len() {
-            self.slot_ready.resize(idx + 1, Beats::ZERO);
+    /// The memory-side statistics every run starts from.
+    fn initial_stats(&self) -> ExecutionStats {
+        ExecutionStats {
+            memory_density: self.memory.memory_density(),
+            total_cells: self.memory.total_cells(),
+            ..ExecutionStats::default()
         }
-        self.slot_ready[idx] = t;
-    }
-
-    fn classical_ready(&self, v: ClassicalId) -> Beats {
-        self.classical_ready
-            .get(v.index() as usize)
-            .copied()
-            .unwrap_or(Beats::ZERO)
-    }
-
-    fn set_classical_ready(&mut self, v: ClassicalId, t: Beats) {
-        let idx = v.index() as usize;
-        if idx >= self.classical_ready.len() {
-            self.classical_ready.resize(idx + 1, Beats::ZERO);
-        }
-        self.classical_ready[idx] = t;
     }
 
     fn tag(m: MemAddr) -> QubitTag {
@@ -445,7 +832,9 @@ impl Simulator {
         )
     }
 
-    /// Executes any [`Executable`] input — the single run entry point.
+    /// Executes any [`Executable`] input — the single run entry point, and
+    /// the one-element case of [`Simulator::execute_factories`] at the
+    /// architecture's own factory count.
     ///
     /// The input kind selects the engine path: a [`Program`] is lowered into
     /// the reusable scratch trace and executed through the trace engine, an
@@ -464,23 +853,60 @@ impl Simulator {
     /// memory state (for example, loading a qubit twice without storing it, or
     /// storing a qubit that was never checked out of its bank).
     pub fn execute(&mut self, input: &impl Executable) -> Result<SimOutcome, SimError> {
-        input.execute_on(self)
+        let factories = self.arch.factories;
+        let mut outcomes = input.execute_on(self, &[factories])?;
+        Ok(outcomes.pop().expect("one outcome per factory count"))
+    }
+
+    /// Executes `input` once per entry of `factories`, as if on a simulator
+    /// built with `ArchConfig { factories: f, ..arch }` for each `f`, and
+    /// returns the outcomes in the same order (duplicates included).
+    ///
+    /// The factory count changes only *when* instructions start, never what
+    /// the memory system does: construction, every bank operation and the
+    /// migration policies are independent of time. So the trace engine walks
+    /// memory once and advances one timing state per count over it. A
+    /// [`Classified`] input runs the reference interpreter once per count
+    /// instead, resetting between runs, which makes it the oracle for the
+    /// shared walk. A magic-buffer override on the architecture applies to
+    /// every count.
+    ///
+    /// # Errors
+    ///
+    /// Returns exactly the error [`Simulator::execute`] returns for the same
+    /// input at any of the counts: the earliest of the instruction budget, a
+    /// missing CR slot, or a memory error. An empty `factories` list runs
+    /// nothing and returns no outcome.
+    pub fn execute_factories(
+        &mut self,
+        input: &impl Executable,
+        factories: &[u32],
+    ) -> Result<Vec<SimOutcome>, SimError> {
+        if factories.is_empty() {
+            return Ok(Vec::new());
+        }
+        input.execute_on(self, factories)
     }
 
     /// The [`Program`] engine path: lower into the engine's reusable scratch
     /// trace (the column vectors are recycled across runs), then execute
     /// through the trace engine. Callers holding a [`CompiledWorkload`] skip
     /// even the lowering — artifacts embed their trace.
-    fn execute_program(&mut self, program: &Program) -> Result<SimOutcome, SimError> {
+    fn execute_program(
+        &mut self,
+        program: &Program,
+        factories: &[u32],
+    ) -> Result<Vec<SimOutcome>, SimError> {
         let mut trace = std::mem::take(&mut self.scratch_trace);
         lsqca_isa::lower_into(program, &mut trace);
-        let outcome = self.execute_trace(&trace);
+        let outcomes = self.execute_trace(&trace, factories);
         self.scratch_trace = trace;
-        outcome
+        outcomes
     }
 
     /// The [`Classified`] engine path — the **reference interpreter**,
-    /// dispatching on `Instruction` enums per step.
+    /// dispatching on `Instruction` enums per step, one full run per factory
+    /// count.
     ///
     /// The production path is [`Simulator::execute_trace`]; this interpreter
     /// is retained as the executable specification the trace engine is
@@ -495,24 +921,29 @@ impl Simulator {
         &mut self,
         program: &Program,
         classes: &[LatencyClass],
-    ) -> Result<SimOutcome, SimError> {
+        factories: &[u32],
+    ) -> Result<Vec<SimOutcome>, SimError> {
         assert_eq!(
             classes.len(),
             program.len(),
             "latency-class vector is not parallel to the program"
         );
-        runs_counter().inc();
-        if self.dirty {
-            self.reset();
-        }
-        self.dirty = true;
-        let mut stats = ExecutionStats {
-            memory_density: self.memory.memory_density(),
-            total_cells: self.memory.total_cells(),
-            ..ExecutionStats::default()
-        };
-        let mut trace = MemoryTrace::new();
-        let mut makespan = Beats::ZERO;
+        factories
+            .iter()
+            .map(|&f| self.interpret(program, classes, f))
+            .collect()
+    }
+
+    /// One reference-interpreter run at `factories` magic-state factories.
+    fn interpret(
+        &mut self,
+        program: &Program,
+        classes: &[LatencyClass],
+        factories: u32,
+    ) -> Result<SimOutcome, SimError> {
+        self.begin_walk(1);
+        let mut timing = self.timing_state(factories);
+        let mut stats = self.initial_stats();
 
         for (index, instr) in program.iter().enumerate() {
             if let Some(budget) = self.instruction_budget {
@@ -533,17 +964,17 @@ impl Simulator {
             let regs = instr.register_operands();
 
             // Dependency collection.
-            let mut start = self.skip_guard.take().unwrap_or(Beats::ZERO);
+            let mut start = std::mem::replace(&mut timing.guard, Beats::ZERO);
             for m in mems {
-                start = start.max(self.mem_ready(m));
+                start = start.max(timing.mem_ready(m));
             }
             if !self.unbounded_registers {
                 for r in regs {
-                    start = start.max(self.slot_ready(r));
+                    start = start.max(timing.slot_ready(r));
                 }
             }
             if let Some(v) = instr.classical_input() {
-                start = start.max(self.classical_ready(v));
+                start = start.max(timing.classical_ready(v));
             }
 
             // Bank (scan-resource) serialization. An instruction references at
@@ -557,7 +988,7 @@ impl Simulator {
                         if !banks[..bank_count].contains(&b) {
                             banks[bank_count] = b;
                             bank_count += 1;
-                            start = start.max(self.bank_ready[b]);
+                            start = start.max(timing.bank_ready[b]);
                         }
                     }
                 }
@@ -570,16 +1001,14 @@ impl Simulator {
                 // with-zero-slots state, so a slot always exists; the `else`
                 // keeps the error typed instead of panicking if that
                 // invariant is ever broken.
-                let Some((slot, ready)) = self
+                let Some((slot, ready)) = timing
                     .slot_ready
                     .iter()
                     .copied()
                     .enumerate()
                     .min_by_key(|&(_, t)| t)
                 else {
-                    return Err(SimError::NoCrSlots {
-                        floorplan: format!("{:?}", self.arch.floorplan),
-                    });
+                    return Err(no_cr_slots(&self.arch.floorplan));
                 };
                 start = start.max(ready);
                 cx_slot = Some(slot);
@@ -636,7 +1065,7 @@ impl Simulator {
                     let wait = if self.config.assume_infinite_magic {
                         Beats::ZERO
                     } else {
-                        let available = self.magic.acquire(start);
+                        let available = timing.magic.acquire(start);
                         available.saturating_sub(start)
                     };
                     stats.magic_wait_beats += wait;
@@ -710,230 +1139,231 @@ impl Simulator {
             }
             for m in mems {
                 if self.config.record_trace {
-                    trace.record(m, start.as_u64());
+                    timing.trace.record(m, start.as_u64());
                 }
-                self.set_mem_ready(m, finish);
+                timing.set_mem_ready(m, finish);
             }
             for r in regs {
-                self.set_slot_ready(r, finish);
+                timing.set_slot_ready(r, finish);
             }
             if let Some(slot) = cx_slot {
-                self.slot_ready[slot] = finish;
+                timing.slot_ready[slot] = finish;
             }
             for &b in &banks[..bank_count] {
-                self.bank_ready[b] = finish;
+                timing.bank_ready[b] = finish;
             }
             if let Some(v) = instr.classical_output() {
-                self.set_classical_ready(v, finish);
+                timing.set_classical_ready(v, finish);
             }
             if matches!(instr, Instruction::Sk { .. }) {
-                self.skip_guard = Some(finish);
+                timing.guard = finish;
             }
-            makespan = makespan.max(finish);
+            timing.makespan = timing.makespan.max(finish);
         }
 
-        stats.total_beats = makespan;
-        Ok(SimOutcome { stats, trace })
+        stats.total_beats = timing.makespan;
+        Ok(SimOutcome {
+            stats,
+            trace: timing.trace,
+        })
     }
 
-    /// The [`ExecutionTrace`] engine path — the optimized engine.
+    /// The [`ExecutionTrace`] engine path — the optimized engine, one memory
+    /// walk shared by one timing state per entry of `factories`.
     ///
     /// The trace is a struct-of-arrays rendering of the instruction stream
     /// (see [`lsqca_isa::trace_compile`]): execution kind, fixed-beat charge,
     /// operand slots, and dependency flags are all resolved at lowering time,
     /// so this walk tests precomputed flag bits over flat arrays instead of
-    /// re-matching `Instruction` variants per step. It is observationally
-    /// identical to [`Simulator::execute_classified`] (the retained reference
-    /// interpreter) — the shadow-equivalence proptests in `tests/` assert
-    /// equality of the full outcome, errors included, over random programs
-    /// and floorplans. The offending instruction in a
+    /// re-matching `Instruction` variants per step.
+    ///
+    /// The walk proceeds in blocks of [`BLOCK`] records. The **memory pass**
+    /// checks the budget, resolves the banks each record serializes on
+    /// (before migration can move an operand), applies migration proposals,
+    /// runs the load / store / seek / two-qubit access / fused CX, counts
+    /// every memory-side statistic, and leaves each record's cost and banks
+    /// in the block scratch. Then each **timing pass** advances its state over
+    /// the block: dependency max, CR-slot claim, magic acquisition,
+    /// ready-table writes, makespan, memory trace and beat histogram. This is
+    /// exact because nothing in the memory pass reads a time: memory
+    /// construction ignores the factory count, bank operations take qubits
+    /// only, and migration policies are clocked by instruction index.
+    ///
+    /// Each outcome is observationally identical to
+    /// [`Simulator::execute_classified`] (the retained reference interpreter)
+    /// at its factory count — the shadow-equivalence proptests in `tests/`
+    /// assert equality of the full outcome, errors included, over random
+    /// programs and floorplans. The offending instruction in a
     /// [`SimError::Instruction`] is reconstructed from the trace record, so
     /// errors render identically to the interpreter's.
-    fn execute_trace(&mut self, trace: &ExecutionTrace) -> Result<SimOutcome, SimError> {
-        runs_counter().inc();
-        if self.dirty {
-            self.reset();
+    fn execute_trace(
+        &mut self,
+        trace: &ExecutionTrace,
+        factories: &[u32],
+    ) -> Result<Vec<SimOutcome>, SimError> {
+        self.begin_walk(factories.len());
+        if self.memory.bank_count() == 0 {
+            self.walk::<{ bank_mode::BANKLESS }>(trace, factories)
+        } else if self.memory.bank_count() == 1 && self.memory.conventional_qubits() == 0 {
+            self.walk::<{ bank_mode::UNIFORM }>(trace, factories)
+        } else {
+            self.walk::<{ bank_mode::RESOLVED }>(trace, factories)
         }
-        self.dirty = true;
+    }
 
-        // Presize the ready tables so the loop needs no per-write grow
-        // checks, plus one scratch slot past every real operand: absent
-        // operands read slot 0 under a zero mask and write the scratch slot,
-        // so the dependency pass needs no per-operand branches at all. Reads
-        // of never-written entries return `Beats::ZERO` either way, so sizing
-        // up front is observationally free. `slot_ready` deliberately keeps its lazy growth instead: the
-        // CX slot claim scans the *current* table, and presizing it would
-        // hand CXs slots the program has not touched yet.
-        let mem_bound = trace.mem_bound() as usize;
-        if self.mem_ready.len() < mem_bound + 1 {
-            self.mem_ready.resize(mem_bound + 1, Beats::ZERO);
-        }
-        // Any index past every real operand works as the write sink: nothing
-        // in this run reads indices at or above `mem_bound`.
-        let mem_scratch = self.mem_ready.len() - 1;
-        let classical_bound = trace.classical_bound() as usize;
-        if self.classical_ready.len() < classical_bound + 1 {
-            self.classical_ready
-                .resize(classical_bound + 1, Beats::ZERO);
-        }
-        let classical_scratch = self.classical_ready.len() - 1;
-
-        let mut stats = ExecutionStats {
-            memory_density: self.memory.memory_density(),
-            total_cells: self.memory.total_cells(),
-            ..ExecutionStats::default()
+    /// The blocked walk of [`Simulator::execute_trace`] under the bank mode
+    /// `MODE`.
+    fn walk<const MODE: u8>(
+        &mut self,
+        trace: &ExecutionTrace,
+        factories: &[u32],
+    ) -> Result<Vec<SimOutcome>, SimError> {
+        let mut states: Vec<TimingState> = factories
+            .iter()
+            .map(|&f| {
+                let mut state = self.timing_state(f);
+                state.presize(trace);
+                state
+            })
+            .collect();
+        let mut stats = self.initial_stats();
+        let ctx = TimingContext {
+            bounded_registers: !self.unbounded_registers,
+            infinite_magic: self.config.assume_infinite_magic,
+            record_trace: self.config.record_trace,
+            migrating: self.migration.is_some(),
+            floorplan: &self.arch.floorplan,
         };
-        let mut mem_trace = MemoryTrace::new();
-        let mut makespan = Beats::ZERO;
-        let budget = self.instruction_budget.unwrap_or(u64::MAX);
-        let record_trace = self.config.record_trace;
-        let bounded_registers = !self.unbounded_registers;
-        let infinite_magic = self.config.assume_infinite_magic;
-        let migrating = self.migration.is_some();
-        // Opt-in beat attribution: a run-local, non-atomic histogram so the
-        // loop below pays one predictable `Option` branch when disabled and
-        // plain array increments when enabled; the registry atomics are paid
-        // once at flush, after a successful walk.
-        let mut beat_buckets = self.telemetry.beat_attribution.then(BeatBuckets::new);
-
-        // With a single SAM bank and no conventional region every memory
-        // operand resolves to bank 0 (residence is constant over a run:
-        // checkout does not retag, and hot-set migration only exists on
-        // hybrid floorplans, which have conventional residents). The scan
-        // pass then degenerates to one ready-slot — no per-operand residence
-        // lookups. Out-of-range operands still error identically: the bank
-        // pass result is discarded when the memory access below rejects them.
-        let uniform_bank = self.memory.bank_count() == 1 && self.memory.conventional_qubits() == 0;
-        // With no banks at all (conventional floorplan) no operand can ever
-        // resolve to one, so the scan pass is skipped outright.
-        let no_banks = self.memory.bank_count() == 0;
-
+        let mut pass = MemoryPass {
+            memory: &mut self.memory,
+            migration: self.migration.as_deref_mut(),
+            budget: self.instruction_budget.unwrap_or(u64::MAX),
+        };
+        let block = &mut self.block;
         let len = trace.len();
-        let exec = &trace.exec_kinds()[..len];
-        let flag = &trace.flag_bits()[..len];
-        let fixed = &trace.fixed_beats()[..len];
-        let mem0 = &trace.mem0()[..len];
-        let mem1 = &trace.mem1()[..len];
-        let reg0 = &trace.reg0()[..len];
-        let reg1 = &trace.reg1()[..len];
-        let cio = &trace.cio()[..len];
+        block.reserve(len, ctx.migrating, MODE == bank_mode::RESOLVED);
 
-        // The skip guard lives in a register for the duration of the walk;
-        // it only ever gates the immediately following record.
-        let mut guard = self.skip_guard.take().unwrap_or(Beats::ZERO);
-
-        // Disjoint field borrows: with the ready tables split off from the
-        // memory system and magic supply, the table pointers and lengths can
-        // stay in registers across the opaque `&mut` memory calls below. A
-        // `self.`-qualified loop would have to re-load them after every such
-        // call, since from the compiler's view any `&mut self` call might
-        // resize them.
-        let Simulator {
-            memory,
-            magic,
-            migration,
-            mem_ready,
-            slot_ready,
-            classical_ready,
-            bank_ready,
-            arch,
-            ..
-        } = self;
-
-        for index in 0..trace.len() {
-            if index as u64 >= budget {
-                return Err(SimError::InstructionBudget { budget });
+        let mut start = 0;
+        while start < len {
+            let end = (start + BLOCK).min(len);
+            // A failing memory pass stops at the offending record; the
+            // timing passes still cover the records before it, where an
+            // earlier missing-CR-slot error would take precedence.
+            let failure = pass.run::<MODE>(trace, start..end, &mut stats, block).err();
+            let walked = failure.as_ref().map_or(end, |&(index, _)| index);
+            for state in &mut states {
+                state.advance::<MODE>(trace, start..walked, block, &ctx)?;
             }
-            let fl = flag[index];
-            let kind = exec[index];
-            // The instruction is only rendered on the (cold) error path.
-            let wrap = |source: LatticeError| SimError::Instruction {
-                index,
-                instruction: trace.instruction(index),
-                source,
-            };
+            if let Some((index, err)) = failure {
+                // The single run claims the CX slot before the memory access,
+                // so a slotless CX reports `NoCrSlots` over its memory error.
+                // The slot table is identical across states.
+                let slotless_cx = trace.exec_kinds()[index] == ExecKind::Cx
+                    && ctx.bounded_registers
+                    && states[0].slot_ready.is_empty();
+                if slotless_cx && matches!(err, SimError::Instruction { .. }) {
+                    return Err(no_cr_slots(ctx.floorplan));
+                }
+                return Err(err);
+            }
+            start = end;
+        }
 
+        Ok(states
+            .into_iter()
+            .map(|state| state.finish(&stats))
+            .collect())
+    }
+}
+
+/// The factory-independent half of a trace walk: the memory system and the
+/// migration policy, which never read a time.
+struct MemoryPass<'a> {
+    memory: &'a mut MemorySystem,
+    migration: Option<&'a mut (dyn MigrationPolicy + 'static)>,
+    budget: u64,
+}
+
+impl MemoryPass<'_> {
+    /// Runs the memory side of the records in `range`, counting memory-side
+    /// statistics into `stats` and leaving each record's cost (and, under
+    /// [`bank_mode::RESOLVED`], its banks) in `scratch`, indexed from
+    /// `range.start`. Stops at the first failing record with its index.
+    fn run<const MODE: u8>(
+        &mut self,
+        trace: &ExecutionTrace,
+        range: Range<usize>,
+        stats: &mut ExecutionStats,
+        scratch: &mut BlockScratch,
+    ) -> Result<(), (usize, SimError)> {
+        let base = range.start;
+        let exec = &trace.exec_kinds()[range.clone()];
+        let flag = &trace.flag_bits()[range.clone()];
+        let fixed = &trace.fixed_beats()[range.clone()];
+        let mem0 = &trace.mem0()[range.clone()];
+        let mem1 = &trace.mem1()[range.clone()];
+        let len = range.len();
+        let cost = &mut scratch.cost[..len];
+        let MemoryPass {
+            memory,
+            migration,
+            budget,
+        } = self;
+        let budget = *budget;
+        // The counters live in a local for the block, so the opaque memory
+        // calls below cannot force them through memory.
+        let mut local = std::mem::take(stats);
+
+        for k in 0..len {
+            let index = base + k;
+            if index as u64 >= budget {
+                return Err((index, SimError::InstructionBudget { budget }));
+            }
+            let fl = flag[k];
+            let kind = exec[k];
+            // The instruction is only rendered on the (cold) error path.
+            let wrap = |source: LatticeError| {
+                (
+                    index,
+                    SimError::Instruction {
+                        index,
+                        instruction: trace.instruction(index),
+                        source,
+                    },
+                )
+            };
             let has_m0 = fl & flags::HAS_MEM0 != 0;
             let has_m1 = fl & flags::HAS_MEM1 != 0;
-            let m0 = mem0[index];
-            let m1 = mem1[index];
+            let m0 = mem0[k];
+            let m1 = mem1[k];
+            let scans = fl & flags::NEEDS_SCAN != 0;
 
-            // Dependency collection, branchless: absent operand slots encode
-            // as 0 (see `trace_compile`), so the table read is always in
-            // bounds, and a zero mask drops it below any real ready time.
-            let dep0 = mem_ready[m0 as usize].0 & (has_m0 as u64).wrapping_neg();
-            let dep1 = mem_ready[m1 as usize].0 & (has_m1 as u64).wrapping_neg();
-            let depc = classical_ready[cio[index] as usize].0
-                & ((fl & flags::HAS_CIN != 0) as u64).wrapping_neg();
-            let mut start = Beats(guard.0.max(dep0).max(dep1).max(depc));
-            guard = Beats::ZERO;
-            if bounded_registers {
-                if fl & flags::HAS_REG0 != 0 {
-                    let ready = slot_ready
-                        .get(reg0[index] as usize)
-                        .copied()
-                        .unwrap_or(Beats::ZERO);
-                    start = start.max(ready);
-                }
-                if fl & flags::HAS_REG1 != 0 {
-                    let ready = slot_ready
-                        .get(reg1[index] as usize)
-                        .copied()
-                        .unwrap_or(Beats::ZERO);
-                    start = start.max(ready);
-                }
-            }
-
-            // Bank (scan-resource) serialization.
-            let mut banks = [0usize; lsqca_isa::MAX_OPERANDS];
-            let mut bank_count = 0usize;
-            if fl & flags::NEEDS_SCAN != 0 && !no_banks {
-                if uniform_bank {
-                    bank_count = 1;
-                    start = start.max(bank_ready[0]);
-                } else {
+            // Banks resolve before migration can move an operand.
+            if MODE == bank_mode::RESOLVED {
+                let mut pair = [NO_BANK; 2];
+                if scans {
                     if has_m0 {
                         if let Some(b) = memory.bank_of(QubitTag(m0)) {
-                            banks[0] = b;
-                            bank_count = 1;
-                            start = start.max(bank_ready[b]);
+                            pair[0] = b as u32;
                         }
                     }
                     if has_m1 {
                         if let Some(b) = memory.bank_of(QubitTag(m1)) {
-                            if !banks[..bank_count].contains(&b) {
-                                banks[bank_count] = b;
-                                bank_count += 1;
-                                start = start.max(bank_ready[b]);
+                            if pair[0] != b as u32 {
+                                pair[1] = b as u32;
                             }
                         }
                     }
                 }
+                scratch.banks[k] = pair;
             }
 
-            // An optimized CX claims one CR slot for its surgery ancilla.
-            let mut cx_slot: Option<usize> = None;
-            if kind == ExecKind::Cx && bounded_registers {
-                let Some((slot, ready)) = slot_ready
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .min_by_key(|&(_, t)| t)
-                else {
-                    return Err(SimError::NoCrSlots {
-                        floorplan: format!("{:?}", arch.floorplan),
-                    });
-                };
-                start = start.max(ready);
-                cx_slot = Some(slot);
-            }
-
-            // Runtime hot-set migration (see `execute_classified` for the
-            // policy contract — proposals observed per memory operand,
-            // applied before the access, dropped when checked out).
+            // Runtime hot-set migration (see `interpret` for the policy
+            // contract — proposals observed per memory operand, applied
+            // before the access, dropped when checked out).
             let mut migration_delay = Beats::ZERO;
-            if migrating && fl & flags::NEEDS_SCAN != 0 {
-                if let Some(policy) = migration.as_mut() {
+            if let Some(policy) = migration.as_deref_mut() {
+                if scans {
                     // Canonical operand order: control before target for CX.
                     for (present, m) in [(has_m0, m0), (has_m1, m1)] {
                         if !present {
@@ -949,138 +1379,72 @@ impl Simulator {
                         if let Ok(cost) = memory.migrate(qubit, victim) {
                             policy.applied(qubit, victim);
                             let total = cost + policy.overhead();
-                            stats.migrations += 1;
-                            stats.migration_beats += total;
+                            local.migrations += 1;
+                            local.migration_beats += total;
                             migration_delay += total;
                         }
                     }
                 }
+                scratch.delay[k] = migration_delay.0;
             }
 
             // Duration: one match on the pre-resolved execution kind, with
-            // the per-variant fixed-beat charges read from the trace.
+            // the per-variant fixed-beat charges read from the trace. A magic
+            // state's wait is left to the timing pass.
             let duration = match kind {
                 ExecKind::Negligible | ExecKind::Skip => Beats::ZERO,
-                ExecKind::Fixed => Beats(u64::from(fixed[index])),
+                ExecKind::Fixed => Beats(u64::from(fixed[k])),
                 ExecKind::Load => {
-                    stats.loads += 1;
+                    local.loads += 1;
                     let cost = memory.load(QubitTag(m0)).map_err(wrap)?;
-                    stats.memory_access_beats += cost;
+                    local.memory_access_beats += cost;
                     cost
                 }
                 ExecKind::Store => {
-                    stats.stores += 1;
+                    local.stores += 1;
                     let cost = memory.store(QubitTag(m0)).map_err(wrap)?;
-                    stats.memory_access_beats += cost;
+                    local.memory_access_beats += cost;
                     cost
                 }
                 ExecKind::Magic => {
-                    stats.magic_states += 1;
-                    let wait = if infinite_magic {
-                        Beats::ZERO
-                    } else {
-                        let available = magic.acquire(start);
-                        available.saturating_sub(start)
-                    };
-                    stats.magic_wait_beats += wait;
+                    local.magic_states += 1;
                     // One beat to move the state from the MSF port into the CR.
-                    wait + Beats(u64::from(fixed[index]))
+                    Beats(u64::from(fixed[k]))
                 }
                 ExecKind::Seek => {
                     let seek = memory.in_memory_seek(QubitTag(m0)).map_err(wrap)?;
-                    stats.memory_access_beats += seek;
-                    seek + Beats(u64::from(fixed[index]))
+                    local.memory_access_beats += seek;
+                    seek + Beats(u64::from(fixed[k]))
                 }
                 ExecKind::TwoQubitAccess => {
                     let access = memory
                         .in_memory_two_qubit_access(QubitTag(m0))
                         .map_err(wrap)?;
-                    stats.memory_access_beats += access;
-                    access + Beats(u64::from(fixed[index]))
+                    local.memory_access_beats += access;
+                    access + Beats(u64::from(fixed[k]))
                 }
                 ExecKind::Cx => {
                     // Runtime optimization (Sec. VI-A): load the cheaper
                     // operand, access the other in memory, store the loaded
-                    // one back, as one fused memory call (see
-                    // `execute_classified` for the unfused executable spec).
+                    // one back, as one fused memory call (see `interpret`
+                    // for the unfused executable spec).
                     let (load, access, store) =
                         memory.cx_access(QubitTag(m0), QubitTag(m1)).map_err(wrap)?;
-                    stats.implicit_loads += 1;
-                    stats.implicit_stores += 1;
-                    stats.memory_access_beats += load + access + store;
+                    local.implicit_loads += 1;
+                    local.implicit_stores += 1;
+                    local.memory_access_beats += load + access + store;
                     // MZZ with the ancilla, then MXX with the target.
-                    load + access + Beats(u64::from(fixed[index])) + store
+                    load + access + Beats(u64::from(fixed[k])) + store
                 }
             };
+            cost[k] = (migration_delay + duration).0;
 
-            let finish = start + migration_delay + duration;
-            if let Some(beats) = beat_buckets.as_mut() {
-                beats.record(kind, duration);
-            }
-
-            // Bookkeeping: flag tests instead of instruction re-matching.
-            // Ready-table writes are unconditional — an absent operand is
-            // steered to the scratch slot past every real index, which is
-            // never read, so no write needs a branch.
-            stats.instruction_count += 1;
-            stats.command_count += u64::from(kind != ExecKind::Negligible);
-            stats.in_memory_ops += u64::from(fl & flags::IN_MEMORY != 0);
-            if record_trace {
-                if has_m0 {
-                    mem_trace.record(MemAddr(m0), start.as_u64());
-                }
-                if has_m1 {
-                    mem_trace.record(MemAddr(m1), start.as_u64());
-                }
-            }
-            let w0 = if has_m0 { m0 as usize } else { mem_scratch };
-            let w1 = if has_m1 { m1 as usize } else { mem_scratch };
-            mem_ready[w0] = finish;
-            mem_ready[w1] = finish;
-            if fl & flags::HAS_REG0 != 0 {
-                let idx = reg0[index] as usize;
-                if idx >= slot_ready.len() {
-                    slot_ready.resize(idx + 1, Beats::ZERO);
-                }
-                slot_ready[idx] = finish;
-            }
-            if fl & flags::HAS_REG1 != 0 {
-                let idx = reg1[index] as usize;
-                if idx >= slot_ready.len() {
-                    slot_ready.resize(idx + 1, Beats::ZERO);
-                }
-                slot_ready[idx] = finish;
-            }
-            if let Some(slot) = cx_slot {
-                slot_ready[slot] = finish;
-            }
-            if bank_count != 0 {
-                let b = if uniform_bank { 0 } else { banks[0] };
-                bank_ready[b] = finish;
-                if bank_count == 2 {
-                    bank_ready[banks[1]] = finish;
-                }
-            }
-            let wc = if fl & flags::HAS_COUT != 0 {
-                cio[index] as usize
-            } else {
-                classical_scratch
-            };
-            classical_ready[wc] = finish;
-            if kind == ExecKind::Skip {
-                guard = finish;
-            }
-            makespan = makespan.max(finish);
+            local.instruction_count += 1;
+            local.command_count += u64::from(kind != ExecKind::Negligible);
+            local.in_memory_ops += u64::from(fl & flags::IN_MEMORY != 0);
         }
-
-        stats.total_beats = makespan;
-        if let Some(beats) = beat_buckets {
-            beats.flush();
-        }
-        Ok(SimOutcome {
-            stats,
-            trace: mem_trace,
-        })
+        *stats = local;
+        Ok(())
     }
 }
 
@@ -1096,8 +1460,8 @@ mod sealed {
     impl Sealed for super::Classified<'_> {}
 }
 
-/// An input the simulator can execute through [`Simulator::execute`] — the
-/// single run entry point.
+/// An input the simulator can execute through [`Simulator::execute`] and
+/// [`Simulator::execute_factories`].
 ///
 /// The trait is sealed: the implementors are exactly [`Program`] (lowered
 /// into the engine's scratch trace per run), [`ExecutionTrace`] and
@@ -1105,26 +1469,43 @@ mod sealed {
 /// (the reference interpreter). Each selects its engine path itself, so
 /// callers never pick — or mismatch — a `run_*` variant again.
 pub trait Executable: sealed::Sealed {
-    /// Dispatches `simulator` onto the engine path for this input kind.
+    /// Dispatches `simulator` onto the engine path for this input kind, one
+    /// outcome per entry of the non-empty `factories`.
     #[doc(hidden)]
-    fn execute_on(&self, simulator: &mut Simulator) -> Result<SimOutcome, SimError>;
+    fn execute_on(
+        &self,
+        simulator: &mut Simulator,
+        factories: &[u32],
+    ) -> Result<Vec<SimOutcome>, SimError>;
 }
 
 impl Executable for Program {
-    fn execute_on(&self, simulator: &mut Simulator) -> Result<SimOutcome, SimError> {
-        simulator.execute_program(self)
+    fn execute_on(
+        &self,
+        simulator: &mut Simulator,
+        factories: &[u32],
+    ) -> Result<Vec<SimOutcome>, SimError> {
+        simulator.execute_program(self, factories)
     }
 }
 
 impl Executable for ExecutionTrace {
-    fn execute_on(&self, simulator: &mut Simulator) -> Result<SimOutcome, SimError> {
-        simulator.execute_trace(self)
+    fn execute_on(
+        &self,
+        simulator: &mut Simulator,
+        factories: &[u32],
+    ) -> Result<Vec<SimOutcome>, SimError> {
+        simulator.execute_trace(self, factories)
     }
 }
 
 impl Executable for CompiledWorkload {
-    fn execute_on(&self, simulator: &mut Simulator) -> Result<SimOutcome, SimError> {
-        simulator.execute_trace(self.trace())
+    fn execute_on(
+        &self,
+        simulator: &mut Simulator,
+        factories: &[u32],
+    ) -> Result<Vec<SimOutcome>, SimError> {
+        simulator.execute_trace(self.trace(), factories)
     }
 }
 
@@ -1148,8 +1529,12 @@ impl<'a> Classified<'a> {
 }
 
 impl Executable for Classified<'_> {
-    fn execute_on(&self, simulator: &mut Simulator) -> Result<SimOutcome, SimError> {
-        simulator.execute_classified(self.program, self.classes)
+    fn execute_on(
+        &self,
+        simulator: &mut Simulator,
+        factories: &[u32],
+    ) -> Result<Vec<SimOutcome>, SimError> {
+        simulator.execute_classified(self.program, self.classes, factories)
     }
 }
 

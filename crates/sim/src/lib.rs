@@ -53,8 +53,8 @@ pub mod trace;
 
 pub use config::SimConfig;
 pub use engine::{
-    simulate, simulation_count, warm_count, Classified, Executable, SimError, SimOutcome,
-    Simulator, SimulatorBuilder, TelemetryConfig,
+    memory_walk_count, simulate, simulation_count, warm_count, Classified, Executable, SimError,
+    SimOutcome, Simulator, SimulatorBuilder, TelemetryConfig,
 };
 pub use metrics::{ExecutionStats, StatsDecodeError, STATS_SCHEMA};
 pub use trace::{MemoryTrace, TraceEvent};

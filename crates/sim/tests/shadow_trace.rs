@@ -7,11 +7,14 @@
 //! configurations. The interpreter is the executable specification; these
 //! properties are the contract that lets the trace engine's dispatch evolve
 //! (flag tests, presized ready tables) without semantic drift.
+//!
+//! The same holds for factory sweeps: one [`Simulator::execute_factories`]
+//! walk, shared by every factory count, must equal one fresh run per count.
 
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
 use lsqca_isa::{ClassicalId, ExecutionTrace, Instruction, LatencyTable, MemAddr, Program, RegId};
 use lsqca_lattice::QubitTag;
-use lsqca_sim::{Classified, SimConfig, Simulator};
+use lsqca_sim::{Classified, SimConfig, SimError, SimOutcome, Simulator};
 use proptest::prelude::*;
 
 /// Qubit space shared by the program and simulator strategies. Small enough
@@ -111,6 +114,65 @@ fn any_policy() -> impl Strategy<Value = Option<PolicyKind>> {
     ]
 }
 
+/// Programs long enough to span several blocks of the trace walk: a short
+/// random body repeated. Explicit `LD`/`ST` are left out of the body (random
+/// pairings of them fail within a few records), so most of these programs
+/// run to the end, or to the instruction budget.
+fn any_long_program() -> impl Strategy<Value = Program> {
+    (
+        proptest::collection::vec(any_instruction(), 1..24),
+        40usize..160,
+    )
+        .prop_map(|(body, repeats)| {
+            let body: Vec<Instruction> = body
+                .into_iter()
+                .filter(|i| !matches!(i, Instruction::Ld { .. } | Instruction::St { .. }))
+                .collect();
+            let mut program = Program::new("shadow-long");
+            for _ in 0..repeats {
+                for &instruction in &body {
+                    program.push(instruction);
+                }
+            }
+            program
+        })
+}
+
+/// [`any_arch`], sometimes with an explicit magic-state buffer, which
+/// applies to every factory count of a group.
+fn any_group_arch() -> impl Strategy<Value = ArchConfig> {
+    (any_arch(), 0u32..4).prop_map(|(arch, buffer)| {
+        if buffer == 0 {
+            arch
+        } else {
+            arch.with_magic_buffer(buffer)
+        }
+    })
+}
+
+/// Factory lists in any order, duplicates included.
+fn any_factories() -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(1u32..6, 1..5)
+}
+
+/// Builds one simulator.
+fn build(
+    arch: &ArchConfig,
+    hot: &[QubitTag],
+    config: SimConfig,
+    policy: Option<PolicyKind>,
+    budget: Option<u64>,
+) -> Simulator {
+    let mut builder = Simulator::builder(arch, QUBITS)
+        .hot_qubits(hot)
+        .config(config)
+        .instruction_budget(budget);
+    if let Some(kind) = policy {
+        builder = builder.migration_policy(kind.build());
+    }
+    builder.build().unwrap()
+}
+
 /// Builds the two identically configured simulators a comparison run needs.
 fn pair(
     arch: &ArchConfig,
@@ -119,17 +181,54 @@ fn pair(
     policy: Option<PolicyKind>,
     budget: Option<u64>,
 ) -> (Simulator, Simulator) {
-    let build = || {
-        let mut builder = Simulator::builder(arch, QUBITS)
-            .hot_qubits(hot)
-            .config(config)
-            .instruction_budget(budget);
-        if let Some(kind) = policy {
-            builder = builder.migration_policy(kind.build());
+    (
+        build(arch, hot, config, policy, budget),
+        build(arch, hot, config, policy, budget),
+    )
+}
+
+/// One fresh simulator per factory count, each running `input` once: what a
+/// factory group must reproduce.
+fn independent_runs(
+    trace: &ExecutionTrace,
+    arch: &ArchConfig,
+    hot: &[QubitTag],
+    config: SimConfig,
+    policy: Option<PolicyKind>,
+    budget: Option<u64>,
+    factories: &[u32],
+) -> Vec<Result<SimOutcome, SimError>> {
+    factories
+        .iter()
+        .map(|&factories| {
+            let arch = ArchConfig {
+                factories,
+                ..arch.clone()
+            };
+            build(&arch, hot, config, policy, budget).execute(trace)
+        })
+        .collect()
+}
+
+/// A group's result against the independent runs: the same outcomes in
+/// order, or the error every independent run returns.
+fn assert_group_matches(
+    grouped: &Result<Vec<SimOutcome>, SimError>,
+    independent: &[Result<SimOutcome, SimError>],
+) {
+    match grouped {
+        Ok(outcomes) => {
+            assert_eq!(outcomes.len(), independent.len());
+            for (outcome, expected) in outcomes.iter().zip(independent) {
+                assert_eq!(Ok(outcome), expected.as_ref());
+            }
         }
-        builder.build().unwrap()
-    };
-    (build(), build())
+        Err(err) => {
+            for expected in independent {
+                assert_eq!(Err(err), expected.as_ref());
+            }
+        }
+    }
 }
 
 proptest! {
@@ -202,5 +301,94 @@ proptest! {
         let mut a = Simulator::builder(&arch, QUBITS).build().unwrap();
         let mut b = Simulator::builder(&arch, QUBITS).build().unwrap();
         prop_assert_eq!(a.execute(&lowered), b.execute(&decoded));
+    }
+
+    /// One factory group equals one fresh run per count: over random
+    /// programs (some spanning several walk blocks), floorplans (hybrid
+    /// fractions and multi-bank layouts included), buffer overrides, hot
+    /// sets, migration policies, sim configs and budgets, and factory lists
+    /// in any order with duplicates. Stats, memory traces and the first
+    /// typed error must all agree, and the reference interpreter's group (one
+    /// run per count) must agree with both.
+    #[test]
+    fn factory_groups_match_independent_runs(
+        program in prop_oneof![any_program(), any_long_program()],
+        arch in any_group_arch(),
+        hot in proptest::collection::vec(0u32..QUBITS, 0..4),
+        policy in any_policy(),
+        factories in any_factories(),
+        toggles in (0u32..2, 0u32..2),
+        budget in prop_oneof![Just(None), (1u64..3000).prop_map(Some)],
+    ) {
+        let hot: Vec<QubitTag> = hot.into_iter().map(QubitTag).collect();
+        let config = SimConfig {
+            record_trace: toggles.0 == 1,
+            assume_infinite_magic: toggles.1 == 1,
+        };
+        let trace = lsqca_isa::lower(&program);
+        let independent =
+            independent_runs(&trace, &arch, &hot, config, policy, budget, &factories);
+        let mut group = build(&arch, &hot, config, policy, budget);
+        let grouped = group.execute_factories(&trace, &factories);
+        assert_group_matches(&grouped, &independent);
+
+        // A rerun on the now-dirty simulator resets first, like `execute`.
+        prop_assert_eq!(&grouped, &group.execute_factories(&trace, &factories));
+
+        let classes = LatencyTable::paper().classify_program(&program);
+        let mut reference = build(&arch, &hot, config, policy, budget);
+        let oracle = reference.execute_factories(&Classified::new(&program, &classes), &factories);
+        prop_assert_eq!(&oracle, &grouped);
+    }
+}
+
+/// The same property on real compiled workloads, whose traces span many
+/// walk blocks: every paper floorplan, plus hybrid layouts under each
+/// migration policy, at the paper's factory counts and a scrambled list
+/// with a duplicate.
+#[test]
+fn factory_groups_match_on_compiled_workloads() {
+    use lsqca_workloads::{Benchmark, CompiledWorkload, InstanceSize};
+    for benchmark in [Benchmark::Multiplier, Benchmark::Select] {
+        let cfg = benchmark.config(InstanceSize::Reduced);
+        let workload = CompiledWorkload::compile(
+            cfg.descriptor(),
+            &cfg.build(),
+            lsqca_compiler::CompilerConfig::default(),
+        );
+        let qubits = workload.num_qubits().max(workload.memory_footprint());
+        let hot: Vec<QubitTag> = (0..qubits / 10).map(QubitTag).collect();
+        let mut cases: Vec<(ArchConfig, Option<PolicyKind>)> = ArchConfig::paper_floorplans()
+            .into_iter()
+            .map(|floorplan| (ArchConfig::new(floorplan, 1), None))
+            .collect();
+        for policy in PolicyKind::ALL {
+            cases.push((
+                ArchConfig::new(FloorplanKind::PointSam { banks: 2 }, 1).with_hybrid_fraction(0.1),
+                Some(policy),
+            ));
+        }
+        for (arch, policy) in cases {
+            for factories in [&[1u32, 2, 4][..], &[4, 1, 4, 2]] {
+                let build = |factories: u32| {
+                    let arch = ArchConfig {
+                        factories,
+                        ..arch.clone()
+                    };
+                    let mut builder = Simulator::builder(&arch, qubits).hot_qubits(&hot);
+                    if let Some(kind) = policy {
+                        builder = builder.migration_policy(kind.build());
+                    }
+                    builder.build().unwrap()
+                };
+                let grouped = build(1).execute_factories(&workload, factories);
+                let independent: Vec<_> = factories
+                    .iter()
+                    .map(|&f| build(f).execute(&workload))
+                    .collect();
+                assert!(grouped.is_ok(), "{arch:?}: {grouped:?}");
+                assert_group_matches(&grouped, &independent);
+            }
+        }
     }
 }

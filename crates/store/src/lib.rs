@@ -42,6 +42,6 @@ pub use quarantine::{
 };
 pub use shard::{validate_shard_label, ShardLabelError, MAX_SHARD_LABEL_LEN};
 pub use store::{
-    default_store_dir, QuarantineReason, ResultStore, ResumeReport, StoreEvent, StoreStats,
+    default_store_dir, Lookup, QuarantineReason, ResultStore, ResumeReport, StoreEvent, StoreStats,
     RESULT_SCHEMA,
 };

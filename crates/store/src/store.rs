@@ -51,6 +51,17 @@ pub enum StoreEvent {
     Quarantined(QuarantineReason),
 }
 
+/// What [`ResultStore::lookup`] found for a key.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Lookup {
+    /// A verified record's payload; nothing needs computing.
+    Hit(Json),
+    /// No servable record: the point must be computed, and its payload handed
+    /// to [`ResultStore::store_computed`] with this event
+    /// ([`StoreEvent::Computed`] or [`StoreEvent::Quarantined`]).
+    Miss(StoreEvent),
+}
+
 /// Why a stored record was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuarantineReason {
@@ -252,13 +263,28 @@ impl ResultStore {
     /// will see (the compute result itself), so mixed hit/computed sweeps are
     /// value-identical to all-computed ones.
     pub fn load_or_compute(&self, key: &str, compute: impl FnOnce() -> Json) -> (Json, StoreEvent) {
+        match self.lookup(key) {
+            Lookup::Hit(payload) => (payload, StoreEvent::Hit),
+            Lookup::Miss(event) => {
+                let payload = compute();
+                self.store_computed(key, &payload, &event);
+                (payload, event)
+            }
+        }
+    }
+
+    /// The first half of [`ResultStore::load_or_compute`], for callers that
+    /// compute several missing keys at once: serve a verified record, or
+    /// report the miss. A record that fails verification is quarantined and
+    /// reported as a [`StoreEvent::Quarantined`] miss. Hand every miss's
+    /// computed payload to [`ResultStore::store_computed`] with its event.
+    pub fn lookup(&self, key: &str) -> Lookup {
         // A disabled store (no directory) computes every time; memoization is
         // reserved for real stores, where it backs the degraded-mode fallback.
-        let memoize = self.dir.is_some();
-        if memoize {
+        if self.dir.is_some() {
             if let Some(payload) = self.memory.lock().unwrap().get(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return (payload.clone(), StoreEvent::Hit);
+                return Lookup::Hit(payload.clone());
             }
         }
         let mut event = StoreEvent::Computed;
@@ -270,7 +296,7 @@ impl ResultStore {
                         .lock()
                         .unwrap()
                         .insert(key.to_string(), payload.clone());
-                    return (payload, StoreEvent::Hit);
+                    return Lookup::Hit(payload);
                 }
                 Err(Miss::Absent) => {}
                 Err(Miss::Io(err)) => self.degrade("read", &err),
@@ -280,7 +306,13 @@ impl ResultStore {
                 }
             }
         }
-        let payload = compute();
+        Lookup::Miss(event)
+    }
+
+    /// The second half of [`ResultStore::load_or_compute`]: counts the
+    /// computation under the `event` [`ResultStore::lookup`] reported for
+    /// `key`, then publishes `payload` durably and memoizes it.
+    pub fn store_computed(&self, key: &str, payload: &Json, event: &StoreEvent) {
         match event {
             StoreEvent::Quarantined(_) => {
                 self.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -290,17 +322,16 @@ impl ResultStore {
             }
         }
         if let Some(path) = self.usable_path(key) {
-            if let Err(err) = self.publish(&path, key, &payload) {
+            if let Err(err) = self.publish(&path, key, payload) {
                 self.degrade("write", &err);
             }
         }
-        if memoize {
+        if self.dir.is_some() {
             self.memory
                 .lock()
                 .unwrap()
                 .insert(key.to_string(), payload.clone());
         }
-        (payload, event)
     }
 
     /// Serve the payload for `key` only if a verified record already exists

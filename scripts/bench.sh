@@ -76,6 +76,7 @@ validate_metrics_json() {
     '"trace.lowered"' \
     '"sim.warmed"' \
     '"sim.runs"' \
+    '"sim.memory_walks"' \
     '"workloads.compiled"' \
     '"result_store.computed"'; do
     if ! grep -qF "$needle" "$file"; then
