@@ -118,8 +118,7 @@ impl AccessLocalityReport {
     /// Builds the report from a memory trace, optionally with the number of
     /// magic states the program consumed (to compute the demand rate).
     pub fn from_trace(trace: &MemoryTrace, magic_states: Option<u64>) -> Self {
-        let per_qubit = trace.per_qubit();
-        let periods = trace.reference_periods();
+        let (referenced_qubits, periods) = grouped_periods(trace);
         let total = trace.len() as u64;
         let short = periods.iter().filter(|&&p| p <= 10).count();
         let short_period_fraction = if periods.is_empty() {
@@ -145,7 +144,7 @@ impl AccessLocalityReport {
         };
 
         AccessLocalityReport {
-            referenced_qubits: per_qubit.len(),
+            referenced_qubits,
             total_references: total,
             reference_periods: CumulativeDistribution::from_samples(periods),
             short_period_fraction,
@@ -153,6 +152,55 @@ impl AccessLocalityReport {
             beats_per_magic_state,
         }
     }
+}
+
+/// The number of referenced addresses and every reference period of
+/// `trace`: what `trace.per_qubit().len()` and `trace.reference_periods()`
+/// return, from one grouping pass. The events' beats are counting-sorted by
+/// address into one flat buffer instead of a `BTreeMap` of per-address
+/// vectors, and each address's periods overwrite the buffer in place, in the
+/// same ascending address order.
+fn grouped_periods(trace: &MemoryTrace) -> (usize, Vec<u64>) {
+    let events = trace.events();
+    let bound = events
+        .iter()
+        .map(|e| e.qubit.index() as usize + 1)
+        .max()
+        .unwrap_or(0);
+    // `starts[a]..starts[a + 1]` is address `a`'s run of the flat buffer.
+    let mut starts = vec![0usize; bound + 1];
+    for e in events {
+        starts[e.qubit.index() as usize + 1] += 1;
+    }
+    for a in 0..bound {
+        starts[a + 1] += starts[a];
+    }
+    let mut fill = starts.clone();
+    let mut beats = vec![0u64; events.len()];
+    for e in events {
+        let slot = &mut fill[e.qubit.index() as usize];
+        beats[*slot] = e.beat;
+        *slot += 1;
+    }
+    // A run of `n` beats yields `n - 1` periods, so the write cursor never
+    // passes the entry a period is computed from.
+    let mut referenced = 0;
+    let mut written = 0;
+    for run in starts.windows(2) {
+        let (start, end) = (run[0], run[1]);
+        if start == end {
+            continue;
+        }
+        referenced += 1;
+        beats[start..end].sort_unstable();
+        for k in start + 1..end {
+            let period = beats[k] - beats[k - 1];
+            beats[written] = period;
+            written += 1;
+        }
+    }
+    beats.truncate(written);
+    (referenced, beats)
 }
 
 impl fmt::Display for AccessLocalityReport {
@@ -227,6 +275,49 @@ mod tests {
         assert!(report.sequential_fraction > 0.9);
         assert!(report.beats_per_magic_state.unwrap() > 1.0);
         assert!(!report.to_string().is_empty());
+    }
+
+    /// The one-pass grouping reproduces the `per_qubit()` /
+    /// `reference_periods()` derivation on a random trace: unordered beats,
+    /// repeated beats and addresses with gaps between them.
+    #[test]
+    fn grouped_report_equals_the_per_qubit_derivation() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in [0usize, 1, 2, 17, 500, 4_000] {
+            let mut trace = MemoryTrace::new();
+            for _ in 0..len {
+                let addr = (next() % 97) as u32 * 3;
+                trace.record(MemAddr(addr), next() % 2_000);
+            }
+            let periods = trace.reference_periods();
+            let report = AccessLocalityReport::from_trace(&trace, Some(7));
+            assert_eq!(
+                report.referenced_qubits,
+                trace.per_qubit().len(),
+                "len {len}"
+            );
+            assert_eq!(grouped_periods(&trace).1, periods, "len {len}");
+            let short = periods.iter().filter(|&&p| p <= 10).count();
+            let expected_short = if periods.is_empty() {
+                0.0
+            } else {
+                short as f64 / periods.len() as f64
+            };
+            assert_eq!(
+                report.short_period_fraction.to_bits(),
+                expected_short.to_bits()
+            );
+            assert_eq!(
+                report.reference_periods,
+                CumulativeDistribution::from_samples(periods)
+            );
+        }
     }
 
     #[test]

@@ -107,18 +107,46 @@ impl Circuit {
     /// Panics if any referenced qubit is out of range or a multi-qubit gate
     /// repeats a qubit.
     pub fn push(&mut self, gate: Gate) {
-        let qs = gate.qubits();
-        for &q in &qs {
-            self.check_qubit(q);
+        // One- and two-qubit gates (nearly every gate a lowered circuit
+        // holds) are checked in place; only the composites build an operand
+        // list.
+        match gate {
+            Gate::PrepZ(q)
+            | Gate::PrepX(q)
+            | Gate::X(q)
+            | Gate::Y(q)
+            | Gate::Z(q)
+            | Gate::H(q)
+            | Gate::S(q)
+            | Gate::Sdg(q)
+            | Gate::T(q)
+            | Gate::Tdg(q)
+            | Gate::MeasureZ(q)
+            | Gate::MeasureX(q) => self.check_qubit(q),
+            Gate::Cnot {
+                control: a,
+                target: b,
+            }
+            | Gate::Cz { a, b } => {
+                self.check_qubit(a);
+                self.check_qubit(b);
+                assert_ne!(a, b, "gate {gate} repeats a qubit operand");
+            }
+            Gate::Toffoli { .. } | Gate::MultiControlledX { .. } => {
+                let qs = gate.qubits();
+                for &q in &qs {
+                    self.check_qubit(q);
+                }
+                let mut sorted = qs.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(
+                    sorted.len(),
+                    qs.len(),
+                    "gate {gate} repeats a qubit operand"
+                );
+            }
         }
-        let mut sorted = qs.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(
-            sorted.len(),
-            qs.len(),
-            "gate {gate} repeats a qubit operand"
-        );
         self.gates.push(gate);
     }
 

@@ -39,9 +39,10 @@ impl Default for DecomposeConfig {
 ///
 /// The network uses two-qubit CNOTs, T/T† and Hadamards only; it is exact (no
 /// measurement or classical feedback) and is the decomposition assumed by the
-/// paper's Toffoli-count-to-T-count conversion.
-pub fn toffoli_gates(control1: Qubit, control2: Qubit, target: Qubit) -> Vec<Gate> {
-    vec![
+/// paper's Toffoli-count-to-T-count conversion. It comes as a fixed-size
+/// array, so lowering appends it without a heap allocation per Toffoli.
+pub fn toffoli_gates(control1: Qubit, control2: Qubit, target: Qubit) -> [Gate; 15] {
+    [
         Gate::H(target),
         Gate::Cnot {
             control: control2,
@@ -150,23 +151,28 @@ pub fn mcx_ladder(controls: &[Qubit], ancillas: &[Qubit], target: Qubit) -> Vec<
 /// `"mcx_ancilla"` when any are needed). The returned circuit satisfies
 /// [`Circuit::is_lowered`] when `expand_toffoli` is enabled.
 pub fn lower_to_clifford_t(circuit: &Circuit, config: DecomposeConfig) -> Circuit {
-    // First pass: how many ancillas does the widest multi-controlled X need?
-    let max_mcx_ancillas = circuit
-        .gates()
-        .iter()
-        .filter_map(|g| match g {
-            Gate::MultiControlledX { controls, .. } if controls.len() > 2 => {
-                Some(controls.len() - 2)
-            }
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-
+    let max_mcx_ancillas = max_mcx_ancillas(circuit);
     let base_qubits = circuit.num_qubits();
-    let total_qubits = base_qubits + max_mcx_ancillas as u32;
-    let mut lowered = Circuit::new(circuit.name().to_string(), total_qubits);
-    let ancillas: Vec<Qubit> = (base_qubits..total_qubits).collect();
+    let ancillas: Vec<Qubit> = (base_qubits..base_qubits + max_mcx_ancillas).collect();
+
+    // Preserve the register structure and describe the ancilla block, so that
+    // downstream locality analysis still sees control/temporal/system roles.
+    // The map is complete before the first gate, so every lowered gate is
+    // pushed exactly once.
+    let mut lowered = Circuit::with_registers(circuit.name().to_string());
+    for reg in circuit.registers().registers() {
+        lowered.add_register(reg.name.clone(), reg.role, reg.len() as u32);
+    }
+    if lowered.num_qubits() < base_qubits {
+        lowered.add_register(
+            "unnamed",
+            RegisterRole::Other,
+            base_qubits - lowered.num_qubits(),
+        );
+    }
+    if max_mcx_ancillas > 0 {
+        lowered.add_register("mcx_ancilla", RegisterRole::Ancilla, max_mcx_ancillas);
+    }
 
     for gate in circuit.gates() {
         match gate {
@@ -178,8 +184,7 @@ pub fn lower_to_clifford_t(circuit: &Circuit, config: DecomposeConfig) -> Circui
                 lowered.extend(toffoli_gates(*control1, *control2, *target));
             }
             Gate::MultiControlledX { controls, target } => {
-                let ladder = mcx_ladder(controls, &ancillas, *target);
-                for g in ladder {
+                for g in mcx_ladder(controls, &ancillas, *target) {
                     match g {
                         Gate::Toffoli {
                             control1,
@@ -203,29 +208,22 @@ pub fn lower_to_clifford_t(circuit: &Circuit, config: DecomposeConfig) -> Circui
             other => lowered.push(other.clone()),
         }
     }
+    lowered
+}
 
-    // Preserve the register structure and describe the ancilla block, so that
-    // downstream locality analysis still sees control/temporal/system roles.
-    let mut rebuilt = Circuit::with_registers(circuit.name().to_string());
-    for reg in circuit.registers().registers() {
-        rebuilt.add_register(reg.name.clone(), reg.role, reg.len() as u32);
-    }
-    if rebuilt.num_qubits() < base_qubits {
-        rebuilt.add_register(
-            "unnamed",
-            RegisterRole::Other,
-            base_qubits - rebuilt.num_qubits(),
-        );
-    }
-    if max_mcx_ancillas > 0 {
-        rebuilt.add_register(
-            "mcx_ancilla",
-            RegisterRole::Ancilla,
-            max_mcx_ancillas as u32,
-        );
-    }
-    rebuilt.extend(lowered.gates().iter().cloned());
-    rebuilt
+/// How many ancillas the widest multi-controlled X of `circuit` needs.
+fn max_mcx_ancillas(circuit: &Circuit) -> u32 {
+    circuit
+        .gates()
+        .iter()
+        .filter_map(|g| match g {
+            Gate::MultiControlledX { controls, .. } if controls.len() > 2 => {
+                Some(controls.len() as u32 - 2)
+            }
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -348,5 +346,136 @@ mod tests {
         let lowered = lower_to_clifford_t(&c, DecomposeConfig::default());
         assert_eq!(lowered.gates(), c.gates());
         assert_eq!(lowered.num_qubits(), 2);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The lowering as it was built before the register map moved up front:
+    /// lower into a plain circuit, then re-extend every gate into one that
+    /// carries the registers. Kept only as the oracle of the one-pass pass.
+    fn lower_two_pass(circuit: &Circuit, config: DecomposeConfig) -> Circuit {
+        let max_mcx_ancillas = max_mcx_ancillas(circuit);
+        let base_qubits = circuit.num_qubits();
+        let total_qubits = base_qubits + max_mcx_ancillas;
+        let mut lowered = Circuit::new(circuit.name().to_string(), total_qubits);
+        let ancillas: Vec<Qubit> = (base_qubits..total_qubits).collect();
+        for gate in circuit.gates() {
+            match gate {
+                Gate::Toffoli {
+                    control1,
+                    control2,
+                    target,
+                } if config.expand_toffoli => {
+                    lowered.extend(toffoli_gates(*control1, *control2, *target));
+                }
+                Gate::MultiControlledX { controls, target } => {
+                    for g in mcx_ladder(controls, &ancillas, *target) {
+                        match g {
+                            Gate::Toffoli {
+                                control1,
+                                control2,
+                                target,
+                            } if config.expand_toffoli => {
+                                lowered.extend(toffoli_gates(control1, control2, target));
+                            }
+                            other => lowered.push(other),
+                        }
+                    }
+                }
+                Gate::Cz { a, b } if config.expand_cz => {
+                    lowered.push(Gate::H(*b));
+                    lowered.push(Gate::Cnot {
+                        control: *a,
+                        target: *b,
+                    });
+                    lowered.push(Gate::H(*b));
+                }
+                other => lowered.push(other.clone()),
+            }
+        }
+        let mut rebuilt = Circuit::with_registers(circuit.name().to_string());
+        for reg in circuit.registers().registers() {
+            rebuilt.add_register(reg.name.clone(), reg.role, reg.len() as u32);
+        }
+        if rebuilt.num_qubits() < base_qubits {
+            rebuilt.add_register(
+                "unnamed",
+                RegisterRole::Other,
+                base_qubits - rebuilt.num_qubits(),
+            );
+        }
+        if max_mcx_ancillas > 0 {
+            rebuilt.add_register("mcx_ancilla", RegisterRole::Ancilla, max_mcx_ancillas);
+        }
+        rebuilt.extend(lowered.gates().iter().cloned());
+        rebuilt
+    }
+
+    const QUBITS: u32 = 8;
+
+    /// `count` distinct qubits: a stride through `0..QUBITS` (odd strides are
+    /// coprime with 8, so no qubit repeats).
+    fn distinct(start: u32, stride: u32, count: u32) -> Vec<Qubit> {
+        (0..count)
+            .map(|i| (start + i * (2 * stride + 1)) % QUBITS)
+            .collect()
+    }
+
+    proptest! {
+        /// Building the register map first and pushing each lowered gate once
+        /// yields the same gates, registers and qubit count as lowering and
+        /// then re-extending every gate, on circuits mixing Toffoli, MCX
+        /// (ancilla ladders of every width), CZ and base gates, with and
+        /// without (partial) registers.
+        #[test]
+        fn one_pass_lowering_equals_the_two_pass_construction(
+            gates in proptest::collection::vec(
+                (0u32..6, 0u32..QUBITS, 0u32..4, 1u32..QUBITS),
+                0..40,
+            ),
+            layout in 0u32..3,
+            expand_toffoli in proptest::bool::ANY,
+            expand_cz in proptest::bool::ANY,
+        ) {
+            let mut c = Circuit::new("prop", QUBITS);
+            match layout {
+                // Registers cover a prefix: the rest becomes `unnamed`.
+                1 => {
+                    c.add_register("control", RegisterRole::Control, 3);
+                }
+                // Registers cover every qubit.
+                2 => {
+                    c.add_register("control", RegisterRole::Control, 3);
+                    c.add_register("system", RegisterRole::System, QUBITS - 3);
+                }
+                _ => {}
+            }
+            for (op, start, stride, controls) in gates {
+                let qs = distinct(start, stride, 3);
+                match op {
+                    0 => c.h(qs[0]),
+                    1 => c.t(qs[0]),
+                    2 => c.cnot(qs[0], qs[1]),
+                    3 => c.cz(qs[0], qs[1]),
+                    4 => c.toffoli(qs[0], qs[1], qs[2]),
+                    _ => {
+                        let mut operands = distinct(start, stride, controls + 1);
+                        let target = operands.pop().expect("controls + 1 >= 2 operands");
+                        c.mcx(operands, target);
+                    }
+                }
+            }
+            let config = DecomposeConfig { expand_toffoli, expand_cz };
+            let one_pass = lower_to_clifford_t(&c, config);
+            let two_pass = lower_two_pass(&c, config);
+            prop_assert_eq!(one_pass.num_qubits(), two_pass.num_qubits());
+            prop_assert_eq!(one_pass.registers(), two_pass.registers());
+            prop_assert_eq!(one_pass.gates(), two_pass.gates());
+            prop_assert_eq!(one_pass, two_pass);
+        }
     }
 }

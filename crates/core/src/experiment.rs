@@ -17,10 +17,11 @@
 //! experiment configuration, so a sweep driver can probe the store first and
 //! compile only on a miss.
 
-use lsqca_analysis::{hot_set_by_access_count, hot_set_by_role_map, hot_set_size};
+use lsqca_analysis::{hot_set_by_role_map, hot_set_size};
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
 use lsqca_compiler::CompilerConfig;
+use lsqca_isa::trace_compile::{flags, ExecutionTrace};
 use lsqca_lattice::{Beats, QubitTag};
 use lsqca_sim::{ExecutionStats, MemoryTrace, SimConfig, SimError, Simulator};
 use lsqca_workloads::CompiledWorkload;
@@ -225,6 +226,30 @@ pub fn result_key(workload_key: &str, config: &ExperimentConfig) -> String {
     )
 }
 
+/// Every SAM address `trace` references, most referenced first, ties by
+/// ascending index: `hot_set_by_access_count(program, usize::MAX)` of the
+/// program the trace was lowered from, counted from the trace's operand
+/// columns into a dense table instead of through `Program::stats()`.
+fn rank_by_access_count(trace: &ExecutionTrace) -> Vec<QubitTag> {
+    let mut counts = vec![0u64; trace.mem_bound() as usize];
+    for ((&fl, &m0), &m1) in trace.flag_bits().iter().zip(trace.mem0()).zip(trace.mem1()) {
+        if fl & flags::HAS_MEM0 != 0 {
+            counts[m0 as usize] += 1;
+        }
+        if fl & flags::HAS_MEM1 != 0 {
+            counts[m1 as usize] += 1;
+        }
+    }
+    let mut ranked: Vec<(u64, u32)> = counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &refs)| refs > 0)
+        .map(|(addr, &refs)| (refs, addr as u32))
+        .collect();
+    ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    ranked.into_iter().map(|(_, q)| QubitTag(q)).collect()
+}
+
 /// A compiled workload, ready to be simulated under many configurations.
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -303,7 +328,7 @@ impl Workload {
     fn most_accessed(&self, count: usize) -> Vec<QubitTag> {
         let ranking = self
             .access_ranking
-            .get_or_init(|| hot_set_by_access_count(self.artifact.program(), usize::MAX));
+            .get_or_init(|| rank_by_access_count(self.artifact.trace()));
         ranking[..count.min(ranking.len())].to_vec()
     }
 
@@ -903,20 +928,36 @@ mod tests {
             })
     }
 
-    /// The memoized ranking reproduces a from-scratch selection at every
-    /// size, and stored-result reconstruction reports the same hot-set size
-    /// as a fresh run.
+    /// The memoized ranking, counted from the trace columns, reproduces the
+    /// `Program::stats()` selection of every registry benchmark at every
+    /// size, tie order included, and stored-result reconstruction reports
+    /// the same hot-set size as a fresh run.
     #[test]
     fn memoized_hot_sets_match_fresh_selection() {
-        for benchmark in [Benchmark::Multiplier, Benchmark::Select] {
+        use lsqca_analysis::hot_set_by_access_count;
+        for benchmark in Benchmark::ALL {
             let w = Workload::from_circuit(benchmark.reduced_instance());
-            for count in 0..=w.num_qubits() as usize + 1 {
+            let program = w.compiled().program();
+            let full = hot_set_by_access_count(program, usize::MAX);
+            assert_eq!(w.most_accessed(usize::MAX), full, "{benchmark:?}");
+            let n = w.num_qubits() as usize;
+            for count in 0..=n + 1 {
                 assert_eq!(
                     w.most_accessed(count),
-                    hot_set_by_access_count(w.compiled().program(), count),
+                    full[..count.min(full.len())],
                     "{benchmark:?}, count {count}"
                 );
             }
+            for count in [0, 1, n / 2, n + 1] {
+                assert_eq!(
+                    w.most_accessed(count),
+                    hot_set_by_access_count(program, count),
+                    "{benchmark:?}, count {count}"
+                );
+            }
+        }
+        for benchmark in [Benchmark::Multiplier, Benchmark::Select] {
+            let w = Workload::from_circuit(benchmark.reduced_instance());
             for config in [
                 ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 1),
                 ExperimentConfig::new(FloorplanKind::LineSam { banks: 2 }, 2)

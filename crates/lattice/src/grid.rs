@@ -400,11 +400,7 @@ impl CellGrid {
                 return Ok(dest);
             }
         }
-        let dest = match self.index_for(target) {
-            Some(index) => index.nearest(),
-            None => self.ring_search(target, |_, cell| cell.is_vacant()),
-        }
-        .ok_or(LatticeError::GridFull)?;
+        let dest = self.nearest_vacant(target).ok_or(LatticeError::GridFull)?;
         let idx = self.index(dest);
         debug_assert!(self.cells[idx].is_vacant());
         self.cells[idx] = CellState::Occupied(qubit);
@@ -437,13 +433,32 @@ impl CellGrid {
     ///
     /// When `target` is a registered anchor (see [`CellGrid::register_anchor`]
     /// / [`CellGrid::register_anchors`]) this is an amortized O(1) read of
-    /// that anchor's [`VacancyIndex`]; otherwise it is an outward ring search
-    /// that visits O(ring) cells per distance instead of scanning every cell.
+    /// that anchor's [`VacancyIndex`]. Otherwise it is an outward ring search
+    /// that visits O(ring) cells per distance instead of scanning every cell;
+    /// on an anchored grid the ring search stops once it has cost as much as
+    /// a scan of the index ([`VacancyIndex::nearest_to`]), which then answers.
+    /// That keeps a SAM bank's home-store target, whose few vacancies sit
+    /// far from it, from walking rings of occupied cells.
     pub fn nearest_vacant(&self, target: Coord) -> Option<Coord> {
-        match self.index_for(target) {
-            Some(index) => index.nearest(),
-            None => self.ring_search(target, |_, cell| cell.is_vacant()),
+        let vacant = |_, cell: CellState| cell.is_vacant();
+        if let Some(index) = self.index_for(target) {
+            return index.nearest();
         }
+        let Some(index) = self.vacancy.first() else {
+            return self.ring_search(target, vacant);
+        };
+        if !self.in_bounds(target) {
+            return index.nearest_to(target);
+        }
+        // The index scan reads one count per ring and decodes at most one
+        // cell per vacancy; rings up to radius `r` hold `2r(r + 1) + 1` cells.
+        let budget = index.ring_count() + index.len();
+        let mut radius = 0u32;
+        while 2 * (radius as usize + 1) * (radius as usize + 2) < budget {
+            radius += 1;
+        }
+        self.rings_around(target, radius, vacant)
+            .or_else(|| index.nearest_to(target))
     }
 
     /// Finds the occupied cell closest (Manhattan metric) to `target` by the
@@ -464,8 +479,20 @@ impl CellGrid {
                 .filter(|&c| pred(c, self.cells[self.index(c)]))
                 .min_by_key(|&c| (c.manhattan_distance(target), c.y, c.x));
         }
-        let max_d =
-            target.x.max(self.width - 1 - target.x) + target.y.max(self.height - 1 - target.y);
+        self.rings_around(target, u32::MAX, pred)
+    }
+
+    /// The ring search of [`CellGrid::ring_search`] around the in-grid
+    /// `target`, over distances `0..=max_d` only.
+    fn rings_around(
+        &self,
+        target: Coord,
+        max_d: u32,
+        pred: impl Fn(Coord, CellState) -> bool,
+    ) -> Option<Coord> {
+        let max_d = max_d.min(
+            target.x.max(self.width - 1 - target.x) + target.y.max(self.height - 1 - target.y),
+        );
         for d in 0..=max_d {
             let y_lo = target.y.saturating_sub(d);
             let y_hi = (target.y + d).min(self.height - 1);
@@ -1028,7 +1055,7 @@ mod proptests {
                     grid.nearest_vacant(anchor),
                     nearest_vacant_scan(&grid, anchor)
                 );
-                // Non-anchor queries go through the ring search.
+                // Non-anchor queries: ring search, then the index scan.
                 prop_assert_eq!(
                     grid.nearest_vacant(coord),
                     nearest_vacant_scan(&grid, coord)
@@ -1076,6 +1103,72 @@ mod proptests {
                     grid.nearest_vacant(b),
                     nearest_vacant_scan(&grid, b)
                 );
+            }
+        }
+
+        /// On nearly full anchored grids (a SAM bank: a handful of
+        /// vacancies), off-anchor `nearest_vacant` queries and the
+        /// `place_at_nearest_vacancy` destinations they pick come from the
+        /// vacancy index's scan and equal the legacy linear scan, for in-grid
+        /// and out-of-grid targets, under stores, removals and fused
+        /// relocations to the anchors.
+        #[test]
+        fn off_anchor_targets_on_anchored_grids_match_the_linear_scan(
+            size in (2u32..9, 2u32..9),
+            anchors in ((0u32..9, 0u32..9), (0u32..9, 0u32..9), proptest::bool::ANY),
+            vacancies in 1u32..8,
+            ops in proptest::collection::vec(
+                (0u32..3, 0u32..11, 0u32..11, 0u32..80), 1..60
+            ),
+        ) {
+            let (width, height) = size;
+            let mut grid = CellGrid::new(width, height);
+            let cells = width * height;
+            let filled = cells.saturating_sub(vacancies);
+            for q in 0..filled {
+                grid.place(QubitTag(q), Coord::new(q % width, q / width)).unwrap();
+            }
+            let clamp = |(x, y): (u32, u32)| Coord::new(x % width, y % height);
+            let (a, b, two) = anchors;
+            let (a, b) = (clamp(a), clamp(b));
+            if two && a != b {
+                grid.register_anchors(&[a, b]).unwrap();
+            } else {
+                grid.register_anchor(a).unwrap();
+            }
+            let mut next_tag = filled;
+            for (op, x, y, pick) in ops {
+                // Targets range past the grid edge to cover out-of-grid ones.
+                let target = Coord::new(x, y);
+                prop_assert_eq!(
+                    grid.nearest_vacant(target),
+                    nearest_vacant_scan(&grid, target)
+                );
+                match op {
+                    0 => {
+                        let expected = nearest_vacant_scan(&grid, target);
+                        let placed = grid.place_at_nearest_vacancy(QubitTag(next_tag), target);
+                        prop_assert_eq!(placed.ok(), expected);
+                        next_tag += 1;
+                    }
+                    1 => {
+                        let tags: Vec<QubitTag> = grid.iter().map(|(tag, _)| tag).collect();
+                        if !tags.is_empty() {
+                            let _ = grid.remove(tags[pick as usize % tags.len()]);
+                        }
+                    }
+                    _ => {
+                        let tags: Vec<QubitTag> = grid.iter().map(|(tag, _)| tag).collect();
+                        if !tags.is_empty() {
+                            let anchors: Vec<Coord> = grid.anchors().collect();
+                            let anchor = anchors[pick as usize % anchors.len()];
+                            let _ = grid.relocate_into_nearest_vacancy(
+                                tags[pick as usize % tags.len()],
+                                anchor,
+                            );
+                        }
+                    }
+                }
             }
         }
 

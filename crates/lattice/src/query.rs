@@ -103,6 +103,12 @@ impl VacancyIndex {
         self.anchor
     }
 
+    /// Number of distance rings: one past the farthest grid cell's distance
+    /// from the anchor.
+    pub fn ring_count(&self) -> usize {
+        self.counts.len()
+    }
+
     /// Number of vacancies currently tracked.
     pub fn len(&self) -> usize {
         self.len
@@ -213,6 +219,45 @@ impl VacancyIndex {
     /// maintained cache in O(1).
     pub fn nearest(&self) -> Option<Coord> {
         self.cached.map(|(_, _, coord)| coord)
+    }
+
+    /// The vacant cell nearest an arbitrary `target`, ties broken row-major:
+    /// the minimum `(manhattan(target), y, x)` over the tracked vacancies.
+    /// Costs one count read per ring plus one decode per vacancy in the rings
+    /// that can still beat the best cell found: a cell on ring `d` lies at
+    /// least `|d - manhattan(target, anchor)|` from `target`.
+    pub fn nearest_to(&self, target: Coord) -> Option<Coord> {
+        let dt = target.manhattan_distance(self.anchor);
+        let mut best: Option<((u32, u32, u32), Coord)> = None;
+        for d in self.min_ring..self.counts.len() {
+            if self.counts[d] == 0 {
+                continue;
+            }
+            let ring = d as u32;
+            if let Some(((distance, _, _), _)) = best {
+                if ring.abs_diff(dt) > distance {
+                    if ring > dt {
+                        break;
+                    }
+                    continue;
+                }
+            }
+            let start = self.offsets[d] as usize;
+            let end = self.offsets[d + 1] as usize;
+            for (i, &word) in self.words[start..end].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let slot = (i as u32) * 64 + bits.trailing_zeros();
+                    bits &= bits - 1;
+                    let coord = self.decode(ring, slot);
+                    let key = (coord.manhattan_distance(target), coord.y, coord.x);
+                    if best.is_none_or(|(best_key, _)| key < best_key) {
+                        best = Some((key, coord));
+                    }
+                }
+            }
+        }
+        best.map(|(_, coord)| coord)
     }
 
     /// Removes and returns the vacant cell nearest the anchor. Equivalent to
