@@ -12,7 +12,8 @@
 //!   headline        the headline density/overhead claims
 //!   ablation        store-policy × in-memory-ops ablation on the point SAM
 //!   hybrid-migrate  runtime hot-set migration policies vs the static hot set
-//!   hotpath         legacy-vs-optimized hot-path micro measurements
+//!   hotpath         simulator throughput per floorplan, each row with its
+//!                   own calibration measurement
 //!   all             every deterministic generator above (excludes `hotpath`,
 //!                   whose timing output differs run to run)
 //!   merge           audit all shard journals in the store and emit the merged
@@ -27,7 +28,7 @@
 //! | `--full`         | paper-sized instances (minutes instead of seconds)     |
 //! | `--json`         | machine-readable JSON on stdout (stable schema: every  |
 //! |                  | generator emits an array of flat objects; `hotpath`    |
-//! |                  | emits the `lsqca-bench-hotpath-v1` document used as    |
+//! |                  | emits the `lsqca-bench-hotpath-v2` document used as    |
 //! |                  | the `BENCH_hotpath.json` baseline)                     |
 //! | `--full --json`  | paper-sized instances, JSON output                     |
 //! | `--shards N`     | supervised sharded run: N worker processes partition   |

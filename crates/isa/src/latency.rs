@@ -149,41 +149,6 @@ impl LatencyClass {
     }
 }
 
-/// Number of non-negligible (CPI-counted) commands in a precompiled class
-/// vector.
-///
-/// This is what the dense `repr(u8)` vector buys beyond replacing the
-/// per-instruction latency match with an array read: eight classes are
-/// processed per machine word (the eight single-byte reads fuse into one word
-/// load), which no walk over the instruction stream itself can do.
-pub fn command_count(classes: &[LatencyClass]) -> usize {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    let mut chunks = classes.chunks_exact(8);
-    let mut total = 0u64;
-    for ch in chunks.by_ref() {
-        let word = u64::from_ne_bytes([
-            ch[0] as u8,
-            ch[1] as u8,
-            ch[2] as u8,
-            ch[3] as u8,
-            ch[4] as u8,
-            ch[5] as u8,
-            ch[6] as u8,
-            ch[7] as u8,
-        ]);
-        // Class bytes are 0 (negligible), 1, or 2: fold the two value bits
-        // into one non-negligible flag bit per byte, then the multiply sums
-        // the eight flags into the top byte.
-        total += ((word | (word >> 1)) & ONES).wrapping_mul(ONES) >> 56;
-    }
-    total as usize
-        + chunks
-            .remainder()
-            .iter()
-            .filter(|c| !c.is_negligible())
-            .count()
-}
-
 impl fmt::Display for LatencyClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -272,25 +237,6 @@ mod tests {
                 "{instr}"
             );
         }
-    }
-
-    #[test]
-    fn word_parallel_command_count_matches_the_naive_count() {
-        use LatencyClass::*;
-        // Lengths around the 8-class word boundary, including the empty vector.
-        for len in [0usize, 1, 7, 8, 9, 16, 23, 1000] {
-            let classes: Vec<LatencyClass> = (0..len)
-                .map(|i| match i % 3 {
-                    0 => Negligible,
-                    1 => Command,
-                    _ => Variable,
-                })
-                .collect();
-            let naive = classes.iter().filter(|c| !c.is_negligible()).count();
-            assert_eq!(command_count(&classes), naive, "len {len}");
-        }
-        assert_eq!(command_count(&[Negligible; 20]), 0);
-        assert_eq!(command_count(&[Variable; 20]), 20);
     }
 
     #[test]

@@ -60,6 +60,6 @@ pub use latency::{InstructionLatency, LatencyClass, LatencyTable};
 pub use operand::{ClassicalId, MemAddr, Operands, RegId, MAX_OPERANDS};
 pub use program::{Program, ProgramStats};
 pub use trace_compile::{
-    lower, lower_into, lowering_count, ExecKind, ExecutionTrace, TraceDecodeError, TRACE_REVISION,
+    lower, lowering_count, ExecKind, ExecutionTrace, TraceDecodeError, TRACE_REVISION,
 };
 pub use validate::{ValidationError, ValidationReport};

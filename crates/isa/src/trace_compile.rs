@@ -43,8 +43,8 @@ use std::sync::OnceLock;
 /// relowered instead of silently driving the engine with an older contract.
 pub const TRACE_REVISION: u32 = 1;
 
-/// The registry counter behind [`lowering_count`]: every [`lower`] /
-/// [`lower_into`] call, including the one inside `CompiledWorkload::compile`.
+/// The registry counter behind [`lowering_count`]: every [`lower`] call,
+/// including the one inside `CompiledWorkload::compile`.
 /// Decoding a cached trace does **not** count. The warm-cache acceptance
 /// tests assert this stays flat across a sweep served entirely from disk.
 fn lowering_counter() -> &'static lsqca_telemetry::Counter {
@@ -165,8 +165,7 @@ pub struct ExecutionTrace {
 }
 
 impl ExecutionTrace {
-    /// An empty trace (also the reusable-scratch starting point for
-    /// [`lower_into`]).
+    /// An empty trace.
     pub fn new() -> Self {
         ExecutionTrace::default()
     }
@@ -238,21 +237,6 @@ impl ExecutionTrace {
     /// One past the highest classical identifier referenced by any record.
     pub fn classical_bound(&self) -> u32 {
         self.classical_bound
-    }
-
-    /// Clears every column, keeping allocated capacity (scratch reuse).
-    pub fn clear(&mut self) {
-        self.op.clear();
-        self.exec.clear();
-        self.flags.clear();
-        self.fixed.clear();
-        self.mem0.clear();
-        self.mem1.clear();
-        self.reg0.clear();
-        self.reg1.clear();
-        self.cio.clear();
-        self.mem_bound = 0;
-        self.classical_bound = 0;
     }
 
     fn reserve(&mut self, additional: usize) {
@@ -676,22 +660,14 @@ fn reconstruct(op: u8, operands: &[u32]) -> Option<Instruction> {
 /// Lowers `program` into a fresh [`ExecutionTrace`]. Counted by
 /// [`lowering_count`].
 pub fn lower(program: &Program) -> ExecutionTrace {
-    let mut trace = ExecutionTrace::new();
-    lower_into(program, &mut trace);
-    trace
-}
-
-/// Lowers `program` into `trace`, reusing its allocated capacity — the
-/// scratch-reuse entry point for engines that lower ad-hoc programs per run.
-/// Counted by [`lowering_count`].
-pub fn lower_into(program: &Program, trace: &mut ExecutionTrace) {
     lowering_counter().inc();
     let _span = lsqca_telemetry::span("trace.lower");
-    trace.clear();
+    let mut trace = ExecutionTrace::new();
     trace.reserve(program.len());
     for instr in program.iter() {
         trace.push_instruction(instr);
     }
+    trace
 }
 
 /// Why a serialized trace was rejected by [`ExecutionTrace::decode`].
@@ -843,21 +819,6 @@ mod tests {
         assert!(trace.is_empty());
         assert_eq!(trace.encode(), "");
         assert_eq!(ExecutionTrace::decode("").unwrap(), trace);
-    }
-
-    #[test]
-    fn scratch_reuse_clears_previous_contents() {
-        let mut trace = lower(&example_program());
-        let small = {
-            let mut p = Program::new("small");
-            p.push(Instruction::HdM { mem: MemAddr(2) });
-            p
-        };
-        lower_into(&small, &mut trace);
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace.mem_bound(), 3);
-        assert_eq!(trace.classical_bound(), 0);
-        assert_eq!(trace, lower(&small));
     }
 
     #[test]

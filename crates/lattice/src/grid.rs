@@ -4,13 +4,13 @@
 //! rectangular region (a SAM bank, a conventional floorplan, ...). The SAM models
 //! use it to simulate the sliding-puzzle load procedure: moving a target cell
 //! requires vacant neighbours, and the scan cell is the vacancy that walks around
-//! the grid. The grid therefore exposes vacancy-aware path finding in addition to
-//! plain placement bookkeeping.
+//! the grid. The grid therefore answers vacancy-aware nearest-cell queries in
+//! addition to plain placement bookkeeping.
 
 use crate::cell::{CellState, QubitTag};
 use crate::error::LatticeError;
 use crate::geom::Coord;
-use crate::query::{PathScratch, VacancyIndex};
+use crate::query::VacancyIndex;
 use std::fmt;
 
 /// A rectangular grid of surface-code cells with logical-qubit occupancy.
@@ -519,62 +519,6 @@ impl CellGrid {
         None
     }
 
-    /// Length (in steps) of the shortest path from `from` to `to` that travels only
-    /// through vacant cells, excluding `from` itself but including `to`.
-    ///
-    /// This is the distance a scan cell (a vacancy) must cover when every step
-    /// swaps it with an occupied neighbour, and also the length of a routing path
-    /// for lattice surgery through empty space.
-    ///
-    /// # Errors
-    ///
-    /// * [`LatticeError::OutOfBounds`] if either endpoint is outside the grid.
-    /// * [`LatticeError::NoVacantPath`] if no vacant path exists.
-    pub fn vacant_path_len(&self, from: Coord, to: Coord) -> Result<u32, LatticeError> {
-        self.vacant_path_len_in(from, to, &mut PathScratch::new())
-    }
-
-    /// [`CellGrid::vacant_path_len`] with caller-provided scratch space, so
-    /// repeated queries reuse one dense distance grid instead of allocating
-    /// (or hashing) per call.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CellGrid::vacant_path_len`].
-    pub fn vacant_path_len_in(
-        &self,
-        from: Coord,
-        to: Coord,
-        scratch: &mut PathScratch,
-    ) -> Result<u32, LatticeError> {
-        self.check_bounds(from)?;
-        self.check_bounds(to)?;
-        if from == to {
-            return Ok(0);
-        }
-        scratch.begin(self.cells.len());
-        scratch.mark(self.index(from) as u32, 0);
-        while let Some((cur, d)) = scratch.pop() {
-            let coord = Coord::new(cur % self.width, cur / self.width);
-            for next in coord.neighbors() {
-                if !self.in_bounds(next) {
-                    continue;
-                }
-                let idx = self.index(next) as u32;
-                if scratch.visited(idx) {
-                    continue;
-                }
-                if next == to {
-                    return Ok(d + 1);
-                }
-                if self.cells[idx as usize].is_vacant() {
-                    scratch.mark(idx, d + 1);
-                }
-            }
-        }
-        Err(LatticeError::NoVacantPath { from, to })
-    }
-
     /// Fraction of cells currently holding a logical qubit.
     pub fn occupancy(&self) -> f64 {
         self.occupied_count() as f64 / self.cell_count() as f64
@@ -705,43 +649,6 @@ mod tests {
         );
         let empty = CellGrid::new(2, 2);
         assert_eq!(empty.nearest_occupied(Coord::new(0, 0)), None);
-    }
-
-    #[test]
-    fn vacant_path_in_empty_grid_is_manhattan() {
-        let grid = CellGrid::new(5, 5);
-        let len = grid
-            .vacant_path_len(Coord::new(0, 0), Coord::new(3, 2))
-            .unwrap();
-        assert_eq!(len, 5);
-        assert_eq!(
-            grid.vacant_path_len(Coord::new(1, 1), Coord::new(1, 1))
-                .unwrap(),
-            0
-        );
-    }
-
-    #[test]
-    fn vacant_path_routes_around_obstacles() {
-        // Wall of occupied cells forces a detour.
-        let mut grid = CellGrid::new(3, 3);
-        grid.place(QubitTag(0), Coord::new(1, 0)).unwrap();
-        grid.place(QubitTag(1), Coord::new(1, 1)).unwrap();
-        // From (0,0) to (2,0): direct path is blocked at (1,0); detour through row 2.
-        let len = grid
-            .vacant_path_len(Coord::new(0, 0), Coord::new(2, 0))
-            .unwrap();
-        assert_eq!(len, 6);
-    }
-
-    #[test]
-    fn vacant_path_reports_unreachable() {
-        let mut grid = CellGrid::new(3, 1);
-        grid.place(QubitTag(0), Coord::new(1, 0)).unwrap();
-        let err = grid
-            .vacant_path_len(Coord::new(0, 0), Coord::new(2, 0))
-            .unwrap_err();
-        assert!(matches!(err, LatticeError::NoVacantPath { .. }));
     }
 
     #[test]
@@ -963,69 +870,18 @@ mod tests {
         // An out-of-bounds anchor in the set rejects the whole registration.
         assert!(grid.register_anchors(&[west, Coord::new(9, 9)]).is_err());
     }
-
-    #[test]
-    fn scratch_reuse_across_queries_is_consistent() {
-        let mut grid = CellGrid::new(5, 5);
-        grid.place(QubitTag(0), Coord::new(1, 0)).unwrap();
-        grid.place(QubitTag(1), Coord::new(1, 1)).unwrap();
-        let mut scratch = PathScratch::new();
-        let detour = grid
-            .vacant_path_len_in(Coord::new(0, 0), Coord::new(2, 0), &mut scratch)
-            .unwrap();
-        assert_eq!(detour, 6);
-        // Second query through the same scratch sees a clean state.
-        let direct = grid
-            .vacant_path_len_in(Coord::new(0, 2), Coord::new(4, 2), &mut scratch)
-            .unwrap();
-        assert_eq!(direct, 4);
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::{HashMap, VecDeque};
+    use std::collections::HashMap;
 
     /// The seed's `nearest_vacant`: a full linear scan over every vacant cell.
     fn nearest_vacant_scan(grid: &CellGrid, target: Coord) -> Option<Coord> {
         grid.vacant_cells()
             .min_by_key(|&c| (c.manhattan_distance(target), c.y, c.x))
-    }
-
-    /// The seed's `vacant_path_len`: `HashMap<Coord, u32>` frontier BFS.
-    fn vacant_path_len_hashmap(
-        grid: &CellGrid,
-        from: Coord,
-        to: Coord,
-    ) -> Result<u32, LatticeError> {
-        if !grid.in_bounds(from) || !grid.in_bounds(to) {
-            panic!("shadow BFS expects in-bounds endpoints");
-        }
-        if from == to {
-            return Ok(0);
-        }
-        let mut dist: HashMap<Coord, u32> = HashMap::new();
-        let mut queue = VecDeque::new();
-        dist.insert(from, 0);
-        queue.push_back(from);
-        while let Some(cur) = queue.pop_front() {
-            let d = dist[&cur];
-            for next in cur.neighbors() {
-                if !grid.in_bounds(next) || dist.contains_key(&next) {
-                    continue;
-                }
-                if next == to {
-                    return Ok(d + 1);
-                }
-                if grid.is_vacant(next) {
-                    dist.insert(next, d + 1);
-                    queue.push_back(next);
-                }
-            }
-        }
-        Err(LatticeError::NoVacantPath { from, to })
     }
 
     proptest! {
@@ -1172,30 +1028,6 @@ mod proptests {
             }
         }
 
-        /// The dense-scratch BFS returns exactly what the legacy HashMap BFS
-        /// returns — same lengths, same unreachability — with the scratch
-        /// reused across every query of the sequence.
-        #[test]
-        fn dense_bfs_matches_the_hashmap_bfs(
-            obstacles in proptest::collection::hash_set((0u32..9, 0u32..9), 0..40),
-            queries in proptest::collection::vec(
-                ((0u32..9, 0u32..9), (0u32..9, 0u32..9)), 1..20
-            ),
-        ) {
-            let mut grid = CellGrid::new(9, 9);
-            for (tag, (x, y)) in obstacles.into_iter().enumerate() {
-                let _ = grid.place(QubitTag(tag as u32), Coord::new(x, y));
-            }
-            let mut scratch = PathScratch::new();
-            for (from, to) in queries {
-                let from = Coord::new(from.0, from.1);
-                let to = Coord::new(to.0, to.1);
-                let dense = grid.vacant_path_len_in(from, to, &mut scratch);
-                let legacy = vacant_path_len_hashmap(&grid, from, to);
-                prop_assert_eq!(dense, legacy);
-            }
-        }
-
         /// Occupied + vacant always equals the total cell count, and every stored
         /// qubit's recorded position matches the cell map, under random placement
         /// and removal sequences.
@@ -1309,31 +1141,6 @@ mod proptests {
                     fused.nearest_vacant(anchor),
                     nearest_vacant_scan(&legacy, anchor)
                 );
-            }
-        }
-
-        /// A vacant path in a grid with obstacles is never shorter than the
-        /// Manhattan distance and never longer than the number of cells.
-        #[test]
-        fn vacant_path_len_bounds(
-            obstacles in proptest::collection::hash_set((0u32..8, 0u32..8), 0..20),
-            from in (0u32..8, 0u32..8),
-            to in (0u32..8, 0u32..8),
-        ) {
-            let mut grid = CellGrid::new(8, 8);
-            let from = Coord::new(from.0, from.1);
-            let to = Coord::new(to.0, to.1);
-            let mut next = 0u32;
-            for (x, y) in obstacles {
-                let c = Coord::new(x, y);
-                if c != from && c != to {
-                    let _ = grid.place(QubitTag(next), c);
-                    next += 1;
-                }
-            }
-            if let Ok(len) = grid.vacant_path_len(from, to) {
-                prop_assert!(len >= from.manhattan_distance(to));
-                prop_assert!(u64::from(len) <= grid.cell_count());
             }
         }
     }

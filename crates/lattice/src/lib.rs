@@ -15,14 +15,13 @@
 //!   measurements.
 //! * [`cell`] — cell kinds (data, auxiliary, scan, register, port, factory) and
 //!   occupancy.
-//! * [`grid`] — the [`CellGrid`] occupancy map with path finding on
-//!   vacant cells, used by the SAM models to simulate sliding-puzzle loads.
+//! * [`grid`] — the [`CellGrid`] occupancy map, used by the SAM models to
+//!   simulate sliding-puzzle loads and stores.
 //! * [`patch`] — logical patches and boundary orientations.
 //! * [`protocol`] — primitive fault-tolerant protocols and their code-beat
 //!   latencies.
-//! * [`query`] — the [`VacancyIndex`] and
-//!   [`PathScratch`] acceleration structures behind the
-//!   grid's nearest-vacant and vacant-path queries.
+//! * [`query`] — the [`VacancyIndex`] behind the grid's nearest-vacant
+//!   query.
 //! * [`timing`] — the [`Beats`] time unit.
 //!
 //! # Example
@@ -59,5 +58,5 @@ pub use grid::CellGrid;
 pub use patch::{BoundaryOrientation, Patch, PatchId};
 pub use pauli::{Pauli, PauliProduct};
 pub use protocol::{PrimitiveOp, ProtocolLatencies};
-pub use query::{PathScratch, VacancyIndex};
+pub use query::VacancyIndex;
 pub use timing::Beats;

@@ -1,25 +1,17 @@
-//! Lattice query acceleration structures.
+//! Lattice query acceleration structure.
 //!
-//! The SAM models ask the occupancy grid two questions on every simulated
-//! memory access: *which vacant cell is nearest the bank port?* (stores and
-//! in-memory two-qubit accesses) and *how far must the scan vacancy walk?*
-//! (routing through empty space). Both used to cost O(cells) per query — a
-//! full linear scan and a `HashMap`-frontier BFS respectively — which made
-//! point-SAM simulation ~2.5× slower per instruction than line-SAM.
+//! The SAM models ask the occupancy grid *which vacant cell is nearest the
+//! bank port?* on every simulated store and in-memory two-qubit access. That
+//! used to cost a full O(cells) linear scan per query, which made point-SAM
+//! simulation ~2.5× slower per instruction than line-SAM.
 //!
-//! This module holds the two structures that remove those costs:
-//!
-//! * [`VacancyIndex`] — vacant cells bucketed by Manhattan distance to a
-//!   registered **anchor** (the bank port), maintained incrementally by the
-//!   grid's `place`/`remove`/`relocate`. `nearest_vacant(anchor)` becomes an
-//!   amortized O(1) bucket read instead of an O(cells) scan.
-//! * [`PathScratch`] — a reusable dense `Vec<u32>` distance grid for the
-//!   vacant-path BFS, replacing the per-query `HashMap<Coord, u32>`. Visited
-//!   marks are epoch-stamped so reusing the scratch across queries costs no
-//!   clearing pass.
+//! [`VacancyIndex`] removes that cost: vacant cells bucketed by Manhattan
+//! distance to a registered **anchor** (the bank port), maintained
+//! incrementally by the grid's `place`/`remove`/`relocate`.
+//! `nearest_vacant(anchor)` becomes an amortized O(1) bucket read instead of
+//! an O(cells) scan.
 
 use crate::geom::Coord;
-use std::collections::VecDeque;
 
 /// Incrementally-maintained index of vacant cells, bucketed by Manhattan
 /// distance to a fixed anchor coordinate.
@@ -284,62 +276,6 @@ impl VacancyIndex {
     }
 }
 
-/// Reusable dense scratch space for the vacant-path BFS.
-///
-/// Holds a `Vec<u32>` distance grid plus an epoch-stamped visited mark per
-/// cell, so one allocation serves any number of queries on grids up to the
-/// largest size seen; no hash map and no per-query clearing pass.
-#[derive(Debug, Clone, Default)]
-pub struct PathScratch {
-    dist: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    queue: VecDeque<u32>,
-}
-
-impl PathScratch {
-    /// Creates an empty scratch; grows on first use.
-    pub fn new() -> Self {
-        PathScratch::default()
-    }
-
-    /// Prepares the scratch for a query over `cells` grid cells.
-    pub(crate) fn begin(&mut self, cells: usize) {
-        if self.dist.len() < cells {
-            self.dist.resize(cells, 0);
-            self.stamp.resize(cells, 0);
-        }
-        self.queue.clear();
-        // A fresh epoch invalidates every previous visited mark. On wrap-around
-        // the stamps are cleared so stale marks from epoch 0 cannot alias.
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                self.stamp.fill(0);
-                1
-            }
-        };
-    }
-
-    /// True if `cell` was visited in the current query.
-    pub(crate) fn visited(&self, cell: u32) -> bool {
-        self.stamp[cell as usize] == self.epoch
-    }
-
-    /// Marks `cell` at BFS distance `d` and enqueues it.
-    pub(crate) fn mark(&mut self, cell: u32, d: u32) {
-        self.stamp[cell as usize] = self.epoch;
-        self.dist[cell as usize] = d;
-        self.queue.push_back(cell);
-    }
-
-    /// Pops the next frontier cell with its distance.
-    pub(crate) fn pop(&mut self) -> Option<(u32, u32)> {
-        let cell = self.queue.pop_front()?;
-        Some((cell, self.dist[cell as usize]))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,17 +363,5 @@ mod tests {
         index.swap(Coord::new(1, 1), Coord::new(1, 1));
         assert_eq!(index.len(), 1);
         assert_eq!(index.nearest(), Some(Coord::new(1, 1)));
-    }
-
-    #[test]
-    fn scratch_epochs_isolate_queries() {
-        let mut scratch = PathScratch::new();
-        scratch.begin(9);
-        scratch.mark(4, 0);
-        assert!(scratch.visited(4));
-        assert_eq!(scratch.pop(), Some((4, 0)));
-        scratch.begin(9);
-        assert!(!scratch.visited(4));
-        assert_eq!(scratch.pop(), None);
     }
 }

@@ -639,12 +639,6 @@ pub struct Simulator {
     memory: MemorySystem,
     config: SimConfig,
     unbounded_registers: bool,
-    /// Reusable lowering scratch for executing a [`Program`]: the execution
-    /// trace of one program is lowered into this buffer and its column
-    /// vectors are recycled across runs, so a simulator re-running ad-hoc
-    /// programs allocates nothing in steady state. (A [`CompiledWorkload`]
-    /// never touches it — artifacts carry their own pre-lowered trace.)
-    scratch_trace: ExecutionTrace,
     /// The memory pass's per-block output, read by every timing pass.
     block: BlockScratch,
     /// The construction inputs, kept so [`Simulator::reset`] can rebuild the
@@ -734,7 +728,6 @@ impl Simulator {
             migration: None,
             memory,
             config,
-            scratch_trace: ExecutionTrace::new(),
             block: BlockScratch::default(),
             instruction_budget: env_instruction_budget(),
         })
@@ -837,7 +830,7 @@ impl Simulator {
     /// architecture's own factory count.
     ///
     /// The input kind selects the engine path: a [`Program`] is lowered into
-    /// the reusable scratch trace and executed through the trace engine, an
+    /// a fresh trace and executed through the trace engine, an
     /// [`ExecutionTrace`] or [`CompiledWorkload`] executes its pre-lowered
     /// trace directly (zero per-run lowering), and a [`Classified`] pair
     /// drives the retained reference interpreter. All paths share one
@@ -888,30 +881,14 @@ impl Simulator {
         input.execute_on(self, factories)
     }
 
-    /// The [`Program`] engine path: lower into the engine's reusable scratch
-    /// trace (the column vectors are recycled across runs), then execute
-    /// through the trace engine. Callers holding a [`CompiledWorkload`] skip
-    /// even the lowering — artifacts embed their trace.
-    fn execute_program(
-        &mut self,
-        program: &Program,
-        factories: &[u32],
-    ) -> Result<Vec<SimOutcome>, SimError> {
-        let mut trace = std::mem::take(&mut self.scratch_trace);
-        lsqca_isa::lower_into(program, &mut trace);
-        let outcomes = self.execute_trace(&trace, factories);
-        self.scratch_trace = trace;
-        outcomes
-    }
-
     /// The [`Classified`] engine path — the **reference interpreter**,
     /// dispatching on `Instruction` enums per step, one full run per factory
     /// count.
     ///
     /// The production path is [`Simulator::execute_trace`]; this interpreter
     /// is retained as the executable specification the trace engine is
-    /// checked against (the shadow-equivalence proptests in `tests/` and the
-    /// `trace_dispatch` hot-path comparison both drive it directly).
+    /// checked against (the shadow-equivalence proptests in `tests/` drive it
+    /// directly).
     ///
     /// # Panics
     ///
@@ -1464,7 +1441,7 @@ mod sealed {
 /// [`Simulator::execute_factories`].
 ///
 /// The trait is sealed: the implementors are exactly [`Program`] (lowered
-/// into the engine's scratch trace per run), [`ExecutionTrace`] and
+/// into a fresh trace per run), [`ExecutionTrace`] and
 /// [`CompiledWorkload`] (pre-lowered, executed directly), and [`Classified`]
 /// (the reference interpreter). Each selects its engine path itself, so
 /// callers never pick — or mismatch — a `run_*` variant again.
@@ -1485,7 +1462,7 @@ impl Executable for Program {
         simulator: &mut Simulator,
         factories: &[u32],
     ) -> Result<Vec<SimOutcome>, SimError> {
-        simulator.execute_program(self, factories)
+        simulator.execute_trace(&lsqca_isa::lower(self), factories)
     }
 }
 
@@ -1512,8 +1489,7 @@ impl Executable for CompiledWorkload {
 /// A program paired with its precompiled latency-class vector: executing it
 /// drives the retained **reference interpreter** instead of the trace
 /// engine. This is the executable specification the shadow-equivalence
-/// proptests and the `trace_dispatch` hot-path comparison check the
-/// optimized engine against.
+/// proptests check the optimized engine against.
 #[derive(Debug, Clone, Copy)]
 pub struct Classified<'a> {
     program: &'a Program,

@@ -15,6 +15,7 @@ use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
 use lsqca_isa::{ClassicalId, ExecutionTrace, Instruction, LatencyTable, MemAddr, Program, RegId};
 use lsqca_lattice::QubitTag;
 use lsqca_sim::{Classified, SimConfig, SimError, SimOutcome, Simulator};
+use lsqca_workloads::{Benchmark, CompiledWorkload, InstanceSize};
 use proptest::prelude::*;
 
 /// Qubit space shared by the program and simulator strategies. Small enough
@@ -342,20 +343,50 @@ proptest! {
     }
 }
 
+/// The reduced multiplier and SELECT instances, compiled with the default
+/// compiler configuration.
+fn compiled_workloads() -> Vec<CompiledWorkload> {
+    [Benchmark::Multiplier, Benchmark::Select]
+        .into_iter()
+        .map(|benchmark| {
+            let cfg = benchmark.config(InstanceSize::Reduced);
+            CompiledWorkload::compile(
+                cfg.descriptor(),
+                &cfg.build(),
+                lsqca_compiler::CompilerConfig::default(),
+            )
+        })
+        .collect()
+}
+
+/// The headline property on real compiled workloads: on every paper
+/// floorplan the trace engine's outcome equals the interpreter's, on fresh
+/// simulators and again on the same simulators once they have run.
+#[test]
+fn interpreter_matches_the_trace_engine_on_compiled_workloads() {
+    for workload in compiled_workloads() {
+        let oracle = Classified::new(workload.program(), workload.classes());
+        let qubits = workload.num_qubits().max(1);
+        for floorplan in ArchConfig::paper_floorplans() {
+            let arch = ArchConfig::new(floorplan, 1);
+            let mut interpreter = Simulator::builder(&arch, qubits).build().unwrap();
+            let mut engine = Simulator::builder(&arch, qubits).build().unwrap();
+            for _ in 0..2 {
+                let expected = interpreter.execute(&oracle);
+                assert!(expected.is_ok(), "{floorplan:?}: {expected:?}");
+                assert_eq!(expected, engine.execute(&workload), "{floorplan:?}");
+            }
+        }
+    }
+}
+
 /// The same property on real compiled workloads, whose traces span many
 /// walk blocks: every paper floorplan, plus hybrid layouts under each
 /// migration policy, at the paper's factory counts and a scrambled list
 /// with a duplicate.
 #[test]
 fn factory_groups_match_on_compiled_workloads() {
-    use lsqca_workloads::{Benchmark, CompiledWorkload, InstanceSize};
-    for benchmark in [Benchmark::Multiplier, Benchmark::Select] {
-        let cfg = benchmark.config(InstanceSize::Reduced);
-        let workload = CompiledWorkload::compile(
-            cfg.descriptor(),
-            &cfg.build(),
-            lsqca_compiler::CompilerConfig::default(),
-        );
+    for workload in compiled_workloads() {
         let qubits = workload.num_qubits().max(workload.memory_footprint());
         let hot: Vec<QubitTag> = (0..qubits / 10).map(QubitTag).collect();
         let mut cases: Vec<(ArchConfig, Option<PolicyKind>)> = ArchConfig::paper_floorplans()

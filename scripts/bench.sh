@@ -8,26 +8,23 @@
 #                                          # + end-to-end regression tolerance
 #                                          # vs the committed baseline
 #
-# Environment:
-#   LSQCA_BENCH_TOLERANCE   fractional end-to-end regression allowed by
-#                           --quick before failing (default 0.25, i.e. >25%
-#                           slower than BENCH_hotpath.json fails). The gate is
-#                           machine-independent: both the baseline and the
-#                           fresh report carry a calibration measurement (the
-#                           frozen legacy BFS) taken in the same run, and the
-#                           comparison is on ns_per_instruction/calibration
-#                           *ratios*, so a slower CI runner shifts both sides
-#                           equally. If the baseline predates the calibration
-#                           field, the gate falls back to absolute
-#                           ns/instruction with a warning.
+# The --quick gate fails if any floorplan's end-to-end ns/instruction is more
+# than TOLERANCE (25%) slower than BENCH_hotpath.json. It is
+# machine-independent: every end-to-end row is sampled interleaved with its
+# own calibration measurement (the frozen legacy BFS), and the gate compares
+# per-row ns_per_instruction/calibration ratios, so a slower or busier runner
+# shifts both sides of each row alike.
 #
 # Outputs:
-#   BENCH_hotpath.json   stable-schema (lsqca-bench-hotpath-v1) baseline with
-#                        legacy-vs-optimized speedups and absolute simulator
-#                        throughput, written at the repository root.
+#   BENCH_hotpath.json   stable-schema (lsqca-bench-hotpath-v2) baseline with
+#                        absolute simulator throughput per floorplan, written
+#                        at the repository root.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# Fractional end-to-end regression the --quick gate allows.
+readonly TOLERANCE=0.25
 
 # Benchmarks measure simulation, so the crash-safe result store must not short
 # circuit it: a warm store would turn every timed sweep into a disk read and
@@ -35,28 +32,18 @@ cd "$(dirname "$0")/.."
 # what the benches time.
 export LSQCA_NO_STORE=1
 
-# Validates that a hotpath JSON document carries the lsqca-bench-hotpath-v1
-# schema with every expected comparison and end-to-end section.
+# Validates that a hotpath JSON document carries the lsqca-bench-hotpath-v2
+# schema with its end-to-end section.
 validate_hotpath_json() {
   local file="$1"
   local ok=0
   for needle in \
-    '"schema": "lsqca-bench-hotpath-v1"' \
-    '"comparisons"' \
+    '"schema": "lsqca-bench-hotpath-v2"' \
     '"end_to_end"' \
-    '"operand_extraction"' \
-    '"residence_lookup"' \
-    '"nearest_vacant"' \
-    '"relocate"' \
-    '"ring_removal"' \
-    '"vacant_path"' \
-    '"latency_class"' \
-    '"trace_lowering"' \
-    '"trace_dispatch"' \
     '"calibration_ns_per_op"' \
     '"ns_per_instruction"'; do
     if ! grep -qF "$needle" "$file"; then
-      echo "error: $file is missing $needle (schema lsqca-bench-hotpath-v1)" >&2
+      echo "error: $file is missing $needle (schema lsqca-bench-hotpath-v2)" >&2
       ok=1
     fi
   done
@@ -87,76 +74,55 @@ validate_metrics_json() {
   return "$ok"
 }
 
-# Extracts `<floorplan>\t<ns_per_instruction>` lines from a hotpath JSON
-# document's end_to_end section (the pretty-printed lsqca-json layout).
+# Extracts `<floorplan>\t<ns_per_instruction>\t<calibration_ns_per_op>` lines
+# from a hotpath JSON document's end_to_end section (the pretty-printed
+# lsqca-json layout, where each row's calibration follows its ns/instruction).
 extract_end_to_end() {
   awk '
+    function value(line) {
+      sub(/^[^:]*: */, "", line)
+      sub(/,.*/, "", line)
+      return line
+    }
     /"floorplan":/ {
       line = $0
       sub(/.*"floorplan": *"/, "", line)
       sub(/".*/, "", line)
       floorplan = line
     }
-    /"ns_per_instruction":/ {
-      line = $0
-      sub(/.*"ns_per_instruction": */, "", line)
-      sub(/,.*/, "", line)
+    /"ns_per_instruction":/ { ns = value($0) }
+    /"calibration_ns_per_op":/ {
       if (floorplan != "") {
-        printf "%s\t%s\n", floorplan, line
+        printf "%s\t%s\t%s\n", floorplan, ns, value($0)
         floorplan = ""
       }
     }
   ' "$1"
 }
 
-# Extracts the same-machine calibration measurement from a hotpath JSON
-# document; empty when the document predates the field.
-extract_calibration() {
-  awk '
-    /"calibration_ns_per_op":/ {
-      line = $0
-      sub(/.*"calibration_ns_per_op": */, "", line)
-      sub(/,.*/, "", line)
-      print line
-      exit
-    }
-  ' "$1"
-}
-
-# Fails if any end-to-end measurement in $2 regressed more than the tolerance
-# fraction against the committed baseline $1. Both reports carry a
-# calibration measurement taken in the same run, and the gate compares
-# ns_per_instruction/calibration ratios, so the result does not depend on the
-# absolute speed of the machine the baseline was recorded on.
+# Fails if any end-to-end row in $2 regressed more than TOLERANCE against the
+# committed baseline $1, comparing each row's ns_per_instruction/calibration
+# ratio, so the result does not depend on the absolute speed of the machine
+# either report was recorded on.
 check_regression() {
   local baseline="$1" fresh="$2"
-  local tolerance="${LSQCA_BENCH_TOLERANCE:-0.25}"
   local ok=0
-  local base_cal fresh_cal
-  base_cal="$(extract_calibration "$baseline")"
-  fresh_cal="$(extract_calibration "$fresh")"
-  if [[ -z "$base_cal" || -z "$fresh_cal" ]]; then
-    echo "warning: calibration missing from baseline; falling back to absolute ns/instruction" >&2
-    base_cal=1
-    fresh_cal=1
-  else
-    echo "  calibration: fresh ${fresh_cal} ns/op vs baseline ${base_cal} ns/op (gating on ratios)"
-  fi
-  while IFS=$'\t' read -r floorplan base_ns; do
-    local fresh_ns
-    fresh_ns="$(extract_end_to_end "$fresh" | awk -F'\t' -v fp="$floorplan" '$1 == fp { print $2 }')"
-    if [[ -z "$fresh_ns" ]]; then
+  while IFS=$'\t' read -r floorplan base_ns base_cal; do
+    local fresh_ns fresh_cal
+    IFS=$'\t' read -r fresh_ns fresh_cal < <(extract_end_to_end "$fresh" |
+      awk -F'\t' -v fp="$floorplan" '$1 == fp { print $2 "\t" $3 }') || true
+    if [[ -z "$fresh_ns" || -z "$fresh_cal" ]]; then
       echo "error: fresh report is missing end-to-end entry for '$floorplan'" >&2
       ok=1
       continue
     fi
     if awk -v base="$base_ns" -v fresh="$fresh_ns" \
-         -v bcal="$base_cal" -v fcal="$fresh_cal" -v tol="$tolerance" \
+         -v bcal="$base_cal" -v fcal="$fresh_cal" -v tol="$TOLERANCE" \
          'BEGIN { exit !((fresh / fcal) > (base / bcal) * (1 + tol)) }'; then
-      echo "error: end-to-end regression on '$floorplan': ${fresh_ns} ns/instruction (calibration ${fresh_cal}) vs baseline ${base_ns} (calibration ${base_cal}, tolerance ${tolerance})" >&2
+      echo "error: end-to-end regression on '$floorplan': ${fresh_ns} ns/instruction (calibration ${fresh_cal}) vs baseline ${base_ns} (calibration ${base_cal}, tolerance ${TOLERANCE})" >&2
       ok=1
     else
-      echo "  ${floorplan}: ${fresh_ns} ns/instruction (baseline ${base_ns}) OK"
+      echo "  ${floorplan}: ${fresh_ns} ns/instruction (calibration ${fresh_cal}) vs baseline ${base_ns} (calibration ${base_cal}) OK"
     fi
   done < <(extract_end_to_end "$baseline")
   return "$ok"
@@ -180,15 +146,15 @@ if [[ "${1:-}" == "--quick" ]]; then
   # past the tolerance and this script fails.
   ./target/release/experiments hotpath --json --metrics-out "$metrics" > "$out"
   validate_hotpath_json "$out"
-  echo "schema lsqca-bench-hotpath-v1 OK: $out"
+  echo "schema lsqca-bench-hotpath-v2 OK: $out"
   echo "== metrics artifact schema =="
   validate_metrics_json "$metrics"
   echo "schema lsqca-metrics-v1 OK: $metrics"
   if [[ -f BENCH_hotpath.json ]]; then
-    echo "== end-to-end regression gate (tolerance ${LSQCA_BENCH_TOLERANCE:-0.25}) =="
+    echo "== end-to-end regression gate (tolerance ${TOLERANCE}) =="
     if ! check_regression BENCH_hotpath.json "$out"; then
       # Shared runners see CPU-contention bursts long enough to poison a
-      # whole median-of-samples window. A genuine regression reproduces on a
+      # whole min-of-samples window. A genuine regression reproduces on a
       # fresh measurement; a burst almost never spans two full runs.
       echo "== regression reported; re-measuring once to rule out a noise burst =="
       retry="$(mktemp /tmp/lsqca-hotpath-XXXXXX.json)"
