@@ -28,6 +28,8 @@
 //! `ExecutionStats::migration_beats`.
 
 use lsqca_lattice::{Beats, QubitTag};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// The flavour of one SAM bank inside a [`FloorplanSpec`].
@@ -163,6 +165,13 @@ impl HotSet {
         self.member.get(q.0 as usize).copied().unwrap_or(false)
     }
 
+    /// The most entries a lazily-invalidated victim heap over this hot set
+    /// may hold before [`rebuild_if_bloated`] rebuilds it from the live
+    /// entries.
+    fn heap_bound(&self) -> usize {
+        4 * self.list.len() + 64
+    }
+
     fn swap(&mut self, promoted: QubitTag, demoted: QubitTag) {
         if let Some(m) = self.member.get_mut(promoted.0 as usize) {
             *m = true;
@@ -174,6 +183,29 @@ impl HotSet {
             *slot = promoted;
         }
     }
+}
+
+/// A min-heap of `(key, qubit)` victim candidates with lazily invalidated
+/// stale entries.
+type VictimHeap<K> = BinaryHeap<Reverse<(K, u32)>>;
+
+/// Rebuilds `queue` from one live entry per hot qubit once it holds more
+/// than [`HotSet::heap_bound`] entries, reusing its allocation. Exact: the
+/// victim is the minimum `(key, qubit)` over the hot set's live entries,
+/// which a total order makes independent of which stale entries the heap
+/// also holds.
+fn rebuild_if_bloated<K: Ord>(
+    queue: &mut VictimHeap<K>,
+    hot: &HotSet,
+    key: impl Fn(QubitTag) -> K,
+) {
+    if queue.len() <= hot.heap_bound() {
+        return;
+    }
+    let mut entries = std::mem::take(queue).into_vec();
+    entries.clear();
+    entries.extend(hot.list.iter().map(|&q| Reverse((key(q), q.0))));
+    *queue = BinaryHeap::from(entries);
 }
 
 /// Never migrates: the compile-time hot set stays pinned for the whole run —
@@ -212,18 +244,19 @@ impl MigrationPolicy for StaticPolicy {
 /// the behaviour the policy comparison in the `hybrid-migrate` sweep is
 /// there to expose.
 ///
-/// Victim selection is a lazily-invalidated min-heap over `(stamp, qubit)`,
-/// so each access costs `O(log hot)` amortized instead of the former
-/// `O(hot)` scan — the prerequisite for thousand-qubit hot sets. Stale heap
-/// entries (a re-accessed or demoted qubit) are detected by comparing the
-/// entry's stamp against the live `last_used` table and popped on sight;
-/// every access pushes at most one entry, so the pops are amortized against
-/// the pushes.
+/// Victim selection is a lazily-invalidated min-heap over `(stamp, qubit)`
+/// instead of an `O(hot)` scan per access. Stale heap entries (a re-accessed
+/// or demoted qubit) are detected by comparing the entry's stamp against the
+/// live `last_used` table and popped when they reach the top. Every hot
+/// access pushes an entry, and stale entries below the top are never popped,
+/// so the heap is rebuilt from its live entries (one per hot qubit) whenever
+/// it outgrows `4·|hot| + 64`. It therefore stays `O(hot)` in size, and an
+/// access costs `O(log hot)` amortized, the rebuilds included.
 #[derive(Debug, Clone, Default)]
 pub struct LruPolicy {
     last_used: Vec<u64>,
     hot: HotSet,
-    queue: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+    queue: VictimHeap<u64>,
 }
 
 impl LruPolicy {
@@ -231,7 +264,7 @@ impl LruPolicy {
     /// without popping the winning entry: a proposal may be dropped by the
     /// simulator, in which case the victim stays ranked exactly where it was.
     fn coldest(&mut self) -> Option<QubitTag> {
-        while let Some(&std::cmp::Reverse((stamp, tag))) = self.queue.peek() {
+        while let Some(&Reverse((stamp, tag))) = self.queue.peek() {
             let q = QubitTag(tag);
             if self.hot.contains(q) && self.last_used.get(tag as usize).copied() == Some(stamp) {
                 return Some(q);
@@ -239,6 +272,14 @@ impl LruPolicy {
             self.queue.pop();
         }
         None
+    }
+
+    /// Pushes `q`'s live entry, rebuilding a bloated heap.
+    fn push(&mut self, q: QubitTag) {
+        self.queue
+            .push(Reverse((self.last_used[q.0 as usize], q.0)));
+        let last_used = &self.last_used;
+        rebuild_if_bloated(&mut self.queue, &self.hot, |q| last_used[q.0 as usize]);
     }
 }
 
@@ -253,7 +294,7 @@ impl MigrationPolicy for LruPolicy {
         self.hot.begin(num_qubits, hot);
         self.queue.clear();
         for &q in &self.hot.list {
-            self.queue.push(std::cmp::Reverse((0, q.0)));
+            self.queue.push(Reverse((0, q.0)));
         }
     }
 
@@ -264,7 +305,7 @@ impl MigrationPolicy for LruPolicy {
         }
         self.last_used[idx] = now + 1;
         if self.hot.contains(qubit) {
-            self.queue.push(std::cmp::Reverse((now + 1, qubit.0)));
+            self.push(qubit);
             return None;
         }
         self.coldest().filter(|&v| v != qubit)
@@ -272,8 +313,8 @@ impl MigrationPolicy for LruPolicy {
 
     fn applied(&mut self, promoted: QubitTag, demoted: QubitTag) {
         self.hot.swap(promoted, demoted);
-        if let Some(&stamp) = self.last_used.get(promoted.0 as usize) {
-            self.queue.push(std::cmp::Reverse((stamp, promoted.0)));
+        if (promoted.0 as usize) < self.last_used.len() {
+            self.push(promoted);
         }
     }
 
@@ -292,26 +333,37 @@ impl MigrationPolicy for LruPolicy {
 /// [`half_life`]: FreqDecayPolicy::half_life
 /// [`margin`]: FreqDecayPolicy::margin
 ///
-/// Like [`LruPolicy`], victim selection is `O(log hot)` via a
-/// lazily-invalidated min-heap. Decayed scores themselves cannot be heap
-/// keys (every score changes on every tick), but their *ordering* is
-/// time-invariant: `decayed(v, now) = score_v · 2^((last_v − now)/h)`, so
-/// ranking by the log-domain key `ln(score_v) + last_v · ln2 / h` — constant
-/// between accesses to `v` — orders hot qubits identically for every `now`.
+/// Like [`LruPolicy`], victim selection is a lazily-invalidated min-heap,
+/// rebuilt from its live entries once it outgrows `4·|hot| + 64`. Decayed
+/// scores themselves cannot be heap keys (every score changes on every
+/// tick), but their *ordering* is time-invariant:
+/// `decayed(v, now) = score_v · 2^((last_v − now)/h)`, so ranking by the
+/// log-domain key `ln(score_v) + last_v · ln2 / h` — constant between
+/// accesses to `v` — orders hot qubits identically for every `now`. Only hot
+/// qubits are ranked, so the key is computed when a hot access or a
+/// promotion pushes it. Decay factors for ages below 1 024 come from a table
+/// built at [`begin`](MigrationPolicy::begin) with the same expression, so
+/// they are bit-identical to computing them per access.
 #[derive(Debug, Clone)]
 pub struct FreqDecayPolicy {
-    /// Accesses after which a score halves.
+    /// Accesses after which a score halves. Set it before a run:
+    /// [`begin`](MigrationPolicy::begin) tabulates the decay factors from it.
     pub half_life: u64,
     /// Promote only when `cold_score > margin * coldest_hot_score`.
     pub margin: f64,
     score: Vec<f64>,
     last_seen: Vec<u64>,
-    /// Per-qubit log-domain rank, updated on access; the heap's validity
-    /// check compares entries against this table.
+    /// Per-qubit log-domain rank, current for every hot qubit (set when it
+    /// is pushed); the heap's validity check compares entries against it.
     rank: Vec<f64>,
+    /// `0.5^(age / half_life)` for every age below [`DECAY_TABLE_AGES`].
+    decay: Vec<f64>,
     hot: HotSet,
-    queue: std::collections::BinaryHeap<std::cmp::Reverse<(RankKey, u32)>>,
+    queue: VictimHeap<RankKey>,
 }
+
+/// Ages whose decay factor [`FreqDecayPolicy`] tabulates.
+const DECAY_TABLE_AGES: u64 = 1024;
 
 /// A total order over log-domain ranks (`f64::total_cmp`), so the values can
 /// serve as heap keys. Never NaN: scores are sums of non-negative decays, so
@@ -353,24 +405,34 @@ impl Default for FreqDecayPolicy {
             score: Vec::new(),
             last_seen: Vec::new(),
             rank: Vec::new(),
+            decay: Vec::new(),
             hot: HotSet::default(),
-            queue: std::collections::BinaryHeap::new(),
+            queue: BinaryHeap::new(),
         }
     }
 }
 
 impl FreqDecayPolicy {
+    /// `0.5^(age / half_life)`, the factor a score decays by over `age`.
+    fn decay_factor(half_life: u64, age: u64) -> f64 {
+        0.5f64.powf(age as f64 / half_life as f64)
+    }
+
     /// The score of `q` decayed to time `now`.
     fn decayed(&self, q: QubitTag, now: u64) -> f64 {
         let idx = q.0 as usize;
         let age = now.saturating_sub(self.last_seen[idx]);
-        self.score[idx] * 0.5f64.powf(age as f64 / self.half_life as f64)
+        let factor = match self.decay.get(age as usize) {
+            Some(&factor) => factor,
+            None => Self::decay_factor(self.half_life, age),
+        };
+        self.score[idx] * factor
     }
 
     /// The lowest-ranked hot qubit, skipping stale heap entries; peeks
     /// without popping so a dropped proposal leaves the ranking untouched.
     fn coldest(&mut self) -> Option<QubitTag> {
-        while let Some(&std::cmp::Reverse((key, tag))) = self.queue.peek() {
+        while let Some(&Reverse((key, tag))) = self.queue.peek() {
             let q = QubitTag(tag);
             if self.hot.contains(q) && self.rank.get(tag as usize).map(|&r| RankKey(r)) == Some(key)
             {
@@ -379,6 +441,16 @@ impl FreqDecayPolicy {
             self.queue.pop();
         }
         None
+    }
+
+    /// Ranks hot qubit `q` from its current score and pushes its live
+    /// entry, rebuilding a bloated heap.
+    fn push(&mut self, q: QubitTag) {
+        let idx = q.0 as usize;
+        self.rank[idx] = rank_key(self.score[idx], self.last_seen[idx], self.half_life);
+        self.queue.push(Reverse((RankKey(self.rank[idx]), q.0)));
+        let rank = &self.rank;
+        rebuild_if_bloated(&mut self.queue, &self.hot, |q| RankKey(rank[q.0 as usize]));
     }
 }
 
@@ -395,11 +467,15 @@ impl MigrationPolicy for FreqDecayPolicy {
         self.rank.clear();
         self.rank
             .resize(num_qubits as usize, rank_key(0.0, 0, self.half_life));
+        let half_life = self.half_life;
+        self.decay.clear();
+        self.decay
+            .extend((0..DECAY_TABLE_AGES).map(|age| Self::decay_factor(half_life, age)));
         self.hot.begin(num_qubits, hot);
         self.queue.clear();
         for &q in &self.hot.list {
             self.queue
-                .push(std::cmp::Reverse((RankKey(self.rank[q.0 as usize]), q.0)));
+                .push(Reverse((RankKey(self.rank[q.0 as usize]), q.0)));
         }
     }
 
@@ -411,10 +487,8 @@ impl MigrationPolicy for FreqDecayPolicy {
         let fresh = self.decayed(qubit, now) + 1.0;
         self.score[idx] = fresh;
         self.last_seen[idx] = now;
-        self.rank[idx] = rank_key(fresh, now, self.half_life);
         if self.hot.contains(qubit) {
-            self.queue
-                .push(std::cmp::Reverse((RankKey(self.rank[idx]), qubit.0)));
+            self.push(qubit);
             return None;
         }
         let victim = self.coldest()?;
@@ -424,9 +498,8 @@ impl MigrationPolicy for FreqDecayPolicy {
 
     fn applied(&mut self, promoted: QubitTag, demoted: QubitTag) {
         self.hot.swap(promoted, demoted);
-        if let Some(&rank) = self.rank.get(promoted.0 as usize) {
-            self.queue
-                .push(std::cmp::Reverse((RankKey(rank), promoted.0)));
+        if (promoted.0 as usize) < self.rank.len() {
+            self.push(promoted);
         }
     }
 
@@ -563,6 +636,21 @@ mod tests {
     }
 
     #[test]
+    fn tabulated_decay_equals_powf_on_both_sides_of_the_table() {
+        let mut policy = FreqDecayPolicy::default();
+        policy.begin(2, &[]);
+        policy.score[0] = 3.0;
+        for age in (0..DECAY_TABLE_AGES + 8).chain([5_000, 1 << 40]) {
+            let expected = 3.0 * 0.5f64.powf(age as f64 / policy.half_life as f64);
+            assert_eq!(
+                policy.decayed(QubitTag(0), age).to_bits(),
+                expected.to_bits(),
+                "age {age}"
+            );
+        }
+    }
+
+    #[test]
     fn policies_clone_behind_the_trait_object() {
         for kind in PolicyKind::ALL {
             let mut policy = kind.build();
@@ -669,49 +757,76 @@ mod proptests {
         }
     }
 
+    /// Access traces of up to 3 000 `(qubit, roll)` events, a proposal
+    /// being applied when its roll falls below a per-case threshold. Half of
+    /// the events hammer qubits 0 and 1, whose proposals are applied half the
+    /// time; the rest touch any qubit. In the cases that apply no other
+    /// qubit's proposal, a hot set holding a hammered qubit and an old
+    /// resident piles up stale heap entries above the resident's live entry,
+    /// which only a rebuild removes.
+    fn any_trace() -> impl Strategy<Value = Vec<(u32, u32)>> {
+        proptest::collection::vec(
+            prop_oneof![(0u32..2, 0u32..64), (0u32..60, 0u32..64)],
+            1..3000,
+        )
+    }
+
     proptest! {
         /// The dense-table `LruPolicy` proposes exactly what the naive
         /// map/set reference model proposes over random load/store traces,
         /// with proposals randomly applied or dropped (the simulator drops
-        /// proposals made while the qubit is checked out).
+        /// proposals made while the qubit is checked out). Traces run long
+        /// enough to rebuild the victim heap, whose length stays within its
+        /// bound after every call.
         #[test]
         fn lru_policy_matches_the_naive_model(
             n in 4u32..60,
             hot in proptest::collection::hash_set(0u32..60, 1..6),
-            trace in proptest::collection::vec((0u32..60, proptest::bool::ANY), 1..150),
+            trace in any_trace(),
+            cold_apply in prop_oneof![Just(32u32), Just(0)],
         ) {
             let hot: Vec<QubitTag> = hot.into_iter().filter(|&t| t < n).map(QubitTag).collect();
             let mut policy = LruPolicy::default();
             policy.begin(n, &hot);
+            let bound = policy.hot.heap_bound();
+            prop_assert!(policy.queue.len() <= bound);
             let mut naive = NaiveLru {
                 hot: hot.iter().map(|q| q.0).collect(),
                 ..NaiveLru::default()
             };
 
-            for (now, &(tag, apply)) in trace.iter().enumerate() {
+            for (now, &(tag, roll)) in trace.iter().enumerate() {
+                let apply = roll < if tag < 2 { 32 } else { cold_apply };
                 let now = now as u64;
                 let q = QubitTag(tag % n);
                 let proposal = policy.on_access(q, now);
+                prop_assert!(policy.queue.len() <= bound);
                 let expected = naive.on_access(q.0, now);
                 prop_assert_eq!(proposal.map(|v| v.0), expected);
                 if let (Some(victim), true) = (proposal, apply) {
                     policy.applied(q, victim);
+                    prop_assert!(policy.queue.len() <= bound);
                     naive.applied(q.0, victim.0);
                 }
             }
         }
 
         /// The incremental `FreqDecayPolicy` scores and proposals equal the
-        /// naive recompute-everything model over random traces.
+        /// naive recompute-everything model over random traces, long enough
+        /// to rebuild the victim heap, whose length stays within its bound
+        /// after every call.
         #[test]
         fn freq_decay_policy_matches_the_naive_model(
             n in 4u32..60,
             hot in proptest::collection::hash_set(0u32..60, 1..6),
-            trace in proptest::collection::vec((0u32..60, proptest::bool::ANY), 1..150),
+            trace in any_trace(),
+            cold_apply in prop_oneof![Just(32u32), Just(0)],
         ) {
             let hot: Vec<QubitTag> = hot.into_iter().filter(|&t| t < n).map(QubitTag).collect();
             let mut policy = FreqDecayPolicy::default();
             policy.begin(n, &hot);
+            let bound = policy.hot.heap_bound();
+            prop_assert!(policy.queue.len() <= bound);
             let mut naive = NaiveFreqDecay {
                 half_life: policy.half_life as f64,
                 margin: policy.margin,
@@ -720,14 +835,17 @@ mod proptests {
                 hot: hot.iter().map(|q| q.0).collect(),
             };
 
-            for (now, &(tag, apply)) in trace.iter().enumerate() {
+            for (now, &(tag, roll)) in trace.iter().enumerate() {
+                let apply = roll < if tag < 2 { 32 } else { cold_apply };
                 let now = now as u64;
                 let q = QubitTag(tag % n);
                 let proposal = policy.on_access(q, now);
+                prop_assert!(policy.queue.len() <= bound);
                 let expected = naive.on_access(q.0, now);
                 prop_assert_eq!(proposal.map(|v| v.0), expected);
                 if let (Some(victim), true) = (proposal, apply) {
                     policy.applied(q, victim);
+                    prop_assert!(policy.queue.len() <= bound);
                     naive.applied(q.0, victim.0);
                 }
             }

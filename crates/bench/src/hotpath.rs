@@ -2,8 +2,9 @@
 //!
 //! `experiments hotpath --json` times the end-to-end simulator on the
 //! benchmark multiplier for the point SAM, the line SAM and the conventional
-//! floorplan, and writes the resulting [`HotpathReport`] as the
-//! `BENCH_hotpath.json` baseline. Each floorplan row is sampled interleaved
+//! floorplan, plus one point-SAM factory group (the 1/2/4-MSF points of one
+//! cell over one walk), and writes the resulting [`HotpathReport`] as the
+//! `BENCH_hotpath.json` baseline. Each row is sampled interleaved
 //! with a fixed calibration workload ([`legacy::vacant_path_len`]), so the
 //! row's ns/instruction and its calibration ns/op see the same host speed.
 //! `scripts/bench.sh --quick` gates on the ratio of the two. The speedups of
@@ -141,11 +142,12 @@ fn sample_ns(calls: u64, f: &mut impl FnMut()) -> f64 {
 /// Absolute throughput of the end-to-end simulator on one floorplan.
 #[derive(Debug, Clone)]
 pub struct EndToEnd {
-    /// Floorplan label.
+    /// Floorplan label, with the factory group for a grouped row.
     pub floorplan: String,
     /// Instructions in the simulated program.
     pub instructions: u64,
-    /// Nanoseconds per simulated instruction.
+    /// Nanoseconds per simulated instruction: per trace record walked, so a
+    /// factory group's row covers all of its points.
     pub ns_per_instruction: f64,
     /// Nanoseconds per run of the calibration workload (the frozen
     /// [`legacy::vacant_path_len`] on an open 48×48 grid), sampled
@@ -174,7 +176,7 @@ impl ToJson for EndToEnd {
 }
 
 /// The `BENCH_hotpath.json` baseline: end-to-end simulator throughput per
-/// floorplan, each row with its own calibration.
+/// floorplan and for one factory group, each row with its own calibration.
 #[derive(Debug, Clone)]
 pub struct HotpathReport {
     /// Scale of the measured workload.
@@ -216,22 +218,31 @@ pub fn generate_with(scale: Scale, budget: MeasureBudget) -> HotpathReport {
         FloorplanKind::Conventional,
     ];
     let configs = floorplans.map(|floorplan| ExperimentConfig::new(floorplan, 1));
+    // The last row walks the point SAM once for all of the paper's factory
+    // counts, as every figure cell does.
+    let mut labels: Vec<String> = floorplans.into_iter().map(FloorplanKind::label).collect();
+    labels.push(format!("{}, 1/2/4 MSF group", labels[0]));
     let grid = CellGrid::new(48, 48);
     let (from, to) = (Coord::new(0, 0), Coord::new(47, 47));
     let end_to_end = measure_ns(
         budget,
-        configs.len(),
-        |i| {
-            black_box(workload.run(&configs[i]));
+        labels.len(),
+        |i| match configs.get(i) {
+            Some(config) => {
+                black_box(workload.run(config));
+            }
+            None => {
+                black_box(workload.run_factories(&configs[0], &crate::FACTORY_COUNTS));
+            }
         },
         || {
             black_box(legacy::vacant_path_len(black_box(&grid), from, to).expect("open region"));
         },
     )
     .into_iter()
-    .zip(floorplans)
+    .zip(labels)
     .map(|((run_ns, calibration_ns_per_op), floorplan)| EndToEnd {
-        floorplan: floorplan.label(),
+        floorplan,
         instructions,
         ns_per_instruction: run_ns / instructions as f64,
         calibration_ns_per_op,
@@ -268,14 +279,18 @@ mod tests {
         // Shape-only with a near-zero time budget: timing assertions live in
         // `scripts/bench.sh`, not unit tests.
         let report = generate_with(Scale::Quick, MeasureBudget::smoke());
-        assert_eq!(report.end_to_end.len(), 3);
+        assert_eq!(report.end_to_end.len(), 4);
         for row in &report.end_to_end {
             assert!(row.ns_per_instruction > 0.0);
             assert!(row.calibration_ns_per_op > 0.0);
         }
+        assert_eq!(
+            report.end_to_end[3].floorplan,
+            "Point #SAM=1, 1/2/4 MSF group"
+        );
         let json = report.to_json().pretty();
         assert!(json.contains("lsqca-bench-hotpath-v2"));
-        assert_eq!(json.matches("\"calibration_ns_per_op\"").count(), 3);
+        assert_eq!(json.matches("\"calibration_ns_per_op\"").count(), 4);
     }
 
     #[test]

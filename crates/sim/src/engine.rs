@@ -7,9 +7,7 @@ use lsqca_arch::{
     ArchConfig, FloorplanKind, MagicStateSupply, MemorySystem, MigrationPolicy, MsfConfig,
 };
 use lsqca_isa::trace_compile::flags;
-use lsqca_isa::{
-    ClassicalId, ExecKind, ExecutionTrace, Instruction, LatencyClass, MemAddr, Program, RegId,
-};
+use lsqca_isa::{ExecKind, ExecutionTrace, Instruction, LatencyClass, MemAddr, Program};
 use lsqca_lattice::{Beats, LatticeError, QubitTag};
 use lsqca_workloads::CompiledWorkload;
 use std::error::Error;
@@ -208,9 +206,10 @@ pub struct SimOutcome {
 }
 
 /// Instructions per block of the trace walk. The memory pass resolves one
-/// block into the simulator's [`BlockScratch`], then every timing state
-/// advances over the same block, so the block's trace columns and scratch
-/// are still cache-resident when the timing passes read them.
+/// block into the simulator's [`BlockScratch`], then each lane group (up to
+/// [`LANES`] factory counts, usually all of them) advances over the same
+/// block in one timing pass, so the block's trace columns and scratch are
+/// still cache-resident when the timing passes read them.
 const BLOCK: usize = 1024;
 
 /// An absent entry of the bank column.
@@ -266,25 +265,27 @@ impl BlockScratch {
     }
 }
 
-/// The factory-dependent half of one run: every quantity that depends on
-/// *when* instructions start. One timing state exists per factory count of
-/// a walk; all of them observe the same memory evolution.
-struct TimingState {
-    magic: MagicStateSupply,
+/// The factory-dependent half of a walk: every quantity that depends on
+/// *when* instructions start, for `W` factory counts at once. Each ready
+/// table holds one `[u64; W]` lane per entry, so a trace record is decoded
+/// once and its dependencies resolve for every count; all lanes observe the
+/// same memory evolution.
+struct TimingLanes<const W: usize> {
+    magic: [MagicStateSupply; W],
     /// Dense per-qubit ready times.
-    mem_ready: Vec<Beats>,
-    slot_ready: Vec<Beats>,
+    mem_ready: Vec<[u64; W]>,
+    slot_ready: Vec<[u64; W]>,
     /// Dense per-classical-value ready times.
-    classical_ready: Vec<Beats>,
-    bank_ready: Vec<Beats>,
+    classical_ready: Vec<[u64; W]>,
+    bank_ready: Vec<[u64; W]>,
     /// Start floor armed by an `SK`; it gates only the next instruction.
-    guard: Beats,
-    makespan: Beats,
-    magic_wait: Beats,
-    trace: MemoryTrace,
-    /// Opt-in beat attribution: a run-local, non-atomic histogram whose
-    /// registry atomics are paid once, when the run's outcome is produced.
-    beats: Option<BeatBuckets>,
+    guard: [u64; W],
+    makespan: [u64; W],
+    magic_wait: [u64; W],
+    trace: [MemoryTrace; W],
+    /// Opt-in beat attribution: run-local, non-atomic histograms whose
+    /// registry atomics are paid once, when the outcomes are produced.
+    beats: Option<[BeatBuckets; W]>,
 }
 
 /// The run-wide inputs of a timing pass.
@@ -296,112 +297,71 @@ struct TimingContext<'a> {
     floorplan: &'a FloorplanKind,
 }
 
-impl TimingState {
-    /// The pristine timing state of `memory` under `arch` with `factories`
-    /// magic-state factories. The buffer follows the factory count unless
-    /// `arch` overrides it, exactly as a simulator built for that count.
+impl<const W: usize> TimingLanes<W> {
+    /// The pristine timing lanes of `memory` under `arch`, lane `l` with
+    /// `factories[l]` magic-state factories. Each buffer follows its factory
+    /// count unless `arch` overrides it, exactly as a simulator built for
+    /// that count.
     fn new(
         arch: &ArchConfig,
-        factories: u32,
+        factories: &[u32],
         memory: &MemorySystem,
         num_qubits: u32,
         beat_attribution: bool,
-    ) -> TimingState {
-        let buffer_capacity = ArchConfig {
-            factories,
-            ..arch.clone()
-        }
-        .magic_buffer_capacity();
-        TimingState {
-            magic: MagicStateSupply::new(MsfConfig {
-                factories,
-                beats_per_state: 15,
-                buffer_capacity,
+    ) -> TimingLanes<W> {
+        assert_eq!(factories.len(), W, "one factory count per lane");
+        TimingLanes {
+            magic: std::array::from_fn(|l| {
+                let factories = factories[l];
+                let buffer_capacity = ArchConfig {
+                    factories,
+                    ..arch.clone()
+                }
+                .magic_buffer_capacity();
+                MagicStateSupply::new(MsfConfig {
+                    factories,
+                    beats_per_state: 15,
+                    buffer_capacity,
+                })
             }),
-            mem_ready: vec![Beats::ZERO; num_qubits as usize],
+            mem_ready: vec![[0; W]; num_qubits as usize],
             // The CX scheduler treats every entry as a claimable slot, so the
             // table starts at the memory system's CR slot count and grows
             // only when a program touches a `RegId` beyond it.
-            slot_ready: vec![Beats::ZERO; memory.effective_cr_slots() as usize],
+            slot_ready: vec![[0; W]; memory.effective_cr_slots() as usize],
             classical_ready: Vec::new(),
-            bank_ready: vec![Beats::ZERO; memory.bank_count()],
-            guard: Beats::ZERO,
-            makespan: Beats::ZERO,
-            magic_wait: Beats::ZERO,
-            trace: MemoryTrace::new(),
-            beats: beat_attribution.then(BeatBuckets::new),
+            bank_ready: vec![[0; W]; memory.bank_count()],
+            guard: [0; W],
+            makespan: [0; W],
+            magic_wait: [0; W],
+            trace: std::array::from_fn(|_| MemoryTrace::new()),
+            beats: beat_attribution.then(|| std::array::from_fn(|_| BeatBuckets::new())),
         }
-    }
-
-    fn mem_ready(&self, m: MemAddr) -> Beats {
-        self.mem_ready
-            .get(m.index() as usize)
-            .copied()
-            .unwrap_or(Beats::ZERO)
-    }
-
-    fn set_mem_ready(&mut self, m: MemAddr, t: Beats) {
-        let idx = m.index() as usize;
-        if idx >= self.mem_ready.len() {
-            self.mem_ready.resize(idx + 1, Beats::ZERO);
-        }
-        self.mem_ready[idx] = t;
-    }
-
-    fn slot_ready(&self, r: RegId) -> Beats {
-        self.slot_ready
-            .get(r.index() as usize)
-            .copied()
-            .unwrap_or(Beats::ZERO)
-    }
-
-    fn set_slot_ready(&mut self, r: RegId, t: Beats) {
-        let idx = r.index() as usize;
-        if idx >= self.slot_ready.len() {
-            self.slot_ready.resize(idx + 1, Beats::ZERO);
-        }
-        self.slot_ready[idx] = t;
-    }
-
-    fn classical_ready(&self, v: ClassicalId) -> Beats {
-        self.classical_ready
-            .get(v.index() as usize)
-            .copied()
-            .unwrap_or(Beats::ZERO)
-    }
-
-    fn set_classical_ready(&mut self, v: ClassicalId, t: Beats) {
-        let idx = v.index() as usize;
-        if idx >= self.classical_ready.len() {
-            self.classical_ready.resize(idx + 1, Beats::ZERO);
-        }
-        self.classical_ready[idx] = t;
     }
 
     /// Presizes the ready tables for a trace walk, plus one scratch slot past
     /// every real operand: absent operands read slot 0 under a zero mask and
     /// write the scratch slot, so the dependency pass needs no per-operand
-    /// branches at all. Reads of never-written entries return `Beats::ZERO`
-    /// either way, so sizing up front is observationally free. `slot_ready`
+    /// branches at all. Reads of never-written entries return zero either
+    /// way, so sizing up front is observationally free. `slot_ready`
     /// deliberately keeps its lazy growth instead: the CX slot claim scans
     /// the *current* table, and presizing it would hand CXs slots the
     /// program has not touched yet.
     fn presize(&mut self, trace: &ExecutionTrace) {
         let mem_bound = trace.mem_bound() as usize;
         if self.mem_ready.len() < mem_bound + 1 {
-            self.mem_ready.resize(mem_bound + 1, Beats::ZERO);
+            self.mem_ready.resize(mem_bound + 1, [0; W]);
         }
         let classical_bound = trace.classical_bound() as usize;
         if self.classical_ready.len() < classical_bound + 1 {
-            self.classical_ready
-                .resize(classical_bound + 1, Beats::ZERO);
+            self.classical_ready.resize(classical_bound + 1, [0; W]);
         }
     }
 
-    /// The timing pass: advances this state over the trace records in
+    /// The timing pass: advances every lane over the trace records in
     /// `range`, whose memory-side results the memory pass left in `scratch`
     /// (indexed from `range.start`) under the bank mode `MODE`. Requires
-    /// [`TimingState::presize`].
+    /// [`TimingLanes::presize`].
     fn advance<const MODE: u8>(
         &mut self,
         trace: &ExecutionTrace,
@@ -431,7 +391,7 @@ impl TimingState {
         // Disjoint field borrows, and the scalars in locals: the table
         // pointers and lengths stay in registers across the opaque
         // `magic.acquire` call below.
-        let TimingState {
+        let TimingLanes {
             magic,
             mem_ready,
             slot_ready,
@@ -449,13 +409,13 @@ impl TimingState {
         let mut guard = self.guard;
         let mut makespan = self.makespan;
         let mut magic_wait = self.magic_wait;
-        // A single bank's ready time chains every scanning instruction, so
-        // it lives in a register for the pass, not behind a store-to-load
+        // A single bank's ready times chain every scanning instruction, so
+        // they live in registers for the pass, not behind a store-to-load
         // round trip per instruction.
         let mut bank0 = if MODE == bank_mode::UNIFORM {
             bank_ready[0]
         } else {
-            Beats::ZERO
+            [0; W]
         };
 
         for k in 0..len {
@@ -469,26 +429,30 @@ impl TimingState {
             // Dependency collection, branchless: absent operand slots encode
             // as 0 (see `trace_compile`), so the table read is always in
             // bounds, and a zero mask drops it below any real ready time.
-            let dep0 = mem_ready[m0 as usize].0 & (has_m0 as u64).wrapping_neg();
-            let dep1 = mem_ready[m1 as usize].0 & (has_m1 as u64).wrapping_neg();
-            let depc = classical_ready[cio[k] as usize].0
-                & ((fl & flags::HAS_CIN != 0) as u64).wrapping_neg();
-            let mut start = Beats(guard.0.max(dep0).max(dep1).max(depc));
-            guard = Beats::ZERO;
+            let mask0 = (has_m0 as u64).wrapping_neg();
+            let mask1 = (has_m1 as u64).wrapping_neg();
+            let maskc = ((fl & flags::HAS_CIN != 0) as u64).wrapping_neg();
+            let dep0 = mem_ready[m0 as usize];
+            let dep1 = mem_ready[m1 as usize];
+            let depc = classical_ready[cio[k] as usize];
+            let mut start = [0u64; W];
+            for l in 0..W {
+                start[l] = guard[l]
+                    .max(dep0[l] & mask0)
+                    .max(dep1[l] & mask1)
+                    .max(depc[l] & maskc);
+            }
+            guard = [0; W];
             if bounded_registers {
                 if fl & flags::HAS_REG0 != 0 {
-                    let ready = slot_ready
-                        .get(reg0[k] as usize)
-                        .copied()
-                        .unwrap_or(Beats::ZERO);
-                    start = start.max(ready);
+                    if let Some(ready) = slot_ready.get(reg0[k] as usize) {
+                        max_lanes(&mut start, ready);
+                    }
                 }
                 if fl & flags::HAS_REG1 != 0 {
-                    let ready = slot_ready
-                        .get(reg1[k] as usize)
-                        .copied()
-                        .unwrap_or(Beats::ZERO);
-                    start = start.max(ready);
+                    if let Some(ready) = slot_ready.get(reg1[k] as usize) {
+                        max_lanes(&mut start, ready);
+                    }
                 }
             }
 
@@ -497,42 +461,53 @@ impl TimingState {
             let scans = fl & flags::NEEDS_SCAN != 0;
             let mut banks = [NO_BANK; 2];
             if MODE == bank_mode::UNIFORM && scans {
-                start = start.max(bank0);
+                max_lanes(&mut start, &bank0);
             } else if MODE == bank_mode::RESOLVED {
                 banks = scratch.banks[k];
                 for b in banks {
                     if b != NO_BANK {
-                        start = start.max(bank_ready[b as usize]);
+                        max_lanes(&mut start, &bank_ready[b as usize]);
                     }
                 }
             }
 
-            // An optimized CX claims one CR slot for its surgery ancilla.
-            let mut cx_slot: Option<usize> = None;
-            if kind == ExecKind::Cx && bounded_registers {
-                let Some((slot, ready)) = slot_ready
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .min_by_key(|&(_, t)| t)
-                else {
+            // An optimized CX claims one CR slot per lane for its surgery
+            // ancilla: the first slot with the lane's earliest ready time.
+            let cx = kind == ExecKind::Cx && bounded_registers;
+            let mut cx_slot = [0usize; W];
+            if cx {
+                let Some((first, rest)) = slot_ready.split_first() else {
                     return Err(no_cr_slots(ctx.floorplan));
                 };
-                start = start.max(ready);
-                cx_slot = Some(slot);
+                let mut ready = *first;
+                for (slot, times) in rest.iter().enumerate() {
+                    for l in 0..W {
+                        if times[l] < ready[l] {
+                            ready[l] = times[l];
+                            cx_slot[l] = slot + 1;
+                        }
+                    }
+                }
+                max_lanes(&mut start, &ready);
             }
 
             // The magic wait is the one timing-dependent part of a duration.
-            let wait = if kind == ExecKind::Magic && !infinite_magic {
-                magic.acquire(start).saturating_sub(start)
-            } else {
-                Beats::ZERO
-            };
-            magic_wait += wait;
-            let finish = start + Beats(cost[k]) + wait;
+            let mut wait = [0u64; W];
+            if kind == ExecKind::Magic && !infinite_magic {
+                for l in 0..W {
+                    wait[l] = magic[l].acquire(Beats(start[l])).0.saturating_sub(start[l]);
+                    magic_wait[l] += wait[l];
+                }
+            }
+            let mut finish = [0u64; W];
+            for l in 0..W {
+                finish[l] = start[l] + cost[k] + wait[l];
+            }
             if let Some(beats) = beats.as_mut() {
                 let migration = if migrating { scratch.delay[k] } else { 0 };
-                beats.record(kind, Beats(cost[k] - migration) + wait);
+                for l in 0..W {
+                    beats[l].record(kind, Beats(cost[k] - migration + wait[l]));
+                }
             }
 
             // Bookkeeping: flag tests instead of instruction re-matching.
@@ -540,11 +515,13 @@ impl TimingState {
             // steered to the scratch slot past every real index, which is
             // never read, so no write needs a branch.
             if record_trace {
-                if has_m0 {
-                    mem_trace.record(MemAddr(m0), start.as_u64());
-                }
-                if has_m1 {
-                    mem_trace.record(MemAddr(m1), start.as_u64());
+                for l in 0..W {
+                    if has_m0 {
+                        mem_trace[l].record(MemAddr(m0), start[l]);
+                    }
+                    if has_m1 {
+                        mem_trace[l].record(MemAddr(m1), start[l]);
+                    }
                 }
             }
             let w0 = if has_m0 { m0 as usize } else { mem_scratch };
@@ -556,19 +533,21 @@ impl TimingState {
                 if fl & flags::HAS_REG0 != 0 {
                     let idx = reg0[k] as usize;
                     if idx >= slot_ready.len() {
-                        slot_ready.resize(idx + 1, Beats::ZERO);
+                        slot_ready.resize(idx + 1, [0; W]);
                     }
                     slot_ready[idx] = finish;
                 }
                 if fl & flags::HAS_REG1 != 0 {
                     let idx = reg1[k] as usize;
                     if idx >= slot_ready.len() {
-                        slot_ready.resize(idx + 1, Beats::ZERO);
+                        slot_ready.resize(idx + 1, [0; W]);
                     }
                     slot_ready[idx] = finish;
                 }
-                if let Some(slot) = cx_slot {
-                    slot_ready[slot] = finish;
+                if cx {
+                    for l in 0..W {
+                        slot_ready[cx_slot[l]][l] = finish[l];
+                    }
                 }
             }
             if MODE == bank_mode::UNIFORM && scans {
@@ -589,7 +568,7 @@ impl TimingState {
             if kind == ExecKind::Skip {
                 guard = finish;
             }
-            makespan = makespan.max(finish);
+            max_lanes(&mut makespan, &finish);
         }
         if MODE == bank_mode::UNIFORM {
             bank_ready[0] = bank0;
@@ -600,22 +579,120 @@ impl TimingState {
         Ok(())
     }
 
-    /// The outcome of this state: the shared memory-side `stats` completed
-    /// with this state's makespan and magic wait. Flushes the beat
-    /// attribution, once per outcome.
-    fn finish(self, stats: &ExecutionStats) -> SimOutcome {
+    /// Appends one outcome per lane to `outcomes`: the shared memory-side
+    /// `stats` completed with the lane's makespan and magic wait. Flushes
+    /// the beat attribution, once per outcome.
+    fn finish(self, stats: &ExecutionStats, outcomes: &mut Vec<SimOutcome>) {
         if let Some(beats) = &self.beats {
-            beats.flush();
+            for lane in beats {
+                lane.flush();
+            }
         }
-        SimOutcome {
-            stats: ExecutionStats {
-                total_beats: self.makespan,
-                magic_wait_beats: self.magic_wait,
-                ..stats.clone()
-            },
-            trace: self.trace,
+        for (l, trace) in self.trace.into_iter().enumerate() {
+            outcomes.push(SimOutcome {
+                stats: ExecutionStats {
+                    total_beats: Beats(self.makespan[l]),
+                    magic_wait_beats: Beats(self.magic_wait[l]),
+                    ..stats.clone()
+                },
+                trace,
+            });
         }
     }
+}
+
+/// Raises every lane of `start` to at least the matching lane of `ready`.
+#[inline(always)]
+fn max_lanes<const W: usize>(start: &mut [u64; W], ready: &[u64; W]) {
+    for l in 0..W {
+        start[l] = start[l].max(ready[l]);
+    }
+}
+
+/// The widest lane group: factory lists longer than this advance in groups
+/// of at most `LANES` lanes over the same memory-pass block.
+const LANES: usize = 4;
+
+/// The timing lanes of up to [`LANES`] factory counts of one walk, each
+/// width its own monomorphized loop.
+enum LaneGroup {
+    One(Box<TimingLanes<1>>),
+    Two(Box<TimingLanes<2>>),
+    Three(Box<TimingLanes<3>>),
+    Four(Box<TimingLanes<4>>),
+}
+
+/// Evaluates `$body` with `$lanes` bound to the group's timing lanes,
+/// whatever their width.
+macro_rules! with_lanes {
+    ($group:expr, $lanes:ident => $body:expr) => {
+        match $group {
+            LaneGroup::One($lanes) => $body,
+            LaneGroup::Two($lanes) => $body,
+            LaneGroup::Three($lanes) => $body,
+            LaneGroup::Four($lanes) => $body,
+        }
+    };
+}
+
+impl LaneGroup {
+    /// The presized, pristine lanes of `simulator` for `factories` (one to
+    /// [`LANES`] counts) over `trace`.
+    fn new(simulator: &Simulator, factories: &[u32], trace: &ExecutionTrace) -> LaneGroup {
+        fn lanes<const W: usize>(
+            simulator: &Simulator,
+            factories: &[u32],
+            trace: &ExecutionTrace,
+        ) -> Box<TimingLanes<W>> {
+            let mut lanes = Box::new(simulator.timing_lanes(factories));
+            lanes.presize(trace);
+            lanes
+        }
+        match factories.len() {
+            1 => LaneGroup::One(lanes(simulator, factories, trace)),
+            2 => LaneGroup::Two(lanes(simulator, factories, trace)),
+            3 => LaneGroup::Three(lanes(simulator, factories, trace)),
+            4 => LaneGroup::Four(lanes(simulator, factories, trace)),
+            n => unreachable!("a lane group holds one to {LANES} factory counts, not {n}"),
+        }
+    }
+
+    /// [`TimingLanes::advance`] on the group's lanes.
+    fn advance<const MODE: u8>(
+        &mut self,
+        trace: &ExecutionTrace,
+        range: Range<usize>,
+        scratch: &BlockScratch,
+        ctx: &TimingContext<'_>,
+    ) -> Result<(), SimError> {
+        with_lanes!(self, lanes => lanes.advance::<MODE>(trace, range, scratch, ctx))
+    }
+
+    /// True while no CR slot exists to claim (identical across lanes).
+    fn slotless(&self) -> bool {
+        with_lanes!(self, lanes => lanes.slot_ready.is_empty())
+    }
+
+    /// [`TimingLanes::finish`] on the group's lanes.
+    fn finish(self, stats: &ExecutionStats, outcomes: &mut Vec<SimOutcome>) {
+        with_lanes!(self, lanes => lanes.finish(stats, outcomes))
+    }
+}
+
+/// The reference interpreter's read of a one-lane ready table: entries it
+/// never wrote read as zero.
+fn ready(table: &[[u64; 1]], index: u32) -> Beats {
+    Beats(table.get(index as usize).map_or(0, |&[t]| t))
+}
+
+/// The reference interpreter's write to a one-lane ready table, growing it
+/// on demand.
+fn set_ready(table: &mut Vec<[u64; 1]>, index: u32, t: Beats) {
+    let index = index as usize;
+    if index >= table.len() {
+        table.resize(index + 1, [0]);
+    }
+    table[index] = [t.0];
 }
 
 /// The typed error for a bounded-register floorplan with no register slot.
@@ -628,8 +705,9 @@ fn no_cr_slots(floorplan: &FloorplanKind) -> SimError {
 /// The code-beat-accurate simulator.
 ///
 /// A `Simulator` owns the memory system (and the migration policy driving
-/// it) for one run; the resource ready-times and the magic-state supply live
-/// in per-run timing states. Use [`simulate`] for the common one-shot case.
+/// it) for one run; the resource ready-times and the magic-state supplies
+/// live in per-run timing lanes, one lane per factory count. Use
+/// [`simulate`] for the common one-shot case.
 /// Construct one with [`Simulator::builder`] and execute any input kind with
 /// [`Simulator::execute`], or with [`Simulator::execute_factories`] to run
 /// one input at several magic-state factory counts over one shared memory
@@ -758,7 +836,7 @@ impl Simulator {
 
     /// Restores the simulator to its just-constructed state: the memory
     /// system and the migration policy. (Ready times, the skip guard and the
-    /// magic-state supply belong to per-run timing states, which every run
+    /// magic-state supplies belong to per-run timing lanes, which every run
     /// builds fresh.)
     ///
     /// [`Simulator::execute`] calls this automatically when the simulator has
@@ -787,9 +865,10 @@ impl Simulator {
         self.dirty = true;
     }
 
-    /// The pristine timing state for `factories` magic-state factories.
-    fn timing_state(&self, factories: u32) -> TimingState {
-        TimingState::new(
+    /// The pristine timing lanes for `factories` magic-state factories, one
+    /// lane per count.
+    fn timing_lanes<const W: usize>(&self, factories: &[u32]) -> TimingLanes<W> {
+        TimingLanes::new(
             &self.arch,
             factories,
             &self.memory,
@@ -858,7 +937,10 @@ impl Simulator {
     /// The factory count changes only *when* instructions start, never what
     /// the memory system does: construction, every bank operation and the
     /// migration policies are independent of time. So the trace engine walks
-    /// memory once and advances one timing state per count over it. A
+    /// memory once, and one timing pass per block advances every count
+    /// together: each ready-table entry holds one lane per count, so a record
+    /// is decoded once for all of them. Lists of more than four counts
+    /// advance in groups of at most four lanes over the same block. A
     /// [`Classified`] input runs the reference interpreter once per count
     /// instead, resetting between runs, which makes it the oracle for the
     /// shared walk. A magic-buffer override on the architecture applies to
@@ -919,7 +1001,7 @@ impl Simulator {
         factories: u32,
     ) -> Result<SimOutcome, SimError> {
         self.begin_walk(1);
-        let mut timing = self.timing_state(factories);
+        let mut timing: TimingLanes<1> = self.timing_lanes(&[factories]);
         let mut stats = self.initial_stats();
 
         for (index, instr) in program.iter().enumerate() {
@@ -941,17 +1023,17 @@ impl Simulator {
             let regs = instr.register_operands();
 
             // Dependency collection.
-            let mut start = std::mem::replace(&mut timing.guard, Beats::ZERO);
+            let mut start = Beats(std::mem::take(&mut timing.guard[0]));
             for m in mems {
-                start = start.max(timing.mem_ready(m));
+                start = start.max(ready(&timing.mem_ready, m.index()));
             }
             if !self.unbounded_registers {
                 for r in regs {
-                    start = start.max(timing.slot_ready(r));
+                    start = start.max(ready(&timing.slot_ready, r.index()));
                 }
             }
             if let Some(v) = instr.classical_input() {
-                start = start.max(timing.classical_ready(v));
+                start = start.max(ready(&timing.classical_ready, v.index()));
             }
 
             // Bank (scan-resource) serialization. An instruction references at
@@ -965,7 +1047,7 @@ impl Simulator {
                         if !banks[..bank_count].contains(&b) {
                             banks[bank_count] = b;
                             bank_count += 1;
-                            start = start.max(timing.bank_ready[b]);
+                            start = start.max(Beats(timing.bank_ready[b][0]));
                         }
                     }
                 }
@@ -981,13 +1063,13 @@ impl Simulator {
                 let Some((slot, ready)) = timing
                     .slot_ready
                     .iter()
-                    .copied()
+                    .map(|&[t]| t)
                     .enumerate()
                     .min_by_key(|&(_, t)| t)
                 else {
                     return Err(no_cr_slots(&self.arch.floorplan));
                 };
-                start = start.max(ready);
+                start = start.max(Beats(ready));
                 cx_slot = Some(slot);
             }
 
@@ -1042,7 +1124,7 @@ impl Simulator {
                     let wait = if self.config.assume_infinite_magic {
                         Beats::ZERO
                     } else {
-                        let available = timing.magic.acquire(start);
+                        let available = timing.magic[0].acquire(start);
                         available.saturating_sub(start)
                     };
                     stats.magic_wait_beats += wait;
@@ -1116,37 +1198,35 @@ impl Simulator {
             }
             for m in mems {
                 if self.config.record_trace {
-                    timing.trace.record(m, start.as_u64());
+                    timing.trace[0].record(m, start.as_u64());
                 }
-                timing.set_mem_ready(m, finish);
+                set_ready(&mut timing.mem_ready, m.index(), finish);
             }
             for r in regs {
-                timing.set_slot_ready(r, finish);
+                set_ready(&mut timing.slot_ready, r.index(), finish);
             }
             if let Some(slot) = cx_slot {
-                timing.slot_ready[slot] = finish;
+                timing.slot_ready[slot] = [finish.0];
             }
             for &b in &banks[..bank_count] {
-                timing.bank_ready[b] = finish;
+                timing.bank_ready[b] = [finish.0];
             }
             if let Some(v) = instr.classical_output() {
-                timing.set_classical_ready(v, finish);
+                set_ready(&mut timing.classical_ready, v.index(), finish);
             }
             if matches!(instr, Instruction::Sk { .. }) {
-                timing.guard = finish;
+                timing.guard = [finish.0];
             }
-            timing.makespan = timing.makespan.max(finish);
+            timing.makespan[0] = timing.makespan[0].max(finish.0);
         }
 
-        stats.total_beats = timing.makespan;
-        Ok(SimOutcome {
-            stats,
-            trace: timing.trace,
-        })
+        stats.total_beats = Beats(timing.makespan[0]);
+        let [trace] = timing.trace;
+        Ok(SimOutcome { stats, trace })
     }
 
     /// The [`ExecutionTrace`] engine path — the optimized engine, one memory
-    /// walk shared by one timing state per entry of `factories`.
+    /// walk shared by one timing lane per entry of `factories`.
     ///
     /// The trace is a struct-of-arrays rendering of the instruction stream
     /// (see [`lsqca_isa::trace_compile`]): execution kind, fixed-beat charge,
@@ -1159,9 +1239,10 @@ impl Simulator {
     /// (before migration can move an operand), applies migration proposals,
     /// runs the load / store / seek / two-qubit access / fused CX, counts
     /// every memory-side statistic, and leaves each record's cost and banks
-    /// in the block scratch. Then each **timing pass** advances its state over
-    /// the block: dependency max, CR-slot claim, magic acquisition,
-    /// ready-table writes, makespan, memory trace and beat histogram. This is
+    /// in the block scratch. Then the **timing pass** of each lane group
+    /// advances all of its lanes over the block: dependency max, CR-slot
+    /// claim, magic acquisition, ready-table writes, makespan, memory trace
+    /// and beat histogram, each per lane. This is
     /// exact because nothing in the memory pass reads a time: memory
     /// construction ignores the factory count, bank operations take qubits
     /// only, and migration policies are clocked by instruction index.
@@ -1195,13 +1276,9 @@ impl Simulator {
         trace: &ExecutionTrace,
         factories: &[u32],
     ) -> Result<Vec<SimOutcome>, SimError> {
-        let mut states: Vec<TimingState> = factories
-            .iter()
-            .map(|&f| {
-                let mut state = self.timing_state(f);
-                state.presize(trace);
-                state
-            })
+        let mut groups: Vec<LaneGroup> = factories
+            .chunks(LANES)
+            .map(|group| LaneGroup::new(self, group, trace))
             .collect();
         let mut stats = self.initial_stats();
         let ctx = TimingContext {
@@ -1224,20 +1301,20 @@ impl Simulator {
         while start < len {
             let end = (start + BLOCK).min(len);
             // A failing memory pass stops at the offending record; the
-            // timing passes still cover the records before it, where an
+            // timing pass still covers the records before it, where an
             // earlier missing-CR-slot error would take precedence.
             let failure = pass.run::<MODE>(trace, start..end, &mut stats, block).err();
             let walked = failure.as_ref().map_or(end, |&(index, _)| index);
-            for state in &mut states {
-                state.advance::<MODE>(trace, start..walked, block, &ctx)?;
+            for group in &mut groups {
+                group.advance::<MODE>(trace, start..walked, block, &ctx)?;
             }
             if let Some((index, err)) = failure {
                 // The single run claims the CX slot before the memory access,
                 // so a slotless CX reports `NoCrSlots` over its memory error.
-                // The slot table is identical across states.
+                // The slot table is identical across lanes.
                 let slotless_cx = trace.exec_kinds()[index] == ExecKind::Cx
                     && ctx.bounded_registers
-                    && states[0].slot_ready.is_empty();
+                    && groups[0].slotless();
                 if slotless_cx && matches!(err, SimError::Instruction { .. }) {
                     return Err(no_cr_slots(ctx.floorplan));
                 }
@@ -1246,10 +1323,11 @@ impl Simulator {
             start = end;
         }
 
-        Ok(states
-            .into_iter()
-            .map(|state| state.finish(&stats))
-            .collect())
+        let mut outcomes = Vec::with_capacity(factories.len());
+        for group in groups {
+            group.finish(&stats, &mut outcomes);
+        }
+        Ok(outcomes)
     }
 }
 
@@ -1682,7 +1760,7 @@ pub fn simulate(
 mod tests {
     use super::*;
     use lsqca_arch::FloorplanKind;
-    use lsqca_isa::Instruction;
+    use lsqca_isa::{ClassicalId, Instruction, RegId};
 
     fn point(factories: u32) -> ArchConfig {
         ArchConfig::new(FloorplanKind::PointSam { banks: 1 }, factories)

@@ -151,9 +151,10 @@ fn any_group_arch() -> impl Strategy<Value = ArchConfig> {
     })
 }
 
-/// Factory lists in any order, duplicates included.
+/// Factory lists in any order, duplicates included, long enough to span
+/// two lane groups.
 fn any_factories() -> impl Strategy<Value = Vec<u32>> {
-    proptest::collection::vec(1u32..6, 1..5)
+    proptest::collection::vec(1u32..6, 1..9)
 }
 
 /// Builds one simulator.
@@ -382,8 +383,8 @@ fn interpreter_matches_the_trace_engine_on_compiled_workloads() {
 
 /// The same property on real compiled workloads, whose traces span many
 /// walk blocks: every paper floorplan, plus hybrid layouts under each
-/// migration policy, at the paper's factory counts and a scrambled list
-/// with a duplicate.
+/// migration policy, at the paper's factory counts, a scrambled list with a
+/// duplicate, and a list spanning two lane groups.
 #[test]
 fn factory_groups_match_on_compiled_workloads() {
     for workload in compiled_workloads() {
@@ -400,7 +401,7 @@ fn factory_groups_match_on_compiled_workloads() {
             ));
         }
         for (arch, policy) in cases {
-            for factories in [&[1u32, 2, 4][..], &[4, 1, 4, 2]] {
+            for factories in [&[1u32, 2, 4][..], &[4, 1, 4, 2], &[4, 1, 2, 4, 1, 2]] {
                 let build = |factories: u32| {
                     let arch = ArchConfig {
                         factories,
