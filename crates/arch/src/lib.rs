@@ -8,13 +8,12 @@
 //!   the hybrid-floorplan fraction `f`, and the CR size.
 //! * [`ledger`] — the [`CheckoutLedger`]: the dense
 //!   per-bank bit set of qubits currently checked out to the CR, backing the
-//!   banks' store-side validation and `n + 1`-cell invariants.
-//! * [`point`] — the point-SAM bank: a single scan cell, sliding-puzzle loads
-//!   (`W + H` seek plus `6·min(W,H) + 5·|W−H|` transport), locality-aware stores
-//!   into the vacant cell nearest the CR.
-//! * [`dual`] — the **dual-port** point-SAM bank: a scan vacancy at a CR port
-//!   on both the west and east edge, every access through the cheaper side,
-//!   the two-vacancy move protocol always active.
+//!   banks' store-side validation and `n + ports`-cell invariants.
+//! * [`point`] — the point-SAM bank: one scan cell per port, sliding-puzzle
+//!   loads (`W + H` seek plus `6·min(W,H) + 5·|W−H|` transport), locality-aware
+//!   stores into the vacant cell nearest the CR. A **two-port** bank adds a
+//!   second port and scan cell on the east edge: every access goes through
+//!   the cheaper side and the two-vacancy move protocol is always active.
 //! * [`line`](mod@line) — the line-SAM bank: a scan line, loads costing the row distance,
 //!   locality-aware stores into the most recently accessed row.
 //! * [`memory`] — [`MemorySystem`]: hybrid floorplans (hot
@@ -48,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod dual;
 pub mod floorplan;
 pub mod ledger;
 pub mod line;
@@ -57,12 +55,11 @@ pub mod msf;
 pub mod point;
 
 pub use config::{ArchConfig, FloorplanKind};
-pub use dual::DualPointSamBank;
 pub use floorplan::{
     BankKind, FloorplanSpec, FreqDecayPolicy, LruPolicy, MigrationPolicy, PolicyKind, StaticPolicy,
 };
 pub use ledger::CheckoutLedger;
 pub use line::LineSamBank;
-pub use memory::{BankPort, MemorySystem, Residence};
+pub use memory::{MemorySystem, Residence};
 pub use msf::{MagicStateSupply, MsfConfig};
 pub use point::PointSamBank;

@@ -4,7 +4,7 @@
 //!
 //! * an optional **conventional region** holding the "hot" qubits of a hybrid
 //!   floorplan (Sec. V-D / VI-C) at 50% density with zero access latency, and
-//! * zero or more **SAM banks** (point, dual-port point, or line — mixed
+//! * zero or more **SAM banks** (single- or two-port point, or line — mixed
 //!   flavours are allowed via [`MemorySystem::from_spec`]) holding the
 //!   remaining qubits, distributed round-robin over the banks as in the
 //!   paper's evaluation, plus
@@ -19,7 +19,6 @@
 //! cells)`, excluding MSFs, exactly as defined in Sec. VI-A.
 
 use crate::config::{ArchConfig, FloorplanKind};
-use crate::dual::DualPointSamBank;
 use crate::floorplan::{BankKind, FloorplanSpec};
 use crate::line::LineSamBank;
 use crate::point::PointSamBank;
@@ -35,35 +34,19 @@ pub enum Residence {
     SamBank(usize),
 }
 
-/// The CR-facing port(s) of one SAM bank, in bank-local coordinates.
-///
-/// Point-SAM banks register their port(s) as the anchor(s) of their grid's
-/// vacancy-ring sets at construction; line-SAM banks expose the anchor row
-/// their scan line starts at (the CR column spans the full bank height).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BankPort {
-    /// A point-SAM port: the single cell adjacent to the CR.
-    Cell(lsqca_lattice::Coord),
-    /// A dual-port point-SAM bank's two port cells (west, east).
-    Cells(lsqca_lattice::Coord, lsqca_lattice::Coord),
-    /// A line-SAM port: the anchor row facing the full-height CR column.
-    Row(u32),
-}
-
 /// One SAM bank of any flavour.
 #[derive(Debug, Clone, PartialEq)]
 enum Bank {
     Point(PointSamBank),
-    Dual(DualPointSamBank),
     Line(LineSamBank),
 }
 
 impl Bank {
     fn build(kind: BankKind, qubits: &[QubitTag], locality_aware_store: bool) -> Bank {
         match kind {
-            BankKind::PointSam => Bank::Point(PointSamBank::new(qubits, locality_aware_store)),
+            BankKind::PointSam => Bank::Point(PointSamBank::new(qubits, 1, locality_aware_store)),
             BankKind::DualPointSam => {
-                Bank::Dual(DualPointSamBank::new(qubits, locality_aware_store))
+                Bank::Point(PointSamBank::new(qubits, 2, locality_aware_store))
             }
             BankKind::LineSam => Bank::Line(LineSamBank::new(qubits, locality_aware_store)),
         }
@@ -72,14 +55,13 @@ impl Bank {
     fn cell_count(&self) -> u64 {
         match self {
             Bank::Point(b) => b.cell_count(),
-            Bank::Dual(b) => b.cell_count(),
             Bank::Line(b) => b.cell_count(),
         }
     }
 
     fn total_height(&self) -> u32 {
         match self {
-            Bank::Point(_) | Bank::Dual(_) => 3,
+            Bank::Point(_) => 3,
             Bank::Line(b) => b.total_height(),
         }
     }
@@ -87,7 +69,6 @@ impl Bank {
     fn contains(&self, q: QubitTag) -> bool {
         match self {
             Bank::Point(b) => b.contains(q),
-            Bank::Dual(b) => b.contains(q),
             Bank::Line(b) => b.contains(q),
         }
     }
@@ -95,7 +76,6 @@ impl Bank {
     fn peek_load(&self, q: QubitTag) -> Result<Beats, LatticeError> {
         match self {
             Bank::Point(b) => b.peek_load(q),
-            Bank::Dual(b) => b.peek_load(q),
             Bank::Line(b) => b.peek_load(q),
         }
     }
@@ -103,7 +83,6 @@ impl Bank {
     fn load(&mut self, q: QubitTag) -> Result<Beats, LatticeError> {
         match self {
             Bank::Point(b) => b.load(q),
-            Bank::Dual(b) => b.load(q),
             Bank::Line(b) => b.load(q),
         }
     }
@@ -111,7 +90,6 @@ impl Bank {
     fn store(&mut self, q: QubitTag) -> Result<Beats, LatticeError> {
         match self {
             Bank::Point(b) => b.store(q),
-            Bank::Dual(b) => b.store(q),
             Bank::Line(b) => b.store(q),
         }
     }
@@ -119,7 +97,6 @@ impl Bank {
     fn in_memory_seek(&mut self, q: QubitTag) -> Result<Beats, LatticeError> {
         match self {
             Bank::Point(b) => b.in_memory_seek(q),
-            Bank::Dual(b) => b.in_memory_seek(q),
             Bank::Line(b) => b.in_memory_seek(q),
         }
     }
@@ -127,7 +104,6 @@ impl Bank {
     fn in_memory_two_qubit_access(&mut self, q: QubitTag) -> Result<Beats, LatticeError> {
         match self {
             Bank::Point(b) => b.in_memory_two_qubit_access(q),
-            Bank::Dual(b) => b.in_memory_two_qubit_access(q),
             Bank::Line(b) => b.in_memory_two_qubit_access(q),
         }
     }
@@ -139,7 +115,6 @@ impl Bank {
     ) -> Result<Beats, LatticeError> {
         match self {
             Bank::Point(b) => b.migrate_swap(outgoing, incoming),
-            Bank::Dual(b) => b.migrate_swap(outgoing, incoming),
             Bank::Line(b) => b.migrate_swap(outgoing, incoming),
         }
     }
@@ -147,7 +122,6 @@ impl Bank {
     fn checked_out_count(&self) -> usize {
         match self {
             Bank::Point(b) => b.checked_out_count(),
-            Bank::Dual(b) => b.checked_out_count(),
             Bank::Line(b) => b.checked_out_count(),
         }
     }
@@ -208,7 +182,7 @@ impl MemorySystem {
     }
 
     /// Builds the memory system from a [`FloorplanSpec`], which may compose
-    /// banks of *different* flavours (e.g. a fast dual-port point bank backed
+    /// banks of *different* flavours (e.g. a fast two-port point bank backed
     /// by a dense line bank). An empty bank list is the conventional
     /// baseline: every qubit is hot.
     ///
@@ -315,19 +289,6 @@ impl MemorySystem {
         }
     }
 
-    /// The CR-facing port(s) of bank `bank`, registered as the bank's vacancy
-    /// anchor(s) at construction. `None` for out-of-range bank indices.
-    pub fn bank_port(&self, bank: usize) -> Option<BankPort> {
-        self.banks.get(bank).map(|b| match b {
-            Bank::Point(p) => BankPort::Cell(p.port()),
-            Bank::Dual(d) => {
-                let (west, east) = d.ports();
-                BankPort::Cells(west, east)
-            }
-            Bank::Line(l) => BankPort::Row(l.port_row()),
-        })
-    }
-
     /// True if the qubit is currently held by the memory system (conventional
     /// region or stored in its bank). Qubits checked out to the CR are not
     /// resident until they are stored back.
@@ -357,7 +318,7 @@ impl MemorySystem {
     /// [`MemorySystem::MIN_CR_SLOTS`] register cells (plus surgery-ancilla and
     /// routing space), and a wider configured CR grows proportionally, so the
     /// area charged always contains the slot count the simulator schedules
-    /// with ([`MemorySystem::effective_cr_slots`]). A dual-port point bank
+    /// with ([`MemorySystem::effective_cr_slots`]). A two-port point bank
     /// claims that block on *both* its sides, doubling the charge. The
     /// line-SAM CR is two columns spanning the bank height (Fig. 10b); with
     /// more than two line banks the CR is stacked, growing proportionally.
@@ -384,14 +345,16 @@ impl MemorySystem {
             cells += 2 * height * line_count.div_ceil(2);
         }
         // One Fig. 10a CR block per point-bank side facing it: single-port
-        // banks share one block, a dual-port bank claims one on each side.
-        let point_sides = if self.banks.iter().any(|b| matches!(b, Bank::Dual(_))) {
-            2
-        } else if self.banks.iter().any(|b| matches!(b, Bank::Point(_))) {
-            1
-        } else {
-            0
-        };
+        // banks share one block, a two-port bank claims one on each side.
+        let point_sides = self
+            .banks
+            .iter()
+            .filter_map(|b| match b {
+                Bank::Point(p) => Some(p.port_count() as u64),
+                Bank::Line(_) => None,
+            })
+            .max()
+            .unwrap_or(0);
         cells += point_sides * 3 * self.effective_cr_slots() as u64;
         cells
     }
@@ -590,14 +553,15 @@ impl MemorySystem {
     /// loaded one back — as one call returning the `(load, access, store)`
     /// latencies.
     ///
-    /// When both operands are stored in the same single-port point bank with
-    /// clean checkout records (the dominant shape in every point-SAM sweep),
-    /// the whole sequence runs as one fused bank call that shares the
-    /// residence lookups, checkout audits, and position/cost computations
-    /// the five separate calls would repeat; the memory-level audit record
-    /// is provably unchanged by the balanced checkout/check-in pair, so it
-    /// is not touched. Every other shape — conventional or mixed residence,
-    /// dual-port or line banks, a checked-out operand, or the degenerate
+    /// When both operands are stored in the same point bank (one or two
+    /// ports) with clean checkout records (the dominant shape in every
+    /// point-SAM sweep), the whole sequence runs as one fused bank call that
+    /// shares the residence lookups, checkout audits, and position/cost
+    /// computations the five separate calls would repeat; the memory-level
+    /// audit record is provably unchanged by the balanced checkout/check-in
+    /// pair, so it is not touched. When both are conventional residents with
+    /// clean records every step is a no-op. Every other shape — mixed
+    /// residence, line banks, a checked-out operand, or the degenerate
     /// self-CX — takes the literal five-call sequence, so errors and partial
     /// state on failure are identical to issuing the calls separately (the
     /// executable spec `Simulator::execute` runs on a `Classified` program).
@@ -699,9 +663,9 @@ impl MemorySystem {
 
     /// Test-only hook: rewrites a residence entry *without* moving anything,
     /// to stage the desynchronized states the cross-bank audit exists to
-    /// catch. Hidden from docs; never called outside tests.
-    #[doc(hidden)]
-    pub fn force_residence_for_audit_test(&mut self, qubit: QubitTag, residence: Residence) {
+    /// catch.
+    #[cfg(test)]
+    fn force_residence_for_audit_test(&mut self, qubit: QubitTag, residence: Residence) {
         self.residence[qubit.0 as usize] = residence;
     }
 }
@@ -771,7 +735,6 @@ mod tests {
                 .unwrap()
         };
         assert!(worst(&mem) < worst(&single));
-        assert!(matches!(mem.bank_port(0), Some(BankPort::Cells(_, _))));
     }
 
     #[test]
@@ -785,8 +748,6 @@ mod tests {
         let mut mem = MemorySystem::from_spec(&spec, 100, &[]);
         assert_eq!(mem.bank_count(), 2);
         assert_eq!(mem.label(), "dual-point+line floorplan");
-        assert!(matches!(mem.bank_port(0), Some(BankPort::Cells(_, _))));
-        assert!(matches!(mem.bank_port(1), Some(BankPort::Row(_))));
         // CR charge combines both shapes: two point blocks + line columns.
         assert!(mem.cr_cells() > 12);
         // Round-robin: even tags in bank 0, odd in bank 1.
@@ -873,22 +834,6 @@ mod tests {
         assert!(mem.peek_load(QubitTag(99)).is_err());
         assert_eq!(mem.residence(QubitTag(10)), None);
         assert!(!mem.is_resident(QubitTag(10)));
-    }
-
-    #[test]
-    fn bank_ports_are_exposed_per_flavour() {
-        let mem = MemorySystem::new(&point(2), 60, &[]);
-        for bank in 0..mem.bank_count() {
-            assert!(matches!(mem.bank_port(bank), Some(BankPort::Cell(_))));
-        }
-        let mem = MemorySystem::new(&line(2), 60, &[]);
-        for bank in 0..mem.bank_count() {
-            assert!(matches!(mem.bank_port(bank), Some(BankPort::Row(_))));
-        }
-        assert_eq!(mem.bank_port(99), None);
-        // The conventional baseline has no banks, hence no ports.
-        let mem = MemorySystem::new(&ArchConfig::conventional(1), 10, &[]);
-        assert_eq!(mem.bank_port(0), None);
     }
 
     #[test]

@@ -11,15 +11,13 @@
 //! The crate provides:
 //!
 //! * [`geom`] — integer grid geometry (coordinates, rectangles, directions).
-//! * [`pauli`] — single- and multi-qubit Pauli operators used to describe logical
-//!   measurements.
+//! * [`pauli`] — single-qubit Pauli operators.
 //! * [`cell`] — cell kinds (data, auxiliary, scan, register, port, factory) and
 //!   occupancy.
 //! * [`grid`] — the [`CellGrid`] occupancy map, used by the SAM models to
 //!   simulate sliding-puzzle loads and stores.
-//! * [`patch`] — logical patches and boundary orientations.
-//! * [`protocol`] — primitive fault-tolerant protocols and their code-beat
-//!   latencies.
+//! * [`protocol`] — the code-beat latencies of the primitive fault-tolerant
+//!   protocols.
 //! * [`query`] — the [`VacancyIndex`] behind the grid's nearest-vacant
 //!   query.
 //! * [`timing`] — the [`Beats`] time unit.
@@ -45,7 +43,6 @@ pub mod cell;
 pub mod error;
 pub mod geom;
 pub mod grid;
-pub mod patch;
 pub mod pauli;
 pub mod protocol;
 pub mod query;
@@ -55,8 +52,7 @@ pub use cell::{CellKind, CellState, QubitTag};
 pub use error::LatticeError;
 pub use geom::{Coord, Direction, Rect};
 pub use grid::CellGrid;
-pub use patch::{BoundaryOrientation, Patch, PatchId};
-pub use pauli::{Pauli, PauliProduct};
-pub use protocol::{PrimitiveOp, ProtocolLatencies};
+pub use pauli::Pauli;
+pub use protocol::ProtocolLatencies;
 pub use query::VacancyIndex;
 pub use timing::Beats;

@@ -1,12 +1,9 @@
-//! Pauli operators and Pauli products.
+//! Single-qubit Pauli operators.
 //!
 //! Logical operations in a lattice-surgery FTQC are expressed as Pauli
-//! preparations, Pauli unitaries, and (multi-qubit) Pauli-product measurements.
-//! The SELECT workload additionally needs symbolic Pauli strings to describe the
-//! Hamiltonian terms it applies, so a small sparse [`PauliProduct`] type lives
-//! here.
+//! preparations, Pauli unitaries, and Pauli measurements. The SELECT workload
+//! names the Pauli of each Hamiltonian term it applies with [`Pauli`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A single-qubit Pauli operator (identity excluded unless stated).
@@ -68,123 +65,6 @@ impl fmt::Display for Pauli {
     }
 }
 
-/// A sparse multi-qubit Pauli operator: a map from qubit index to non-identity
-/// Pauli, with identities omitted.
-///
-/// ```
-/// use lsqca_lattice::{Pauli, PauliProduct};
-/// let zz = PauliProduct::from_pairs([(0, Pauli::Z), (1, Pauli::Z)]);
-/// assert_eq!(zz.weight(), 2);
-/// assert_eq!(zz.to_string(), "Z0*Z1");
-/// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
-pub struct PauliProduct {
-    factors: BTreeMap<u32, Pauli>,
-}
-
-impl PauliProduct {
-    /// The identity product acting on no qubits.
-    pub fn identity() -> Self {
-        PauliProduct::default()
-    }
-
-    /// Builds a product from `(qubit, pauli)` pairs; identity factors are dropped.
-    pub fn from_pairs<I>(pairs: I) -> Self
-    where
-        I: IntoIterator<Item = (u32, Pauli)>,
-    {
-        let factors = pairs
-            .into_iter()
-            .filter(|(_, p)| !p.is_identity())
-            .collect();
-        PauliProduct { factors }
-    }
-
-    /// A single-qubit Pauli acting on `qubit`.
-    pub fn single(qubit: u32, pauli: Pauli) -> Self {
-        PauliProduct::from_pairs([(qubit, pauli)])
-    }
-
-    /// Sets the factor on `qubit` (removing it if `pauli` is the identity).
-    pub fn set(&mut self, qubit: u32, pauli: Pauli) {
-        if pauli.is_identity() {
-            self.factors.remove(&qubit);
-        } else {
-            self.factors.insert(qubit, pauli);
-        }
-    }
-
-    /// The factor acting on `qubit` (identity if absent).
-    pub fn factor(&self, qubit: u32) -> Pauli {
-        self.factors.get(&qubit).copied().unwrap_or(Pauli::I)
-    }
-
-    /// Number of qubits acted on non-trivially.
-    pub fn weight(&self) -> usize {
-        self.factors.len()
-    }
-
-    /// True if this is the identity on every qubit.
-    pub fn is_identity(&self) -> bool {
-        self.factors.is_empty()
-    }
-
-    /// Iterates over `(qubit, pauli)` factors in qubit order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, Pauli)> + '_ {
-        self.factors.iter().map(|(&q, &p)| (q, p))
-    }
-
-    /// The set of qubits acted on non-trivially, in ascending order.
-    pub fn support(&self) -> Vec<u32> {
-        self.factors.keys().copied().collect()
-    }
-
-    /// Multiplies two products factor-wise, ignoring the global phase.
-    pub fn compose(&self, other: &PauliProduct) -> PauliProduct {
-        let mut result = self.clone();
-        for (q, p) in other.iter() {
-            result.set(q, result.factor(q).compose(p));
-        }
-        result
-    }
-
-    /// Whether two Pauli products commute (they anti-commute iff the number of
-    /// positions where both act non-trivially with different Paulis is odd).
-    pub fn commutes_with(&self, other: &PauliProduct) -> bool {
-        let mut anticommuting = 0usize;
-        for (q, p) in self.iter() {
-            let o = other.factor(q);
-            if !p.commutes_with(o) {
-                anticommuting += 1;
-            }
-        }
-        anticommuting.is_multiple_of(2)
-    }
-}
-
-impl fmt::Display for PauliProduct {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.factors.is_empty() {
-            return f.write_str("I");
-        }
-        let mut first = true;
-        for (q, p) in self.iter() {
-            if !first {
-                f.write_str("*")?;
-            }
-            write!(f, "{p}{q}")?;
-            first = false;
-        }
-        Ok(())
-    }
-}
-
-impl FromIterator<(u32, Pauli)> for PauliProduct {
-    fn from_iter<T: IntoIterator<Item = (u32, Pauli)>>(iter: T) -> Self {
-        PauliProduct::from_pairs(iter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,55 +92,7 @@ mod tests {
     }
 
     #[test]
-    fn product_construction_drops_identities() {
-        let p = PauliProduct::from_pairs([(0, Pauli::X), (3, Pauli::I), (2, Pauli::Z)]);
-        assert_eq!(p.weight(), 2);
-        assert_eq!(p.factor(0), Pauli::X);
-        assert_eq!(p.factor(3), Pauli::I);
-        assert_eq!(p.support(), vec![0, 2]);
-    }
-
-    #[test]
-    fn product_set_and_clear() {
-        let mut p = PauliProduct::identity();
-        assert!(p.is_identity());
-        p.set(5, Pauli::Y);
-        assert_eq!(p.weight(), 1);
-        p.set(5, Pauli::I);
-        assert!(p.is_identity());
-    }
-
-    #[test]
-    fn product_composition() {
-        let xz = PauliProduct::from_pairs([(0, Pauli::X), (1, Pauli::Z)]);
-        let zz = PauliProduct::from_pairs([(0, Pauli::Z), (1, Pauli::Z)]);
-        let composed = xz.compose(&zz);
-        assert_eq!(composed.factor(0), Pauli::Y);
-        assert_eq!(composed.factor(1), Pauli::I);
-    }
-
-    #[test]
-    fn product_commutation() {
-        let xx = PauliProduct::from_pairs([(0, Pauli::X), (1, Pauli::X)]);
-        let zz = PauliProduct::from_pairs([(0, Pauli::Z), (1, Pauli::Z)]);
-        let zi = PauliProduct::single(0, Pauli::Z);
-        // XX and ZZ commute (two anticommuting positions), XX and Z0 do not.
-        assert!(xx.commutes_with(&zz));
-        assert!(!xx.commutes_with(&zi));
-        assert!(PauliProduct::identity().commutes_with(&xx));
-    }
-
-    #[test]
     fn display_formats() {
-        assert_eq!(PauliProduct::identity().to_string(), "I");
-        let p = PauliProduct::from_pairs([(2, Pauli::Z), (0, Pauli::X)]);
-        assert_eq!(p.to_string(), "X0*Z2");
         assert_eq!(Pauli::Y.to_string(), "Y");
-    }
-
-    #[test]
-    fn from_iterator_collects() {
-        let p: PauliProduct = [(1, Pauli::Z), (4, Pauli::X)].into_iter().collect();
-        assert_eq!(p.weight(), 2);
     }
 }

@@ -1,4 +1,4 @@
-//! Primitive fault-tolerant protocols and their code-beat latencies.
+//! Code-beat latencies of the primitive fault-tolerant protocols.
 //!
 //! These are the building blocks from Fig. 4 of the paper: lattice surgery
 //! (merge + split), patch moves realized by expand/contract, the deformation-based
@@ -7,65 +7,7 @@
 //! decomposes into sequences of these primitives, and the SAM latency models are
 //! derived from the per-primitive costs collected in [`ProtocolLatencies`].
 
-use crate::patch::MergeBoundary;
 use crate::timing::Beats;
-use std::fmt;
-
-/// A primitive operation on surface-code patches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PrimitiveOp {
-    /// Lattice-surgery merge + split across the given boundary type: a logical
-    /// two-qubit Pauli measurement (ZZ for [`MergeBoundary::Z`], XX for X).
-    LatticeSurgery(MergeBoundary),
-    /// Move a patch to an adjacent vacant cell (expand into it, contract out of
-    /// the original cell).
-    MoveStep,
-    /// Move a patch diagonally using two vacant cells (the point-SAM "diagonal
-    /// move" of Fig. 11a).
-    DiagonalMove,
-    /// Straight (horizontal/vertical) move of a target cell during a point-SAM
-    /// load, using the scan vacancy (Fig. 11b).
-    StraightMove,
-    /// Diagonal move when two vacancies are available (second-load optimization).
-    DiagonalMoveTwoVacancies,
-    /// Straight move when two vacancies are available (second-load optimization,
-    /// "two vertical/horizontal moves per 6 beats").
-    StraightMoveTwoVacancies,
-    /// Transversal/deformation Hadamard on a patch (needs one adjacent vacant cell).
-    Hadamard,
-    /// Phase (S) gate on a patch (needs one adjacent vacant cell).
-    Phase,
-    /// Prepare a patch in |0⟩.
-    PrepareZero,
-    /// Prepare a patch in |+⟩.
-    PreparePlus,
-    /// Destructive single-qubit Pauli-X measurement.
-    MeasureX,
-    /// Destructive single-qubit Pauli-Z measurement.
-    MeasureZ,
-    /// Shift of a whole row/column of patches by one cell (line-SAM seek step).
-    LineShift,
-}
-
-impl fmt::Display for PrimitiveOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PrimitiveOp::LatticeSurgery(b) => write!(f, "lattice-surgery({b})"),
-            PrimitiveOp::MoveStep => f.write_str("move-step"),
-            PrimitiveOp::DiagonalMove => f.write_str("diagonal-move"),
-            PrimitiveOp::StraightMove => f.write_str("straight-move"),
-            PrimitiveOp::DiagonalMoveTwoVacancies => f.write_str("diagonal-move(2 vacancies)"),
-            PrimitiveOp::StraightMoveTwoVacancies => f.write_str("straight-move(2 vacancies)"),
-            PrimitiveOp::Hadamard => f.write_str("hadamard"),
-            PrimitiveOp::Phase => f.write_str("phase"),
-            PrimitiveOp::PrepareZero => f.write_str("prepare-zero"),
-            PrimitiveOp::PreparePlus => f.write_str("prepare-plus"),
-            PrimitiveOp::MeasureX => f.write_str("measure-x"),
-            PrimitiveOp::MeasureZ => f.write_str("measure-z"),
-            PrimitiveOp::LineShift => f.write_str("line-shift"),
-        }
-    }
-}
 
 /// Code-beat latencies of the primitive protocols (Fig. 4 / Sec. II-C).
 ///
@@ -134,33 +76,6 @@ impl ProtocolLatencies {
         }
     }
 
-    /// Latency of a single primitive.
-    pub fn latency(&self, op: PrimitiveOp) -> Beats {
-        match op {
-            PrimitiveOp::LatticeSurgery(_) => self.lattice_surgery,
-            PrimitiveOp::MoveStep => self.move_step,
-            PrimitiveOp::DiagonalMove => self.diagonal_move,
-            PrimitiveOp::StraightMove => self.straight_move,
-            PrimitiveOp::DiagonalMoveTwoVacancies => self.diagonal_move_two_vacancies,
-            PrimitiveOp::StraightMoveTwoVacancies => self.straight_move_two_vacancies,
-            PrimitiveOp::Hadamard => self.hadamard,
-            PrimitiveOp::Phase => self.phase,
-            PrimitiveOp::PrepareZero => self.prepare_zero,
-            PrimitiveOp::PreparePlus => self.prepare_plus,
-            PrimitiveOp::MeasureX => self.measure_x,
-            PrimitiveOp::MeasureZ => self.measure_z,
-            PrimitiveOp::LineShift => self.line_shift,
-        }
-    }
-
-    /// Total latency of a sequence of primitives.
-    pub fn sequence_latency<I>(&self, ops: I) -> Beats
-    where
-        I: IntoIterator<Item = PrimitiveOp>,
-    {
-        ops.into_iter().map(|op| self.latency(op)).sum()
-    }
-
     /// Latency of transporting a target cell `dx` cells horizontally and `dy`
     /// cells vertically inside a point SAM, combining diagonal and straight moves
     /// (the `6·min + 5·|dx−dy|` term of the paper's load-cost estimate).
@@ -202,43 +117,6 @@ mod tests {
         assert_eq!(lat.prepare_zero, Beats(0));
         assert_eq!(lat.measure_x, Beats(0));
         assert_eq!(ProtocolLatencies::default(), ProtocolLatencies::paper());
-    }
-
-    #[test]
-    fn latency_lookup_covers_all_ops() {
-        let lat = ProtocolLatencies::paper();
-        let ops = [
-            PrimitiveOp::LatticeSurgery(MergeBoundary::Z),
-            PrimitiveOp::LatticeSurgery(MergeBoundary::X),
-            PrimitiveOp::MoveStep,
-            PrimitiveOp::DiagonalMove,
-            PrimitiveOp::StraightMove,
-            PrimitiveOp::DiagonalMoveTwoVacancies,
-            PrimitiveOp::StraightMoveTwoVacancies,
-            PrimitiveOp::Hadamard,
-            PrimitiveOp::Phase,
-            PrimitiveOp::PrepareZero,
-            PrimitiveOp::PreparePlus,
-            PrimitiveOp::MeasureX,
-            PrimitiveOp::MeasureZ,
-            PrimitiveOp::LineShift,
-        ];
-        for op in ops {
-            // Latency must be defined (and small) for every primitive.
-            assert!(lat.latency(op) <= Beats(6), "{op} has unexpected latency");
-            assert!(!op.to_string().is_empty());
-        }
-    }
-
-    #[test]
-    fn sequence_latency_sums() {
-        let lat = ProtocolLatencies::paper();
-        let total = lat.sequence_latency([
-            PrimitiveOp::Hadamard,
-            PrimitiveOp::Phase,
-            PrimitiveOp::LatticeSurgery(MergeBoundary::Z),
-        ]);
-        assert_eq!(total, Beats(6));
     }
 
     #[test]

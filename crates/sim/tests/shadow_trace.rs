@@ -88,7 +88,8 @@ fn any_program() -> impl Strategy<Value = Program> {
 }
 
 /// Every floorplan flavour at its legal bank counts, random factory counts,
-/// and a hybrid fraction that sometimes carves out a conventional region.
+/// a hybrid fraction that sometimes carves out a conventional region, and
+/// either store policy (locality-aware or home store).
 fn any_arch() -> impl Strategy<Value = ArchConfig> {
     (
         prop_oneof![
@@ -99,11 +100,15 @@ fn any_arch() -> impl Strategy<Value = ArchConfig> {
         ],
         1u32..4,
         0u32..3,
+        proptest::bool::ANY,
     )
-        .prop_map(|(floorplan, factories, hybrid_tenths)| {
-            ArchConfig::new(floorplan, factories)
-                .with_hybrid_fraction(f64::from(hybrid_tenths) * 0.1)
-        })
+        .prop_map(
+            |(floorplan, factories, hybrid_tenths, locality_aware_store)| ArchConfig {
+                locality_aware_store,
+                ..ArchConfig::new(floorplan, factories)
+                    .with_hybrid_fraction(f64::from(hybrid_tenths) * 0.1)
+            },
+        )
 }
 
 fn any_policy() -> impl Strategy<Value = Option<PolicyKind>> {
