@@ -56,11 +56,10 @@
 //! the compiled program, so a warm rerun compiles nothing. Nothing about
 //! workloads is written to disk.
 //!
-//! After every command, stderr gets a four-line summary:
-//! `workloads: N compiled`, `result store: N computed, M hits, K quarantined`,
-//! `trace engine: N lowered` (in-process trace lowerings, one per compile)
-//! and `simulator: N warmed`. A warm rerun compiles, computes, lowers and
-//! warms nothing.
+//! After every command, stderr gets a three-line summary:
+//! `workloads: N compiled` (each compile writes its execution trace
+//! directly), `result store: N computed, M hits, K quarantined` and
+//! `simulator: N warmed`. A warm rerun compiles, computes and warms nothing.
 //!
 //! Exit codes: `0` = complete, `2` = completed with quarantined sweep points
 //! (see `--help`), `1` = fatal.

@@ -211,7 +211,7 @@ pub fn generate(scale: Scale) -> HotpathReport {
 /// Runs every measurement under an explicit time budget.
 pub fn generate_with(scale: Scale, budget: MeasureBudget) -> HotpathReport {
     let workload = workload(scale);
-    let instructions = workload.compiled().program().len() as u64;
+    let instructions = workload.compiled().trace().len() as u64;
     let floorplans = [
         FloorplanKind::PointSam { banks: 1 },
         FloorplanKind::LineSam { banks: 1 },

@@ -5,7 +5,7 @@
 //! The result store keeps per-instance atomics (the fault-injection tests
 //! build several stores per process), so its totals are *synced* into the
 //! registry at snapshot time rather than double-counted at the bump sites.
-//! Everything else (`workloads.compiled`, `trace.lowered`, `sim.warmed`,
+//! Everything else (`workloads.compiled`, `sim.warmed`,
 //! `sim.runs`, `sim.memory_walks`, spans, beat histograms) reports straight
 //! into `lsqca_telemetry`.
 
@@ -23,7 +23,6 @@ use std::path::Path;
 pub fn sync_registry() {
     for name in [
         "workloads.compiled",
-        "trace.lowered",
         "sim.warmed",
         "sim.runs",
         "sim.memory_walks",
@@ -43,13 +42,12 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
     lsqca_telemetry::snapshot()
 }
 
-/// The operator summary block, rendered from one registry snapshot. The four
+/// The operator summary block, rendered from one registry snapshot. The three
 /// line formats are stable and CI-greppable:
 ///
 /// ```text
 /// workloads: N compiled
 /// result store: N computed, M hits, K quarantined (<dir>)
-/// trace engine: N lowered
 /// simulator: N warmed
 /// ```
 pub fn telemetry_summary() -> String {
@@ -73,9 +71,8 @@ pub fn telemetry_summary() -> String {
         (None, _) => format!("result store: disabled; {store_stats}"),
     };
     format!(
-        "workloads: {} compiled\n{store_line}\ntrace engine: {} lowered\nsimulator: {} warmed",
+        "workloads: {} compiled\n{store_line}\nsimulator: {} warmed",
         count("workloads.compiled"),
-        count("trace.lowered"),
         count("sim.warmed"),
     )
 }
@@ -161,12 +158,11 @@ mod tests {
     fn summary_block_keeps_the_greppable_line_formats() {
         let summary = telemetry_summary();
         let lines: Vec<&str> = summary.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("workloads: ") && lines[0].ends_with(" compiled"));
         assert!(lines[1].starts_with("result store: "));
         assert!(lines[1].contains(" computed, ") && lines[1].contains(" quarantined"));
-        assert!(lines[2].starts_with("trace engine: ") && lines[2].ends_with(" lowered"));
-        assert!(lines[3].starts_with("simulator: ") && lines[3].ends_with(" warmed"));
+        assert!(lines[2].starts_with("simulator: ") && lines[2].ends_with(" warmed"));
     }
 
     #[test]

@@ -15,9 +15,14 @@
 //!    instructions; CNOTs become the runtime-optimized `CX` instruction; Pauli
 //!    unitaries are absorbed into the Pauli frame and emit nothing.
 //!
-//! The result is an [`lsqca_isa::Program`] whose memory addresses coincide with
-//! the circuit's qubit indices, so the workload's register structure can still
-//! be used for hybrid-floorplan placement.
+//! Instruction selection writes each instruction through an
+//! [`InstructionSink`]. [`compile`] collects them into an [`lsqca_isa::Program`];
+//! [`compile_into`] writes them into any sink, such as the
+//! [`lsqca_isa::ExecutionTrace`] the simulator runs, so a workload compiled
+//! for simulation never holds a `Program` at all. Both run the same code.
+//! Memory addresses coincide with the circuit's qubit indices, so the
+//! workload's register structure can still be used for hybrid-floorplan
+//! placement.
 //!
 //! # Example
 //!
@@ -39,7 +44,8 @@
 #![warn(missing_docs)]
 
 use lsqca_circuit::{lower_to_clifford_t, Circuit, DecomposeConfig, Gate};
-use lsqca_isa::{ClassicalId, Instruction, MemAddr, Program, RegId};
+use lsqca_isa::{ClassicalId, Instruction, InstructionSink, MemAddr, Program, RegId};
+use std::borrow::Cow;
 
 /// Options controlling compilation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,9 +108,14 @@ pub struct CompiledProgram {
     pub t_gates: u64,
 }
 
+/// The SAM address of circuit qubit `q`.
+fn mem(q: u32) -> MemAddr {
+    MemAddr(q)
+}
+
 /// Internal helper carrying compilation state.
-struct Lowering {
-    program: Program,
+struct Lowering<'s, S> {
+    sink: &'s mut S,
     next_value: u32,
     next_magic_slot: u32,
     cr_slots: u32,
@@ -112,7 +123,7 @@ struct Lowering {
     t_gates: u64,
 }
 
-impl Lowering {
+impl<S: InstructionSink> Lowering<'_, S> {
     fn fresh_value(&mut self) -> ClassicalId {
         let v = ClassicalId(self.next_value);
         self.next_value += 1;
@@ -127,44 +138,40 @@ impl Lowering {
         slot
     }
 
-    fn mem(q: u32) -> MemAddr {
-        MemAddr(q)
-    }
-
     fn emit_t_gate(&mut self, target: u32) {
         self.t_gates += 1;
         let slot = self.next_slot();
-        let mem = Self::mem(target);
+        let mem = mem(target);
         let zz = self.fresh_value();
         let mx = self.fresh_value();
-        self.program.push(Instruction::Pm { reg: slot });
+        self.sink.push(Instruction::Pm { reg: slot });
         if self.use_in_memory {
-            self.program.push(Instruction::MzzM {
+            self.sink.push(Instruction::MzzM {
                 reg: slot,
                 mem,
                 out: zz,
             });
         } else {
-            self.program.push(Instruction::Ld {
+            self.sink.push(Instruction::Ld {
                 mem,
                 reg: self.other_slot(slot),
             });
-            self.program.push(Instruction::MzzC {
+            self.sink.push(Instruction::MzzC {
                 reg1: slot,
                 reg2: self.other_slot(slot),
                 out: zz,
             });
         }
-        self.program.push(Instruction::MxC { reg: slot, out: mx });
+        self.sink.push(Instruction::MxC { reg: slot, out: mx });
         // Conditional phase correction; the evaluation always takes the branch.
-        self.program.push(Instruction::Sk { cond: zz });
+        self.sink.push(Instruction::Sk { cond: zz });
         if self.use_in_memory {
-            self.program.push(Instruction::PhM { mem });
+            self.sink.push(Instruction::PhM { mem });
         } else {
-            self.program.push(Instruction::PhC {
+            self.sink.push(Instruction::PhC {
                 reg: self.other_slot(slot),
             });
-            self.program.push(Instruction::St {
+            self.sink.push(Instruction::St {
                 reg: self.other_slot(slot),
                 mem,
             });
@@ -176,7 +183,7 @@ impl Lowering {
     }
 
     fn emit_single_qubit(&mut self, gate: &Gate, qubit: u32) {
-        let mem = Self::mem(qubit);
+        let mem = mem(qubit);
         if self.use_in_memory {
             let instr = match gate {
                 Gate::PrepZ(_) => Instruction::PzM { mem },
@@ -193,7 +200,7 @@ impl Lowering {
                 },
                 _ => unreachable!("only single-qubit non-Pauli gates reach here"),
             };
-            self.program.push(instr);
+            self.sink.push(instr);
         } else {
             // Preparations are zero-latency and need no ancilla, so they stay
             // in place even in the load/store ablation mode: round-tripping a
@@ -201,33 +208,33 @@ impl Lowering {
             // qubit for no benefit.
             match gate {
                 Gate::PrepZ(_) => {
-                    self.program.push(Instruction::PzM { mem });
+                    self.sink.push(Instruction::PzM { mem });
                     return;
                 }
                 Gate::PrepX(_) => {
-                    self.program.push(Instruction::PpM { mem });
+                    self.sink.push(Instruction::PpM { mem });
                     return;
                 }
                 _ => {}
             }
             let slot = self.next_slot();
-            self.program.push(Instruction::Ld { mem, reg: slot });
+            self.sink.push(Instruction::Ld { mem, reg: slot });
             match gate {
                 Gate::H(_) => {
-                    self.program.push(Instruction::HdC { reg: slot });
-                    self.program.push(Instruction::St { reg: slot, mem });
+                    self.sink.push(Instruction::HdC { reg: slot });
+                    self.sink.push(Instruction::St { reg: slot, mem });
                 }
                 Gate::S(_) | Gate::Sdg(_) => {
-                    self.program.push(Instruction::PhC { reg: slot });
-                    self.program.push(Instruction::St { reg: slot, mem });
+                    self.sink.push(Instruction::PhC { reg: slot });
+                    self.sink.push(Instruction::St { reg: slot, mem });
                 }
                 Gate::MeasureZ(_) => {
                     let v = self.fresh_value();
-                    self.program.push(Instruction::MzC { reg: slot, out: v });
+                    self.sink.push(Instruction::MzC { reg: slot, out: v });
                 }
                 Gate::MeasureX(_) => {
                     let v = self.fresh_value();
-                    self.program.push(Instruction::MxC { reg: slot, out: v });
+                    self.sink.push(Instruction::MxC { reg: slot, out: v });
                 }
                 _ => unreachable!("only single-qubit non-Pauli gates reach here"),
             }
@@ -241,15 +248,34 @@ impl Lowering {
 /// unitaries are dropped (they are tracked in the Pauli frame and have
 /// negligible latency, matching the paper's evaluation). Memory address `m_i`
 /// corresponds to circuit qubit `i` (plus any ancillas introduced by lowering).
+/// The program is named after the circuit, which lowering preserves.
 pub fn compile(circuit: &Circuit, config: CompilerConfig) -> CompiledProgram {
+    let mut program = Program::new(circuit.name());
+    let (num_qubits, t_gates) = compile_into(circuit, config, &mut program);
+    CompiledProgram {
+        program,
+        num_qubits,
+        t_gates,
+    }
+}
+
+/// Compiles `circuit` exactly as [`compile`] does, pushing each instruction
+/// into `sink` in program order, and returns `(num_qubits, t_gates)`: the
+/// number of data qubits (SAM addresses) of the lowered circuit and the
+/// number of T / T† gates translated into magic-state teleportations.
+pub fn compile_into(
+    circuit: &Circuit,
+    config: CompilerConfig,
+    sink: &mut impl InstructionSink,
+) -> (u32, u64) {
     let lowered = if circuit.is_lowered() {
-        circuit.clone()
+        Cow::Borrowed(circuit)
     } else {
-        lower_to_clifford_t(circuit, config.decompose)
+        Cow::Owned(lower_to_clifford_t(circuit, config.decompose))
     };
 
     let mut state = Lowering {
-        program: Program::new(lowered.name().to_string()),
+        sink,
         next_value: 0,
         next_magic_slot: 0,
         cr_slots: 2,
@@ -263,22 +289,18 @@ pub fn compile(circuit: &Circuit, config: CompilerConfig) -> CompiledProgram {
                 // Pauli-frame update only; no instruction is emitted.
             }
             Gate::T(q) | Gate::Tdg(q) => state.emit_t_gate(*q),
-            Gate::Cnot { control, target } => state.program.push(Instruction::Cx {
-                control: Lowering::mem(*control),
-                target: Lowering::mem(*target),
+            Gate::Cnot { control, target } => state.sink.push(Instruction::Cx {
+                control: mem(*control),
+                target: mem(*target),
             }),
             Gate::Cz { a, b } => {
                 // Lowering normally removes CZ; translate conservatively if not.
-                state.program.push(Instruction::HdM {
-                    mem: Lowering::mem(*b),
+                state.sink.push(Instruction::HdM { mem: mem(*b) });
+                state.sink.push(Instruction::Cx {
+                    control: mem(*a),
+                    target: mem(*b),
                 });
-                state.program.push(Instruction::Cx {
-                    control: Lowering::mem(*a),
-                    target: Lowering::mem(*b),
-                });
-                state.program.push(Instruction::HdM {
-                    mem: Lowering::mem(*b),
-                });
+                state.sink.push(Instruction::HdM { mem: mem(*b) });
             }
             Gate::PrepZ(q)
             | Gate::PrepX(q)
@@ -293,11 +315,7 @@ pub fn compile(circuit: &Circuit, config: CompilerConfig) -> CompiledProgram {
         }
     }
 
-    CompiledProgram {
-        num_qubits: lowered.num_qubits(),
-        t_gates: state.t_gates,
-        program: state.program,
-    }
+    (lowered.num_qubits(), state.t_gates)
 }
 
 #[cfg(test)]

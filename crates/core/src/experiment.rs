@@ -4,8 +4,8 @@
 //! compile a workload circuit once, pick an architecture configuration, and
 //! simulate. [`Workload`] wraps a [`CompiledWorkload`] artifact so that
 //! parameter sweeps (bank counts, factory counts, hybrid fractions) reuse the
-//! expensive compilation *and* the precompiled per-program latency classes
-//! (no per-run classification pass), and [`ExperimentResult`] carries the
+//! expensive compilation and its execution trace (no per-run pass over the
+//! instruction stream), and [`ExperimentResult`] carries the
 //! numbers the paper reports: execution time, CPI, memory density, and the
 //! overhead relative to the conventional baseline. Artifacts can also be
 //! loaded from the on-disk cache (`lsqca_workloads::cache`) via
@@ -351,7 +351,7 @@ impl Workload {
         stats: ExecutionStats,
     ) -> ExperimentResult {
         ExperimentResult {
-            workload: self.artifact.program().name().to_string(),
+            workload: self.artifact.name().to_string(),
             config_label: config.label(),
             total_beats: stats.total_beats,
             cpi: stats.cpi(),
@@ -375,14 +375,14 @@ impl Workload {
         let hot = self.hot_qubits(config);
         let mut simulator = self.simulator(config, &hot);
         // The whole sweep stack funnels through `Simulator::execute` here, on
-        // the artifact's pre-lowered execution trace.
+        // the artifact's execution trace.
         let _span = lsqca_telemetry::span("point.execute");
         let outcome = match simulator.execute(&self.artifact) {
             Ok(outcome) => outcome,
             Err(err) => self.failed(err),
         };
         ExperimentResult {
-            workload: self.artifact.program().name().to_string(),
+            workload: self.artifact.name().to_string(),
             config_label: config.label(),
             total_beats: outcome.stats.total_beats,
             cpi: outcome.stats.cpi(),
@@ -433,10 +433,7 @@ impl Workload {
 
     /// Panics with a simulation failure of this workload's artifact.
     fn failed(&self, err: SimError) -> ! {
-        panic!(
-            "simulation of `{}` failed: {err}",
-            self.artifact.program().name()
-        )
+        panic!("simulation of `{}` failed: {err}", self.artifact.name())
     }
 
     /// The simulator's qubit capacity for this workload. The footprint is
@@ -701,7 +698,9 @@ mod tests {
         circuit.cnot(0, 1);
         circuit.t(2);
         let w = Workload::from_circuit(circuit);
-        let prefix = "adhoc:golden#payload=071a5eb96cd01eec\
+        // The ad-hoc payload hex is the artifact payload hash, so it moves
+        // with the artifact schema; generator keys carry no payload hash.
+        let prefix = "adhoc:golden#payload=2195b1978414f676\
                       |compiler=v1;in-memory-ops=1;expand-toffoli=1;expand-cz=1|isa=v1|trace=v1";
         let suffix = "|sim=r4|stats=lsqca-stats-v1";
         let pure = ExperimentConfig::new(FloorplanKind::LineSam { banks: 2 }, 4);
@@ -936,8 +935,9 @@ mod tests {
     fn memoized_hot_sets_match_fresh_selection() {
         use lsqca_analysis::hot_set_by_access_count;
         for benchmark in Benchmark::ALL {
-            let w = Workload::from_circuit(benchmark.reduced_instance());
-            let program = w.compiled().program();
+            let circuit = benchmark.reduced_instance();
+            let program = &lsqca_compiler::compile(&circuit, CompilerConfig::default()).program;
+            let w = Workload::from_circuit(circuit);
             let full = hot_set_by_access_count(program, usize::MAX);
             assert_eq!(w.most_accessed(usize::MAX), full, "{benchmark:?}");
             let n = w.num_qubits() as usize;

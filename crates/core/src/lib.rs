@@ -13,7 +13,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`lattice`] | surface-code cells, grids, primitive protocol latencies |
-//! | [`isa`] | the LSQCA instruction set (Table I), programs, assembly text |
+//! | [`isa`] | the LSQCA instruction set (Table I), programs, execution traces |
 //! | [`circuit`] | logical circuit IR, registers, decomposition, DAG analysis |
 //! | [`workloads`] | the seven benchmark generators of the evaluation |
 //! | [`compiler`] | circuit → LSQCA program lowering (Sec. VI-A) |

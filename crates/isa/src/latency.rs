@@ -129,24 +129,6 @@ impl LatencyClass {
     pub fn is_negligible(self) -> bool {
         matches!(self, LatencyClass::Negligible)
     }
-
-    /// The stable single-byte encoding used by serialized class vectors
-    /// (compiled-workload artifacts store one ASCII digit per instruction).
-    #[inline]
-    pub fn as_u8(self) -> u8 {
-        self as u8
-    }
-
-    /// Decodes [`LatencyClass::as_u8`]; `None` for any other byte.
-    #[inline]
-    pub fn from_u8(byte: u8) -> Option<LatencyClass> {
-        match byte {
-            0 => Some(LatencyClass::Negligible),
-            1 => Some(LatencyClass::Command),
-            2 => Some(LatencyClass::Variable),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for LatencyClass {
@@ -255,19 +237,6 @@ mod tests {
         assert_eq!(LatencyClass::Negligible.to_string(), "negligible");
         assert_eq!(LatencyClass::Command.to_string(), "command");
         assert_eq!(LatencyClass::Variable.to_string(), "variable");
-    }
-
-    #[test]
-    fn class_byte_encoding_round_trips() {
-        for class in [
-            LatencyClass::Negligible,
-            LatencyClass::Command,
-            LatencyClass::Variable,
-        ] {
-            assert_eq!(LatencyClass::from_u8(class.as_u8()), Some(class));
-        }
-        assert_eq!(LatencyClass::from_u8(3), None);
-        assert_eq!(LatencyClass::from_u8(255), None);
     }
 
     #[test]

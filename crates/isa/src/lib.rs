@@ -41,13 +41,12 @@
 ///
 /// The on-disk compiled-workload artifacts (`lsqca_workloads::cache`) embed
 /// this number in their cache key and in the artifact document itself, so a
-/// change to the instruction set, the assembly syntax, or the latency table
+/// change to the instruction set or the latency table
 /// invalidates every previously cached artifact instead of silently serving
 /// instruction streams compiled against an older contract. Bump it whenever
 /// any of those change shape or meaning.
 pub const ISA_VERSION: u32 = 1;
 
-pub mod asm;
 pub mod instruction;
 pub mod latency;
 pub mod operand;
@@ -58,8 +57,6 @@ pub mod validate;
 pub use instruction::{Instruction, InstructionKind, OperandLocation};
 pub use latency::{InstructionLatency, LatencyClass, LatencyTable};
 pub use operand::{ClassicalId, MemAddr, Operands, RegId, MAX_OPERANDS};
-pub use program::{Program, ProgramStats};
-pub use trace_compile::{
-    lower, lowering_count, ExecKind, ExecutionTrace, TraceDecodeError, TRACE_REVISION,
-};
+pub use program::{InstructionSink, Program, ProgramStats};
+pub use trace_compile::{lower, ExecKind, ExecutionTrace, TraceDecodeError, TRACE_REVISION};
 pub use validate::{ValidationError, ValidationReport};

@@ -7,6 +7,15 @@ use crate::validate::{validate_program, ValidationReport};
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// A destination for an instruction stream: the one interface the compiler
+/// emits through. [`Program`] keeps the instructions as written;
+/// [`ExecutionTrace`](crate::ExecutionTrace) lowers each one into its
+/// execution record as it arrives.
+pub trait InstructionSink {
+    /// Appends one instruction.
+    fn push(&mut self, instruction: Instruction);
+}
+
 /// An ordered sequence of LSQCA instructions with a name.
 ///
 /// A program is the unit the compiler produces and the simulator executes. The
@@ -107,6 +116,12 @@ impl Program {
     /// the number of data qubits the memory must hold.
     pub fn memory_footprint(&self) -> usize {
         self.stats().memory_reference_counts.len()
+    }
+}
+
+impl InstructionSink for Program {
+    fn push(&mut self, instruction: Instruction) {
+        Program::push(self, instruction);
     }
 }
 

@@ -1,38 +1,37 @@
-//! Lowering LSQCA programs into dense, pre-resolved execution traces.
+//! Dense, pre-resolved execution traces of LSQCA instruction streams.
 //!
 //! The simulator's inner loop used to re-discover the same static facts about
 //! every instruction on every run: its operand lists (`memory_operands`,
 //! `register_operands`), whether it occupies a SAM scan resource, whether it
 //! is an in-memory operation, its latency class, and — via a 21-arm `match`
 //! — which duration rule applies. All of that is a pure function of the
-//! instruction variant, so it can be computed **once per program** by a
-//! lowering pass and stored in a dense struct-of-arrays [`ExecutionTrace`]:
+//! instruction variant, so it is computed **once per instruction**, as the
+//! instruction is appended, and stored in a dense struct-of-arrays
+//! [`ExecutionTrace`]:
 //!
 //! ```text
-//! Program ──lower()──▶ ExecutionTrace ──Simulator::execute──▶ ExecutionStats
-//!   (enum stream)        (flat SoA columns)                     (identical to
-//!                                                                the interpreter)
+//! compile ──InstructionSink::push──▶ ExecutionTrace ──Simulator::execute──▶ ExecutionStats
+//!  (one pass)                          (flat SoA columns)                    (identical to
+//!                                                                             the interpreter)
 //! ```
+//!
+//! The trace is an [`InstructionSink`]: the compiler writes each instruction
+//! straight into it, so the experiment pipeline never materializes a
+//! [`Program`]. [`lower`] replays a `Program` through the same sink, for the
+//! `Program` executable and for tests that compare the two compiled forms.
 //!
 //! Per record the trace stores the execution kind (the pre-resolved duration
 //! dispatch arm, [`ExecKind`]), a flags byte (operand shape, scan-resource,
 //! in-memory, classical in/out), the fixed beat component, and the operand
-//! slots. The raw opcode is kept in its own column that only the cold error
-//! path reads (to reconstruct the offending [`Instruction`] for
-//! `SimError::Instruction`).
-//!
-//! Traces are derived data, exactly like the precompiled latency classes:
-//! `CompiledWorkload` embeds the serialized trace in its artifact (see
-//! [`ExecutionTrace::encode`]) so a warm cache load *decodes* the trace
-//! instead of re-lowering — the process-wide [`lowering_count`] stays flat
-//! across warm sweeps, mirroring the zero-compile / zero-simulation
-//! assertions.
+//! slots. The raw opcode is kept in its own column that only the cold paths
+//! read: reconstructing an [`Instruction`] for `SimError::Instruction`, and
+//! serialization ([`ExecutionTrace::encode`]), which is lossless, so the
+//! trace is the whole compiled instruction stream.
 
 use crate::instruction::Instruction;
 use crate::operand::{ClassicalId, MemAddr, RegId};
-use crate::program::Program;
+use crate::program::{InstructionSink, Program};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Revision of the trace lowering (record layout, opcode numbering, encode
 /// format, and the static per-opcode metadata baked into each record).
@@ -40,23 +39,8 @@ use std::sync::OnceLock;
 /// Compiled-workload artifacts embed this number next to `ISA_VERSION`, and
 /// the on-disk cache mixes it into its key: bump it whenever lowering changes
 /// what a record contains or means, so stale traces are quarantined and
-/// relowered instead of silently driving the engine with an older contract.
+/// recompiled instead of silently driving the engine with an older contract.
 pub const TRACE_REVISION: u32 = 1;
-
-/// The registry counter behind [`lowering_count`]: every [`lower`] call,
-/// including the one inside `CompiledWorkload::compile`.
-/// Decoding a cached trace does **not** count. The warm-cache acceptance
-/// tests assert this stays flat across a sweep served entirely from disk.
-fn lowering_counter() -> &'static lsqca_telemetry::Counter {
-    static COUNTER: OnceLock<&'static lsqca_telemetry::Counter> = OnceLock::new();
-    COUNTER.get_or_init(|| lsqca_telemetry::counter("trace.lowered"))
-}
-
-/// Total trace lowerings performed by this process so far (the registry's
-/// `trace.lowered` counter).
-pub fn lowering_count() -> u64 {
-    lowering_counter().get()
-}
 
 /// The pre-resolved duration dispatch arm of one trace record.
 ///
@@ -170,7 +154,7 @@ impl ExecutionTrace {
         ExecutionTrace::default()
     }
 
-    /// Number of records (= instructions of the lowered program).
+    /// Number of records (one per instruction).
     pub fn len(&self) -> usize {
         self.exec.len()
     }
@@ -251,15 +235,132 @@ impl ExecutionTrace {
         self.cio.reserve(additional);
     }
 
-    /// Appends the lowered record for one instruction. This is the **only**
-    /// place that matches on the instruction variant; everything downstream
-    /// reads the precomputed columns.
-    fn push_instruction(&mut self, instr: &Instruction) {
+    /// Reconstructs the instruction behind record `index` — the cold path for
+    /// `SimError::Instruction` and for display; the hot loop never calls this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn instruction(&self, index: usize) -> Instruction {
+        use flags::*;
+        let fl = self.flags[index];
+        let mut operands = [0u32; 5];
+        let mut n = 0;
+        if fl & HAS_MEM0 != 0 {
+            operands[n] = self.mem0[index];
+            n += 1;
+        }
+        if fl & HAS_MEM1 != 0 {
+            operands[n] = self.mem1[index];
+            n += 1;
+        }
+        if fl & HAS_REG0 != 0 {
+            operands[n] = self.reg0[index];
+            n += 1;
+        }
+        if fl & HAS_REG1 != 0 {
+            operands[n] = self.reg1[index];
+            n += 1;
+        }
+        if fl & (HAS_CIN | HAS_COUT) != 0 {
+            operands[n] = self.cio[index];
+            n += 1;
+        }
+        match reconstruct(self.op[index], &operands[..n]) {
+            Some(instr) => instr,
+            None => unreachable!("trace record {index} holds an invalid opcode"),
+        }
+    }
+
+    /// Serializes the trace to its compact artifact text: one record per
+    /// instruction (`;`-separated), each record the hex opcode followed by
+    /// its hex operand values (`.`-separated, canonical order: memory
+    /// operands, register operands, classical in/out).
+    ///
+    /// Only the opcode and operand slots are stored — every derived column
+    /// (execution kind, flags, fixed beats, bounds) is a pure function of
+    /// the opcode and is rebuilt by [`ExecutionTrace::decode`].
+    pub fn encode(&self) -> String {
+        use flags::*;
+        let mut text = String::with_capacity(self.len() * 6);
+        for index in 0..self.len() {
+            if index > 0 {
+                text.push(';');
+            }
+            let fl = self.flags[index];
+            push_hex(&mut text, self.op[index] as u32);
+            if fl & HAS_MEM0 != 0 {
+                text.push('.');
+                push_hex(&mut text, self.mem0[index]);
+            }
+            if fl & HAS_MEM1 != 0 {
+                text.push('.');
+                push_hex(&mut text, self.mem1[index]);
+            }
+            if fl & HAS_REG0 != 0 {
+                text.push('.');
+                push_hex(&mut text, self.reg0[index]);
+            }
+            if fl & HAS_REG1 != 0 {
+                text.push('.');
+                push_hex(&mut text, self.reg1[index]);
+            }
+            if fl & (HAS_CIN | HAS_COUT) != 0 {
+                text.push('.');
+                push_hex(&mut text, self.cio[index]);
+            }
+        }
+        text
+    }
+
+    /// Decodes [`ExecutionTrace::encode`] output.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TraceDecodeError`] for unknown opcodes, operand counts
+    /// that do not match the opcode's shape, or malformed hex fields.
+    pub fn decode(text: &str) -> Result<Self, TraceDecodeError> {
+        let mut trace = ExecutionTrace::new();
+        if text.is_empty() {
+            return Ok(trace);
+        }
+        for (index, record) in text.split(';').enumerate() {
+            let mut fields = record.split('.');
+            let op = parse_hex(fields.next().unwrap_or(""), index)?;
+            let mut operands = [0u32; 5];
+            let mut n = 0;
+            for field in fields {
+                if n == operands.len() {
+                    return Err(TraceDecodeError {
+                        what: format!("record {index} has too many operand fields"),
+                    });
+                }
+                operands[n] = parse_hex(field, index)?;
+                n += 1;
+            }
+            let op = u8::try_from(op).unwrap_or(u8::MAX);
+            let instr = reconstruct(op, &operands[..n]).ok_or_else(|| TraceDecodeError {
+                what: format!(
+                    "record {index}: opcode {op} with {n} operand field(s) \
+                     matches no instruction shape"
+                ),
+            })?;
+            trace.push(instr);
+        }
+        Ok(trace)
+    }
+}
+
+/// Appending an instruction lowers it into its record. This is the **only**
+/// place that matches on the instruction variant; everything downstream reads
+/// the precomputed columns.
+impl InstructionSink for ExecutionTrace {
+    fn push(&mut self, instr: Instruction) {
         use flags::*;
         use ExecKind as E;
         use Instruction::*;
         // (opcode, exec kind, fixed beats, shape flags, m0, m1, r0, r1, cio)
-        let (op, exec, fixed, fl, m0, m1, r0, r1, cio) = match *instr {
+        let (op, exec, fixed, fl, m0, m1, r0, r1, cio) = match instr {
             Ld { mem, reg } => (
                 0,
                 E::Load,
@@ -451,123 +552,6 @@ impl ExecutionTrace {
         self.reg1.push(r1);
         self.cio.push(cio);
     }
-
-    /// Reconstructs the instruction behind record `index` — the cold path for
-    /// `SimError::Instruction` and for display; the hot loop never calls this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn instruction(&self, index: usize) -> Instruction {
-        use flags::*;
-        let fl = self.flags[index];
-        let mut operands = [0u32; 5];
-        let mut n = 0;
-        if fl & HAS_MEM0 != 0 {
-            operands[n] = self.mem0[index];
-            n += 1;
-        }
-        if fl & HAS_MEM1 != 0 {
-            operands[n] = self.mem1[index];
-            n += 1;
-        }
-        if fl & HAS_REG0 != 0 {
-            operands[n] = self.reg0[index];
-            n += 1;
-        }
-        if fl & HAS_REG1 != 0 {
-            operands[n] = self.reg1[index];
-            n += 1;
-        }
-        if fl & (HAS_CIN | HAS_COUT) != 0 {
-            operands[n] = self.cio[index];
-            n += 1;
-        }
-        match reconstruct(self.op[index], &operands[..n]) {
-            Some(instr) => instr,
-            None => unreachable!("trace record {index} holds an invalid opcode"),
-        }
-    }
-
-    /// Serializes the trace to its compact artifact text: one record per
-    /// instruction (`;`-separated), each record the hex opcode followed by
-    /// its hex operand values (`.`-separated, canonical order: memory
-    /// operands, register operands, classical in/out).
-    ///
-    /// Only the opcode and operand slots are stored — every derived column
-    /// (execution kind, flags, fixed beats, bounds) is a pure function of
-    /// the opcode and is rebuilt by [`ExecutionTrace::decode`].
-    pub fn encode(&self) -> String {
-        use flags::*;
-        let mut text = String::with_capacity(self.len() * 6);
-        for index in 0..self.len() {
-            if index > 0 {
-                text.push(';');
-            }
-            let fl = self.flags[index];
-            push_hex(&mut text, self.op[index] as u32);
-            if fl & HAS_MEM0 != 0 {
-                text.push('.');
-                push_hex(&mut text, self.mem0[index]);
-            }
-            if fl & HAS_MEM1 != 0 {
-                text.push('.');
-                push_hex(&mut text, self.mem1[index]);
-            }
-            if fl & HAS_REG0 != 0 {
-                text.push('.');
-                push_hex(&mut text, self.reg0[index]);
-            }
-            if fl & HAS_REG1 != 0 {
-                text.push('.');
-                push_hex(&mut text, self.reg1[index]);
-            }
-            if fl & (HAS_CIN | HAS_COUT) != 0 {
-                text.push('.');
-                push_hex(&mut text, self.cio[index]);
-            }
-        }
-        text
-    }
-
-    /// Decodes [`ExecutionTrace::encode`] output. Does **not** count as a
-    /// lowering: this is the warm cache-load path, and the zero-lowering
-    /// acceptance checks rely on the distinction.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceDecodeError`] for unknown opcodes, operand counts
-    /// that do not match the opcode's shape, or malformed hex fields.
-    pub fn decode(text: &str) -> Result<Self, TraceDecodeError> {
-        let mut trace = ExecutionTrace::new();
-        if text.is_empty() {
-            return Ok(trace);
-        }
-        for (index, record) in text.split(';').enumerate() {
-            let mut fields = record.split('.');
-            let op = parse_hex(fields.next().unwrap_or(""), index)?;
-            let mut operands = [0u32; 5];
-            let mut n = 0;
-            for field in fields {
-                if n == operands.len() {
-                    return Err(TraceDecodeError {
-                        what: format!("record {index} has too many operand fields"),
-                    });
-                }
-                operands[n] = parse_hex(field, index)?;
-                n += 1;
-            }
-            let op = u8::try_from(op).unwrap_or(u8::MAX);
-            let instr = reconstruct(op, &operands[..n]).ok_or_else(|| TraceDecodeError {
-                what: format!(
-                    "record {index}: opcode {op} with {n} operand field(s) \
-                     matches no instruction shape"
-                ),
-            })?;
-            trace.push_instruction(&instr);
-        }
-        Ok(trace)
-    }
 }
 
 fn push_hex(text: &mut String, value: u32) {
@@ -657,15 +641,13 @@ fn reconstruct(op: u8, operands: &[u32]) -> Option<Instruction> {
     Some(instr)
 }
 
-/// Lowers `program` into a fresh [`ExecutionTrace`]. Counted by
-/// [`lowering_count`].
+/// Lowers `program` into a fresh [`ExecutionTrace`]: the program's
+/// instructions pushed through the trace's [`InstructionSink`].
 pub fn lower(program: &Program) -> ExecutionTrace {
-    lowering_counter().inc();
-    let _span = lsqca_telemetry::span("trace.lower");
     let mut trace = ExecutionTrace::new();
     trace.reserve(program.len());
-    for instr in program.iter() {
-        trace.push_instruction(instr);
+    for &instr in program.iter() {
+        trace.push(instr);
     }
     trace
 }
@@ -700,14 +682,9 @@ mod tests {
     }
 
     #[test]
-    fn lowering_counts_and_decoding_does_not() {
-        let program = example_program();
-        let before = lowering_count();
-        let trace = lower(&program);
-        assert_eq!(lowering_count(), before + 1);
-        let decoded = ExecutionTrace::decode(&trace.encode()).unwrap();
-        assert_eq!(lowering_count(), before + 1, "decode must not count");
-        assert_eq!(decoded, trace);
+    fn encoding_round_trips() {
+        let trace = lower(&example_program());
+        assert_eq!(ExecutionTrace::decode(&trace.encode()).unwrap(), trace);
     }
 
     #[test]

@@ -910,8 +910,8 @@ impl Simulator {
     ///
     /// The input kind selects the engine path: a [`Program`] is lowered into
     /// a fresh trace and executed through the trace engine, an
-    /// [`ExecutionTrace`] or [`CompiledWorkload`] executes its pre-lowered
-    /// trace directly (zero per-run lowering), and a [`Classified`] pair
+    /// [`ExecutionTrace`] or [`CompiledWorkload`] executes its trace
+    /// directly (no per-run lowering), and a [`Classified`] pair
     /// drives the retained reference interpreter. All paths share one
     /// contract: each call starts from the pristine architectural state — if
     /// the simulator has already run (even a run that failed part-way),
@@ -1520,7 +1520,8 @@ mod sealed {
 ///
 /// The trait is sealed: the implementors are exactly [`Program`] (lowered
 /// into a fresh trace per run), [`ExecutionTrace`] and
-/// [`CompiledWorkload`] (pre-lowered, executed directly), and [`Classified`]
+/// [`CompiledWorkload`] (whose trace the compiler wrote, executed
+/// directly), and [`Classified`]
 /// (the reference interpreter). Each selects its engine path itself, so
 /// callers never pick — or mismatch — a `run_*` variant again.
 pub trait Executable: sealed::Sealed {
@@ -2088,14 +2089,13 @@ mod tests {
     fn run_compiled_matches_run_and_skips_classification() {
         use lsqca_workloads::{Benchmark, CompiledWorkload, InstanceSize};
         let cfg = Benchmark::SquareRoot.config(InstanceSize::Reduced);
-        let workload = CompiledWorkload::compile(
-            cfg.descriptor(),
-            &cfg.build(),
-            lsqca_compiler::CompilerConfig::default(),
-        );
+        let circuit = cfg.build();
+        let config = lsqca_compiler::CompilerConfig::default();
+        let workload = CompiledWorkload::compile(cfg.descriptor(), &circuit, config);
+        let program = lsqca_compiler::compile(&circuit, config).program;
         let qubits = workload.num_qubits().max(workload.memory_footprint());
         let mut simulator = sim(&point(1), qubits);
-        let via_program = simulator.execute(workload.program()).unwrap();
+        let via_program = simulator.execute(&program).unwrap();
         let via_artifact = simulator.execute(&workload).unwrap();
         assert_eq!(via_program, via_artifact);
         assert!(via_artifact.stats.command_count > 0);

@@ -350,16 +350,20 @@ proptest! {
 }
 
 /// The reduced multiplier and SELECT instances, compiled with the default
-/// compiler configuration.
-fn compiled_workloads() -> Vec<CompiledWorkload> {
+/// compiler configuration, each paired with the `Program` the compiler emits
+/// for the same circuit. The oracle's input comes from the compiler's
+/// `Program` sink, never from the trace, so a lowering bug shared by both
+/// directions cannot cancel out.
+fn compiled_workloads() -> Vec<(CompiledWorkload, Program)> {
     [Benchmark::Multiplier, Benchmark::Select]
         .into_iter()
         .map(|benchmark| {
             let cfg = benchmark.config(InstanceSize::Reduced);
-            CompiledWorkload::compile(
-                cfg.descriptor(),
-                &cfg.build(),
-                lsqca_compiler::CompilerConfig::default(),
+            let circuit = cfg.build();
+            let config = lsqca_compiler::CompilerConfig::default();
+            (
+                CompiledWorkload::compile(cfg.descriptor(), &circuit, config),
+                lsqca_compiler::compile(&circuit, config).program,
             )
         })
         .collect()
@@ -370,8 +374,9 @@ fn compiled_workloads() -> Vec<CompiledWorkload> {
 /// simulators and again on the same simulators once they have run.
 #[test]
 fn interpreter_matches_the_trace_engine_on_compiled_workloads() {
-    for workload in compiled_workloads() {
-        let oracle = Classified::new(workload.program(), workload.classes());
+    for (workload, program) in compiled_workloads() {
+        let classes = LatencyTable::paper().classify_program(&program);
+        let oracle = Classified::new(&program, &classes);
         let qubits = workload.num_qubits().max(1);
         for floorplan in ArchConfig::paper_floorplans() {
             let arch = ArchConfig::new(floorplan, 1);
@@ -392,7 +397,7 @@ fn interpreter_matches_the_trace_engine_on_compiled_workloads() {
 /// duplicate, and a list spanning two lane groups.
 #[test]
 fn factory_groups_match_on_compiled_workloads() {
-    for workload in compiled_workloads() {
+    for (workload, _) in compiled_workloads() {
         let qubits = workload.num_qubits().max(workload.memory_footprint());
         let hot: Vec<QubitTag> = (0..qubits / 10).map(QubitTag).collect();
         let mut cases: Vec<(ArchConfig, Option<PolicyKind>)> = ArchConfig::paper_floorplans()

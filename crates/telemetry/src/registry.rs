@@ -525,7 +525,7 @@ mod tests {
     fn snapshot_round_trips_through_json() {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("sim.runs".to_string(), 42);
-        snap.counters.insert("trace.lowered".to_string(), 0);
+        snap.counters.insert("sim.memory_walks".to_string(), 0);
         snap.gauges.insert("shard.0.backoff_ms".to_string(), -1);
         snap.histograms.insert(
             "sim.beats.seek".to_string(),
@@ -564,7 +564,7 @@ mod tests {
         total.counters.insert("sim.runs".to_string(), 5);
         let mut shard = MetricsSnapshot::default();
         shard.counters.insert("sim.runs".to_string(), 7);
-        shard.counters.insert("trace.lowered".to_string(), 2);
+        shard.counters.insert("sim.memory_walks".to_string(), 2);
         shard.gauges.insert("restarts".to_string(), 1);
         shard.histograms.insert(
             "sim.beats.cx".to_string(),
@@ -577,7 +577,7 @@ mod tests {
         total.absorb(&shard, "shard.3.");
         total.absorb(&shard, "shard.4.");
         assert_eq!(total.counters["sim.runs"], 19);
-        assert_eq!(total.counters["trace.lowered"], 4);
+        assert_eq!(total.counters["sim.memory_walks"], 4);
         assert_eq!(total.gauges["shard.3.restarts"], 1);
         assert_eq!(total.gauges["shard.4.restarts"], 1);
         let merged = &total.histograms["sim.beats.cx"];

@@ -38,20 +38,26 @@
 //!   `Debug`-rendered config alone cannot catch this case — the descriptor
 //!   text would be byte-identical before and after the logic change, and no
 //!   hash of the compiled program is part of a generator's key.
-//! * **The instruction set or its serialized form changed** (new opcode,
-//!   changed operand encoding, different latency-class mapping): bump
+//! * **The instruction set changed** (new opcode, changed operand meaning,
+//!   different latency-class mapping): bump
 //!   [`ISA_VERSION`](lsqca_isa::ISA_VERSION) in `lsqca-isa`. Every cached
 //!   artifact of every generator is invalidated, because all of them embed
-//!   programs in the old dialect.
-//! * **The trace lowering changed** (new [`ExecKind`](lsqca_isa::ExecKind),
+//!   instruction streams in the old dialect.
+//! * **The trace changed** (new [`ExecKind`](lsqca_isa::ExecKind),
 //!   different flag bits or fixed-beat values, a changed trace text format):
 //!   bump [`TRACE_REVISION`](lsqca_isa::TRACE_REVISION) in `lsqca-isa`.
-//!   Artifacts embed the pre-lowered execution trace next to the program
-//!   text, so every cached artifact is invalidated and re-lowered — the
-//!   program text itself is unchanged, which is exactly why `ISA_VERSION`
-//!   alone cannot catch this case. An artifact found under an old key path
+//!   The trace is the only compiled form an artifact stores, and such a
+//!   change leaves the instruction set itself unchanged, which is exactly
+//!   why `ISA_VERSION` alone cannot catch this case. Every cached artifact
+//!   is invalidated and recompiled. An artifact found under an old key path
 //!   anyway (hand-copied file) is quarantined by
 //!   [`ArtifactError::TraceRevisionMismatch`] at load time and recompiled.
+//! * **The artifact document changed shape** (fields added, removed or
+//!   re-encoded): bump [`ARTIFACT_SCHEMA`](crate::compiled::ARTIFACT_SCHEMA).
+//!   It is not part of the key, so an old file is still found, fails with
+//!   [`ArtifactError::SchemaMismatch`] and is recompiled and rewritten. (v1
+//!   documents, which also carried program text and a latency-class
+//!   vector, take this path.)
 //! * **The simulator's result semantics changed** (same artifact, different
 //!   numbers): that is `lsqca_sim::RESULTS_REVISION`'s job, keyed by the
 //!   *result store* only. Bump it only when a change alters what the
@@ -430,7 +436,7 @@ mod tests {
         cache.load_or_compile(&desc, in_memory, &build);
         let (w, event) = cache.load_or_compile(&desc, load_store, &build);
         assert_eq!(event, CacheEvent::Compiled);
-        assert!(w.program().iter().any(|i| !i.is_in_memory()));
+        assert!(w.trace().exec_kinds().contains(&lsqca_isa::ExecKind::Load));
         // Both artifacts now hit independently.
         assert_eq!(
             cache.load_or_compile(&desc, in_memory, &build).1,
@@ -501,13 +507,13 @@ mod tests {
     }
 
     #[test]
-    fn bumped_trace_revision_is_quarantined_and_relowered() {
+    fn bumped_trace_revision_is_quarantined_and_recompiled() {
         let cache = temp_cache("trace-revision");
         let (desc, build) = ghz();
         let config = CompilerConfig::default();
         cache.load_or_compile(&desc, config, &build);
 
-        // Simulate an artifact lowered by a different trace revision landing
+        // Simulate an artifact written by a different trace revision landing
         // at this key's path (the key normally shifts with the revision, so
         // this is the hand-copied-file case).
         let path = cache.path_for(&desc, &config).unwrap();
@@ -531,7 +537,11 @@ mod tests {
             ),
             "unexpected event {event:?}"
         );
-        assert_eq!(w.trace().len(), w.program().len(), "re-lowered on reject");
+        assert_eq!(
+            w.trace(),
+            CompiledWorkload::compile(desc.as_str(), &build(), config).trace(),
+            "recompiled on reject"
+        );
         // The quarantined entry was rewritten at the current revision.
         assert_eq!(
             cache.load_or_compile(&desc, config, &build).1,
@@ -548,10 +558,11 @@ mod tests {
 
         let path = cache.path_for(&desc, &config).unwrap();
         let text = fs::read_to_string(&path).unwrap();
-        // Swap one instruction for another: valid JSON, valid program text,
-        // wrong content — only the payload hash catches it.
-        assert!(text.contains("HD.M"));
-        fs::write(&path, text.replacen("HD.M", "PH.M", 1)).unwrap();
+        // Swap one instruction for another (trace opcode `e`, HD.M, for
+        // `f`, PH.M): valid JSON, valid trace text, wrong content — only the
+        // payload hash catches it.
+        assert!(text.contains(";e."));
+        fs::write(&path, text.replacen(";e.", ";f.", 1)).unwrap();
 
         let (_, event) = cache.load_or_compile(&desc, config, &build);
         assert!(

@@ -3,22 +3,24 @@
 //! The paper's evaluation re-simulates the same compiled benchmark across
 //! dozens of SAM configurations (floorplans × factory counts × hybrid
 //! fractions), so everything derivable from the circuit alone is worth
-//! computing exactly once. A [`CompiledWorkload`] bundles that per-program
+//! computing exactly once. A [`CompiledWorkload`] bundles that per-workload
 //! state:
 //!
-//! * the lowered LSQCA instruction stream,
-//! * the precompiled per-instruction [`LatencyClass`] vector (immutable per
-//!   program, previously re-derived by every `Simulator::run`),
-//! * the operand tables — memory footprint and the circuit's register map,
-//!   which role-based hybrid placement (Fig. 15) needs,
-//! * qubit-count metadata (`num_qubits`, `t_gates`),
+//! * the [`ExecutionTrace`], which the compiler writes straight into
+//!   ([`lsqca_compiler::compile_into`]); it is the one compiled form of the
+//!   instruction stream, and it reconstructs any instruction losslessly
+//!   ([`ExecutionTrace::instruction`]), so no `Program` or latency-class
+//!   vector is kept next to it,
+//! * the circuit's register map, which role-based hybrid placement
+//!   (Fig. 15) needs,
+//! * the circuit name and qubit-count metadata (`num_qubits`, `t_gates`),
 //! * the descriptor that identifies the workload: normally its
 //!   [`workload_key`], which names the generator configuration, the compiler
 //!   configuration, the ISA version and the trace revision.
 //!
 //! Result-store keys are derived from the descriptor alone, so keying a
-//! result never needs the compiled program. The FNV-1a payload hash over
-//! the rendered program, class vector and trace is computed on demand
+//! result never needs the compiled workload. The FNV-1a payload hash over
+//! the metadata and the rendered trace is computed on demand
 //! ([`CompiledWorkload::payload_hash`]): the artifact codec stores and
 //! verifies it, and ad-hoc workloads without a generator identity fold it
 //! into their descriptor once, at construction
@@ -29,16 +31,15 @@
 //! [`crate::cache`] stores; see that module for the invalidation rules.
 
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
-use lsqca_compiler::{compile, CompilerConfig};
-use lsqca_isa::asm::{format_program, parse_program};
-use lsqca_isa::{ExecutionTrace, LatencyClass, LatencyTable, Program, ISA_VERSION, TRACE_REVISION};
+use lsqca_compiler::{compile_into, CompilerConfig};
+use lsqca_isa::{ExecutionTrace, ISA_VERSION, TRACE_REVISION};
 use lsqca_json::{Json, ToJson};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Schema identifier embedded in every serialized artifact.
-pub const ARTIFACT_SCHEMA: &str = "lsqca-workload-artifact-v1";
+pub const ARTIFACT_SCHEMA: &str = "lsqca-workload-artifact-v2";
 
 /// Number of circuit compilations performed by this process (every
 /// [`CompiledWorkload::compile`] call, cached or not). The warm-cache
@@ -83,21 +84,19 @@ pub fn workload_key(descriptor: &str, config: &CompilerConfig) -> String {
 /// once per `(generator config, compiler config)` pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledWorkload {
-    program: Program,
+    name: String,
+    descriptor: String,
     num_qubits: u32,
     t_gates: u64,
-    descriptor: String,
-    classes: Vec<LatencyClass>,
     trace: ExecutionTrace,
-    memory_footprint: u32,
     registers: RegisterMap,
 }
 
 impl CompiledWorkload {
-    /// Compiles `circuit` into an artifact. `descriptor` identifies the
-    /// workload and is what result-store keys are derived from, so it must
-    /// determine the compiled content: pass the [`workload_key`] of the
-    /// generator configuration (ad-hoc circuits use
+    /// Compiles `circuit` straight into an execution trace. `descriptor`
+    /// identifies the workload and is what result-store keys are derived
+    /// from, so it must determine the compiled content: pass the
+    /// [`workload_key`] of the generator configuration (ad-hoc circuits use
     /// [`CompiledWorkload::compile_adhoc`]). Nothing is rendered or hashed.
     pub fn compile(
         descriptor: impl Into<String>,
@@ -107,25 +106,15 @@ impl CompiledWorkload {
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
         #[cfg(test)]
         THREAD_COMPILE_COUNT.with(|n| n.set(n.get() + 1));
-        let compiled = compile(circuit, config);
-        let classes = LatencyTable::paper().classify_program(&compiled.program);
-        let trace = lsqca_isa::lower(&compiled.program);
-        let memory_footprint = compiled
-            .program
-            .iter()
-            .flat_map(|i| i.memory_operands())
-            .map(|m| m.index() + 1)
-            .max()
-            .unwrap_or(0);
+        let mut trace = ExecutionTrace::new();
+        let (num_qubits, t_gates) = compile_into(circuit, config, &mut trace);
         CompiledWorkload {
+            name: circuit.name().to_string(),
             descriptor: descriptor.into(),
-            classes,
+            num_qubits,
+            t_gates,
             trace,
-            memory_footprint,
             registers: circuit.registers().clone(),
-            num_qubits: compiled.num_qubits,
-            t_gates: compiled.t_gates,
-            program: compiled.program,
         }
     }
 
@@ -144,12 +133,12 @@ impl CompiledWorkload {
         artifact
     }
 
-    /// The LSQCA instruction stream.
-    pub fn program(&self) -> &Program {
-        &self.program
+    /// The name of the compiled circuit (Clifford+T lowering keeps it).
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Number of data qubits (SAM addresses) the program was compiled for.
+    /// Number of data qubits (SAM addresses) the workload was compiled for.
     pub fn num_qubits(&self) -> u32 {
         self.num_qubits
     }
@@ -164,24 +153,18 @@ impl CompiledWorkload {
         &self.descriptor
     }
 
-    /// The precompiled per-instruction latency classes (parallel to the
-    /// instruction stream).
-    pub fn classes(&self) -> &[LatencyClass] {
-        &self.classes
-    }
-
-    /// The pre-lowered execution trace (parallel to the instruction stream).
-    /// Lowered exactly once at [`CompiledWorkload::compile`] time — a cached
-    /// artifact carries the serialized trace and decodes it on load, so warm
-    /// sweeps perform zero lowerings (`lsqca_isa::lowering_count` stays flat).
+    /// The execution trace: the compiled instruction stream, one record per
+    /// instruction. Built once by [`CompiledWorkload::compile`]; a cached
+    /// artifact carries the serialized trace and decodes it on load.
     pub fn trace(&self) -> &ExecutionTrace {
         &self.trace
     }
 
-    /// One past the highest SAM address the program touches (0 for an empty
-    /// program) — precomputed so per-run simulator sizing is O(1).
+    /// One past the highest SAM address the workload touches (0 for an
+    /// empty one): the trace's [`ExecutionTrace::mem_bound`], so per-run
+    /// simulator sizing is O(1).
     pub fn memory_footprint(&self) -> u32 {
-        self.memory_footprint
+        self.trace.mem_bound()
     }
 
     /// The circuit's register structure, kept so role-based hybrid placement
@@ -192,79 +175,64 @@ impl CompiledWorkload {
 
     /// The FNV-1a content hash covering every field that influences
     /// simulation results. The hash is defined over the *serialized text* of
-    /// the program, class vector, and execution trace (passed together as
-    /// `texts`, in that order), so loading verifies the stored strings
-    /// directly without re-rendering a multi-megabyte instruction stream.
+    /// the execution trace, so loading verifies the stored string directly,
+    /// before decoding it.
     fn payload_hash_of(
         descriptor: &str,
+        name: &str,
         num_qubits: u32,
         t_gates: u64,
-        memory_footprint: u32,
         registers: &RegisterMap,
-        texts: [&str; 3],
+        trace_text: &str,
     ) -> u64 {
         let mut hash = Fnv1a::new();
-        hash.update(descriptor.as_bytes());
-        hash.update(b"\n");
-        hash.update(
-            format!("qubits={num_qubits} t_gates={t_gates} footprint={memory_footprint}\n")
-                .as_bytes(),
-        );
+        for line in [descriptor, name] {
+            hash.update(line.as_bytes());
+            hash.update(b"\n");
+        }
+        hash.update(format!("qubits={num_qubits} t_gates={t_gates}\n").as_bytes());
         for r in registers.registers() {
             hash.update(format!("reg {} {} {}\n", r.name, r.role, r.len()).as_bytes());
         }
-        for text in texts {
-            hash.update(text.as_bytes());
-        }
+        hash.update(trace_text.as_bytes());
         hash.finish()
     }
 
     /// The FNV-1a content hash of the artifact payload, exactly the
     /// `payload_hash` that [`CompiledWorkload::to_json`] stores. Computed on
-    /// demand: it renders the program text, class vector and trace, which
-    /// costs hundreds of milliseconds on a paper-sized workload.
+    /// demand: it renders the trace, which costs tens of milliseconds on a
+    /// paper-sized workload.
     pub fn payload_hash(&self) -> u64 {
-        self.hash_rendered(&self.render())
+        self.hash_rendered(&self.trace.encode())
     }
 
-    /// The program text, class vector and trace hex, in hash order.
-    fn render(&self) -> [String; 3] {
-        [
-            format_program(&self.program),
-            encode_classes(&self.classes),
-            self.trace.encode(),
-        ]
-    }
-
-    /// `payload_hash_of` over this artifact's metadata and
-    /// its rendered `texts`.
-    fn hash_rendered(&self, texts: &[String; 3]) -> u64 {
+    /// `payload_hash_of` over this artifact's metadata and its rendered
+    /// `trace_text`.
+    fn hash_rendered(&self, trace_text: &str) -> u64 {
         Self::payload_hash_of(
             &self.descriptor,
+            &self.name,
             self.num_qubits,
             self.t_gates,
-            self.memory_footprint,
             &self.registers,
-            [&texts[0], &texts[1], &texts[2]],
+            trace_text,
         )
     }
 
     /// Serializes the artifact to its on-disk JSON document. The stored
-    /// `payload_hash` is recomputed from the rendered texts, so the document
+    /// `payload_hash` is recomputed from the rendered trace, so the document
     /// always describes exactly the content it carries.
     pub fn to_json(&self) -> Json {
-        let texts = self.render();
-        let payload_hash = self.hash_rendered(&texts);
-        let [program_text, classes_text, trace_text] = texts;
+        let trace_text = self.trace.encode();
+        let payload_hash = self.hash_rendered(&trace_text);
         Json::obj([
             ("schema", ARTIFACT_SCHEMA.to_json()),
             ("isa_version", ISA_VERSION.to_json()),
             ("trace_revision", TRACE_REVISION.to_json()),
             ("descriptor", self.descriptor.to_json()),
-            ("name", self.program.name().to_json()),
+            ("name", self.name.to_json()),
             ("num_qubits", self.num_qubits.to_json()),
             ("t_gates", self.t_gates.to_json()),
-            ("memory_footprint", self.memory_footprint.to_json()),
             (
                 "registers",
                 Json::arr(self.registers.registers().iter().map(|r| {
@@ -275,15 +243,13 @@ impl CompiledWorkload {
                     ])
                 })),
             ),
-            ("program", program_text.to_json()),
-            ("classes", classes_text.to_json()),
             ("trace", trace_text.to_json()),
             ("payload_hash", format!("{payload_hash:016x}").to_json()),
         ])
     }
 
-    /// Deserializes an artifact document, verifying schema, ISA version, and
-    /// the payload hash.
+    /// Deserializes an artifact document, verifying schema, ISA version,
+    /// trace revision and the payload hash.
     ///
     /// # Errors
     ///
@@ -303,6 +269,13 @@ impl CompiledWorkload {
         };
         let u64_field = |key: &'static str| {
             field(key).and_then(|v| v.as_u64().ok_or(ArtifactError::MissingField { field: key }))
+        };
+        // Narrowing is checked, never truncated: the hash covers the
+        // narrowed value, so a wrapped one would verify and be served.
+        let to_u32 = |value: u64, what: &str| {
+            u32::try_from(value).map_err(|_| ArtifactError::Malformed {
+                what: format!("{what} {value} does not fit in 32 bits"),
+            })
         };
 
         let schema = str_field("schema")?;
@@ -326,9 +299,8 @@ impl CompiledWorkload {
 
         let descriptor = str_field("descriptor")?;
         let name = str_field("name")?;
-        let num_qubits = u64_field("num_qubits")? as u32;
+        let num_qubits = to_u32(u64_field("num_qubits")?, "num_qubits")?;
         let t_gates = u64_field("t_gates")?;
-        let memory_footprint = u64_field("memory_footprint")? as u32;
 
         let mut registers = RegisterMap::new();
         for entry in field("registers")?
@@ -351,24 +323,22 @@ impl CompiledWorkload {
                 .get("len")
                 .and_then(Json::as_u64)
                 .ok_or(ArtifactError::MissingField { field: "registers" })?;
-            registers.add(reg_name, role, len as u32);
+            registers.add(reg_name, role, to_u32(len, "register length")?);
         }
 
-        let program_text = str_field("program")?;
-        let classes_text = str_field("classes")?;
         let trace_text = str_field("trace")?;
 
         // Verify the payload hash over the stored text *before* decoding the
-        // (potentially multi-megabyte) instruction stream: corruption is
-        // rejected at memcmp cost, and a verified artifact is decoded once.
+        // (potentially multi-megabyte) trace: corruption is rejected at
+        // memcmp cost, and a verified artifact is decoded once.
         let stored_hash = str_field("payload_hash")?;
         let actual = Self::payload_hash_of(
             &descriptor,
+            &name,
             num_qubits,
             t_gates,
-            memory_footprint,
             &registers,
-            [&program_text, &classes_text, &trace_text],
+            &trace_text,
         );
         let actual = format!("{actual:016x}");
         if stored_hash != actual {
@@ -378,66 +348,19 @@ impl CompiledWorkload {
             });
         }
 
-        let program =
-            parse_program(&name, &program_text).map_err(|e| ArtifactError::Malformed {
-                what: format!("program text: {e}"),
-            })?;
-        let classes = decode_classes(&classes_text)?;
-        if classes.len() != program.len() {
-            return Err(ArtifactError::Malformed {
-                what: format!(
-                    "class vector length {} does not match the {}-instruction program",
-                    classes.len(),
-                    program.len()
-                ),
-            });
-        }
-        // Decoding (not re-lowering) keeps warm loads off the lowering
-        // counter: a cache hit must leave `lsqca_isa::lowering_count` flat.
         let trace = ExecutionTrace::decode(&trace_text).map_err(|e| ArtifactError::Malformed {
             what: e.to_string(),
         })?;
-        if trace.len() != program.len() {
-            return Err(ArtifactError::Malformed {
-                what: format!(
-                    "execution trace length {} does not match the {}-instruction program (trace revision {TRACE_REVISION})",
-                    trace.len(),
-                    program.len()
-                ),
-            });
-        }
 
         Ok(CompiledWorkload {
+            name,
             descriptor,
-            classes,
-            trace,
-            memory_footprint,
-            registers,
             num_qubits,
             t_gates,
-            program,
+            trace,
+            registers,
         })
     }
-}
-
-/// One ASCII digit per instruction (the `repr(u8)` discriminant).
-fn encode_classes(classes: &[LatencyClass]) -> String {
-    classes
-        .iter()
-        .map(|c| char::from(b'0' + c.as_u8()))
-        .collect()
-}
-
-fn decode_classes(text: &str) -> Result<Vec<LatencyClass>, ArtifactError> {
-    text.bytes()
-        .map(|b| {
-            b.checked_sub(b'0')
-                .and_then(LatencyClass::from_u8)
-                .ok_or_else(|| ArtifactError::Malformed {
-                    what: format!("invalid latency-class byte `{}`", b as char),
-                })
-        })
-        .collect()
 }
 
 // The FNV-1a hasher moved to `lsqca-store` so the result store and this cache
@@ -464,15 +387,16 @@ pub enum ArtifactError {
         /// The version this build implements.
         expected: u32,
     },
-    /// The artifact's execution trace was lowered by a different trace
-    /// revision; the cache quarantines the artifact and re-lowers.
+    /// The artifact's execution trace was built by a different trace
+    /// revision; the cache quarantines the artifact and recompiles.
     TraceRevisionMismatch {
         /// The trace revision recorded in the document.
         found: u64,
         /// The trace revision this build lowers.
         expected: u32,
     },
-    /// A field failed to decode (program text, class vector, register role).
+    /// A field failed to decode (trace text, register role, an out-of-range
+    /// number).
     Malformed {
         /// Description of the malformed content.
         what: String,
@@ -501,7 +425,7 @@ impl fmt::Display for ArtifactError {
             ArtifactError::TraceRevisionMismatch { found, expected } => {
                 write!(
                     f,
-                    "trace revision {found} (this build lowers trace revision {expected})"
+                    "trace revision {found} (this build writes trace revision {expected})"
                 )
             }
             ArtifactError::Malformed { what } => write!(f, "malformed artifact: {what}"),
@@ -518,11 +442,105 @@ impl Error for ArtifactError {}
 mod tests {
     use super::*;
     use crate::registry::{Benchmark, InstanceSize};
-    use lsqca_isa::{Instruction, MemAddr};
+    use lsqca_circuit::DecomposeConfig;
+    use lsqca_compiler::compile;
+    use lsqca_isa::{Instruction, MemAddr, Program};
+    use proptest::prelude::*;
 
     fn sample() -> CompiledWorkload {
         let cfg = Benchmark::Ghz.config(InstanceSize::Reduced);
         CompiledWorkload::compile(cfg.descriptor(), &cfg.build(), CompilerConfig::default())
+    }
+
+    /// `circuit` compiled through the `Program` sink and through the trace
+    /// sink: the lowered program equals the trace column by column, and the
+    /// name, T count, qubit count and footprint agree.
+    fn assert_sinks_agree(circuit: &Circuit, config: CompilerConfig) {
+        let compiled = compile(circuit, config);
+        let w = CompiledWorkload::compile("sinks", circuit, config);
+        assert_eq!(lsqca_isa::lower(&compiled.program), *w.trace());
+        let footprint = compiled
+            .program
+            .iter()
+            .flat_map(|i| i.memory_operands())
+            .map(|m| m.index() + 1)
+            .max()
+            .unwrap_or(0);
+        assert_eq!(w.memory_footprint(), footprint);
+        assert_eq!(w.name(), compiled.program.name());
+        assert_eq!(w.t_gates(), compiled.t_gates);
+        assert_eq!(w.num_qubits(), compiled.num_qubits);
+    }
+
+    #[test]
+    fn both_sinks_agree_on_every_benchmark() {
+        for benchmark in Benchmark::ALL {
+            let circuit = benchmark.reduced_instance();
+            for use_in_memory_ops in [true, false] {
+                let config = CompilerConfig {
+                    use_in_memory_ops,
+                    ..CompilerConfig::default()
+                };
+                assert_sinks_agree(&circuit, config);
+            }
+        }
+    }
+
+    const QUBITS: u32 = 6;
+
+    /// Random circuits over every gate the compiler translates: preparations,
+    /// measurements, Cliffords, Paulis, T/T†, CNOT, CZ, Toffoli and MCX.
+    fn circuit_strategy() -> impl Strategy<Value = Circuit> {
+        proptest::collection::vec((0u32..16, 0u32..QUBITS, proptest::bool::ANY), 0..60).prop_map(
+            |gates| {
+                let mut c = Circuit::new("prop", QUBITS);
+                for (op, q, reverse) in gates {
+                    // Strides 1 and 5 are coprime with 6: four distinct qubits.
+                    let stride = if reverse { 5 } else { 1 };
+                    let d = |k: u32| (q + k * stride) % QUBITS;
+                    match op {
+                        0 => c.prep_z(q),
+                        1 => c.prep_x(q),
+                        2 => c.h(q),
+                        3 => c.s(q),
+                        4 => c.sdg(q),
+                        5 => c.t(q),
+                        6 => c.tdg(q),
+                        7 => c.x(q),
+                        8 => c.y(q),
+                        9 => c.z(q),
+                        10 => c.measure_z(q),
+                        11 => c.measure_x(q),
+                        12 => c.cnot(q, d(1)),
+                        13 => c.cz(q, d(1)),
+                        14 => c.toffoli(q, d(1), d(2)),
+                        _ => c.mcx(vec![q, d(1), d(2)], d(3)),
+                    }
+                }
+                c
+            },
+        )
+    }
+
+    proptest! {
+        /// The two sinks agree on random circuits under every compiler
+        /// configuration that can compile them (Toffoli expansion stays on:
+        /// the compiler needs Toffolis lowered).
+        #[test]
+        fn both_sinks_agree_on_random_circuits(
+            circuit in circuit_strategy(),
+            use_in_memory_ops in proptest::bool::ANY,
+            expand_cz in proptest::bool::ANY,
+        ) {
+            let config = CompilerConfig {
+                use_in_memory_ops,
+                decompose: DecomposeConfig {
+                    expand_toffoli: true,
+                    expand_cz,
+                },
+            };
+            assert_sinks_agree(&circuit, config);
+        }
     }
 
     #[test]
@@ -530,12 +548,12 @@ mod tests {
         let before = thread_compile_count();
         let w = sample();
         assert_eq!(thread_compile_count(), before + 1);
-        assert!(!w.program.is_empty());
-        assert_eq!(w.classes().len(), w.program.len());
+        assert!(!w.trace().is_empty());
         assert_eq!(w.num_qubits, 16);
         assert!(w.memory_footprint() <= w.num_qubits);
         assert!(w.memory_footprint() > 0);
         assert!(w.descriptor().contains("Ghz"));
+        assert_eq!(w.name(), Benchmark::Ghz.reduced_instance().name());
     }
 
     #[test]
@@ -672,11 +690,11 @@ mod tests {
         ));
 
         // Flipped trace revision: the error names both revisions.
-        let relowered = pretty.replace(
+        let stale = pretty.replace(
             &format!("\"trace_revision\": {}", lsqca_isa::TRACE_REVISION),
             "\"trace_revision\": 777",
         );
-        let err = CompiledWorkload::from_json(&lsqca_json::parse(&relowered).unwrap()).unwrap_err();
+        let err = CompiledWorkload::from_json(&lsqca_json::parse(&stale).unwrap()).unwrap_err();
         assert!(matches!(
             err,
             ArtifactError::TraceRevisionMismatch { found: 777, .. }
@@ -687,48 +705,64 @@ mod tests {
             .contains(&lsqca_isa::TRACE_REVISION.to_string()));
     }
 
+    /// A number past `u32::MAX` is rejected, not truncated: with the hash
+    /// over the truncated value, `n + 2³²` qubits would verify as `n`.
     #[test]
-    fn class_vector_must_match_the_program_length() {
-        let mut w = sample();
-        w.classes.pop();
-        let doc = w.to_json();
-        assert!(matches!(
-            CompiledWorkload::from_json(&doc),
-            Err(ArtifactError::Malformed { .. })
-        ));
-    }
-
-    #[test]
-    fn trace_must_match_the_program_length() {
-        let mut w = sample();
-        w.trace = lsqca_isa::ExecutionTrace::new();
-        let doc = w.to_json();
-        assert!(matches!(
-            CompiledWorkload::from_json(&doc),
-            Err(ArtifactError::Malformed { what }) if what.contains("trace revision")
-        ));
-    }
-
-    #[test]
-    fn loading_an_artifact_does_not_relower() {
+    fn out_of_range_numbers_are_rejected() {
         let w = sample();
-        let doc = w.to_json();
-        let before = lsqca_isa::lowering_count();
-        let restored = CompiledWorkload::from_json(&doc).unwrap();
-        assert_eq!(lsqca_isa::lowering_count(), before);
-        assert_eq!(restored.trace(), w.trace());
-        assert_eq!(restored.trace().len(), w.program.len());
-    }
-
-    #[test]
-    fn classes_agree_with_fresh_classification() {
-        let w = sample();
-        assert_eq!(
-            w.classes(),
-            LatencyTable::paper()
-                .classify_program(&w.program)
-                .as_slice()
+        let pretty = w.to_json().pretty();
+        let wrapped = pretty.replace(
+            &format!("\"num_qubits\": {}", w.num_qubits),
+            &format!("\"num_qubits\": {}", u64::from(w.num_qubits) + (1 << 32)),
         );
+        assert_ne!(wrapped, pretty);
+        assert!(matches!(
+            CompiledWorkload::from_json(&lsqca_json::parse(&wrapped).unwrap()),
+            Err(ArtifactError::Malformed { what }) if what.contains("num_qubits")
+        ));
+
+        let select = Benchmark::Select.config(InstanceSize::Reduced);
+        let w = CompiledWorkload::compile(
+            select.descriptor(),
+            &select.build(),
+            CompilerConfig::default(),
+        );
+        let len = w.registers().registers()[0].len();
+        let pretty = w.to_json().pretty();
+        let wrapped = pretty.replacen(
+            &format!("\"len\": {len}"),
+            &format!("\"len\": {}", len as u64 + (1 << 32)),
+            1,
+        );
+        assert_ne!(wrapped, pretty);
+        assert!(matches!(
+            CompiledWorkload::from_json(&lsqca_json::parse(&wrapped).unwrap()),
+            Err(ArtifactError::Malformed { what }) if what.contains("register length")
+        ));
+    }
+
+    /// Trace text that verifies against its hash but does not decode is
+    /// malformed.
+    #[test]
+    fn undecodable_trace_text_is_rejected() {
+        let w = sample();
+        let trace_text = w.trace.encode();
+        let forged = CompiledWorkload::payload_hash_of(
+            &w.descriptor,
+            &w.name,
+            w.num_qubits,
+            w.t_gates,
+            &w.registers,
+            "7f.0",
+        );
+        let pretty = w.to_json().pretty().replace(&trace_text, "7f.0").replace(
+            &format!("{:016x}", w.payload_hash()),
+            &format!("{forged:016x}"),
+        );
+        assert!(matches!(
+            CompiledWorkload::from_json(&lsqca_json::parse(&pretty).unwrap()),
+            Err(ArtifactError::Malformed { what }) if what.contains("no instruction shape")
+        ));
     }
 
     #[test]
@@ -746,10 +780,14 @@ mod tests {
         circuit.h(8);
         let w = CompiledWorkload::compile("adhoc:wide", &circuit, CompilerConfig::default());
         assert_eq!(w.memory_footprint(), 9);
-        assert!(w
-            .program
-            .iter()
-            .any(|i| matches!(i, Instruction::HdM { mem } if *mem == MemAddr(8))));
+        assert_eq!(
+            w.trace().instruction(0),
+            Instruction::HdM { mem: MemAddr(8) }
+        );
+        assert_eq!(
+            *w.trace(),
+            lsqca_isa::lower(&Program::from_iter([Instruction::HdM { mem: MemAddr(8) }]))
+        );
     }
 
     #[test]

@@ -32,8 +32,8 @@ fn main() {
     let workload = Workload::from_circuit(circuit);
     println!(
         "compiled into {} instructions, {} magic states",
-        workload.compiled().program().len(),
-        workload.compiled().program().stats().magic_state_count
+        workload.compiled().trace().len(),
+        workload.compiled().t_gates()
     );
 
     for factories in [1u32, 2, 4] {

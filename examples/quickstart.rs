@@ -28,7 +28,7 @@ fn main() {
     let workload = Workload::from_circuit(circuit);
     println!(
         "compiled into {} instructions using {} data qubits",
-        workload.compiled().program().len(),
+        workload.compiled().trace().len(),
         workload.num_qubits()
     );
 

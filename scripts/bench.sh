@@ -51,7 +51,7 @@ validate_hotpath_json() {
 }
 
 # Validates that a metrics document carries the lsqca-metrics-v1 schema with
-# the core lifecycle counters (compile, lower, warm, execute, store).
+# the core lifecycle counters (compile, warm, execute, store).
 validate_metrics_json() {
   local file="$1"
   local ok=0
@@ -60,7 +60,6 @@ validate_metrics_json() {
     '"counters"' \
     '"gauges"' \
     '"histograms"' \
-    '"trace.lowered"' \
     '"sim.warmed"' \
     '"sim.runs"' \
     '"sim.memory_walks"' \

@@ -1,9 +1,8 @@
-//! Integration tests for the Sec. III-B locality observations and for the ISA
-//! round trip of compiled workloads.
+//! Integration tests for the Sec. III-B locality observations and for the
+//! instruction streams the compiler emits.
 
 use lsqca::analysis::{hot_set_by_access_count, AccessLocalityReport};
 use lsqca::experiment::{ExperimentConfig, Workload};
-use lsqca::isa::asm::{format_program, parse_program};
 use lsqca::prelude::*;
 use lsqca::workloads::{select_heisenberg, SelectConfig};
 
@@ -13,9 +12,9 @@ fn select_control_and_temporal_registers_are_the_hot_set() {
     // are referred to much more frequently than those in the system register."
     let circuit = select_heisenberg(SelectConfig::for_width(4));
     let registers = circuit.registers().clone();
-    let workload = Workload::from_circuit(circuit);
+    let program = compile(&circuit, CompilerConfig::default()).program;
     let hot = hot_set_by_access_count(
-        workload.compiled().program(),
+        &program,
         (registers.by_name("control").unwrap().len()
             + registers.by_name("temporal").unwrap().len())
             / 2,
@@ -74,31 +73,18 @@ fn multiplier_trace_shows_sequential_access() {
 }
 
 #[test]
-fn compiled_workloads_round_trip_through_assembly_text() {
-    for benchmark in [Benchmark::Ghz, Benchmark::SquareRoot, Benchmark::Select] {
-        let workload = Workload::from_circuit(benchmark.reduced_instance());
-        let program = workload.compiled().program();
-        let text = format_program(program);
-        let parsed = parse_program(program.name(), &text).expect("assembly parses");
-        assert_eq!(
-            &parsed, program,
-            "{benchmark}: assembly round trip changed the program"
-        );
-    }
-}
-
-#[test]
 fn compiled_t_gate_counts_match_the_magic_state_demand() {
     for benchmark in [
         Benchmark::SquareRoot,
         Benchmark::Multiplier,
         Benchmark::Adder,
     ] {
-        let workload = Workload::from_circuit(benchmark.reduced_instance());
-        let compiled = workload.compiled();
+        let circuit = benchmark.reduced_instance();
+        let program = compile(&circuit, CompilerConfig::default()).program;
+        let workload = Workload::from_circuit(circuit);
         assert_eq!(
-            compiled.t_gates(),
-            compiled.program().stats().magic_state_count,
+            workload.compiled().t_gates(),
+            program.stats().magic_state_count,
             "{benchmark}: every T gate should consume exactly one magic state"
         );
     }

@@ -20,11 +20,14 @@ fn floorplans() -> Vec<FloorplanKind> {
 fn every_benchmark_compiles_validates_and_simulates_on_every_floorplan() {
     for benchmark in Benchmark::ALL {
         let circuit = benchmark.reduced_instance();
-        let workload = Workload::from_circuit(circuit);
         assert!(
-            workload.compiled().program().validate().is_ok(),
+            compile(&circuit, CompilerConfig::default())
+                .program
+                .validate()
+                .is_ok(),
             "{benchmark}: compiled program does not validate"
         );
+        let workload = Workload::from_circuit(circuit);
         let baseline = workload.run(&ExperimentConfig::baseline(1));
         assert!(
             baseline.total_beats.as_u64() > 0,

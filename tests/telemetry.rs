@@ -188,7 +188,7 @@ fn instrumented_run_equals_disabled_run() {
 fn metrics_artifact_round_trips_through_json_text() {
     let _serial = telemetry_lock();
     let mut snapshot = MetricsSnapshot::default();
-    snapshot.counters.insert("trace.lowered".into(), 12);
+    snapshot.counters.insert("sim.memory_walks".into(), 12);
     snapshot.counters.insert("sim.runs".into(), 0);
     snapshot.gauges.insert("shard.0.heartbeat_lag_ms".into(), 7);
     snapshot.gauges.insert("shard.1.backoff_ms".into(), -1);
@@ -209,12 +209,12 @@ fn metrics_artifact_round_trips_through_json_text() {
     // An aggregate (what `experiments merge --metrics-out` writes after
     // absorbing per-shard files) round-trips the same way.
     let mut total = MetricsSnapshot::default();
-    total.counters.insert("trace.lowered".into(), 5);
+    total.counters.insert("sim.memory_walks".into(), 5);
     total.absorb(&snapshot, "shard.2.");
     let text = total.to_json().pretty() + "\n";
     let parsed = lsqca_json::parse(&text).expect("aggregated artifact parses");
     let restored = MetricsSnapshot::from_json(&parsed).expect("aggregated artifact validates");
     assert_eq!(restored, total);
-    assert_eq!(restored.counters["trace.lowered"], 17);
+    assert_eq!(restored.counters["sim.memory_walks"], 17);
     assert_eq!(restored.gauges["shard.2.shard.0.heartbeat_lag_ms"], 7);
 }
