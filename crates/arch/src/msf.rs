@@ -95,12 +95,14 @@ impl Window {
     }
 
     /// The oldest time once the window holds `capacity` entries; zero while
-    /// it is still filling.
+    /// it is still filling, and always zero for a zero-capacity window, which
+    /// never constrains anything (a state with no buffer slot waits in its
+    /// factory's output port instead).
     fn oldest_when_full(&self) -> Beats {
         if self.len < self.times.len() {
             Beats::ZERO
         } else {
-            self.times[self.head]
+            self.times.get(self.head).copied().unwrap_or(Beats::ZERO)
         }
     }
 
@@ -327,6 +329,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn zero_capacity_buffer_delivers_at_the_factory_rate() {
+        // No buffer slot: each state waits in the factory's output port, so
+        // back-to-back requests are served one distillation apart.
+        let mut supply = MagicStateSupply::new(MsfConfig {
+            factories: 1,
+            beats_per_state: 15,
+            buffer_capacity: 0,
+        });
+        assert_eq!(supply.acquire(Beats(0)), Beats(15));
+        assert_eq!(supply.acquire(Beats(0)), Beats(30));
+        assert_eq!(supply.consumed(), 2);
+        assert_eq!(supply.buffered(Beats(100)), 1);
     }
 
     #[test]

@@ -1166,8 +1166,8 @@ pub mod ablation {
     /// The arm's workload compiles in the first job that misses the result
     /// store; a warm store compiles nothing. The arms run one after another,
     /// so only one arm's workload is resident at a time: running the two
-    /// paper-multiplier arms at once measured 132 MB peak RSS against 84 MB
-    /// for one.
+    /// paper-multiplier arms at once measured 58 MB peak RSS against 46 MB
+    /// for one (2 threads).
     pub fn generate(
         scale: Scale,
         benchmarks: &[Benchmark],

@@ -91,15 +91,6 @@ impl Circuit {
         self.gates.iter()
     }
 
-    fn check_qubit(&self, q: Qubit) {
-        assert!(
-            q < self.num_qubits,
-            "qubit {q} out of range for circuit `{}` with {} qubits",
-            self.name,
-            self.num_qubits
-        );
-    }
-
     /// Appends an arbitrary gate.
     ///
     /// # Panics
@@ -107,46 +98,7 @@ impl Circuit {
     /// Panics if any referenced qubit is out of range or a multi-qubit gate
     /// repeats a qubit.
     pub fn push(&mut self, gate: Gate) {
-        // One- and two-qubit gates (nearly every gate a lowered circuit
-        // holds) are checked in place; only the composites build an operand
-        // list.
-        match gate {
-            Gate::PrepZ(q)
-            | Gate::PrepX(q)
-            | Gate::X(q)
-            | Gate::Y(q)
-            | Gate::Z(q)
-            | Gate::H(q)
-            | Gate::S(q)
-            | Gate::Sdg(q)
-            | Gate::T(q)
-            | Gate::Tdg(q)
-            | Gate::MeasureZ(q)
-            | Gate::MeasureX(q) => self.check_qubit(q),
-            Gate::Cnot {
-                control: a,
-                target: b,
-            }
-            | Gate::Cz { a, b } => {
-                self.check_qubit(a);
-                self.check_qubit(b);
-                assert_ne!(a, b, "gate {gate} repeats a qubit operand");
-            }
-            Gate::Toffoli { .. } | Gate::MultiControlledX { .. } => {
-                let qs = gate.qubits();
-                for &q in &qs {
-                    self.check_qubit(q);
-                }
-                let mut sorted = qs.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(
-                    sorted.len(),
-                    qs.len(),
-                    "gate {gate} repeats a qubit operand"
-                );
-            }
-        }
+        check_operands(&self.name, self.num_qubits, &gate);
         self.gates.push(gate);
     }
 
@@ -261,6 +213,74 @@ impl Circuit {
         let mut c = self.clone();
         c.name = name.into();
         c
+    }
+}
+
+/// The operand checks of [`Circuit::push`], for a gate of the circuit `name`
+/// over `num_qubits` qubits: every operand is in range and no multi-qubit gate
+/// repeats one. Gates of up to three qubits (every gate a lowered circuit
+/// holds) are checked in place; only a multi-controlled X builds an operand
+/// list.
+///
+/// # Panics
+///
+/// Panics on the first operand that fails either check.
+pub(crate) fn check_operands(name: &str, num_qubits: u32, gate: &Gate) {
+    let check = |q: Qubit| {
+        assert!(
+            q < num_qubits,
+            "qubit {q} out of range for circuit `{name}` with {num_qubits} qubits"
+        );
+    };
+    match *gate {
+        Gate::PrepZ(q)
+        | Gate::PrepX(q)
+        | Gate::X(q)
+        | Gate::Y(q)
+        | Gate::Z(q)
+        | Gate::H(q)
+        | Gate::S(q)
+        | Gate::Sdg(q)
+        | Gate::T(q)
+        | Gate::Tdg(q)
+        | Gate::MeasureZ(q)
+        | Gate::MeasureX(q) => check(q),
+        Gate::Cnot {
+            control: a,
+            target: b,
+        }
+        | Gate::Cz { a, b } => {
+            check(a);
+            check(b);
+            assert_ne!(a, b, "gate {gate} repeats a qubit operand");
+        }
+        Gate::Toffoli {
+            control1: a,
+            control2: b,
+            target: c,
+        } => {
+            check(a);
+            check(b);
+            check(c);
+            assert!(
+                a != b && a != c && b != c,
+                "gate {gate} repeats a qubit operand"
+            );
+        }
+        Gate::MultiControlledX { .. } => {
+            let qs = gate.qubits();
+            for &q in &qs {
+                check(q);
+            }
+            let mut sorted = qs.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(
+                sorted.len(),
+                qs.len(),
+                "gate {gate} repeats a qubit operand"
+            );
+        }
     }
 }
 

@@ -10,8 +10,13 @@
 //!   using `k − 2` freshly allocated ancilla qubits (compute / apply / uncompute),
 //!   then each Toffoli is expanded in turn.
 //! * CZ → H-conjugated CNOT.
+//!
+//! [`lower_each`] is the pass itself: it hands each lowered gate to a
+//! callback as it is produced, so a consumer such as the LSQCA compiler
+//! never holds the lowered circuit. [`lower_to_clifford_t`] collects the
+//! same gates into a [`Circuit`].
 
-use crate::circuit::Circuit;
+use crate::circuit::{check_operands, Circuit};
 use crate::gate::{Gate, Qubit};
 use crate::register::RegisterRole;
 
@@ -144,7 +149,69 @@ pub fn mcx_ladder(controls: &[Qubit], ancillas: &[Qubit], target: Qubit) -> Vec<
     }
 }
 
-/// Lowers `circuit` into the Clifford+T+measurement base set.
+/// Lowers `circuit` into the Clifford+T+measurement base set, handing each
+/// lowered gate to `emit` in program order as it is produced; nothing is
+/// collected. Returns the lowered qubit count: the circuit's qubits plus the
+/// ancillas of its widest multi-controlled X, which occupy the indices right
+/// after the circuit's own.
+///
+/// This is the pass behind [`lower_to_clifford_t`], gate for gate: every
+/// emitted gate has passed the operand checks [`Circuit::push`] applies on
+/// the lowered circuit, and the gates are base gates when `expand_toffoli`
+/// is enabled.
+///
+/// # Panics
+///
+/// Panics as [`Circuit::push`] does if a lowered gate has an operand out of
+/// range or repeats one.
+pub fn lower_each(circuit: &Circuit, config: DecomposeConfig, mut emit: impl FnMut(Gate)) -> u32 {
+    let base_qubits = circuit.num_qubits();
+    let num_qubits = base_qubits + max_mcx_ancillas(circuit);
+    let ancillas: Vec<Qubit> = (base_qubits..num_qubits).collect();
+    let mut emit = |gate: Gate| {
+        check_operands(circuit.name(), num_qubits, &gate);
+        emit(gate);
+    };
+    for gate in circuit.gates() {
+        match gate {
+            Gate::MultiControlledX { controls, target } => {
+                for g in mcx_ladder(controls, &ancillas, *target) {
+                    expand_toffoli(g, config, &mut emit);
+                }
+            }
+            Gate::Cz { a, b } if config.expand_cz => {
+                emit(Gate::H(*b));
+                emit(Gate::Cnot {
+                    control: *a,
+                    target: *b,
+                });
+                emit(Gate::H(*b));
+            }
+            other => expand_toffoli(other.clone(), config, &mut emit),
+        }
+    }
+    num_qubits
+}
+
+/// Emits `gate`, as its seven-T network if it is a Toffoli and `config`
+/// expands Toffolis.
+fn expand_toffoli(gate: Gate, config: DecomposeConfig, emit: &mut impl FnMut(Gate)) {
+    match gate {
+        Gate::Toffoli {
+            control1,
+            control2,
+            target,
+        } if config.expand_toffoli => {
+            for g in toffoli_gates(control1, control2, target) {
+                emit(g);
+            }
+        }
+        other => emit(other),
+    }
+}
+
+/// Lowers `circuit` into the Clifford+T+measurement base set: the gates of
+/// [`lower_each`], collected into a circuit.
 ///
 /// Multi-controlled X gates allocate fresh ancilla qubits appended after the
 /// original qubits (registered as an `Ancilla`-role register named
@@ -153,7 +220,6 @@ pub fn mcx_ladder(controls: &[Qubit], ancillas: &[Qubit], target: Qubit) -> Vec<
 pub fn lower_to_clifford_t(circuit: &Circuit, config: DecomposeConfig) -> Circuit {
     let max_mcx_ancillas = max_mcx_ancillas(circuit);
     let base_qubits = circuit.num_qubits();
-    let ancillas: Vec<Qubit> = (base_qubits..base_qubits + max_mcx_ancillas).collect();
 
     // Preserve the register structure and describe the ancilla block, so that
     // downstream locality analysis still sees control/temporal/system roles.
@@ -173,41 +239,7 @@ pub fn lower_to_clifford_t(circuit: &Circuit, config: DecomposeConfig) -> Circui
     if max_mcx_ancillas > 0 {
         lowered.add_register("mcx_ancilla", RegisterRole::Ancilla, max_mcx_ancillas);
     }
-
-    for gate in circuit.gates() {
-        match gate {
-            Gate::Toffoli {
-                control1,
-                control2,
-                target,
-            } if config.expand_toffoli => {
-                lowered.extend(toffoli_gates(*control1, *control2, *target));
-            }
-            Gate::MultiControlledX { controls, target } => {
-                for g in mcx_ladder(controls, &ancillas, *target) {
-                    match g {
-                        Gate::Toffoli {
-                            control1,
-                            control2,
-                            target,
-                        } if config.expand_toffoli => {
-                            lowered.extend(toffoli_gates(control1, control2, target));
-                        }
-                        other => lowered.push(other),
-                    }
-                }
-            }
-            Gate::Cz { a, b } if config.expand_cz => {
-                lowered.push(Gate::H(*b));
-                lowered.push(Gate::Cnot {
-                    control: *a,
-                    target: *b,
-                });
-                lowered.push(Gate::H(*b));
-            }
-            other => lowered.push(other.clone()),
-        }
-    }
+    lower_each(circuit, config, |gate| lowered.push(gate));
     lowered
 }
 

@@ -40,7 +40,7 @@ pub mod stats;
 
 pub use circuit::Circuit;
 pub use dag::{CircuitDag, LayerSchedule};
-pub use decompose::{lower_to_clifford_t, DecomposeConfig};
+pub use decompose::{lower_each, lower_to_clifford_t, DecomposeConfig};
 pub use gate::{Gate, Qubit};
 pub use register::{RegisterMap, RegisterRole};
 pub use stats::CircuitStats;

@@ -4,7 +4,9 @@
 //!
 //! 1. **Lowering** — the circuit is expressed with Clifford gates (H, S, CNOT),
 //!    T gates, preparations and single-qubit Pauli measurements
-//!    ([`lsqca_circuit::lower_to_clifford_t`]).
+//!    ([`lsqca_circuit::lower_each`]). The lowering is streamed: each lowered
+//!    gate goes straight to instruction selection, so no lowered circuit is
+//!    ever built. A circuit that is already lowered is read as it is.
 //! 2. **T-gate decomposition** — every T gate becomes a magic-state
 //!    teleportation: fetch a magic state (`PM`), measure Pauli-ZZ between the
 //!    magic state and the target (`MZZ.M`, in-memory), measure the magic state
@@ -43,9 +45,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use lsqca_circuit::{lower_to_clifford_t, Circuit, DecomposeConfig, Gate};
+use lsqca_circuit::{lower_each, Circuit, DecomposeConfig, Gate};
 use lsqca_isa::{ClassicalId, Instruction, InstructionSink, MemAddr, Program, RegId};
-use std::borrow::Cow;
 
 /// Options controlling compilation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,6 +179,39 @@ impl<S: InstructionSink> Lowering<'_, S> {
         }
     }
 
+    /// Selects the instructions of one lowered gate.
+    fn emit(&mut self, gate: &Gate) {
+        match *gate {
+            Gate::X(_) | Gate::Y(_) | Gate::Z(_) => {
+                // Pauli-frame update only; no instruction is emitted.
+            }
+            Gate::T(q) | Gate::Tdg(q) => self.emit_t_gate(q),
+            Gate::Cnot { control, target } => self.sink.push(Instruction::Cx {
+                control: mem(control),
+                target: mem(target),
+            }),
+            Gate::Cz { a, b } => {
+                // Lowering normally removes CZ; translate conservatively if not.
+                self.sink.push(Instruction::HdM { mem: mem(b) });
+                self.sink.push(Instruction::Cx {
+                    control: mem(a),
+                    target: mem(b),
+                });
+                self.sink.push(Instruction::HdM { mem: mem(b) });
+            }
+            Gate::PrepZ(q)
+            | Gate::PrepX(q)
+            | Gate::H(q)
+            | Gate::S(q)
+            | Gate::Sdg(q)
+            | Gate::MeasureZ(q)
+            | Gate::MeasureX(q) => self.emit_single_qubit(gate, q),
+            Gate::Toffoli { .. } | Gate::MultiControlledX { .. } => {
+                unreachable!("composite gates are removed by lowering")
+            }
+        }
+    }
+
     fn other_slot(&self, slot: RegId) -> RegId {
         RegId((slot.0 + 1) % self.cr_slots)
     }
@@ -263,17 +297,15 @@ pub fn compile(circuit: &Circuit, config: CompilerConfig) -> CompiledProgram {
 /// into `sink` in program order, and returns `(num_qubits, t_gates)`: the
 /// number of data qubits (SAM addresses) of the lowered circuit and the
 /// number of T / T† gates translated into magic-state teleportations.
+///
+/// A circuit that is not yet lowered is lowered gate by gate
+/// ([`lsqca_circuit::lower_each`]) and each lowered gate is translated as it
+/// arrives, so compiling holds only the input circuit and the sink.
 pub fn compile_into(
     circuit: &Circuit,
     config: CompilerConfig,
     sink: &mut impl InstructionSink,
 ) -> (u32, u64) {
-    let lowered = if circuit.is_lowered() {
-        Cow::Borrowed(circuit)
-    } else {
-        Cow::Owned(lower_to_clifford_t(circuit, config.decompose))
-    };
-
     let mut state = Lowering {
         sink,
         next_value: 0,
@@ -282,40 +314,15 @@ pub fn compile_into(
         use_in_memory: config.use_in_memory_ops,
         t_gates: 0,
     };
-
-    for gate in lowered.gates() {
-        match gate {
-            Gate::X(_) | Gate::Y(_) | Gate::Z(_) => {
-                // Pauli-frame update only; no instruction is emitted.
-            }
-            Gate::T(q) | Gate::Tdg(q) => state.emit_t_gate(*q),
-            Gate::Cnot { control, target } => state.sink.push(Instruction::Cx {
-                control: mem(*control),
-                target: mem(*target),
-            }),
-            Gate::Cz { a, b } => {
-                // Lowering normally removes CZ; translate conservatively if not.
-                state.sink.push(Instruction::HdM { mem: mem(*b) });
-                state.sink.push(Instruction::Cx {
-                    control: mem(*a),
-                    target: mem(*b),
-                });
-                state.sink.push(Instruction::HdM { mem: mem(*b) });
-            }
-            Gate::PrepZ(q)
-            | Gate::PrepX(q)
-            | Gate::H(q)
-            | Gate::S(q)
-            | Gate::Sdg(q)
-            | Gate::MeasureZ(q)
-            | Gate::MeasureX(q) => state.emit_single_qubit(gate, *q),
-            Gate::Toffoli { .. } | Gate::MultiControlledX { .. } => {
-                unreachable!("composite gates are removed by lowering")
-            }
+    let num_qubits = if circuit.is_lowered() {
+        for gate in circuit.gates() {
+            state.emit(gate);
         }
-    }
-
-    (lowered.num_qubits(), state.t_gates)
+        circuit.num_qubits()
+    } else {
+        lower_each(circuit, config.decompose, |gate| state.emit(&gate))
+    };
+    (num_qubits, state.t_gates)
 }
 
 #[cfg(test)]
@@ -481,6 +488,58 @@ mod tests {
         let compiled = compile(&c, in_memory());
         assert_eq!(compiled.num_qubits, 4);
         assert_eq!(compiled.program.memory_footprint(), 4);
+    }
+
+    /// `circuit` compiled into a trace twice: with the lowering streamed
+    /// into instruction selection, and from the materialized lowered circuit,
+    /// which takes the already-lowered branch. Both must agree exactly.
+    fn assert_streaming_equals_materializing(circuit: &Circuit, config: CompilerConfig) {
+        use lsqca_isa::ExecutionTrace;
+        let lowered = lsqca_circuit::lower_to_clifford_t(circuit, config.decompose);
+        assert!(lowered.is_lowered());
+        let mut streamed = ExecutionTrace::new();
+        let mut materialized = ExecutionTrace::new();
+        let streamed_counts = compile_into(circuit, config, &mut streamed);
+        let materialized_counts = compile_into(&lowered, config, &mut materialized);
+        assert_eq!(streamed_counts, materialized_counts, "{}", circuit.name());
+        assert_eq!(streamed, materialized, "{}", circuit.name());
+    }
+
+    /// Every compiler configuration that can compile a circuit (Toffoli
+    /// expansion stays on).
+    fn compilable_configs() -> impl Iterator<Item = CompilerConfig> {
+        [(true, true), (true, false), (false, true), (false, false)]
+            .into_iter()
+            .map(|(use_in_memory_ops, expand_cz)| CompilerConfig {
+                use_in_memory_ops,
+                decompose: DecomposeConfig {
+                    expand_toffoli: true,
+                    expand_cz,
+                },
+            })
+    }
+
+    #[test]
+    fn streamed_lowering_compiles_like_the_materialized_circuit() {
+        use lsqca_workloads::Benchmark;
+        for benchmark in Benchmark::ALL {
+            let circuit = benchmark.reduced_instance();
+            for config in compilable_configs() {
+                assert_streaming_equals_materializing(&circuit, config);
+            }
+        }
+        // A four-control MCX needs two ancillas, so the streamed qubit count
+        // comes from the ladder, past the circuit's own qubits.
+        let mut c = Circuit::new("mcx", 6);
+        c.prep_z(5);
+        c.mcx(vec![0, 1, 2, 3], 4);
+        c.cz(4, 5);
+        c.toffoli(0, 4, 5);
+        c.measure_z(4);
+        for config in compilable_configs() {
+            assert_streaming_equals_materializing(&c, config);
+            assert_eq!(compile(&c, config).num_qubits, 8);
+        }
     }
 
     #[test]

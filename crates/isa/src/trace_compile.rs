@@ -22,24 +22,47 @@
 //!
 //! Per record the trace stores the execution kind (the pre-resolved duration
 //! dispatch arm, [`ExecKind`]), a flags byte (operand shape, scan-resource,
-//! in-memory, classical in/out), the fixed beat component, and the operand
+//! in-memory, classical in/out), the fixed beat component, and three operand
 //! slots. The raw opcode is kept in its own column that only the cold paths
 //! read: reconstructing an [`Instruction`] for `SimError::Instruction`, and
 //! serialization ([`ExecutionTrace::encode`]), which is lossless, so the
 //! trace is the whole compiled instruction stream.
+//!
+//! # Record layout
+//!
+//! A record is 16 bytes, one entry in each of seven columns:
+//!
+//! ```text
+//!  op  exec flags fixed │ slot 0      │ slot 1      │ slot 2
+//!  u8   u8   u8    u8   │ u32         │ u32         │ u32
+//!                       │ mem0 / reg1 │ mem1 / reg0 │ cio
+//! ```
+//!
+//! No instruction has more than three operands, and no opcode has both
+//! operands of a shared slot ([`SHARED_SLOTS`]): a record stores `mem0` in
+//! slot 0 if it has one and `reg1` there otherwise, and `mem1` in slot 1 if it
+//! has one and `reg0` there otherwise. The per-role views
+//! ([`ExecutionTrace::mem0`] … [`ExecutionTrace::cio`]) are therefore valid
+//! only where the role's flag is set; elsewhere they read whatever the slot
+//! holds, which may be another role's operand. A reader that indexes a table
+//! with a view must mask it by the role's flag first. Slot 2 holds 0 when the
+//! record has no classical operand.
 
 use crate::instruction::Instruction;
 use crate::operand::{ClassicalId, MemAddr, RegId};
 use crate::program::{InstructionSink, Program};
 use std::fmt;
 
-/// Revision of the trace lowering (record layout, opcode numbering, encode
-/// format, and the static per-opcode metadata baked into each record).
+/// Revision of the trace lowering: the encoded form ([`ExecutionTrace::encode`]:
+/// opcode numbering and operand order) and the meaning of a record (the static
+/// per-opcode metadata baked into it).
 ///
 /// Compiled-workload artifacts embed this number next to `ISA_VERSION`, and
-/// the on-disk cache mixes it into its key: bump it whenever lowering changes
-/// what a record contains or means, so stale traces are quarantined and
-/// recompiled instead of silently driving the engine with an older contract.
+/// every workload key (hence every result key) mixes it in: bump it whenever
+/// lowering changes what a record encodes to or means, so stale traces are
+/// quarantined and recompiled instead of silently driving the engine with an
+/// older contract. The in-memory column layout is not part of it: a layout
+/// change that keeps every encoded byte and every meaning keeps the revision.
 pub const TRACE_REVISION: u32 = 1;
 
 /// The pre-resolved duration dispatch arm of one trace record.
@@ -123,23 +146,33 @@ pub mod flags {
     pub const HAS_COUT: u8 = 1 << 7;
 }
 
+/// The operand roles that share a slot, as pairs of [`flags`] bits: slot 0
+/// holds `mem0` or `reg1`, slot 1 holds `mem1` or `reg0`. No record sets both
+/// bits of a pair.
+pub const SHARED_SLOTS: [(u8, u8); 2] = [
+    (flags::HAS_MEM0, flags::HAS_REG1),
+    (flags::HAS_MEM1, flags::HAS_REG0),
+];
+
 /// A program lowered into dense struct-of-arrays execution records.
 ///
-/// Columns are parallel vectors, one entry per instruction. The hot loop
-/// streams `exec` / `flags` / `fixed_beats` / operand columns and never
-/// touches `op`, which exists for the cold paths only (error reconstruction
-/// and serialization).
+/// Columns are parallel vectors, one entry per instruction: four byte
+/// columns and three `u32` operand slots, 16 bytes per record (see the
+/// [module docs](self) for the slot roles). The hot loop streams `exec` /
+/// `flags` / `fixed_beats` / operand slots and never touches `op`, which
+/// exists for the cold paths only (error reconstruction and serialization).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ExecutionTrace {
     op: Vec<u8>,
     exec: Vec<ExecKind>,
     flags: Vec<u8>,
     fixed: Vec<u8>,
-    mem0: Vec<u32>,
-    mem1: Vec<u32>,
-    reg0: Vec<u32>,
-    reg1: Vec<u32>,
-    cio: Vec<u32>,
+    /// `mem0`, or `reg1` in a record without a SAM operand.
+    slot0: Vec<u32>,
+    /// `mem1`, or `reg0` in a record without a second SAM operand.
+    slot1: Vec<u32>,
+    /// The classical input or output; 0 in a record without one.
+    slot2: Vec<u32>,
     /// One past the highest SAM address referenced (0 if none): the engine
     /// presizes its per-address ready table to this bound so the loop indexes
     /// directly instead of bounds-probing per access.
@@ -182,35 +215,39 @@ impl ExecutionTrace {
         &self.fixed
     }
 
-    /// The first SAM operand column (valid where [`flags::HAS_MEM0`] is set).
+    /// The first SAM operand: slot 0, valid only where [`flags::HAS_MEM0`]
+    /// is set (elsewhere it may hold `reg1`).
     #[inline]
     pub fn mem0(&self) -> &[u32] {
-        &self.mem0
+        &self.slot0
     }
 
-    /// The second SAM operand column (valid where [`flags::HAS_MEM1`] is set).
+    /// The second SAM operand: slot 1, valid only where [`flags::HAS_MEM1`]
+    /// is set (elsewhere it may hold `reg0`).
     #[inline]
     pub fn mem1(&self) -> &[u32] {
-        &self.mem1
+        &self.slot1
     }
 
-    /// The first CR operand column (valid where [`flags::HAS_REG0`] is set).
+    /// The first CR operand: slot 1, valid only where [`flags::HAS_REG0`]
+    /// is set (elsewhere it may hold `mem1`).
     #[inline]
     pub fn reg0(&self) -> &[u32] {
-        &self.reg0
+        &self.slot1
     }
 
-    /// The second CR operand column (valid where [`flags::HAS_REG1`] is set).
+    /// The second CR operand: slot 0, valid only where [`flags::HAS_REG1`]
+    /// is set (elsewhere it may hold `mem0`).
     #[inline]
     pub fn reg1(&self) -> &[u32] {
-        &self.reg1
+        &self.slot0
     }
 
-    /// The classical in/out column (valid where [`flags::HAS_CIN`] or
-    /// [`flags::HAS_COUT`] is set).
+    /// The classical in/out operand: slot 2, valid where [`flags::HAS_CIN`]
+    /// or [`flags::HAS_COUT`] is set (0 elsewhere).
     #[inline]
     pub fn cio(&self) -> &[u32] {
-        &self.cio
+        &self.slot2
     }
 
     /// One past the highest SAM address referenced by any record.
@@ -228,11 +265,9 @@ impl ExecutionTrace {
         self.exec.reserve(additional);
         self.flags.reserve(additional);
         self.fixed.reserve(additional);
-        self.mem0.reserve(additional);
-        self.mem1.reserve(additional);
-        self.reg0.reserve(additional);
-        self.reg1.reserve(additional);
-        self.cio.reserve(additional);
+        self.slot0.reserve(additional);
+        self.slot1.reserve(additional);
+        self.slot2.reserve(additional);
     }
 
     /// Reconstructs the instruction behind record `index` — the cold path for
@@ -247,23 +282,23 @@ impl ExecutionTrace {
         let mut operands = [0u32; 5];
         let mut n = 0;
         if fl & HAS_MEM0 != 0 {
-            operands[n] = self.mem0[index];
+            operands[n] = self.mem0()[index];
             n += 1;
         }
         if fl & HAS_MEM1 != 0 {
-            operands[n] = self.mem1[index];
+            operands[n] = self.mem1()[index];
             n += 1;
         }
         if fl & HAS_REG0 != 0 {
-            operands[n] = self.reg0[index];
+            operands[n] = self.reg0()[index];
             n += 1;
         }
         if fl & HAS_REG1 != 0 {
-            operands[n] = self.reg1[index];
+            operands[n] = self.reg1()[index];
             n += 1;
         }
         if fl & (HAS_CIN | HAS_COUT) != 0 {
-            operands[n] = self.cio[index];
+            operands[n] = self.cio()[index];
             n += 1;
         }
         match reconstruct(self.op[index], &operands[..n]) {
@@ -291,23 +326,23 @@ impl ExecutionTrace {
             push_hex(&mut text, self.op[index] as u32);
             if fl & HAS_MEM0 != 0 {
                 text.push('.');
-                push_hex(&mut text, self.mem0[index]);
+                push_hex(&mut text, self.mem0()[index]);
             }
             if fl & HAS_MEM1 != 0 {
                 text.push('.');
-                push_hex(&mut text, self.mem1[index]);
+                push_hex(&mut text, self.mem1()[index]);
             }
             if fl & HAS_REG0 != 0 {
                 text.push('.');
-                push_hex(&mut text, self.reg0[index]);
+                push_hex(&mut text, self.reg0()[index]);
             }
             if fl & HAS_REG1 != 0 {
                 text.push('.');
-                push_hex(&mut text, self.reg1[index]);
+                push_hex(&mut text, self.reg1()[index]);
             }
             if fl & (HAS_CIN | HAS_COUT) != 0 {
                 text.push('.');
-                push_hex(&mut text, self.cio[index]);
+                push_hex(&mut text, self.cio()[index]);
             }
         }
         text
@@ -359,7 +394,8 @@ impl InstructionSink for ExecutionTrace {
         use flags::*;
         use ExecKind as E;
         use Instruction::*;
-        // (opcode, exec kind, fixed beats, shape flags, m0, m1, r0, r1, cio)
+        // (opcode, exec kind, fixed beats, shape flags, m0, m1, r0, r1, cio),
+        // absent operands 0; the roles then fold into the three slots.
         let (op, exec, fixed, fl, m0, m1, r0, r1, cio) = match instr {
             Ld { mem, reg } => (
                 0,
@@ -542,15 +578,16 @@ impl InstructionSink for ExecutionTrace {
         if fl & (HAS_CIN | HAS_COUT) != 0 {
             self.classical_bound = self.classical_bound.max(cio + 1);
         }
+        debug_assert!(SHARED_SLOTS
+            .iter()
+            .all(|&(a, b)| fl & a == 0 || fl & b == 0));
         self.op.push(op);
         self.exec.push(exec);
         self.flags.push(fl);
         self.fixed.push(fixed);
-        self.mem0.push(m0);
-        self.mem1.push(m1);
-        self.reg0.push(r0);
-        self.reg1.push(r1);
-        self.cio.push(cio);
+        self.slot0.push(if fl & HAS_MEM0 != 0 { m0 } else { r1 });
+        self.slot1.push(if fl & HAS_MEM1 != 0 { m1 } else { r0 });
+        self.slot2.push(cio);
     }
 }
 
@@ -681,6 +718,74 @@ mod tests {
         program
     }
 
+    /// Every opcode once, each operand a different value, so an operand
+    /// stored in the wrong slot cannot hide behind an equal one.
+    fn distinct_operand_program() -> Program {
+        use crate::instruction::Instruction::*;
+        let (mem, mem2) = (MemAddr(3), MemAddr(5));
+        let (reg, reg2) = (RegId(7), RegId(11));
+        let out = ClassicalId(13);
+        let mut program = Program::new("distinct-operands");
+        for instr in [
+            Ld { mem, reg },
+            St { reg, mem },
+            PzC { reg },
+            PpC { reg },
+            Pm { reg },
+            HdC { reg },
+            PhC { reg },
+            MxC { reg, out },
+            MzC { reg, out },
+            MxxC {
+                reg1: reg,
+                reg2,
+                out,
+            },
+            MzzC {
+                reg1: reg,
+                reg2,
+                out,
+            },
+            Sk { cond: out },
+            PzM { mem },
+            PpM { mem },
+            HdM { mem },
+            PhM { mem },
+            MxM { mem, out },
+            MzM { mem, out },
+            MxxM { reg, mem, out },
+            MzzM { reg, mem, out },
+            Cx {
+                control: mem,
+                target: mem2,
+            },
+        ] {
+            program.push(instr);
+        }
+        program
+    }
+
+    #[test]
+    fn shared_slots_never_hold_two_present_operands() {
+        let program = distinct_operand_program();
+        let trace = lower(&program);
+        let mut opcodes = trace.op.clone();
+        opcodes.sort_unstable();
+        opcodes.dedup();
+        assert_eq!(opcodes, (0..21).collect::<Vec<u8>>(), "every opcode once");
+        for (i, instr) in program.iter().enumerate() {
+            let fl = trace.flag_bits()[i];
+            for (a, b) in SHARED_SLOTS {
+                assert!(
+                    fl & a == 0 || fl & b == 0,
+                    "{instr}: roles {a:#x} and {b:#x}"
+                );
+            }
+            assert_eq!(trace.instruction(i), *instr);
+        }
+        assert_eq!(ExecutionTrace::decode(&trace.encode()).unwrap(), trace);
+    }
+
     #[test]
     fn encoding_round_trips() {
         let trace = lower(&example_program());
@@ -703,7 +808,7 @@ mod tests {
         // facts; this pins every column to the Instruction/LatencyTable
         // metadata so the two can never drift apart silently.
         let table = LatencyTable::paper();
-        let program = example_program();
+        let program = distinct_operand_program();
         let trace = lower(&program);
         for (i, instr) in program.iter().enumerate() {
             let fl = trace.flag_bits()[i];

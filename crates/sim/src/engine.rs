@@ -340,10 +340,13 @@ impl<const W: usize> TimingLanes<W> {
     }
 
     /// Presizes the ready tables for a trace walk, plus one scratch slot past
-    /// every real operand: absent operands read slot 0 under a zero mask and
+    /// every real operand: absent operands read entry 0 under a zero mask and
     /// write the scratch slot, so the dependency pass needs no per-operand
-    /// branches at all. Reads of never-written entries return zero either
-    /// way, so sizing up front is observationally free. `slot_ready`
+    /// branches at all. (An absent memory operand's slot may hold a register
+    /// index, since `trace_compile` shares slots between roles, so the pass
+    /// masks each index by its presence bit before reading.) Reads of
+    /// never-written entries return zero either way, so sizing up front is
+    /// observationally free. `slot_ready`
     /// deliberately keeps its lazy growth instead: the CX slot claim scans
     /// the *current* table, and presizing it would hand CXs slots the
     /// program has not touched yet.
@@ -423,15 +426,18 @@ impl<const W: usize> TimingLanes<W> {
             let kind = exec[k];
             let has_m0 = fl & flags::HAS_MEM0 != 0;
             let has_m1 = fl & flags::HAS_MEM1 != 0;
-            let m0 = mem0[k];
-            let m1 = mem1[k];
-
-            // Dependency collection, branchless: absent operand slots encode
-            // as 0 (see `trace_compile`), so the table read is always in
-            // bounds, and a zero mask drops it below any real ready time.
             let mask0 = (has_m0 as u64).wrapping_neg();
             let mask1 = (has_m1 as u64).wrapping_neg();
             let maskc = ((fl & flags::HAS_CIN != 0) as u64).wrapping_neg();
+            // An absent memory operand's slot can hold a register index, so
+            // the index is masked by its presence bit.
+            let m0 = mem0[k] & mask0 as u32;
+            let m1 = mem1[k] & mask1 as u32;
+
+            // Dependency collection, branchless: every index is in bounds
+            // (masked memory operands read entry 0, and the classical slot is
+            // 0 or a real value below `classical_bound`), and a zero mask
+            // drops an absent operand's read below any real ready time.
             let dep0 = mem_ready[m0 as usize];
             let dep1 = mem_ready[m1 as usize];
             let depc = classical_ready[cio[k] as usize];
@@ -1389,6 +1395,9 @@ impl MemoryPass<'_> {
             };
             let has_m0 = fl & flags::HAS_MEM0 != 0;
             let has_m1 = fl & flags::HAS_MEM1 != 0;
+            // Valid only under their flags: an absent memory operand's slot
+            // may hold a register index. Every use below is guarded by
+            // `has_m*` or by an execution kind that has the operand.
             let m0 = mem0[k];
             let m1 = mem1[k];
             let scans = fl & flags::NEEDS_SCAN != 0;

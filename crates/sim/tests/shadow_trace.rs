@@ -26,14 +26,17 @@ const QUBITS: u32 = 24;
 /// Every instruction variant over deliberately small operand spaces, so a
 /// ~40-instruction program exercises dependency chains, bank serialization,
 /// skip guards, and illegal load/store sequences (typed-error equivalence).
+/// Register indices reach past [`QUBITS`]: the trace stores a register in
+/// the slot an absent memory operand would use, so a register index must
+/// never be read as an address.
 fn any_instruction() -> impl Strategy<Value = Instruction> {
     use Instruction::*;
     (
         0u32..21,
         0u32..QUBITS,
         0u32..QUBITS,
-        0u32..6,
-        0u32..6,
+        0u32..40,
+        0u32..40,
         0u32..8,
     )
         .prop_map(|(variant, m1, m2, r1, r2, v)| {
@@ -144,16 +147,17 @@ fn any_long_program() -> impl Strategy<Value = Program> {
         })
 }
 
-/// [`any_arch`], sometimes with an explicit magic-state buffer, which
-/// applies to every factory count of a group.
+/// [`any_arch`], sometimes with an explicit magic-state buffer (zero
+/// included), which applies to every factory count of a group.
 fn any_group_arch() -> impl Strategy<Value = ArchConfig> {
-    (any_arch(), 0u32..4).prop_map(|(arch, buffer)| {
-        if buffer == 0 {
-            arch
-        } else {
-            arch.with_magic_buffer(buffer)
-        }
-    })
+    (
+        any_arch(),
+        prop_oneof![Just(None), (0u32..4).prop_map(Some)],
+    )
+        .prop_map(|(arch, buffer)| match buffer {
+            Some(capacity) => arch.with_magic_buffer(capacity),
+            None => arch,
+        })
 }
 
 /// Factory lists in any order, duplicates included, long enough to span
@@ -346,6 +350,82 @@ proptest! {
         let mut reference = build(&arch, &hot, config, policy, budget);
         let oracle = reference.execute_factories(&Classified::new(&program, &classes), &factories);
         prop_assert_eq!(&oracle, &grouped);
+    }
+}
+
+/// Register-only records store their register indices in the slots a
+/// memory operand would use, and those indices here lie far past the
+/// trace's `mem_bound` of 2. On a bounded-register floorplan (point SAM)
+/// and an unbounded one (conventional), in a single run and a factory
+/// group, the engine must run the program to the end exactly as the
+/// interpreter does: no register index may be read as a memory address.
+#[test]
+fn register_indices_in_shared_slots_never_index_memory() {
+    use Instruction::*;
+    let (q0, q1) = (MemAddr(0), MemAddr(1));
+    let mut program = Program::new("shared-slots");
+    for instruction in [
+        PzM { mem: q0 },
+        PzM { mem: q1 },
+        Pm { reg: RegId(9) },
+        MxxC {
+            reg1: RegId(9),
+            reg2: RegId(33),
+            out: ClassicalId(0),
+        },
+        MzzC {
+            reg1: RegId(17),
+            reg2: RegId(9),
+            out: ClassicalId(1),
+        },
+        Sk {
+            cond: ClassicalId(1),
+        },
+        HdC { reg: RegId(33) },
+        MxC {
+            reg: RegId(40),
+            out: ClassicalId(2),
+        },
+        Cx {
+            control: q0,
+            target: q1,
+        },
+        MzzM {
+            reg: RegId(9),
+            mem: q1,
+            out: ClassicalId(3),
+        },
+        Ld {
+            mem: q0,
+            reg: RegId(21),
+        },
+        PhC { reg: RegId(21) },
+        St {
+            reg: RegId(21),
+            mem: q0,
+        },
+        HdM { mem: q1 },
+    ] {
+        program.push(instruction);
+    }
+    let trace = lsqca_isa::lower(&program);
+    assert_eq!(trace.mem_bound(), 2);
+    let classes = LatencyTable::paper().classify_program(&program);
+    let oracle = Classified::new(&program, &classes);
+    for arch in [
+        ArchConfig::new(FloorplanKind::PointSam { banks: 1 }, 1),
+        ArchConfig::conventional(1),
+    ] {
+        let build = || Simulator::builder(&arch, 2).build().unwrap();
+        let expected = build().execute(&oracle);
+        assert!(expected.is_ok(), "{arch:?}: {expected:?}");
+        assert_eq!(build().execute(&trace), expected, "{arch:?}");
+        let factories = [1, 2, 4];
+        assert_eq!(
+            build().execute_factories(&trace, &factories),
+            build().execute_factories(&oracle, &factories),
+            "{arch:?}"
+        );
     }
 }
 
