@@ -16,7 +16,7 @@
 //!                   own calibration measurement
 //!   all             every deterministic generator above (excludes `hotpath`,
 //!                   whose timing output differs run to run)
-//!   merge           audit all shard journals in the store and emit the merged
+//!   merge           audit all shard results logs in the store and emit the merged
 //!                   `all` report (no new simulation unless records are missing)
 //! ```
 //!
@@ -44,11 +44,12 @@
 //!
 //! Simulation results are persisted to a crash-safe result store (default
 //! `target/lsqca-store/`, override with `--store-dir`/`LSQCA_STORE_DIR`,
-//! disable with `--no-store`/`LSQCA_NO_STORE=1`). Every point is journaled and
-//! durably written before use, so an invocation killed mid-sweep loses at most
+//! disable with `--no-store`/`LSQCA_NO_STORE=1`). Every point is appended as
+//! one checksummed line to the shard's results log (`results-<shard>.log`)
+//! and fsynced before use, so an invocation killed mid-sweep loses at most
 //! the in-flight points: rerunning the same command picks up the stored
-//! results and produces the same report, and `--resume` prints a journal
-//! audit (intact/torn/missing record counts) before doing so.
+//! results and produces the same report, and `--resume` prints what the logs
+//! hold (journaled/verified/quarantined keys and torn lines) before doing so.
 //!
 //! Workloads are compiled in process, at most once per process, and only
 //! when one of their sweep points misses the store: store keys derive from
@@ -87,11 +88,11 @@ fn help() -> String {
          sharded execution:\n  \
          --shards <n>             supervise <n> worker processes that partition the\n  \
                                   sweep by result-key hash; crashed or hung workers\n  \
-                                  are restarted with backoff and resume through the\n  \
-                                  store journal; points that kill a worker repeatedly\n  \
+                                  are restarted with backoff and resume from their\n  \
+                                  results log; points that kill a worker repeatedly\n  \
                                   are quarantined instead of wedging the sweep\n  \
          --shard <k/n>            run as worker shard k of n (spawned by --shards)\n  \
-         --stall-timeout-ms <ms>  restart a worker whose journal has not grown for\n  \
+         --stall-timeout-ms <ms>  restart a worker whose results log has not grown for\n  \
                                   this long (default 30000)\n\n\
          observability:\n  \
          --metrics-out <file>     write the telemetry registry (counters, gauges,\n  \
@@ -104,7 +105,7 @@ fn help() -> String {
          0  report complete: every sweep point computed or served from the store\n  \
          2  report complete, but quarantined sweep points were skipped and their\n     \
          rows are placeholders (listed on stderr by the merge audit)\n  \
-         1  fatal: bad usage, unspawnable worker, shard journals that disagree on\n     \
+         1  fatal: bad usage, unspawnable worker, shard logs that disagree on\n     \
          a record's content hash, or a shard failing repeatedly without progress",
         usage = usage_line()
     )
@@ -234,9 +235,9 @@ fn main() -> ExitCode {
         std::env::set_var("LSQCA_STORE_DIR", dir);
     }
     // Sharded modes need a concrete shared directory even when the caller
-    // relied on the default, and a journal label of their own: workers label
-    // as their shard index, while the supervisor and `merge` must never
-    // journal under a worker's label.
+    // relied on the default, and a log label of their own: workers label as
+    // their shard index, while the supervisor and `merge` must never publish
+    // under a worker's label.
     let resolved_store_dir = store_dir
         .clone()
         .map(std::path::PathBuf::from)
@@ -275,13 +276,13 @@ fn main() -> ExitCode {
     }
 
     if resume {
-        // Audit the shard journals against the records on disk before the
-        // sweeps run: intact records will be served as hits, torn or missing
-        // ones recomputed.
+        // Report what the results logs hold before the sweeps run: verified
+        // records will be served as hits, quarantined keys and torn lines
+        // recomputed.
         eprintln!("{}", lsqca_bench::result_store().verify_resume());
     }
 
-    // `merge` and every post-supervision render audit the shard journals
+    // `merge` and every post-supervision render audit the shard logs
     // first: conflicting content hashes for the same record are fatal, and
     // quarantined points downgrade the final exit code to 2.
     let mut quarantined_points = 0usize;
@@ -314,7 +315,7 @@ fn main() -> ExitCode {
         "{}",
         lsqca_bench::report(rendered, Scale::from_flag(full), json)
     );
-    // A worker leaves its final metrics snapshot next to its journal so the
+    // A worker leaves its final metrics snapshot next to its results log so the
     // supervisor/merge aggregation sees the completed totals (a no-op in
     // every other mode).
     supervisor::export_worker_metrics();

@@ -141,7 +141,14 @@ impl WorkloadHandle {
 /// The process-wide crash-safe result store every sweep driver runs through
 /// (`$LSQCA_STORE_DIR` / `$LSQCA_NO_STORE` aware; see `lsqca_store`). A second
 /// `experiments` invocation over the same sweep performs zero simulation, and
-/// a SIGKILLed invocation resumes from its journal.
+/// a SIGKILLed invocation resumes from its results log.
+///
+/// The store reads every shard's results log once, on its first use, and
+/// afterwards answers from that snapshot plus this process's own
+/// publications. So the `experiments` binary must first touch it only after
+/// supervision ends: then `merge` and every post-supervisor render see every
+/// worker's lines. (A worker's own view of other shards may be stale, which
+/// only affects the placeholder rows of its discarded report.)
 pub fn result_store() -> &'static ResultStore {
     static STORE: OnceLock<ResultStore> = OnceLock::new();
     STORE.get_or_init(ResultStore::from_env)

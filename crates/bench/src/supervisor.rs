@@ -5,14 +5,14 @@
 //! work-stealing parallel drivers (which visit points in nondeterministic
 //! order) and stable across runs. Each worker is a separate OS process —
 //! this same `experiments` binary re-invoked with `--shard k/N` and
-//! `LSQCA_SHARD=k` — publishing into one shared result store, each under its
-//! own journal. The supervisor ([`run_sharded`]):
+//! `LSQCA_SHARD=k` — publishing into one shared result store, each into its
+//! own results log. The supervisor ([`run_sharded`]):
 //!
-//! * watches per-worker liveness through journal-growth heartbeats (journal
+//! * watches per-worker liveness through log-growth heartbeats (results-log
 //!   byte length + in-flight marker content) with a configurable stall
 //!   timeout, killing and restarting a wedged worker;
 //! * restarts crashed / nonzero-exit workers with bounded exponential
-//!   backoff — a restarted worker resumes through the journal, so no
+//!   backoff — a restarted worker resumes from its results log, so no
 //!   completed point is ever recomputed;
 //! * quarantines poisoned points: a worker that dies repeatedly with the
 //!   same point in flight gets that point recorded in
@@ -20,7 +20,7 @@
 //!   point cannot wedge the sweep;
 //! * declares the sweep fatal only after a worker fails
 //!   [`ShardRunConfig::max_stalled_restarts`] consecutive times with no
-//!   progress (no journal growth, no quarantine decision).
+//!   progress (no log growth, no quarantine decision).
 //!
 //! In-process, the worker side consists of a partition plan installed before
 //! the sweep starts ([`install_worker`] / [`install_merge`]) and consulted by
@@ -124,7 +124,7 @@ pub fn install_worker(index: u32, count: u32, store_dir: &Path) {
 
 /// In worker mode, writes this process's metrics snapshot to
 /// `metrics-<shard>.json` in the store directory (atomic replace); a no-op
-/// otherwise. Called after every completed point (the journal-heartbeat
+/// otherwise. Called after every completed point (the log-heartbeat
 /// cadence) and again at worker exit, so the supervisor's aggregation sees
 /// counters that are at most one point stale even if the worker is later
 /// SIGKILLed. Export failures are logged, never fatal — metrics must not
@@ -227,7 +227,7 @@ impl Drop for InflightGuard {
         if let (Some(key), Some(tracker)) = (&self.key, INFLIGHT.get()) {
             tracker.remove(key);
             // A cleared in-flight mark means one point just finished: refresh
-            // this worker's on-disk metrics alongside the journal heartbeat.
+            // this worker's on-disk metrics alongside the log heartbeat.
             export_worker_metrics();
         }
     }
@@ -244,7 +244,7 @@ pub struct ShardRunConfig {
     pub store_dir: PathBuf,
     /// Number of worker shards.
     pub shards: u32,
-    /// Kill-and-restart a worker whose journal and in-flight marker have not
+    /// Kill-and-restart a worker whose results log and in-flight marker have not
     /// changed for this long.
     pub stall_timeout: Duration,
     /// Worker deaths with the same point in flight before that point is
@@ -293,8 +293,8 @@ struct Slot {
     child: Option<Child>,
     restart_at: Option<Instant>,
     last_progress: Instant,
-    signature: (usize, String),
-    journal_len: usize,
+    signature: (u64, String),
+    log_len: u64,
     consecutive_failures: u32,
     attempts: BTreeMap<String, u32>,
     done: bool,
@@ -322,7 +322,7 @@ pub fn run_sharded(config: &ShardRunConfig) -> io::Result<ShardRunOutcome> {
             restart_at: None,
             last_progress: now,
             signature: (0, String::new()),
-            journal_len: 0,
+            log_len: 0,
             consecutive_failures: 0,
             attempts: BTreeMap::new(),
             done: false,
@@ -401,7 +401,7 @@ fn supervise_slot(
             slot.restart_at = None;
             slot.last_progress = Instant::now();
             slot.signature = progress_signature(io, &config.store_dir, &label);
-            slot.journal_len = slot.signature.0;
+            slot.log_len = slot.signature.0;
             Ok(())
         }
         Some(child) => match child.try_wait() {
@@ -426,7 +426,7 @@ fn supervise_slot(
                     slot.last_progress = Instant::now();
                 }
                 // Supervisor-side per-shard liveness gauge: how long since
-                // this worker's journal or in-flight marker last changed.
+                // this worker's results log or in-flight marker last changed.
                 lsqca_telemetry::gauge(&format!("shard.{label}.heartbeat_lag_ms"))
                     .set(slot.last_progress.elapsed().as_millis() as i64);
                 if !progressed && slot.last_progress.elapsed() > config.stall_timeout {
@@ -479,9 +479,9 @@ fn handle_failure(
             progressed = true;
         }
     }
-    let journal_len = progress_signature(io, &config.store_dir, &label).0;
-    if journal_len > slot.journal_len {
-        slot.journal_len = journal_len;
+    let log_len = progress_signature(io, &config.store_dir, &label).0;
+    if log_len > slot.log_len {
+        slot.log_len = log_len;
         progressed = true;
     }
     if progressed {

@@ -10,8 +10,6 @@
 //! * [`decompose`] — lowering passes: Toffoli → Clifford+T (the standard
 //!   seven-T-gate network) and multi-controlled Pauli → Toffoli ladder, producing
 //!   the Clifford+T+measurement form the LSQCA compiler consumes.
-//! * [`dag`] — dependency analysis: logical depth, width, and per-layer
-//!   parallelism used by the motivation study (Sec. III-B).
 //! * [`stats`] — gate counting (T-count, Toffoli count, two-qubit count).
 //!
 //! # Example
@@ -32,14 +30,12 @@
 #![warn(missing_docs)]
 
 pub mod circuit;
-pub mod dag;
 pub mod decompose;
 pub mod gate;
 pub mod register;
 pub mod stats;
 
 pub use circuit::Circuit;
-pub use dag::{CircuitDag, LayerSchedule};
 pub use decompose::{lower_each, lower_to_clifford_t, DecomposeConfig};
 pub use gate::{Gate, Qubit};
 pub use register::{RegisterMap, RegisterRole};

@@ -14,7 +14,7 @@
 //! |---|---|
 //! | [`lattice`] | surface-code cells, grids, primitive protocol latencies |
 //! | [`isa`] | the LSQCA instruction set (Table I), programs, execution traces |
-//! | [`circuit`] | logical circuit IR, registers, decomposition, DAG analysis |
+//! | [`circuit`] | logical circuit IR, registers, decomposition |
 //! | [`workloads`] | the seven benchmark generators of the evaluation |
 //! | [`compiler`] | circuit → LSQCA program lowering (Sec. VI-A) |
 //! | [`arch`] | point/line SAM, multi-bank memories, MSFs, hybrid floorplans |

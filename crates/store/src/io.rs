@@ -23,6 +23,8 @@ use std::sync::Mutex;
 pub trait StoreIo: fmt::Debug + Send + Sync {
     /// Read the full contents of `path` as UTF-8.
     fn read(&self, path: &Path) -> io::Result<String>;
+    /// The byte length of the file at `path`, without reading it.
+    fn len(&self, path: &Path) -> io::Result<u64>;
     /// Create or truncate `path` and write `bytes` to it.
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Append `bytes` to `path`, creating it if absent.
@@ -48,6 +50,10 @@ pub struct DiskIo;
 impl StoreIo for DiskIo {
     fn read(&self, path: &Path) -> io::Result<String> {
         fs::read_to_string(path)
+    }
+
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        Ok(fs::metadata(path)?.len())
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -296,6 +302,16 @@ impl StoreIo for FaultyIo {
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "faulty io: not UTF-8"))
     }
 
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        match self.admit(false)? {
+            None | Some(Injected::RenameFail) => {}
+            Some(Injected::ShortWrite) | Some(Injected::Eio) => return Err(eio()),
+        }
+        let state = self.state.lock().unwrap();
+        let bytes = state.files.get(path).ok_or_else(|| not_found(path))?;
+        Ok(bytes.len() as u64)
+    }
+
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let injected = self.admit(true)?;
         let mut state = self.state.lock().unwrap();
@@ -497,6 +513,17 @@ mod tests {
     }
 
     #[test]
+    fn len_is_the_volatile_byte_length() {
+        let io = FaultyIo::reliable();
+        let path = Path::new("/s/log");
+        assert_eq!(io.len(path).unwrap_err().kind(), io::ErrorKind::NotFound);
+        for chunk in ["first line\n", "second\n", "torn"] {
+            io.append(path, chunk.as_bytes()).unwrap();
+            assert_eq!(io.len(path).unwrap(), io.read(path).unwrap().len() as u64);
+        }
+    }
+
+    #[test]
     fn kill_point_fails_everything_until_revived() {
         let io = FaultyIo::with_plan(FaultPlan {
             kill_at_op: Some(3),
@@ -548,6 +575,7 @@ mod tests {
         assert_eq!(io.read(&path).unwrap(), "{\"k\":1}");
         io.append(&path, b"\n").unwrap();
         assert_eq!(io.read(&path).unwrap(), "{\"k\":1}\n");
+        assert_eq!(io.len(&path).unwrap(), 8);
         assert_eq!(io.list_dir(&dir).unwrap(), vec![path.clone()]);
         io.remove_file(&path).unwrap();
         let _ = fs::remove_dir_all(&dir);

@@ -1,22 +1,24 @@
 //! Crash-safe persistence layer for sweep results.
 //!
-//! The crate provides three pieces, deliberately independent of the
+//! The crate provides these pieces, deliberately independent of the
 //! simulation stack so lower layers (the workload cache) can reuse them:
 //!
 //! - [`StoreIo`]/[`DiskIo`]/[`FaultyIo`]: a filesystem trait with a production
 //!   backend and a deterministic fault-injection backend (seeded short writes,
 //!   `ENOSPC`, `EIO`, torn renames, kill-points) plus the shared
-//!   [`atomic_write`] primitive (tmp + fsync + rename + directory fsync).
+//!   [`atomic_write`] primitive (tmp + fsync + rename + directory fsync) that
+//!   the workload cache and the metrics files use.
 //! - [`ResultStore`]: a content-addressed store of checksummed JSON payloads,
-//!   quarantining anything that fails verification and degrading to in-memory
-//!   operation when the filesystem does.
-//! - [`ShardJournal`]: an append-only journal of published records so an
-//!   interrupted sweep resumes exactly where it died.
+//!   one append-only results log per shard holding the records themselves
+//!   (one line and one fsync per result; a torn tail left by a killed
+//!   process is tolerated, so an interrupted sweep resumes exactly where it
+//!   died), quarantining anything that fails verification and degrading to
+//!   in-memory operation when the filesystem does.
 //! - Sharded-execution records: [`validate_shard_label`] guards every label
 //!   interpolated into a store filename, [`QuarantineLog`]/[`InflightLog`]
 //!   record poisoned and in-flight sweep points for the supervisor, and
-//!   [`merge_audit`] reconciles all shard journals into one deterministic
-//!   merged view (conflicting checksums for the same record are a hard
+//!   [`merge_audit`] reconciles all shard logs into one deterministic
+//!   merged view (conflicting checksums for the same key are a hard
 //!   [`MergeError`], never a silent overwrite).
 //!
 //! Callers decide what the payloads mean; this crate only promises that a
@@ -35,7 +37,6 @@ mod store;
 
 pub use hash::{fnv1a64, slug, Fnv1a};
 pub use io::{atomic_write, DiskIo, FaultPlan, FaultyIo, StoreIo};
-pub use journal::{JournalEntry, JournalLoad, ShardJournal};
 pub use merge::{merge_audit, MergeError, MergeReport};
 pub use quarantine::{
     progress_signature, quarantined_keys, InflightLog, QuarantineEntry, QuarantineLog,

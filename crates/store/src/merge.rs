@@ -1,17 +1,17 @@
 //! Deterministic cross-shard merge audit.
 //!
-//! After a sharded sweep, each worker shard has appended to its own
-//! `journal-<shard>.log` while publishing records into the shared store
-//! directory. [`merge_audit`] reconciles all of it, read-only:
+//! After a sharded sweep, each worker shard has appended its records to its
+//! own `results-<shard>.log` in the shared store directory. [`merge_audit`]
+//! reconciles all of it, read-only, from the logs alone:
 //!
-//! * every shard journal is parsed (torn tails tolerated and counted);
-//! * duplicate publications of the same record file are resolved by content
-//!   hash — byte-identical records merge silently, while two journals
-//!   claiming *different* checksums for the same file are a hard
+//! * every results log is parsed (torn lines tolerated and counted);
+//! * lines whose checksum fails are counted as corrupt (the store recomputes
+//!   their keys);
+//! * duplicate publications of the same key are resolved by checksum —
+//!   identical records merge silently, while two verifying lines with
+//!   *different* checksums for the same key are a hard
 //!   [`MergeError::ChecksumConflict`], because one of them would silently
 //!   lose data;
-//! * every journaled record is verified on disk against its journaled
-//!   checksum (verified / missing / corrupt tallies);
 //! * quarantined sweep points from every `quarantine-<shard>.log` are
 //!   surfaced so the merged report can disclose what was skipped.
 //!
@@ -21,9 +21,8 @@
 //! any single process can serve the merged sweep entirely from hits.
 
 use crate::io::StoreIo;
-use crate::journal::ShardJournal;
+use crate::journal::load_journals;
 use crate::quarantine::quarantined_keys;
-use crate::store::{verify_record, Miss};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
@@ -33,20 +32,16 @@ use std::path::Path;
 /// What a cross-shard merge audit found.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MergeReport {
-    /// Shard journals present in the store directory.
+    /// Results logs present in the store directory.
     pub shards: usize,
-    /// Unique record files across all journals.
+    /// Distinct keys with a verifying line across all logs.
     pub journaled: usize,
-    /// Journal lines beyond the first for a record file (byte-identical
-    /// re-publications, e.g. after a worker restart replayed a point).
+    /// Verifying lines beyond the first for a key (identical re-publications,
+    /// e.g. after a worker restart replayed a point).
     pub duplicates: usize,
-    /// Records that verified on disk against their journaled checksum.
-    pub verified: usize,
-    /// Journaled records whose file is absent or unreadable.
-    pub missing: usize,
-    /// Journaled records present on disk but failing verification.
+    /// Lines that parse but fail their checksum.
     pub corrupt: usize,
-    /// Torn journal lines tolerated across all shards.
+    /// Torn lines tolerated across all shards.
     pub torn_lines: usize,
     /// Sweep points quarantined by the supervisor, sorted.
     pub quarantined_points: Vec<String>,
@@ -56,13 +51,11 @@ impl fmt::Display for MergeReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} shards, {} journaled ({} duplicates), {} verified, {} missing, \
-             {} corrupt, {} torn lines, {} quarantined points",
+            "{} shards, {} journaled ({} duplicates), {} corrupt, {} torn lines, \
+             {} quarantined points",
             self.shards,
             self.journaled,
             self.duplicates,
-            self.verified,
-            self.missing,
             self.corrupt,
             self.torn_lines,
             self.quarantined_points.len()
@@ -73,12 +66,12 @@ impl fmt::Display for MergeReport {
 /// Why a merge audit refused to merge.
 #[derive(Debug)]
 pub enum MergeError {
-    /// Two shard journals claim different content checksums for the same
-    /// record file — the shards did not compute identical bytes, so a silent
-    /// merge would lose one of the results.
+    /// Two verifying lines carry different checksums for the same key — the
+    /// shards did not compute identical bytes, so a silent merge would lose
+    /// one of the results.
     ChecksumConflict {
-        /// Record file both journals claim.
-        file: String,
+        /// The result key both lines name.
+        key: String,
         /// The distinct checksums claimed, sorted.
         checksums: Vec<String>,
     },
@@ -89,9 +82,9 @@ pub enum MergeError {
 impl fmt::Display for MergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MergeError::ChecksumConflict { file, checksums } => write!(
+            MergeError::ChecksumConflict { key, checksums } => write!(
                 f,
-                "shard journals disagree on `{file}`: checksums {}",
+                "shard logs disagree on `{key}`: checksums {}",
                 checksums.join(" vs ")
             ),
             MergeError::Io(err) => write!(f, "store directory unreadable: {err}"),
@@ -108,58 +101,43 @@ impl Error for MergeError {
     }
 }
 
-/// Audit every shard journal in `dir` against the records on disk.
+/// Audit every results log in `dir`.
 ///
 /// # Errors
 ///
-/// [`MergeError::ChecksumConflict`] when two journals claim different
-/// checksums for the same record file; [`MergeError::Io`] when the directory
-/// listing or a journal read fails outright (a *missing* journal or record is
-/// a tally, not an error).
+/// [`MergeError::ChecksumConflict`] when two verifying lines carry different
+/// checksums for the same key; [`MergeError::Io`] when the directory listing
+/// or a log read fails outright (a corrupt line is a tally, not an error).
 pub fn merge_audit(io: &dyn StoreIo, dir: &Path) -> Result<MergeReport, MergeError> {
     let _span = lsqca_telemetry::span("merge.audit");
-    let mut report = MergeReport::default();
-    let entries = io.list_dir(dir).map_err(MergeError::Io)?;
-    let mut journal_files: Vec<_> = entries
-        .into_iter()
-        .filter(|p| ShardJournal::is_journal_file(p))
-        .collect();
-    journal_files.sort();
-    report.shards = journal_files.len();
+    let logs = load_journals(io, dir).map_err(MergeError::Io)?;
+    let mut report = MergeReport {
+        shards: logs.len(),
+        ..MergeReport::default()
+    };
 
-    // file -> distinct checksums claimed for it, plus the total line count to
-    // derive how many lines were byte-identical duplicates.
+    // key -> distinct checksums of its verifying lines, plus the line count
+    // to derive how many lines were identical duplicates.
     let mut claims: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     let mut lines = 0usize;
-    for journal in &journal_files {
-        let text = match io.read(journal) {
-            Ok(text) => text,
-            Err(err) if err.kind() == io::ErrorKind::NotFound => continue,
-            Err(err) => return Err(MergeError::Io(err)),
-        };
-        let load = ShardJournal::parse(&text);
+    for (_, load) in logs {
         report.torn_lines += load.torn_lines;
-        lines += load.entries.len();
         for entry in load.entries {
-            claims.entry(entry.file).or_default().insert(entry.checksum);
+            if entry.verify().is_err() {
+                report.corrupt += 1;
+                continue;
+            }
+            lines += 1;
+            claims.entry(entry.key).or_default().insert(entry.checksum);
         }
     }
     report.journaled = claims.len();
     report.duplicates = lines - claims.len();
-
-    for (file, checksums) in &claims {
-        if checksums.len() > 1 {
-            return Err(MergeError::ChecksumConflict {
-                file: file.clone(),
-                checksums: checksums.iter().cloned().collect(),
-            });
-        }
-        let checksum = checksums.iter().next().expect("non-empty checksum set");
-        match verify_record(io, &dir.join(file), checksum) {
-            Ok(()) => report.verified += 1,
-            Err(Miss::Absent) | Err(Miss::Io(_)) => report.missing += 1,
-            Err(Miss::Corrupt(_)) => report.corrupt += 1,
-        }
+    if let Some((key, checksums)) = claims.into_iter().find(|(_, c)| c.len() > 1) {
+        return Err(MergeError::ChecksumConflict {
+            key,
+            checksums: checksums.into_iter().collect(),
+        });
     }
 
     report.quarantined_points = quarantined_keys(io, dir).into_iter().collect();
@@ -170,8 +148,9 @@ pub fn merge_audit(io: &dyn StoreIo, dir: &Path) -> Result<MergeReport, MergeErr
 mod tests {
     use super::*;
     use crate::io::FaultyIo;
+    use crate::journal::journal_path;
     use crate::quarantine::{QuarantineEntry, QuarantineLog};
-    use crate::store::ResultStore;
+    use crate::store::{ResultStore, StoreEvent};
     use lsqca_json::Json;
     use std::path::PathBuf;
     use std::sync::Arc;
@@ -196,53 +175,34 @@ mod tests {
         assert_eq!(report.shards, 2);
         assert_eq!(report.journaled, 2);
         assert_eq!(report.duplicates, 0);
-        assert_eq!(report.verified, 2);
-        assert_eq!(report.missing, 0);
         assert_eq!(report.corrupt, 0);
         assert!(report.quarantined_points.is_empty());
     }
 
     #[test]
-    fn byte_identical_duplicates_merge_silently() {
+    fn identical_duplicates_merge_silently() {
         let io = Arc::new(FaultyIo::reliable());
         // Both shards compute the same point (e.g. a restart replayed it):
-        // same key, same payload, same checksum — two journal lines, one file.
+        // same key, same payload, same checksum — two lines, one key.
         shard_store(&io, "0").load_or_compute("k1", || payload(1));
-        let path = shard_store(&io, "0").path_for("k1").unwrap();
-        io.remove_file(&path).unwrap();
-        shard_store(&io, "1").load_or_compute("k1", || payload(1));
+        shard_store(&io, "1").store_computed("k1", &payload(1), &StoreEvent::Computed);
 
         let report = merge_audit(io.as_ref(), Path::new("/store")).unwrap();
         assert_eq!(report.journaled, 1);
         assert_eq!(report.duplicates, 1);
-        assert_eq!(report.verified, 1);
     }
 
     #[test]
     fn conflicting_checksums_are_a_hard_error() {
         let io = Arc::new(FaultyIo::reliable());
-        let store = shard_store(&io, "0");
-        store.load_or_compute("k1", || payload(1));
-        let file = store
-            .path_for("k1")
-            .unwrap()
-            .file_name()
-            .unwrap()
-            .to_string_lossy()
-            .into_owned();
-        // A second shard journals a different checksum for the same file —
-        // i.e. it computed different bytes for the same key.
-        ShardJournal::new(io.clone(), Path::new("/store"), "1")
-            .append(&crate::journal::JournalEntry {
-                checksum: "00000000deadbeef".to_string(),
-                file: file.clone(),
-            })
-            .unwrap();
+        shard_store(&io, "0").load_or_compute("k1", || payload(1));
+        // A second shard computed different bytes for the same key.
+        shard_store(&io, "1").store_computed("k1", &payload(2), &StoreEvent::Computed);
 
         let err = merge_audit(io.as_ref(), Path::new("/store")).unwrap_err();
         match err {
-            MergeError::ChecksumConflict { file: f, checksums } => {
-                assert_eq!(f, file);
+            MergeError::ChecksumConflict { key, checksums } => {
+                assert_eq!(key, "k1");
                 assert_eq!(checksums.len(), 2);
             }
             other => panic!("expected a checksum conflict, got {other}"),
@@ -250,12 +210,14 @@ mod tests {
     }
 
     #[test]
-    fn missing_and_quarantined_points_are_tallied() {
+    fn corrupt_lines_and_quarantined_points_are_tallied() {
         let io = Arc::new(FaultyIo::reliable());
         let store = shard_store(&io, "0");
         store.load_or_compute("k1", || payload(1));
         store.load_or_compute("k2", || payload(2));
-        io.remove_file(&store.path_for("k2").unwrap()).unwrap();
+        let log = journal_path(Path::new("/store"), "0");
+        let text = io.read(&log).unwrap().replace("\"point\":2", "\"point\":7");
+        io.tamper(&log, format!("{text}{{ torn").as_bytes());
         QuarantineLog::new(io.clone(), Path::new("/store"), "0")
             .append(&QuarantineEntry {
                 attempts: 3,
@@ -264,8 +226,9 @@ mod tests {
             .unwrap();
 
         let report = merge_audit(io.as_ref(), Path::new("/store")).unwrap();
-        assert_eq!(report.verified, 1);
-        assert_eq!(report.missing, 1);
+        assert_eq!(report.journaled, 1);
+        assert_eq!(report.corrupt, 1);
+        assert_eq!(report.torn_lines, 1);
         assert_eq!(report.quarantined_points, vec!["k3".to_string()]);
     }
 }

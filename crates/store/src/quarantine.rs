@@ -1,7 +1,7 @@
 //! Poisoned-point quarantine records and in-flight point markers.
 //!
-//! Both files live next to the shard journals in the store directory and are
-//! written by the sharded-sweep supervisor machinery:
+//! Both files live next to the shard results logs in the store directory
+//! and are written by the sharded-sweep supervisor machinery:
 //!
 //! * `quarantine-<shard>.log` — append-only list of result keys a supervisor
 //!   gave up on after a shard died repeatedly while computing them. A worker
@@ -12,11 +12,12 @@
 //!   computing, rewritten on every point boundary. After a worker dies the
 //!   supervisor reads this post-mortem to attribute the crash to a point.
 //!
-//! Unlike the shard journal, quarantine keys are free-form result keys that
-//! contain spaces, so the line format is `v1 <attempts> <key-to-end-of-line>`.
+//! Unlike the results log, these files are not JSON: quarantine keys are
+//! free-form result keys that contain spaces, so the line format is
+//! `v1 <attempts> <key-to-end-of-line>`.
 
 use crate::io::StoreIo;
-use crate::journal::ShardJournal;
+use crate::journal::journal_path;
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -76,7 +77,7 @@ impl QuarantineLog {
     }
 
     /// Load all entries; a missing log is an empty one. Malformed lines are
-    /// skipped (the journal's torn-tail tolerance, applied here too).
+    /// skipped (the results log's torn-line tolerance, applied here too).
     pub fn load(&self) -> io::Result<Vec<QuarantineEntry>> {
         let text = match self.io.read(&self.path) {
             Ok(text) => text,
@@ -148,7 +149,7 @@ impl InflightLog {
     pub fn new(io: Arc<dyn StoreIo>, dir: &Path, label: &str) -> Self {
         InflightLog {
             io,
-            path: dir.join(format!("inflight-{label}.log")),
+            path: Self::new_path(dir, label),
         }
     }
 
@@ -180,26 +181,17 @@ impl InflightLog {
     }
 }
 
-/// Journal metadata the supervisor polls as a liveness heartbeat: the byte
-/// length of the shard's journal plus its in-flight marker content. Any
-/// change — a point published, a new point started — counts as progress.
-pub fn progress_signature(io: &dyn StoreIo, dir: &Path, label: &str) -> (usize, String) {
-    let journal_len = io
-        .read(ShardJournal::new_path(dir, label).as_path())
-        .map(|t| t.len())
-        .unwrap_or(0);
+/// What the supervisor polls as a liveness heartbeat: the byte length of the
+/// shard's results log plus its in-flight marker content. Any change — a
+/// point published, a new point started — counts as progress. The length
+/// comes from file metadata, so a poll costs the same however long the log
+/// grows.
+pub fn progress_signature(io: &dyn StoreIo, dir: &Path, label: &str) -> (u64, String) {
+    let log_len = io.len(&journal_path(dir, label)).unwrap_or(0);
     let inflight = io
-        .read(InflightLog::new_path(dir, label).as_path())
+        .read(&InflightLog::new_path(dir, label))
         .unwrap_or_default();
-    (journal_len, inflight)
-}
-
-impl ShardJournal {
-    /// The path a journal for shard `label` in `dir` would live at, without
-    /// constructing the journal.
-    pub fn new_path(dir: &Path, label: &str) -> PathBuf {
-        dir.join(format!("journal-{label}.log"))
-    }
+    (log_len, inflight)
 }
 
 impl InflightLog {
@@ -213,6 +205,9 @@ impl InflightLog {
 mod tests {
     use super::*;
     use crate::io::FaultyIo;
+    use crate::journal::is_journal_file;
+    use crate::store::ResultStore;
+    use lsqca_json::Json;
 
     fn setup() -> (Arc<FaultyIo>, QuarantineLog) {
         let io = Arc::new(FaultyIo::reliable());
@@ -286,14 +281,14 @@ mod tests {
     #[test]
     fn file_name_classifiers_do_not_overlap() {
         let q = Path::new("/store/quarantine-0.log");
-        let j = Path::new("/store/journal-0.log");
+        let j = Path::new("/store/results-0.log");
         assert!(QuarantineLog::is_quarantine_file(q));
         assert!(!QuarantineLog::is_quarantine_file(j));
-        assert!(!ShardJournal::is_journal_file(q));
+        assert!(!is_journal_file(q));
     }
 
     #[test]
-    fn progress_signature_tracks_journal_and_inflight() {
+    fn progress_signature_tracks_log_and_inflight() {
         let io = Arc::new(FaultyIo::reliable());
         let dir = Path::new("/store");
         let before = progress_signature(io.as_ref(), dir, "0");
@@ -303,5 +298,23 @@ mod tests {
         inflight.set(&keys).unwrap();
         let after = progress_signature(io.as_ref(), dir, "0");
         assert_ne!(before, after);
+    }
+
+    #[test]
+    fn progress_signature_grows_on_a_publish_and_not_on_a_hit() {
+        let io = Arc::new(FaultyIo::reliable());
+        let dir = Path::new("/store");
+        let mut store = ResultStore::with_io(Some(dir.to_path_buf()), io.clone());
+        store.set_shard_label("0").unwrap();
+        let payload = Json::obj([("point", Json::U64(1))]);
+        let empty = progress_signature(io.as_ref(), dir, "0");
+        assert_eq!(empty.0, 0);
+        store.load_or_compute("k1", || payload.clone());
+        let published = progress_signature(io.as_ref(), dir, "0");
+        assert!(published.0 > empty.0);
+        let log = journal_path(dir, "0");
+        assert_eq!(published.0, io.read(&log).unwrap().len() as u64);
+        store.load_or_compute("k1", || unreachable!("a hit"));
+        assert_eq!(progress_signature(io.as_ref(), dir, "0"), published);
     }
 }

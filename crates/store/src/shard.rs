@@ -1,7 +1,7 @@
 //! Shard label validation.
 //!
 //! Shard labels come from the environment (`LSQCA_SHARD`) and from CLI flags,
-//! and are interpolated into store-directory filenames (`journal-<label>.log`,
+//! and are interpolated into store-directory filenames (`results-<label>.log`,
 //! `quarantine-<label>.log`, `inflight-<label>.log`). An unvalidated label
 //! containing `/`, `\`, or `..` would escape the store directory, so every
 //! external label must pass [`validate_shard_label`] before it reaches a

@@ -2,30 +2,37 @@
 //!
 //! # Record contract
 //!
-//! One record file per result key, named `<slug>-<fnv64>.json`. The document
-//! carries the full key, the JSON payload, and an FNV-1a checksum over
-//! `key + "\n" + compact(payload)`; a record is served only if the schema tag,
-//! the key, and the checksum all verify. Anything else — truncated JSON from a
-//! torn write, a hand-edited payload, a hash-collision record for another key
-//! — is quarantined (renamed to `*.quarantined`), reported once on stderr, and
-//! recomputed.
+//! Every result is one line of its shard's results log
+//! (`results-<shard>.log`): the full key, the JSON payload, and an FNV-1a
+//! checksum over `key + "\n" + compact(payload)`. The first lookup reads
+//! every results log in the directory once, under the `store.open` span,
+//! into the in-memory map that serves all later lookups. A line that does
+//! not parse is torn: counted and ignored. A line that
+//! parses but fails its checksum makes its key suspect: unless another line
+//! for that key verifies, the key is reported as quarantined once on stderr
+//! and recomputed, while the bad bytes stay in the log for inspection. When
+//! several valid lines name one key, the first in (file name, line) order is
+//! served.
 //!
 //! # Durability contract
 //!
-//! Records are published with [`atomic_write`] (tmp + fsync + rename + dir
-//! fsync) and each publication is journaled (see
-//! [`ShardJournal`](crate::journal::ShardJournal)), so a SIGKILL at any point
-//! loses at most the in-flight point: a resumed run replays every surviving
-//! record as a hit and recomputes only what never became durable, which makes
-//! the merged report byte-identical to an uninterrupted run's.
+//! Publishing a record appends its line and fsyncs the log (plus one
+//! directory fsync when this store creates the log), under a lock that
+//! keeps concurrent threads from interleaving lines, and
+//! [`ResultStore::store_computed`] returns only after that fsync. A SIGKILL
+//! at any point therefore loses at most the in-flight point: a resumed run
+//! replays every surviving line as a hit and recomputes only what never
+//! became durable, which makes the merged report byte-identical to an
+//! uninterrupted run's. A kill mid-append leaves a torn tail; the next
+//! store to append to that log starts on a fresh line, so a torn tail never
+//! swallows the next record.
 //!
 //! An unwritable or failing store directory never aborts a sweep: after the
 //! first filesystem error the store degrades to a process-local in-memory map
 //! with a single stderr warning.
 
-use crate::hash::{fnv1a64, slug};
-use crate::io::{atomic_write, DiskIo, StoreIo};
-use crate::journal::{JournalEntry, ShardJournal};
+use crate::io::{DiskIo, StoreIo};
+use crate::journal::{journal_path, load_journals, JournalEntry};
 use crate::merge::{merge_audit, MergeError, MergeReport};
 use crate::shard::{validate_shard_label, ShardLabelError};
 use lsqca_json::Json;
@@ -34,10 +41,12 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Schema tag every result record carries.
-pub const RESULT_SCHEMA: &str = "lsqca-result-v1";
+/// Schema tag of the store layout: one `results-<shard>.log` per shard, one
+/// checksummed record per line. (`lsqca-result-v1` wrote one `.json` file
+/// per record and journaled its name in `journal-<shard>.log`.)
+pub const RESULT_SCHEMA: &str = "lsqca-result-v2";
 
 /// How a [`ResultStore::load_or_compute`] request was satisfied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,8 +55,7 @@ pub enum StoreEvent {
     Hit,
     /// No record existed (or the store is disabled/degraded); computed.
     Computed,
-    /// A record existed but failed verification; it was quarantined and the
-    /// point recomputed.
+    /// The key's only records failed verification; the point was recomputed.
     Quarantined(QuarantineReason),
 }
 
@@ -65,10 +73,6 @@ pub enum Lookup {
 /// Why a stored record was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuarantineReason {
-    /// The file is not valid JSON (e.g. truncated by a torn write).
-    NotJson(String),
-    /// The document is JSON but not a result record of the expected schema.
-    Schema(String),
     /// The record's checksum does not match its content (bit rot, hand edit).
     Checksum {
         /// Checksum stored in the record.
@@ -76,23 +80,13 @@ pub enum QuarantineReason {
         /// Checksum recomputed from the record's key and payload.
         actual: String,
     },
-    /// The record belongs to a different key (hash collision or copied file).
-    KeyMismatch {
-        /// The key recorded in the file.
-        stored: String,
-    },
 }
 
 impl fmt::Display for QuarantineReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QuarantineReason::NotJson(e) => write!(f, "not valid JSON: {e}"),
-            QuarantineReason::Schema(e) => write!(f, "not a result record: {e}"),
             QuarantineReason::Checksum { stored, actual } => {
                 write!(f, "checksum mismatch: stored {stored}, computed {actual}")
-            }
-            QuarantineReason::KeyMismatch { stored } => {
-                write!(f, "record belongs to key `{stored}`")
             }
         }
     }
@@ -103,9 +97,9 @@ impl fmt::Display for QuarantineReason {
 pub struct StoreStats {
     /// Points computed because no verified record existed.
     pub computed: u64,
-    /// Points served from a verified record (disk or in-process memory).
+    /// Points served from a verified record (on disk or published in-process).
     pub hits: u64,
-    /// Records that failed verification and were quarantined.
+    /// Keys whose records failed verification and were recomputed.
     pub quarantined: u64,
 }
 
@@ -119,18 +113,16 @@ impl fmt::Display for StoreStats {
     }
 }
 
-/// What a resume verification pass found in the journals.
+/// What opening the store found in the results logs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ResumeReport {
-    /// Journal entries across all shards (after deduplication).
+    /// Distinct keys with at least one parsed line, across all shards.
     pub journaled: usize,
-    /// Entries whose record verified against its journaled checksum.
+    /// Keys with a line whose checksum verifies; these are served as hits.
     pub verified: usize,
-    /// Entries whose record file no longer exists.
-    pub missing: usize,
-    /// Entries whose record existed but failed verification (quarantined).
+    /// Keys whose every line fails its checksum; these are recomputed.
     pub quarantined: usize,
-    /// Torn journal lines tolerated (at most one per killed shard).
+    /// Torn lines tolerated (at most one per killed shard).
     pub torn_lines: usize,
 }
 
@@ -138,8 +130,8 @@ impl fmt::Display for ResumeReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} journaled, {} verified, {} missing, {} quarantined, {} torn lines",
-            self.journaled, self.verified, self.missing, self.quarantined, self.torn_lines
+            "{} journaled, {} verified, {} quarantined, {} torn lines",
+            self.journaled, self.verified, self.quarantined, self.torn_lines
         )
     }
 }
@@ -152,12 +144,41 @@ pub struct ResultStore {
     /// in-process memo still serves repeats).
     dir: Option<PathBuf>,
     shard: String,
-    /// In-process memo and the fallback medium once the store degrades.
+    /// Verified payloads by key: every results log as read when the store
+    /// opened, plus this process's publications. The memo, and the fallback
+    /// medium once the store degrades.
     memory: Mutex<HashMap<String, Json>>,
+    /// Keys whose only lines failed their checksum; each is taken (and
+    /// reported) once.
+    suspects: Mutex<HashMap<String, QuarantineReason>>,
+    /// Set by the first lookup, probe, resume check or publication.
+    opened: OnceLock<Opened>,
+    /// The state of this shard's log as the next append finds it; `None`
+    /// until the first publication. The lock serializes appends.
+    tail: Mutex<Option<Tail>>,
     degraded: AtomicBool,
     computed: AtomicU64,
     hits: AtomicU64,
     quarantined: AtomicU64,
+}
+
+/// What [`ResultStore`] read when it opened.
+#[derive(Debug, Default)]
+struct Opened {
+    report: ResumeReport,
+    /// Every log read, with whether it ended mid-line.
+    torn_tails: HashMap<PathBuf, bool>,
+}
+
+/// The end of this shard's log, as the next append must treat it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tail {
+    /// No log yet: create the directory, and sync it after the append.
+    Absent,
+    /// The log ends with a newline.
+    Clean,
+    /// The log ends mid-line: start the append with a newline.
+    Torn,
 }
 
 impl ResultStore {
@@ -182,6 +203,9 @@ impl ResultStore {
             dir,
             shard: env_shard_label(),
             memory: Mutex::new(HashMap::new()),
+            suspects: Mutex::new(HashMap::new()),
+            opened: OnceLock::new(),
+            tail: Mutex::new(None),
             degraded: AtomicBool::new(false),
             computed: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -206,18 +230,18 @@ impl ResultStore {
         ResultStore::at(default_store_dir())
     }
 
-    /// The directory records are stored in; `None` when disabled.
+    /// The directory the results logs live in; `None` when disabled.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
     }
 
-    /// The shard label this store journals publications under.
+    /// The shard label this store publishes under.
     pub fn shard_label(&self) -> &str {
         &self.shard
     }
 
     /// Override the shard label (validated) — used by the supervisor and the
-    /// merge path, which must not journal under a worker's label.
+    /// merge path, which must not publish under a worker's label.
     ///
     /// # Errors
     ///
@@ -226,6 +250,7 @@ impl ResultStore {
     pub fn set_shard_label(&mut self, label: &str) -> Result<(), ShardLabelError> {
         validate_shard_label(label)?;
         self.shard = label.to_string();
+        *self.tail.get_mut().unwrap() = None;
         Ok(())
     }
 
@@ -242,17 +267,6 @@ impl ResultStore {
             hits: self.hits.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
         }
-    }
-
-    /// The on-disk path the record for `key` lives at. `None` when disabled.
-    pub fn path_for(&self, key: &str) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| {
-            d.join(format!(
-                "{}-{:016x}.json",
-                slug(key),
-                fnv1a64(key.as_bytes())
-            ))
-        })
     }
 
     /// Serve the payload for `key` from a verified record, or compute it with
@@ -275,38 +289,32 @@ impl ResultStore {
 
     /// The first half of [`ResultStore::load_or_compute`], for callers that
     /// compute several missing keys at once: serve a verified record, or
-    /// report the miss. A record that fails verification is quarantined and
-    /// reported as a [`StoreEvent::Quarantined`] miss. Hand every miss's
-    /// computed payload to [`ResultStore::store_computed`] with its event.
+    /// report the miss. A key whose records all failed verification is
+    /// reported (once) as a [`StoreEvent::Quarantined`] miss. Hand every
+    /// miss's computed payload to [`ResultStore::store_computed`] with its
+    /// event.
     pub fn lookup(&self, key: &str) -> Lookup {
         // A disabled store (no directory) computes every time; memoization is
         // reserved for real stores, where it backs the degraded-mode fallback.
-        if self.dir.is_some() {
-            if let Some(payload) = self.memory.lock().unwrap().get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Hit(payload.clone());
-            }
+        let Some(dir) = self.dir.as_deref() else {
+            return Lookup::Miss(StoreEvent::Computed);
+        };
+        self.open();
+        if let Some(payload) = self.memory.lock().unwrap().get(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Lookup::Hit(payload.clone());
         }
-        let mut event = StoreEvent::Computed;
-        if let Some(path) = self.usable_path(key) {
-            match load_record(self.io.as_ref(), &path, key) {
-                Ok(payload) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.memory
-                        .lock()
-                        .unwrap()
-                        .insert(key.to_string(), payload.clone());
-                    return Lookup::Hit(payload);
-                }
-                Err(Miss::Absent) => {}
-                Err(Miss::Io(err)) => self.degrade("read", &err),
-                Err(Miss::Corrupt(reason)) => {
-                    self.quarantine(&path, &reason);
-                    event = StoreEvent::Quarantined(reason);
-                }
+        match self.suspects.lock().unwrap().remove(key) {
+            Some(reason) => {
+                eprintln!(
+                    "warning: result store: quarantined `{key}` in {}: {reason}; \
+                     recomputing (the bad line stays in the log)",
+                    dir.display()
+                );
+                Lookup::Miss(StoreEvent::Quarantined(reason))
             }
+            None => Lookup::Miss(StoreEvent::Computed),
         }
-        Lookup::Miss(event)
     }
 
     /// The second half of [`ResultStore::load_or_compute`]: counts the
@@ -321,57 +329,42 @@ impl ResultStore {
                 self.computed.fetch_add(1, Ordering::Relaxed);
             }
         }
-        if let Some(path) = self.usable_path(key) {
-            if let Err(err) = self.publish(&path, key, payload) {
+        if self.dir.is_none() {
+            return;
+        }
+        self.open();
+        if let Some(dir) = self.usable_dir() {
+            if let Err(err) = self.publish(dir, key, payload) {
                 self.degrade("write", &err);
             }
         }
-        if self.dir.is_some() {
-            self.memory
-                .lock()
-                .unwrap()
-                .insert(key.to_string(), payload.clone());
-        }
+        self.memory
+            .lock()
+            .unwrap()
+            .insert(key.to_string(), payload.clone());
     }
 
-    /// Serve the payload for `key` only if a verified record already exists
-    /// (in memory or on disk); never computes, never publishes.
+    /// Serve the payload for `key` only if a verified record already exists;
+    /// never computes, never publishes.
     ///
-    /// This is how a process renders sweep points *owned by other shards*: a
-    /// record published by any shard is served, an absent record stays absent
-    /// (the caller substitutes a placeholder). A corrupt record is
-    /// quarantined as usual so the owning shard recomputes it.
+    /// This is how a process renders sweep points *owned by other shards*.
+    /// It answers from the logs as they were when this store opened, plus
+    /// this process's own publications: a record published by any shard
+    /// before then is served, an absent record stays absent (the caller
+    /// substitutes a placeholder). A quarantined key counts as such and
+    /// stays absent, so the owning shard recomputes it.
     pub fn probe(&self, key: &str) -> Option<Json> {
-        if self.dir.is_some() {
-            if let Some(payload) = self.memory.lock().unwrap().get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(payload.clone());
-            }
-        }
-        let path = self.usable_path(key)?;
-        match load_record(self.io.as_ref(), &path, key) {
-            Ok(payload) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.memory
-                    .lock()
-                    .unwrap()
-                    .insert(key.to_string(), payload.clone());
-                Some(payload)
-            }
-            Err(Miss::Absent) => None,
-            Err(Miss::Io(err)) => {
-                self.degrade("read", &err);
-                None
-            }
-            Err(Miss::Corrupt(reason)) => {
-                self.quarantine(&path, &reason);
+        match self.lookup(key) {
+            Lookup::Hit(payload) => Some(payload),
+            Lookup::Miss(StoreEvent::Quarantined(_)) => {
                 self.quarantined.fetch_add(1, Ordering::Relaxed);
                 None
             }
+            Lookup::Miss(_) => None,
         }
     }
 
-    /// Audit all shard journals in this store's directory for a merge — see
+    /// Audit all shard logs in this store's directory for a merge — see
     /// [`merge_audit`](crate::merge_audit). A disabled store merges trivially.
     ///
     /// # Errors
@@ -384,46 +377,51 @@ impl ResultStore {
         }
     }
 
-    /// Cross-check every journaled record against its on-disk checksum; call
-    /// before resuming an interrupted sweep. Corrupt records are quarantined
-    /// so the resumed run recomputes them.
+    /// What the results logs held when this store opened (opening it now if
+    /// nothing has yet); `--resume` prints it before the sweep resumes.
     pub fn verify_resume(&self) -> ResumeReport {
-        let mut report = ResumeReport::default();
-        let Some(dir) = self.usable_dir() else {
-            return report;
-        };
-        let journal_files: Vec<PathBuf> = match self.io.list_dir(dir) {
-            Ok(entries) => entries
-                .into_iter()
-                .filter(|p| ShardJournal::is_journal_file(p))
-                .collect(),
-            Err(_) => return report,
-        };
-        let mut seen = std::collections::BTreeMap::new();
-        for journal in journal_files {
-            let Ok(text) = self.io.read(&journal) else {
-                continue;
+        self.open().report
+    }
+
+    /// Read every results log into memory, once.
+    fn open(&self) -> &Opened {
+        self.opened.get_or_init(|| {
+            let mut opened = Opened::default();
+            let Some(dir) = self.usable_dir() else {
+                return opened;
             };
-            let load = ShardJournal::parse(&text);
-            report.torn_lines += load.torn_lines;
-            for entry in load.entries {
-                seen.insert(entry.file.clone(), entry);
-            }
-        }
-        report.journaled = seen.len();
-        for entry in seen.values() {
-            let path = dir.join(&entry.file);
-            match verify_record(self.io.as_ref(), &path, &entry.checksum) {
-                Ok(()) => report.verified += 1,
-                Err(Miss::Absent) | Err(Miss::Io(_)) => report.missing += 1,
-                Err(Miss::Corrupt(reason)) => {
-                    self.quarantine(&path, &reason);
-                    self.quarantined.fetch_add(1, Ordering::Relaxed);
-                    report.quarantined += 1;
+            let _span = lsqca_telemetry::span("store.open");
+            let logs = match load_journals(self.io.as_ref(), dir) {
+                Ok(logs) => logs,
+                Err(err) => {
+                    if err.kind() != io::ErrorKind::NotFound {
+                        self.degrade("read", &err);
+                    }
+                    return opened;
+                }
+            };
+            let mut memory = self.memory.lock().unwrap();
+            let mut suspects = self.suspects.lock().unwrap();
+            for (path, load) in logs {
+                opened.report.torn_lines += load.torn_lines;
+                opened.torn_tails.insert(path, load.torn_tail);
+                for entry in load.entries {
+                    match entry.verify() {
+                        Ok(()) => {
+                            memory.entry(entry.key).or_insert(entry.payload);
+                        }
+                        Err(reason) => {
+                            suspects.entry(entry.key).or_insert(reason);
+                        }
+                    }
                 }
             }
-        }
-        report
+            suspects.retain(|key, _| !memory.contains_key(key));
+            opened.report.verified = memory.len();
+            opened.report.quarantined = suspects.len();
+            opened.report.journaled = memory.len() + suspects.len();
+            opened
+        })
     }
 
     fn usable_dir(&self) -> Option<&Path> {
@@ -434,26 +432,31 @@ impl ResultStore {
         }
     }
 
-    fn usable_path(&self, key: &str) -> Option<PathBuf> {
-        self.usable_dir()?;
-        self.path_for(key)
-    }
-
-    /// Publish a record durably and journal the publication.
-    fn publish(&self, path: &Path, key: &str, payload: &Json) -> io::Result<()> {
+    /// Append the record's line to this shard's log and fsync it.
+    fn publish(&self, dir: &Path, key: &str, payload: &Json) -> io::Result<()> {
         let _span = lsqca_telemetry::span("store.publish");
-        let record = encode_record(key, payload);
-        atomic_write(self.io.as_ref(), path, record.text.as_bytes())?;
-        let dir = path.parent().expect("record paths have a parent directory");
-        let file = path
-            .file_name()
-            .expect("record paths have a file name")
-            .to_string_lossy()
-            .into_owned();
-        ShardJournal::new(self.io.clone(), dir, &self.shard).append(&JournalEntry {
-            checksum: record.checksum,
-            file,
-        })
+        let line = JournalEntry::new(key, payload).line();
+        let path = journal_path(dir, &self.shard);
+        let mut tail = self.tail.lock().unwrap();
+        let state = *tail.get_or_insert_with(|| match self.open().torn_tails.get(&path) {
+            None => Tail::Absent,
+            Some(false) => Tail::Clean,
+            Some(true) => Tail::Torn,
+        });
+        if state == Tail::Absent {
+            self.io.create_dir_all(dir)?;
+        }
+        let bytes = match state {
+            Tail::Torn => format!("\n{line}"),
+            Tail::Absent | Tail::Clean => line,
+        };
+        self.io.append(&path, bytes.as_bytes())?;
+        self.io.sync_file(&path)?;
+        if state == Tail::Absent {
+            self.io.sync_dir(dir)?;
+        }
+        *tail = Some(Tail::Clean);
+        Ok(())
     }
 
     /// Flip to in-memory operation, warning exactly once.
@@ -468,19 +471,6 @@ impl ResultStore {
                 "warning: result store: {what} failed in {dir} ({err}); \
                  degrading to in-memory results for the rest of this run"
             );
-        }
-    }
-
-    /// Move a corrupt record out of the addressable namespace, best-effort.
-    fn quarantine(&self, path: &Path, reason: &QuarantineReason) {
-        eprintln!(
-            "warning: result store: quarantined {}: {reason}",
-            path.display()
-        );
-        let target = path.with_extension("json.quarantined");
-        if self.io.rename(path, &target).is_err() {
-            // Removal is the fallback so the recomputed record can publish.
-            let _ = self.io.remove_file(path);
         }
     }
 }
@@ -500,40 +490,9 @@ pub fn default_store_dir() -> PathBuf {
     PathBuf::from("target").join("lsqca-store")
 }
 
-struct EncodedRecord {
-    text: String,
-    checksum: String,
-}
-
-/// Render the record document for `(key, payload)`.
-fn encode_record(key: &str, payload: &Json) -> EncodedRecord {
-    let checksum = format!("{:016x}", record_checksum(key, payload));
-    let doc = Json::obj([
-        ("schema", Json::Str(RESULT_SCHEMA.to_string())),
-        ("key", Json::Str(key.to_string())),
-        ("checksum", Json::Str(checksum.clone())),
-        ("payload", payload.clone()),
-    ]);
-    EncodedRecord {
-        text: doc.pretty(),
-        checksum,
-    }
-}
-
-/// The integrity checksum: FNV-1a over the key and the compact payload
-/// rendering. The pretty/compact printers are deterministic and parsing
-/// round-trips, so the loader can recompute this from the parsed document.
-fn record_checksum(key: &str, payload: &Json) -> u64 {
-    let mut hash = crate::hash::Fnv1a::new();
-    hash.update(key.as_bytes());
-    hash.update(b"\n");
-    hash.update(payload.compact().as_bytes());
-    hash.finish()
-}
-
 /// The shard label the environment selects, falling back to `0` (with a
 /// warning) when `LSQCA_SHARD` is set to something that could escape the
-/// store directory once interpolated into a journal filename.
+/// store directory once interpolated into a log filename.
 fn env_shard_label() -> String {
     let label = std::env::var("LSQCA_SHARD").unwrap_or_else(|_| "0".to_string());
     match validate_shard_label(&label) {
@@ -543,80 +502,6 @@ fn env_shard_label() -> String {
             "0".to_string()
         }
     }
-}
-
-pub(crate) enum Miss {
-    Absent,
-    Io(io::Error),
-    Corrupt(QuarantineReason),
-}
-
-/// Parse and verify a record document, returning its key, payload, and
-/// stored checksum.
-fn decode_record(text: &str) -> Result<(String, Json, String), QuarantineReason> {
-    let doc = lsqca_json::parse(text).map_err(|e| QuarantineReason::NotJson(e.to_string()))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| QuarantineReason::Schema("missing `schema`".to_string()))?;
-    if schema != RESULT_SCHEMA {
-        return Err(QuarantineReason::Schema(format!(
-            "schema `{schema}`, expected `{RESULT_SCHEMA}`"
-        )));
-    }
-    let key = doc
-        .get("key")
-        .and_then(Json::as_str)
-        .ok_or_else(|| QuarantineReason::Schema("missing `key`".to_string()))?;
-    let stored = doc
-        .get("checksum")
-        .and_then(Json::as_str)
-        .ok_or_else(|| QuarantineReason::Schema("missing `checksum`".to_string()))?;
-    let payload = doc
-        .get("payload")
-        .ok_or_else(|| QuarantineReason::Schema("missing `payload`".to_string()))?;
-    let actual = format!("{:016x}", record_checksum(key, payload));
-    if stored != actual {
-        return Err(QuarantineReason::Checksum {
-            stored: stored.to_string(),
-            actual,
-        });
-    }
-    Ok((key.to_string(), payload.clone(), stored.to_string()))
-}
-
-fn read_record(io: &dyn StoreIo, path: &Path) -> Result<(String, Json, String), Miss> {
-    let text = match io.read(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(Miss::Absent),
-        Err(e) => return Err(Miss::Io(e)),
-    };
-    decode_record(&text).map_err(Miss::Corrupt)
-}
-
-fn load_record(io: &dyn StoreIo, path: &Path, key: &str) -> Result<Json, Miss> {
-    let (stored_key, payload, _checksum) = read_record(io, path)?;
-    if stored_key != key {
-        return Err(Miss::Corrupt(QuarantineReason::KeyMismatch {
-            stored: stored_key,
-        }));
-    }
-    Ok(payload)
-}
-
-pub(crate) fn verify_record(
-    io: &dyn StoreIo,
-    path: &Path,
-    journaled_checksum: &str,
-) -> Result<(), Miss> {
-    let (_key, _payload, checksum) = read_record(io, path)?;
-    if checksum != journaled_checksum {
-        return Err(Miss::Corrupt(QuarantineReason::Checksum {
-            stored: checksum,
-            actual: journaled_checksum.to_string(),
-        }));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -634,6 +519,15 @@ mod tests {
         (io, store)
     }
 
+    fn reopen(io: &Arc<FaultyIo>) -> ResultStore {
+        ResultStore::with_io(Some(PathBuf::from("/store")), io.clone())
+    }
+
+    /// The log `store` publishes into.
+    fn log_of(store: &ResultStore) -> PathBuf {
+        journal_path(Path::new("/store"), store.shard_label())
+    }
+
     #[test]
     fn second_request_is_a_hit_even_from_a_fresh_process() {
         let (io, store) = mem_store();
@@ -645,8 +539,8 @@ mod tests {
         assert_eq!(event, StoreEvent::Hit);
         assert_eq!(first, second);
 
-        // Fresh process over the same backend: served from disk.
-        let fresh = ResultStore::with_io(Some(PathBuf::from("/store")), io);
+        // Fresh process over the same backend: served from the log.
+        let fresh = reopen(&io);
         let (third, event) = fresh.load_or_compute("k1", || panic!("must not recompute"));
         assert_eq!(event, StoreEvent::Hit);
         assert_eq!(first, third);
@@ -665,22 +559,34 @@ mod tests {
         let (io, store) = mem_store();
         let (first, _) = store.load_or_compute("k1", || payload(1));
         io.crash();
-        let fresh = ResultStore::with_io(Some(PathBuf::from("/store")), io);
+        let fresh = reopen(&io);
         let (second, event) = fresh.load_or_compute("k1", || panic!("must not recompute"));
         assert_eq!(event, StoreEvent::Hit);
         assert_eq!(first, second);
     }
 
     #[test]
-    fn tampered_record_is_quarantined_and_recomputed() {
+    fn one_file_holds_every_record() {
+        let (io, store) = mem_store();
+        for n in 0..4 {
+            store.load_or_compute(&format!("k{n}"), || payload(n));
+        }
+        let files = io.files_snapshot();
+        assert_eq!(files.keys().collect::<Vec<_>>(), vec![&log_of(&store)]);
+        let text = String::from_utf8(files[&log_of(&store)].clone()).unwrap();
+        assert_eq!(text.lines().count(), 4);
+    }
+
+    #[test]
+    fn tampered_line_is_quarantined_recomputed_and_kept() {
         let (io, store) = mem_store();
         store.load_or_compute("k1", || payload(1));
-        let path = store.path_for("k1").unwrap();
-        let mut text = io.read(&path).unwrap();
-        text = text.replace("2.5", "9.5");
+        let path = log_of(&store);
+        let text = io.read(&path).unwrap().replace("2.5", "9.5");
         io.tamper(&path, text.as_bytes());
 
-        let fresh = ResultStore::with_io(Some(PathBuf::from("/store")), io.clone());
+        let fresh = reopen(&io);
+        assert_eq!(fresh.verify_resume().quarantined, 1);
         let (value, event) = fresh.load_or_compute("k1", || payload(1));
         assert!(matches!(
             event,
@@ -688,29 +594,91 @@ mod tests {
         ));
         assert_eq!(value, payload(1));
         assert_eq!(fresh.stats().quarantined, 1);
-        // The corrupt bytes moved aside and a clean record took their place.
-        assert!(io
-            .read(&path.with_extension("json.quarantined"))
-            .unwrap()
-            .contains("9.5"));
-        assert!(io.read(&path).unwrap().contains("2.5"));
+        // The corrupt bytes stay in the log, and a clean line follows them.
+        let log = io.read(&path).unwrap();
+        assert!(log.contains("9.5") && log.contains("2.5"), "{log}");
+        let again = reopen(&io);
+        assert_eq!(
+            again.load_or_compute("k1", || payload(0)).1,
+            StoreEvent::Hit
+        );
+        assert_eq!(again.verify_resume().quarantined, 0);
     }
 
     #[test]
-    fn truncated_record_is_detected() {
+    fn a_verifying_line_outranks_a_corrupt_one() {
         let (io, store) = mem_store();
         store.load_or_compute("k1", || payload(1));
-        let path = store.path_for("k1").unwrap();
+        let path = log_of(&store);
+        let good = io.read(&path).unwrap();
+        let bad = good.replace("2.5", "9.5");
+        io.tamper(&path, (bad + &good).as_bytes());
+
+        let fresh = reopen(&io);
+        let (value, event) = fresh.load_or_compute("k1", || panic!("must not recompute"));
+        assert_eq!(event, StoreEvent::Hit);
+        assert_eq!(value, payload(1));
+    }
+
+    #[test]
+    fn truncated_log_is_a_torn_line() {
+        let (io, store) = mem_store();
+        store.load_or_compute("k1", || payload(1));
+        let path = log_of(&store);
         let text = io.read(&path).unwrap();
         io.tamper(&path, &text.as_bytes()[..text.len() / 2]);
 
-        let fresh = ResultStore::with_io(Some(PathBuf::from("/store")), io);
+        let fresh = reopen(&io);
         let (value, event) = fresh.load_or_compute("k1", || payload(1));
-        assert!(matches!(
-            event,
-            StoreEvent::Quarantined(QuarantineReason::NotJson(_))
-        ));
+        assert_eq!(event, StoreEvent::Computed);
         assert_eq!(value, payload(1));
+        assert_eq!(fresh.verify_resume().torn_lines, 1);
+    }
+
+    /// A torn tail never swallows the record appended after it.
+    #[test]
+    fn append_after_a_torn_tail_starts_a_fresh_line() {
+        let (io, store) = mem_store();
+        store.load_or_compute("k1", || payload(1));
+        let path = log_of(&store);
+        let k2 = JournalEntry::new("k2", &payload(2)).line();
+        io.append(&path, &k2.as_bytes()[..k2.len() / 2]).unwrap();
+
+        let reopened = reopen(&io);
+        assert_eq!(reopened.verify_resume().torn_lines, 1);
+        reopened.load_or_compute("k3", || payload(3));
+
+        let again = reopen(&io);
+        let (_, k1) = again.load_or_compute("k1", || payload(1));
+        let (_, k3) = again.load_or_compute("k3", || payload(3));
+        let (_, k2) = again.load_or_compute("k2", || payload(2));
+        assert_eq!(
+            (k1, k3, k2),
+            (StoreEvent::Hit, StoreEvent::Hit, StoreEvent::Computed)
+        );
+        assert_eq!(again.verify_resume().torn_lines, 1);
+    }
+
+    /// The `lsqca-result-v1` layout is ignored, never misread: everything
+    /// computes, and nothing counts as torn or quarantined.
+    #[test]
+    fn a_v1_directory_is_ignored() {
+        let io = Arc::new(FaultyIo::reliable());
+        let v1 = "{\n  \"schema\": \"lsqca-result-v1\",\n  \"key\": \"k1\",\n  \
+                  \"checksum\": \"0123456789abcdef\",\n  \"payload\": {\"point\": 1}\n}";
+        io.tamper(Path::new("/store/k1-0123456789abcdef.json"), v1.as_bytes());
+        io.tamper(
+            Path::new("/store/journal-0.log"),
+            b"v1 0123456789abcdef k1-0123456789abcdef.json\n",
+        );
+
+        let store = reopen(&io);
+        assert_eq!(store.verify_resume(), ResumeReport::default());
+        assert_eq!(
+            store.load_or_compute("k1", || payload(1)).1,
+            StoreEvent::Computed
+        );
+        assert_eq!(store.stats().quarantined, 0);
     }
 
     #[test]
@@ -737,25 +705,24 @@ mod tests {
         let (_, event) = store.load_or_compute("k1", || payload(1));
         assert_eq!(event, StoreEvent::Computed);
         assert_eq!(store.stats().computed, 2);
-        assert_eq!(store.path_for("k1"), None);
+        assert_eq!(store.probe("k1"), None);
     }
 
     #[test]
-    fn verify_resume_reports_journal_state() {
+    fn verify_resume_reports_log_state() {
         let (io, store) = mem_store();
         store.load_or_compute("k1", || payload(1));
         store.load_or_compute("k2", || payload(2));
-        let report = store.verify_resume();
+        let report = reopen(&io).verify_resume();
         assert_eq!(report.journaled, 2);
         assert_eq!(report.verified, 2);
-        assert_eq!(report.missing, 0);
         assert_eq!(report.quarantined, 0);
 
-        // Corrupt one record: resume verification quarantines it.
-        let path = store.path_for("k2").unwrap();
-        io.tamper(&path, b"{\"schema\": \"lsqca-result-v1\"");
-        let fresh = ResultStore::with_io(Some(PathBuf::from("/store")), io);
-        let report = fresh.verify_resume();
+        // Corrupt one line: the resume report counts its key as quarantined.
+        let path = log_of(&store);
+        let text = io.read(&path).unwrap().replace("3.5", "0.5");
+        io.tamper(&path, text.as_bytes());
+        let report = reopen(&io).verify_resume();
         assert_eq!(report.journaled, 2);
         assert_eq!(report.verified, 1);
         assert_eq!(report.quarantined, 1);
@@ -763,9 +730,9 @@ mod tests {
 
     #[test]
     fn kill_mid_sweep_then_resume_recomputes_only_the_lost_tail() {
-        // First pass: kill the backend partway through a 8-point sweep.
+        // First pass: kill the backend partway through an 8-point sweep.
         let io = Arc::new(FaultyIo::with_plan(FaultPlan {
-            kill_at_op: Some(40),
+            kill_at_op: Some(12),
             ..FaultPlan::default()
         }));
         let store = ResultStore::with_io(Some(PathBuf::from("/store")), io.clone());
@@ -779,7 +746,7 @@ mod tests {
 
         // Resumed process: everything durable is a hit, the rest recomputes,
         // and the merged values match an uninterrupted run exactly.
-        let resumed = ResultStore::with_io(Some(PathBuf::from("/store")), io);
+        let resumed = reopen(&io);
         for n in 0..8 {
             let (value, _) = resumed.load_or_compute(&format!("k{n}"), || payload(n));
             assert_eq!(value, payload(n));
@@ -798,15 +765,16 @@ mod tests {
         store.load_or_compute("k1", || payload(1));
 
         // A fresh process probes the record published by the first.
-        let fresh = ResultStore::with_io(Some(PathBuf::from("/store")), io.clone());
+        let fresh = reopen(&io);
         assert_eq!(fresh.probe("k1"), Some(payload(1)));
         assert_eq!(fresh.stats().hits, 1);
         assert_eq!(fresh.stats().computed, 0);
 
         // A corrupt record is quarantined, not served.
-        let path = store.path_for("k1").unwrap();
-        io.tamper(&path, b"{ torn");
-        let fresh = ResultStore::with_io(Some(PathBuf::from("/store")), io);
+        let path = log_of(&store);
+        let text = io.read(&path).unwrap().replace("2.5", "7.5");
+        io.tamper(&path, text.as_bytes());
+        let fresh = reopen(&io);
         assert_eq!(fresh.probe("k1"), None);
         assert_eq!(fresh.stats().quarantined, 1);
     }
@@ -821,21 +789,12 @@ mod tests {
     }
 
     #[test]
-    fn shards_journal_under_their_own_label() {
+    fn shards_publish_under_their_own_label() {
         let io = Arc::new(FaultyIo::reliable());
         let mut store = ResultStore::with_io(Some(PathBuf::from("/store")), io.clone());
         store.set_shard_label("w3").unwrap();
         store.load_or_compute("k1", || payload(1));
-        let journal = crate::journal::ShardJournal::new(io, Path::new("/store"), "w3");
-        assert_eq!(journal.load().unwrap().entries.len(), 1);
-    }
-
-    #[test]
-    fn record_encoding_round_trips() {
-        let record = encode_record("k1", &payload(7));
-        let (key, value, checksum) = decode_record(&record.text).unwrap();
-        assert_eq!(key, "k1");
-        assert_eq!(value, payload(7));
-        assert_eq!(checksum, record.checksum);
+        let log = io.read(&journal_path(Path::new("/store"), "w3")).unwrap();
+        assert_eq!(log.lines().count(), 1);
     }
 }

@@ -1,10 +1,10 @@
 //! Property tests for the crash-safety contract: under any seeded fault
 //! schedule or kill-point the store returns correct payloads, and what it
 //! leaves on disk is either fully consistent or cleanly quarantined — never a
-//! silently wrong record.
+//! silently wrong record — and a torn tail never costs a later record.
 
 use lsqca_json::Json;
-use lsqca_store::{FaultPlan, FaultyIo, ResultStore, StoreEvent};
+use lsqca_store::{FaultPlan, FaultyIo, ResultStore, StoreEvent, StoreIo};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -61,8 +61,8 @@ proptest! {
         prop_assert_eq!(stats.quarantined, 0);
     }
 
-    /// Every seeded fault-injection schedule (short writes, ENOSPC, EIO, torn
-    /// renames) yields correct results during the faulty run, and leaves the
+    /// Every seeded fault-injection schedule (short writes, ENOSPC, EIO)
+    /// yields correct results during the faulty run, and leaves the
     /// store either consistent or cleanly quarantined: a later clean run over
     /// the same image never observes a wrong payload.
     #[test]
@@ -99,9 +99,9 @@ proptest! {
         prop_assert_eq!(stats.hits + stats.computed + stats.quarantined, POINTS);
     }
 
-    /// Resume verification over a faulted image never reports more verified
-    /// records than were journaled and quarantines rather than trusting
-    /// corrupt records.
+    /// The resume report over a faulted image accounts for every key it
+    /// found: verified keys are exactly the resumed run's hits, and
+    /// quarantined keys exactly its quarantine-and-recompute misses.
     #[test]
     fn resume_verification_is_conservative(seed in 0u64..1_000_000, permille in 50u32..450) {
         let io = Arc::new(FaultyIo::seeded(seed, permille));
@@ -111,12 +111,54 @@ proptest! {
 
         let resumed = store_over(io.clone());
         let report = resumed.verify_resume();
-        prop_assert!(report.verified + report.missing + report.quarantined == report.journaled);
+        prop_assert_eq!(report.verified + report.quarantined, report.journaled);
+        prop_assert!(report.journaled as u64 <= POINTS);
 
         // After verification, a full resume still reconstructs ground truth.
         for n in 0..POINTS {
             let (value, _) = resumed.load_or_compute(&key(n), || truth(n));
             prop_assert_eq!(value, truth(n));
         }
+        let stats = resumed.stats();
+        prop_assert_eq!(stats.hits, report.verified as u64);
+        prop_assert_eq!(stats.quarantined, report.quarantined as u64);
+    }
+
+    /// A kill can tear the line in flight (the process dies mid-`write`, and
+    /// the page cache keeps part of it). The first resume appends after the
+    /// torn tail on a fresh line, so a second resume finds every record:
+    /// none is lost by concatenation.
+    #[test]
+    fn resuming_twice_after_a_torn_kill_is_all_hits(
+        kill_op in 1u64..30,
+        tear_permille in 1usize..1000,
+    ) {
+        let clean_io = Arc::new(FaultyIo::reliable());
+        let clean = merged_report(&store_over(clean_io.clone()));
+        let (log, full) = clean_io
+            .files_snapshot()
+            .into_iter()
+            .next()
+            .expect("the clean run wrote its log");
+
+        let io = Arc::new(FaultyIo::with_plan(FaultPlan {
+            kill_at_op: Some(kill_op),
+            ..FaultPlan::default()
+        }));
+        merged_report(&store_over(io.clone()));
+        io.revive();
+        let durable = io.files_snapshot().remove(&log).unwrap_or_default();
+        prop_assert!(full.starts_with(&durable), "the killed log is a prefix");
+        if let Some(line_len) = full[durable.len()..].iter().position(|&b| b == b'\n') {
+            // Tear the next line somewhere short of its newline.
+            let cut = (line_len * tear_permille / 1000).max(1);
+            io.append(&log, &full[durable.len()..durable.len() + cut]).unwrap();
+        }
+
+        let first = store_over(io.clone());
+        prop_assert_eq!(merged_report(&first), clean.clone());
+        let second = store_over(io);
+        prop_assert_eq!(merged_report(&second), clean);
+        prop_assert_eq!(second.stats().hits, POINTS);
     }
 }

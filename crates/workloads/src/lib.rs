@@ -53,3 +53,17 @@ pub use multiplier::{shift_add_multiplier, MultiplierConfig};
 pub use registry::{paper_qubit_count, paper_suite, Benchmark, BenchmarkConfig, InstanceSize};
 pub use select::{select_heisenberg, HeisenbergModel, SelectConfig};
 pub use square_root::{square_root_search, SquareRootConfig};
+
+/// The ASAP logical depth of `circuit`: each gate lands one layer after the
+/// latest gate on any qubit it touches.
+#[cfg(test)]
+fn asap_depth(circuit: &lsqca_circuit::Circuit) -> usize {
+    let mut layer_of = std::collections::HashMap::new();
+    for gate in circuit.gates() {
+        let qubits = gate.qubits();
+        let latest = qubits.iter().filter_map(|q| layer_of.get(q)).max();
+        let layer = 1 + latest.copied().unwrap_or(0);
+        layer_of.extend(qubits.into_iter().map(|q| (q, layer)));
+    }
+    layer_of.into_values().max().unwrap_or(0)
+}

@@ -116,8 +116,9 @@ fn killed_sweep_resumes_to_an_identical_report() {
         let resumed_store = ResultStore::with_io(Some(dir), io.clone());
         let audit = resumed_store.verify_resume();
         assert_eq!(
-            audit.missing, 0,
-            "journaled-and-synced records must survive the crash (kill at op {kill_at_op})"
+            (audit.verified, audit.quarantined, audit.torn_lines),
+            (audit.journaled, 0, 0),
+            "a kill leaves only whole, verifying lines (kill at op {kill_at_op})"
         );
         let resumed = merged_report(&resumed_store, &workloads);
         assert_eq!(
@@ -125,14 +126,18 @@ fn killed_sweep_resumes_to_an_identical_report() {
             "resumed report must be byte-identical (kill at op {kill_at_op})"
         );
         let stats = resumed_store.stats();
+        assert_eq!(
+            stats.hits, audit.verified as u64,
+            "every synced record must survive the crash as a hit (kill at op {kill_at_op})"
+        );
         assert_eq!(stats.hits + stats.computed, 6);
         assert_eq!(stats.quarantined, 0);
     }
 }
 
-/// A record whose payload was altered on disk fails its checksum, is moved
-/// aside, and the point is recomputed — a tampered store can slow a sweep
-/// down but never change its numbers.
+/// A record whose payload was altered on disk fails its checksum, is
+/// reported as quarantined, and the point is recomputed — a tampered store
+/// can slow a sweep down but never change its numbers.
 #[test]
 fn tampered_records_are_quarantined_and_recomputed() {
     let _serial = sim_lock();
@@ -141,17 +146,23 @@ fn tampered_records_are_quarantined_and_recomputed() {
     let config = ExperimentConfig::baseline(1);
     let pristine = stored_run_in(&store, workload, &config);
 
-    // Corrupt the payload of the single record in the store.
+    // Corrupt the payload of the single record in the store's one log.
     let dir = store.dir().unwrap().to_path_buf();
-    let record = std::fs::read_dir(&dir)
+    let files: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .find(|p| p.extension().is_some_and(|e| e == "json"))
-        .expect("the run above stored one record");
-    let text = std::fs::read_to_string(&record).unwrap();
-    let beats = format!("\"total_beats\": {}", pristine.total_beats.as_u64());
+        .collect();
+    assert_eq!(
+        files.len(),
+        1,
+        "one results log, no per-record files: {files:?}"
+    );
+    let log = &files[0];
+    let text = std::fs::read_to_string(log).unwrap();
+    let beats = format!("\"total_beats\":{},", pristine.total_beats.as_u64());
+    assert_eq!(text.lines().count(), 1, "the run above stored one record");
     assert!(text.contains(&beats), "fixture drift: {text}");
-    std::fs::write(&record, text.replace(&beats, "\"total_beats\": 1")).unwrap();
+    std::fs::write(log, text.replace(&beats, "\"total_beats\":1,")).unwrap();
 
     let reopened = ResultStore::at(&dir);
     let key = workload.result_key(&config);
@@ -163,11 +174,10 @@ fn tampered_records_are_quarantined_and_recomputed() {
     );
     let recomputed = stored_run_in(&reopened, workload, &config);
     assert_eq!(recomputed.total_beats, pristine.total_beats);
+    let text = std::fs::read_to_string(log).unwrap();
     assert!(
-        std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .any(|e| e.path().to_string_lossy().ends_with(".quarantined")),
+        text.contains("\"total_beats\":1,"),
         "the bad record must be preserved for inspection"
     );
+    assert!(text.contains(&beats), "the recomputed record follows it");
 }

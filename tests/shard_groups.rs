@@ -73,7 +73,7 @@ fn groups_compute_and_publish_only_their_owned_keys() {
         } else {
             assert_eq!(stats[i], ExecutionStats::default(), "placeholder");
             assert!(
-                !store.path_for(&keys[i]).unwrap().exists(),
+                reopened.probe(&keys[i]).is_none(),
                 "a foreign or quarantined key is never published"
             );
         }

@@ -5,14 +5,15 @@
 //!
 //! The shards here are driven sequentially in one process over one
 //! fault-injected [`FaultyIo`] backend — what matters to the merge is the
-//! per-shard journal/record state left on "disk", which is the same whether
+//! per-shard results logs left on "disk", which are the same whether
 //! the shards ran as processes or loops. Process-level supervision (restart,
 //! backoff, quarantine) is exercised by the CI smoke against the real binary.
 
 use lsqca::experiment::ExperimentConfig;
 use lsqca::prelude::*;
 use lsqca_bench::{stored_run_in, supervisor::owning_shard, Scale, WorkloadHandle};
-use lsqca_store::{merge_audit, FaultPlan, FaultyIo, MergeError, ResultStore};
+use lsqca_json::Json;
+use lsqca_store::{merge_audit, FaultPlan, FaultyIo, MergeError, ResultStore, StoreEvent};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -81,9 +82,9 @@ proptest! {
         let clean = report(&store_labeled(&clean_io, "0"), &workloads);
 
         // Sharded run: all shards publish into one shared backend, each under
-        // its own journal label, computing only the points it owns. A shard
+        // its own log label, computing only the points it owns. A shard
         // marked for killing loses its volatile tail mid-pass, then a fresh
-        // store (the restarted worker) resumes it through the journal.
+        // store (the restarted worker) resumes it from its log.
         let io = Arc::new(FaultyIo::reliable());
         let points = sweep_points(&workloads);
         for k in 0..shards {
@@ -102,7 +103,7 @@ proptest! {
                 }
             }
             // The worker dies (volatile state is lost) and is restarted:
-            // journaled records replay as hits, the lost tail recomputes.
+            // logged records replay as hits, the lost tail recomputes.
             io.crash();
             io.revive();
             let resumed = store_labeled(&io, &label);
@@ -113,13 +114,13 @@ proptest! {
             }
         }
 
-        // The cross-shard audit accepts the store: every journaled record is
-        // on disk and verifies, and no journals conflict.
+        // The cross-shard audit accepts the store: every point has a
+        // verifying line, none is corrupt or torn, and no logs conflict.
         let audit = merge_audit(io.as_ref(), Path::new("/store"))
             .unwrap_or_else(|err| panic!("merge refused: {err}"));
-        prop_assert_eq!(audit.missing, 0);
+        prop_assert_eq!(audit.journaled, points.len());
         prop_assert_eq!(audit.corrupt, 0);
-        prop_assert_eq!(audit.verified, audit.journaled);
+        prop_assert_eq!(audit.torn_lines, 0);
         prop_assert!(audit.quarantined_points.is_empty());
 
         // The merged render (a fresh process over the shared store) is
@@ -129,9 +130,9 @@ proptest! {
     }
 }
 
-/// Conflicting shard journals must refuse to merge: if two shards journal
-/// different checksums for the same record file, the audit is a hard error
-/// rather than a silent pick-one.
+/// Conflicting shard logs must refuse to merge: if two shards publish
+/// verifying records with different checksums for the same key, the audit is
+/// a hard error rather than a silent pick-one.
 #[test]
 fn conflicting_shards_refuse_to_merge() {
     let workloads = sweep_workloads();
@@ -140,21 +141,13 @@ fn conflicting_shards_refuse_to_merge() {
     let (w, config, key) = sweep_points(&workloads).remove(0);
     stored_run_in(&store, &workloads[w], &config);
 
-    // A rogue shard claims a different content hash for the same record.
-    let file = store
-        .path_for(&key)
-        .unwrap()
-        .file_name()
-        .unwrap()
-        .to_string_lossy()
-        .into_owned();
-    lsqca_store::ShardJournal::new(io.clone(), Path::new("/store"), "1")
-        .append(&lsqca_store::JournalEntry {
-            checksum: "1234567890abcdef".to_string(),
-            file,
-        })
-        .unwrap();
+    // A rogue shard's log holds different content for the same key.
+    let rogue = Json::obj([("total_beats", Json::U64(1))]);
+    store_labeled(&io, "1").store_computed(&key, &rogue, &StoreEvent::Computed);
 
     let err = merge_audit(io.as_ref(), Path::new("/store")).unwrap_err();
-    assert!(matches!(err, MergeError::ChecksumConflict { .. }), "{err}");
+    assert!(
+        matches!(&err, MergeError::ChecksumConflict { key: k, .. } if *k == key),
+        "{err}"
+    );
 }
