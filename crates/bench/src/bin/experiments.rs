@@ -57,10 +57,12 @@
 //! the compiled program, so a warm rerun compiles nothing. Nothing about
 //! workloads is written to disk.
 //!
-//! After every command, stderr gets a three-line summary:
+//! After every command, stderr gets a four-line summary:
 //! `workloads: N compiled` (each compile writes its execution trace
-//! directly), `result store: N computed, M hits, K quarantined` and
-//! `simulator: N warmed`. A warm rerun compiles, computes and warms nothing.
+//! directly), `result store: N computed, M hits, K quarantined`,
+//! `simulator: N warmed` and `walk split: memory pass S s, timing pass S s`
+//! (thread time of the two passes of every trace walk). A warm rerun
+//! compiles, computes and warms nothing.
 //!
 //! Exit codes: `0` = complete, `2` = completed with quarantined sweep points
 //! (see `--help`), `1` = fatal.

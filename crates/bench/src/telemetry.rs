@@ -6,8 +6,9 @@
 //! build several stores per process), so its totals are *synced* into the
 //! registry at snapshot time rather than double-counted at the bump sites.
 //! Everything else (`workloads.compiled`, `sim.warmed`,
-//! `sim.runs`, `sim.memory_walks`, spans, beat histograms) reports straight
-//! into `lsqca_telemetry`.
+//! `sim.runs`, `sim.memory_walks`, the walk split `sim.memory_pass` /
+//! `sim.timing_pass`, spans, beat histograms) reports straight into
+//! `lsqca_telemetry`.
 
 use crate::result_store;
 use lsqca_store::{atomic_write, DiskIo, StoreIo};
@@ -26,6 +27,8 @@ pub fn sync_registry() {
         "sim.warmed",
         "sim.runs",
         "sim.memory_walks",
+        "sim.memory_pass",
+        "sim.timing_pass",
     ] {
         lsqca_telemetry::counter(name);
     }
@@ -42,14 +45,18 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
     lsqca_telemetry::snapshot()
 }
 
-/// The operator summary block, rendered from one registry snapshot. The three
+/// The operator summary block, rendered from one registry snapshot. The four
 /// line formats are stable and CI-greppable:
 ///
 /// ```text
 /// workloads: N compiled
 /// result store: N computed, M hits, K quarantined (<dir>)
 /// simulator: N warmed
+/// walk split: memory pass S.SSS s, timing pass S.SSS s
 /// ```
+///
+/// The walk split is thread time summed over every trace walk
+/// (`sim.memory_pass` and `sim.timing_pass`, in nanoseconds in the registry).
 pub fn telemetry_summary() -> String {
     let snapshot = metrics_snapshot();
     let count = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
@@ -70,10 +77,14 @@ pub fn telemetry_summary() -> String {
         }
         (None, _) => format!("result store: disabled; {store_stats}"),
     };
+    let seconds = |name: &str| count(name) as f64 / 1e9;
     format!(
-        "workloads: {} compiled\n{store_line}\nsimulator: {} warmed",
+        "workloads: {} compiled\n{store_line}\nsimulator: {} warmed\n\
+         walk split: memory pass {:.3} s, timing pass {:.3} s",
         count("workloads.compiled"),
         count("sim.warmed"),
+        seconds("sim.memory_pass"),
+        seconds("sim.timing_pass"),
     )
 }
 
@@ -158,11 +169,13 @@ mod tests {
     fn summary_block_keeps_the_greppable_line_formats() {
         let summary = telemetry_summary();
         let lines: Vec<&str> = summary.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("workloads: ") && lines[0].ends_with(" compiled"));
         assert!(lines[1].starts_with("result store: "));
         assert!(lines[1].contains(" computed, ") && lines[1].contains(" quarantined"));
         assert!(lines[2].starts_with("simulator: ") && lines[2].ends_with(" warmed"));
+        assert!(lines[3].starts_with("walk split: memory pass "));
+        assert!(lines[3].contains(" s, timing pass ") && lines[3].ends_with(" s"));
     }
 
     #[test]

@@ -699,8 +699,10 @@ mod tests {
         circuit.t(2);
         let w = Workload::from_circuit(circuit);
         // The ad-hoc payload hex is the artifact payload hash, so it moves
-        // with the artifact schema; generator keys carry no payload hash.
-        let prefix = "adhoc:golden#payload=2195b1978414f676\
+        // with the artifact schema and the trace text (the classical-slot
+        // compaction of compiled traces moved it last); generator keys carry
+        // no payload hash.
+        let prefix = "adhoc:golden#payload=2943418b1ee18476\
                       |compiler=v1;in-memory-ops=1;expand-toffoli=1;expand-cz=1|isa=v1|trace=v1";
         let suffix = "|sim=r4|stats=lsqca-stats-v1";
         let pure = ExperimentConfig::new(FloorplanKind::LineSam { banks: 2 }, 4);

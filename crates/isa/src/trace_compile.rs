@@ -47,11 +47,47 @@
 //! holds, which may be another role's operand. A reader that indexes a table
 //! with a view must mask it by the role's flag first. Slot 2 holds 0 when the
 //! record has no classical operand.
+//!
+//! # Classical slots
+//!
+//! Pushed, [`lower`]ed and [`decode`](ExecutionTrace::decode)d traces keep
+//! the program's [`ClassicalId`]s in slot 2, so `classical_bound` is one past
+//! the highest identifier: 420 200 for the paper multiplier, which measures
+//! every T gate's teleportation. [`ExecutionTrace::compact_classical`]
+//! rewrites slot 2 into *live slots*, numbered so that the engine's per-value
+//! ready table needs only as many entries as values are live at once:
+//!
+//! - slot [`UNWRITTEN_SLOT`] (0) is never written: a read of a value that no
+//!   earlier record wrote reads it;
+//! - slot [`DEAD_SLOT`] (1) takes every write that no later record reads;
+//! - slots from [`FIRST_LIVE_SLOT`] (2) on each hold one live value from its
+//!   write to its last read, the lowest free slot first.
+//!
+//! The compacted trace executes exactly like the original (the shadow
+//! proptests compare the two), and its `classical_bound` is the slot count:
+//! 3 for the paper multiplier. `CompiledWorkload::compile` (in
+//! `lsqca-workloads`) compacts every trace it builds, so on a compiled
+//! workload's trace [`ExecutionTrace::instruction`] and
+//! [`ExecutionTrace::encode`] report slots, not the compiler's identifiers.
+//! Nothing else compacts: an uncompacted trace stays valid input everywhere.
 
 use crate::instruction::Instruction;
 use crate::operand::{ClassicalId, MemAddr, RegId};
 use crate::program::{InstructionSink, Program};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
+
+/// The classical slot of a compacted trace that no record writes: a read of a
+/// value nothing wrote before it reads this slot, whose ready time stays 0.
+pub const UNWRITTEN_SLOT: u32 = 0;
+
+/// The classical slot of a compacted trace that takes every write no later
+/// record reads. Nothing reads it.
+pub const DEAD_SLOT: u32 = 1;
+
+/// The lowest classical slot a compacted trace gives a live value.
+pub const FIRST_LIVE_SLOT: u32 = 2;
 
 /// Revision of the trace lowering: the encoded form ([`ExecutionTrace::encode`]:
 /// opcode numbering and operand order) and the meaning of a record (the static
@@ -63,6 +99,10 @@ use std::fmt;
 /// quarantined and recompiled instead of silently driving the engine with an
 /// older contract. The in-memory column layout is not part of it: a layout
 /// change that keeps every encoded byte and every meaning keeps the revision.
+/// Neither is the numbering of classical operands: compacted and uncompacted
+/// traces ([`ExecutionTrace::compact_classical`]) share the revision,
+/// because either executes identically, so an artifact written before
+/// compaction existed still loads and runs unchanged.
 pub const TRACE_REVISION: u32 = 1;
 
 /// The pre-resolved duration dispatch arm of one trace record.
@@ -255,9 +295,94 @@ impl ExecutionTrace {
         self.mem_bound
     }
 
-    /// One past the highest classical identifier referenced by any record.
+    /// One past the highest classical identifier referenced by any record:
+    /// after [`ExecutionTrace::compact_classical`], the number of classical
+    /// slots the trace uses.
     pub fn classical_bound(&self) -> u32 {
         self.classical_bound
+    }
+
+    /// Renumbers the classical operands into live slots (see the
+    /// [module docs](self#classical-slots)). The rewritten trace executes
+    /// exactly as the original: every `SK` reads the slot of the value it
+    /// read before, nothing overwrites that slot in between, and a read of a
+    /// never-written value reads [`UNWRITTEN_SLOT`], which no record writes.
+    /// Deterministic and idempotent, and exact for any trace.
+    ///
+    /// Two passes over the records:
+    ///
+    /// - backward, marking each write that a later `SK` reads (its value is
+    ///   live) and each read that is the last one of its value;
+    /// - forward, giving each live value the lowest free slot from
+    ///   [`FIRST_LIVE_SLOT`] on, freeing it after the value's last read, and
+    ///   sending every dead write to [`DEAD_SLOT`].
+    ///
+    /// A value written twice is two values. The temporaries are one bit per
+    /// record, one bit per identifier and one slot per identifier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record both reads and writes a classical value (no
+    /// instruction does).
+    pub fn compact_classical(&mut self) {
+        use flags::{HAS_CIN, HAS_COUT};
+        let len = self.len();
+        let ids = self.classical_bound as usize;
+        // Per write: some later read sees it. Per read: it is the last read
+        // of its value. No record is both, so one bit per record serves both.
+        let mut marked = Bits::new(len);
+        let mut read_later = Bits::new(ids);
+        for (k, (&fl, &id)) in self.flags.iter().zip(&self.slot2).enumerate().rev() {
+            if fl & (HAS_CIN | HAS_COUT) == 0 {
+                continue;
+            }
+            assert!(
+                fl & HAS_CIN == 0 || fl & HAS_COUT == 0,
+                "record {k} both reads and writes a classical value"
+            );
+            let id = id as usize;
+            // A read with no read after it is its value's last; a write with
+            // a read after it is live. Either way the mark flips the flag.
+            let later = read_later.get(id);
+            if (fl & HAS_CIN != 0) != later {
+                marked.flip(k);
+                read_later.flip(id);
+            }
+        }
+        drop(read_later);
+
+        let mut slot_of = vec![UNWRITTEN_SLOT; ids];
+        let mut free = BinaryHeap::new();
+        let mut fresh = FIRST_LIVE_SLOT;
+        let mut bound = 0;
+        for (k, (&fl, cio)) in self.flags.iter().zip(&mut self.slot2).enumerate() {
+            if fl & (HAS_CIN | HAS_COUT) == 0 {
+                continue;
+            }
+            let id = *cio as usize;
+            let slot = if fl & HAS_CIN != 0 {
+                let slot = slot_of[id];
+                if marked.get(k) && slot != UNWRITTEN_SLOT {
+                    free.push(Reverse(slot));
+                }
+                slot
+            } else if marked.get(k) {
+                let slot = free.pop().map_or_else(
+                    || {
+                        fresh += 1;
+                        fresh - 1
+                    },
+                    |Reverse(slot)| slot,
+                );
+                slot_of[id] = slot;
+                slot
+            } else {
+                DEAD_SLOT
+            };
+            *cio = slot;
+            bound = bound.max(slot + 1);
+        }
+        self.classical_bound = bound;
     }
 
     fn reserve(&mut self, additional: usize) {
@@ -272,6 +397,8 @@ impl ExecutionTrace {
 
     /// Reconstructs the instruction behind record `index` — the cold path for
     /// `SimError::Instruction` and for display; the hot loop never calls this.
+    /// On a compacted trace its classical operand is the record's slot
+    /// ([`ExecutionTrace::compact_classical`]).
     ///
     /// # Panics
     ///
@@ -607,6 +734,23 @@ fn parse_hex(field: &str, index: usize) -> Result<u32, TraceDecodeError> {
     })
 }
 
+/// A fixed-size bit set, for the marks of [`ExecutionTrace::compact_classical`].
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn new(len: usize) -> Bits {
+        Bits(vec![0; len.div_ceil(64)])
+    }
+
+    fn get(&self, index: usize) -> bool {
+        self.0[index / 64] >> (index % 64) & 1 != 0
+    }
+
+    fn flip(&mut self, index: usize) {
+        self.0[index / 64] ^= 1 << (index % 64);
+    }
+}
+
 /// Rebuilds an [`Instruction`] from an opcode and its operand values in
 /// canonical (encode) order. `None` if the opcode or operand count is
 /// invalid — the decode-side shape validation.
@@ -679,7 +823,8 @@ fn reconstruct(op: u8, operands: &[u32]) -> Option<Instruction> {
 }
 
 /// Lowers `program` into a fresh [`ExecutionTrace`]: the program's
-/// instructions pushed through the trace's [`InstructionSink`].
+/// instructions pushed through the trace's [`InstructionSink`]. The trace
+/// keeps the program's classical identifiers; it is not compacted.
 pub fn lower(program: &Program) -> ExecutionTrace {
     let mut trace = ExecutionTrace::new();
     trace.reserve(program.len());
@@ -709,6 +854,7 @@ mod tests {
     use super::*;
     use crate::instruction::example_instructions;
     use crate::latency::{LatencyClass, LatencyTable};
+    use proptest::prelude::*;
 
     fn example_program() -> Program {
         let mut program = Program::new("every-variant");
@@ -893,6 +1039,171 @@ mod tests {
         assert_eq!(trace.mem_bound(), 42);
         assert_eq!(trace.classical_bound(), 10);
         assert_eq!(lower(&Program::new("empty")).mem_bound(), 0);
+    }
+
+    /// The slot column of the classical records, in order.
+    fn classical_slots(trace: &ExecutionTrace) -> Vec<u32> {
+        (0..trace.len())
+            .filter(|&k| trace.flag_bits()[k] & (flags::HAS_CIN | flags::HAS_COUT) != 0)
+            .map(|k| trace.cio()[k])
+            .collect()
+    }
+
+    /// For every `SK`, the index of the record that last wrote the value it
+    /// reads, or `None` when nothing did: what the engine's classical ready
+    /// table resolves, by identifier or by slot alike.
+    fn reaching_writes(trace: &ExecutionTrace) -> Vec<Option<usize>> {
+        let mut writer = std::collections::HashMap::new();
+        let mut reads = Vec::new();
+        for k in 0..trace.len() {
+            let fl = trace.flag_bits()[k];
+            let value = trace.cio()[k];
+            if fl & flags::HAS_CIN != 0 {
+                reads.push(writer.get(&value).copied());
+            } else if fl & flags::HAS_COUT != 0 {
+                writer.insert(value, k);
+            }
+        }
+        reads
+    }
+
+    fn compacted(program: &Program) -> ExecutionTrace {
+        let mut trace = lower(program);
+        trace.compact_classical();
+        trace
+    }
+
+    /// A value written twice, a read of a never-written value, dead writes,
+    /// and a live value whose slot is taken while another value's reads are
+    /// still pending. The comments give each record's slot.
+    fn rewrites_and_unwritten_reads() -> Program {
+        use crate::instruction::Instruction::{MxC, MzC, Sk};
+        let reg = RegId(0);
+        let write = |v| MzC {
+            reg,
+            out: ClassicalId(v),
+        };
+        let read = |v| Sk {
+            cond: ClassicalId(v),
+        };
+        Program::from_iter([
+            write(5), // slot 2
+            MxC {
+                reg,
+                out: ClassicalId(6),
+            }, // never read: slot 1
+            read(5),  // last read of the first 5: frees slot 2
+            read(7),  // nothing wrote 7 yet: slot 0
+            write(5), // the second 5 reuses slot 2
+            read(5),
+            write(9), // slot 2 is still held by 5: slot 3
+            read(5),  // last read of the second 5: frees slot 2
+            write(7), // lowest free: slot 2
+            read(9),  // frees slot 3
+            read(7),
+            write(9), // a second 9 nothing reads: slot 1
+        ])
+    }
+
+    #[test]
+    fn compaction_assigns_the_lowest_free_live_slot() {
+        let program = rewrites_and_unwritten_reads();
+        let trace = compacted(&program);
+        assert_eq!(
+            classical_slots(&trace),
+            [2, 1, 2, 0, 2, 2, 3, 2, 2, 3, 2, 1]
+        );
+        assert_eq!(trace.classical_bound(), 4);
+        assert_eq!(reaching_writes(&trace), reaching_writes(&lower(&program)));
+        assert_eq!(
+            trace.instruction(3),
+            Instruction::Sk {
+                cond: ClassicalId(UNWRITTEN_SLOT)
+            }
+        );
+    }
+
+    #[test]
+    fn compaction_bounds_are_slot_counts() {
+        use crate::instruction::Instruction::{MxC, Sk};
+        let quantum_only = Program::from_iter([Instruction::HdM { mem: MemAddr(4) }]);
+        assert_eq!(compacted(&quantum_only).classical_bound(), 0);
+        let dead = Program::from_iter([MxC {
+            reg: RegId(1),
+            out: ClassicalId(40),
+        }]);
+        assert_eq!(compacted(&dead).classical_bound(), DEAD_SLOT + 1);
+        let unwritten = Program::from_iter([Sk {
+            cond: ClassicalId(40),
+        }]);
+        assert_eq!(compacted(&unwritten).classical_bound(), UNWRITTEN_SLOT + 1);
+        // Everything but slot 2 is untouched.
+        let program = distinct_operand_program();
+        let (plain, trace) = (lower(&program), compacted(&program));
+        assert_eq!(trace.mem0(), plain.mem0());
+        assert_eq!(trace.mem1(), plain.mem1());
+        assert_eq!(trace.flag_bits(), plain.flag_bits());
+        assert_eq!(trace.mem_bound(), plain.mem_bound());
+    }
+
+    #[test]
+    fn compaction_is_idempotent_and_round_trips() {
+        for program in [
+            example_program(),
+            distinct_operand_program(),
+            rewrites_and_unwritten_reads(),
+        ] {
+            let trace = compacted(&program);
+            let mut again = trace.clone();
+            again.compact_classical();
+            assert_eq!(again, trace, "{}", program.name());
+            assert_eq!(ExecutionTrace::decode(&trace.encode()).unwrap(), trace);
+        }
+    }
+
+    fn any_classical_program() -> impl Strategy<Value = Program> {
+        use crate::instruction::Instruction::*;
+        proptest::collection::vec((0u32..5, 0u32..6), 0..80).prop_map(|ops| {
+            Program::from_iter(ops.into_iter().map(|(op, v)| {
+                let (reg, out) = (RegId(v), ClassicalId(v));
+                match op {
+                    0 | 1 => Sk { cond: out },
+                    2 => MzC { reg, out },
+                    3 => MzzM {
+                        reg,
+                        mem: MemAddr(v),
+                        out,
+                    },
+                    _ => HdC { reg },
+                }
+            }))
+        })
+    }
+
+    proptest! {
+        /// Over random reads and rewrites of a small value space, every `SK`
+        /// of the compacted trace resolves to the same write as in the
+        /// original, slot 0 is never written, slot 1 is never read, and the
+        /// pass is idempotent and survives the artifact codec.
+        #[test]
+        fn compaction_preserves_every_reaching_write(program in any_classical_program()) {
+            let plain = lower(&program);
+            let trace = compacted(&program);
+            prop_assert_eq!(reaching_writes(&trace), reaching_writes(&plain));
+            for k in 0..trace.len() {
+                let fl = trace.flag_bits()[k];
+                if fl & flags::HAS_COUT != 0 {
+                    prop_assert!(trace.cio()[k] != UNWRITTEN_SLOT, "record {}", k);
+                }
+                if fl & flags::HAS_CIN != 0 {
+                    prop_assert!(trace.cio()[k] != DEAD_SLOT, "record {}", k);
+                }
+            }
+            let mut again = trace.clone();
+            again.compact_classical();
+            prop_assert_eq!(&again, &trace);
+            prop_assert_eq!(&ExecutionTrace::decode(&trace.encode()).unwrap(), &trace);
+        }
     }
 
     #[test]

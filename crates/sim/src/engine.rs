@@ -14,6 +14,7 @@ use std::error::Error;
 use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Registry counter of simulation runs performed by this process: one per
 /// [`SimOutcome`] a run attempt is asked for (each factory count of a
@@ -46,6 +47,21 @@ fn walks_counter() -> &'static lsqca_telemetry::Counter {
 /// walks were shared across factory counts.
 pub fn memory_walk_count() -> u64 {
     walks_counter().get()
+}
+
+/// Registry counters of the walk split: nanoseconds of thread time that
+/// trace walks spent in the memory pass (`sim.memory_pass`) and in the
+/// timing pass (`sim.timing_pass`), summed over every walk of the process.
+/// Each walk reads the clock twice per block of records and adds its totals
+/// once, when it ends.
+fn pass_counters() -> &'static [&'static lsqca_telemetry::Counter; 2] {
+    static COUNTERS: OnceLock<[&'static lsqca_telemetry::Counter; 2]> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        [
+            lsqca_telemetry::counter("sim.memory_pass"),
+            lsqca_telemetry::counter("sim.timing_pass"),
+        ]
+    })
 }
 
 /// Registry counter of full simulator warm-ups (constructions) in this
@@ -346,7 +362,13 @@ impl<const W: usize> TimingLanes<W> {
     /// index, since `trace_compile` shares slots between roles, so the pass
     /// masks each index by its presence bit before reading.) Reads of
     /// never-written entries return zero either way, so sizing up front is
-    /// observationally free. `slot_ready`
+    /// observationally free. `classical_ready` takes one entry per
+    /// classical value the trace names: one per measurement for a trace that
+    /// keeps the program's identifiers (420 201 `[u64; W]` entries for the
+    /// paper multiplier, 10 MB at `W = 3`), but one per live slot for a
+    /// compiled workload's trace, which
+    /// [`ExecutionTrace::compact_classical`] renumbered (4 entries for the
+    /// multiplier). `slot_ready`
     /// deliberately keeps its lazy growth instead: the CX slot claim scans
     /// the *current* table, and presizing it would hand CXs slots the
     /// program has not touched yet.
@@ -1303,30 +1325,54 @@ impl Simulator {
         let len = trace.len();
         block.reserve(len, ctx.migrating, MODE == bank_mode::RESOLVED);
 
+        // The walk split: one clock read after each pass of a block, each
+        // read also starting the next pass.
+        let mut pass_ns = [0u64; 2];
+        let mut clock = Instant::now();
+        let mut lap = |pass: usize| {
+            let now = Instant::now();
+            pass_ns[pass] += now.duration_since(clock).as_nanos() as u64;
+            clock = now;
+        };
+        let mut failure = None;
         let mut start = 0;
-        while start < len {
+        while start < len && failure.is_none() {
             let end = (start + BLOCK).min(len);
             // A failing memory pass stops at the offending record; the
             // timing pass still covers the records before it, where an
             // earlier missing-CR-slot error would take precedence.
-            let failure = pass.run::<MODE>(trace, start..end, &mut stats, block).err();
-            let walked = failure.as_ref().map_or(end, |&(index, _)| index);
-            for group in &mut groups {
-                group.advance::<MODE>(trace, start..walked, block, &ctx)?;
-            }
-            if let Some((index, err)) = failure {
+            let memory_failure = pass.run::<MODE>(trace, start..end, &mut stats, block).err();
+            lap(0);
+            let walked = memory_failure.as_ref().map_or(end, |&(index, _)| index);
+            let advanced = groups
+                .iter_mut()
+                .try_for_each(|group| group.advance::<MODE>(trace, start..walked, block, &ctx));
+            lap(1);
+            failure = match (advanced, memory_failure) {
+                (Err(err), _) => Some(err),
                 // The single run claims the CX slot before the memory access,
                 // so a slotless CX reports `NoCrSlots` over its memory error.
                 // The slot table is identical across lanes.
-                let slotless_cx = trace.exec_kinds()[index] == ExecKind::Cx
-                    && ctx.bounded_registers
-                    && groups[0].slotless();
-                if slotless_cx && matches!(err, SimError::Instruction { .. }) {
-                    return Err(no_cr_slots(ctx.floorplan));
-                }
-                return Err(err);
-            }
+                (Ok(()), Some((index, err))) => Some(
+                    if trace.exec_kinds()[index] == ExecKind::Cx
+                        && ctx.bounded_registers
+                        && groups[0].slotless()
+                        && matches!(err, SimError::Instruction { .. })
+                    {
+                        no_cr_slots(ctx.floorplan)
+                    } else {
+                        err
+                    },
+                ),
+                (Ok(()), None) => None,
+            };
             start = end;
+        }
+        for (counter, ns) in pass_counters().iter().zip(pass_ns) {
+            counter.add(ns);
+        }
+        if let Some(err) = failure {
+            return Err(err);
         }
 
         let mut outcomes = Vec::with_capacity(factories.len());

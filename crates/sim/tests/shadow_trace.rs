@@ -147,6 +147,42 @@ fn any_long_program() -> impl Strategy<Value = Program> {
         })
 }
 
+/// Programs dense in classical traffic: [`any_instruction`] (explicit
+/// `LD`/`ST` turned into in-memory Hadamards, so most programs run to the
+/// end) interleaved with skips and with measurements that take beats (so
+/// the values they write become ready at distinct times), all over three
+/// values. One value is often read again after another live value has been
+/// written.
+fn any_classical_heavy_program() -> impl Strategy<Value = Program> {
+    let quantum = any_instruction().prop_map(|instruction| match instruction {
+        Instruction::Ld { mem, .. } | Instruction::St { mem, .. } => Instruction::HdM { mem },
+        other => other,
+    });
+    let classical = (0u32..3, 0u32..QUBITS, 0u32..3).prop_map(|(v, q, kind)| {
+        let out = ClassicalId(v);
+        match kind {
+            0 => Instruction::Sk { cond: out },
+            1 => Instruction::MzzC {
+                reg1: RegId(q),
+                reg2: RegId(q + 1),
+                out,
+            },
+            _ => Instruction::MzzM {
+                reg: RegId(q),
+                mem: MemAddr(q),
+                out,
+            },
+        }
+    });
+    proptest::collection::vec(prop_oneof![quantum, classical], 0..60).prop_map(|instructions| {
+        let mut program = Program::new("shadow-classical");
+        for instruction in instructions {
+            program.push(instruction);
+        }
+        program
+    })
+}
+
 /// [`any_arch`], sometimes with an explicit magic-state buffer (zero
 /// included), which applies to every factory count of a group.
 fn any_group_arch() -> impl Strategy<Value = ArchConfig> {
@@ -239,6 +275,30 @@ fn assert_group_matches(
                 assert_eq!(Err(err), expected.as_ref());
             }
         }
+    }
+}
+
+/// Two runs of the same program agree: equal outcomes (stats, per-lane
+/// makespan and magic wait, memory trace), or errors at the same record
+/// with the same cause. An instruction error's rebuilt `Instruction` is left
+/// out, because a compacted trace rebuilds its classical operand as a slot.
+fn assert_same_run(
+    compacted: &Result<Vec<SimOutcome>, SimError>,
+    plain: &Result<Vec<SimOutcome>, SimError>,
+) {
+    match (compacted, plain) {
+        (
+            Err(SimError::Instruction { index, source, .. }),
+            Err(SimError::Instruction {
+                index: plain_index,
+                source: plain_source,
+                ..
+            }),
+        ) => {
+            assert_eq!(index, plain_index);
+            assert_eq!(source, plain_source);
+        }
+        _ => assert_eq!(compacted, plain),
     }
 }
 
@@ -350,6 +410,40 @@ proptest! {
         let mut reference = build(&arch, &hot, config, policy, budget);
         let oracle = reference.execute_factories(&Classified::new(&program, &classes), &factories);
         prop_assert_eq!(&oracle, &grouped);
+    }
+
+    /// Renumbering a trace's classical operands into live slots changes no
+    /// outcome. The programs' small classical spaces rewrite values and read
+    /// values nothing wrote, so the reserved slots and slot reuse are both
+    /// exercised; a single run and a 1/2/4-factory group each compare the
+    /// compacted trace against the uncompacted one, memory traces on.
+    #[test]
+    fn compacted_traces_execute_like_uncompacted_ones(
+        program in prop_oneof![any_program(), any_long_program(), any_classical_heavy_program()],
+        arch in any_group_arch(),
+        hot in proptest::collection::vec(0u32..QUBITS, 0..4),
+        policy in any_policy(),
+        infinite_magic in proptest::bool::ANY,
+        budget in prop_oneof![Just(None), (1u64..3000).prop_map(Some)],
+    ) {
+        let hot: Vec<QubitTag> = hot.into_iter().map(QubitTag).collect();
+        let config = SimConfig {
+            record_trace: true,
+            assume_infinite_magic: infinite_magic,
+        };
+        let plain = lsqca_isa::lower(&program);
+        let mut compacted = plain.clone();
+        compacted.compact_classical();
+        let (mut a, mut b) = pair(&arch, &hot, config, policy, budget);
+        assert_same_run(
+            &a.execute(&compacted).map(|outcome| vec![outcome]),
+            &b.execute(&plain).map(|outcome| vec![outcome]),
+        );
+        let factories = [1, 2, 4];
+        assert_same_run(
+            &a.execute_factories(&compacted, &factories),
+            &b.execute_factories(&plain, &factories),
+        );
     }
 }
 

@@ -93,7 +93,10 @@ pub struct CompiledWorkload {
 }
 
 impl CompiledWorkload {
-    /// Compiles `circuit` straight into an execution trace. `descriptor`
+    /// Compiles `circuit` straight into an execution trace, then renumbers
+    /// its classical operands into live slots
+    /// ([`ExecutionTrace::compact_classical`]), so a walk's classical ready
+    /// table holds a few entries instead of one per measurement. `descriptor`
     /// identifies the workload and is what result-store keys are derived
     /// from, so it must determine the compiled content: pass the
     /// [`workload_key`] of the generator configuration (ad-hoc circuits use
@@ -108,6 +111,7 @@ impl CompiledWorkload {
         THREAD_COMPILE_COUNT.with(|n| n.set(n.get() + 1));
         let mut trace = ExecutionTrace::new();
         let (num_qubits, t_gates) = compile_into(circuit, config, &mut trace);
+        trace.compact_classical();
         CompiledWorkload {
             name: circuit.name().to_string(),
             descriptor: descriptor.into(),
@@ -154,8 +158,10 @@ impl CompiledWorkload {
     }
 
     /// The execution trace: the compiled instruction stream, one record per
-    /// instruction. Built once by [`CompiledWorkload::compile`]; a cached
-    /// artifact carries the serialized trace and decodes it on load.
+    /// instruction, its classical operands renumbered into live slots (so
+    /// [`ExecutionTrace::instruction`] reports slots, not the compiler's
+    /// classical identifiers). Built once by [`CompiledWorkload::compile`]; a
+    /// cached artifact carries the serialized trace and decodes it on load.
     pub fn trace(&self) -> &ExecutionTrace {
         &self.trace
     }
@@ -453,12 +459,14 @@ mod tests {
     }
 
     /// `circuit` compiled through the `Program` sink and through the trace
-    /// sink: the lowered program equals the trace column by column, and the
-    /// name, T count, qubit count and footprint agree.
+    /// sink: the lowered program, compacted, equals the trace column by
+    /// column, and the name, T count, qubit count and footprint agree.
     fn assert_sinks_agree(circuit: &Circuit, config: CompilerConfig) {
         let compiled = compile(circuit, config);
         let w = CompiledWorkload::compile("sinks", circuit, config);
-        assert_eq!(lsqca_isa::lower(&compiled.program), *w.trace());
+        let mut lowered = lsqca_isa::lower(&compiled.program);
+        lowered.compact_classical();
+        assert_eq!(lowered, *w.trace());
         let footprint = compiled
             .program
             .iter()
@@ -483,6 +491,24 @@ mod tests {
                 };
                 assert_sinks_agree(&circuit, config);
             }
+        }
+    }
+
+    /// Every paper multiplier T gate writes two classical values and skips
+    /// on one of them two records later, so its 420 200 identifiers fit in
+    /// the two reserved slots plus at most two live ones, with and without
+    /// in-memory operations.
+    #[test]
+    fn paper_multiplier_compacts_to_a_handful_of_slots() {
+        let circuit = Benchmark::Multiplier.paper_instance();
+        for use_in_memory_ops in [true, false] {
+            let config = CompilerConfig {
+                use_in_memory_ops,
+                ..CompilerConfig::default()
+            };
+            let w = CompiledWorkload::compile("multiplier", &circuit, config);
+            let bound = w.trace().classical_bound();
+            assert!(bound <= 4, "in-memory {use_in_memory_ops}: {bound} slots");
         }
     }
 
