@@ -34,7 +34,7 @@
 //! | `--shards N`     | supervised sharded run: N worker processes partition   |
 //! |                  | the sweep, crash/hang-tolerant (see `supervisor`)      |
 //! | `--shard k/N`    | run as worker shard k of N (spawned by the supervisor) |
-//! | `--metrics-out F`| write the `lsqca-metrics-v1` registry snapshot to F    |
+//! | `--metrics-out F`| write the `lsqca-metrics-v2` registry snapshot to F    |
 //! |                  | (sharded/merge runs aggregate `metrics-<shard>.json`)  |
 //! | `--trace-out F`  | record spans and write Chrome trace-event JSON to F    |
 //! |                  | (load in Perfetto / `chrome://tracing`)                |
@@ -97,10 +97,10 @@ fn help() -> String {
          --stall-timeout-ms <ms>  restart a worker whose results log has not grown for\n  \
                                   this long (default 30000)\n\n\
          observability:\n  \
-         --metrics-out <file>     write the telemetry registry (counters, gauges,\n  \
-                                  log2 histograms) as a `lsqca-metrics-v1` JSON\n  \
-                                  document; sharded and merge runs aggregate the\n  \
-                                  workers' metrics-<shard>.json files into it\n  \
+         --metrics-out <file>     write the telemetry registry (counters and gauges)\n  \
+                                  as a `lsqca-metrics-v2` JSON document; sharded\n  \
+                                  and merge runs aggregate the workers'\n  \
+                                  metrics-<shard>.json files into it\n  \
          --trace-out <file>       enable span recording and write the run's spans\n  \
                                   as Chrome trace-event JSON (Perfetto-loadable)\n\n\
          exit codes:\n  \

@@ -7,8 +7,7 @@
 //! registry at snapshot time rather than double-counted at the bump sites.
 //! Everything else (`workloads.compiled`, `sim.warmed`,
 //! `sim.runs`, `sim.memory_walks`, the walk split `sim.memory_pass` /
-//! `sim.timing_pass`, spans, beat histograms) reports straight into
-//! `lsqca_telemetry`.
+//! `sim.timing_pass`, spans) reports straight into `lsqca_telemetry`.
 
 use crate::result_store;
 use lsqca_store::{atomic_write, DiskIo, StoreIo};
@@ -107,11 +106,11 @@ pub fn write_shard_metrics(dir: &Path, label: &str) -> std::io::Result<()> {
 }
 
 /// Aggregates every `metrics-*.json` a worker left in `dir` into `total`:
-/// counters and histograms sum, worker gauges are namespaced as
-/// `shard.<label>.<gauge>`. A missing, unreadable, or corrupt file degrades
-/// to partial aggregation — it is reported in the returned warnings, never
-/// an error, because the sweep results themselves are already safe in the
-/// store and a merge must not fail over lost observability.
+/// counters sum, worker gauges are namespaced as `shard.<label>.<gauge>`. A
+/// missing, unreadable, or corrupt file degrades to partial aggregation — it
+/// is reported in the returned warnings, never an error, because the sweep
+/// results themselves are already safe in the store and a merge must not
+/// fail over lost observability.
 pub fn aggregate_shard_metrics(total: &mut MetricsSnapshot, dir: &Path) -> Vec<String> {
     let mut warnings = Vec::new();
     let io = DiskIo;

@@ -135,37 +135,6 @@ pub enum ExecKind {
     Skip,
 }
 
-impl ExecKind {
-    /// Every kind, in `repr(u8)` discriminant order — `ALL[k as usize] == k`.
-    pub const ALL: [ExecKind; 9] = [
-        ExecKind::Negligible,
-        ExecKind::Fixed,
-        ExecKind::Load,
-        ExecKind::Store,
-        ExecKind::Magic,
-        ExecKind::Seek,
-        ExecKind::TwoQubitAccess,
-        ExecKind::Cx,
-        ExecKind::Skip,
-    ];
-
-    /// Stable lower-snake name, used to key per-kind telemetry
-    /// (`sim.beats.<name>` histograms).
-    pub const fn name(self) -> &'static str {
-        match self {
-            ExecKind::Negligible => "negligible",
-            ExecKind::Fixed => "fixed",
-            ExecKind::Load => "load",
-            ExecKind::Store => "store",
-            ExecKind::Magic => "magic",
-            ExecKind::Seek => "seek",
-            ExecKind::TwoQubitAccess => "two_qubit_access",
-            ExecKind::Cx => "cx",
-            ExecKind::Skip => "skip",
-        }
-    }
-}
-
 /// Flag bits of one trace record (the `flags` column).
 pub mod flags {
     /// Record has a first SAM operand (`mem0`).

@@ -78,66 +78,6 @@ pub fn warm_count() -> u64 {
     builds_counter().get()
 }
 
-/// Opt-in per-instance telemetry knobs, set on
-/// [`SimulatorBuilder::telemetry`]. Separate from [`SimConfig`] for the same
-/// reason the instruction budget is: telemetry observes a run, it is not an
-/// experiment parameter, and must not perturb result-store keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TelemetryConfig {
-    /// Attribute hot-loop time per [`ExecKind`]: during a trace walk, record
-    /// each instruction's beat duration into a local log2 histogram and
-    /// flush it to the registry's `sim.beats.<kind>` histograms when the run
-    /// completes. Off by default; the disabled path costs one predictable
-    /// branch per instruction (guarded by `scripts/bench.sh`'s end-to-end
-    /// regression gate).
-    pub beat_attribution: bool,
-}
-
-/// The process-wide [`TelemetryConfig`] default: `LSQCA_BEAT_HISTOGRAM=1`
-/// enables beat attribution for every simulator built without an explicit
-/// [`SimulatorBuilder::telemetry`] override. Read once.
-fn env_telemetry_config() -> TelemetryConfig {
-    static CONFIG: OnceLock<TelemetryConfig> = OnceLock::new();
-    *CONFIG.get_or_init(|| TelemetryConfig {
-        beat_attribution: std::env::var("LSQCA_BEAT_HISTOGRAM").is_ok_and(|v| v == "1"),
-    })
-}
-
-/// Local, non-atomic per-[`ExecKind`] log2 beat histogram. The hot loop
-/// increments plain array slots; [`BeatBuckets::flush`] pays the registry
-/// atomics once per run.
-struct BeatBuckets {
-    buckets: Box<[[u64; lsqca_telemetry::HISTOGRAM_BUCKETS]; ExecKind::ALL.len()]>,
-    sums: [u64; ExecKind::ALL.len()],
-}
-
-impl BeatBuckets {
-    fn new() -> BeatBuckets {
-        BeatBuckets {
-            buckets: Box::new([[0; lsqca_telemetry::HISTOGRAM_BUCKETS]; ExecKind::ALL.len()]),
-            sums: [0; ExecKind::ALL.len()],
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, kind: ExecKind, beats: Beats) {
-        let value = beats.as_u64();
-        self.buckets[kind as usize][lsqca_telemetry::bucket_index(value)] += 1;
-        self.sums[kind as usize] += value;
-    }
-
-    fn flush(&self) {
-        for kind in ExecKind::ALL {
-            let buckets = &self.buckets[kind as usize];
-            if buckets.iter().all(|&n| n == 0) {
-                continue;
-            }
-            lsqca_telemetry::histogram(&format!("sim.beats.{}", kind.name()))
-                .absorb(buckets, self.sums[kind as usize]);
-        }
-    }
-}
-
 /// An error raised by the simulator: an invalid configuration rejected at
 /// construction, or a malformed instruction stream rejected during execution
 /// (e.g. an in-memory operation on a qubit that is checked out to the CR).
@@ -256,9 +196,6 @@ struct BlockScratch {
     /// Beats each instruction occupies after its start, magic wait excluded:
     /// the migration delay plus the memory or fixed-latency duration.
     cost: Vec<u64>,
-    /// The migration-delay share of `cost`, which beat attribution leaves
-    /// out. Sized and written only under a migration policy.
-    delay: Vec<u64>,
     /// The distinct banks each instruction serializes on, resolved before
     /// migration can move an operand ([`NO_BANK`] when absent). Sized and
     /// written only under [`bank_mode::RESOLVED`].
@@ -267,13 +204,10 @@ struct BlockScratch {
 
 impl BlockScratch {
     /// Sizes the columns a walk of `len` records writes.
-    fn reserve(&mut self, len: usize, migrating: bool, resolve_banks: bool) {
+    fn reserve(&mut self, len: usize, resolve_banks: bool) {
         let rows = len.min(BLOCK);
         if self.cost.len() < rows {
             self.cost.resize(rows, 0);
-        }
-        if migrating && self.delay.len() < rows {
-            self.delay.resize(rows, 0);
         }
         if resolve_banks && self.banks.len() < rows {
             self.banks.resize(rows, [NO_BANK; 2]);
@@ -299,9 +233,6 @@ struct TimingLanes<const W: usize> {
     makespan: [u64; W],
     magic_wait: [u64; W],
     trace: [MemoryTrace; W],
-    /// Opt-in beat attribution: run-local, non-atomic histograms whose
-    /// registry atomics are paid once, when the outcomes are produced.
-    beats: Option<[BeatBuckets; W]>,
 }
 
 /// The run-wide inputs of a timing pass.
@@ -309,7 +240,6 @@ struct TimingContext<'a> {
     bounded_registers: bool,
     infinite_magic: bool,
     record_trace: bool,
-    migrating: bool,
     floorplan: &'a FloorplanKind,
 }
 
@@ -323,7 +253,6 @@ impl<const W: usize> TimingLanes<W> {
         factories: &[u32],
         memory: &MemorySystem,
         num_qubits: u32,
-        beat_attribution: bool,
     ) -> TimingLanes<W> {
         assert_eq!(factories.len(), W, "one factory count per lane");
         TimingLanes {
@@ -351,7 +280,6 @@ impl<const W: usize> TimingLanes<W> {
             makespan: [0; W],
             magic_wait: [0; W],
             trace: std::array::from_fn(|_| MemoryTrace::new()),
-            beats: beat_attribution.then(|| std::array::from_fn(|_| BeatBuckets::new())),
         }
     }
 
@@ -406,7 +334,6 @@ impl<const W: usize> TimingLanes<W> {
         let bounded_registers = ctx.bounded_registers;
         let infinite_magic = ctx.infinite_magic;
         let record_trace = ctx.record_trace;
-        let migrating = ctx.migrating;
 
         // Any index past every real operand works as the write sink: nothing
         // in this run reads indices at or above the trace's bounds.
@@ -423,7 +350,6 @@ impl<const W: usize> TimingLanes<W> {
             classical_ready,
             bank_ready,
             trace: mem_trace,
-            beats,
             ..
         } = self;
         // Fixed-size tables as slices: their pointers and lengths are locals,
@@ -531,12 +457,6 @@ impl<const W: usize> TimingLanes<W> {
             for l in 0..W {
                 finish[l] = start[l] + cost[k] + wait[l];
             }
-            if let Some(beats) = beats.as_mut() {
-                let migration = if migrating { scratch.delay[k] } else { 0 };
-                for l in 0..W {
-                    beats[l].record(kind, Beats(cost[k] - migration + wait[l]));
-                }
-            }
 
             // Bookkeeping: flag tests instead of instruction re-matching.
             // Ready-table writes are unconditional — an absent operand is
@@ -608,14 +528,8 @@ impl<const W: usize> TimingLanes<W> {
     }
 
     /// Appends one outcome per lane to `outcomes`: the shared memory-side
-    /// `stats` completed with the lane's makespan and magic wait. Flushes
-    /// the beat attribution, once per outcome.
+    /// `stats` completed with the lane's makespan and magic wait.
     fn finish(self, stats: &ExecutionStats, outcomes: &mut Vec<SimOutcome>) {
-        if let Some(beats) = &self.beats {
-            for lane in beats {
-                lane.flush();
-            }
-        }
         for (l, trace) in self.trace.into_iter().enumerate() {
             outcomes.push(SimOutcome {
                 stats: ExecutionStats {
@@ -768,15 +682,12 @@ pub struct Simulator {
     /// guard, not an experiment parameter, and must not perturb result-store
     /// keys (which embed the experiment config).
     instruction_budget: Option<u64>,
-    /// Opt-in observation knobs (beat attribution); like the budget, not
-    /// part of [`SimConfig`] so it never perturbs result-store keys.
-    telemetry: TelemetryConfig,
 }
 
 impl Simulator {
     /// Starts building a simulator for `num_qubits` data qubits on the given
     /// architecture — the one construction path. Every knob (hot set, config,
-    /// migration policy, instruction budget, trace recording) is set on the
+    /// migration policy, instruction budget) is set on the
     /// [`SimulatorBuilder`], and the configuration is validated exactly once
     /// at [`SimulatorBuilder::build`].
     pub fn builder(arch: &ArchConfig, num_qubits: u32) -> SimulatorBuilder {
@@ -787,7 +698,6 @@ impl Simulator {
             config: SimConfig::default(),
             migration: None,
             instruction_budget: None,
-            telemetry: None,
         }
     }
 
@@ -826,7 +736,6 @@ impl Simulator {
         builds_counter().inc();
         Ok(Simulator {
             unbounded_registers,
-            telemetry: env_telemetry_config(),
             arch: arch.clone(),
             num_qubits,
             hot_qubits: hot_qubits.to_vec(),
@@ -896,13 +805,7 @@ impl Simulator {
     /// The pristine timing lanes for `factories` magic-state factories, one
     /// lane per count.
     fn timing_lanes<const W: usize>(&self, factories: &[u32]) -> TimingLanes<W> {
-        TimingLanes::new(
-            &self.arch,
-            factories,
-            &self.memory,
-            self.num_qubits,
-            self.telemetry.beat_attribution,
-        )
+        TimingLanes::new(&self.arch, factories, &self.memory, self.num_qubits)
     }
 
     /// The memory-side statistics every run starts from.
@@ -1269,11 +1172,11 @@ impl Simulator {
     /// every memory-side statistic, and leaves each record's cost and banks
     /// in the block scratch. Then the **timing pass** of each lane group
     /// advances all of its lanes over the block: dependency max, CR-slot
-    /// claim, magic acquisition, ready-table writes, makespan, memory trace
-    /// and beat histogram, each per lane. This is
-    /// exact because nothing in the memory pass reads a time: memory
-    /// construction ignores the factory count, bank operations take qubits
-    /// only, and migration policies are clocked by instruction index.
+    /// claim, magic acquisition, ready-table writes, makespan and memory
+    /// trace, each per lane. This is exact because nothing in the memory
+    /// pass reads a time: memory construction ignores the factory count,
+    /// bank operations take qubits only, and migration policies are clocked
+    /// by instruction index.
     ///
     /// Each outcome is observationally identical to
     /// [`Simulator::execute_classified`] (the retained reference interpreter)
@@ -1313,7 +1216,6 @@ impl Simulator {
             bounded_registers: !self.unbounded_registers,
             infinite_magic: self.config.assume_infinite_magic,
             record_trace: self.config.record_trace,
-            migrating: self.migration.is_some(),
             floorplan: &self.arch.floorplan,
         };
         let mut pass = MemoryPass {
@@ -1323,7 +1225,7 @@ impl Simulator {
         };
         let block = &mut self.block;
         let len = trace.len();
-        block.reserve(len, ctx.migrating, MODE == bank_mode::RESOLVED);
+        block.reserve(len, MODE == bank_mode::RESOLVED);
 
         // The walk split: one clock read after each pass of a block, each
         // read also starting the next pass.
@@ -1495,7 +1397,6 @@ impl MemoryPass<'_> {
                         }
                     }
                 }
-                scratch.delay[k] = migration_delay.0;
             }
 
             // Duration: one match on the pre-resolved execution kind, with
@@ -1670,9 +1571,6 @@ pub struct SimulatorBuilder {
     /// default (including `Some(None)` = explicitly unguarded); `None`
     /// inherits it.
     instruction_budget: Option<Option<u64>>,
-    /// `Some` overrides the process-wide `LSQCA_BEAT_HISTOGRAM` default;
-    /// `None` inherits it.
-    telemetry: Option<TelemetryConfig>,
 }
 
 impl SimulatorBuilder {
@@ -1683,23 +1581,9 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Replaces the whole [`SimConfig`] (the trace-recording and
-    /// infinite-magic knobs below are shorthands for its fields).
+    /// Replaces the whole [`SimConfig`].
     pub fn config(mut self, config: SimConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Records the memory reference trace during runs
-    /// ([`SimConfig::with_trace`] folded into the builder).
-    pub fn record_trace(mut self) -> Self {
-        self.config.record_trace = true;
-        self
-    }
-
-    /// Models an unbounded magic-state supply (the motivation-study mode).
-    pub fn infinite_magic(mut self) -> Self {
-        self.config.assume_infinite_magic = true;
         self
     }
 
@@ -1709,15 +1593,6 @@ impl SimulatorBuilder {
     /// applies.
     pub fn instruction_budget(mut self, budget: Option<u64>) -> Self {
         self.instruction_budget = Some(budget);
-        self
-    }
-
-    /// Sets the [`TelemetryConfig`] for this instance, overriding the
-    /// process-wide `LSQCA_BEAT_HISTOGRAM` default (in either direction).
-    /// Telemetry observes runs without affecting results or result-store
-    /// keys.
-    pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = Some(telemetry);
         self
     }
 
@@ -1743,9 +1618,6 @@ impl SimulatorBuilder {
             Simulator::construct(&self.arch, self.num_qubits, &self.hot_qubits, self.config)?;
         if let Some(budget) = self.instruction_budget {
             simulator.instruction_budget = budget;
-        }
-        if let Some(telemetry) = self.telemetry {
-            simulator.telemetry = telemetry;
         }
         if let Some(policy) = self.migration {
             simulator.attach_policy(policy);
@@ -2410,13 +2282,12 @@ mod tests {
             target: MemAddr(1),
         });
         let mut simulator = Simulator::builder(&point(1), 4)
-            .record_trace()
-            .infinite_magic()
+            .config(SimConfig::motivation_study())
             .build()
             .unwrap();
         let outcome = simulator.execute(&program).unwrap();
-        // `record_trace` captured the two CX references; `infinite_magic`
-        // removed the acquisition wait entirely.
+        // Trace recording captured the two CX references; the unbounded
+        // supply removed the acquisition wait entirely.
         assert_eq!(outcome.trace.len(), 2);
         assert_eq!(outcome.stats.magic_wait_beats, Beats::ZERO);
     }

@@ -54,7 +54,7 @@ pub mod trace;
 pub use config::SimConfig;
 pub use engine::{
     memory_walk_count, simulate, simulation_count, warm_count, Classified, Executable, SimError,
-    SimOutcome, Simulator, SimulatorBuilder, TelemetryConfig,
+    SimOutcome, Simulator, SimulatorBuilder,
 };
 pub use metrics::{ExecutionStats, StatsDecodeError, STATS_SCHEMA};
 pub use trace::{MemoryTrace, TraceEvent};

@@ -568,7 +568,9 @@ fn interpreter_matches_the_trace_engine_on_compiled_workloads() {
 /// The same property on real compiled workloads, whose traces span many
 /// walk blocks: every paper floorplan, plus hybrid layouts under each
 /// migration policy, at the paper's factory counts, a scrambled list with a
-/// duplicate, and a list spanning two lane groups.
+/// duplicate, and a list spanning two lane groups. On a one-bank hybrid
+/// layout under freq-decay, some run of each workload migrates, so the
+/// shared walk is checked while operands move between regions.
 #[test]
 fn factory_groups_match_on_compiled_workloads() {
     for (workload, _) in compiled_workloads() {
@@ -584,7 +586,12 @@ fn factory_groups_match_on_compiled_workloads() {
                 Some(policy),
             ));
         }
-        for (arch, policy) in cases {
+        let migrating_case = cases.len();
+        cases.push((
+            ArchConfig::new(FloorplanKind::PointSam { banks: 1 }, 1).with_hybrid_fraction(0.1),
+            Some(PolicyKind::FreqDecay),
+        ));
+        for (case, (arch, policy)) in cases.into_iter().enumerate() {
             for factories in [&[1u32, 2, 4][..], &[4, 1, 4, 2], &[4, 1, 2, 4, 1, 2]] {
                 let build = |factories: u32| {
                     let arch = ArchConfig {
@@ -604,6 +611,14 @@ fn factory_groups_match_on_compiled_workloads() {
                     .collect();
                 assert!(grouped.is_ok(), "{arch:?}: {grouped:?}");
                 assert_group_matches(&grouped, &independent);
+                if case == migrating_case {
+                    let outcomes = grouped.unwrap();
+                    assert!(
+                        outcomes.iter().any(|o| o.stats.migrations > 0),
+                        "{}: no run migrates on {arch:?}",
+                        workload.name()
+                    );
+                }
             }
         }
     }

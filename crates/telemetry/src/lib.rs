@@ -5,10 +5,10 @@
 //! warm/execute, result store, sharded supervisor) reports through the same two
 //! primitives:
 //!
-//! - **Metrics** ([`counter`], [`gauge`], [`histogram`]): named atomics
+//! - **Metrics** ([`counter`], [`gauge`]): named atomics
 //!   interned in a global registry. The hot path after the first lookup is a
 //!   single relaxed `fetch_add`. [`snapshot`] freezes the registry into a
-//!   [`MetricsSnapshot`] that serializes to the stable `lsqca-metrics-v1`
+//!   [`MetricsSnapshot`] that serializes to the stable `lsqca-metrics-v2`
 //!   JSON schema, round-trips through [`MetricsSnapshot::from_json`], and
 //!   merges across processes with [`MetricsSnapshot::absorb`] — that is how
 //!   shard-worker counters survive the process boundary (each worker writes
@@ -24,17 +24,12 @@
 //!
 //! Nesting of spans is balanced by construction: [`SpanGuard`] is RAII, so a
 //! span closes exactly once when its guard drops, in LIFO order per thread.
-//!
-//! Histograms use fixed log2 buckets: bucket 0 holds the value 0 and bucket
-//! `i >= 1` holds values in `[2^(i-1), 2^i)`, so any `u64` maps to one of 65
-//! buckets with two instructions (`leading_zeros` + subtract).
 
 mod registry;
 mod spans;
 
 pub use registry::{
-    bucket_index, bucket_lower_bound, counter, gauge, histogram, snapshot, Counter, Gauge,
-    Histogram, HistogramSnapshot, MetricsError, MetricsSnapshot, HISTOGRAM_BUCKETS, METRICS_SCHEMA,
+    counter, gauge, snapshot, Counter, Gauge, MetricsError, MetricsSnapshot, METRICS_SCHEMA,
 };
 pub use spans::{
     chrome_trace, dropped_spans, init_clock, now_ns, set_spans_enabled, span, spans_enabled,

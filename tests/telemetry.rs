@@ -1,6 +1,6 @@
 //! Telemetry-layer contracts, from the outside in: span traces stay properly
 //! nested over arbitrary sweep shapes, enabling instrumentation never changes
-//! simulation results, and the `lsqca-metrics-v1` artifact survives a
+//! simulation results, and the `lsqca-metrics-v2` artifact survives a
 //! round-trip through its own JSON text.
 //!
 //! Span enablement and the metrics registry are process-global, so every test
@@ -9,8 +9,8 @@
 
 use lsqca::experiment::{ExperimentConfig, Workload};
 use lsqca::prelude::*;
-use lsqca_sim::{Simulator, TelemetryConfig};
-use lsqca_telemetry::{HistogramSnapshot, MetricsSnapshot, SpanRecord};
+use lsqca_sim::Simulator;
+use lsqca_telemetry::{MetricsSnapshot, SpanRecord};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -120,8 +120,8 @@ proptest! {
 }
 
 /// Instrumentation observes; it must not perturb. The same artifact on the
-/// same architecture produces an identical outcome with spans + beat
-/// attribution fully on as with everything off.
+/// same architecture produces an identical outcome with span recording on as
+/// with it off.
 #[test]
 fn instrumented_run_equals_disabled_run() {
     let _serial = telemetry_lock();
@@ -132,9 +132,8 @@ fn instrumented_run_equals_disabled_run() {
         .num_qubits()
         .max(workload.compiled().memory_footprint())
         .max(1);
-    let execute = |telemetry: TelemetryConfig| {
+    let execute = || {
         let mut simulator = Simulator::builder(&arch, qubits)
-            .telemetry(telemetry)
             .build()
             .expect("valid simulator configuration");
         simulator
@@ -142,46 +141,21 @@ fn instrumented_run_equals_disabled_run() {
             .expect("execution succeeds")
     };
 
-    let plain = execute(TelemetryConfig {
-        beat_attribution: false,
-    });
+    let plain = execute();
 
-    let before = lsqca_telemetry::snapshot();
     lsqca_telemetry::set_spans_enabled(true);
-    let instrumented = execute(TelemetryConfig {
-        beat_attribution: true,
-    });
+    let instrumented = execute();
     lsqca_telemetry::set_spans_enabled(false);
     let spans = lsqca_telemetry::take_spans();
-    let after = lsqca_telemetry::snapshot();
 
     assert_eq!(plain, instrumented, "telemetry changed simulation results");
     assert!(
         spans.iter().any(|span| span.name == "sim.warm"),
         "instrumented run recorded no sim.warm span"
     );
-    // Beat attribution flushed into the per-kind histograms: the instrumented
-    // run's beats land in `sim.beats.*`, and the bucketed total matches the
-    // observation count exactly.
-    let beats = |snapshot: &MetricsSnapshot| -> u64 {
-        snapshot
-            .histograms
-            .iter()
-            .filter(|(name, _)| name.starts_with("sim.beats."))
-            .map(|(_, histogram)| histogram.count)
-            .sum()
-    };
-    let recorded = beats(&after) - beats(&before);
-    assert!(recorded > 0, "beat attribution recorded no observations");
-    for (name, histogram) in &after.histograms {
-        if name.starts_with("sim.beats.") {
-            let bucketed: u64 = histogram.buckets.iter().sum();
-            assert_eq!(bucketed, histogram.count, "{name}: bucket total drifted");
-        }
-    }
 }
 
-/// The `lsqca-metrics-v1` artifact is self-describing: rendering a snapshot
+/// The `lsqca-metrics-v2` artifact is self-describing: rendering a snapshot
 /// to pretty JSON text and parsing it back yields the identical snapshot,
 /// and the aggregated form (prefixed shard gauges) survives the same trip.
 #[test]
@@ -192,14 +166,6 @@ fn metrics_artifact_round_trips_through_json_text() {
     snapshot.counters.insert("sim.runs".into(), 0);
     snapshot.gauges.insert("shard.0.heartbeat_lag_ms".into(), 7);
     snapshot.gauges.insert("shard.1.backoff_ms".into(), -1);
-    snapshot.histograms.insert(
-        "sim.beats.cx".into(),
-        HistogramSnapshot {
-            count: 3,
-            sum: 70,
-            buckets: vec![0, 0, 0, 0, 1, 2],
-        },
-    );
 
     let text = snapshot.to_json().pretty() + "\n";
     let parsed = lsqca_json::parse(&text).expect("metrics artifact parses");
