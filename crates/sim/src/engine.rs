@@ -1,20 +1,23 @@
 //! The dependency-driven code-beat scheduler.
 
+mod interpret;
+mod memory_pass;
+mod timing;
+
 use crate::config::SimConfig;
 use crate::metrics::ExecutionStats;
 use crate::trace::MemoryTrace;
-use lsqca_arch::{
-    ArchConfig, FloorplanKind, MagicStateSupply, MemorySystem, MigrationPolicy, MsfConfig,
-};
-use lsqca_isa::trace_compile::flags;
-use lsqca_isa::{ExecKind, ExecutionTrace, Instruction, LatencyClass, MemAddr, Program};
-use lsqca_lattice::{Beats, LatticeError, QubitTag};
+pub use interpret::Classified;
+use lsqca_arch::{ArchConfig, FloorplanKind, MemorySystem, MigrationPolicy};
+use lsqca_isa::{ExecKind, ExecutionTrace, Instruction, Program};
+use lsqca_lattice::{LatticeError, QubitTag};
 use lsqca_workloads::CompiledWorkload;
+use memory_pass::{bank_mode, BlockScratch, MemoryPass, BLOCK};
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::Instant;
+use timing::{LaneGroup, TimingContext, TimingLanes, LANES};
 
 /// Registry counter of simulation runs performed by this process: one per
 /// [`SimOutcome`] a run attempt is asked for (each factory count of a
@@ -159,482 +162,6 @@ pub struct SimOutcome {
     pub stats: ExecutionStats,
     /// The memory reference trace (empty unless trace recording was enabled).
     pub trace: MemoryTrace,
-}
-
-/// Instructions per block of the trace walk. The memory pass resolves one
-/// block into the simulator's [`BlockScratch`], then each lane group (up to
-/// [`LANES`] factory counts, usually all of them) advances over the same
-/// block in one timing pass, so the block's trace columns and scratch are
-/// still cache-resident when the timing passes read them.
-const BLOCK: usize = 1024;
-
-/// An absent entry of the bank column.
-const NO_BANK: u32 = u32::MAX;
-
-/// How scan-resource banks reach the timing pass. Both passes take the mode
-/// as a const parameter, so each floorplan shape runs its own loop.
-mod bank_mode {
-    /// No banks at all (conventional floorplan): nothing serializes on a
-    /// scan resource and the bank column is never written.
-    pub const BANKLESS: u8 = 0;
-    /// One SAM bank and no conventional region: every memory operand
-    /// resolves to bank 0 (residence is constant over a run: checkout does
-    /// not retag, and hot-set migration only exists on hybrid floorplans,
-    /// which have conventional residents). Every scanning instruction
-    /// serializes on bank 0 and the bank column is never written.
-    /// Out-of-range operands still error identically: the memory access
-    /// rejects them.
-    pub const UNIFORM: u8 = 1;
-    /// Banks are resolved per instruction into the bank column.
-    pub const RESOLVED: u8 = 2;
-}
-
-/// Per-block output of the memory pass, owned by the simulator so its
-/// columns are allocated once and reused across blocks and runs.
-#[derive(Debug, Clone, Default)]
-struct BlockScratch {
-    /// Beats each instruction occupies after its start, magic wait excluded:
-    /// the migration delay plus the memory or fixed-latency duration.
-    cost: Vec<u64>,
-    /// The distinct banks each instruction serializes on, resolved before
-    /// migration can move an operand ([`NO_BANK`] when absent). Sized and
-    /// written only under [`bank_mode::RESOLVED`].
-    banks: Vec<[u32; 2]>,
-}
-
-impl BlockScratch {
-    /// Sizes the columns a walk of `len` records writes.
-    fn reserve(&mut self, len: usize, resolve_banks: bool) {
-        let rows = len.min(BLOCK);
-        if self.cost.len() < rows {
-            self.cost.resize(rows, 0);
-        }
-        if resolve_banks && self.banks.len() < rows {
-            self.banks.resize(rows, [NO_BANK; 2]);
-        }
-    }
-}
-
-/// The factory-dependent half of a walk: every quantity that depends on
-/// *when* instructions start, for `W` factory counts at once. Each ready
-/// table holds one `[u64; W]` lane per entry, so a trace record is decoded
-/// once and its dependencies resolve for every count; all lanes observe the
-/// same memory evolution.
-struct TimingLanes<const W: usize> {
-    magic: [MagicStateSupply; W],
-    /// Dense per-qubit ready times.
-    mem_ready: Vec<[u64; W]>,
-    slot_ready: Vec<[u64; W]>,
-    /// Dense per-classical-value ready times.
-    classical_ready: Vec<[u64; W]>,
-    bank_ready: Vec<[u64; W]>,
-    /// Start floor armed by an `SK`; it gates only the next instruction.
-    guard: [u64; W],
-    makespan: [u64; W],
-    magic_wait: [u64; W],
-    trace: [MemoryTrace; W],
-}
-
-/// The run-wide inputs of a timing pass.
-struct TimingContext<'a> {
-    bounded_registers: bool,
-    infinite_magic: bool,
-    record_trace: bool,
-    floorplan: &'a FloorplanKind,
-}
-
-impl<const W: usize> TimingLanes<W> {
-    /// The pristine timing lanes of `memory` under `arch`, lane `l` with
-    /// `factories[l]` magic-state factories. Each buffer follows its factory
-    /// count unless `arch` overrides it, exactly as a simulator built for
-    /// that count.
-    fn new(
-        arch: &ArchConfig,
-        factories: &[u32],
-        memory: &MemorySystem,
-        num_qubits: u32,
-    ) -> TimingLanes<W> {
-        assert_eq!(factories.len(), W, "one factory count per lane");
-        TimingLanes {
-            magic: std::array::from_fn(|l| {
-                let factories = factories[l];
-                let buffer_capacity = ArchConfig {
-                    factories,
-                    ..arch.clone()
-                }
-                .magic_buffer_capacity();
-                MagicStateSupply::new(MsfConfig {
-                    factories,
-                    beats_per_state: 15,
-                    buffer_capacity,
-                })
-            }),
-            mem_ready: vec![[0; W]; num_qubits as usize],
-            // The CX scheduler treats every entry as a claimable slot, so the
-            // table starts at the memory system's CR slot count and grows
-            // only when a program touches a `RegId` beyond it.
-            slot_ready: vec![[0; W]; memory.effective_cr_slots() as usize],
-            classical_ready: Vec::new(),
-            bank_ready: vec![[0; W]; memory.bank_count()],
-            guard: [0; W],
-            makespan: [0; W],
-            magic_wait: [0; W],
-            trace: std::array::from_fn(|_| MemoryTrace::new()),
-        }
-    }
-
-    /// Presizes the ready tables for a trace walk, plus one scratch slot past
-    /// every real operand: absent operands read entry 0 under a zero mask and
-    /// write the scratch slot, so the dependency pass needs no per-operand
-    /// branches at all. (An absent memory operand's slot may hold a register
-    /// index, since `trace_compile` shares slots between roles, so the pass
-    /// masks each index by its presence bit before reading.) Reads of
-    /// never-written entries return zero either way, so sizing up front is
-    /// observationally free. `classical_ready` takes one entry per
-    /// classical value the trace names: one per measurement for a trace that
-    /// keeps the program's identifiers (420 201 `[u64; W]` entries for the
-    /// paper multiplier, 10 MB at `W = 3`), but one per live slot for a
-    /// compiled workload's trace, which
-    /// [`ExecutionTrace::compact_classical`] renumbered (4 entries for the
-    /// multiplier). `slot_ready`
-    /// deliberately keeps its lazy growth instead: the CX slot claim scans
-    /// the *current* table, and presizing it would hand CXs slots the
-    /// program has not touched yet.
-    fn presize(&mut self, trace: &ExecutionTrace) {
-        let mem_bound = trace.mem_bound() as usize;
-        if self.mem_ready.len() < mem_bound + 1 {
-            self.mem_ready.resize(mem_bound + 1, [0; W]);
-        }
-        let classical_bound = trace.classical_bound() as usize;
-        if self.classical_ready.len() < classical_bound + 1 {
-            self.classical_ready.resize(classical_bound + 1, [0; W]);
-        }
-    }
-
-    /// The timing pass: advances every lane over the trace records in
-    /// `range`, whose memory-side results the memory pass left in `scratch`
-    /// (indexed from `range.start`) under the bank mode `MODE`. Requires
-    /// [`TimingLanes::presize`].
-    fn advance<const MODE: u8>(
-        &mut self,
-        trace: &ExecutionTrace,
-        range: Range<usize>,
-        scratch: &BlockScratch,
-        ctx: &TimingContext<'_>,
-    ) -> Result<(), SimError> {
-        let len = range.len();
-        let exec = &trace.exec_kinds()[range.clone()];
-        let flag = &trace.flag_bits()[range.clone()];
-        let mem0 = &trace.mem0()[range.clone()];
-        let mem1 = &trace.mem1()[range.clone()];
-        let reg0 = &trace.reg0()[range.clone()];
-        let reg1 = &trace.reg1()[range.clone()];
-        let cio = &trace.cio()[range];
-        let cost = &scratch.cost[..len];
-        let bounded_registers = ctx.bounded_registers;
-        let infinite_magic = ctx.infinite_magic;
-        let record_trace = ctx.record_trace;
-
-        // Any index past every real operand works as the write sink: nothing
-        // in this run reads indices at or above the trace's bounds.
-        let mem_scratch = self.mem_ready.len() - 1;
-        let classical_scratch = self.classical_ready.len() - 1;
-
-        // Disjoint field borrows, and the scalars in locals: the table
-        // pointers and lengths stay in registers across the opaque
-        // `magic.acquire` call below.
-        let TimingLanes {
-            magic,
-            mem_ready,
-            slot_ready,
-            classical_ready,
-            bank_ready,
-            trace: mem_trace,
-            ..
-        } = self;
-        // Fixed-size tables as slices: their pointers and lengths are locals,
-        // never reloaded from the state after the `magic.acquire` call.
-        let mem_ready = &mut mem_ready[..];
-        let classical_ready = &mut classical_ready[..];
-        let bank_ready = &mut bank_ready[..];
-        let mut guard = self.guard;
-        let mut makespan = self.makespan;
-        let mut magic_wait = self.magic_wait;
-        // A single bank's ready times chain every scanning instruction, so
-        // they live in registers for the pass, not behind a store-to-load
-        // round trip per instruction.
-        let mut bank0 = if MODE == bank_mode::UNIFORM {
-            bank_ready[0]
-        } else {
-            [0; W]
-        };
-
-        for k in 0..len {
-            let fl = flag[k];
-            let kind = exec[k];
-            let has_m0 = fl & flags::HAS_MEM0 != 0;
-            let has_m1 = fl & flags::HAS_MEM1 != 0;
-            let mask0 = (has_m0 as u64).wrapping_neg();
-            let mask1 = (has_m1 as u64).wrapping_neg();
-            let maskc = ((fl & flags::HAS_CIN != 0) as u64).wrapping_neg();
-            // An absent memory operand's slot can hold a register index, so
-            // the index is masked by its presence bit.
-            let m0 = mem0[k] & mask0 as u32;
-            let m1 = mem1[k] & mask1 as u32;
-
-            // Dependency collection, branchless: every index is in bounds
-            // (masked memory operands read entry 0, and the classical slot is
-            // 0 or a real value below `classical_bound`), and a zero mask
-            // drops an absent operand's read below any real ready time.
-            let dep0 = mem_ready[m0 as usize];
-            let dep1 = mem_ready[m1 as usize];
-            let depc = classical_ready[cio[k] as usize];
-            let mut start = [0u64; W];
-            for l in 0..W {
-                start[l] = guard[l]
-                    .max(dep0[l] & mask0)
-                    .max(dep1[l] & mask1)
-                    .max(depc[l] & maskc);
-            }
-            guard = [0; W];
-            if bounded_registers {
-                if fl & flags::HAS_REG0 != 0 {
-                    if let Some(ready) = slot_ready.get(reg0[k] as usize) {
-                        max_lanes(&mut start, ready);
-                    }
-                }
-                if fl & flags::HAS_REG1 != 0 {
-                    if let Some(ready) = slot_ready.get(reg1[k] as usize) {
-                        max_lanes(&mut start, ready);
-                    }
-                }
-            }
-
-            // Bank (scan-resource) serialization on the banks the memory
-            // pass resolved.
-            let scans = fl & flags::NEEDS_SCAN != 0;
-            let mut banks = [NO_BANK; 2];
-            if MODE == bank_mode::UNIFORM && scans {
-                max_lanes(&mut start, &bank0);
-            } else if MODE == bank_mode::RESOLVED {
-                banks = scratch.banks[k];
-                for b in banks {
-                    if b != NO_BANK {
-                        max_lanes(&mut start, &bank_ready[b as usize]);
-                    }
-                }
-            }
-
-            // An optimized CX claims one CR slot per lane for its surgery
-            // ancilla: the first slot with the lane's earliest ready time.
-            let cx = kind == ExecKind::Cx && bounded_registers;
-            let mut cx_slot = [0usize; W];
-            if cx {
-                let Some((first, rest)) = slot_ready.split_first() else {
-                    return Err(no_cr_slots(ctx.floorplan));
-                };
-                let mut ready = *first;
-                for (slot, times) in rest.iter().enumerate() {
-                    for l in 0..W {
-                        if times[l] < ready[l] {
-                            ready[l] = times[l];
-                            cx_slot[l] = slot + 1;
-                        }
-                    }
-                }
-                max_lanes(&mut start, &ready);
-            }
-
-            // The magic wait is the one timing-dependent part of a duration.
-            let mut wait = [0u64; W];
-            if kind == ExecKind::Magic && !infinite_magic {
-                for l in 0..W {
-                    wait[l] = magic[l].acquire(Beats(start[l])).0.saturating_sub(start[l]);
-                    magic_wait[l] += wait[l];
-                }
-            }
-            let mut finish = [0u64; W];
-            for l in 0..W {
-                finish[l] = start[l] + cost[k] + wait[l];
-            }
-
-            // Bookkeeping: flag tests instead of instruction re-matching.
-            // Ready-table writes are unconditional — an absent operand is
-            // steered to the scratch slot past every real index, which is
-            // never read, so no write needs a branch.
-            if record_trace {
-                for l in 0..W {
-                    if has_m0 {
-                        mem_trace[l].record(MemAddr(m0), start[l]);
-                    }
-                    if has_m1 {
-                        mem_trace[l].record(MemAddr(m1), start[l]);
-                    }
-                }
-            }
-            let w0 = if has_m0 { m0 as usize } else { mem_scratch };
-            let w1 = if has_m1 { m1 as usize } else { mem_scratch };
-            mem_ready[w0] = finish;
-            mem_ready[w1] = finish;
-            // Register slots are only ever read under bounded registers.
-            if bounded_registers {
-                if fl & flags::HAS_REG0 != 0 {
-                    let idx = reg0[k] as usize;
-                    if idx >= slot_ready.len() {
-                        slot_ready.resize(idx + 1, [0; W]);
-                    }
-                    slot_ready[idx] = finish;
-                }
-                if fl & flags::HAS_REG1 != 0 {
-                    let idx = reg1[k] as usize;
-                    if idx >= slot_ready.len() {
-                        slot_ready.resize(idx + 1, [0; W]);
-                    }
-                    slot_ready[idx] = finish;
-                }
-                if cx {
-                    for l in 0..W {
-                        slot_ready[cx_slot[l]][l] = finish[l];
-                    }
-                }
-            }
-            if MODE == bank_mode::UNIFORM && scans {
-                bank0 = finish;
-            } else if MODE == bank_mode::RESOLVED {
-                for b in banks {
-                    if b != NO_BANK {
-                        bank_ready[b as usize] = finish;
-                    }
-                }
-            }
-            let wc = if fl & flags::HAS_COUT != 0 {
-                cio[k] as usize
-            } else {
-                classical_scratch
-            };
-            classical_ready[wc] = finish;
-            if kind == ExecKind::Skip {
-                guard = finish;
-            }
-            max_lanes(&mut makespan, &finish);
-        }
-        if MODE == bank_mode::UNIFORM {
-            bank_ready[0] = bank0;
-        }
-        self.guard = guard;
-        self.makespan = makespan;
-        self.magic_wait = magic_wait;
-        Ok(())
-    }
-
-    /// Appends one outcome per lane to `outcomes`: the shared memory-side
-    /// `stats` completed with the lane's makespan and magic wait.
-    fn finish(self, stats: &ExecutionStats, outcomes: &mut Vec<SimOutcome>) {
-        for (l, trace) in self.trace.into_iter().enumerate() {
-            outcomes.push(SimOutcome {
-                stats: ExecutionStats {
-                    total_beats: Beats(self.makespan[l]),
-                    magic_wait_beats: Beats(self.magic_wait[l]),
-                    ..stats.clone()
-                },
-                trace,
-            });
-        }
-    }
-}
-
-/// Raises every lane of `start` to at least the matching lane of `ready`.
-#[inline(always)]
-fn max_lanes<const W: usize>(start: &mut [u64; W], ready: &[u64; W]) {
-    for l in 0..W {
-        start[l] = start[l].max(ready[l]);
-    }
-}
-
-/// The widest lane group: factory lists longer than this advance in groups
-/// of at most `LANES` lanes over the same memory-pass block.
-const LANES: usize = 4;
-
-/// The timing lanes of up to [`LANES`] factory counts of one walk, each
-/// width its own monomorphized loop.
-enum LaneGroup {
-    One(Box<TimingLanes<1>>),
-    Two(Box<TimingLanes<2>>),
-    Three(Box<TimingLanes<3>>),
-    Four(Box<TimingLanes<4>>),
-}
-
-/// Evaluates `$body` with `$lanes` bound to the group's timing lanes,
-/// whatever their width.
-macro_rules! with_lanes {
-    ($group:expr, $lanes:ident => $body:expr) => {
-        match $group {
-            LaneGroup::One($lanes) => $body,
-            LaneGroup::Two($lanes) => $body,
-            LaneGroup::Three($lanes) => $body,
-            LaneGroup::Four($lanes) => $body,
-        }
-    };
-}
-
-impl LaneGroup {
-    /// The presized, pristine lanes of `simulator` for `factories` (one to
-    /// [`LANES`] counts) over `trace`.
-    fn new(simulator: &Simulator, factories: &[u32], trace: &ExecutionTrace) -> LaneGroup {
-        fn lanes<const W: usize>(
-            simulator: &Simulator,
-            factories: &[u32],
-            trace: &ExecutionTrace,
-        ) -> Box<TimingLanes<W>> {
-            let mut lanes = Box::new(simulator.timing_lanes(factories));
-            lanes.presize(trace);
-            lanes
-        }
-        match factories.len() {
-            1 => LaneGroup::One(lanes(simulator, factories, trace)),
-            2 => LaneGroup::Two(lanes(simulator, factories, trace)),
-            3 => LaneGroup::Three(lanes(simulator, factories, trace)),
-            4 => LaneGroup::Four(lanes(simulator, factories, trace)),
-            n => unreachable!("a lane group holds one to {LANES} factory counts, not {n}"),
-        }
-    }
-
-    /// [`TimingLanes::advance`] on the group's lanes.
-    fn advance<const MODE: u8>(
-        &mut self,
-        trace: &ExecutionTrace,
-        range: Range<usize>,
-        scratch: &BlockScratch,
-        ctx: &TimingContext<'_>,
-    ) -> Result<(), SimError> {
-        with_lanes!(self, lanes => lanes.advance::<MODE>(trace, range, scratch, ctx))
-    }
-
-    /// True while no CR slot exists to claim (identical across lanes).
-    fn slotless(&self) -> bool {
-        with_lanes!(self, lanes => lanes.slot_ready.is_empty())
-    }
-
-    /// [`TimingLanes::finish`] on the group's lanes.
-    fn finish(self, stats: &ExecutionStats, outcomes: &mut Vec<SimOutcome>) {
-        with_lanes!(self, lanes => lanes.finish(stats, outcomes))
-    }
-}
-
-/// The reference interpreter's read of a one-lane ready table: entries it
-/// never wrote read as zero.
-fn ready(table: &[[u64; 1]], index: u32) -> Beats {
-    Beats(table.get(index as usize).map_or(0, |&[t]| t))
-}
-
-/// The reference interpreter's write to a one-lane ready table, growing it
-/// on demand.
-fn set_ready(table: &mut Vec<[u64; 1]>, index: u32, t: Beats) {
-    let index = index as usize;
-    if index >= table.len() {
-        table.resize(index + 1, [0]);
-    }
-    table[index] = [t.0];
 }
 
 /// The typed error for a bounded-register floorplan with no register slot.
@@ -817,24 +344,6 @@ impl Simulator {
         }
     }
 
-    fn tag(m: MemAddr) -> QubitTag {
-        QubitTag(m.index())
-    }
-
-    /// True if the instruction occupies the SAM bank's scan cell / scan line.
-    fn needs_scan_resource(instr: &Instruction) -> bool {
-        matches!(
-            instr,
-            Instruction::Ld { .. }
-                | Instruction::St { .. }
-                | Instruction::HdM { .. }
-                | Instruction::PhM { .. }
-                | Instruction::MxxM { .. }
-                | Instruction::MzzM { .. }
-                | Instruction::Cx { .. }
-        )
-    }
-
     /// Executes any [`Executable`] input — the single run entry point, and
     /// the one-element case of [`Simulator::execute_factories`] at the
     /// architecture's own factory count.
@@ -892,268 +401,6 @@ impl Simulator {
             return Ok(Vec::new());
         }
         input.execute_on(self, factories)
-    }
-
-    /// The [`Classified`] engine path — the **reference interpreter**,
-    /// dispatching on `Instruction` enums per step, one full run per factory
-    /// count.
-    ///
-    /// The production path is [`Simulator::execute_trace`]; this interpreter
-    /// is retained as the executable specification the trace engine is
-    /// checked against (the shadow-equivalence proptests in `tests/` drive it
-    /// directly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is not parallel to the instruction stream; a
-    /// mismatched vector means the caller is holding a stale artifact.
-    fn execute_classified(
-        &mut self,
-        program: &Program,
-        classes: &[LatencyClass],
-        factories: &[u32],
-    ) -> Result<Vec<SimOutcome>, SimError> {
-        assert_eq!(
-            classes.len(),
-            program.len(),
-            "latency-class vector is not parallel to the program"
-        );
-        factories
-            .iter()
-            .map(|&f| self.interpret(program, classes, f))
-            .collect()
-    }
-
-    /// One reference-interpreter run at `factories` magic-state factories.
-    fn interpret(
-        &mut self,
-        program: &Program,
-        classes: &[LatencyClass],
-        factories: u32,
-    ) -> Result<SimOutcome, SimError> {
-        self.begin_walk(1);
-        let mut timing: TimingLanes<1> = self.timing_lanes(&[factories]);
-        let mut stats = self.initial_stats();
-
-        for (index, instr) in program.iter().enumerate() {
-            if let Some(budget) = self.instruction_budget {
-                if index as u64 >= budget {
-                    return Err(SimError::InstructionBudget { budget });
-                }
-            }
-            let wrap = |source: LatticeError| SimError::Instruction {
-                index,
-                instruction: *instr,
-                source,
-            };
-
-            // One-pass operand extraction: both lists are `Copy` and inline
-            // (no heap allocation), computed once and reused for dependency
-            // collection, bank serialization, and the ready-time updates below.
-            let mems = instr.memory_operands();
-            let regs = instr.register_operands();
-
-            // Dependency collection.
-            let mut start = Beats(std::mem::take(&mut timing.guard[0]));
-            for m in mems {
-                start = start.max(ready(&timing.mem_ready, m.index()));
-            }
-            if !self.unbounded_registers {
-                for r in regs {
-                    start = start.max(ready(&timing.slot_ready, r.index()));
-                }
-            }
-            if let Some(v) = instr.classical_input() {
-                start = start.max(ready(&timing.classical_ready, v.index()));
-            }
-
-            // Bank (scan-resource) serialization. An instruction references at
-            // most `MAX_OPERANDS` banks, so the scratch list lives inline on
-            // the stack instead of in a per-instruction `Vec`.
-            let mut banks = [0usize; lsqca_isa::MAX_OPERANDS];
-            let mut bank_count = 0usize;
-            if Self::needs_scan_resource(instr) {
-                for m in mems {
-                    if let Some(b) = self.memory.bank_of(Self::tag(m)) {
-                        if !banks[..bank_count].contains(&b) {
-                            banks[bank_count] = b;
-                            bank_count += 1;
-                            start = start.max(Beats(timing.bank_ready[b][0]));
-                        }
-                    }
-                }
-            }
-
-            // An optimized CX claims one CR slot for its surgery ancilla.
-            let mut cx_slot: Option<usize> = None;
-            if matches!(instr, Instruction::Cx { .. }) && !self.unbounded_registers {
-                // `SimulatorBuilder::build` rejects the bounded-registers-
-                // with-zero-slots state, so a slot always exists; the `else`
-                // keeps the error typed instead of panicking if that
-                // invariant is ever broken.
-                let Some((slot, ready)) = timing
-                    .slot_ready
-                    .iter()
-                    .map(|&[t]| t)
-                    .enumerate()
-                    .min_by_key(|&(_, t)| t)
-                else {
-                    return Err(no_cr_slots(&self.arch.floorplan));
-                };
-                start = start.max(Beats(ready));
-                cx_slot = Some(slot);
-            }
-
-            // Runtime hot-set migration: the policy observes every memory
-            // operand of every bank-touching instruction and may propose
-            // promoting the accessed qubit over a conventional-region victim.
-            // Proposals are applied *before* the access (so a promoted
-            // qubit's access is already conventional-free) and only when the
-            // swap is legal — for a store the operand is checked out, so the
-            // proposal is observed-and-dropped. Migration movement plus the
-            // policy's bookkeeping overhead delay this instruction and are
-            // metered separately from `memory_access_beats`.
-            let mut migration_delay = Beats::ZERO;
-            if let Some(policy) = &mut self.migration {
-                if Self::needs_scan_resource(instr) {
-                    for m in mems {
-                        let qubit = Self::tag(m);
-                        let Some(victim) = policy.on_access(qubit, index as u64) else {
-                            continue;
-                        };
-                        if self.memory.is_checked_out(qubit) {
-                            continue;
-                        }
-                        if let Ok(cost) = self.memory.migrate(qubit, victim) {
-                            policy.applied(qubit, victim);
-                            let total = cost + policy.overhead();
-                            stats.migrations += 1;
-                            stats.migration_beats += total;
-                            migration_delay += total;
-                        }
-                    }
-                }
-            }
-
-            // Duration.
-            let duration = match *instr {
-                Instruction::Ld { mem, .. } => {
-                    stats.loads += 1;
-                    let cost = self.memory.load(Self::tag(mem)).map_err(wrap)?;
-                    stats.memory_access_beats += cost;
-                    cost
-                }
-                Instruction::St { mem, .. } => {
-                    stats.stores += 1;
-                    let cost = self.memory.store(Self::tag(mem)).map_err(wrap)?;
-                    stats.memory_access_beats += cost;
-                    cost
-                }
-                Instruction::PzC { .. } | Instruction::PpC { .. } => Beats::ZERO,
-                Instruction::Pm { .. } => {
-                    stats.magic_states += 1;
-                    let wait = if self.config.assume_infinite_magic {
-                        Beats::ZERO
-                    } else {
-                        let available = timing.magic[0].acquire(start);
-                        available.saturating_sub(start)
-                    };
-                    stats.magic_wait_beats += wait;
-                    // One beat to move the state from the MSF port into the CR.
-                    wait + Beats(1)
-                }
-                Instruction::HdC { .. } => Beats(3),
-                Instruction::PhC { .. } => Beats(2),
-                Instruction::MxC { .. } | Instruction::MzC { .. } => Beats::ZERO,
-                Instruction::MxxC { .. } | Instruction::MzzC { .. } => Beats(1),
-                Instruction::Sk { .. } => Beats::ZERO,
-                Instruction::PzM { .. } | Instruction::PpM { .. } => Beats::ZERO,
-                Instruction::HdM { mem } => {
-                    let seek = self.memory.in_memory_seek(Self::tag(mem)).map_err(wrap)?;
-                    stats.memory_access_beats += seek;
-                    seek + Beats(3)
-                }
-                Instruction::PhM { mem } => {
-                    let seek = self.memory.in_memory_seek(Self::tag(mem)).map_err(wrap)?;
-                    stats.memory_access_beats += seek;
-                    seek + Beats(2)
-                }
-                Instruction::MxM { .. } | Instruction::MzM { .. } => Beats::ZERO,
-                Instruction::MxxM { mem, .. } | Instruction::MzzM { mem, .. } => {
-                    let access = self
-                        .memory
-                        .in_memory_two_qubit_access(Self::tag(mem))
-                        .map_err(wrap)?;
-                    stats.memory_access_beats += access;
-                    access + Beats(1)
-                }
-                Instruction::Cx { control, target } => {
-                    // Runtime optimization (Sec. VI-A): load whichever operand is
-                    // cheaper to fetch into the CR, access the other in memory,
-                    // perform the two lattice-surgery measurements of the CNOT,
-                    // and store the loaded operand back with the locality-aware
-                    // policy — which parks it next to its partner, so repeated
-                    // CNOTs over the same working set become cheap.
-                    let (qc, qt) = (Self::tag(control), Self::tag(target));
-                    let peek_c = self.memory.peek_load(qc).map_err(wrap)?;
-                    let peek_t = self.memory.peek_load(qt).map_err(wrap)?;
-                    let (loaded, other) = if peek_c <= peek_t { (qc, qt) } else { (qt, qc) };
-                    let load = self.memory.load(loaded).map_err(wrap)?;
-                    let access = self
-                        .memory
-                        .in_memory_two_qubit_access(other)
-                        .map_err(wrap)?;
-                    let store = self.memory.store(loaded).map_err(wrap)?;
-                    // The internal load/store pair is counted separately from
-                    // explicit LD/ST instructions: `stats.loads`/`stats.stores`
-                    // track the program text, `implicit_*` track what the CX
-                    // expansion issued under the hood. Their beats land in
-                    // `memory_access_beats` either way.
-                    stats.implicit_loads += 1;
-                    stats.implicit_stores += 1;
-                    stats.memory_access_beats += load + access + store;
-                    // MZZ with the ancilla, then MXX with the target.
-                    load + access + Beats(2) + store
-                }
-            };
-
-            let finish = start + migration_delay + duration;
-
-            // Bookkeeping.
-            stats.instruction_count += 1;
-            if !classes[index].is_negligible() {
-                stats.command_count += 1;
-            }
-            if instr.is_in_memory() {
-                stats.in_memory_ops += 1;
-            }
-            for m in mems {
-                if self.config.record_trace {
-                    timing.trace[0].record(m, start.as_u64());
-                }
-                set_ready(&mut timing.mem_ready, m.index(), finish);
-            }
-            for r in regs {
-                set_ready(&mut timing.slot_ready, r.index(), finish);
-            }
-            if let Some(slot) = cx_slot {
-                timing.slot_ready[slot] = [finish.0];
-            }
-            for &b in &banks[..bank_count] {
-                timing.bank_ready[b] = [finish.0];
-            }
-            if let Some(v) = instr.classical_output() {
-                set_ready(&mut timing.classical_ready, v.index(), finish);
-            }
-            if matches!(instr, Instruction::Sk { .. }) {
-                timing.guard = [finish.0];
-            }
-            timing.makespan[0] = timing.makespan[0].max(finish.0);
-        }
-
-        stats.total_beats = Beats(timing.makespan[0]);
-        let [trace] = timing.trace;
-        Ok(SimOutcome { stats, trace })
     }
 
     /// The [`ExecutionTrace`] engine path — the optimized engine, one memory
@@ -1285,180 +532,6 @@ impl Simulator {
     }
 }
 
-/// The factory-independent half of a trace walk: the memory system and the
-/// migration policy, which never read a time.
-struct MemoryPass<'a> {
-    memory: &'a mut MemorySystem,
-    migration: Option<&'a mut (dyn MigrationPolicy + 'static)>,
-    budget: u64,
-}
-
-impl MemoryPass<'_> {
-    /// Runs the memory side of the records in `range`, counting memory-side
-    /// statistics into `stats` and leaving each record's cost (and, under
-    /// [`bank_mode::RESOLVED`], its banks) in `scratch`, indexed from
-    /// `range.start`. Stops at the first failing record with its index.
-    fn run<const MODE: u8>(
-        &mut self,
-        trace: &ExecutionTrace,
-        range: Range<usize>,
-        stats: &mut ExecutionStats,
-        scratch: &mut BlockScratch,
-    ) -> Result<(), (usize, SimError)> {
-        let base = range.start;
-        let exec = &trace.exec_kinds()[range.clone()];
-        let flag = &trace.flag_bits()[range.clone()];
-        let fixed = &trace.fixed_beats()[range.clone()];
-        let mem0 = &trace.mem0()[range.clone()];
-        let mem1 = &trace.mem1()[range.clone()];
-        let len = range.len();
-        let cost = &mut scratch.cost[..len];
-        let MemoryPass {
-            memory,
-            migration,
-            budget,
-        } = self;
-        let budget = *budget;
-        // The counters live in a local for the block, so the opaque memory
-        // calls below cannot force them through memory.
-        let mut local = std::mem::take(stats);
-
-        for k in 0..len {
-            let index = base + k;
-            if index as u64 >= budget {
-                return Err((index, SimError::InstructionBudget { budget }));
-            }
-            let fl = flag[k];
-            let kind = exec[k];
-            // The instruction is only rendered on the (cold) error path.
-            let wrap = |source: LatticeError| {
-                (
-                    index,
-                    SimError::Instruction {
-                        index,
-                        instruction: trace.instruction(index),
-                        source,
-                    },
-                )
-            };
-            let has_m0 = fl & flags::HAS_MEM0 != 0;
-            let has_m1 = fl & flags::HAS_MEM1 != 0;
-            // Valid only under their flags: an absent memory operand's slot
-            // may hold a register index. Every use below is guarded by
-            // `has_m*` or by an execution kind that has the operand.
-            let m0 = mem0[k];
-            let m1 = mem1[k];
-            let scans = fl & flags::NEEDS_SCAN != 0;
-
-            // Banks resolve before migration can move an operand.
-            if MODE == bank_mode::RESOLVED {
-                let mut pair = [NO_BANK; 2];
-                if scans {
-                    if has_m0 {
-                        if let Some(b) = memory.bank_of(QubitTag(m0)) {
-                            pair[0] = b as u32;
-                        }
-                    }
-                    if has_m1 {
-                        if let Some(b) = memory.bank_of(QubitTag(m1)) {
-                            if pair[0] != b as u32 {
-                                pair[1] = b as u32;
-                            }
-                        }
-                    }
-                }
-                scratch.banks[k] = pair;
-            }
-
-            // Runtime hot-set migration (see `interpret` for the policy
-            // contract — proposals observed per memory operand, applied
-            // before the access, dropped when checked out).
-            let mut migration_delay = Beats::ZERO;
-            if let Some(policy) = migration.as_deref_mut() {
-                if scans {
-                    // Canonical operand order: control before target for CX.
-                    for (present, m) in [(has_m0, m0), (has_m1, m1)] {
-                        if !present {
-                            continue;
-                        }
-                        let qubit = QubitTag(m);
-                        let Some(victim) = policy.on_access(qubit, index as u64) else {
-                            continue;
-                        };
-                        if memory.is_checked_out(qubit) {
-                            continue;
-                        }
-                        if let Ok(cost) = memory.migrate(qubit, victim) {
-                            policy.applied(qubit, victim);
-                            let total = cost + policy.overhead();
-                            local.migrations += 1;
-                            local.migration_beats += total;
-                            migration_delay += total;
-                        }
-                    }
-                }
-            }
-
-            // Duration: one match on the pre-resolved execution kind, with
-            // the per-variant fixed-beat charges read from the trace. A magic
-            // state's wait is left to the timing pass.
-            let duration = match kind {
-                ExecKind::Negligible | ExecKind::Skip => Beats::ZERO,
-                ExecKind::Fixed => Beats(u64::from(fixed[k])),
-                ExecKind::Load => {
-                    local.loads += 1;
-                    let cost = memory.load(QubitTag(m0)).map_err(wrap)?;
-                    local.memory_access_beats += cost;
-                    cost
-                }
-                ExecKind::Store => {
-                    local.stores += 1;
-                    let cost = memory.store(QubitTag(m0)).map_err(wrap)?;
-                    local.memory_access_beats += cost;
-                    cost
-                }
-                ExecKind::Magic => {
-                    local.magic_states += 1;
-                    // One beat to move the state from the MSF port into the CR.
-                    Beats(u64::from(fixed[k]))
-                }
-                ExecKind::Seek => {
-                    let seek = memory.in_memory_seek(QubitTag(m0)).map_err(wrap)?;
-                    local.memory_access_beats += seek;
-                    seek + Beats(u64::from(fixed[k]))
-                }
-                ExecKind::TwoQubitAccess => {
-                    let access = memory
-                        .in_memory_two_qubit_access(QubitTag(m0))
-                        .map_err(wrap)?;
-                    local.memory_access_beats += access;
-                    access + Beats(u64::from(fixed[k]))
-                }
-                ExecKind::Cx => {
-                    // Runtime optimization (Sec. VI-A): load the cheaper
-                    // operand, access the other in memory, store the loaded
-                    // one back, as one fused memory call (see `interpret`
-                    // for the unfused executable spec).
-                    let (load, access, store) =
-                        memory.cx_access(QubitTag(m0), QubitTag(m1)).map_err(wrap)?;
-                    local.implicit_loads += 1;
-                    local.implicit_stores += 1;
-                    local.memory_access_beats += load + access + store;
-                    // MZZ with the ancilla, then MXX with the target.
-                    load + access + Beats(u64::from(fixed[k])) + store
-                }
-            };
-            cost[k] = (migration_delay + duration).0;
-
-            local.instruction_count += 1;
-            local.command_count += u64::from(kind != ExecKind::Negligible);
-            local.in_memory_ops += u64::from(fl & flags::IN_MEMORY != 0);
-        }
-        *stats = local;
-        Ok(())
-    }
-}
-
 mod sealed {
     /// The seal on [`Executable`](super::Executable): the set of input kinds
     /// the simulator can execute is fixed here, so the engine paths stay
@@ -1518,34 +591,6 @@ impl Executable for CompiledWorkload {
         factories: &[u32],
     ) -> Result<Vec<SimOutcome>, SimError> {
         simulator.execute_trace(self.trace(), factories)
-    }
-}
-
-/// A program paired with its precompiled latency-class vector: executing it
-/// drives the retained **reference interpreter** instead of the trace
-/// engine. This is the executable specification the shadow-equivalence
-/// proptests check the optimized engine against.
-#[derive(Debug, Clone, Copy)]
-pub struct Classified<'a> {
-    program: &'a Program,
-    classes: &'a [LatencyClass],
-}
-
-impl<'a> Classified<'a> {
-    /// Pairs `program` with its latency-class vector. The vector's length is
-    /// checked at execution time, not here, so construction is free.
-    pub fn new(program: &'a Program, classes: &'a [LatencyClass]) -> Self {
-        Classified { program, classes }
-    }
-}
-
-impl Executable for Classified<'_> {
-    fn execute_on(
-        &self,
-        simulator: &mut Simulator,
-        factories: &[u32],
-    ) -> Result<Vec<SimOutcome>, SimError> {
-        simulator.execute_classified(self.program, self.classes, factories)
     }
 }
 
@@ -1688,7 +733,8 @@ pub fn simulate(
 mod tests {
     use super::*;
     use lsqca_arch::FloorplanKind;
-    use lsqca_isa::{ClassicalId, Instruction, RegId};
+    use lsqca_isa::{ClassicalId, Instruction, MemAddr, RegId};
+    use lsqca_lattice::Beats;
 
     fn point(factories: u32) -> ArchConfig {
         ArchConfig::new(FloorplanKind::PointSam { banks: 1 }, factories)
