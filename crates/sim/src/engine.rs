@@ -412,26 +412,15 @@ impl Simulator {
     /// so this walk tests precomputed flag bits over flat arrays instead of
     /// re-matching `Instruction` variants per step.
     ///
-    /// The walk proceeds in blocks of [`BLOCK`] records. The **memory pass**
-    /// checks the budget, resolves the banks each record serializes on
-    /// (before migration can move an operand), applies migration proposals,
-    /// runs the load / store / seek / two-qubit access / fused CX, counts
-    /// every memory-side statistic, and leaves each record's cost and banks
-    /// in the block scratch. Then the **timing pass** of each lane group
-    /// advances all of its lanes over the block: dependency max, CR-slot
-    /// claim, magic acquisition, ready-table writes, makespan and memory
-    /// trace, each per lane. This is exact because nothing in the memory
-    /// pass reads a time: memory construction ignores the factory count,
-    /// bank operations take qubits only, and migration policies are clocked
-    /// by instruction index.
+    /// The walk proceeds in blocks of [`BLOCK`] records: the **memory pass**
+    /// (`engine/memory_pass.rs`), then the **timing pass** of each lane
+    /// group (`engine/timing.rs`). This is exact because nothing in the
+    /// memory pass reads a time: memory construction ignores the factory
+    /// count, bank operations take qubits only, and migration policies are
+    /// clocked by instruction index.
     ///
-    /// Each outcome is observationally identical to
-    /// [`Simulator::execute_classified`] (the retained reference interpreter)
-    /// at its factory count — the shadow-equivalence proptests in `tests/`
-    /// assert equality of the full outcome, errors included, over random
-    /// programs and floorplans. The offending instruction in a
-    /// [`SimError::Instruction`] is reconstructed from the trace record, so
-    /// errors render identically to the interpreter's.
+    /// Each outcome equals [`Simulator::execute_classified`]'s at its factory
+    /// count; `engine/interpret.rs` states the contract.
     fn execute_trace(
         &mut self,
         trace: &ExecutionTrace,

@@ -1,5 +1,13 @@
-//! The reference interpreter: the executable specification the trace
-//! engine is checked against.
+//! The reference interpreter, the executable specification of the
+//! simulator: it matches on `Instruction` variants step by step, looks up
+//! banks per instruction, runs the `CX` as five unfused memory calls, and
+//! makes one full run per factory count. At every factory count the trace
+//! engine (memory pass plus timing pass) must return the same
+//! [`SimOutcome`], or the same typed [`SimError`] at the same instruction
+//! index, rendered the same. The shadow-equivalence proptests in
+//! `crates/sim/tests/shadow_trace.rs` hold the two equal over random
+//! programs, floorplans, migration policies and factory lists, reaching
+//! this path through [`Classified`].
 
 use super::timing::TimingLanes;
 use super::{no_cr_slots, Executable, SimError, SimOutcome, Simulator};
@@ -41,14 +49,8 @@ impl Simulator {
         )
     }
 
-    /// The [`Classified`] engine path — the **reference interpreter**,
-    /// dispatching on `Instruction` enums per step, one full run per factory
-    /// count.
-    ///
-    /// The production path is [`Simulator::execute_trace`]; this interpreter
-    /// is retained as the executable specification the trace engine is
-    /// checked against (the shadow-equivalence proptests in `tests/` drive it
-    /// directly).
+    /// The [`Classified`] engine path: one reference-interpreter run per
+    /// factory count.
     ///
     /// # Panics
     ///
@@ -305,9 +307,8 @@ impl Simulator {
 }
 
 /// A program paired with its precompiled latency-class vector: executing it
-/// drives the retained **reference interpreter** instead of the trace
-/// engine. This is the executable specification the shadow-equivalence
-/// proptests check the optimized engine against.
+/// drives the **reference interpreter**, the executable specification the
+/// trace engine is checked against, instead of the trace engine.
 #[derive(Debug, Clone, Copy)]
 pub struct Classified<'a> {
     program: &'a Program,

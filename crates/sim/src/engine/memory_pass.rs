@@ -1,5 +1,9 @@
-//! The memory pass of a trace walk: everything that does not depend on
-//! when a record starts, run once per block for every factory count.
+//! The memory pass of a trace walk, run once per block for every factory
+//! count: it checks the budget, resolves the banks each record serializes
+//! on (before migration can move an operand), applies migration proposals,
+//! runs the load / store / seek / two-qubit access / fused CX, counts every
+//! memory-side statistic, and leaves each record's cost and banks in the
+//! block scratch. Nothing here depends on when a record starts.
 
 use super::SimError;
 use crate::metrics::ExecutionStats;
@@ -11,9 +15,10 @@ use std::ops::Range;
 
 /// Instructions per block of the trace walk. The memory pass resolves one
 /// block into the simulator's [`BlockScratch`], then each lane group (up to
-/// [`LANES`] factory counts, usually all of them) advances over the same
-/// block in one timing pass, so the block's trace columns and scratch are
-/// still cache-resident when the timing passes read them.
+/// [`LANES`](super::timing::LANES) factory counts, usually all of them)
+/// advances over the same block in one timing pass, so the block's trace
+/// columns and scratch are still cache-resident when the timing passes read
+/// them.
 pub(super) const BLOCK: usize = 1024;
 
 /// An absent entry of the bank column.

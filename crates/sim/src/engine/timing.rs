@@ -1,6 +1,7 @@
-//! The timing pass of a trace walk: the ready tables, CR-slot claims and
-//! magic-state supplies of up to four factory counts, advanced together
-//! over a block of trace records and its `cost` and `banks` columns.
+//! The timing pass of a trace walk: for up to four factory counts at once,
+//! the dependency max, CR-slot claim, magic acquisition, ready-table writes,
+//! makespan and memory trace of each record, one lane per count. Its input
+//! is a block of trace records plus the `cost` and `banks` columns.
 
 use super::memory_pass::{bank_mode, BlockScratch, NO_BANK};
 use super::{no_cr_slots, SimError, SimOutcome, Simulator};
@@ -83,20 +84,12 @@ impl<const W: usize> TimingLanes<W> {
     /// Presizes the ready tables for a trace walk, plus one scratch slot past
     /// every real operand: absent operands read entry 0 under a zero mask and
     /// write the scratch slot, so the dependency pass needs no per-operand
-    /// branches at all. (An absent memory operand's slot may hold a register
-    /// index, since `trace_compile` shares slots between roles, so the pass
-    /// masks each index by its presence bit before reading.) Reads of
-    /// never-written entries return zero either way, so sizing up front is
-    /// observationally free. `classical_ready` takes one entry per
-    /// classical value the trace names: one per measurement for a trace that
-    /// keeps the program's identifiers (420 201 `[u64; W]` entries for the
-    /// paper multiplier, 10 MB at `W = 3`), but one per live slot for a
-    /// compiled workload's trace, which
-    /// [`ExecutionTrace::compact_classical`] renumbered (4 entries for the
-    /// multiplier). `slot_ready`
-    /// deliberately keeps its lazy growth instead: the CX slot claim scans
-    /// the *current* table, and presizing it would hand CXs slots the
-    /// program has not touched yet.
+    /// branches. Reads of never-written entries return zero either way, so
+    /// sizing up front is observationally free. (A compiled workload's
+    /// trace names one classical value per live slot, see
+    /// [`ExecutionTrace::compact_classical`].) `slot_ready` keeps its lazy
+    /// growth: the CX slot claim scans the *current* table, and presizing
+    /// it would hand CXs slots the program has not touched yet.
     fn presize(&mut self, trace: &ExecutionTrace) {
         let mem_bound = trace.mem_bound() as usize;
         if self.mem_ready.len() < mem_bound + 1 {
@@ -419,5 +412,191 @@ impl LaneGroup {
     /// [`TimingLanes::finish`] on the group's lanes.
     pub(super) fn finish(self, stats: &ExecutionStats, outcomes: &mut Vec<SimOutcome>) {
         with_lanes!(self, lanes => lanes.finish(stats, outcomes))
+    }
+}
+
+/// The timing kernel at its narrow input: a hand-built trace block with its
+/// `cost` and `banks` columns set directly, and no memory pass.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lsqca_isa::{ClassicalId, Instruction, Program, RegId};
+
+    /// Runs `$check::<W>()` for 1-, 2- and 4-lane groups.
+    macro_rules! each_width {
+        ($check:ident) => {{
+            $check::<1>();
+            $check::<2>();
+            $check::<4>();
+        }};
+    }
+
+    /// Advances pristine lanes on `floorplan` (lane `l` with `l + 1`
+    /// factories, unbounded magic, memory trace on) over `records` under
+    /// `MODE`, after `setup` has adjusted them.
+    fn run<const W: usize, const MODE: u8>(
+        floorplan: FloorplanKind,
+        records: &[Instruction],
+        (cost, banks): (&[u64], &[[u32; 2]]),
+        bounded_registers: bool,
+        setup: impl FnOnce(&mut TimingLanes<W>),
+    ) -> TimingLanes<W> {
+        let mut program = Program::new("kernel");
+        records.iter().for_each(|&record| program.push(record));
+        let trace = lsqca_isa::lower(&program);
+        let scratch = BlockScratch {
+            cost: cost.to_vec(),
+            banks: banks.to_vec(),
+        };
+        let arch = ArchConfig::new(floorplan, 1);
+        let memory = MemorySystem::new(&arch, 8, &[]);
+        let factories: Vec<u32> = (1..=W as u32).collect();
+        let mut lanes = TimingLanes::new(&arch, &factories, &memory, 8);
+        lanes.presize(&trace);
+        setup(&mut lanes);
+        let ctx = TimingContext {
+            bounded_registers,
+            infinite_magic: true,
+            record_trace: true,
+            floorplan: &arch.floorplan,
+        };
+        lanes
+            .advance::<MODE>(&trace, 0..trace.len(), &scratch, &ctx)
+            .unwrap();
+        lanes
+    }
+
+    /// Each lane's memory references as `(qubit, start beat)`, in order.
+    fn starts<const W: usize>(lanes: &TimingLanes<W>) -> [Vec<(u32, u64)>; W] {
+        std::array::from_fn(|l| {
+            let events = lanes.trace[l].events().iter();
+            events.map(|e| (e.qubit.index(), e.beat)).collect()
+        })
+    }
+
+    fn hd(q: u32) -> Instruction {
+        Instruction::HdM { mem: MemAddr(q) }
+    }
+
+    fn uniform_serializes_scanning_records<const W: usize>() {
+        // Two scanning in-memory gates on distinct qubits, then a
+        // non-scanning preparation.
+        let records = [hd(0), hd(1), Instruction::PzM { mem: MemAddr(2) }];
+        let columns = (&[3, 3, 1][..], &[][..]);
+        let point = FloorplanKind::PointSam { banks: 1 };
+        let uniform = run::<W, { bank_mode::UNIFORM }>(point, &records, columns, false, |_| {});
+        for lane in starts(&uniform) {
+            assert_eq!(lane, [(0, 0), (1, 3), (2, 0)]);
+        }
+        assert_eq!((uniform.makespan, uniform.bank_ready[0]), ([6; W], [6; W]));
+        // The same block without banks overlaps the two gates.
+        let conventional = FloorplanKind::Conventional;
+        let bankless =
+            run::<W, { bank_mode::BANKLESS }>(conventional, &records, columns, false, |_| {});
+        for lane in starts(&bankless) {
+            assert_eq!(lane, [(0, 0), (1, 0), (2, 0)]);
+        }
+    }
+
+    #[test]
+    fn uniform_mode_serializes_scanning_records() {
+        each_width!(uniform_serializes_scanning_records);
+    }
+
+    fn resolved_runs_two_banks_in_parallel<const W: usize>() {
+        // The bank column alone decides what serializes: records 0 and 2
+        // share bank 0, record 1 runs on bank 1 beside them, and the CX
+        // spans both banks.
+        let cx = Instruction::Cx {
+            control: MemAddr(3),
+            target: MemAddr(4),
+        };
+        let banks = [[0, NO_BANK], [1, NO_BANK], [0, NO_BANK], [1, 0]];
+        let lanes = run::<W, { bank_mode::RESOLVED }>(
+            FloorplanKind::PointSam { banks: 2 },
+            &[hd(0), hd(1), hd(2), cx],
+            (&[3, 3, 3, 4], &banks),
+            false,
+            |_| {},
+        );
+        for lane in starts(&lanes) {
+            assert_eq!(lane, [(0, 0), (1, 0), (2, 3), (3, 6), (4, 6)]);
+        }
+        assert_eq!(lanes.bank_ready, [[10; W], [10; W]]);
+        assert_eq!(lanes.makespan, [10; W]);
+    }
+
+    #[test]
+    fn resolved_mode_runs_two_banks_in_parallel() {
+        each_width!(resolved_runs_two_banks_in_parallel);
+    }
+
+    fn cx_claims_the_first_earliest_slot<const W: usize>() {
+        // Per lane, the slot ready times tie at their minimum; the first
+        // tied slot (marked) is the one a CX claims.
+        let table: [[u64; 4]; 4] = [
+            [4, 2, 9, 2], // slot 1
+            [1, 3, 1, 1], // slot 0
+            [6, 6, 2, 2], // slot 2
+            [5, 5, 5, 5], // slot 0
+        ];
+        let claimed = [1, 0, 2, 0];
+        let cx = Instruction::Cx {
+            control: MemAddr(0),
+            target: MemAddr(1),
+        };
+        let lanes = run::<W, { bank_mode::BANKLESS }>(
+            FloorplanKind::PointSam { banks: 1 },
+            &[cx],
+            (&[10], &[]),
+            true,
+            |lanes| {
+                let slots = (0..4).map(|slot| std::array::from_fn(|l| table[l][slot]));
+                lanes.slot_ready = slots.collect();
+            },
+        );
+        for l in 0..W {
+            let finish = table[l][claimed[l]] + 10;
+            let mut expected = table[l];
+            expected[claimed[l]] = finish;
+            let got: Vec<u64> = lanes.slot_ready.iter().map(|ready| ready[l]).collect();
+            assert_eq!(
+                (got, lanes.makespan[l]),
+                (expected.to_vec(), finish),
+                "lane {l}"
+            );
+        }
+    }
+
+    #[test]
+    fn cx_claims_the_first_earliest_slot_in_each_lane() {
+        each_width!(cx_claims_the_first_earliest_slot);
+    }
+
+    fn skip_guards_only_the_next_record<const W: usize>() {
+        let (mem, value) = (MemAddr(0), ClassicalId(0));
+        let records = [
+            hd(0),
+            Instruction::MzM { mem, out: value },
+            Instruction::Sk { cond: value },
+            Instruction::PhM { mem: MemAddr(1) },
+            Instruction::PhM { mem: MemAddr(2) },
+            Instruction::HdC { reg: RegId(0) },
+        ];
+        let columns = (&[3, 0, 0, 2, 2, 3][..], &[][..]);
+        let conventional = FloorplanKind::Conventional;
+        let lanes =
+            run::<W, { bank_mode::BANKLESS }>(conventional, &records, columns, false, |_| {});
+        // The SK waits for the measurement (beat 3); the record after it
+        // starts no earlier, the one after that is free again.
+        for lane in starts(&lanes) {
+            assert_eq!(lane, [(0, 0), (0, 3), (1, 3), (2, 0)]);
+        }
+        assert_eq!((lanes.guard, lanes.makespan), ([0; W], [5; W]));
+    }
+
+    #[test]
+    fn skip_guard_gates_only_the_next_record() {
+        each_width!(skip_guards_only_the_next_record);
     }
 }

@@ -185,20 +185,19 @@ impl MetricsSnapshot {
 
     /// Decodes a `lsqca-metrics-v2` document, rejecting wrong schemas (the
     /// v1 documents that carried histograms included), missing sections,
-    /// unknown keys, and malformed values — a corrupt
-    /// shard metrics file must fail loudly here so the aggregator can warn
-    /// and skip it rather than fold garbage into the totals.
+    /// unknown keys, and malformed values — a corrupt shard metrics file
+    /// must fail loudly here so the aggregator can warn and skip it rather
+    /// than fold garbage into the totals.
     pub fn from_json(json: &Json) -> Result<MetricsSnapshot, MetricsError> {
         let Json::Obj(pairs) = json else {
             return Err(MetricsError("not an object".to_string()));
         };
         let mut snapshot = MetricsSnapshot::default();
-        let mut seen_schema = false;
-        let mut seen = [false; 2];
+        let mut seen = [false; 3];
         for (key, value) in pairs {
             match key.as_str() {
                 "schema" => {
-                    seen_schema = true;
+                    seen[0] = true;
                     if value.as_str() != Some(METRICS_SCHEMA) {
                         return Err(MetricsError(format!(
                             "schema is {}, expected \"{METRICS_SCHEMA}\"",
@@ -207,13 +206,13 @@ impl MetricsSnapshot {
                     }
                 }
                 "counters" => {
-                    seen[0] = true;
+                    seen[1] = true;
                     snapshot.counters = decode_map(value, "counters", |v| {
                         v.as_u64().ok_or("expected a non-negative integer")
                     })?;
                 }
                 "gauges" => {
-                    seen[1] = true;
+                    seen[2] = true;
                     snapshot.gauges =
                         decode_map(value, "gauges", |v| v.as_i64().ok_or("expected an integer"))?;
                 }
@@ -222,11 +221,8 @@ impl MetricsSnapshot {
                 }
             }
         }
-        if !seen_schema {
-            return Err(MetricsError("missing \"schema\"".to_string()));
-        }
-        for (idx, section) in ["counters", "gauges"].iter().enumerate() {
-            if !seen[idx] {
+        for (section, seen) in ["schema", "counters", "gauges"].iter().zip(seen) {
+            if !seen {
                 return Err(MetricsError(format!("missing \"{section}\"")));
             }
         }
