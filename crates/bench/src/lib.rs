@@ -1178,9 +1178,11 @@ pub mod ablation {
     /// The arm's workload compiles in the first job that misses the result
     /// store; a warm store compiles nothing. The arms run one after another,
     /// so only one arm's workload is resident at a time: running both arms
-    /// of each benchmark as one six-job list measured 54–56 MB peak RSS
-    /// against 42 MB for one arm at a time (2 threads, fresh store, 5
-    /// alternating runs each), for a best wall time of 0.36 s against 0.44 s.
+    /// of each benchmark as one six-job list measured 33–35 MB peak RSS
+    /// against 22 MB for one arm at a time (9-byte trace records, 2 threads,
+    /// fresh store, 5 alternating runs each), for a best wall time of
+    /// 0.36 s against 0.40 s. That peak would exceed fig8's 28.5 MB, the
+    /// largest of the paper-scale commands.
     pub fn generate(
         scale: Scale,
         benchmarks: &[Benchmark],

@@ -21,7 +21,7 @@ use lsqca_analysis::{hot_set_by_role_map, hot_set_size};
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
 use lsqca_compiler::CompilerConfig;
-use lsqca_isa::trace_compile::{flags, ExecutionTrace};
+use lsqca_isa::trace_compile::ExecutionTrace;
 use lsqca_lattice::{Beats, QubitTag};
 use lsqca_sim::{ExecutionStats, MemoryTrace, SimConfig, SimError, Simulator};
 use lsqca_workloads::CompiledWorkload;
@@ -229,17 +229,10 @@ pub fn result_key(workload_key: &str, config: &ExperimentConfig) -> String {
 /// Every SAM address `trace` references, most referenced first, ties by
 /// ascending index: `hot_set_by_access_count(program, usize::MAX)` of the
 /// program the trace was lowered from, counted from the trace's operand
-/// columns into a dense table instead of through `Program::stats()`.
+/// slots into a dense table instead of through `Program::stats()`.
 fn rank_by_access_count(trace: &ExecutionTrace) -> Vec<QubitTag> {
     let mut counts = vec![0u64; trace.mem_bound() as usize];
-    for ((&fl, &m0), &m1) in trace.flag_bits().iter().zip(trace.mem0()).zip(trace.mem1()) {
-        if fl & flags::HAS_MEM0 != 0 {
-            counts[m0 as usize] += 1;
-        }
-        if fl & flags::HAS_MEM1 != 0 {
-            counts[m1 as usize] += 1;
-        }
-    }
+    trace.for_each_memory_operand(|addr| counts[addr as usize] += 1);
     let mut ranked: Vec<(u64, u32)> = counts
         .iter()
         .enumerate()

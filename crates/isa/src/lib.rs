@@ -58,5 +58,8 @@ pub use instruction::{Instruction, InstructionKind, OperandLocation};
 pub use latency::{InstructionLatency, LatencyClass, LatencyTable};
 pub use operand::{ClassicalId, MemAddr, Operands, RegId, MAX_OPERANDS};
 pub use program::{InstructionSink, Program, ProgramStats};
-pub use trace_compile::{lower, ExecKind, ExecutionTrace, TraceDecodeError, TRACE_REVISION};
+pub use trace_compile::{
+    lower, ExecKind, ExecutionTrace, OpInfo, Slot, TraceDecodeError, TraceShape, OPCODES,
+    TRACE_REVISION,
+};
 pub use validate::{ValidationError, ValidationReport};

@@ -20,33 +20,47 @@
 //! [`Program`]. [`lower`] replays a `Program` through the same sink, for the
 //! `Program` executable and for tests that compare the two compiled forms.
 //!
-//! Per record the trace stores the execution kind (the pre-resolved duration
-//! dispatch arm, [`ExecKind`]), a flags byte (operand shape, scan-resource,
-//! in-memory, classical in/out), the fixed beat component, and three operand
-//! slots. The raw opcode is kept in its own column that only the cold paths
-//! read: reconstructing an [`Instruction`] for `SimError::Instruction`, and
-//! serialization ([`ExecutionTrace::encode`]), which is lossless, so the
-//! trace is the whole compiled instruction stream.
+//! Every static fact about a record is a pure function of its opcode, so the
+//! trace stores only the opcode and looks the rest up in [`OPCODES`], one
+//! 21-entry table: the execution kind (the pre-resolved duration dispatch
+//! arm, [`ExecKind`]), a flags byte (operand shape, scan-resource,
+//! in-memory, classical in/out) and the fixed beat component. The opcode
+//! also serves the cold paths: reconstructing an [`Instruction`] for
+//! `SimError::Instruction`, and serialization ([`ExecutionTrace::encode`]),
+//! which is lossless, so the trace is the whole compiled instruction stream.
 //!
 //! # Record layout
 //!
-//! A record is 16 bytes, one entry in each of seven columns:
+//! A record is one entry in each of four columns:
 //!
 //! ```text
-//!  op  exec flags fixed │ slot 0      │ slot 1      │ slot 2
-//!  u8   u8   u8    u8   │ u32         │ u32         │ u32
-//!                       │ mem0 / reg1 │ mem1 / reg0 │ cio
+//!  op │ slot 0      │ slot 1      │ slot 2
+//!  u8 │ u16 or u32  │ u16 or u32  │ u32
+//!     │ mem0 / reg1 │ mem1 / reg0 │ cio
 //! ```
+//!
+//! Slots 0 and 1 are `u16` while every memory address and register index of
+//! the trace is below 2¹⁶ (a *narrow* trace, 9 bytes per record) and `u32`
+//! otherwise (a *wide* trace, 13 bytes per record). The width is a function
+//! of the records alone: a push whose operand does not fit widens the trace
+//! once, so equal record sequences compare equal however they were built.
+//! The readers of slots 0 and 1 are generic over their type ([`Slot`]) and
+//! pick it once per trace ([`ExecutionTrace::slots`]). Slot 2 stays `u32`:
+//! uncompacted traces carry the compiler's classical identifiers, up to
+//! 420 200 for the paper multiplier.
 //!
 //! No instruction has more than three operands, and no opcode has both
 //! operands of a shared slot ([`SHARED_SLOTS`]): a record stores `mem0` in
 //! slot 0 if it has one and `reg1` there otherwise, and `mem1` in slot 1 if it
-//! has one and `reg0` there otherwise. The per-role views
-//! ([`ExecutionTrace::mem0`] … [`ExecutionTrace::cio`]) are therefore valid
-//! only where the role's flag is set; elsewhere they read whatever the slot
-//! holds, which may be another role's operand. A reader that indexes a table
-//! with a view must mask it by the role's flag first. Slot 2 holds 0 when the
-//! record has no classical operand.
+//! has one and `reg0` there otherwise. A slot is therefore valid for a role
+//! only where the role's flag is set; elsewhere it holds whatever the other
+//! role put there, or 0. A reader that indexes a table with a slot must mask
+//! it by the role's flag first. Slot 2 holds 0 when the record has no
+//! classical operand.
+//!
+//! A trace built through [`ExecutionTrace::with_shape`] from the
+//! [`TraceShape`] of the same instruction stream is allocated once, at its
+//! final size and width.
 //!
 //! # Classical slots
 //!
@@ -109,33 +123,34 @@ pub const TRACE_REVISION: u32 = 1;
 ///
 /// The interpreter's 21-arm duration `match` collapses into these nine
 /// execution kinds; everything variant-specific beyond the kind (the fixed
-/// beat component, operand shape) lives in the other trace columns.
+/// beat component, operand shape) lives in the rest of the opcode's
+/// [`OpInfo`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ExecKind {
     /// Fixed zero-beat latency, excluded from CPI command counts.
     Negligible,
-    /// Fixed non-zero latency (`fixed_beats` holds the duration).
+    /// Fixed non-zero latency (`fixed` holds the duration).
     Fixed,
     /// `LD`: variable-latency load through the memory controller.
     Load,
     /// `ST`: variable-latency store through the memory controller.
     Store,
-    /// `PM`: wait for the magic-state supply, then `fixed_beats` to move the
+    /// `PM`: wait for the magic-state supply, then `fixed` beats to move the
     /// state into the CR.
     Magic,
-    /// In-memory unitary: scan seek plus `fixed_beats` of surgery.
+    /// In-memory unitary: scan seek plus `fixed` beats of surgery.
     Seek,
-    /// In-memory joint measurement: two-qubit scan access plus `fixed_beats`.
+    /// In-memory joint measurement: two-qubit scan access plus `fixed` beats.
     TwoQubitAccess,
     /// The optimized `CX` expansion (peek both, load the cheaper operand,
-    /// access the other in memory, store back; `fixed_beats` of surgery).
+    /// access the other in memory, store back; `fixed` beats of surgery).
     Cx,
     /// `SK`: zero-beat, but arms the skip guard for the next instruction.
     Skip,
 }
 
-/// Flag bits of one trace record (the `flags` column).
+/// Flag bits of one opcode ([`OpInfo::flags`]).
 pub mod flags {
     /// Record has a first SAM operand (`mem0`).
     pub const HAS_MEM0: u8 = 1 << 0;
@@ -163,23 +178,169 @@ pub const SHARED_SLOTS: [(u8, u8); 2] = [
     (flags::HAS_MEM1, flags::HAS_REG0),
 ];
 
+/// The static columns of one opcode, shared by every record of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpInfo {
+    /// The pre-resolved duration dispatch arm.
+    pub exec: ExecKind,
+    /// The operand shape and resource bits ([`flags`]).
+    pub flags: u8,
+    /// The fixed beat component of the duration.
+    pub fixed: u8,
+}
+
+impl OpInfo {
+    /// The static columns of opcode `op`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is not an opcode (a trace holds none such).
+    #[inline(always)]
+    pub fn of(op: u8) -> OpInfo {
+        OPCODES[usize::from(op)]
+    }
+}
+
+/// The static columns of every opcode, indexed by opcode: the one place the
+/// per-variant latency class, operand shape and scan/in-memory flags of
+/// Table I are written down for the engine.
+pub const OPCODES: [OpInfo; 21] = {
+    use flags::*;
+    use ExecKind as E;
+    const fn op(exec: ExecKind, flags: u8, fixed: u8) -> OpInfo {
+        OpInfo { exec, flags, fixed }
+    }
+    const LOAD_STORE: u8 = HAS_MEM0 | HAS_REG0 | NEEDS_SCAN;
+    const MEASURE_C: u8 = HAS_REG0 | HAS_COUT;
+    const JOINT_C: u8 = HAS_REG0 | HAS_REG1 | HAS_COUT;
+    const PREPARE_M: u8 = HAS_MEM0 | IN_MEMORY;
+    const SEEK_M: u8 = HAS_MEM0 | NEEDS_SCAN | IN_MEMORY;
+    const MEASURE_M: u8 = HAS_MEM0 | IN_MEMORY | HAS_COUT;
+    const JOINT_M: u8 = HAS_MEM0 | HAS_REG0 | NEEDS_SCAN | IN_MEMORY | HAS_COUT;
+    [
+        op(E::Load, LOAD_STORE, 0),                                 // 0 LD
+        op(E::Store, LOAD_STORE, 0),                                // 1 ST
+        op(E::Negligible, HAS_REG0, 0),                             // 2 PZ.C
+        op(E::Negligible, HAS_REG0, 0),                             // 3 PP.C
+        op(E::Magic, HAS_REG0, 1),                                  // 4 PM
+        op(E::Fixed, HAS_REG0, 3),                                  // 5 HD.C
+        op(E::Fixed, HAS_REG0, 2),                                  // 6 PH.C
+        op(E::Negligible, MEASURE_C, 0),                            // 7 MX.C
+        op(E::Negligible, MEASURE_C, 0),                            // 8 MZ.C
+        op(E::Fixed, JOINT_C, 1),                                   // 9 MXX.C
+        op(E::Fixed, JOINT_C, 1),                                   // 10 MZZ.C
+        op(E::Skip, HAS_CIN, 0),                                    // 11 SK
+        op(E::Negligible, PREPARE_M, 0),                            // 12 PZ.M
+        op(E::Negligible, PREPARE_M, 0),                            // 13 PP.M
+        op(E::Seek, SEEK_M, 3),                                     // 14 HD.M
+        op(E::Seek, SEEK_M, 2),                                     // 15 PH.M
+        op(E::Negligible, MEASURE_M, 0),                            // 16 MX.M
+        op(E::Negligible, MEASURE_M, 0),                            // 17 MZ.M
+        op(E::TwoQubitAccess, JOINT_M, 1),                          // 18 MXX.M
+        op(E::TwoQubitAccess, JOINT_M, 1),                          // 19 MZZ.M
+        op(E::Cx, HAS_MEM0 | HAS_MEM1 | NEEDS_SCAN | IN_MEMORY, 2), // 20 CX
+    ]
+};
+
+/// The type of operand slots 0 and 1: `u16` in a narrow trace, `u32` in a
+/// wide one (see the [module docs](self#record-layout)).
+pub trait Slot: Copy + sealed::Sealed {
+    /// Slots 0 and 1 of `trace`, or `None` if its slots have the other type.
+    fn columns(trace: &ExecutionTrace) -> Option<[&[Self]; 2]>;
+
+    /// The operand the slot holds.
+    fn value(self) -> u32;
+}
+
+mod sealed {
+    /// The seal on [`Slot`](super::Slot): `u16` and `u32` are the only slot
+    /// types.
+    pub trait Sealed {}
+
+    impl Sealed for u16 {}
+    impl Sealed for u32 {}
+}
+
+impl Slot for u16 {
+    fn columns(trace: &ExecutionTrace) -> Option<[&[u16]; 2]> {
+        match &trace.slots {
+            Slots::Narrow([slot0, slot1]) => Some([slot0, slot1]),
+            Slots::Wide(_) => None,
+        }
+    }
+
+    #[inline(always)]
+    fn value(self) -> u32 {
+        u32::from(self)
+    }
+}
+
+impl Slot for u32 {
+    fn columns(trace: &ExecutionTrace) -> Option<[&[u32]; 2]> {
+        match &trace.slots {
+            Slots::Wide([slot0, slot1]) => Some([slot0, slot1]),
+            Slots::Narrow(_) => None,
+        }
+    }
+
+    #[inline(always)]
+    fn value(self) -> u32 {
+        self
+    }
+}
+
+/// Slots 0 and 1 of every record: `mem0` or `reg1`, and `mem1` or `reg0`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Slots {
+    /// Every operand in the slots is below 2¹⁶.
+    Narrow([Vec<u16>; 2]),
+    /// Some operand in the slots is 2¹⁶ or more.
+    Wide([Vec<u32>; 2]),
+}
+
+impl Default for Slots {
+    fn default() -> Self {
+        Slots::Narrow(Default::default())
+    }
+}
+
+/// The record count and slot width of an instruction stream, counted without
+/// storing it: push the stream here, then into
+/// [`ExecutionTrace::with_shape`] of the result, which it fills without
+/// reallocating.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct TraceShape {
+    records: usize,
+    /// The largest value slot 0 or slot 1 takes.
+    largest_slot: u32,
+}
+
+impl TraceShape {
+    /// Number of instructions pushed.
+    pub fn records(&self) -> usize {
+        self.records
+    }
+}
+
+impl InstructionSink for TraceShape {
+    fn push(&mut self, instr: Instruction) {
+        let (_, [slot0, slot1], _) = record(instr);
+        self.records += 1;
+        self.largest_slot = self.largest_slot.max(slot0).max(slot1);
+    }
+}
+
 /// A program lowered into dense struct-of-arrays execution records.
 ///
-/// Columns are parallel vectors, one entry per instruction: four byte
-/// columns and three `u32` operand slots, 16 bytes per record (see the
-/// [module docs](self) for the slot roles). The hot loop streams `exec` /
-/// `flags` / `fixed_beats` / operand slots and never touches `op`, which
-/// exists for the cold paths only (error reconstruction and serialization).
+/// Columns are parallel vectors, one entry per instruction: the opcode, two
+/// operand slots of `u16` (a narrow trace) or `u32` (a wide one), and the
+/// `u32` classical slot, so 9 or 13 bytes per record (see the
+/// [module docs](self#record-layout) for the slot roles and the width).
+/// Everything else about a record comes from its opcode's [`OpInfo`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ExecutionTrace {
     op: Vec<u8>,
-    exec: Vec<ExecKind>,
-    flags: Vec<u8>,
-    fixed: Vec<u8>,
-    /// `mem0`, or `reg1` in a record without a SAM operand.
-    slot0: Vec<u32>,
-    /// `mem1`, or `reg0` in a record without a second SAM operand.
-    slot1: Vec<u32>,
+    slots: Slots,
     /// The classical input or output; 0 in a record without one.
     slot2: Vec<u32>,
     /// One past the highest SAM address referenced (0 if none): the engine
@@ -196,60 +357,64 @@ impl ExecutionTrace {
         ExecutionTrace::default()
     }
 
+    /// An empty trace allocated for the stream `shape` counted: every column
+    /// holds exactly `shape.records()` records, at the slot width those
+    /// records need. Pushing that stream fills it without reallocating.
+    pub fn with_shape(shape: &TraceShape) -> Self {
+        let n = shape.records;
+        let slots = if u16::try_from(shape.largest_slot).is_ok() {
+            Slots::Narrow([Vec::with_capacity(n), Vec::with_capacity(n)])
+        } else {
+            Slots::Wide([Vec::with_capacity(n), Vec::with_capacity(n)])
+        };
+        ExecutionTrace {
+            op: Vec::with_capacity(n),
+            slots,
+            slot2: Vec::with_capacity(n),
+            mem_bound: 0,
+            classical_bound: 0,
+        }
+    }
+
     /// Number of records (one per instruction).
     pub fn len(&self) -> usize {
-        self.exec.len()
+        self.op.len()
     }
 
     /// True if the trace has no records.
     pub fn is_empty(&self) -> bool {
-        self.exec.is_empty()
+        self.op.is_empty()
     }
 
-    /// The execution-kind column.
+    /// The opcode column; [`OpInfo::of`] gives each opcode's static columns.
     #[inline]
-    pub fn exec_kinds(&self) -> &[ExecKind] {
-        &self.exec
+    pub fn ops(&self) -> &[u8] {
+        &self.op
     }
 
-    /// The flags column (see [`flags`]).
-    #[inline]
-    pub fn flag_bits(&self) -> &[u8] {
-        &self.flags
+    /// True if slots 0 and 1 are `u16`: every memory address and register
+    /// index of the trace is below 2¹⁶.
+    pub fn is_narrow(&self) -> bool {
+        matches!(self.slots, Slots::Narrow(_))
     }
 
-    /// The fixed beat component column.
+    /// Slots 0 and 1: `mem0` or `reg1`, and `mem1` or `reg0`. A slot is valid
+    /// for a role only where the role's flag is set; elsewhere it may hold
+    /// the other role's operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `S` is the trace's slot type (`u16` exactly when
+    /// [`ExecutionTrace::is_narrow`]).
     #[inline]
-    pub fn fixed_beats(&self) -> &[u8] {
-        &self.fixed
-    }
-
-    /// The first SAM operand: slot 0, valid only where [`flags::HAS_MEM0`]
-    /// is set (elsewhere it may hold `reg1`).
-    #[inline]
-    pub fn mem0(&self) -> &[u32] {
-        &self.slot0
-    }
-
-    /// The second SAM operand: slot 1, valid only where [`flags::HAS_MEM1`]
-    /// is set (elsewhere it may hold `reg0`).
-    #[inline]
-    pub fn mem1(&self) -> &[u32] {
-        &self.slot1
-    }
-
-    /// The first CR operand: slot 1, valid only where [`flags::HAS_REG0`]
-    /// is set (elsewhere it may hold `mem1`).
-    #[inline]
-    pub fn reg0(&self) -> &[u32] {
-        &self.slot1
-    }
-
-    /// The second CR operand: slot 0, valid only where [`flags::HAS_REG1`]
-    /// is set (elsewhere it may hold `mem0`).
-    #[inline]
-    pub fn reg1(&self) -> &[u32] {
-        &self.slot0
+    pub fn slots<S: Slot>(&self) -> [&[S]; 2] {
+        match S::columns(self) {
+            Some(columns) => columns,
+            None => panic!(
+                "the trace's operand slots are not {}",
+                std::any::type_name::<S>()
+            ),
+        }
     }
 
     /// The classical in/out operand: slot 2, valid where [`flags::HAS_CIN`]
@@ -257,6 +422,59 @@ impl ExecutionTrace {
     #[inline]
     pub fn cio(&self) -> &[u32] {
         &self.slot2
+    }
+
+    /// Bytes allocated for the columns: each one's capacity times its
+    /// element size. A trace built by [`ExecutionTrace::with_shape`] holds
+    /// exactly 9 (narrow) or 13 (wide) bytes per record.
+    pub fn heap_bytes(&self) -> usize {
+        let slots = match &self.slots {
+            Slots::Narrow([slot0, slot1]) => 2 * (slot0.capacity() + slot1.capacity()),
+            Slots::Wide([slot0, slot1]) => 4 * (slot0.capacity() + slot1.capacity()),
+        };
+        self.op.capacity() + slots + 4 * self.slot2.capacity()
+    }
+
+    /// Calls `visit` with every SAM operand, in record order (`mem0` before
+    /// `mem1`).
+    pub fn for_each_memory_operand(&self, mut visit: impl FnMut(u32)) {
+        fn each<S: Slot>(trace: &ExecutionTrace, visit: &mut impl FnMut(u32)) {
+            let [slot0, slot1] = trace.slots::<S>();
+            for ((&op, &m0), &m1) in trace.op.iter().zip(slot0).zip(slot1) {
+                let fl = OpInfo::of(op).flags;
+                if fl & flags::HAS_MEM0 != 0 {
+                    visit(m0.value());
+                }
+                if fl & flags::HAS_MEM1 != 0 {
+                    visit(m1.value());
+                }
+            }
+        }
+        if self.is_narrow() {
+            each::<u16>(self, &mut visit);
+        } else {
+            each::<u32>(self, &mut visit);
+        }
+    }
+
+    /// Slots 0 and 1 of record `index`, widened.
+    fn slot_values(&self, index: usize) -> [u32; 2] {
+        match &self.slots {
+            Slots::Narrow([slot0, slot1]) => [slot0[index].into(), slot1[index].into()],
+            Slots::Wide([slot0, slot1]) => [slot0[index], slot1[index]],
+        }
+    }
+
+    /// Turns narrow slots into wide ones, keeping their capacity.
+    fn widen(&mut self) {
+        if let Slots::Narrow(narrow) = &self.slots {
+            let widened = |column: &Vec<u16>| {
+                let mut wide = Vec::with_capacity(column.capacity());
+                wide.extend(column.iter().map(|&value| u32::from(value)));
+                wide
+            };
+            self.slots = Slots::Wide([widened(&narrow[0]), widened(&narrow[1])]);
+        }
     }
 
     /// One past the highest SAM address referenced by any record.
@@ -301,7 +519,8 @@ impl ExecutionTrace {
         // of its value. No record is both, so one bit per record serves both.
         let mut marked = Bits::new(len);
         let mut read_later = Bits::new(ids);
-        for (k, (&fl, &id)) in self.flags.iter().zip(&self.slot2).enumerate().rev() {
+        for (k, (&op, &id)) in self.op.iter().zip(&self.slot2).enumerate().rev() {
+            let fl = OpInfo::of(op).flags;
             if fl & (HAS_CIN | HAS_COUT) == 0 {
                 continue;
             }
@@ -324,7 +543,8 @@ impl ExecutionTrace {
         let mut free = BinaryHeap::new();
         let mut fresh = FIRST_LIVE_SLOT;
         let mut bound = 0;
-        for (k, (&fl, cio)) in self.flags.iter().zip(&mut self.slot2).enumerate() {
+        for (k, (&op, cio)) in self.op.iter().zip(&mut self.slot2).enumerate() {
+            let fl = OpInfo::of(op).flags;
             if fl & (HAS_CIN | HAS_COUT) == 0 {
                 continue;
             }
@@ -354,14 +574,27 @@ impl ExecutionTrace {
         self.classical_bound = bound;
     }
 
-    fn reserve(&mut self, additional: usize) {
-        self.op.reserve(additional);
-        self.exec.reserve(additional);
-        self.flags.reserve(additional);
-        self.fixed.reserve(additional);
-        self.slot0.reserve(additional);
-        self.slot1.reserve(additional);
-        self.slot2.reserve(additional);
+    /// Writes the operands of record `index` into `operands` in canonical
+    /// (encode) order — memory operands, register operands, classical in/out
+    /// — and returns how many there are.
+    fn operands(&self, index: usize, operands: &mut [u32; 5]) -> usize {
+        use flags::*;
+        let fl = OpInfo::of(self.op[index]).flags;
+        let [slot0, slot1] = self.slot_values(index);
+        let mut n = 0;
+        for (role, value) in [
+            (HAS_MEM0, slot0),
+            (HAS_MEM1, slot1),
+            (HAS_REG0, slot1),
+            (HAS_REG1, slot0),
+            (HAS_CIN | HAS_COUT, self.slot2[index]),
+        ] {
+            if fl & role != 0 {
+                operands[n] = value;
+                n += 1;
+            }
+        }
+        n
     }
 
     /// Reconstructs the instruction behind record `index` — the cold path for
@@ -373,30 +606,8 @@ impl ExecutionTrace {
     ///
     /// Panics if `index` is out of range.
     pub fn instruction(&self, index: usize) -> Instruction {
-        use flags::*;
-        let fl = self.flags[index];
         let mut operands = [0u32; 5];
-        let mut n = 0;
-        if fl & HAS_MEM0 != 0 {
-            operands[n] = self.mem0()[index];
-            n += 1;
-        }
-        if fl & HAS_MEM1 != 0 {
-            operands[n] = self.mem1()[index];
-            n += 1;
-        }
-        if fl & HAS_REG0 != 0 {
-            operands[n] = self.reg0()[index];
-            n += 1;
-        }
-        if fl & HAS_REG1 != 0 {
-            operands[n] = self.reg1()[index];
-            n += 1;
-        }
-        if fl & (HAS_CIN | HAS_COUT) != 0 {
-            operands[n] = self.cio()[index];
-            n += 1;
-        }
+        let n = self.operands(index, &mut operands);
         match reconstruct(self.op[index], &operands[..n]) {
             Some(instr) => instr,
             None => unreachable!("trace record {index} holds an invalid opcode"),
@@ -408,37 +619,21 @@ impl ExecutionTrace {
     /// its hex operand values (`.`-separated, canonical order: memory
     /// operands, register operands, classical in/out).
     ///
-    /// Only the opcode and operand slots are stored — every derived column
-    /// (execution kind, flags, fixed beats, bounds) is a pure function of
-    /// the opcode and is rebuilt by [`ExecutionTrace::decode`].
+    /// Only the opcode and operand values are stored — the static columns
+    /// are the opcode's [`OpInfo`], and the bounds and slot width are
+    /// rebuilt by [`ExecutionTrace::decode`].
     pub fn encode(&self) -> String {
-        use flags::*;
         let mut text = String::with_capacity(self.len() * 6);
+        let mut operands = [0u32; 5];
         for index in 0..self.len() {
             if index > 0 {
                 text.push(';');
             }
-            let fl = self.flags[index];
             push_hex(&mut text, self.op[index] as u32);
-            if fl & HAS_MEM0 != 0 {
+            let n = self.operands(index, &mut operands);
+            for &operand in &operands[..n] {
                 text.push('.');
-                push_hex(&mut text, self.mem0()[index]);
-            }
-            if fl & HAS_MEM1 != 0 {
-                text.push('.');
-                push_hex(&mut text, self.mem1()[index]);
-            }
-            if fl & HAS_REG0 != 0 {
-                text.push('.');
-                push_hex(&mut text, self.reg0()[index]);
-            }
-            if fl & HAS_REG1 != 0 {
-                text.push('.');
-                push_hex(&mut text, self.reg1()[index]);
-            }
-            if fl & (HAS_CIN | HAS_COUT) != 0 {
-                text.push('.');
-                push_hex(&mut text, self.cio()[index]);
+                push_hex(&mut text, operand);
             }
         }
         text
@@ -482,207 +677,69 @@ impl ExecutionTrace {
     }
 }
 
-/// Appending an instruction lowers it into its record. This is the **only**
-/// place that matches on the instruction variant; everything downstream reads
-/// the precomputed columns.
+/// The opcode and slot values of `instr`'s record: slot 0 holds `mem0` or
+/// `reg1`, slot 1 `mem1` or `reg0`, slot 2 the classical operand; absent
+/// operands are 0. This is the **only** place that matches on the
+/// instruction variant; everything downstream reads the opcode's [`OpInfo`]
+/// and the slots.
+fn record(instr: Instruction) -> (u8, [u32; 2], u32) {
+    use Instruction::*;
+    match instr {
+        Ld { mem, reg } => (0, [mem.0, reg.0], 0),
+        St { reg, mem } => (1, [mem.0, reg.0], 0),
+        PzC { reg } => (2, [0, reg.0], 0),
+        PpC { reg } => (3, [0, reg.0], 0),
+        Pm { reg } => (4, [0, reg.0], 0),
+        HdC { reg } => (5, [0, reg.0], 0),
+        PhC { reg } => (6, [0, reg.0], 0),
+        MxC { reg, out } => (7, [0, reg.0], out.0),
+        MzC { reg, out } => (8, [0, reg.0], out.0),
+        MxxC { reg1, reg2, out } => (9, [reg2.0, reg1.0], out.0),
+        MzzC { reg1, reg2, out } => (10, [reg2.0, reg1.0], out.0),
+        Sk { cond } => (11, [0, 0], cond.0),
+        PzM { mem } => (12, [mem.0, 0], 0),
+        PpM { mem } => (13, [mem.0, 0], 0),
+        HdM { mem } => (14, [mem.0, 0], 0),
+        PhM { mem } => (15, [mem.0, 0], 0),
+        MxM { mem, out } => (16, [mem.0, 0], out.0),
+        MzM { mem, out } => (17, [mem.0, 0], out.0),
+        MxxM { reg, mem, out } => (18, [mem.0, reg.0], out.0),
+        MzzM { reg, mem, out } => (19, [mem.0, reg.0], out.0),
+        Cx { control, target } => (20, [control.0, target.0], 0),
+    }
+}
+
+/// Appending an instruction lowers it into its record, widening the trace
+/// first if a slot value does not fit in 16 bits.
 impl InstructionSink for ExecutionTrace {
     fn push(&mut self, instr: Instruction) {
         use flags::*;
-        use ExecKind as E;
-        use Instruction::*;
-        // (opcode, exec kind, fixed beats, shape flags, m0, m1, r0, r1, cio),
-        // absent operands 0; the roles then fold into the three slots.
-        let (op, exec, fixed, fl, m0, m1, r0, r1, cio) = match instr {
-            Ld { mem, reg } => (
-                0,
-                E::Load,
-                0,
-                HAS_MEM0 | HAS_REG0 | NEEDS_SCAN,
-                mem.0,
-                0,
-                reg.0,
-                0,
-                0,
-            ),
-            St { reg, mem } => (
-                1,
-                E::Store,
-                0,
-                HAS_MEM0 | HAS_REG0 | NEEDS_SCAN,
-                mem.0,
-                0,
-                reg.0,
-                0,
-                0,
-            ),
-            PzC { reg } => (2, E::Negligible, 0, HAS_REG0, 0, 0, reg.0, 0, 0),
-            PpC { reg } => (3, E::Negligible, 0, HAS_REG0, 0, 0, reg.0, 0, 0),
-            Pm { reg } => (4, E::Magic, 1, HAS_REG0, 0, 0, reg.0, 0, 0),
-            HdC { reg } => (5, E::Fixed, 3, HAS_REG0, 0, 0, reg.0, 0, 0),
-            PhC { reg } => (6, E::Fixed, 2, HAS_REG0, 0, 0, reg.0, 0, 0),
-            MxC { reg, out } => (
-                7,
-                E::Negligible,
-                0,
-                HAS_REG0 | HAS_COUT,
-                0,
-                0,
-                reg.0,
-                0,
-                out.0,
-            ),
-            MzC { reg, out } => (
-                8,
-                E::Negligible,
-                0,
-                HAS_REG0 | HAS_COUT,
-                0,
-                0,
-                reg.0,
-                0,
-                out.0,
-            ),
-            MxxC { reg1, reg2, out } => (
-                9,
-                E::Fixed,
-                1,
-                HAS_REG0 | HAS_REG1 | HAS_COUT,
-                0,
-                0,
-                reg1.0,
-                reg2.0,
-                out.0,
-            ),
-            MzzC { reg1, reg2, out } => (
-                10,
-                E::Fixed,
-                1,
-                HAS_REG0 | HAS_REG1 | HAS_COUT,
-                0,
-                0,
-                reg1.0,
-                reg2.0,
-                out.0,
-            ),
-            Sk { cond } => (11, E::Skip, 0, HAS_CIN, 0, 0, 0, 0, cond.0),
-            PzM { mem } => (
-                12,
-                E::Negligible,
-                0,
-                HAS_MEM0 | IN_MEMORY,
-                mem.0,
-                0,
-                0,
-                0,
-                0,
-            ),
-            PpM { mem } => (
-                13,
-                E::Negligible,
-                0,
-                HAS_MEM0 | IN_MEMORY,
-                mem.0,
-                0,
-                0,
-                0,
-                0,
-            ),
-            HdM { mem } => (
-                14,
-                E::Seek,
-                3,
-                HAS_MEM0 | NEEDS_SCAN | IN_MEMORY,
-                mem.0,
-                0,
-                0,
-                0,
-                0,
-            ),
-            PhM { mem } => (
-                15,
-                E::Seek,
-                2,
-                HAS_MEM0 | NEEDS_SCAN | IN_MEMORY,
-                mem.0,
-                0,
-                0,
-                0,
-                0,
-            ),
-            MxM { mem, out } => (
-                16,
-                E::Negligible,
-                0,
-                HAS_MEM0 | IN_MEMORY | HAS_COUT,
-                mem.0,
-                0,
-                0,
-                0,
-                out.0,
-            ),
-            MzM { mem, out } => (
-                17,
-                E::Negligible,
-                0,
-                HAS_MEM0 | IN_MEMORY | HAS_COUT,
-                mem.0,
-                0,
-                0,
-                0,
-                out.0,
-            ),
-            MxxM { reg, mem, out } => (
-                18,
-                E::TwoQubitAccess,
-                1,
-                HAS_MEM0 | HAS_REG0 | NEEDS_SCAN | IN_MEMORY | HAS_COUT,
-                mem.0,
-                0,
-                reg.0,
-                0,
-                out.0,
-            ),
-            MzzM { reg, mem, out } => (
-                19,
-                E::TwoQubitAccess,
-                1,
-                HAS_MEM0 | HAS_REG0 | NEEDS_SCAN | IN_MEMORY | HAS_COUT,
-                mem.0,
-                0,
-                reg.0,
-                0,
-                out.0,
-            ),
-            Cx { control, target } => (
-                20,
-                E::Cx,
-                2,
-                HAS_MEM0 | HAS_MEM1 | NEEDS_SCAN | IN_MEMORY,
-                control.0,
-                target.0,
-                0,
-                0,
-                0,
-            ),
-        };
+        let (op, [slot0, slot1], cio) = record(instr);
+        let fl = OpInfo::of(op).flags;
         if fl & HAS_MEM0 != 0 {
-            self.mem_bound = self.mem_bound.max(m0 + 1);
+            self.mem_bound = self.mem_bound.max(slot0 + 1);
         }
         if fl & HAS_MEM1 != 0 {
-            self.mem_bound = self.mem_bound.max(m1 + 1);
+            self.mem_bound = self.mem_bound.max(slot1 + 1);
         }
         if fl & (HAS_CIN | HAS_COUT) != 0 {
             self.classical_bound = self.classical_bound.max(cio + 1);
         }
-        debug_assert!(SHARED_SLOTS
-            .iter()
-            .all(|&(a, b)| fl & a == 0 || fl & b == 0));
         self.op.push(op);
-        self.exec.push(exec);
-        self.flags.push(fl);
-        self.fixed.push(fixed);
-        self.slot0.push(if fl & HAS_MEM0 != 0 { m0 } else { r1 });
-        self.slot1.push(if fl & HAS_MEM1 != 0 { m1 } else { r0 });
+        match (u16::try_from(slot0), u16::try_from(slot1), &mut self.slots) {
+            (Ok(narrow0), Ok(narrow1), Slots::Narrow([column0, column1])) => {
+                column0.push(narrow0);
+                column1.push(narrow1);
+            }
+            _ => {
+                self.widen();
+                let Slots::Wide([column0, column1]) = &mut self.slots else {
+                    unreachable!("a widened trace has wide slots")
+                };
+                column0.push(slot0);
+                column1.push(slot1);
+            }
+        }
         self.slot2.push(cio);
     }
 }
@@ -795,8 +852,10 @@ fn reconstruct(op: u8, operands: &[u32]) -> Option<Instruction> {
 /// instructions pushed through the trace's [`InstructionSink`]. The trace
 /// keeps the program's classical identifiers; it is not compacted.
 pub fn lower(program: &Program) -> ExecutionTrace {
-    let mut trace = ExecutionTrace::new();
-    trace.reserve(program.len());
+    let mut trace = ExecutionTrace::with_shape(&TraceShape {
+        records: program.len(),
+        largest_slot: 0,
+    });
     for &instr in program.iter() {
         trace.push(instr);
     }
@@ -889,7 +948,7 @@ mod tests {
         opcodes.dedup();
         assert_eq!(opcodes, (0..21).collect::<Vec<u8>>(), "every opcode once");
         for (i, instr) in program.iter().enumerate() {
-            let fl = trace.flag_bits()[i];
+            let fl = OpInfo::of(trace.ops()[i]).flags;
             for (a, b) in SHARED_SLOTS {
                 assert!(
                     fl & a == 0 || fl & b == 0,
@@ -918,15 +977,19 @@ mod tests {
     }
 
     #[test]
-    fn static_columns_agree_with_instruction_metadata() {
-        // The lowering table is the one place that re-derives per-variant
-        // facts; this pins every column to the Instruction/LatencyTable
-        // metadata so the two can never drift apart silently.
+    fn opcode_table_agrees_with_instruction_metadata() {
+        // The opcode table is the one place that re-derives per-variant
+        // facts; this pins every entry to the Instruction/LatencyTable
+        // metadata, and every slot to its operand, so the two can never
+        // drift apart silently.
         let table = LatencyTable::paper();
         let program = distinct_operand_program();
         let trace = lower(&program);
+        assert_eq!(trace.len(), OPCODES.len());
+        let [slot0, slot1] = trace.slots::<u16>();
         for (i, instr) in program.iter().enumerate() {
-            let fl = trace.flag_bits()[i];
+            let info = OpInfo::of(trace.ops()[i]);
+            let fl = info.flags;
             let mems = instr.memory_operands();
             let regs = instr.register_operands();
             let mem_count =
@@ -935,17 +998,18 @@ mod tests {
                 usize::from(fl & flags::HAS_REG0 != 0) + usize::from(fl & flags::HAS_REG1 != 0);
             assert_eq!(mem_count, mems.len(), "{instr}");
             assert_eq!(reg_count, regs.len(), "{instr}");
+            // The role views: mem0 and reg1 in slot 0, mem1 and reg0 in slot 1.
             if !mems.is_empty() {
-                assert_eq!(trace.mem0()[i], mems[0].0, "{instr}");
+                assert_eq!(u32::from(slot0[i]), mems[0].0, "{instr}: mem0");
             }
             if mems.len() > 1 {
-                assert_eq!(trace.mem1()[i], mems[1].0, "{instr}");
+                assert_eq!(u32::from(slot1[i]), mems[1].0, "{instr}: mem1");
             }
             if !regs.is_empty() {
-                assert_eq!(trace.reg0()[i], regs[0].0, "{instr}");
+                assert_eq!(u32::from(slot1[i]), regs[0].0, "{instr}: reg0");
             }
             if regs.len() > 1 {
-                assert_eq!(trace.reg1()[i], regs[1].0, "{instr}");
+                assert_eq!(u32::from(slot0[i]), regs[1].0, "{instr}: reg1");
             }
             assert_eq!(
                 fl & flags::IN_MEMORY != 0,
@@ -968,10 +1032,19 @@ mod tests {
             // Negligible exec kind ⟺ negligible latency class; the engine's
             // CPI bookkeeping relies on this equivalence.
             assert_eq!(
-                trace.exec_kinds()[i] == ExecKind::Negligible,
+                info.exec == ExecKind::Negligible,
                 table.classify(instr) == LatencyClass::Negligible,
                 "{instr}: negligible"
             );
+            // A fixed-latency instruction charges exactly its Table I beats.
+            if let Some(beats) = table.latency(instr).fixed_beats() {
+                let charged = if info.exec == ExecKind::Fixed {
+                    u64::from(info.fixed)
+                } else {
+                    0
+                };
+                assert_eq!(charged, beats, "{instr}: fixed beats");
+            }
             // The scan-resource set is the engine's historical list.
             use Instruction::*;
             let needs_scan = matches!(
@@ -990,6 +1063,41 @@ mod tests {
                 "{instr}: NEEDS_SCAN"
             );
         }
+    }
+
+    #[test]
+    fn narrow_records_cost_nine_bytes_and_a_large_operand_widens() {
+        let program = distinct_operand_program();
+        let narrow = lower(&program);
+        assert!(narrow.is_narrow());
+        assert_eq!(narrow.heap_bytes(), 9 * narrow.len());
+
+        // One operand at 2¹⁶ widens every record, slot values intact.
+        let mut large = program.clone();
+        large.push(Instruction::Ld {
+            mem: MemAddr(70_000),
+            reg: RegId(65_536),
+        });
+        let mut shape = TraceShape::default();
+        large.iter().for_each(|&instr| shape.push(instr));
+        let mut wide = ExecutionTrace::with_shape(&shape);
+        large.iter().for_each(|&instr| wide.push(instr));
+        assert!(!wide.is_narrow());
+        assert_eq!(wide.heap_bytes(), 13 * wide.len());
+        assert_eq!(wide.mem_bound(), 70_001);
+        for (index, instr) in large.iter().enumerate() {
+            assert_eq!(wide.instruction(index), *instr, "record {index}");
+        }
+        // A narrow trace widened by its last push equals the wide-built one,
+        // and either survives the codec.
+        let widened = lower(&large);
+        assert_eq!(widened, wide);
+        assert_eq!(ExecutionTrace::decode(&wide.encode()).unwrap(), wide);
+        // The width follows the records: 65 535 still fits.
+        let edge = Program::from_iter([Instruction::HdM {
+            mem: MemAddr(u32::from(u16::MAX)),
+        }]);
+        assert!(lower(&edge).is_narrow());
     }
 
     #[test]
@@ -1013,7 +1121,7 @@ mod tests {
     /// The slot column of the classical records, in order.
     fn classical_slots(trace: &ExecutionTrace) -> Vec<u32> {
         (0..trace.len())
-            .filter(|&k| trace.flag_bits()[k] & (flags::HAS_CIN | flags::HAS_COUT) != 0)
+            .filter(|&k| OpInfo::of(trace.ops()[k]).flags & (flags::HAS_CIN | flags::HAS_COUT) != 0)
             .map(|k| trace.cio()[k])
             .collect()
     }
@@ -1025,7 +1133,7 @@ mod tests {
         let mut writer = std::collections::HashMap::new();
         let mut reads = Vec::new();
         for k in 0..trace.len() {
-            let fl = trace.flag_bits()[k];
+            let fl = OpInfo::of(trace.ops()[k]).flags;
             let value = trace.cio()[k];
             if fl & flags::HAS_CIN != 0 {
                 reads.push(writer.get(&value).copied());
@@ -1109,9 +1217,8 @@ mod tests {
         // Everything but slot 2 is untouched.
         let program = distinct_operand_program();
         let (plain, trace) = (lower(&program), compacted(&program));
-        assert_eq!(trace.mem0(), plain.mem0());
-        assert_eq!(trace.mem1(), plain.mem1());
-        assert_eq!(trace.flag_bits(), plain.flag_bits());
+        assert_eq!(trace.slots::<u16>(), plain.slots::<u16>());
+        assert_eq!(trace.ops(), plain.ops());
         assert_eq!(trace.mem_bound(), plain.mem_bound());
     }
 
@@ -1160,7 +1267,7 @@ mod tests {
             let trace = compacted(&program);
             prop_assert_eq!(reaching_writes(&trace), reaching_writes(&plain));
             for k in 0..trace.len() {
-                let fl = trace.flag_bits()[k];
+                let fl = OpInfo::of(trace.ops()[k]).flags;
                 if fl & flags::HAS_COUT != 0 {
                     prop_assert!(trace.cio()[k] != UNWRITTEN_SLOT, "record {}", k);
                 }

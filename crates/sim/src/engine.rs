@@ -9,7 +9,7 @@ use crate::metrics::ExecutionStats;
 use crate::trace::MemoryTrace;
 pub use interpret::Classified;
 use lsqca_arch::{ArchConfig, FloorplanKind, MemorySystem, MigrationPolicy};
-use lsqca_isa::{ExecKind, ExecutionTrace, Instruction, Program};
+use lsqca_isa::{ExecKind, ExecutionTrace, Instruction, OpInfo, Program, Slot};
 use lsqca_lattice::{LatticeError, QubitTag};
 use lsqca_workloads::CompiledWorkload;
 use memory_pass::{bank_mode, BlockScratch, MemoryPass, BLOCK};
@@ -407,10 +407,10 @@ impl Simulator {
     /// walk shared by one timing lane per entry of `factories`.
     ///
     /// The trace is a struct-of-arrays rendering of the instruction stream
-    /// (see [`lsqca_isa::trace_compile`]): execution kind, fixed-beat charge,
-    /// operand slots, and dependency flags are all resolved at lowering time,
-    /// so this walk tests precomputed flag bits over flat arrays instead of
-    /// re-matching `Instruction` variants per step.
+    /// (see [`lsqca_isa::trace_compile`]): opcodes and operand slots, with
+    /// each opcode's execution kind, fixed-beat charge and dependency flags
+    /// in one static table, so this walk tests precomputed flag bits over
+    /// flat arrays instead of re-matching `Instruction` variants per step.
     ///
     /// The walk proceeds in blocks of [`BLOCK`] records: the **memory pass**
     /// (`engine/memory_pass.rs`), then the **timing pass** of each lane
@@ -428,17 +428,31 @@ impl Simulator {
     ) -> Result<Vec<SimOutcome>, SimError> {
         self.begin_walk(factories.len());
         if self.memory.bank_count() == 0 {
-            self.walk::<{ bank_mode::BANKLESS }>(trace, factories)
+            self.walk_slots::<{ bank_mode::BANKLESS }>(trace, factories)
         } else if self.memory.bank_count() == 1 && self.memory.conventional_qubits() == 0 {
-            self.walk::<{ bank_mode::UNIFORM }>(trace, factories)
+            self.walk_slots::<{ bank_mode::UNIFORM }>(trace, factories)
         } else {
-            self.walk::<{ bank_mode::RESOLVED }>(trace, factories)
+            self.walk_slots::<{ bank_mode::RESOLVED }>(trace, factories)
+        }
+    }
+
+    /// [`Simulator::walk`] under the bank mode `MODE` and the trace's slot
+    /// type.
+    fn walk_slots<const MODE: u8>(
+        &mut self,
+        trace: &ExecutionTrace,
+        factories: &[u32],
+    ) -> Result<Vec<SimOutcome>, SimError> {
+        if trace.is_narrow() {
+            self.walk::<MODE, u16>(trace, factories)
+        } else {
+            self.walk::<MODE, u32>(trace, factories)
         }
     }
 
     /// The blocked walk of [`Simulator::execute_trace`] under the bank mode
-    /// `MODE`.
-    fn walk<const MODE: u8>(
+    /// `MODE`, over a trace whose operand slots are `S`.
+    fn walk<const MODE: u8, S: Slot>(
         &mut self,
         trace: &ExecutionTrace,
         factories: &[u32],
@@ -479,12 +493,14 @@ impl Simulator {
             // A failing memory pass stops at the offending record; the
             // timing pass still covers the records before it, where an
             // earlier missing-CR-slot error would take precedence.
-            let memory_failure = pass.run::<MODE>(trace, start..end, &mut stats, block).err();
+            let memory_failure = pass
+                .run::<MODE, S>(trace, start..end, &mut stats, block)
+                .err();
             lap(0);
             let walked = memory_failure.as_ref().map_or(end, |&(index, _)| index);
             let advanced = groups
                 .iter_mut()
-                .try_for_each(|group| group.advance::<MODE>(trace, start..walked, block, &ctx));
+                .try_for_each(|group| group.advance::<MODE, S>(trace, start..walked, block, &ctx));
             lap(1);
             failure = match (advanced, memory_failure) {
                 (Err(err), _) => Some(err),
@@ -492,7 +508,7 @@ impl Simulator {
                 // so a slotless CX reports `NoCrSlots` over its memory error.
                 // The slot table is identical across lanes.
                 (Ok(()), Some((index, err))) => Some(
-                    if trace.exec_kinds()[index] == ExecKind::Cx
+                    if OpInfo::of(trace.ops()[index]).exec == ExecKind::Cx
                         && ctx.bounded_registers
                         && groups[0].slotless()
                         && matches!(err, SimError::Instruction { .. })

@@ -9,7 +9,7 @@ use super::SimError;
 use crate::metrics::ExecutionStats;
 use lsqca_arch::{MemorySystem, MigrationPolicy};
 use lsqca_isa::trace_compile::flags;
-use lsqca_isa::{ExecKind, ExecutionTrace};
+use lsqca_isa::{ExecKind, ExecutionTrace, OpInfo, Slot};
 use lsqca_lattice::{Beats, LatticeError, QubitTag};
 use std::ops::Range;
 
@@ -81,7 +81,8 @@ impl MemoryPass<'_> {
     /// statistics into `stats` and leaving each record's cost (and, under
     /// [`bank_mode::RESOLVED`], its banks) in `scratch`, indexed from
     /// `range.start`. Stops at the first failing record with its index.
-    pub(super) fn run<const MODE: u8>(
+    /// `S` is the trace's slot type.
+    pub(super) fn run<const MODE: u8, S: Slot>(
         &mut self,
         trace: &ExecutionTrace,
         range: Range<usize>,
@@ -89,11 +90,10 @@ impl MemoryPass<'_> {
         scratch: &mut BlockScratch,
     ) -> Result<(), (usize, SimError)> {
         let base = range.start;
-        let exec = &trace.exec_kinds()[range.clone()];
-        let flag = &trace.flag_bits()[range.clone()];
-        let fixed = &trace.fixed_beats()[range.clone()];
-        let mem0 = &trace.mem0()[range.clone()];
-        let mem1 = &trace.mem1()[range.clone()];
+        let [slot0, slot1] = trace.slots::<S>();
+        let op = &trace.ops()[range.clone()];
+        let mem0 = &slot0[range.clone()];
+        let mem1 = &slot1[range.clone()];
         let len = range.len();
         let cost = &mut scratch.cost[..len];
         let MemoryPass {
@@ -111,8 +111,11 @@ impl MemoryPass<'_> {
             if index as u64 >= budget {
                 return Err((index, SimError::InstructionBudget { budget }));
             }
-            let fl = flag[k];
-            let kind = exec[k];
+            let OpInfo {
+                exec: kind,
+                flags: fl,
+                fixed,
+            } = OpInfo::of(op[k]);
             // The instruction is only rendered on the (cold) error path.
             let wrap = |source: LatticeError| {
                 (
@@ -129,8 +132,8 @@ impl MemoryPass<'_> {
             // Valid only under their flags: an absent memory operand's slot
             // may hold a register index. Every use below is guarded by
             // `has_m*` or by an execution kind that has the operand.
-            let m0 = mem0[k];
-            let m1 = mem1[k];
+            let m0 = mem0[k].value();
+            let m1 = mem1[k].value();
             let scans = fl & flags::NEEDS_SCAN != 0;
 
             // Banks resolve before migration can move an operand.
@@ -183,11 +186,11 @@ impl MemoryPass<'_> {
             }
 
             // Duration: one match on the pre-resolved execution kind, with
-            // the per-variant fixed-beat charges read from the trace. A magic
+            // the per-variant fixed-beat charges read from the opcode. A magic
             // state's wait is left to the timing pass.
             let duration = match kind {
                 ExecKind::Negligible | ExecKind::Skip => Beats::ZERO,
-                ExecKind::Fixed => Beats(u64::from(fixed[k])),
+                ExecKind::Fixed => Beats(u64::from(fixed)),
                 ExecKind::Load => {
                     local.loads += 1;
                     let cost = memory.load(QubitTag(m0)).map_err(wrap)?;
@@ -203,19 +206,19 @@ impl MemoryPass<'_> {
                 ExecKind::Magic => {
                     local.magic_states += 1;
                     // One beat to move the state from the MSF port into the CR.
-                    Beats(u64::from(fixed[k]))
+                    Beats(u64::from(fixed))
                 }
                 ExecKind::Seek => {
                     let seek = memory.in_memory_seek(QubitTag(m0)).map_err(wrap)?;
                     local.memory_access_beats += seek;
-                    seek + Beats(u64::from(fixed[k]))
+                    seek + Beats(u64::from(fixed))
                 }
                 ExecKind::TwoQubitAccess => {
                     let access = memory
                         .in_memory_two_qubit_access(QubitTag(m0))
                         .map_err(wrap)?;
                     local.memory_access_beats += access;
-                    access + Beats(u64::from(fixed[k]))
+                    access + Beats(u64::from(fixed))
                 }
                 ExecKind::Cx => {
                     // Runtime optimization (Sec. VI-A): load the cheaper
@@ -228,7 +231,7 @@ impl MemoryPass<'_> {
                     local.implicit_stores += 1;
                     local.memory_access_beats += load + access + store;
                     // MZZ with the ancilla, then MXX with the target.
-                    load + access + Beats(u64::from(fixed[k])) + store
+                    load + access + Beats(u64::from(fixed)) + store
                 }
             };
             cost[k] = (migration_delay + duration).0;

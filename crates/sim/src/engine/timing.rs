@@ -9,7 +9,7 @@ use crate::metrics::ExecutionStats;
 use crate::trace::MemoryTrace;
 use lsqca_arch::{ArchConfig, FloorplanKind, MagicStateSupply, MemorySystem, MsfConfig};
 use lsqca_isa::trace_compile::flags;
-use lsqca_isa::{ExecKind, ExecutionTrace, MemAddr};
+use lsqca_isa::{ExecKind, ExecutionTrace, MemAddr, OpInfo, Slot};
 use lsqca_lattice::Beats;
 use std::ops::Range;
 
@@ -89,8 +89,10 @@ impl<const W: usize> TimingLanes<W> {
     /// trace names one classical value per live slot, see
     /// [`ExecutionTrace::compact_classical`].) `slot_ready` keeps its lazy
     /// growth: the CX slot claim scans the *current* table, and presizing
-    /// it would hand CXs slots the program has not touched yet.
-    fn presize(&mut self, trace: &ExecutionTrace) {
+    /// it would hand CXs slots the program has not touched yet. With
+    /// `record_trace`, each lane's memory trace is reserved for one event
+    /// per memory operand of the trace, so recording never regrows it.
+    fn presize(&mut self, trace: &ExecutionTrace, record_trace: bool) {
         let mem_bound = trace.mem_bound() as usize;
         if self.mem_ready.len() < mem_bound + 1 {
             self.mem_ready.resize(mem_bound + 1, [0; W]);
@@ -99,13 +101,20 @@ impl<const W: usize> TimingLanes<W> {
         if self.classical_ready.len() < classical_bound + 1 {
             self.classical_ready.resize(classical_bound + 1, [0; W]);
         }
+        if record_trace {
+            let mut references = 0;
+            trace.for_each_memory_operand(|_| references += 1);
+            for lane in &mut self.trace {
+                lane.reserve(references);
+            }
+        }
     }
 
     /// The timing pass: advances every lane over the trace records in
     /// `range`, whose memory-side results the memory pass left in `scratch`
-    /// (indexed from `range.start`) under the bank mode `MODE`. Requires
-    /// [`TimingLanes::presize`].
-    fn advance<const MODE: u8>(
+    /// (indexed from `range.start`) under the bank mode `MODE`; `S` is the
+    /// trace's slot type. Requires [`TimingLanes::presize`].
+    fn advance<const MODE: u8, S: Slot>(
         &mut self,
         trace: &ExecutionTrace,
         range: Range<usize>,
@@ -113,12 +122,12 @@ impl<const W: usize> TimingLanes<W> {
         ctx: &TimingContext<'_>,
     ) -> Result<(), SimError> {
         let len = range.len();
-        let exec = &trace.exec_kinds()[range.clone()];
-        let flag = &trace.flag_bits()[range.clone()];
-        let mem0 = &trace.mem0()[range.clone()];
-        let mem1 = &trace.mem1()[range.clone()];
-        let reg0 = &trace.reg0()[range.clone()];
-        let reg1 = &trace.reg1()[range.clone()];
+        let [slot0, slot1] = trace.slots::<S>();
+        let op = &trace.ops()[range.clone()];
+        let (slot0, slot1) = (&slot0[range.clone()], &slot1[range.clone()]);
+        // The shared slots under each of their roles.
+        let (mem0, reg1) = (slot0, slot0);
+        let (mem1, reg0) = (slot1, slot1);
         let cio = &trace.cio()[range];
         let cost = &scratch.cost[..len];
         let bounded_registers = ctx.bounded_registers;
@@ -160,8 +169,11 @@ impl<const W: usize> TimingLanes<W> {
         };
 
         for k in 0..len {
-            let fl = flag[k];
-            let kind = exec[k];
+            let OpInfo {
+                exec: kind,
+                flags: fl,
+                ..
+            } = OpInfo::of(op[k]);
             let has_m0 = fl & flags::HAS_MEM0 != 0;
             let has_m1 = fl & flags::HAS_MEM1 != 0;
             let mask0 = (has_m0 as u64).wrapping_neg();
@@ -169,8 +181,8 @@ impl<const W: usize> TimingLanes<W> {
             let maskc = ((fl & flags::HAS_CIN != 0) as u64).wrapping_neg();
             // An absent memory operand's slot can hold a register index, so
             // the index is masked by its presence bit.
-            let m0 = mem0[k] & mask0 as u32;
-            let m1 = mem1[k] & mask1 as u32;
+            let m0 = mem0[k].value() & mask0 as u32;
+            let m1 = mem1[k].value() & mask1 as u32;
 
             // Dependency collection, branchless: every index is in bounds
             // (masked memory operands read entry 0, and the classical slot is
@@ -189,12 +201,12 @@ impl<const W: usize> TimingLanes<W> {
             guard = [0; W];
             if bounded_registers {
                 if fl & flags::HAS_REG0 != 0 {
-                    if let Some(ready) = slot_ready.get(reg0[k] as usize) {
+                    if let Some(ready) = slot_ready.get(reg0[k].value() as usize) {
                         max_lanes(&mut start, ready);
                     }
                 }
                 if fl & flags::HAS_REG1 != 0 {
-                    if let Some(ready) = slot_ready.get(reg1[k] as usize) {
+                    if let Some(ready) = slot_ready.get(reg1[k].value() as usize) {
                         max_lanes(&mut start, ready);
                     }
                 }
@@ -269,14 +281,14 @@ impl<const W: usize> TimingLanes<W> {
             // Register slots are only ever read under bounded registers.
             if bounded_registers {
                 if fl & flags::HAS_REG0 != 0 {
-                    let idx = reg0[k] as usize;
+                    let idx = reg0[k].value() as usize;
                     if idx >= slot_ready.len() {
                         slot_ready.resize(idx + 1, [0; W]);
                     }
                     slot_ready[idx] = finish;
                 }
                 if fl & flags::HAS_REG1 != 0 {
-                    let idx = reg1[k] as usize;
+                    let idx = reg1[k].value() as usize;
                     if idx >= slot_ready.len() {
                         slot_ready.resize(idx + 1, [0; W]);
                     }
@@ -381,7 +393,7 @@ impl LaneGroup {
             trace: &ExecutionTrace,
         ) -> Box<TimingLanes<W>> {
             let mut lanes = Box::new(simulator.timing_lanes(factories));
-            lanes.presize(trace);
+            lanes.presize(trace, simulator.config.record_trace);
             lanes
         }
         match factories.len() {
@@ -394,14 +406,14 @@ impl LaneGroup {
     }
 
     /// [`TimingLanes::advance`] on the group's lanes.
-    pub(super) fn advance<const MODE: u8>(
+    pub(super) fn advance<const MODE: u8, S: Slot>(
         &mut self,
         trace: &ExecutionTrace,
         range: Range<usize>,
         scratch: &BlockScratch,
         ctx: &TimingContext<'_>,
     ) -> Result<(), SimError> {
-        with_lanes!(self, lanes => lanes.advance::<MODE>(trace, range, scratch, ctx))
+        with_lanes!(self, lanes => lanes.advance::<MODE, S>(trace, range, scratch, ctx))
     }
 
     /// True while no CR slot exists to claim (identical across lanes).
@@ -452,7 +464,7 @@ mod tests {
         let memory = MemorySystem::new(&arch, 8, &[]);
         let factories: Vec<u32> = (1..=W as u32).collect();
         let mut lanes = TimingLanes::new(&arch, &factories, &memory, 8);
-        lanes.presize(&trace);
+        lanes.presize(&trace, true);
         setup(&mut lanes);
         let ctx = TimingContext {
             bounded_registers,
@@ -461,7 +473,7 @@ mod tests {
             floorplan: &arch.floorplan,
         };
         lanes
-            .advance::<MODE>(&trace, 0..trace.len(), &scratch, &ctx)
+            .advance::<MODE, u16>(&trace, 0..trace.len(), &scratch, &ctx)
             .unwrap();
         lanes
     }

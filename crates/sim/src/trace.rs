@@ -24,6 +24,11 @@ impl MemoryTrace {
         MemoryTrace::default()
     }
 
+    /// Makes room for `additional` more references.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.events.reserve_exact(additional);
+    }
+
     /// Records one reference.
     pub fn record(&mut self, qubit: MemAddr, beat: u64) {
         self.events.push(TraceEvent { qubit, beat });

@@ -183,6 +183,129 @@ fn any_classical_heavy_program() -> impl Strategy<Value = Program> {
     })
 }
 
+/// The first memory address and register index a narrow trace cannot hold.
+const WIDE: u32 = 1 << 16;
+
+/// Moves every odd memory address of `program` up by `mem_offset` and
+/// every odd register index up by `reg_offset`, so a program over
+/// [`QUBITS`] reaches past them.
+fn spread(program: &Program, mem_offset: u32, reg_offset: u32) -> Program {
+    use Instruction::*;
+    let m = |mem: MemAddr| MemAddr(mem.0 + mem_offset * (mem.0 % 2));
+    let r = |reg: RegId| RegId(reg.0 + reg_offset * (reg.0 % 2));
+    Program::from_iter(program.iter().map(|&instruction| match instruction {
+        Ld { mem, reg } => Ld {
+            mem: m(mem),
+            reg: r(reg),
+        },
+        St { reg, mem } => St {
+            reg: r(reg),
+            mem: m(mem),
+        },
+        PzC { reg } => PzC { reg: r(reg) },
+        PpC { reg } => PpC { reg: r(reg) },
+        Pm { reg } => Pm { reg: r(reg) },
+        HdC { reg } => HdC { reg: r(reg) },
+        PhC { reg } => PhC { reg: r(reg) },
+        MxC { reg, out } => MxC { reg: r(reg), out },
+        MzC { reg, out } => MzC { reg: r(reg), out },
+        MxxC { reg1, reg2, out } => MxxC {
+            reg1: r(reg1),
+            reg2: r(reg2),
+            out,
+        },
+        MzzC { reg1, reg2, out } => MzzC {
+            reg1: r(reg1),
+            reg2: r(reg2),
+            out,
+        },
+        Sk { cond } => Sk { cond },
+        PzM { mem } => PzM { mem: m(mem) },
+        PpM { mem } => PpM { mem: m(mem) },
+        HdM { mem } => HdM { mem: m(mem) },
+        PhM { mem } => PhM { mem: m(mem) },
+        MxM { mem, out } => MxM { mem: m(mem), out },
+        MzM { mem, out } => MzM { mem: m(mem), out },
+        MxxM { reg, mem, out } => MxxM {
+            reg: r(reg),
+            mem: m(mem),
+            out,
+        },
+        MzzM { reg, mem, out } => MzzM {
+            reg: r(reg),
+            mem: m(mem),
+            out,
+        },
+        Cx { control, target } => Cx {
+            control: m(control),
+            target: m(target),
+        },
+    }))
+}
+
+/// A hand-built program around SAM address 70 000: a load and store, an
+/// in-memory gate, a teleported T gate and a CX between a wide and a narrow
+/// address.
+fn wide_program() -> Program {
+    use Instruction::*;
+    let (far, near) = (MemAddr(70_000), MemAddr(3));
+    let (reg, value) = (RegId(0), ClassicalId(0));
+    Program::from_iter([
+        PzM { mem: far },
+        HdM { mem: far },
+        Cx {
+            control: far,
+            target: near,
+        },
+        Pm { reg },
+        MzzM {
+            reg,
+            mem: far,
+            out: value,
+        },
+        Sk { cond: value },
+        PhM { mem: far },
+        Ld {
+            mem: far,
+            reg: RegId(1),
+        },
+        HdC { reg: RegId(1) },
+        St {
+            reg: RegId(1),
+            mem: far,
+        },
+        MzM {
+            mem: far,
+            out: value,
+        },
+    ])
+}
+
+/// Programs whose operands reach past 2¹⁶ (so their traces are wide), some
+/// straddling the boundary, each with a migration policy: mostly short
+/// random programs over wide register indices, some over wide memory
+/// addresses too, and long programs (spanning several walk blocks) that
+/// keep their operands and end in one record on a wide register. A SAM of
+/// ~70 000 cells takes milliseconds to build and, in a long program, to seek
+/// through, so wide memory addresses are the rare case.
+fn any_wide_program() -> impl Strategy<Value = (Program, Option<PolicyKind>)> {
+    (
+        0u32..32,
+        any_program(),
+        any_long_program(),
+        WIDE - QUBITS..WIDE + 5_000,
+        any_policy(),
+    )
+        .prop_map(|(kind, short, long, offset, policy)| match kind {
+            0 => (spread(&short, offset, offset), policy),
+            1..=23 => (spread(&short, 0, offset), policy),
+            _ => {
+                let wide = Instruction::PzC { reg: RegId(offset) };
+                (Program::from_iter(long.iter().copied().chain([wide])), None)
+            }
+        })
+}
+
 /// [`any_arch`], sometimes with an explicit magic-state buffer (zero
 /// included), which applies to every factory count of a group.
 fn any_group_arch() -> impl Strategy<Value = ArchConfig> {
@@ -443,6 +566,99 @@ proptest! {
         assert_same_run(
             &a.execute_factories(&compacted, &factories),
             &b.execute_factories(&plain, &factories),
+        );
+    }
+}
+
+proptest! {
+    /// Wide traces execute like the interpreter: over programs whose memory
+    /// addresses or register indices reach past 2¹⁶, so their operand slots
+    /// are `u32` where every other property runs `u16` ones, a single run
+    /// and a 1/2/4-factory group each equal the [`Classified`] oracle's,
+    /// memory traces on. [`wide_trace_at_address_70_000_runs_like_the_interpreter`]
+    /// adds a hand-built trace on every paper floorplan.
+    #[test]
+    fn narrow_and_wide_traces_execute_alike(
+        case in any_wide_program(),
+        arch in any_group_arch(),
+        infinite_magic in proptest::bool::ANY,
+    ) {
+        let (program, policy) = case;
+        let config = SimConfig {
+            record_trace: true,
+            assume_infinite_magic: infinite_magic,
+        };
+        let trace = lsqca_isa::lower(&program);
+        let largest = program
+            .iter()
+            .flat_map(|i| {
+                let mems = i.memory_operands().into_iter().map(|m| m.0);
+                mems.chain(i.register_operands().into_iter().map(|r| r.0))
+            })
+            .max()
+            .unwrap_or(0);
+        prop_assert_eq!(trace.is_narrow(), largest < WIDE);
+        let qubits = trace.mem_bound().max(QUBITS);
+        let build = || {
+            let mut builder = Simulator::builder(&arch, qubits).config(config);
+            if let Some(kind) = policy {
+                builder = builder.migration_policy(kind.build());
+            }
+            builder.build().unwrap()
+        };
+        let classes = LatencyTable::paper().classify_program(&program);
+        let oracle = Classified::new(&program, &classes);
+        // Each simulator runs twice: a rerun resets first, like a fresh one.
+        let (mut engine, mut reference) = (build(), build());
+        prop_assert_eq!(engine.execute(&trace), reference.execute(&oracle));
+        let factories = [1, 2, 4];
+        prop_assert_eq!(
+            engine.execute_factories(&trace, &factories),
+            reference.execute_factories(&oracle, &factories)
+        );
+    }
+}
+
+/// [`wide_program`], whose SAM address 70 000 makes its trace wide, runs
+/// to the end exactly as the interpreter does on every paper floorplan and
+/// on a hybrid one under each migration policy, in a single run and in a
+/// 1/2/4-factory group.
+#[test]
+fn wide_trace_at_address_70_000_runs_like_the_interpreter() {
+    let program = wide_program();
+    let trace = lsqca_isa::lower(&program);
+    assert!(!trace.is_narrow());
+    assert_eq!(trace.mem_bound(), 70_001);
+    let classes = LatencyTable::paper().classify_program(&program);
+    let oracle = Classified::new(&program, &classes);
+    let mut cases: Vec<(ArchConfig, Option<PolicyKind>)> = ArchConfig::paper_floorplans()
+        .into_iter()
+        .map(|floorplan| (ArchConfig::new(floorplan, 1), None))
+        .collect();
+    for policy in PolicyKind::ALL {
+        let hybrid =
+            ArchConfig::new(FloorplanKind::PointSam { banks: 2 }, 1).with_hybrid_fraction(0.1);
+        cases.push((hybrid, Some(policy)));
+    }
+    for (arch, policy) in cases {
+        let build = || {
+            let mut builder = Simulator::builder(&arch, trace.mem_bound()).config(SimConfig {
+                record_trace: true,
+                assume_infinite_magic: false,
+            });
+            if let Some(kind) = policy {
+                builder = builder.migration_policy(kind.build());
+            }
+            builder.build().unwrap()
+        };
+        let expected = build().execute(&oracle);
+        assert!(expected.is_ok(), "{arch:?}: {expected:?}");
+        assert_eq!(build().execute(&trace), expected, "{arch:?}");
+        let factories = [1, 2, 4];
+        assert_eq!(
+            build().execute_factories(&trace, &factories),
+            build().execute_factories(&oracle, &factories),
+            "{arch:?}"
         );
     }
 }

@@ -43,6 +43,32 @@ pub trait StoreIo: fmt::Debug + Send + Sync {
     fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
 }
 
+/// A directory under the system temp dir, `lsqca-<tag>-<pid>`, emptied when
+/// created and removed with its contents when dropped: the scratch directory
+/// of a test's store or cache.
+#[derive(Debug)]
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// The fresh directory for `tag` (not created; stores create their own).
+    pub fn new(tag: &str) -> TempDir {
+        let path = std::env::temp_dir().join(format!("lsqca-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&path);
+        TempDir(path)
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Production [`StoreIo`] backend over the real filesystem.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DiskIo;
@@ -567,8 +593,8 @@ mod tests {
 
     #[test]
     fn disk_io_round_trips_through_a_real_directory() {
-        let dir = std::env::temp_dir().join(format!("lsqca-store-io-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let temp = TempDir::new("store-io");
+        let dir = temp.path();
         let io = DiskIo;
         let path = dir.join("rec.json");
         atomic_write(&io, &path, b"{\"k\":1}").unwrap();
@@ -576,8 +602,7 @@ mod tests {
         io.append(&path, b"\n").unwrap();
         assert_eq!(io.read(&path).unwrap(), "{\"k\":1}\n");
         assert_eq!(io.len(&path).unwrap(), 8);
-        assert_eq!(io.list_dir(&dir).unwrap(), vec![path.clone()]);
+        assert_eq!(io.list_dir(dir).unwrap(), vec![path.clone()]);
         io.remove_file(&path).unwrap();
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -36,7 +36,7 @@ mod shard;
 mod store;
 
 pub use hash::{fnv1a64, slug, Fnv1a};
-pub use io::{atomic_write, DiskIo, FaultPlan, FaultyIo, StoreIo};
+pub use io::{atomic_write, DiskIo, FaultPlan, FaultyIo, StoreIo, TempDir};
 pub use merge::{merge_audit, MergeError, MergeReport};
 pub use quarantine::{
     progress_signature, quarantined_keys, InflightLog, QuarantineEntry, QuarantineLog,

@@ -360,14 +360,14 @@ mod tests {
     use crate::compiled::thread_compile_count;
     use crate::registry::{Benchmark, InstanceSize};
     use lsqca_isa::{ISA_VERSION, TRACE_REVISION};
-    use lsqca_store::FaultyIo;
+    use lsqca_store::{FaultyIo, TempDir};
     use std::fs;
 
-    fn temp_cache(tag: &str) -> WorkloadCache {
-        let dir =
-            std::env::temp_dir().join(format!("lsqca-cache-test-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        WorkloadCache::at(dir)
+    /// A cache in a fresh directory, which the returned guard removes.
+    fn temp_cache(tag: &str) -> (TempDir, WorkloadCache) {
+        let dir = TempDir::new(&format!("cache-test-{tag}"));
+        let cache = WorkloadCache::at(dir.path());
+        (dir, cache)
     }
 
     fn ghz() -> (String, impl Fn() -> Circuit) {
@@ -377,7 +377,7 @@ mod tests {
 
     #[test]
     fn second_request_is_a_hit_with_zero_compilation() {
-        let cache = temp_cache("hit");
+        let (_dir, cache) = temp_cache("hit");
         let (desc, build) = ghz();
         let config = CompilerConfig::default();
 
@@ -405,7 +405,7 @@ mod tests {
 
     #[test]
     fn mutated_generator_config_changes_the_key() {
-        let cache = temp_cache("config-key");
+        let (_dir, cache) = temp_cache("config-key");
         let a = Benchmark::Ghz.config(InstanceSize::Reduced);
         let b = Benchmark::Ghz.config(InstanceSize::Paper);
         assert_ne!(a.descriptor(), b.descriptor());
@@ -426,7 +426,7 @@ mod tests {
 
     #[test]
     fn compiler_config_participates_in_the_key() {
-        let cache = temp_cache("compiler-key");
+        let (_dir, cache) = temp_cache("compiler-key");
         let (desc, build) = ghz();
         let in_memory = CompilerConfig::default();
         let load_store = CompilerConfig {
@@ -436,7 +436,11 @@ mod tests {
         cache.load_or_compile(&desc, in_memory, &build);
         let (w, event) = cache.load_or_compile(&desc, load_store, &build);
         assert_eq!(event, CacheEvent::Compiled);
-        assert!(w.trace().exec_kinds().contains(&lsqca_isa::ExecKind::Load));
+        assert!(w
+            .trace()
+            .ops()
+            .iter()
+            .any(|&op| lsqca_isa::OpInfo::of(op).exec == lsqca_isa::ExecKind::Load));
         // Both artifacts now hit independently.
         assert_eq!(
             cache.load_or_compile(&desc, in_memory, &build).1,
@@ -450,7 +454,7 @@ mod tests {
 
     #[test]
     fn truncated_artifact_is_recompiled_not_served() {
-        let cache = temp_cache("truncated");
+        let (_dir, cache) = temp_cache("truncated");
         let (desc, build) = ghz();
         let config = CompilerConfig::default();
         let (original, _) = cache.load_or_compile(&desc, config, &build);
@@ -478,7 +482,7 @@ mod tests {
 
     #[test]
     fn bumped_isa_version_is_recompiled_not_served() {
-        let cache = temp_cache("isa-version");
+        let (_dir, cache) = temp_cache("isa-version");
         let (desc, build) = ghz();
         let config = CompilerConfig::default();
         cache.load_or_compile(&desc, config, &build);
@@ -508,7 +512,7 @@ mod tests {
 
     #[test]
     fn bumped_trace_revision_is_quarantined_and_recompiled() {
-        let cache = temp_cache("trace-revision");
+        let (_dir, cache) = temp_cache("trace-revision");
         let (desc, build) = ghz();
         let config = CompilerConfig::default();
         cache.load_or_compile(&desc, config, &build);
@@ -551,7 +555,7 @@ mod tests {
 
     #[test]
     fn corrupted_payload_is_recompiled_not_served() {
-        let cache = temp_cache("payload");
+        let (_dir, cache) = temp_cache("payload");
         let (desc, build) = ghz();
         let config = CompilerConfig::default();
         cache.load_or_compile(&desc, config, &build);
@@ -578,7 +582,7 @@ mod tests {
 
     #[test]
     fn foreign_artifact_at_the_key_path_is_rejected() {
-        let cache = temp_cache("key-mismatch");
+        let (_dir, cache) = temp_cache("key-mismatch");
         let (desc, build) = ghz();
         let config = CompilerConfig::default();
         cache.load_or_compile(&desc, config, &build);
@@ -615,7 +619,7 @@ mod tests {
 
     #[test]
     fn clear_removes_entries() {
-        let cache = temp_cache("clear");
+        let (_dir, cache) = temp_cache("clear");
         let (desc, build) = ghz();
         let config = CompilerConfig::default();
         cache.load_or_compile(&desc, config, &build);
@@ -623,7 +627,7 @@ mod tests {
         cache.clear().unwrap();
         assert!(!cache.path_for(&desc, &config).unwrap().exists());
         // Clearing a never-created cache directory is fine too.
-        temp_cache("clear-missing").clear().unwrap();
+        temp_cache("clear-missing").1.clear().unwrap();
     }
 
     #[test]

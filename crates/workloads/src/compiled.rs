@@ -32,7 +32,7 @@
 
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
 use lsqca_compiler::{compile_into, CompilerConfig};
-use lsqca_isa::{ExecutionTrace, ISA_VERSION, TRACE_REVISION};
+use lsqca_isa::{ExecutionTrace, TraceShape, ISA_VERSION, TRACE_REVISION};
 use lsqca_json::{Json, ToJson};
 use std::error::Error;
 use std::fmt;
@@ -96,7 +96,9 @@ impl CompiledWorkload {
     /// Compiles `circuit` straight into an execution trace, then renumbers
     /// its classical operands into live slots
     /// ([`ExecutionTrace::compact_classical`]), so a walk's classical ready
-    /// table holds a few entries instead of one per measurement. `descriptor`
+    /// table holds a few entries instead of one per measurement. A counting
+    /// pass over the same stream ([`TraceShape`]) comes first, so the trace
+    /// is allocated once, at its final length and slot width. `descriptor`
     /// identifies the workload and is what result-store keys are derived
     /// from, so it must determine the compiled content: pass the
     /// [`workload_key`] of the generator configuration (ad-hoc circuits use
@@ -109,7 +111,11 @@ impl CompiledWorkload {
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
         #[cfg(test)]
         THREAD_COMPILE_COUNT.with(|n| n.set(n.get() + 1));
-        let mut trace = ExecutionTrace::new();
+        // A counting pass first, so the trace is allocated once at its final
+        // length and slot width instead of growing by doubling.
+        let mut shape = TraceShape::default();
+        compile_into(circuit, config, &mut shape);
+        let mut trace = ExecutionTrace::with_shape(&shape);
         let (num_qubits, t_gates) = compile_into(circuit, config, &mut trace);
         trace.compact_classical();
         CompiledWorkload {
@@ -490,6 +496,31 @@ mod tests {
                     ..CompilerConfig::default()
                 };
                 assert_sinks_agree(&circuit, config);
+            }
+        }
+    }
+
+    /// The counting pass sizes the trace exactly: on every registry
+    /// benchmark it counts as many records as the compile pushes, and the
+    /// compiled trace's columns hold no spare capacity. Every benchmark's
+    /// trace is narrow, so that is 9 bytes per record.
+    #[test]
+    fn traces_are_allocated_once_at_nine_bytes_per_record() {
+        for benchmark in Benchmark::ALL {
+            let circuit = benchmark.reduced_instance();
+            for use_in_memory_ops in [true, false] {
+                let config = CompilerConfig {
+                    use_in_memory_ops,
+                    ..CompilerConfig::default()
+                };
+                let mut shape = TraceShape::default();
+                compile_into(&circuit, config, &mut shape);
+                let w = CompiledWorkload::compile("shape", &circuit, config);
+                let trace = w.trace();
+                let name = benchmark.name();
+                assert_eq!(shape.records(), trace.len(), "{name}");
+                assert!(trace.is_narrow(), "{name}");
+                assert_eq!(trace.heap_bytes(), 9 * trace.len(), "{name}");
             }
         }
     }

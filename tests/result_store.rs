@@ -7,7 +7,7 @@ use lsqca::prelude::*;
 use lsqca::sim::simulation_count;
 use lsqca_bench::{stored_run_in, Scale, WorkloadHandle};
 use lsqca_json::ToJson;
-use lsqca_store::{FaultPlan, FaultyIo, ResultStore, StoreEvent};
+use lsqca_store::{FaultPlan, FaultyIo, ResultStore, StoreEvent, TempDir};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// `simulation_count()` is process-global, so tests that assert on its deltas
@@ -18,10 +18,11 @@ fn sim_lock() -> MutexGuard<'static, ()> {
     SIMS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn temp_store(tag: &str) -> ResultStore {
-    let dir = std::env::temp_dir().join(format!("lsqca-itest-store-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    ResultStore::at(dir)
+/// A store in a fresh directory, which the returned guard removes.
+fn temp_store(tag: &str) -> (TempDir, ResultStore) {
+    let dir = TempDir::new(&format!("itest-store-{tag}"));
+    let store = ResultStore::at(dir.path());
+    (dir, store)
 }
 
 fn sweep_workloads() -> Vec<WorkloadHandle> {
@@ -64,7 +65,7 @@ fn merged_report(store: &ResultStore, workloads: &[WorkloadHandle]) -> String {
 #[test]
 fn warm_store_sweep_performs_zero_simulation() {
     let _serial = sim_lock();
-    let store = temp_store("sweep");
+    let (_dir, store) = temp_store("sweep");
     let workloads = sweep_workloads();
 
     let cold = merged_report(&store, &workloads);
@@ -141,7 +142,7 @@ fn killed_sweep_resumes_to_an_identical_report() {
 #[test]
 fn tampered_records_are_quarantined_and_recomputed() {
     let _serial = sim_lock();
-    let store = temp_store("tamper");
+    let (_dir, store) = temp_store("tamper");
     let workload = &sweep_workloads()[0];
     let config = ExperimentConfig::baseline(1);
     let pristine = stored_run_in(&store, workload, &config);

@@ -9,6 +9,7 @@ use lsqca::experiment::{ExperimentConfig, Workload};
 use lsqca::prelude::*;
 use lsqca::workloads::{compile_count, CacheEvent, InstanceSize};
 use lsqca_bench::{fig13, Scale};
+use lsqca_store::TempDir;
 use std::sync::{Mutex, MutexGuard};
 
 /// `compile_count()` is process-global, so tests that assert on its deltas
@@ -19,10 +20,11 @@ fn compile_lock() -> MutexGuard<'static, ()> {
     COMPILES.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn temp_cache(tag: &str) -> WorkloadCache {
-    let dir = std::env::temp_dir().join(format!("lsqca-itest-cache-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    WorkloadCache::at(dir)
+/// A cache in a fresh directory, which the returned guard removes.
+fn temp_cache(tag: &str) -> (TempDir, WorkloadCache) {
+    let dir = TempDir::new(&format!("itest-cache-{tag}"));
+    let cache = WorkloadCache::at(dir.path());
+    (dir, cache)
 }
 
 /// The acceptance criterion of the artifact subsystem: once the cache is warm,
@@ -31,7 +33,7 @@ fn temp_cache(tag: &str) -> WorkloadCache {
 #[test]
 fn warm_cache_sweep_performs_zero_compilation() {
     let _serial = compile_lock();
-    let cache = temp_cache("sweep");
+    let (_dir, cache) = temp_cache("sweep");
     let compiler = CompilerConfig::default();
     let benchmarks = [Benchmark::Ghz, Benchmark::SquareRoot, Benchmark::Cat];
 
@@ -82,10 +84,9 @@ fn figure_generators_compile_nothing_against_a_warm_store() {
     let _serial = compile_lock();
     // The process-wide store reads its directory once, at first use; no other
     // test in this binary touches it.
-    let dir = std::env::temp_dir().join(format!("lsqca-itest-warm-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("itest-warm-store");
     std::env::remove_var("LSQCA_NO_STORE");
-    std::env::set_var("LSQCA_STORE_DIR", &dir);
+    std::env::set_var("LSQCA_STORE_DIR", dir.path());
 
     let before = compile_count();
     let first = fig13::generate(Scale::Quick, &[Benchmark::Ghz], &[1]);
@@ -118,14 +119,13 @@ fn figure_generators_compile_nothing_against_a_warm_store() {
         assert_eq!(a.cpi.to_bits(), b.cpi.to_bits(), "{}", a.floorplan);
         assert_eq!(a.density.to_bits(), b.density.to_bits(), "{}", a.floorplan);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every tamper mode recompiles rather than serving the stale artifact.
 #[test]
 fn tampered_cache_entries_are_never_served() {
     let _serial = compile_lock();
-    let cache = temp_cache("tamper");
+    let (_dir, cache) = temp_cache("tamper");
     let compiler = CompilerConfig::default();
     let cfg = Benchmark::Ghz.config(InstanceSize::Reduced);
     let (pristine, event) = cache.load_or_compile(&cfg.descriptor(), compiler, || cfg.build());
@@ -157,7 +157,7 @@ fn tampered_cache_entries_are_never_served() {
 #[test]
 fn mutated_config_gets_its_own_artifact() {
     let _serial = compile_lock();
-    let cache = temp_cache("mutated-config");
+    let (_dir, cache) = temp_cache("mutated-config");
     let compiler = CompilerConfig::default();
     let small = lsqca::workloads::BenchmarkConfig::Ghz(lsqca::workloads::GhzConfig { qubits: 8 });
     let large = lsqca::workloads::BenchmarkConfig::Ghz(lsqca::workloads::GhzConfig { qubits: 9 });
