@@ -5,9 +5,9 @@
 //! timestamps show sequential (spatial) locality, a few qubits are much hotter
 //! than the rest, and magic states are demanded faster than a single factory can
 //! produce them. This crate computes those quantities from either a compiled
-//! [`Program`](lsqca_isa::Program) (static analysis) or a simulated
-//! [`MemoryTrace`](lsqca_sim::MemoryTrace), and selects the hot set used by the
-//! hybrid floorplan of Sec. VI-C.
+//! [`Program`](lsqca_isa::Program) (static analysis) or a simulated run's
+//! reference profile ([`MemoryTrace`](lsqca_sim::MemoryTrace)), and selects
+//! the hot set used by the hybrid floorplan of Sec. VI-C.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,46 +4,73 @@ use lsqca_sim::MemoryTrace;
 use std::fmt;
 
 /// An empirical cumulative distribution over non-negative integer samples
-/// (reference periods in code beats).
+/// (reference periods in code beats), held as one run per distinct value.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct CumulativeDistribution {
-    samples: Vec<u64>,
+    /// `(value, samples at most value)` for each distinct sample value,
+    /// ascending.
+    runs: Vec<(u64, u64)>,
 }
 
 impl CumulativeDistribution {
     /// Builds a distribution from raw samples.
-    pub fn from_samples(mut samples: Vec<u64>) -> Self {
-        samples.sort_unstable();
-        CumulativeDistribution { samples }
+    pub fn from_samples(samples: Vec<u64>) -> Self {
+        CumulativeDistribution::from_counts(samples.into_iter().map(|s| (s, 1)))
+    }
+
+    /// Builds a distribution from `(value, count)` pairs: `count` samples of
+    /// `value` each, in any order, a value possibly repeated.
+    pub fn from_counts(counts: impl IntoIterator<Item = (u64, u64)>) -> Self {
+        let mut counts: Vec<(u64, u64)> = counts.into_iter().filter(|c| c.1 > 0).collect();
+        counts.sort_unstable();
+        let mut runs: Vec<(u64, u64)> = Vec::with_capacity(counts.len());
+        let mut seen = 0;
+        for (value, count) in counts {
+            seen += count;
+            match runs.last_mut() {
+                Some(run) if run.0 == value => run.1 = seen,
+                _ => runs.push((value, seen)),
+            }
+        }
+        CumulativeDistribution { runs }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.runs.last().map_or(0, |run| run.1 as usize)
     }
 
     /// True if the distribution has no samples.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.runs.is_empty()
+    }
+
+    /// Number of samples ≤ `value`.
+    fn at_most(&self, value: u64) -> u64 {
+        match self.runs.partition_point(|run| run.0 <= value) {
+            0 => 0,
+            n => self.runs[n - 1].1,
+        }
     }
 
     /// Fraction of samples ≤ `value` (0.0 for an empty distribution).
     pub fn cdf(&self, value: u64) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        let count = self.samples.partition_point(|&s| s <= value);
-        count as f64 / self.samples.len() as f64
+        self.at_most(value) as f64 / self.len() as f64
     }
 
-    /// The `q`-quantile (`0.0 ≤ q ≤ 1.0`) of the samples, if any.
+    /// The `q`-quantile (`0.0 ≤ q ≤ 1.0`) of the samples, if any: the sample
+    /// at rank `round((len - 1)·q)` in ascending order.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        let idx = ((self.samples.len() - 1) as f64 * q).round() as usize;
-        Some(self.samples[idx])
+        let rank = ((self.len() - 1) as f64 * q).round() as u64;
+        let run = self.runs.partition_point(|run| run.1 <= rank);
+        Some(self.runs[run].0)
     }
 
     /// The median sample, if any.
@@ -53,17 +80,22 @@ impl CumulativeDistribution {
 
     /// Arithmetic mean of the samples, if any.
     pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64)
+        if self.is_empty() {
+            return None;
         }
+        let mut below = 0;
+        let mut sum = 0u64;
+        for &(value, at_most) in &self.runs {
+            sum += value * (at_most - below);
+            below = at_most;
+        }
+        Some(sum as f64 / self.len() as f64)
     }
 
     /// Samples the CDF at logarithmically spaced points (the x-axes of
     /// Fig. 8b/8d are log scale); returns `(period, cumulative fraction)` pairs.
     pub fn log_spaced_points(&self, points_per_decade: u32) -> Vec<(u64, f64)> {
-        let Some(&max) = self.samples.last() else {
+        let Some(&(max, _)) = self.runs.last() else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -115,27 +147,21 @@ pub struct AccessLocalityReport {
 }
 
 impl AccessLocalityReport {
-    /// Builds the report from a memory trace, optionally with the number of
-    /// magic states the program consumed (to compute the demand rate).
+    /// Builds the report from a run's memory reference profile, optionally
+    /// with the number of magic states the program consumed (to compute the
+    /// demand rate).
     pub fn from_trace(trace: &MemoryTrace, magic_states: Option<u64>) -> Self {
-        let (referenced_qubits, periods) = grouped_periods(trace);
-        let total = trace.len() as u64;
-        let short = periods.iter().filter(|&&p| p <= 10).count();
-        let short_period_fraction = if periods.is_empty() {
+        let reference_periods = CumulativeDistribution::from_counts(trace.periods());
+        let short_period_fraction = if reference_periods.is_empty() {
             0.0
         } else {
-            short as f64 / periods.len() as f64
+            reference_periods.at_most(10) as f64 / reference_periods.len() as f64
         };
 
-        let events = trace.events();
-        let sequential = events
-            .windows(2)
-            .filter(|w| w[0].qubit.index().abs_diff(w[1].qubit.index()) <= 1)
-            .count();
-        let sequential_fraction = if events.len() < 2 {
+        let sequential_fraction = if trace.len() < 2 {
             0.0
         } else {
-            sequential as f64 / (events.len() - 1) as f64
+            trace.sequential_pairs() as f64 / (trace.len() - 1) as f64
         };
 
         let beats_per_magic_state = match (magic_states, trace.horizon()) {
@@ -144,63 +170,14 @@ impl AccessLocalityReport {
         };
 
         AccessLocalityReport {
-            referenced_qubits,
-            total_references: total,
-            reference_periods: CumulativeDistribution::from_samples(periods),
+            referenced_qubits: trace.referenced_addresses(),
+            total_references: trace.len() as u64,
+            reference_periods,
             short_period_fraction,
             sequential_fraction,
             beats_per_magic_state,
         }
     }
-}
-
-/// The number of referenced addresses and every reference period of
-/// `trace`: what `trace.per_qubit().len()` and `trace.reference_periods()`
-/// return, from one grouping pass. The events' beats are counting-sorted by
-/// address into one flat buffer instead of a `BTreeMap` of per-address
-/// vectors, and each address's periods overwrite the buffer in place, in the
-/// same ascending address order.
-fn grouped_periods(trace: &MemoryTrace) -> (usize, Vec<u64>) {
-    let events = trace.events();
-    let bound = events
-        .iter()
-        .map(|e| e.qubit.index() as usize + 1)
-        .max()
-        .unwrap_or(0);
-    // `starts[a]..starts[a + 1]` is address `a`'s run of the flat buffer.
-    let mut starts = vec![0usize; bound + 1];
-    for e in events {
-        starts[e.qubit.index() as usize + 1] += 1;
-    }
-    for a in 0..bound {
-        starts[a + 1] += starts[a];
-    }
-    let mut fill = starts.clone();
-    let mut beats = vec![0u64; events.len()];
-    for e in events {
-        let slot = &mut fill[e.qubit.index() as usize];
-        beats[*slot] = e.beat;
-        *slot += 1;
-    }
-    // A run of `n` beats yields `n - 1` periods, so the write cursor never
-    // passes the entry a period is computed from.
-    let mut referenced = 0;
-    let mut written = 0;
-    for run in starts.windows(2) {
-        let (start, end) = (run[0], run[1]);
-        if start == end {
-            continue;
-        }
-        referenced += 1;
-        beats[start..end].sort_unstable();
-        for k in start + 1..end {
-            let period = beats[k] - beats[k - 1];
-            beats[written] = period;
-            written += 1;
-        }
-    }
-    beats.truncate(written);
-    (referenced, beats)
 }
 
 impl fmt::Display for AccessLocalityReport {
@@ -220,6 +197,8 @@ impl fmt::Display for AccessLocalityReport {
 mod tests {
     use super::*;
     use lsqca_isa::MemAddr;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn cdf_basics() {
@@ -277,46 +256,180 @@ mod tests {
         assert!(!report.to_string().is_empty());
     }
 
-    /// The one-pass grouping reproduces the `per_qubit()` /
-    /// `reference_periods()` derivation on a random trace: unordered beats,
-    /// repeated beats and addresses with gaps between them.
-    #[test]
-    fn grouped_report_equals_the_per_qubit_derivation() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
+    /// The reference derivation from a full event list: `events` grouped
+    /// per address, each group sorted by beat, the periods its consecutive
+    /// gaps, read from the raw samples.
+    fn oracle(events: &[(u32, u64)], magic_states: Option<u64>) -> AccessLocalityReport {
+        let mut per_qubit: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+        for &(qubit, beat) in events {
+            per_qubit.entry(qubit).or_default().push(beat);
+        }
+        let mut periods = Vec::new();
+        for beats in per_qubit.values_mut() {
+            beats.sort_unstable();
+            periods.extend(beats.windows(2).map(|pair| pair[1] - pair[0]));
+        }
+        let short = periods.iter().filter(|&&p| p <= 10).count();
+        let short_period_fraction = if periods.is_empty() {
+            0.0
+        } else {
+            short as f64 / periods.len() as f64
         };
-        for len in [0usize, 1, 2, 17, 500, 4_000] {
-            let mut trace = MemoryTrace::new();
-            for _ in 0..len {
-                let addr = (next() % 97) as u32 * 3;
-                trace.record(MemAddr(addr), next() % 2_000);
+        let sequential = events
+            .windows(2)
+            .filter(|pair| pair[0].0.abs_diff(pair[1].0) <= 1)
+            .count();
+        let sequential_fraction = if events.len() < 2 {
+            0.0
+        } else {
+            sequential as f64 / (events.len() - 1) as f64
+        };
+        let horizon = events.iter().map(|&(_, beat)| beat).max();
+        let beats_per_magic_state = match (magic_states, horizon) {
+            (Some(m), Some(h)) if m > 0 => Some(h as f64 / m as f64),
+            _ => None,
+        };
+        AccessLocalityReport {
+            referenced_qubits: per_qubit.len(),
+            total_references: events.len() as u64,
+            reference_periods: CumulativeDistribution::from_samples(periods),
+            short_period_fraction,
+            sequential_fraction,
+            beats_per_magic_state,
+        }
+    }
+
+    /// The reference reading of a distribution: its sorted raw samples.
+    struct RawSamples(Vec<u64>);
+
+    impl RawSamples {
+        fn new(mut samples: Vec<u64>) -> Self {
+            samples.sort_unstable();
+            RawSamples(samples)
+        }
+
+        fn cdf(&self, value: u64) -> f64 {
+            if self.0.is_empty() {
+                return 0.0;
             }
-            let periods = trace.reference_periods();
-            let report = AccessLocalityReport::from_trace(&trace, Some(7));
-            assert_eq!(
-                report.referenced_qubits,
-                trace.per_qubit().len(),
-                "len {len}"
-            );
-            assert_eq!(grouped_periods(&trace).1, periods, "len {len}");
-            let short = periods.iter().filter(|&&p| p <= 10).count();
-            let expected_short = if periods.is_empty() {
-                0.0
-            } else {
-                short as f64 / periods.len() as f64
+            self.0.partition_point(|&s| s <= value) as f64 / self.0.len() as f64
+        }
+
+        fn quantile(&self, q: f64) -> Option<u64> {
+            let last = self.0.len().checked_sub(1)?;
+            Some(self.0[(last as f64 * q.clamp(0.0, 1.0)).round() as usize])
+        }
+
+        fn mean(&self) -> Option<f64> {
+            (!self.0.is_empty()).then(|| self.0.iter().sum::<u64>() as f64 / self.0.len() as f64)
+        }
+
+        fn log_spaced_points(&self, points_per_decade: u32) -> Vec<(u64, f64)> {
+            let Some(&max) = self.0.last() else {
+                return Vec::new();
             };
-            assert_eq!(
-                report.short_period_fraction.to_bits(),
-                expected_short.to_bits()
+            let mut out = Vec::new();
+            let mut value = 1.0f64;
+            let factor = 10f64.powf(1.0 / points_per_decade as f64);
+            loop {
+                let v = value.round() as u64;
+                if out.last().map(|&(p, _)| p) != Some(v) {
+                    out.push((v, self.cdf(v)));
+                }
+                if v >= max {
+                    break;
+                }
+                value *= factor;
+            }
+            out
+        }
+    }
+
+    /// `points` as comparable bits: equal only if bit-identical.
+    fn point_bits(points: &[(u64, f64)]) -> Vec<(u64, u64)> {
+        points.iter().map(|&(p, f)| (p, f.to_bits())).collect()
+    }
+
+    /// Periods short and long, and either side of the profile's dense cutoff.
+    fn any_gap() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..4, 0u64..20, 0u64..10_000, 4_090u64..4_100]
+    }
+
+    proptest! {
+        /// The streamed report equals the event-list derivation in every
+        /// field, and samples the same CDF points, bit for bit.
+        #[test]
+        fn streamed_report_equals_the_event_list_derivation(
+            steps in proptest::collection::vec(
+                (prop_oneof![0u32..12, 0u32..3_000], any_gap()),
+                0..300,
+            ),
+            magic_states in prop_oneof![Just(None), (0u64..50).prop_map(Some)],
+        ) {
+            // Each qubit's beats never decrease: a reference lands `gap`
+            // beats after the same qubit's previous one.
+            let mut clock: BTreeMap<u32, u64> = BTreeMap::new();
+            let events: Vec<(u32, u64)> = steps
+                .into_iter()
+                .map(|(qubit, gap)| {
+                    let beat = clock.entry(qubit).or_insert(0);
+                    *beat += gap;
+                    (qubit, *beat)
+                })
+                .collect();
+            let mut trace = MemoryTrace::new();
+            for &(qubit, beat) in &events {
+                trace.record(MemAddr(qubit), beat);
+            }
+            let streamed = AccessLocalityReport::from_trace(&trace, magic_states);
+            let expected = oracle(&events, magic_states);
+            prop_assert_eq!(&streamed, &expected);
+            let fractions = |r: &AccessLocalityReport| {
+                let rate = r.beats_per_magic_state.map(f64::to_bits);
+                (r.short_period_fraction.to_bits(), r.sequential_fraction.to_bits(), rate)
+            };
+            prop_assert_eq!(fractions(&streamed), fractions(&expected));
+            prop_assert_eq!(
+                point_bits(&streamed.reference_periods.log_spaced_points(2)),
+                point_bits(&expected.reference_periods.log_spaced_points(2))
             );
-            assert_eq!(
-                report.reference_periods,
-                CumulativeDistribution::from_samples(periods)
-            );
+        }
+
+        /// A distribution built from `(value, count)` pairs equals the one
+        /// built from the samples they count, and both read exactly as the
+        /// sorted raw samples do.
+        #[test]
+        fn counted_distribution_matches_the_raw_samples(
+            samples in proptest::collection::vec(any_gap(), 0..200),
+        ) {
+            let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
+            for &s in &samples {
+                *counts.entry(s).or_insert(0) += 1;
+            }
+            // Split every count in two, in reverse order, zero counts
+            // included: how the counts arrive does not matter.
+            let split = counts
+                .iter()
+                .rev()
+                .flat_map(|(&v, &c)| [(v, c / 2), (v, c - c / 2), (v + 1, 0)]);
+            let counted = CumulativeDistribution::from_counts(split);
+            let raw = RawSamples::new(samples.clone());
+            prop_assert_eq!(&counted, &CumulativeDistribution::from_samples(samples));
+            prop_assert_eq!(counted.len(), raw.0.len());
+            for q in [0.0, 0.1, 0.25, 0.5, 0.9, 1.0] {
+                prop_assert_eq!(counted.quantile(q), raw.quantile(q));
+            }
+            prop_assert_eq!(counted.median(), raw.quantile(0.5));
+            prop_assert_eq!(counted.mean().map(f64::to_bits), raw.mean().map(f64::to_bits));
+            for value in [0, 1, 5, 10, 19, 4_095, 4_096, 9_999, u64::MAX] {
+                prop_assert_eq!(counted.cdf(value).to_bits(), raw.cdf(value).to_bits());
+            }
+            for per_decade in [1, 2, 4] {
+                prop_assert_eq!(
+                    point_bits(&counted.log_spaced_points(per_decade)),
+                    point_bits(&raw.log_spaced_points(per_decade))
+                );
+            }
         }
     }
 

@@ -423,10 +423,6 @@ pub mod fig08 {
         let workload = handle.workload();
         let result = workload.run(&config);
         let qubits = workload.num_qubits();
-        // The analysis reads only the run's memory trace: release the
-        // compiled workload first, so its trace and the locality report's
-        // period tables are never resident together.
-        drop(handle);
         let (report, cdf_points) = {
             let _span = lsqca_telemetry::span("analysis.locality");
             let report =
@@ -1178,11 +1174,13 @@ pub mod ablation {
     /// The arm's workload compiles in the first job that misses the result
     /// store; a warm store compiles nothing. The arms run one after another,
     /// so only one arm's workload is resident at a time: running both arms
-    /// of each benchmark as one six-job list measured 33–35 MB peak RSS
-    /// against 22 MB for one arm at a time (9-byte trace records, 2 threads,
-    /// fresh store, 5 alternating runs each), for a best wall time of
-    /// 0.36 s against 0.40 s. That peak would exceed fig8's 28.5 MB, the
-    /// largest of the paper-scale commands.
+    /// of each benchmark as one six-job list measured 33.3–35.6 MB peak RSS
+    /// against 21.9–22.3 MB for one arm at a time (2-core host, 2 threads,
+    /// fresh store, 6 alternating runs each), for a best wall time of
+    /// 0.37 s against 0.47 s. One arm at a time, this command is the
+    /// largest of the paper-scale commands (fig8 peaks at 17.6 MB, the
+    /// others at 21.4 MB or less), so parallel arms would raise the
+    /// paper-scale peak by about half.
     pub fn generate(
         scale: Scale,
         benchmarks: &[Benchmark],

@@ -1103,8 +1103,9 @@ mod tests {
             &[],
             SimConfig::default().with_trace(),
         );
-        assert_eq!(outcome.trace.len(), 3);
-        assert_eq!(outcome.trace.access_counts()[&MemAddr(0)], 2);
+        // The HD starts at once; the CX waits for it (three beats) and
+        // references its control, then its target.
+        assert_eq!(outcome.trace, MemoryTrace::of(&[(0, 0), (0, 3), (1, 3)]));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The timing pass of a trace walk: for up to four factory counts at once,
 //! the dependency max, CR-slot claim, magic acquisition, ready-table writes,
-//! makespan and memory trace of each record, one lane per count. Its input
-//! is a block of trace records plus the `cost` and `banks` columns.
+//! makespan and memory reference profile of each record, one lane per
+//! count. Its input is a block of trace records plus the `cost` and `banks`
+//! columns.
 
 use super::memory_pass::{bank_mode, BlockScratch, NO_BANK};
 use super::{no_cr_slots, SimError, SimOutcome, Simulator};
@@ -90,8 +91,8 @@ impl<const W: usize> TimingLanes<W> {
     /// [`ExecutionTrace::compact_classical`].) `slot_ready` keeps its lazy
     /// growth: the CX slot claim scans the *current* table, and presizing
     /// it would hand CXs slots the program has not touched yet. With
-    /// `record_trace`, each lane's memory trace is reserved for one event
-    /// per memory operand of the trace, so recording never regrows it.
+    /// `record_trace`, each lane's reference profile sizes its per-address
+    /// table like `mem_ready`, so recording never regrows it.
     fn presize(&mut self, trace: &ExecutionTrace, record_trace: bool) {
         let mem_bound = trace.mem_bound() as usize;
         if self.mem_ready.len() < mem_bound + 1 {
@@ -102,10 +103,8 @@ impl<const W: usize> TimingLanes<W> {
             self.classical_ready.resize(classical_bound + 1, [0; W]);
         }
         if record_trace {
-            let mut references = 0;
-            trace.for_each_memory_operand(|_| references += 1);
             for lane in &mut self.trace {
-                lane.reserve(references);
+                lane.reserve_addresses(mem_bound + 1);
             }
         }
     }
@@ -478,12 +477,13 @@ mod tests {
         lanes
     }
 
-    /// Each lane's memory references as `(qubit, start beat)`, in order.
-    fn starts<const W: usize>(lanes: &TimingLanes<W>) -> [Vec<(u32, u64)>; W] {
-        std::array::from_fn(|l| {
-            let events = lanes.trace[l].events().iter();
-            events.map(|e| (e.qubit.index(), e.beat)).collect()
-        })
+    /// Asserts that every lane recorded exactly `references`, the expected
+    /// `(qubit, start beat)` list in program order.
+    fn assert_starts<const W: usize>(lanes: &TimingLanes<W>, references: &[(u32, u64)]) {
+        let expected = MemoryTrace::of(references);
+        for (l, trace) in lanes.trace.iter().enumerate() {
+            assert_eq!(trace, &expected, "lane {l}");
+        }
     }
 
     fn hd(q: u32) -> Instruction {
@@ -497,17 +497,13 @@ mod tests {
         let columns = (&[3, 3, 1][..], &[][..]);
         let point = FloorplanKind::PointSam { banks: 1 };
         let uniform = run::<W, { bank_mode::UNIFORM }>(point, &records, columns, false, |_| {});
-        for lane in starts(&uniform) {
-            assert_eq!(lane, [(0, 0), (1, 3), (2, 0)]);
-        }
+        assert_starts(&uniform, &[(0, 0), (1, 3), (2, 0)]);
         assert_eq!((uniform.makespan, uniform.bank_ready[0]), ([6; W], [6; W]));
         // The same block without banks overlaps the two gates.
         let conventional = FloorplanKind::Conventional;
         let bankless =
             run::<W, { bank_mode::BANKLESS }>(conventional, &records, columns, false, |_| {});
-        for lane in starts(&bankless) {
-            assert_eq!(lane, [(0, 0), (1, 0), (2, 0)]);
-        }
+        assert_starts(&bankless, &[(0, 0), (1, 0), (2, 0)]);
     }
 
     #[test]
@@ -531,9 +527,7 @@ mod tests {
             false,
             |_| {},
         );
-        for lane in starts(&lanes) {
-            assert_eq!(lane, [(0, 0), (1, 0), (2, 3), (3, 6), (4, 6)]);
-        }
+        assert_starts(&lanes, &[(0, 0), (1, 0), (2, 3), (3, 6), (4, 6)]);
         assert_eq!(lanes.bank_ready, [[10; W], [10; W]]);
         assert_eq!(lanes.makespan, [10; W]);
     }
@@ -601,9 +595,7 @@ mod tests {
             run::<W, { bank_mode::BANKLESS }>(conventional, &records, columns, false, |_| {});
         // The SK waits for the measurement (beat 3); the record after it
         // starts no earlier, the one after that is free again.
-        for lane in starts(&lanes) {
-            assert_eq!(lane, [(0, 0), (0, 3), (1, 3), (2, 0)]);
-        }
+        assert_starts(&lanes, &[(0, 0), (0, 3), (1, 3), (2, 0)]);
         assert_eq!((lanes.guard, lanes.makespan), ([0; W], [5; W]));
     }
 

@@ -57,7 +57,7 @@ pub use engine::{
     SimOutcome, Simulator, SimulatorBuilder,
 };
 pub use metrics::{ExecutionStats, StatsDecodeError, STATS_SCHEMA};
-pub use trace::{MemoryTrace, TraceEvent};
+pub use trace::MemoryTrace;
 
 /// Revision of the simulation semantics, mixed into every result-store key.
 ///

@@ -50,8 +50,17 @@ fn main() {
         println!("  <= {period:>7} beats  {fraction:>6.3}  {bar}");
     }
 
+    // Every memory operand of the trace is one reference of the run, so the
+    // per-qubit reference counts are the trace's operand counts.
     println!("\nhottest qubits (by reference count):");
-    let mut counts: Vec<_> = result.trace.access_counts().into_iter().collect();
+    let trace = workload.compiled().trace();
+    let mut counts = vec![0u64; trace.mem_bound() as usize];
+    trace.for_each_memory_operand(|addr| counts[addr as usize] += 1);
+    let mut counts: Vec<_> = (0u32..)
+        .map(MemAddr)
+        .zip(counts)
+        .filter(|c| c.1 > 0)
+        .collect();
     counts.sort_by_key(|c| std::cmp::Reverse(c.1));
     for (addr, count) in counts.iter().take(10) {
         let role = workload
