@@ -252,8 +252,8 @@ pub fn generate_with(scale: Scale, budget: MeasureBudget) -> HotpathReport {
 }
 
 /// Renders the report as a text table.
-pub fn render(scale: Scale) -> String {
-    let rows: Vec<Vec<String>> = generate(scale)
+pub fn render(report: &HotpathReport) -> String {
+    let rows: Vec<Vec<String>> = report
         .end_to_end
         .iter()
         .map(|e| {

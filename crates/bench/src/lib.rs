@@ -1,9 +1,8 @@
 //! Shared harness code for regenerating every table and figure of the paper.
 //!
 //! The `experiments` binary renders its reports through [`report`]. Each
-//! `figXX` module produces the data series of the corresponding
-//! figure and can render it as a text table whose rows mirror what the paper
-//! plots:
+//! generator module produces the data series of one table, figure or study
+//! and can render it as a text table whose rows mirror what the paper plots:
 //!
 //! * [`table1`] — the ISA reference table (Table I).
 //! * [`fig08`] — memory reference locality of SELECT and the multiplier.
@@ -11,9 +10,18 @@
 //! * [`fig14`] — hybrid-floorplan trade-off curves (density vs overhead).
 //! * [`fig15`] — SELECT scaling with hybrid layouts.
 //! * [`headline`] — the headline claims quoted in the abstract/intro.
+//! * [`ablation`] — the locality-aware store and in-memory operations, each
+//!   switched off.
+//! * [`hybrid_migrate`] — runtime hot-set migration against the static hot
+//!   set.
 //!
-//! Every generator takes a [`Scale`]: `Quick` uses reduced workload instances
-//! (seconds), `Full` uses the paper-sized instances (minutes).
+//! Every generator but `table1` and `fig08` lists the points it needs as a
+//! [`Plan`], runs it through the one executor ([`Plan::run`]) and assembles
+//! its report from the [`Results`].
+//!
+//! Every generator but `table1` takes a [`Scale`]: `Quick` uses reduced
+//! workload instances (seconds), `Full` uses the paper-sized instances
+//! (minutes).
 
 #![forbid(unsafe_code)]
 
@@ -22,6 +30,7 @@ use lsqca::prelude::*;
 use lsqca::workloads::{Benchmark, BenchmarkConfig, InstanceSize};
 use lsqca_json::{Json, ToJson};
 use lsqca_store::{Lookup, ResultStore, StoreEvent};
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 pub mod hotpath;
@@ -41,7 +50,7 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `"quick"` / `"full"`.
+    /// `Full` when the `--full` flag is set, `Quick` otherwise.
     pub fn from_flag(full: bool) -> Scale {
         if full {
             Scale::Full
@@ -64,15 +73,6 @@ impl Scale {
             Scale::Quick => InstanceSize::Reduced,
             Scale::Full => InstanceSize::Paper,
         }
-    }
-}
-
-/// Builds the benchmark circuit for the given scale (sweep drivers compile
-/// through a [`WorkloadHandle`] instead).
-pub fn instance(benchmark: Benchmark, scale: Scale) -> Circuit {
-    match scale {
-        Scale::Quick => benchmark.reduced_instance(),
-        Scale::Full => benchmark.paper_instance(),
     }
 }
 
@@ -154,17 +154,9 @@ pub fn result_store() -> &'static ResultStore {
     STORE.get_or_init(ResultStore::from_env)
 }
 
-/// Runs `workload` under `config` through the process-wide result store and
-/// returns the statistics: a verified stored record skips the simulation
-/// entirely, a computed result is published durably before being returned.
-/// Every figure field derives from these statistics. Only a miss this process
-/// computes compiles the workload. The one-element case of [`stored_runs`].
-pub fn stored_run(workload: &WorkloadHandle, config: &ExperimentConfig) -> ExecutionStats {
-    stored_run_in(result_store(), workload, config)
-}
-
-/// [`stored_run`] against an explicit store — the fault-injection and
-/// kill-resume tests drive this with a [`lsqca_store::FaultyIo`] backend.
+/// [`stored_runs_in`] for one factory count: the statistics of `workload`
+/// under `config`. The fault-injection and kill-resume tests drive this with
+/// a [`lsqca_store::FaultyIo`] backend.
 pub fn stored_run_in(
     store: &ResultStore,
     workload: &WorkloadHandle,
@@ -176,20 +168,13 @@ pub fn stored_run_in(
 }
 
 /// Runs `workload` under `base` at every factory count of `factories`
-/// through the process-wide result store, returning the statistics in the
-/// same order. Each point is keyed and probed exactly as [`stored_run`]
-/// would; the points that miss are computed together, with one memory walk
-/// shared by their factory counts ([`Workload::run_factories`]), and each
-/// is published as its own record.
-pub fn stored_runs(
-    workload: &WorkloadHandle,
-    base: &ExperimentConfig,
-    factories: &[u32],
-) -> Vec<ExecutionStats> {
-    stored_runs_in(result_store(), workload, base, factories)
-}
-
-/// [`stored_runs`] against an explicit store.
+/// through `store`, returning the statistics in the same order: a verified
+/// stored record skips the simulation entirely, a computed result is
+/// published durably before being returned. Every figure field derives from
+/// these statistics. Each point is keyed and probed on its own; the points
+/// that miss are computed together, with one memory walk shared by their
+/// factory counts ([`Workload::run_factories`]), and each is published as
+/// its own record. Only a miss this process computes compiles the workload.
 pub fn stored_runs_in(
     store: &ResultStore,
     workload: &WorkloadHandle,
@@ -198,10 +183,7 @@ pub fn stored_runs_in(
 ) -> Vec<ExecutionStats> {
     let configs: Vec<ExperimentConfig> = factories
         .iter()
-        .map(|&factories| ExperimentConfig {
-            factories,
-            ..base.clone()
-        })
+        .map(|&factories| point_config(base, factories))
         .collect();
     let keys: Vec<String> = configs.iter().map(|c| workload.result_key(c)).collect();
     // Both the hit and the computed path decode the stored payload, so a
@@ -254,11 +236,137 @@ pub fn stored_runs_in(
         .collect()
 }
 
-/// The base configuration of a factory-sweep cell on `floorplan`: every
-/// sweep driver passes it to [`stored_runs`] with the sweep's factory
-/// counts, which replace its own (placeholder) count.
+/// `base` at `factories` magic-state factories: the configuration of one
+/// point of a factory-sweep cell.
+fn point_config(base: &ExperimentConfig, factories: u32) -> ExperimentConfig {
+    ExperimentConfig {
+        factories,
+        ..base.clone()
+    }
+}
+
+/// The base configuration of a factory-sweep cell on `floorplan`. Its own
+/// factory count is a placeholder: a [`Plan`] runs the cell at each of its
+/// factory counts instead.
 fn cell_config(floorplan: FloorplanKind) -> ExperimentConfig {
     ExperimentConfig::new(floorplan, 1)
+}
+
+/// What a store-backed generator simulates: a list of cells, each a
+/// workload under a base configuration, and one factory list that every
+/// cell runs at (each count replaces the base's own).
+///
+/// A generator lists its cells, runs the plan through the one executor,
+/// [`Plan::run`], and assembles its report from the [`Results`], reading
+/// each point back by workload and configuration.
+pub struct Plan<'a> {
+    factories: Vec<u32>,
+    cells: Vec<(&'a WorkloadHandle, ExperimentConfig)>,
+}
+
+impl<'a> Plan<'a> {
+    /// An empty plan whose cells run at each of `factories`.
+    pub fn new(factories: &[u32]) -> Self {
+        Plan {
+            factories: factories.to_vec(),
+            cells: Vec::new(),
+        }
+    }
+
+    /// Adds the cell running `workload` under `base`.
+    pub fn cell(&mut self, workload: &'a WorkloadHandle, base: ExperimentConfig) {
+        self.cells.push((workload, base));
+    }
+
+    /// The result keys of `cell`'s points, one per factory count.
+    fn point_keys(&self, cell: usize) -> Vec<String> {
+        let (workload, base) = &self.cells[cell];
+        self.factories
+            .iter()
+            .map(|&factories| workload.result_key(&point_config(base, factories)))
+            .collect()
+    }
+
+    /// The plan indices of the distinct cells, in the order
+    /// [`Plan::run_in`] starts them.
+    fn issue_order(&self) -> Vec<usize> {
+        let mut listed = HashSet::new();
+        let mut led = HashSet::new();
+        let (mut order, rest): (Vec<usize>, Vec<usize>) = (0..self.cells.len())
+            .filter(|&cell| listed.insert(self.point_keys(cell)))
+            .partition(|&cell| led.insert(self.cells[cell].0.key.as_str()));
+        order.extend(rest);
+        order
+    }
+
+    /// Runs every cell through the process-wide [`result_store`].
+    pub fn run(&self) -> Results {
+        self.run_in(result_store())
+    }
+
+    /// The executor: runs each distinct cell once (a cell whose points an
+    /// earlier cell has is left out), through [`stored_runs_in`] against
+    /// `store`, on [`par::par_map`]'s threads, and keys every point's
+    /// statistics by its result key. The cells start leaders first: the
+    /// first cell of every workload in plan order, then every other cell in
+    /// plan order. A workload compiles on its first store miss, so every
+    /// compile starts before any workload's second cell, and no thread idles
+    /// behind one long compile while other compiles wait in the queue.
+    pub fn run_in(&self, store: &ResultStore) -> Results {
+        let order = self.issue_order();
+        let cells = par::par_map(&order, |&cell| {
+            let (workload, base) = &self.cells[cell];
+            stored_runs_in(store, workload, base, &self.factories)
+        });
+        Results(
+            order
+                .iter()
+                .zip(cells)
+                .flat_map(|(&cell, stats)| self.point_keys(cell).into_iter().zip(stats))
+                .collect(),
+        )
+    }
+}
+
+/// The statistics of every point of a [`Plan`], by result key.
+pub struct Results(HashMap<String, ExecutionStats>);
+
+impl Results {
+    /// The statistics of `workload` under `base` at `factories`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan had no such point.
+    pub fn stats(
+        &self,
+        workload: &WorkloadHandle,
+        base: &ExperimentConfig,
+        factories: u32,
+    ) -> &ExecutionStats {
+        &self.0[&workload.result_key(&point_config(base, factories))]
+    }
+}
+
+/// `benchmarks`, or `default` when `benchmarks` is empty.
+fn or_default<'a>(benchmarks: &'a [Benchmark], default: &'a [Benchmark]) -> &'a [Benchmark] {
+    if benchmarks.is_empty() {
+        default
+    } else {
+        benchmarks
+    }
+}
+
+/// A handle on each benchmark of [`or_default`]`(benchmarks, default)` at
+/// `scale`.
+fn benchmark_workloads(
+    benchmarks: &[Benchmark],
+    default: &[Benchmark],
+    scale: Scale,
+) -> Vec<(Benchmark, WorkloadHandle)> {
+    let list = or_default(benchmarks, default);
+    list.iter()
+        .map(|&benchmark| (benchmark, WorkloadHandle::benchmark(benchmark, scale)))
+        .collect()
 }
 
 /// The factory counts evaluated in the paper's figures.
@@ -342,11 +450,11 @@ pub mod table1 {
             .collect()
     }
 
-    /// Renders Table I as text.
-    pub fn render() -> String {
-        let rows: Vec<Vec<String>> = rows()
-            .into_iter()
-            .map(|r| vec![r.kind, r.syntax, r.latency])
+    /// Renders Table I's rows as text.
+    pub fn render(rows: &[Row]) -> String {
+        let rows: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| vec![r.kind.clone(), r.syntax.clone(), r.latency.clone()])
             .collect();
         render_table(&["type", "syntax (example operands)", "latency"], &rows)
     }
@@ -459,8 +567,7 @@ pub mod fig08 {
     }
 
     /// Renders the Fig. 8 summary as text.
-    pub fn render(scale: Scale) -> String {
-        let data = generate(scale);
+    pub fn render(data: &[BenchmarkLocality]) -> String {
         let rows: Vec<Vec<String>> = data
             .iter()
             .map(|d| {
@@ -487,7 +594,7 @@ pub mod fig08 {
             ],
             &rows,
         );
-        for d in &data {
+        for d in data {
             out.push_str(&format!("\nreference-period CDF for {}:\n", d.name));
             for (period, frac) in &d.cdf_points {
                 out.push_str(&format!("  period<={period:>6}: {frac:.3}\n"));
@@ -532,42 +639,25 @@ pub mod fig13 {
     }
 
     /// Generates every bar of Fig. 13 for the given benchmarks (defaults to all
-    /// seven when `benchmarks` is empty). The `(benchmark × floorplan)` cells
-    /// are simulated in parallel (see [`crate::par`]), each cell's factory
-    /// counts over one shared memory walk ([`crate::stored_runs`]); output
-    /// order matches the serial nesting of the paper's figure.
+    /// seven when `benchmarks` is empty): one [`Plan`] cell per `(benchmark ×
+    /// floorplan)`, run at every factory count; output order matches the
+    /// serial nesting of the paper's figure.
     pub fn generate(scale: Scale, benchmarks: &[Benchmark], factories: &[u32]) -> Vec<Point> {
-        let list: Vec<Benchmark> = if benchmarks.is_empty() {
-            Benchmark::ALL.to_vec()
-        } else {
-            benchmarks.to_vec()
-        };
-        // Each benchmark compiles on its first store miss.
-        let workloads: Vec<WorkloadHandle> = list
-            .iter()
-            .map(|&benchmark| WorkloadHandle::benchmark(benchmark, scale))
-            .collect();
+        let workloads = benchmark_workloads(benchmarks, &Benchmark::ALL, scale);
         let floorplans = ArchConfig::paper_floorplans();
-
-        let mut jobs = Vec::new();
-        for i in 0..list.len() {
+        let mut plan = Plan::new(factories);
+        for (_, workload) in &workloads {
             for &floorplan in &floorplans {
-                jobs.push((i, floorplan));
+                plan.cell(workload, cell_config(floorplan));
             }
         }
-        // Each benchmark's first cell is issued before any benchmark's second,
-        // so every compile starts at once instead of queueing behind the
-        // paper multiplier's; the cells are reassembled by job index.
-        let issue = crate::par::leaders_first(list.len(), floorplans.len());
-        let cells = crate::par::par_map_issued(&jobs, &issue, |&(i, floorplan)| {
-            crate::stored_runs(&workloads[i], &cell_config(floorplan), factories)
-        });
+        let results = plan.run();
 
         let mut points = Vec::new();
-        for (i, benchmark) in list.iter().enumerate() {
-            for (f_idx, &factories) in factories.iter().enumerate() {
-                for (fp_idx, floorplan) in floorplans.iter().enumerate() {
-                    let stats = &cells[i * floorplans.len() + fp_idx][f_idx];
+        for (benchmark, workload) in &workloads {
+            for &factories in factories {
+                for &floorplan in &floorplans {
+                    let stats = results.stats(workload, &cell_config(floorplan), factories);
                     points.push(Point {
                         benchmark: benchmark.name().to_string(),
                         floorplan: floorplan.label(),
@@ -582,15 +672,15 @@ pub mod fig13 {
         points
     }
 
-    /// Renders Fig. 13 as a text table.
-    pub fn render(scale: Scale, benchmarks: &[Benchmark], factories: &[u32]) -> String {
-        let rows: Vec<Vec<String>> = generate(scale, benchmarks, factories)
-            .into_iter()
+    /// Renders Fig. 13's bars as a text table.
+    pub fn render(points: &[Point]) -> String {
+        let rows: Vec<Vec<String>> = points
+            .iter()
             .map(|p| {
                 vec![
-                    p.benchmark,
+                    p.benchmark.clone(),
                     format!("{}", p.factories),
-                    p.floorplan,
+                    p.floorplan.clone(),
                     fmt2(p.cpi),
                     p.beats.to_string(),
                     fmt2(p.density),
@@ -649,68 +739,47 @@ pub mod fig14 {
     }
 
     /// Generates the trade-off curves. `fraction_step` is 0.05 in the paper.
-    /// The per-benchmark baselines and the `(benchmark × floorplan ×
-    /// fraction)` cells run in parallel, each cell's factory counts over one
-    /// shared memory walk, each benchmark compiling on its first store miss;
-    /// output order matches the serial nesting.
+    /// Each benchmark's [`Plan`] cells are its conventional baseline and its
+    /// `(floorplan × fraction)` points, run at every factory count; output
+    /// order matches the serial nesting.
     pub fn generate(
         scale: Scale,
         benchmarks: &[Benchmark],
         factories: &[u32],
         fraction_step: f64,
     ) -> Vec<Point> {
-        let list: Vec<Benchmark> = if benchmarks.is_empty() {
-            Benchmark::ALL.to_vec()
-        } else {
-            benchmarks.to_vec()
-        };
-        let steps = (1.0 / fraction_step).round() as u32;
-        let fraction_of = |step: u32| (step as f64 * fraction_step).min(1.0);
-        let workloads: Vec<WorkloadHandle> = list
-            .iter()
-            .map(|&benchmark| WorkloadHandle::benchmark(benchmark, scale))
+        let workloads = benchmark_workloads(benchmarks, &Benchmark::ALL, scale);
+        let fractions: Vec<f64> = (0..=(1.0 / fraction_step).round() as u32)
+            .map(|step| (step as f64 * fraction_step).min(1.0))
             .collect();
         let floorplans = floorplans();
-
-        // Baselines per benchmark, one entry per factory count.
-        let indices: Vec<usize> = (0..list.len()).collect();
-        let baselines = crate::par::par_map(&indices, |&i| {
-            crate::stored_runs(
-                &workloads[i],
-                &cell_config(FloorplanKind::Conventional),
-                factories,
-            )
-        });
-
-        let mut jobs = Vec::new();
-        for i in 0..list.len() {
+        let baseline = cell_config(FloorplanKind::Conventional);
+        let cell = |floorplan, fraction| cell_config(floorplan).with_hybrid_fraction(fraction);
+        let mut plan = Plan::new(factories);
+        for (_, workload) in &workloads {
+            plan.cell(workload, baseline.clone());
             for &floorplan in &floorplans {
-                for step in 0..=steps {
-                    jobs.push((i, floorplan, step));
+                for &fraction in &fractions {
+                    plan.cell(workload, cell(floorplan, fraction));
                 }
             }
         }
-        let cells = crate::par::par_map(&jobs, |&(i, floorplan, step)| {
-            let base = cell_config(floorplan).with_hybrid_fraction(fraction_of(step));
-            crate::stored_runs(&workloads[i], &base, factories)
-        });
+        let results = plan.run();
 
-        let cell_of = |i: usize, fp_idx: usize, step: u32| {
-            &cells[(i * floorplans.len() + fp_idx) * (steps as usize + 1) + step as usize]
-        };
         let mut points = Vec::new();
-        for (i, benchmark) in list.iter().enumerate() {
-            for (f_idx, &factories) in factories.iter().enumerate() {
-                for (fp_idx, floorplan) in floorplans.iter().enumerate() {
-                    for step in 0..=steps {
-                        let stats = &cell_of(i, fp_idx, step)[f_idx];
+        for (benchmark, workload) in &workloads {
+            for &factories in factories {
+                let baseline = results.stats(workload, &baseline, factories);
+                for &floorplan in &floorplans {
+                    for &fraction in &fractions {
+                        let stats = results.stats(workload, &cell(floorplan, fraction), factories);
                         points.push(Point {
                             benchmark: benchmark.name().to_string(),
                             floorplan: floorplan.label(),
                             factories,
-                            fraction: fraction_of(step),
+                            fraction,
                             density: stats.memory_density,
-                            overhead: stats.overhead_vs(&baselines[i][f_idx]),
+                            overhead: stats.overhead_vs(baseline),
                         });
                     }
                 }
@@ -752,23 +821,18 @@ pub mod fig14 {
             .collect()
     }
 
-    /// Renders Fig. 14 (including the GEOMEAN rows) as a text table.
-    pub fn render(
-        scale: Scale,
-        benchmarks: &[Benchmark],
-        factories: &[u32],
-        fraction_step: f64,
-    ) -> String {
-        let mut points = generate(scale, benchmarks, factories, fraction_step);
-        let mean = geomean(&points);
-        points.extend(mean);
+    /// Renders Fig. 14's points, followed by their GEOMEAN rows, as a text
+    /// table.
+    pub fn render(points: &[Point]) -> String {
+        let mean = geomean(points);
         let rows: Vec<Vec<String>> = points
-            .into_iter()
+            .iter()
+            .chain(&mean)
             .map(|p| {
                 vec![
-                    p.benchmark,
+                    p.benchmark.clone(),
                     format!("{}", p.factories),
-                    p.floorplan,
+                    p.floorplan.clone(),
                     fmt2(p.fraction),
                     fmt2(p.density),
                     fmt2(p.overhead),
@@ -828,15 +892,13 @@ pub mod fig15 {
 
     /// Generates the Fig. 15 points. For hybrid variants the control and
     /// temporal registers are pinned into the conventional region, as in the
-    /// paper. The per-width baselines and the `(width × floorplan ×
-    /// plain/hybrid)` cells run in parallel, each cell's factory counts over
-    /// one shared memory walk, each SELECT instance compiling on its first
-    /// store miss; output order matches the serial nesting.
+    /// paper. Each width's [`Plan`] cells are its conventional baseline and
+    /// its `(floorplan × plain/hybrid)` points, run at every factory count;
+    /// output order matches the serial nesting.
     pub fn generate(scale: Scale, factories: &[u32], max_terms: Option<u64>) -> Vec<Point> {
-        let widths = widths(scale);
-        let instances: Vec<(u32, f64, WorkloadHandle)> = widths
-            .iter()
-            .map(|&width| {
+        let instances: Vec<(u32, u32, f64, WorkloadHandle)> = widths(scale)
+            .into_iter()
+            .map(|width| {
                 let mut select_cfg = SelectConfig::for_width(width);
                 select_cfg.max_terms = max_terms;
                 let qubits = select_cfg.total_qubits();
@@ -846,82 +908,65 @@ pub mod fig15 {
                     BenchmarkConfig::Select(select_cfg),
                     CompilerConfig::default(),
                 );
-                (qubits, hybrid_fraction, workload)
+                (width, qubits, hybrid_fraction, workload)
             })
             .collect();
-
-        // Baselines per width, one entry per factory count.
-        let indices: Vec<usize> = (0..widths.len()).collect();
-        let baselines = crate::par::par_map(&indices, |&i| {
-            crate::stored_runs(
-                &instances[i].2,
-                &cell_config(FloorplanKind::Conventional),
-                factories,
-            )
-        });
-
-        // Plain LSQCA and hybrid (control + temporal registers pinned) cells.
         let floorplans = super::fig14::floorplans();
-        let mut jobs = Vec::new();
-        for i in 0..widths.len() {
+        let baseline = cell_config(FloorplanKind::Conventional);
+        let hybrid = |floorplan, fraction| {
+            cell_config(floorplan)
+                .with_hybrid_fraction(fraction)
+                .with_hot_set(HotSetStrategy::ByRole(vec![
+                    RegisterRole::Control,
+                    RegisterRole::Temporal,
+                ]))
+        };
+        let mut plan = Plan::new(factories);
+        for (_, _, fraction, workload) in &instances {
+            plan.cell(workload, baseline.clone());
             for &floorplan in &floorplans {
-                for hybrid in [false, true] {
-                    jobs.push((i, floorplan, hybrid));
-                }
+                plan.cell(workload, cell_config(floorplan));
+                plan.cell(workload, hybrid(floorplan, *fraction));
             }
         }
-        let cells = crate::par::par_map(&jobs, |&(i, floorplan, hybrid)| {
-            let (_, hybrid_fraction, ref workload) = instances[i];
-            let mut base = cell_config(floorplan);
-            if hybrid {
-                base = base.with_hybrid_fraction(hybrid_fraction).with_hot_set(
-                    HotSetStrategy::ByRole(vec![RegisterRole::Control, RegisterRole::Temporal]),
-                );
-            }
-            crate::stored_runs(workload, &base, factories)
-        });
+        let results = plan.run();
 
         let mut points = Vec::new();
-        for (i, &width) in widths.iter().enumerate() {
-            let qubits = instances[i].0;
-            for (f_idx, &factories) in factories.iter().enumerate() {
-                for (fp_idx, floorplan) in floorplans.iter().enumerate() {
-                    let baseline = &baselines[i][f_idx];
-                    let cell = (i * floorplans.len() + fp_idx) * 2;
-                    let plain = &cells[cell][f_idx];
-                    let hybrid = &cells[cell + 1][f_idx];
-                    points.push(Point {
-                        instance_width: width,
-                        qubits,
-                        floorplan: floorplan.label(),
-                        factories,
-                        density: plain.memory_density,
-                        overhead: plain.overhead_vs(baseline),
-                    });
-                    points.push(Point {
-                        instance_width: width,
-                        qubits,
-                        floorplan: format!("Hybrid {}", floorplan.label()),
-                        factories,
-                        density: hybrid.memory_density,
-                        overhead: hybrid.overhead_vs(baseline),
-                    });
+        for (width, qubits, fraction, workload) in &instances {
+            for &factories in factories {
+                let baseline = results.stats(workload, &baseline, factories);
+                for &floorplan in &floorplans {
+                    let plain = results.stats(workload, &cell_config(floorplan), factories);
+                    let hybrid = results.stats(workload, &hybrid(floorplan, *fraction), factories);
+                    for (label, stats) in [
+                        (floorplan.label(), plain),
+                        (format!("Hybrid {}", floorplan.label()), hybrid),
+                    ] {
+                        points.push(Point {
+                            instance_width: *width,
+                            qubits: *qubits,
+                            floorplan: label,
+                            factories,
+                            density: stats.memory_density,
+                            overhead: stats.overhead_vs(baseline),
+                        });
+                    }
                 }
             }
         }
         points
     }
 
-    /// Renders Fig. 15 as a text table.
-    pub fn render(scale: Scale, factories: &[u32], max_terms: Option<u64>) -> String {
-        let rows: Vec<Vec<String>> = generate(scale, factories, max_terms)
-            .into_iter()
+    /// Renders Fig. 15's points as a text table.
+    pub fn render(points: &[Point]) -> String {
+        let rows: Vec<Vec<String>> = points
+            .iter()
             .map(|p| {
                 vec![
                     p.instance_width.to_string(),
                     p.qubits.to_string(),
                     format!("{}", p.factories),
-                    p.floorplan,
+                    p.floorplan.clone(),
                     fmt2(p.density),
                     fmt2(p.overhead),
                 ]
@@ -1009,47 +1054,30 @@ pub mod hybrid_migrate {
     }
 
     /// Generates the sweep (defaults to SELECT and the multiplier when
-    /// `benchmarks` is empty). Workloads compile on their first store miss
-    /// like every other sweep. The `(benchmark × floorplan × policy)` cells
-    /// run in parallel, each cell's factory counts over one shared memory
-    /// walk; the points are then assembled in `(benchmark × factories ×
-    /// floorplan × policy)` order, each `vs_static` ratio against the static
-    /// policy's run at the same benchmark, factory count and floorplan.
+    /// `benchmarks` is empty): one [`Plan`] cell per `(benchmark × floorplan
+    /// × policy)`, run at every factory count. The points are assembled in
+    /// `(benchmark × factories × floorplan × policy)` order, each
+    /// `vs_static` ratio against the static policy's run at the same
+    /// benchmark, factory count and floorplan.
     pub fn generate(scale: Scale, benchmarks: &[Benchmark], factories: &[u32]) -> Vec<Point> {
-        let list: Vec<Benchmark> = if benchmarks.is_empty() {
-            vec![Benchmark::Select, Benchmark::Multiplier]
-        } else {
-            benchmarks.to_vec()
-        };
-        let workloads: Vec<WorkloadHandle> = list
-            .iter()
-            .map(|&benchmark| WorkloadHandle::benchmark(benchmark, scale))
-            .collect();
+        let default = [Benchmark::Select, Benchmark::Multiplier];
+        let workloads = benchmark_workloads(benchmarks, &default, scale);
         let floorplans = floorplans();
-
-        let mut jobs = Vec::new();
-        for i in 0..list.len() {
+        let cell = |floorplan, policy| {
+            cell_config(floorplan)
+                .with_hybrid_fraction(FRACTION)
+                .with_migration(policy)
+        };
+        let mut plan = Plan::new(factories);
+        for (_, workload) in &workloads {
             for &floorplan in &floorplans {
                 for policy in PolicyKind::ALL {
-                    jobs.push((i, floorplan, policy));
+                    plan.cell(workload, cell(floorplan, policy));
                 }
             }
         }
-        // Each benchmark's first cell is issued before any benchmark's second,
-        // so both compiles start at once; the cells are reassembled by job
-        // index.
-        let issue = crate::par::leaders_first(list.len(), floorplans.len() * PolicyKind::ALL.len());
-        let cells = crate::par::par_map_issued(&jobs, &issue, |&(i, floorplan, policy)| {
-            let base = cell_config(floorplan)
-                .with_hybrid_fraction(FRACTION)
-                .with_migration(policy);
-            crate::stored_runs(&workloads[i], &base, factories)
-        });
+        let results = plan.run();
 
-        let static_index = PolicyKind::ALL
-            .iter()
-            .position(|&policy| policy == PolicyKind::Static)
-            .expect("PolicyKind::ALL contains the static baseline");
         let ratio = |a: u64, b: u64| {
             if b == 0 {
                 1.0
@@ -1058,13 +1086,13 @@ pub mod hybrid_migrate {
             }
         };
         let mut points = Vec::new();
-        for (i, benchmark) in list.iter().enumerate() {
-            for (f_idx, &factories) in factories.iter().enumerate() {
-                for (fp_idx, floorplan) in floorplans.iter().enumerate() {
-                    let cell = (i * floorplans.len() + fp_idx) * PolicyKind::ALL.len();
-                    let baseline = &cells[cell + static_index][f_idx];
-                    for (p_idx, policy) in PolicyKind::ALL.iter().enumerate() {
-                        let stats = &cells[cell + p_idx][f_idx];
+        for (benchmark, workload) in &workloads {
+            for &factories in factories {
+                for &floorplan in &floorplans {
+                    let baseline =
+                        results.stats(workload, &cell(floorplan, PolicyKind::Static), factories);
+                    for policy in PolicyKind::ALL {
+                        let stats = results.stats(workload, &cell(floorplan, policy), factories);
                         points.push(Point {
                             benchmark: benchmark.name().to_string(),
                             floorplan: floorplan.label(),
@@ -1092,16 +1120,16 @@ pub mod hybrid_migrate {
         points
     }
 
-    /// Renders the sweep as a text table.
-    pub fn render(scale: Scale, benchmarks: &[Benchmark], factories: &[u32]) -> String {
-        let rows: Vec<Vec<String>> = generate(scale, benchmarks, factories)
-            .into_iter()
+    /// Renders the sweep's points as a text table.
+    pub fn render(points: &[Point]) -> String {
+        let rows: Vec<Vec<String>> = points
+            .iter()
             .map(|p| {
                 vec![
-                    p.benchmark,
-                    p.floorplan,
+                    p.benchmark.clone(),
+                    p.floorplan.clone(),
                     format!("{}", p.factories),
-                    p.policy,
+                    p.policy.clone(),
                     p.beats.to_string(),
                     p.seek_beats.to_string(),
                     p.migrations.to_string(),
@@ -1168,41 +1196,31 @@ pub mod ablation {
     /// Runs the 2×2 ablation (store policy × in-memory ops) for each benchmark
     /// on the given floorplan with one magic-state factory.
     ///
-    /// Each arm (benchmark × in-memory ops) runs its three points as parallel
-    /// jobs ([`crate::par::par_map_issued`]): the conventional baseline, the
-    /// locality-aware store and the home store, the slowest, issued first.
-    /// The arm's workload compiles in the first job that misses the result
-    /// store; a warm store compiles nothing. The arms run one after another,
-    /// so only one arm's workload is resident at a time: running both arms
-    /// of each benchmark as one six-job list measured 33.3–35.6 MB peak RSS
-    /// against 21.9–22.3 MB for one arm at a time (2-core host, 2 threads,
-    /// fresh store, 6 alternating runs each), for a best wall time of
-    /// 0.37 s against 0.47 s. One arm at a time, this command is the
-    /// largest of the paper-scale commands (fig8 peaks at 17.6 MB, the
-    /// others at 21.4 MB or less), so parallel arms would raise the
-    /// paper-scale peak by about half.
+    /// Each arm (benchmark × in-memory ops) is one workload and one [`Plan`]
+    /// at the factory list `[1]`: the home store (the slowest) first, then
+    /// the locality-aware store and the conventional baseline, which the
+    /// executor starts in that order. Each arm's plan runs before the next
+    /// is built, so one arm's workload is resident at a time: one plan for
+    /// both arms of a benchmark measured 33.3–35.6 MB peak RSS against
+    /// 21.9–22.3 MB (2-core host, 2 threads, fresh store, 6 alternating runs
+    /// each), for a best wall time of 0.37 s against 0.47 s. This command
+    /// sets the paper-scale peak, so one plan per benchmark would raise it
+    /// by about half.
     pub fn generate(
         scale: Scale,
         benchmarks: &[Benchmark],
         floorplan: FloorplanKind,
     ) -> Vec<Point> {
-        let list: Vec<Benchmark> = if benchmarks.is_empty() {
-            vec![
-                Benchmark::Multiplier,
-                Benchmark::Select,
-                Benchmark::SquareRoot,
-            ]
-        } else {
-            benchmarks.to_vec()
-        };
-        let locality_aware = ExperimentConfig::new(floorplan, 1);
-        let configs = [
-            ExperimentConfig::baseline(1),
-            locality_aware.clone(),
-            locality_aware.with_home_store(),
+        let default = [
+            Benchmark::Multiplier,
+            Benchmark::Select,
+            Benchmark::SquareRoot,
         ];
+        let locality_aware = ExperimentConfig::new(floorplan, 1);
+        let home = locality_aware.clone().with_home_store();
+        let baseline = ExperimentConfig::baseline(1);
         let mut points = Vec::new();
-        for benchmark in list {
+        for &benchmark in or_default(benchmarks, &default) {
             let cfg = benchmark.config(scale.instance_size());
             for in_memory_ops in [true, false] {
                 let compiler = CompilerConfig {
@@ -1212,13 +1230,14 @@ pub mod ablation {
                 // The compiler configuration is part of the workload key, so
                 // the two ablation arms get distinct workloads and records.
                 let workload = WorkloadHandle::new(cfg.clone(), compiler);
-                // While one thread runs the home store, another runs the
-                // other two points.
-                let stats = crate::par::par_map_issued(&configs, &[2, 1, 0], |config| {
-                    crate::stored_run(&workload, config)
-                });
-                let baseline = &stats[0];
-                for (locality, stats) in [true, false].into_iter().zip(&stats[1..]) {
+                let mut plan = Plan::new(&[1]);
+                for config in [&home, &locality_aware, &baseline] {
+                    plan.cell(&workload, config.clone());
+                }
+                let results = plan.run();
+                let baseline = results.stats(&workload, &baseline, 1);
+                for (locality, config) in [(true, &locality_aware), (false, &home)] {
+                    let stats = results.stats(&workload, config, 1);
                     points.push(Point {
                         benchmark: benchmark.name().to_string(),
                         floorplan: floorplan.label(),
@@ -1233,14 +1252,14 @@ pub mod ablation {
         points
     }
 
-    /// Renders the ablation as a text table.
-    pub fn render(scale: Scale, benchmarks: &[Benchmark], floorplan: FloorplanKind) -> String {
-        let rows: Vec<Vec<String>> = generate(scale, benchmarks, floorplan)
-            .into_iter()
+    /// Renders the ablation's points as a text table.
+    pub fn render(points: &[Point]) -> String {
+        let rows: Vec<Vec<String>> = points
+            .iter()
             .map(|p| {
                 vec![
-                    p.benchmark,
-                    p.floorplan,
+                    p.benchmark.clone(),
+                    p.floorplan.clone(),
                     if p.in_memory_ops { "yes" } else { "no" }.to_string(),
                     if p.locality_aware_store { "yes" } else { "no" }.to_string(),
                     p.beats.to_string(),
@@ -1300,10 +1319,10 @@ pub mod headline {
     /// the qualitative shape (density ≫ 50%, overhead small) is meaningful
     /// there; `Full` matches the paper's instance sizes.
     ///
-    /// The four points run as one parallel job list ([`crate::par::par_map`]):
-    /// the multiplier on Line SAM and SELECT on hybrid Point SAM first, so
-    /// both workloads start compiling at once, then their two conventional
-    /// baselines. The ratios are assembled after the map.
+    /// The four points are one [`Plan`] at the factory list `[1]`: the
+    /// multiplier on Line SAM and SELECT on hybrid Point SAM first, so both
+    /// workloads start compiling at once, then their two conventional
+    /// baselines. The ratios are assembled from the results.
     pub fn generate(scale: Scale) -> Vec<Claim> {
         // Claim 1: multiplier, line SAM, 1 bank, 1 MSF — ≈87% density, ≈6% overhead.
         let mult_cfg = match scale {
@@ -1343,17 +1362,16 @@ pub mod headline {
             floorplan: FloorplanKind::Conventional,
             ..config.clone()
         };
-        let jobs = [
-            (&multiplier, multiplier_config.clone()),
-            (&select, select_config.clone()),
-            (&multiplier, conventional(&multiplier_config)),
-            (&select, conventional(&select_config)),
-        ];
-        let stats = crate::par::par_map(&jobs, |(workload, config)| {
-            crate::stored_run(workload, config)
-        });
-        let [multiplier_lsqca, select_lsqca, multiplier_baseline, select_baseline] =
-            <[ExecutionStats; 4]>::try_from(stats).expect("one result per job");
+        let mut plan = Plan::new(&[1]);
+        plan.cell(&multiplier, multiplier_config.clone());
+        plan.cell(&select, select_config.clone());
+        plan.cell(&multiplier, conventional(&multiplier_config));
+        plan.cell(&select, conventional(&select_config));
+        let results = plan.run();
+        let multiplier_lsqca = results.stats(&multiplier, &multiplier_config, 1);
+        let multiplier_baseline = results.stats(&multiplier, &conventional(&multiplier_config), 1);
+        let select_lsqca = results.stats(&select, &select_config, 1);
+        let select_baseline = results.stats(&select, &conventional(&select_config), 1);
 
         vec![
             Claim {
@@ -1361,25 +1379,25 @@ pub mod headline {
                 paper_density: 0.87,
                 paper_overhead: 1.06,
                 measured_density: multiplier_lsqca.memory_density,
-                measured_overhead: multiplier_lsqca.overhead_vs(&multiplier_baseline),
+                measured_overhead: multiplier_lsqca.overhead_vs(multiplier_baseline),
             },
             Claim {
                 description: format!("SELECT width {width}, Hybrid Point SAM, 1 MSF"),
                 paper_density: 0.92,
                 paper_overhead: 1.07,
                 measured_density: select_lsqca.memory_density,
-                measured_overhead: select_lsqca.overhead_vs(&select_baseline),
+                measured_overhead: select_lsqca.overhead_vs(select_baseline),
             },
         ]
     }
 
     /// Renders the claims as a text table.
-    pub fn render(scale: Scale) -> String {
-        let rows: Vec<Vec<String>> = generate(scale)
-            .into_iter()
+    pub fn render(claims: &[Claim]) -> String {
+        let rows: Vec<Vec<String>> = claims
+            .iter()
             .map(|c| {
                 vec![
-                    c.description,
+                    c.description.clone(),
                     fmt2(c.paper_density),
                     fmt2(c.measured_density),
                     fmt2(c.paper_overhead),
@@ -1413,6 +1431,15 @@ pub const REPORT_COMMANDS: [&str; 8] = [
     "hybrid-migrate",
 ];
 
+/// `data` as pretty-printed JSON, or as the text table `render` makes of it.
+fn show<T: ToJson + ?Sized>(json: bool, render: fn(&T) -> String, data: &T) -> String {
+    if json {
+        data.to_json().pretty()
+    } else {
+        render(data)
+    }
+}
+
 /// Renders one `experiments` command's report at `scale`, as JSON or as text
 /// tables: exactly the bytes the binary prints on stdout, less the final
 /// newline. `all` renders every [`REPORT_COMMANDS`] report in order, each
@@ -1432,76 +1459,30 @@ pub fn report(command: &str, scale: Scale, json: bool) -> String {
     let fraction_step = if full { 0.05 } else { 0.25 };
     let fig15_terms = if full { None } else { Some(200) };
     match command {
-        "table1" => {
-            if json {
-                table1::rows().to_json().pretty()
-            } else {
-                table1::render()
-            }
-        }
-        "fig8" => {
-            if json {
-                fig08::generate(scale).to_json().pretty()
-            } else {
-                fig08::render(scale)
-            }
-        }
+        "table1" => show(json, table1::render, &table1::rows()),
+        "fig8" => show(json, fig08::render, &fig08::generate(scale)),
         "fig13" => {
-            if json {
-                fig13::generate(scale, &[], &factories).to_json().pretty()
-            } else {
-                fig13::render(scale, &[], &factories)
-            }
+            let points = fig13::generate(scale, &[], &factories);
+            show(json, fig13::render, &points)
         }
         "fig14" => {
-            if json {
-                fig14::generate(scale, &[], &factories, fraction_step)
-                    .to_json()
-                    .pretty()
-            } else {
-                fig14::render(scale, &[], &factories, fraction_step)
-            }
+            let points = fig14::generate(scale, &[], &factories, fraction_step);
+            show(json, fig14::render, &points)
         }
         "fig15" => {
-            if json {
-                fig15::generate(scale, &factories, fig15_terms)
-                    .to_json()
-                    .pretty()
-            } else {
-                fig15::render(scale, &factories, fig15_terms)
-            }
+            let points = fig15::generate(scale, &factories, fig15_terms);
+            show(json, fig15::render, &points)
         }
-        "headline" => {
-            if json {
-                headline::generate(scale).to_json().pretty()
-            } else {
-                headline::render(scale)
-            }
-        }
+        "headline" => show(json, headline::render, &headline::generate(scale)),
         "ablation" => {
-            let floorplan = FloorplanKind::PointSam { banks: 1 };
-            if json {
-                ablation::generate(scale, &[], floorplan).to_json().pretty()
-            } else {
-                ablation::render(scale, &[], floorplan)
-            }
+            let points = ablation::generate(scale, &[], FloorplanKind::PointSam { banks: 1 });
+            show(json, ablation::render, &points)
         }
         "hybrid-migrate" => {
-            if json {
-                hybrid_migrate::generate(scale, &[], &factories)
-                    .to_json()
-                    .pretty()
-            } else {
-                hybrid_migrate::render(scale, &[], &factories)
-            }
+            let points = hybrid_migrate::generate(scale, &[], &factories);
+            show(json, hybrid_migrate::render, &points)
         }
-        "hotpath" => {
-            if json {
-                hotpath::generate(scale).to_json().pretty()
-            } else {
-                hotpath::render(scale)
-            }
-        }
+        "hotpath" => show(json, hotpath::render, &hotpath::generate(scale)),
         "all" => REPORT_COMMANDS
             .iter()
             .map(|name| format!("==== {name} ====\n{}", report(name, scale, json)))
@@ -1516,10 +1497,29 @@ mod tests {
     use super::*;
 
     #[test]
+    fn plans_issue_every_workloads_first_cell_first() {
+        let [ghz, cat, bv] = [Benchmark::Ghz, Benchmark::Cat, Benchmark::Bv]
+            .map(|benchmark| WorkloadHandle::benchmark(benchmark, Scale::Quick));
+        let point = cell_config(FloorplanKind::PointSam { banks: 1 });
+        let line = cell_config(FloorplanKind::LineSam { banks: 1 });
+        let mut plan = Plan::new(&[1, 2]);
+        plan.cell(&ghz, point.clone());
+        plan.cell(&ghz, line.clone());
+        plan.cell(&cat, point.clone());
+        plan.cell(&ghz, point.clone().with_hybrid_fraction(0.5));
+        plan.cell(&bv, line.clone());
+        plan.cell(&cat, line.clone());
+        // A repeat, with a different placeholder factory count.
+        plan.cell(&ghz, point_config(&line, 4));
+        assert_eq!(plan.issue_order(), vec![0, 2, 4, 1, 3, 5]);
+        assert!(!ghz.is_compiled(), "ordering the cells compiles nothing");
+    }
+
+    #[test]
     fn table1_has_every_instruction() {
         let rows = table1::rows();
         assert_eq!(rows.len(), 21);
-        let text = table1::render();
+        let text = table1::render(&rows);
         assert!(text.contains("LD"));
         assert!(text.contains("variable"));
     }
@@ -1532,7 +1532,7 @@ mod tests {
             assert!(d.report.total_references > 0);
             assert!(!d.cdf_points.is_empty());
         }
-        assert!(fig08::render(Scale::Quick).contains("SELECT"));
+        assert!(fig08::render(&data).contains("SELECT"));
     }
 
     #[test]
@@ -1595,7 +1595,7 @@ mod tests {
         let points = fig15::generate(Scale::Quick, &[1], Some(30));
         assert!(points.iter().any(|p| p.floorplan.starts_with("Hybrid")));
         assert!(points.iter().all(|p| p.density > 0.0 && p.overhead > 0.0));
-        let text = fig15::render(Scale::Quick, &[1], Some(30));
+        let text = fig15::render(&points);
         assert!(text.contains("Hybrid"));
     }
 
@@ -1634,7 +1634,7 @@ mod tests {
             assert!(lru.seek_beats <= freq.seek_beats);
             assert!(lru.migration_beats > freq.migration_beats);
         }
-        let text = hybrid_migrate::render(Scale::Quick, &[Benchmark::Select], &[1]);
+        let text = hybrid_migrate::render(&points);
         assert!(text.contains("freq-decay"));
         assert!(text.contains("seek/static"));
     }
@@ -1656,10 +1656,7 @@ mod tests {
         assert!(best <= beats(false, true));
         assert!(best <= beats(true, false));
         assert!(best <= beats(false, false));
-        assert!(
-            ablation::render(Scale::Quick, &[Benchmark::SquareRoot], floorplan)
-                .contains("locality store")
-        );
+        assert!(ablation::render(&points).contains("locality store"));
     }
 
     #[test]

@@ -179,12 +179,9 @@ mod tests {
 
     #[test]
     fn aggregation_degrades_on_corrupt_files_and_sums_good_ones() {
-        let dir = std::env::temp_dir().join(format!(
-            "lsqca-telemetry-agg-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let temp = lsqca_store::TempDir::new("telemetry-agg");
+        let dir = temp.path();
+        std::fs::create_dir_all(dir).unwrap();
         let mut shard = MetricsSnapshot::default();
         shard.counters.insert("result_store.computed".into(), 3);
         shard.gauges.insert("inflight".into(), 1);
@@ -194,11 +191,10 @@ mod tests {
 
         let mut total = MetricsSnapshot::default();
         total.counters.insert("result_store.computed".into(), 1);
-        let warnings = aggregate_shard_metrics(&mut total, &dir);
+        let warnings = aggregate_shard_metrics(&mut total, dir);
         assert_eq!(total.counters["result_store.computed"], 4);
         assert_eq!(total.gauges["shard.0.inflight"], 1);
         assert_eq!(warnings.len(), 2, "one warning per bad file: {warnings:?}");
         assert!(warnings.iter().all(|w| w.contains("skipping corrupt")));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

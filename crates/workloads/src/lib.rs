@@ -50,7 +50,7 @@ pub use cat::{cat_state, CatConfig};
 pub use compiled::{compile_count, workload_key, ArtifactError, CompiledWorkload, ARTIFACT_SCHEMA};
 pub use ghz::{ghz_state, GhzConfig};
 pub use multiplier::{shift_add_multiplier, MultiplierConfig};
-pub use registry::{paper_qubit_count, paper_suite, Benchmark, BenchmarkConfig, InstanceSize};
+pub use registry::{paper_qubit_count, Benchmark, BenchmarkConfig, InstanceSize};
 pub use select::{select_heisenberg, HeisenbergModel, SelectConfig};
 pub use square_root::{square_root_search, SquareRootConfig};
 

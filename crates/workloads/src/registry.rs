@@ -210,17 +210,6 @@ pub fn paper_qubit_count(benchmark: Benchmark) -> u32 {
     }
 }
 
-/// Generates the full paper benchmark suite as `(benchmark, circuit)` pairs.
-///
-/// Note that the multiplier and SELECT instances are large; generating the whole
-/// suite takes a few seconds.
-pub fn paper_suite() -> Vec<(Benchmark, Circuit)> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|b| (b, b.paper_instance()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

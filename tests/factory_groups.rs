@@ -11,13 +11,13 @@ use lsqca::prelude::*;
 use lsqca::sim::{memory_walk_count, simulation_count};
 use lsqca_bench::{fig13, result_store, Scale, WorkloadHandle};
 use lsqca_json::ToJson;
+use lsqca_store::TempDir;
 
 #[test]
 fn quick_fig13_computes_only_the_missing_factory_counts() {
-    let dir = std::env::temp_dir().join(format!("lsqca-itest-groups-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("itest-groups");
     // Set before the first sweep: the process-wide store reads it once.
-    std::env::set_var("LSQCA_STORE_DIR", &dir);
+    std::env::set_var("LSQCA_STORE_DIR", dir.path());
     let benchmarks = [Benchmark::Ghz, Benchmark::SquareRoot];
     let cells = (benchmarks.len() * ArchConfig::paper_floorplans().len()) as u64;
 
@@ -82,5 +82,4 @@ fn quick_fig13_computes_only_the_missing_factory_counts() {
         }
     }
     assert!(points.next().is_none());
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,13 +8,7 @@ use lsqca::experiment::ExperimentConfig;
 use lsqca::prelude::*;
 use lsqca_bench::supervisor::{self, owning_shard};
 use lsqca_bench::{stored_run_in, Scale, WorkloadHandle};
-use lsqca_store::ResultStore;
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("lsqca-itest-lazy-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use lsqca_store::{ResultStore, TempDir};
 
 fn ghz() -> WorkloadHandle {
     WorkloadHandle::benchmark(Benchmark::Ghz, Scale::Quick)
@@ -32,8 +26,8 @@ fn store_hits_and_foreign_shard_placeholders_never_build_the_workload() {
         .collect();
 
     // Warm a store with every point; computing them builds the workload.
-    let warm_dir = temp_dir("warm");
-    let store = ResultStore::at(&warm_dir);
+    let warm_dir = TempDir::new("itest-lazy-warm");
+    let store = ResultStore::at(warm_dir.path());
     let cold = ghz();
     let expected: Vec<ExecutionStats> = configs
         .iter()
@@ -43,7 +37,7 @@ fn store_hits_and_foreign_shard_placeholders_never_build_the_workload() {
     assert_eq!(store.stats().computed, configs.len() as u64);
 
     // Store hits: a fresh handle over the warm store builds nothing.
-    let reopened = ResultStore::at(&warm_dir);
+    let reopened = ResultStore::at(warm_dir.path());
     let fresh = ghz();
     for (config, stats) in configs.iter().zip(&expected) {
         assert_eq!(&stored_run_in(&reopened, &fresh, config), stats);
@@ -57,9 +51,9 @@ fn store_hits_and_foreign_shard_placeholders_never_build_the_workload() {
 
     // Placeholders: as worker 0 of 2 over an empty store, every point shard 1
     // owns renders as default statistics without building anything.
-    let shard_dir = temp_dir("shard");
-    supervisor::install_worker(0, 2, &shard_dir);
-    let empty = ResultStore::at(&shard_dir);
+    let shard_dir = TempDir::new("itest-lazy-shard");
+    supervisor::install_worker(0, 2, shard_dir.path());
+    let empty = ResultStore::at(shard_dir.path());
     let handle = ghz();
     let (foreign, owned): (Vec<_>, Vec<_>) = configs
         .iter()
@@ -81,7 +75,4 @@ fn store_hits_and_foreign_shard_placeholders_never_build_the_workload() {
     let index = configs.iter().position(|c| c == owned[0]).unwrap();
     assert_eq!(stored_run_in(&empty, &handle, owned[0]), expected[index]);
     assert!(handle.is_compiled());
-
-    let _ = std::fs::remove_dir_all(&warm_dir);
-    let _ = std::fs::remove_dir_all(&shard_dir);
 }

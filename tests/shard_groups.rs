@@ -9,14 +9,14 @@ use lsqca::prelude::*;
 use lsqca::sim::{memory_walk_count, simulation_count};
 use lsqca_bench::supervisor::{self, owning_shard};
 use lsqca_bench::{stored_runs_in, Scale, WorkloadHandle};
-use lsqca_store::{DiskIo, QuarantineEntry, QuarantineLog, ResultStore};
+use lsqca_store::{DiskIo, QuarantineEntry, QuarantineLog, ResultStore, TempDir};
 use std::sync::Arc;
 
 #[test]
 fn groups_compute_and_publish_only_their_owned_keys() {
-    let dir = std::env::temp_dir().join(format!("lsqca-itest-shard-groups-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let temp = TempDir::new("itest-shard-groups");
+    let dir = temp.path();
+    std::fs::create_dir_all(dir).unwrap();
     let handle = WorkloadHandle::benchmark(Benchmark::Ghz, Scale::Quick);
     let base = ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 1);
     let factories: Vec<u32> = (1..=8).collect();
@@ -36,18 +36,18 @@ fn groups_compute_and_publish_only_their_owned_keys() {
         .collect();
     assert!(owned.len() >= 2 && owned.len() < keys.len(), "{owned:?}");
     let quarantined = owned[0];
-    QuarantineLog::new(Arc::new(DiskIo), &dir, "0")
+    QuarantineLog::new(Arc::new(DiskIo), dir, "0")
         .append(&QuarantineEntry {
             attempts: 3,
             key: keys[quarantined].clone(),
         })
         .unwrap();
-    supervisor::install_worker(0, 2, &dir);
+    supervisor::install_worker(0, 2, dir);
     let computes: Vec<bool> = keys.iter().map(|k| supervisor::should_compute(k)).collect();
     let computed_count = computes.iter().filter(|&&c| c).count() as u64;
     assert_eq!(computed_count, owned.len() as u64 - 1);
 
-    let store = ResultStore::at(&dir);
+    let store = ResultStore::at(dir);
     let (runs, walks) = (simulation_count(), memory_walk_count());
     let stats = stored_runs_in(&store, &handle, &base, &factories);
     assert_eq!(store.stats().computed, computed_count);
@@ -58,7 +58,7 @@ fn groups_compute_and_publish_only_their_owned_keys() {
         "the owned keys share one walk"
     );
 
-    let reopened = ResultStore::at(&dir);
+    let reopened = ResultStore::at(dir);
     for (i, &factories) in factories.iter().enumerate() {
         if computes[i] {
             let expected = handle
@@ -78,5 +78,4 @@ fn groups_compute_and_publish_only_their_owned_keys() {
             );
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

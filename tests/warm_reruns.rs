@@ -8,13 +8,13 @@
 use lsqca::sim::simulation_count;
 use lsqca::workloads::compile_count;
 use lsqca_bench::{report, result_store, Scale};
+use lsqca_store::TempDir;
 
 #[test]
 fn warm_ablation_and_headline_reruns_compile_and_simulate_nothing() {
-    let dir = std::env::temp_dir().join(format!("lsqca-itest-warm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("itest-warm");
     // Set before the first sweep: the process-wide store reads it once.
-    std::env::set_var("LSQCA_STORE_DIR", &dir);
+    std::env::set_var("LSQCA_STORE_DIR", dir.path());
 
     // Three benchmarks × two in-memory-ops arms × three points, and the
     // four headline points.
@@ -33,5 +33,4 @@ fn warm_ablation_and_headline_reruns_compile_and_simulate_nothing() {
         assert_eq!(after.hits - warmed.hits, points, "{command}: warm hits");
         assert_eq!(warm, cold, "{command}: warm report bytes");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
