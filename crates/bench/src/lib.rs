@@ -149,9 +149,18 @@ impl WorkloadHandle {
 /// supervision ends: then `merge` and every post-supervisor render see every
 /// worker's lines. (A worker's own view of other shards may be stale, which
 /// only affects the placeholder rows of its discarded report.)
+///
+/// This crate's own unit tests get a disabled store instead, so each of
+/// their generator runs simulates every point it reports.
 pub fn result_store() -> &'static ResultStore {
     static STORE: OnceLock<ResultStore> = OnceLock::new();
-    STORE.get_or_init(ResultStore::from_env)
+    STORE.get_or_init(|| {
+        if cfg!(test) {
+            ResultStore::disabled()
+        } else {
+            ResultStore::from_env()
+        }
+    })
 }
 
 /// [`stored_runs_in`] for one factory count: the statistics of `workload`
@@ -1196,16 +1205,11 @@ pub mod ablation {
     /// Runs the 2×2 ablation (store policy × in-memory ops) for each benchmark
     /// on the given floorplan with one magic-state factory.
     ///
-    /// Each arm (benchmark × in-memory ops) is one workload and one [`Plan`]
+    /// Each arm (benchmark × in-memory ops) is one workload with three cells
     /// at the factory list `[1]`: the home store (the slowest) first, then
-    /// the locality-aware store and the conventional baseline, which the
-    /// executor starts in that order. Each arm's plan runs before the next
-    /// is built, so one arm's workload is resident at a time: one plan for
-    /// both arms of a benchmark measured 33.3–35.6 MB peak RSS against
-    /// 21.9–22.3 MB (2-core host, 2 threads, fresh store, 6 alternating runs
-    /// each), for a best wall time of 0.37 s against 0.47 s. This command
-    /// sets the paper-scale peak, so one plan per benchmark would raise it
-    /// by about half.
+    /// the locality-aware store and the conventional baseline. Every arm is
+    /// in one [`Plan`], so the executor starts every arm's home-store cell,
+    /// and with it every compile, before any arm's second cell.
     pub fn generate(
         scale: Scale,
         benchmarks: &[Benchmark],
@@ -1219,34 +1223,42 @@ pub mod ablation {
         let locality_aware = ExperimentConfig::new(floorplan, 1);
         let home = locality_aware.clone().with_home_store();
         let baseline = ExperimentConfig::baseline(1);
+        let arms: Vec<(Benchmark, bool, WorkloadHandle)> = or_default(benchmarks, &default)
+            .iter()
+            .flat_map(|&benchmark| {
+                let cfg = benchmark.config(scale.instance_size());
+                [true, false].map(|in_memory_ops| {
+                    let compiler = CompilerConfig {
+                        use_in_memory_ops: in_memory_ops,
+                        ..CompilerConfig::default()
+                    };
+                    // The compiler configuration is part of the workload
+                    // key, so the two arms get distinct workloads and records.
+                    let workload = WorkloadHandle::new(cfg.clone(), compiler);
+                    (benchmark, in_memory_ops, workload)
+                })
+            })
+            .collect();
+        let mut plan = Plan::new(&[1]);
+        for (_, _, workload) in &arms {
+            for config in [&home, &locality_aware, &baseline] {
+                plan.cell(workload, config.clone());
+            }
+        }
+        let results = plan.run();
         let mut points = Vec::new();
-        for &benchmark in or_default(benchmarks, &default) {
-            let cfg = benchmark.config(scale.instance_size());
-            for in_memory_ops in [true, false] {
-                let compiler = CompilerConfig {
-                    use_in_memory_ops: in_memory_ops,
-                    ..CompilerConfig::default()
-                };
-                // The compiler configuration is part of the workload key, so
-                // the two ablation arms get distinct workloads and records.
-                let workload = WorkloadHandle::new(cfg.clone(), compiler);
-                let mut plan = Plan::new(&[1]);
-                for config in [&home, &locality_aware, &baseline] {
-                    plan.cell(&workload, config.clone());
-                }
-                let results = plan.run();
-                let baseline = results.stats(&workload, &baseline, 1);
-                for (locality, config) in [(true, &locality_aware), (false, &home)] {
-                    let stats = results.stats(&workload, config, 1);
-                    points.push(Point {
-                        benchmark: benchmark.name().to_string(),
-                        floorplan: floorplan.label(),
-                        locality_aware_store: locality,
-                        in_memory_ops,
-                        beats: stats.total_beats.as_u64(),
-                        overhead: stats.overhead_vs(baseline),
-                    });
-                }
+        for (benchmark, in_memory_ops, workload) in &arms {
+            let baseline = results.stats(workload, &baseline, 1);
+            for (locality, config) in [(true, &locality_aware), (false, &home)] {
+                let stats = results.stats(workload, config, 1);
+                points.push(Point {
+                    benchmark: benchmark.name().to_string(),
+                    floorplan: floorplan.label(),
+                    locality_aware_store: locality,
+                    in_memory_ops: *in_memory_ops,
+                    beats: stats.total_beats.as_u64(),
+                    overhead: stats.overhead_vs(baseline),
+                });
             }
         }
         points
@@ -1513,6 +1525,25 @@ mod tests {
         plan.cell(&ghz, point_config(&line, 4));
         assert_eq!(plan.issue_order(), vec![0, 2, 4, 1, 3, 5]);
         assert!(!ghz.is_compiled(), "ordering the cells compiles nothing");
+    }
+
+    /// The generator tests run against a disabled store, so a second run
+    /// of the same sweep simulates every point again: none is served warm,
+    /// from disk or from this process's earlier runs.
+    #[test]
+    fn generator_tests_simulate_every_point_on_every_run() {
+        assert!(result_store().dir().is_none(), "the test store persists");
+        for _ in 0..2 {
+            let before = result_store().stats().computed;
+            let points = fig13::generate(Scale::Quick, &[Benchmark::Ghz], &[1, 2]);
+            let computed = result_store().stats().computed - before;
+            assert!(computed >= points.len() as u64, "{computed} computed");
+        }
+        assert_eq!(
+            result_store().stats().hits,
+            0,
+            "a point came from the store"
+        );
     }
 
     #[test]

@@ -21,10 +21,14 @@
 //! [`InstructionSink`]. [`compile`] collects them into an [`lsqca_isa::Program`];
 //! [`compile_into`] writes them into any sink, such as the
 //! [`lsqca_isa::ExecutionTrace`] the simulator runs, so a workload compiled
-//! for simulation never holds a `Program` at all. Both run the same code.
-//! Memory addresses coincide with the circuit's qubit indices, so the
-//! workload's register structure can still be used for hybrid-floorplan
-//! placement.
+//! for simulation never holds a `Program` at all. Both run the same code and
+//! differ only in how they number classical values: [`compile`] gives every
+//! measurement outcome its own [`ClassicalId`], while [`compile_into`]
+//! writes *live slots* (see [`lsqca_isa::trace_compile`]): a T gate's `MZZ`
+//! outcome and the `SK` that reads it take [`FIRST_LIVE_SLOT`], and every
+//! outcome nothing reads takes [`DEAD_SLOT`]. Memory addresses coincide with
+//! the circuit's qubit indices, so the workload's register structure can
+//! still be used for hybrid-floorplan placement.
 //!
 //! # Example
 //!
@@ -46,6 +50,7 @@
 #![warn(missing_docs)]
 
 use lsqca_circuit::{lower_each, Circuit, DecomposeConfig, Gate};
+use lsqca_isa::trace_compile::{DEAD_SLOT, FIRST_LIVE_SLOT};
 use lsqca_isa::{ClassicalId, Instruction, InstructionSink, MemAddr, Program, RegId};
 
 /// Options controlling compilation.
@@ -117,7 +122,9 @@ fn mem(q: u32) -> MemAddr {
 /// Internal helper carrying compilation state.
 struct Lowering<'s, S> {
     sink: &'s mut S,
-    next_value: u32,
+    /// The next fresh classical identifier, or `None` when outcomes take
+    /// live slots.
+    next_value: Option<u32>,
     next_magic_slot: u32,
     cr_slots: u32,
     use_in_memory: bool,
@@ -125,10 +132,19 @@ struct Lowering<'s, S> {
 }
 
 impl<S: InstructionSink> Lowering<'_, S> {
-    fn fresh_value(&mut self) -> ClassicalId {
-        let v = ClassicalId(self.next_value);
-        self.next_value += 1;
-        v
+    /// The classical value a measurement writes: a fresh identifier, or in
+    /// live slots [`FIRST_LIVE_SLOT`] for the outcome a T gate's `SK` reads
+    /// (`read`), which that `SK` frees before the next one is written, and
+    /// [`DEAD_SLOT`] for every outcome nothing reads.
+    fn outcome(&mut self, read: bool) -> ClassicalId {
+        match &mut self.next_value {
+            Some(next) => {
+                *next += 1;
+                ClassicalId(*next - 1)
+            }
+            None if read => ClassicalId(FIRST_LIVE_SLOT),
+            None => ClassicalId(DEAD_SLOT),
+        }
     }
 
     /// Round-robin CR slot used for transient magic states / loads, so that two
@@ -143,8 +159,8 @@ impl<S: InstructionSink> Lowering<'_, S> {
         self.t_gates += 1;
         let slot = self.next_slot();
         let mem = mem(target);
-        let zz = self.fresh_value();
-        let mx = self.fresh_value();
+        let zz = self.outcome(true);
+        let mx = self.outcome(false);
         self.sink.push(Instruction::Pm { reg: slot });
         if self.use_in_memory {
             self.sink.push(Instruction::MzzM {
@@ -226,11 +242,11 @@ impl<S: InstructionSink> Lowering<'_, S> {
                 Gate::S(_) | Gate::Sdg(_) => Instruction::PhM { mem },
                 Gate::MeasureZ(_) => Instruction::MzM {
                     mem,
-                    out: self.fresh_value(),
+                    out: self.outcome(false),
                 },
                 Gate::MeasureX(_) => Instruction::MxM {
                     mem,
-                    out: self.fresh_value(),
+                    out: self.outcome(false),
                 },
                 _ => unreachable!("only single-qubit non-Pauli gates reach here"),
             };
@@ -263,11 +279,11 @@ impl<S: InstructionSink> Lowering<'_, S> {
                     self.sink.push(Instruction::St { reg: slot, mem });
                 }
                 Gate::MeasureZ(_) => {
-                    let v = self.fresh_value();
+                    let v = self.outcome(false);
                     self.sink.push(Instruction::MzC { reg: slot, out: v });
                 }
                 Gate::MeasureX(_) => {
-                    let v = self.fresh_value();
+                    let v = self.outcome(false);
                     self.sink.push(Instruction::MxC { reg: slot, out: v });
                 }
                 _ => unreachable!("only single-qubit non-Pauli gates reach here"),
@@ -283,9 +299,12 @@ impl<S: InstructionSink> Lowering<'_, S> {
 /// negligible latency, matching the paper's evaluation). Memory address `m_i`
 /// corresponds to circuit qubit `i` (plus any ancillas introduced by lowering).
 /// The program is named after the circuit, which lowering preserves.
+///
+/// Every measurement outcome gets its own [`ClassicalId`], numbered from 0
+/// in program order.
 pub fn compile(circuit: &Circuit, config: CompilerConfig) -> CompiledProgram {
     let mut program = Program::new(circuit.name());
-    let (num_qubits, t_gates) = compile_into(circuit, config, &mut program);
+    let (num_qubits, t_gates) = compile_with(circuit, config, false, &mut program);
     CompiledProgram {
         program,
         num_qubits,
@@ -293,10 +312,18 @@ pub fn compile(circuit: &Circuit, config: CompilerConfig) -> CompiledProgram {
     }
 }
 
-/// Compiles `circuit` exactly as [`compile`] does, pushing each instruction
-/// into `sink` in program order, and returns `(num_qubits, t_gates)`: the
-/// number of data qubits (SAM addresses) of the lowered circuit and the
-/// number of T / T† gates translated into magic-state teleportations.
+/// Compiles `circuit` as [`compile`] does, pushing each instruction into
+/// `sink` in program order, and returns `(num_qubits, t_gates)`: the number
+/// of data qubits (SAM addresses) of the lowered circuit and the number of
+/// T / T† gates translated into magic-state teleportations.
+///
+/// The classical operands are live slots, not [`compile`]'s identifiers:
+/// each T gate's `MZZ` outcome and the `SK` two records later that reads
+/// it take [`FIRST_LIVE_SLOT`], and every other outcome, which
+/// nothing reads, takes [`DEAD_SLOT`]. That is exactly the renumbering
+/// [`lsqca_isa::ExecutionTrace::compact_classical`] derives from
+/// [`compile`]'s program, so the trace never holds more than three
+/// classical slots.
 ///
 /// A circuit that is not yet lowered is lowered gate by gate
 /// ([`lsqca_circuit::lower_each`]) and each lowered gate is translated as it
@@ -306,9 +333,20 @@ pub fn compile_into(
     config: CompilerConfig,
     sink: &mut impl InstructionSink,
 ) -> (u32, u64) {
+    compile_with(circuit, config, true, sink)
+}
+
+/// [`compile_into`] with its classical outcomes in live slots, or numbered
+/// from 0 in program order as [`compile`] numbers them.
+fn compile_with(
+    circuit: &Circuit,
+    config: CompilerConfig,
+    live_slots: bool,
+    sink: &mut impl InstructionSink,
+) -> (u32, u64) {
     let mut state = Lowering {
         sink,
-        next_value: 0,
+        next_value: (!live_slots).then_some(0),
         next_magic_slot: 0,
         cr_slots: 2,
         use_in_memory: config.use_in_memory_ops,
@@ -457,6 +495,30 @@ mod tests {
         outputs.sort();
         outputs.dedup();
         assert_eq!(outputs.len(), before, "classical outputs must be unique");
+    }
+
+    #[test]
+    fn compile_into_writes_live_classical_slots() {
+        use lsqca_isa::ExecutionTrace;
+        let mut c = Circuit::new("t-then-measure", 1);
+        c.t(0);
+        c.t(0);
+        c.measure_z(0);
+        for config in [in_memory(), load_store()] {
+            let mut trace = ExecutionTrace::new();
+            compile_into(&c, config, &mut trace);
+            let classical: Vec<_> = (0..trace.len())
+                .map(|k| trace.instruction(k))
+                .filter_map(|i| i.classical_input().or(i.classical_output()))
+                .map(|v| v.0)
+                .collect();
+            // Per T gate: MZZ (live), MX (dead), SK (reads the MZZ); then
+            // the measurement, which nothing reads.
+            let t_gate = [FIRST_LIVE_SLOT, DEAD_SLOT, FIRST_LIVE_SLOT];
+            assert_eq!(classical, [&t_gate[..], &t_gate, &[DEAD_SLOT]].concat());
+            assert_eq!(trace.classical_bound(), FIRST_LIVE_SLOT + 1);
+            assert!(trace.is_narrow());
+        }
     }
 
     #[test]

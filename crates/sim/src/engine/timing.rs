@@ -87,12 +87,12 @@ impl<const W: usize> TimingLanes<W> {
     /// write the scratch slot, so the dependency pass needs no per-operand
     /// branches. Reads of never-written entries return zero either way, so
     /// sizing up front is observationally free. (A compiled workload's
-    /// trace names one classical value per live slot, see
-    /// [`ExecutionTrace::compact_classical`].) `slot_ready` keeps its lazy
-    /// growth: the CX slot claim scans the *current* table, and presizing
-    /// it would hand CXs slots the program has not touched yet. With
-    /// `record_trace`, each lane's reference profile sizes its per-address
-    /// table like `mem_ready`, so recording never regrows it.
+    /// trace names its classical values by live slot, so `classical_ready`
+    /// holds four entries; see [`lsqca_isa::trace_compile`].) `slot_ready`
+    /// keeps its lazy growth: the CX slot claim scans the *current* table,
+    /// and presizing it would hand CXs slots the program has not touched
+    /// yet. With `record_trace`, each lane's reference profile sizes its
+    /// per-address table like `mem_ready`, so recording never regrows it.
     fn presize(&mut self, trace: &ExecutionTrace, record_trace: bool) {
         let mem_bound = trace.mem_bound() as usize;
         if self.mem_ready.len() < mem_bound + 1 {
@@ -127,7 +127,9 @@ impl<const W: usize> TimingLanes<W> {
         // The shared slots under each of their roles.
         let (mem0, reg1) = (slot0, slot0);
         let (mem1, reg0) = (slot1, slot1);
-        let cio = &trace.cio()[range];
+        // Empty in a narrow trace, whose opcode bytes hold the classical
+        // operands.
+        let classical = trace.classical_column().get(range).unwrap_or(&[]);
         let cost = &scratch.cost[..len];
         let bounded_registers = ctx.bounded_registers;
         let infinite_magic = ctx.infinite_magic;
@@ -182,6 +184,7 @@ impl<const W: usize> TimingLanes<W> {
             // the index is masked by its presence bit.
             let m0 = mem0[k].value() & mask0 as u32;
             let m1 = mem1[k].value() & mask1 as u32;
+            let cio = S::classical(op[k], classical, k) as usize;
 
             // Dependency collection, branchless: every index is in bounds
             // (masked memory operands read entry 0, and the classical slot is
@@ -189,7 +192,7 @@ impl<const W: usize> TimingLanes<W> {
             // drops an absent operand's read below any real ready time.
             let dep0 = mem_ready[m0 as usize];
             let dep1 = mem_ready[m1 as usize];
-            let depc = classical_ready[cio[k] as usize];
+            let depc = classical_ready[cio];
             let mut start = [0u64; W];
             for l in 0..W {
                 start[l] = guard[l]
@@ -309,7 +312,7 @@ impl<const W: usize> TimingLanes<W> {
                 }
             }
             let wc = if fl & flags::HAS_COUT != 0 {
-                cio[k] as usize
+                cio
             } else {
                 classical_scratch
             };
@@ -471,9 +474,13 @@ mod tests {
             record_trace: true,
             floorplan: &arch.floorplan,
         };
-        lanes
-            .advance::<MODE, u16>(&trace, 0..trace.len(), &scratch, &ctx)
-            .unwrap();
+        let range = 0..trace.len();
+        if trace.is_narrow() {
+            lanes.advance::<MODE, u16>(&trace, range, &scratch, &ctx)
+        } else {
+            lanes.advance::<MODE, u32>(&trace, range, &scratch, &ctx)
+        }
+        .unwrap();
         lanes
     }
 
@@ -580,23 +587,32 @@ mod tests {
     }
 
     fn skip_guards_only_the_next_record<const W: usize>() {
-        let (mem, value) = (MemAddr(0), ClassicalId(0));
-        let records = [
-            hd(0),
-            Instruction::MzM { mem, out: value },
-            Instruction::Sk { cond: value },
-            Instruction::PhM { mem: MemAddr(1) },
-            Instruction::PhM { mem: MemAddr(2) },
-            Instruction::HdC { reg: RegId(0) },
-        ];
-        let columns = (&[3, 0, 0, 2, 2, 3][..], &[][..]);
-        let conventional = FloorplanKind::Conventional;
-        let lanes =
-            run::<W, { bank_mode::BANKLESS }>(conventional, &records, columns, false, |_| {});
-        // The SK waits for the measurement (beat 3); the record after it
-        // starts no earlier, the one after that is free again.
-        assert_starts(&lanes, &[(0, 0), (0, 3), (1, 3), (2, 0)]);
-        assert_eq!((lanes.guard, lanes.makespan), ([0; W], [5; W]));
+        // A narrow trace keeps the classical operand in its opcode bytes, a
+        // wide one (an operand past the opcode bits) in its own column.
+        for value in [ClassicalId(2), ClassicalId(9)] {
+            let mem = MemAddr(0);
+            let records = [
+                hd(0),
+                Instruction::MzM { mem, out: value },
+                Instruction::MxM {
+                    mem: MemAddr(3),
+                    out: ClassicalId(3),
+                },
+                Instruction::Sk { cond: value },
+                Instruction::PhM { mem: MemAddr(1) },
+                Instruction::PhM { mem: MemAddr(2) },
+                Instruction::HdC { reg: RegId(0) },
+            ];
+            let columns = (&[3, 0, 0, 0, 2, 2, 3][..], &[][..]);
+            let conventional = FloorplanKind::Conventional;
+            let lanes =
+                run::<W, { bank_mode::BANKLESS }>(conventional, &records, columns, false, |_| {});
+            // The SK waits for the measurement it reads (beat 3), not the
+            // other one; the record after it starts no earlier, the one
+            // after that is free again.
+            assert_starts(&lanes, &[(0, 0), (0, 3), (3, 0), (1, 3), (2, 0)]);
+            assert_eq!((lanes.guard, lanes.makespan), ([0; W], [5; W]));
+        }
     }
 
     #[test]

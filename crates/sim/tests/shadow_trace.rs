@@ -12,6 +12,7 @@
 //! walk, shared by every factory count, must equal one fresh run per count.
 
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
+use lsqca_isa::trace_compile::NARROW_CLASSICAL;
 use lsqca_isa::{ClassicalId, ExecutionTrace, Instruction, LatencyTable, MemAddr, Program, RegId};
 use lsqca_lattice::QubitTag;
 use lsqca_sim::{Classified, SimConfig, SimError, SimOutcome, Simulator};
@@ -240,6 +241,49 @@ fn spread(program: &Program, mem_offset: u32, reg_offset: u32) -> Program {
             control: m(control),
             target: m(target),
         },
+    }))
+}
+
+/// The largest classical operand of `program`, if it has any.
+fn largest_classical(program: &Program) -> Option<u32> {
+    program
+        .iter()
+        .filter_map(|i| i.classical_input().or(i.classical_output()))
+        .map(|v| v.0)
+        .max()
+}
+
+/// `program` with every classical operand `v` replaced by `relabel(v)`.
+fn relabel_classical(program: &Program, relabel: impl Fn(u32) -> u32) -> Program {
+    use Instruction::*;
+    let c = |value: ClassicalId| ClassicalId(relabel(value.0));
+    Program::from_iter(program.iter().map(|&instruction| match instruction {
+        MxC { reg, out } => MxC { reg, out: c(out) },
+        MzC { reg, out } => MzC { reg, out: c(out) },
+        MxxC { reg1, reg2, out } => MxxC {
+            reg1,
+            reg2,
+            out: c(out),
+        },
+        MzzC { reg1, reg2, out } => MzzC {
+            reg1,
+            reg2,
+            out: c(out),
+        },
+        Sk { cond } => Sk { cond: c(cond) },
+        MxM { mem, out } => MxM { mem, out: c(out) },
+        MzM { mem, out } => MzM { mem, out: c(out) },
+        MxxM { reg, mem, out } => MxxM {
+            reg,
+            mem,
+            out: c(out),
+        },
+        MzzM { reg, mem, out } => MzzM {
+            reg,
+            mem,
+            out: c(out),
+        },
+        other => other,
     }))
 }
 
@@ -555,8 +599,7 @@ proptest! {
             assume_infinite_magic: infinite_magic,
         };
         let plain = lsqca_isa::lower(&program);
-        let mut compacted = plain.clone();
-        compacted.compact_classical();
+        let compacted = plain.compact_classical();
         let (mut a, mut b) = pair(&arch, &hot, config, policy, budget);
         assert_same_run(
             &a.execute(&compacted).map(|outcome| vec![outcome]),
@@ -573,7 +616,7 @@ proptest! {
 proptest! {
     /// Wide traces execute like the interpreter: over programs whose memory
     /// addresses or register indices reach past 2¹⁶, so their operand slots
-    /// are `u32` where every other property runs `u16` ones, a single run
+    /// are `u32` whatever their classical operands, a single run
     /// and a 1/2/4-factory group each equal the [`Classified`] oracle's,
     /// memory traces on. [`wide_trace_at_address_70_000_runs_like_the_interpreter`]
     /// adds a hand-built trace on every paper floorplan.
@@ -597,7 +640,10 @@ proptest! {
             })
             .max()
             .unwrap_or(0);
-        prop_assert_eq!(trace.is_narrow(), largest < WIDE);
+        prop_assert_eq!(
+            trace.is_narrow(),
+            largest < WIDE && largest_classical(&program).unwrap_or(0) < NARROW_CLASSICAL
+        );
         let qubits = trace.mem_bound().max(QUBITS);
         let build = || {
             let mut builder = Simulator::builder(&arch, qubits).config(config);
@@ -610,6 +656,54 @@ proptest! {
         let oracle = Classified::new(&program, &classes);
         // Each simulator runs twice: a rerun resets first, like a fresh one.
         let (mut engine, mut reference) = (build(), build());
+        prop_assert_eq!(engine.execute(&trace), reference.execute(&oracle));
+        let factories = [1, 2, 4];
+        prop_assert_eq!(
+            engine.execute_factories(&trace, &factories),
+            reference.execute_factories(&oracle, &factories)
+        );
+    }
+}
+
+proptest! {
+    /// Traces whose classical operands ride in the opcode bytes (narrow)
+    /// and traces whose classical operands reach past them (wide, 13 bytes
+    /// a record) execute like the interpreter. Each random program's
+    /// classical values are folded below [`NARROW_CLASSICAL`] or shifted
+    /// past it, often just past it; shifting keeps every value distinct, so
+    /// reads of unwritten values and rewrites survive in the wide case. A
+    /// single run and a 1/2/4-factory group each equal the [`Classified`]
+    /// oracle's, memory traces on.
+    #[test]
+    fn narrow_and_wide_classical_traces_execute_alike(
+        program in prop_oneof![any_program(), any_long_program(), any_classical_heavy_program()],
+        shift in prop_oneof![
+            Just(None),
+            (NARROW_CLASSICAL..16).prop_map(Some),
+            (16u32..5_000).prop_map(Some),
+        ],
+        arch in any_group_arch(),
+        hot in proptest::collection::vec(0u32..QUBITS, 0..4),
+        policy in any_policy(),
+        infinite_magic in proptest::bool::ANY,
+        budget in prop_oneof![Just(None), (1u64..3000).prop_map(Some)],
+    ) {
+        let program = match shift {
+            None => relabel_classical(&program, |v| v % NARROW_CLASSICAL),
+            Some(shift) => relabel_classical(&program, |v| v + shift),
+        };
+        let trace = lsqca_isa::lower(&program);
+        let narrow = largest_classical(&program).is_none_or(|v| v < NARROW_CLASSICAL);
+        prop_assert_eq!(trace.is_narrow(), narrow);
+        prop_assert_eq!(narrow, shift.is_none() || trace.classical_bound() == 0);
+        let hot: Vec<QubitTag> = hot.into_iter().map(QubitTag).collect();
+        let config = SimConfig {
+            record_trace: true,
+            assume_infinite_magic: infinite_magic,
+        };
+        let classes = LatencyTable::paper().classify_program(&program);
+        let oracle = Classified::new(&program, &classes);
+        let (mut engine, mut reference) = pair(&arch, &hot, config, policy, budget);
         prop_assert_eq!(engine.execute(&trace), reference.execute(&oracle));
         let factories = [1, 2, 4];
         prop_assert_eq!(

@@ -93,15 +93,16 @@ pub struct CompiledWorkload {
 }
 
 impl CompiledWorkload {
-    /// Compiles `circuit` straight into an execution trace, then renumbers
-    /// its classical operands into live slots
-    /// ([`ExecutionTrace::compact_classical`]), so a walk's classical ready
-    /// table holds a few entries instead of one per measurement. A counting
-    /// pass over the same stream ([`TraceShape`]) comes first, so the trace
-    /// is allocated once, at its final length and slot width. `descriptor`
-    /// identifies the workload and is what result-store keys are derived
-    /// from, so it must determine the compiled content: pass the
-    /// [`workload_key`] of the generator configuration (ad-hoc circuits use
+    /// Compiles `circuit` straight into an execution trace. The compiler
+    /// writes classical operands as live slots ([`compile_into`]), so a
+    /// walk's classical ready table holds four entries instead of one per
+    /// measurement, and every record fits the 5-byte narrow layout unless an
+    /// operand reaches 2¹⁶. A counting pass over the same stream
+    /// ([`TraceShape`]) comes first, so the trace is allocated once, at its
+    /// final length and width. `descriptor` identifies the workload and is
+    /// what result-store keys are derived from, so it must determine the
+    /// compiled content: pass the [`workload_key`] of the generator
+    /// configuration (ad-hoc circuits use
     /// [`CompiledWorkload::compile_adhoc`]). Nothing is rendered or hashed.
     pub fn compile(
         descriptor: impl Into<String>,
@@ -112,12 +113,11 @@ impl CompiledWorkload {
         #[cfg(test)]
         THREAD_COMPILE_COUNT.with(|n| n.set(n.get() + 1));
         // A counting pass first, so the trace is allocated once at its final
-        // length and slot width instead of growing by doubling.
+        // length and width instead of growing by doubling.
         let mut shape = TraceShape::default();
         compile_into(circuit, config, &mut shape);
         let mut trace = ExecutionTrace::with_shape(&shape);
         let (num_qubits, t_gates) = compile_into(circuit, config, &mut trace);
-        trace.compact_classical();
         CompiledWorkload {
             name: circuit.name().to_string(),
             descriptor: descriptor.into(),
@@ -164,10 +164,11 @@ impl CompiledWorkload {
     }
 
     /// The execution trace: the compiled instruction stream, one record per
-    /// instruction, its classical operands renumbered into live slots (so
-    /// [`ExecutionTrace::instruction`] reports slots, not the compiler's
-    /// classical identifiers). Built once by [`CompiledWorkload::compile`]; a
-    /// cached artifact carries the serialized trace and decodes it on load.
+    /// instruction, its classical operands in live slots (so
+    /// [`ExecutionTrace::instruction`] reports slots, not the per-measurement
+    /// identifiers of [`lsqca_compiler::compile`]'s program). Built once by
+    /// [`CompiledWorkload::compile`]; a cached artifact carries the
+    /// serialized trace and decodes it on load.
     pub fn trace(&self) -> &ExecutionTrace {
         &self.trace
     }
@@ -465,14 +466,31 @@ mod tests {
     }
 
     /// `circuit` compiled through the `Program` sink and through the trace
-    /// sink: the lowered program, compacted, equals the trace column by
-    /// column, and the name, T count, qubit count and footprint agree.
-    fn assert_sinks_agree(circuit: &Circuit, config: CompilerConfig) {
+    /// sink: the trace the compiler emits in live slots equals, record by
+    /// record, the program's own trace (per-measurement identifiers)
+    /// renumbered by [`ExecutionTrace::compact_classical`], and the name, T
+    /// count, qubit count and footprint agree. Returns the emitted trace's
+    /// workload.
+    fn assert_sinks_agree(circuit: &Circuit, config: CompilerConfig) -> CompiledWorkload {
         let compiled = compile(circuit, config);
         let w = CompiledWorkload::compile("sinks", circuit, config);
-        let mut lowered = lsqca_isa::lower(&compiled.program);
-        lowered.compact_classical();
-        assert_eq!(lowered, *w.trace());
+        let compacted = lsqca_isa::lower(&compiled.program).compact_classical();
+        let emitted = w.trace();
+        assert_eq!(emitted.len(), compacted.len(), "{}", circuit.name());
+        if let Some(k) = (0..emitted.len()).find(|&k| {
+            emitted.instruction(k) != compacted.instruction(k)
+                || emitted.ops()[k] != compacted.ops()[k]
+        }) {
+            panic!(
+                "{}: record {k} emitted as {} (byte {:#x}), compacted {} (byte {:#x})",
+                circuit.name(),
+                emitted.instruction(k),
+                emitted.ops()[k],
+                compacted.instruction(k),
+                compacted.ops()[k]
+            );
+        }
+        assert_eq!(*emitted, compacted, "{}", circuit.name());
         let footprint = compiled
             .program
             .iter()
@@ -484,35 +502,55 @@ mod tests {
         assert_eq!(w.name(), compiled.program.name());
         assert_eq!(w.t_gates(), compiled.t_gates);
         assert_eq!(w.num_qubits(), compiled.num_qubits);
+        w
     }
 
+    fn in_memory_ops(use_in_memory_ops: bool) -> CompilerConfig {
+        CompilerConfig {
+            use_in_memory_ops,
+            ..CompilerConfig::default()
+        }
+    }
+
+    /// Emission equals compaction on every registry benchmark's reduced
+    /// instance, with and without in-memory operations.
     #[test]
-    fn both_sinks_agree_on_every_benchmark() {
+    fn emitted_live_slots_equal_the_compacted_compile_on_every_benchmark() {
         for benchmark in Benchmark::ALL {
             let circuit = benchmark.reduced_instance();
             for use_in_memory_ops in [true, false] {
-                let config = CompilerConfig {
-                    use_in_memory_ops,
-                    ..CompilerConfig::default()
-                };
-                assert_sinks_agree(&circuit, config);
+                assert_sinks_agree(&circuit, in_memory_ops(use_in_memory_ops));
             }
+        }
+    }
+
+    /// Every paper multiplier T gate writes two classical values and skips
+    /// on one of them two records later, so the emitted trace equals the
+    /// compacted compile, uses the two reserved slots plus one live one, and
+    /// is narrow at 5 bytes per record, with and without in-memory
+    /// operations.
+    #[test]
+    fn paper_multiplier_emits_three_classical_slots_in_five_byte_records() {
+        let circuit = Benchmark::Multiplier.paper_instance();
+        for use_in_memory_ops in [true, false] {
+            let w = assert_sinks_agree(&circuit, in_memory_ops(use_in_memory_ops));
+            let trace = w.trace();
+            assert_eq!(trace.classical_bound(), 3, "in-memory {use_in_memory_ops}");
+            assert!(trace.is_narrow(), "in-memory {use_in_memory_ops}");
+            assert_eq!(trace.heap_bytes(), 5 * trace.len());
         }
     }
 
     /// The counting pass sizes the trace exactly: on every registry
     /// benchmark it counts as many records as the compile pushes, and the
     /// compiled trace's columns hold no spare capacity. Every benchmark's
-    /// trace is narrow, so that is 9 bytes per record.
+    /// trace is narrow, so that is 5 bytes per record.
     #[test]
-    fn traces_are_allocated_once_at_nine_bytes_per_record() {
+    fn traces_are_allocated_once_at_five_bytes_per_record() {
         for benchmark in Benchmark::ALL {
             let circuit = benchmark.reduced_instance();
             for use_in_memory_ops in [true, false] {
-                let config = CompilerConfig {
-                    use_in_memory_ops,
-                    ..CompilerConfig::default()
-                };
+                let config = in_memory_ops(use_in_memory_ops);
                 let mut shape = TraceShape::default();
                 compile_into(&circuit, config, &mut shape);
                 let w = CompiledWorkload::compile("shape", &circuit, config);
@@ -520,26 +558,8 @@ mod tests {
                 let name = benchmark.name();
                 assert_eq!(shape.records(), trace.len(), "{name}");
                 assert!(trace.is_narrow(), "{name}");
-                assert_eq!(trace.heap_bytes(), 9 * trace.len(), "{name}");
+                assert_eq!(trace.heap_bytes(), 5 * trace.len(), "{name}");
             }
-        }
-    }
-
-    /// Every paper multiplier T gate writes two classical values and skips
-    /// on one of them two records later, so its 420 200 identifiers fit in
-    /// the two reserved slots plus at most two live ones, with and without
-    /// in-memory operations.
-    #[test]
-    fn paper_multiplier_compacts_to_a_handful_of_slots() {
-        let circuit = Benchmark::Multiplier.paper_instance();
-        for use_in_memory_ops in [true, false] {
-            let config = CompilerConfig {
-                use_in_memory_ops,
-                ..CompilerConfig::default()
-            };
-            let w = CompiledWorkload::compile("multiplier", &circuit, config);
-            let bound = w.trace().classical_bound();
-            assert!(bound <= 4, "in-memory {use_in_memory_ops}: {bound} slots");
         }
     }
 
