@@ -268,6 +268,40 @@ pub const OPCODES: [OpInfo; 21] = {
     ]
 };
 
+/// The opcode bytes of an in-memory T-gate teleportation in a narrow trace,
+/// as `lsqca_compiler::compile_into` lowers every T gate with in-memory
+/// operations on: `PM r`, `MZZ.M r,m → 2`, `MX.C r → 1`, `SK 2`, `PH.M m`
+/// (the magic state, its joint measurement with `m` into live slot
+/// [`FIRST_LIVE_SLOT`], the magic qubit's measurement into [`DEAD_SLOT`],
+/// the skip on the first outcome, and the phase correction).
+pub const TELEPORT: [u8; 5] = [
+    4,
+    19 | (FIRST_LIVE_SLOT as u8) << OPCODE_BITS,
+    7 | (DEAD_SLOT as u8) << OPCODE_BITS,
+    11 | (FIRST_LIVE_SLOT as u8) << OPCODE_BITS,
+    15,
+];
+
+/// True if records `k..k + 5` of a trace, whose opcode bytes are `op` and
+/// whose slots 0 and 1 are `slot0` and `slot1`, form an in-memory
+/// teleport: exactly the opcode bytes of [`TELEPORT`], one register `r` in
+/// `PM`, `MZZ.M` and `MX.C`, and one address `m` in `MZZ.M` and `PH.M`.
+/// The only recognizer of the shape: an engine that advances a teleport as
+/// one step calls this, and nothing else decides what a teleport is.
+///
+/// Records past the end of the slices are absent, so a teleport cut by
+/// them is not one. A wide trace never holds one, because its opcode bytes
+/// carry no classical operand.
+#[inline(always)]
+pub fn is_teleport<S: Slot>(op: &[u8], [slot0, slot1]: [&[S]; 2], k: usize) -> bool {
+    op.get(k..k + TELEPORT.len()) == Some(&TELEPORT[..]) && {
+        let r = slot1[k].value();
+        slot1[k + 1].value() == r
+            && slot1[k + 2].value() == r
+            && slot0[k + 1].value() == slot0[k + 4].value()
+    }
+}
+
 /// The type of operand slots 0 and 1: `u16` in a narrow trace, `u32` in a
 /// wide one (see the [module docs](self#record-layout)).
 pub trait Slot: Copy + sealed::Sealed {
@@ -1159,6 +1193,82 @@ mod tests {
         // and either survives the codec.
         assert_eq!(lower(program), wide);
         assert_eq!(ExecutionTrace::decode(&wide.encode()).unwrap(), wide);
+    }
+
+    /// The recognizer accepts the lowered teleport, and no teleport with
+    /// one register, address or classical slot changed, cut short, or in a
+    /// wide trace.
+    #[test]
+    fn the_teleport_recognizer_accepts_exactly_the_teleport() {
+        use Instruction::*;
+        let (reg, mem) = (RegId(3), MemAddr(7));
+        let (zz, mx) = (ClassicalId(FIRST_LIVE_SLOT), ClassicalId(DEAD_SLOT));
+        let teleport = [
+            Pm { reg },
+            MzzM { reg, mem, out: zz },
+            MxC { reg, out: mx },
+            Sk { cond: zz },
+            PhM { mem },
+        ];
+        let recognized = |records: &[Instruction]| {
+            let trace = lower(&Program::from_iter(records.iter().copied()));
+            if trace.is_narrow() {
+                is_teleport(trace.ops(), trace.slots::<u16>(), 0)
+            } else {
+                is_teleport(trace.ops(), trace.slots::<u32>(), 0)
+            }
+        };
+        assert!(recognized(&teleport));
+        assert!(!recognized(&teleport[..4]));
+        let (other_reg, other_mem) = (RegId(4), MemAddr(8));
+        let misses = [
+            (0, Pm { reg: other_reg }),
+            (
+                1,
+                MzzM {
+                    reg: other_reg,
+                    mem,
+                    out: zz,
+                },
+            ),
+            (
+                2,
+                MxC {
+                    reg: other_reg,
+                    out: mx,
+                },
+            ),
+            (4, PhM { mem: other_mem }),
+            (1, MzzM { reg, mem, out: mx }),
+            (2, MxC { reg, out: zz }),
+            (3, Sk { cond: mx }),
+            // An operand past 2¹⁶ widens the trace.
+            (
+                4,
+                PhM {
+                    mem: MemAddr(70_000),
+                },
+            ),
+            (
+                1,
+                MzzM {
+                    reg,
+                    mem,
+                    out: ClassicalId(NARROW_CLASSICAL),
+                },
+            ),
+        ];
+        for (k, miss) in misses {
+            let mut records = teleport;
+            records[k] = miss;
+            assert!(!recognized(&records), "{miss} at record {k}");
+        }
+        let wide = teleport.iter().copied().chain([PzM {
+            mem: MemAddr(70_000),
+        }]);
+        let trace = lower(&Program::from_iter(wide));
+        assert!(!trace.is_narrow());
+        assert!(!is_teleport(trace.ops(), trace.slots::<u32>(), 0));
     }
 
     #[test]

@@ -54,15 +54,17 @@ pub fn memory_walk_count() -> u64 {
 
 /// Registry counters of the walk split: nanoseconds of thread time that
 /// trace walks spent in the memory pass (`sim.memory_pass`) and in the
-/// timing pass (`sim.timing_pass`), summed over every walk of the process.
-/// Each walk reads the clock twice per block of records and adds its totals
-/// once, when it ends.
-fn pass_counters() -> &'static [&'static lsqca_telemetry::Counter; 2] {
-    static COUNTERS: OnceLock<[&'static lsqca_telemetry::Counter; 2]> = OnceLock::new();
+/// timing pass (`sim.timing_pass`), summed over every walk of the process,
+/// and the in-memory teleports the memory pass advanced as one step
+/// (`sim.teleport_steps`). Each walk reads the clock twice per block of
+/// records and adds its totals once, when it ends.
+fn pass_counters() -> &'static [&'static lsqca_telemetry::Counter; 3] {
+    static COUNTERS: OnceLock<[&'static lsqca_telemetry::Counter; 3]> = OnceLock::new();
     COUNTERS.get_or_init(|| {
         [
             lsqca_telemetry::counter("sim.memory_pass"),
             lsqca_telemetry::counter("sim.timing_pass"),
+            lsqca_telemetry::counter("sim.teleport_steps"),
         ]
     })
 }
@@ -472,6 +474,7 @@ impl Simulator {
             memory: &mut self.memory,
             migration: self.migration.as_deref_mut(),
             budget: self.instruction_budget.unwrap_or(u64::MAX),
+            teleports: 0,
         };
         let block = &mut self.block;
         let len = trace.len();
@@ -522,9 +525,10 @@ impl Simulator {
             };
             start = end;
         }
-        for (counter, ns) in pass_counters().iter().zip(pass_ns) {
-            counter.add(ns);
-        }
+        let [memory_pass, timing_pass, teleport_steps] = pass_counters();
+        memory_pass.add(pass_ns[0]);
+        timing_pass.add(pass_ns[1]);
+        teleport_steps.add(pass.teleports);
         if let Some(err) = failure {
             return Err(err);
         }

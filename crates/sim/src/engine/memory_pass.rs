@@ -4,11 +4,19 @@
 //! runs the load / store / seek / two-qubit access / fused CX, counts every
 //! memory-side statistic, and leaves each record's cost and banks in the
 //! block scratch. Nothing here depends on when a record starts.
+//!
+//! A T-gate teleport ([`is_teleport`]) that lies wholly inside the range
+//! and the instruction budget advances as one step: the same bank lookups,
+//! migration offers and memory calls as its five records, in the same
+//! order (`MZZ.M`'s and `PH.M`'s banks each resolved before that record's
+//! migration), the same costs and bank rows, and the five records' counters
+//! added at once. A failure inside it stops at the failing record with the
+//! rows before it written, as the record-by-record loop does.
 
 use super::SimError;
 use crate::metrics::ExecutionStats;
 use lsqca_arch::{MemorySystem, MigrationPolicy};
-use lsqca_isa::trace_compile::flags;
+use lsqca_isa::trace_compile::{flags, is_teleport, TELEPORT};
 use lsqca_isa::{ExecKind, ExecutionTrace, OpInfo, Slot};
 use lsqca_lattice::{Beats, LatticeError, QubitTag};
 use std::ops::Range;
@@ -74,6 +82,8 @@ pub(super) struct MemoryPass<'a> {
     pub(super) memory: &'a mut MemorySystem,
     pub(super) migration: Option<&'a mut (dyn MigrationPolicy + 'static)>,
     pub(super) budget: u64,
+    /// The in-memory teleports advanced as one step so far.
+    pub(super) teleports: u64,
 }
 
 impl MemoryPass<'_> {
@@ -100,33 +110,74 @@ impl MemoryPass<'_> {
             memory,
             migration,
             budget,
+            teleports,
         } = self;
         let budget = *budget;
         // The counters live in a local for the block, so the opaque memory
         // calls below cannot force them through memory.
         let mut local = std::mem::take(stats);
+        // The instruction is only rendered on the (cold) error path.
+        let fail = |index: usize, source: LatticeError| {
+            (
+                index,
+                SimError::Instruction {
+                    index,
+                    instruction: trace.instruction(index),
+                    source,
+                },
+            )
+        };
 
-        for k in 0..len {
+        let mut k = 0;
+        while k < len {
             let index = base + k;
             if index as u64 >= budget {
                 return Err((index, SimError::InstructionBudget { budget }));
+            }
+            if is_teleport(op, [mem0, mem1], k) && (index + TELEPORT.len()) as u64 <= budget {
+                *teleports += 1;
+                // `PM r`, `MZZ.M r,m → 2`, `MX.C r → 1`, `SK 2`, `PH.M m`:
+                // only the two in-memory records touch memory or scan.
+                let m = QubitTag(mem0[k + 1].value());
+                local.magic_states += 1;
+                cost[k] = u64::from(OpInfo::of(TELEPORT[0]).fixed);
+                if MODE == bank_mode::RESOLVED {
+                    scratch.banks[k] = [NO_BANK; 2];
+                    scratch.banks[k + 1] = [bank_or_none(memory, m), NO_BANK];
+                }
+                let delay = migrate(memory, migration, &mut local, m, index + 1);
+                let access = memory
+                    .in_memory_two_qubit_access(m)
+                    .map_err(|source| fail(index + 1, source))?;
+                local.memory_access_beats += access;
+                cost[k + 1] = (delay + access).0 + u64::from(OpInfo::of(TELEPORT[1]).fixed);
+                cost[k + 2] = 0;
+                cost[k + 3] = 0;
+                if MODE == bank_mode::RESOLVED {
+                    scratch.banks[k + 2] = [NO_BANK; 2];
+                    scratch.banks[k + 3] = [NO_BANK; 2];
+                    scratch.banks[k + 4] = [bank_or_none(memory, m), NO_BANK];
+                }
+                let delay = migrate(memory, migration, &mut local, m, index + 4);
+                let seek = memory
+                    .in_memory_seek(m)
+                    .map_err(|source| fail(index + 4, source))?;
+                local.memory_access_beats += seek;
+                cost[k + 4] = (delay + seek).0 + u64::from(OpInfo::of(TELEPORT[4]).fixed);
+                local.instruction_count += 5;
+                // Every record but `MX.C` is a command; `MZZ.M` and `PH.M`
+                // run in memory.
+                local.command_count += 4;
+                local.in_memory_ops += 2;
+                k += TELEPORT.len();
+                continue;
             }
             let OpInfo {
                 exec: kind,
                 flags: fl,
                 fixed,
             } = OpInfo::of(op[k]);
-            // The instruction is only rendered on the (cold) error path.
-            let wrap = |source: LatticeError| {
-                (
-                    index,
-                    SimError::Instruction {
-                        index,
-                        instruction: trace.instruction(index),
-                        source,
-                    },
-                )
-            };
+            let wrap = |source: LatticeError| fail(index, source);
             let has_m0 = fl & flags::HAS_MEM0 != 0;
             let has_m1 = fl & flags::HAS_MEM1 != 0;
             // Valid only under their flags: an absent memory operand's slot
@@ -160,27 +211,12 @@ impl MemoryPass<'_> {
             // contract — proposals observed per memory operand, applied
             // before the access, dropped when checked out).
             let mut migration_delay = Beats::ZERO;
-            if let Some(policy) = migration.as_deref_mut() {
-                if scans {
-                    // Canonical operand order: control before target for CX.
-                    for (present, m) in [(has_m0, m0), (has_m1, m1)] {
-                        if !present {
-                            continue;
-                        }
-                        let qubit = QubitTag(m);
-                        let Some(victim) = policy.on_access(qubit, index as u64) else {
-                            continue;
-                        };
-                        if memory.is_checked_out(qubit) {
-                            continue;
-                        }
-                        if let Ok(cost) = memory.migrate(qubit, victim) {
-                            policy.applied(qubit, victim);
-                            let total = cost + policy.overhead();
-                            local.migrations += 1;
-                            local.migration_beats += total;
-                            migration_delay += total;
-                        }
+            if scans {
+                // Canonical operand order: control before target for CX.
+                for (present, m) in [(has_m0, m0), (has_m1, m1)] {
+                    if present {
+                        migration_delay +=
+                            migrate(memory, migration, &mut local, QubitTag(m), index);
                     }
                 }
             }
@@ -239,8 +275,48 @@ impl MemoryPass<'_> {
             local.instruction_count += 1;
             local.command_count += u64::from(kind != ExecKind::Negligible);
             local.in_memory_ops += u64::from(fl & flags::IN_MEMORY != 0);
+            k += 1;
         }
         *stats = local;
         Ok(())
+    }
+}
+
+/// The bank `qubit` resides in, or [`NO_BANK`].
+#[inline(always)]
+fn bank_or_none(memory: &MemorySystem, qubit: QubitTag) -> u32 {
+    memory.bank_of(qubit).map_or(NO_BANK, |b| b as u32)
+}
+
+/// Offers `policy` the access to `qubit` by record `index` and applies its
+/// proposal unless `qubit` is checked out, counting the migration into
+/// `stats`. Returns the delay the record pays: the migration's cost plus
+/// the policy's overhead, or zero.
+#[inline(always)]
+fn migrate(
+    memory: &mut MemorySystem,
+    policy: &mut Option<&mut (dyn MigrationPolicy + 'static)>,
+    stats: &mut ExecutionStats,
+    qubit: QubitTag,
+    index: usize,
+) -> Beats {
+    let Some(policy) = policy.as_deref_mut() else {
+        return Beats::ZERO;
+    };
+    let Some(victim) = policy.on_access(qubit, index as u64) else {
+        return Beats::ZERO;
+    };
+    if memory.is_checked_out(qubit) {
+        return Beats::ZERO;
+    }
+    match memory.migrate(qubit, victim) {
+        Ok(cost) => {
+            policy.applied(qubit, victim);
+            let total = cost + policy.overhead();
+            stats.migrations += 1;
+            stats.migration_beats += total;
+            total
+        }
+        Err(_) => Beats::ZERO,
     }
 }

@@ -12,7 +12,7 @@
 //! walk, shared by every factory count, must equal one fresh run per count.
 
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
-use lsqca_isa::trace_compile::NARROW_CLASSICAL;
+use lsqca_isa::trace_compile::{is_teleport, NARROW_CLASSICAL};
 use lsqca_isa::{ClassicalId, ExecutionTrace, Instruction, LatencyTable, MemAddr, Program, RegId};
 use lsqca_lattice::QubitTag;
 use lsqca_sim::{Classified, SimConfig, SimError, SimOutcome, Simulator};
@@ -706,6 +706,234 @@ proptest! {
         let (mut engine, mut reference) = pair(&arch, &hot, config, policy, budget);
         prop_assert_eq!(engine.execute(&trace), reference.execute(&oracle));
         let factories = [1, 2, 4];
+        prop_assert_eq!(
+            engine.execute_factories(&trace, &factories),
+            reference.execute_factories(&oracle, &factories)
+        );
+    }
+}
+
+/// The records `lsqca_compiler::compile_into` lowers a T gate into with
+/// in-memory operations on: `PM r`, `MZZ.M r,m → 2`, `MX.C r → 1`, `SK 2`,
+/// `PH.M m`.
+fn teleport(reg: RegId, mem: MemAddr) -> Vec<Instruction> {
+    use Instruction::*;
+    let (zz, mx) = (ClassicalId(2), ClassicalId(1));
+    vec![
+        Pm { reg },
+        MzzM { reg, mem, out: zz },
+        MxC { reg, out: mx },
+        Sk { cond: zz },
+        PhM { mem },
+    ]
+}
+
+/// One piece of a teleport-heavy program, with its role.
+#[derive(Debug, Clone, PartialEq)]
+enum Piece {
+    /// An exact teleport, which the engine may advance as one step.
+    Teleport,
+    /// Records that begin like a teleport but are not one.
+    NearMiss,
+    /// Anything else.
+    Other,
+}
+
+/// One [`Piece`]: an exact teleport, a near miss (one register, address or
+/// classical slot changed, or the seven-record load/store shape of a T gate
+/// compiled without in-memory operations), an exact teleport on a qubit
+/// checked out around it, or one random instruction (explicit `LD`/`ST`
+/// turned into in-memory Hadamards, classical operands kept narrow).
+/// Registers reach past every CR slot table, so some teleports name a
+/// register the slot table has not grown to yet.
+fn any_piece() -> impl Strategy<Value = (Piece, Vec<Instruction>)> {
+    use Instruction::*;
+    (
+        0u32..12,
+        0u32..QUBITS,
+        0u32..40,
+        1u32..QUBITS,
+        any_instruction(),
+    )
+        .prop_map(|(kind, m, r, delta, other)| {
+            let (mem, reg) = (MemAddr(m), RegId(r));
+            let (other_mem, other_reg) = (MemAddr((m + delta) % QUBITS), RegId(r + delta));
+            let mut records = teleport(reg, mem);
+            let piece = match kind {
+                0..=3 => Piece::Teleport,
+                4 => {
+                    records[0] = Pm { reg: other_reg };
+                    Piece::NearMiss
+                }
+                5 => {
+                    records[1] = MzzM {
+                        reg: other_reg,
+                        mem,
+                        out: ClassicalId(2),
+                    };
+                    Piece::NearMiss
+                }
+                6 => {
+                    records[2] = MxC {
+                        reg: other_reg,
+                        out: ClassicalId(1),
+                    };
+                    Piece::NearMiss
+                }
+                7 => {
+                    records[4] = PhM { mem: other_mem };
+                    Piece::NearMiss
+                }
+                8 => {
+                    // One classical slot moved to another narrow value.
+                    let record = (delta % 3) as usize + 1;
+                    let value = |old: u32| ClassicalId((old + 1 + delta / 3 % 3) % 4);
+                    records[record] = match records[record] {
+                        MzzM { reg, mem, out } => MzzM {
+                            reg,
+                            mem,
+                            out: value(out.0),
+                        },
+                        MxC { reg, out } => MxC {
+                            reg,
+                            out: value(out.0),
+                        },
+                        Sk { cond } => Sk {
+                            cond: value(cond.0),
+                        },
+                        other => other,
+                    };
+                    Piece::NearMiss
+                }
+                9 => {
+                    let cr = RegId(r + 1);
+                    records = vec![
+                        Pm { reg },
+                        Ld { mem, reg: cr },
+                        MzzC {
+                            reg1: reg,
+                            reg2: cr,
+                            out: ClassicalId(2),
+                        },
+                        MxC {
+                            reg,
+                            out: ClassicalId(1),
+                        },
+                        Sk {
+                            cond: ClassicalId(2),
+                        },
+                        PhC { reg: cr },
+                        St { reg: cr, mem },
+                    ];
+                    Piece::NearMiss
+                }
+                10 => {
+                    let cr = RegId(r + 1);
+                    records.insert(0, Ld { mem, reg: cr });
+                    records.push(St { reg: cr, mem });
+                    Piece::Other
+                }
+                _ => {
+                    let other = match other {
+                        Ld { mem, .. } | St { mem, .. } => HdM { mem },
+                        other => other,
+                    };
+                    let narrow = Program::from_iter([other]);
+                    records = relabel_classical(&narrow, |v| v % NARROW_CLASSICAL)
+                        .iter()
+                        .copied()
+                        .collect();
+                    Piece::Other
+                }
+            };
+            (piece, records)
+        })
+}
+
+/// A program of [`any_piece`]s, the start of every exact teleport, and the
+/// start of every near miss. Some programs begin with ~1 020 records of
+/// filler followed by a teleport that straddles record 1 024, where one
+/// walk block ends.
+fn any_teleport_program() -> impl Strategy<Value = (Program, Vec<usize>, Vec<usize>)> {
+    (
+        proptest::collection::vec(any_piece(), 1..40),
+        prop_oneof![Just(None), Just(None), (1usize..5).prop_map(Some)],
+    )
+        .prop_map(|(pieces, straddle)| {
+            let mut program = Program::new("teleports");
+            let (mut teleports, mut near_misses) = (Vec::new(), Vec::new());
+            let mut pieces = pieces;
+            if let Some(cut) = straddle {
+                for i in 0..1024 - cut as u32 {
+                    program.push(if i % 2 == 0 {
+                        Instruction::HdM {
+                            mem: MemAddr(i % QUBITS),
+                        }
+                    } else {
+                        Instruction::PzC { reg: RegId(i % 5) }
+                    });
+                }
+                pieces.insert(0, (Piece::Teleport, teleport(RegId(0), MemAddr(1))));
+            }
+            for (piece, records) in pieces {
+                match piece {
+                    Piece::Teleport => teleports.push(program.len()),
+                    Piece::NearMiss => near_misses.push(program.len()),
+                    Piece::Other => {}
+                }
+                records.into_iter().for_each(|record| program.push(record));
+            }
+            (program, teleports, near_misses)
+        })
+}
+
+proptest! {
+    /// Teleports advanced as one step execute like the interpreter. Random
+    /// programs of exact teleports, near misses, teleports on checked-out
+    /// qubits and random instructions, some with a teleport straddling
+    /// record 1 024 and some with an instruction budget that lands inside
+    /// a teleport, run on every floorplan (hybrid layouts and either store
+    /// policy included) under every migration policy, with finite or
+    /// infinite magic: a single run and a factory group each equal the
+    /// [`Classified`] oracle's, memory traces on. The trace must recognize
+    /// every exact teleport and no near miss.
+    #[test]
+    fn teleports_execute_like_the_interpreter(
+        case in any_teleport_program(),
+        arch in any_group_arch(),
+        hot in proptest::collection::vec(0u32..QUBITS, 0..4),
+        policy in any_policy(),
+        factories in any_factories(),
+        infinite_magic in proptest::bool::ANY,
+        budget in prop_oneof![
+            Just(None),
+            (1u64..1_300).prop_map(|b| Some((None, b))),
+            (0usize..64, 1u64..5).prop_map(|(teleport, offset)| Some((Some(teleport), offset))),
+        ],
+    ) {
+        let (program, teleports, near_misses) = case;
+        let trace = lsqca_isa::lower(&program);
+        prop_assert!(trace.is_narrow());
+        let slots = trace.slots::<u16>();
+        for &start in &teleports {
+            prop_assert!(is_teleport(trace.ops(), slots, start), "teleport at {}", start);
+        }
+        for &start in &near_misses {
+            prop_assert!(!is_teleport(trace.ops(), slots, start), "near miss at {}", start);
+        }
+        let budget = budget.map(|(teleport, offset)| match teleport {
+            Some(i) if !teleports.is_empty() => teleports[i % teleports.len()] as u64 + offset,
+            _ => offset,
+        });
+        let hot: Vec<QubitTag> = hot.into_iter().map(QubitTag).collect();
+        let config = SimConfig {
+            record_trace: true,
+            assume_infinite_magic: infinite_magic,
+        };
+        let classes = LatencyTable::paper().classify_program(&program);
+        let oracle = Classified::new(&program, &classes);
+        let (mut engine, mut reference) = pair(&arch, &hot, config, policy, budget);
+        prop_assert_eq!(engine.execute(&trace), reference.execute(&oracle));
         prop_assert_eq!(
             engine.execute_factories(&trace, &factories),
             reference.execute_factories(&oracle, &factories)

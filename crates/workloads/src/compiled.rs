@@ -457,6 +457,7 @@ mod tests {
     use crate::registry::{Benchmark, InstanceSize};
     use lsqca_circuit::DecomposeConfig;
     use lsqca_compiler::compile;
+    use lsqca_isa::trace_compile::is_teleport;
     use lsqca_isa::{Instruction, MemAddr, Program};
     use proptest::prelude::*;
 
@@ -539,6 +540,44 @@ mod tests {
             assert!(trace.is_narrow(), "in-memory {use_in_memory_ops}");
             assert_eq!(trace.heap_bytes(), 5 * trace.len());
         }
+    }
+
+    /// The number of records of `trace` that start an in-memory teleport.
+    fn teleports(trace: &ExecutionTrace) -> usize {
+        fn count<S: lsqca_isa::Slot>(trace: &ExecutionTrace) -> usize {
+            let slots = trace.slots::<S>();
+            (0..trace.len())
+                .filter(|&k| is_teleport(trace.ops(), slots, k))
+                .count()
+        }
+        if trace.is_narrow() {
+            count::<u16>(trace)
+        } else {
+            count::<u32>(trace)
+        }
+    }
+
+    /// The compiler lowers every T gate into exactly the records the
+    /// engine's teleport recognizer accepts, and nothing else into them:
+    /// on every registry benchmark's reduced instance and on the paper
+    /// multiplier, the in-memory compile holds one teleport per T gate and
+    /// the load/store compile none.
+    #[test]
+    fn every_t_gate_compiles_into_one_recognized_teleport() {
+        let circuits = Benchmark::ALL
+            .iter()
+            .map(|benchmark| benchmark.reduced_instance())
+            .chain([Benchmark::Multiplier.paper_instance()]);
+        let mut t_gates = 0;
+        for circuit in circuits {
+            let name = circuit.name();
+            let w = CompiledWorkload::compile("teleports", &circuit, in_memory_ops(true));
+            assert_eq!(teleports(w.trace()), w.t_gates() as usize, "{name}");
+            t_gates += w.t_gates();
+            let w = CompiledWorkload::compile("teleports", &circuit, in_memory_ops(false));
+            assert_eq!(teleports(w.trace()), 0, "{name}");
+        }
+        assert!(t_gates > 0);
     }
 
     /// The counting pass sizes the trace exactly: on every registry
