@@ -7,9 +7,9 @@
 //! the conventional floorplan"), or structurally from the circuit's register
 //! roles (Fig. 15 pins the control and temporal registers of SELECT).
 
+use lsqca_arch::lattice::QubitTag;
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
 use lsqca_isa::Program;
-use lsqca_lattice::QubitTag;
 
 /// Number of hot qubits implied by a hybrid fraction `f` over `num_qubits`.
 pub fn hot_set_size(num_qubits: u32, fraction: f64) -> usize {

@@ -27,7 +27,7 @@
 //! [`overhead`](MigrationPolicy::overhead) to the run's
 //! `ExecutionStats::migration_beats`.
 
-use lsqca_lattice::{Beats, QubitTag};
+use crate::lattice::{Beats, QubitTag};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;

@@ -1,25 +1,720 @@
-//! Occupancy grid of surface-code cells.
+//! The surface-code lattice substrate of the memory models.
 //!
-//! [`CellGrid`] tracks which cell each logical qubit currently occupies within one
-//! rectangular region (a SAM bank, a conventional floorplan, ...). The SAM models
-//! use it to simulate the sliding-puzzle load procedure: moving a target cell
-//! requires vacant neighbours, and the scan cell is the vacancy that walks around
-//! the grid. The grid therefore answers vacancy-aware nearest-cell queries in
-//! addition to plain placement bookkeeping.
+//! The chip is a two-dimensional grid of surface-code **cells** (each cell is
+//! one code patch of distance `d`), time is measured in **code beats** (`d`
+//! syndrome-measurement cycles), and computation is carried out by a small set
+//! of primitive protocols — lattice surgery, patch moves, expansion/contraction,
+//! transversal and deformation-based single-qubit operations — each with a
+//! fixed latency in code beats (Fig. 4 of the paper).
+//!
+//! * [`Beats`] — the code-beat time unit.
+//! * [`QubitTag`] — the identity of a logical data qubit.
+//! * [`Coord`] — a cell coordinate on the grid.
+//! * [`CellGrid`] — the occupancy map the point SAM uses to simulate
+//!   sliding-puzzle loads and stores, with a distance-bucketed vacancy index
+//!   behind its nearest-vacant query.
+//! * `ProtocolLatencies` — the code-beat latencies of the primitive
+//!   fault-tolerant protocols.
+//! * [`LatticeError`] — the errors of grid manipulation and bank accounting.
+//!
+//! # Example
+//!
+//! ```
+//! use lsqca_arch::lattice::{CellGrid, Coord, QubitTag};
+//!
+//! // A 4x4 memory region holding one logical qubit.
+//! let mut grid = CellGrid::new(4, 4);
+//! grid.place(QubitTag(7), Coord::new(2, 1)).unwrap();
+//! assert_eq!(grid.position_of(QubitTag(7)), Some(Coord::new(2, 1)));
+//! assert_eq!(grid.occupied_count(), 1);
+//! ```
 
-use crate::cell::{CellState, QubitTag};
-use crate::error::LatticeError;
-use crate::geom::Coord;
-use crate::query::VacancyIndex;
+use std::error::Error;
 use std::fmt;
+use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
+
+/// A duration or timestamp expressed in code beats.
+///
+/// One beat is `d` syndrome measurement cycles, the time needed to
+/// fault-tolerantly commit a change to the syndrome-measurement pattern (a
+/// lattice-surgery merge, a patch move step, ...). For realistic code
+/// distances (11–31) a beat is roughly 10–50 µs, but the whole evaluation is
+/// distance-independent, so time is kept as an integer beat count.
+///
+/// `Beats` is a thin newtype over `u64` that supports the arithmetic needed by the
+/// scheduler (saturating subtraction is intentional: latencies never go negative).
+///
+/// ```
+/// use lsqca_arch::lattice::Beats;
+/// let t = Beats(3) + Beats(4);
+/// assert_eq!(t, Beats(7));
+/// assert_eq!(t * 2, Beats(14));
+/// ```
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Beats(pub u64);
+
+impl Beats {
+    /// The zero duration.
+    pub const ZERO: Beats = Beats(0);
+
+    /// Returns the raw beat count.
+    #[inline]
+    pub fn as_u64(self) -> u64 {
+        self.0
+    }
+
+    /// Returns the beat count as `f64`, convenient for ratios such as CPI.
+    #[inline]
+    pub fn as_f64(self) -> f64 {
+        self.0 as f64
+    }
+
+    /// Returns the larger of two durations.
+    #[inline]
+    pub(crate) fn max(self, other: Beats) -> Beats {
+        Beats(self.0.max(other.0))
+    }
+
+    /// Saturating subtraction; clamps at zero instead of underflowing.
+    #[inline]
+    pub fn saturating_sub(self, other: Beats) -> Beats {
+        Beats(self.0.saturating_sub(other.0))
+    }
+
+    /// True if this duration is zero.
+    #[inline]
+    pub fn is_zero(self) -> bool {
+        self.0 == 0
+    }
+}
+
+impl fmt::Display for Beats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} beats", self.0)
+    }
+}
+
+impl Add for Beats {
+    type Output = Beats;
+    fn add(self, rhs: Beats) -> Beats {
+        Beats(self.0 + rhs.0)
+    }
+}
+
+impl AddAssign for Beats {
+    fn add_assign(&mut self, rhs: Beats) {
+        self.0 += rhs.0;
+    }
+}
+
+impl Sub for Beats {
+    type Output = Beats;
+    fn sub(self, rhs: Beats) -> Beats {
+        Beats(self.0.saturating_sub(rhs.0))
+    }
+}
+
+impl SubAssign for Beats {
+    fn sub_assign(&mut self, rhs: Beats) {
+        self.0 = self.0.saturating_sub(rhs.0);
+    }
+}
+
+impl Mul<u64> for Beats {
+    type Output = Beats;
+    fn mul(self, rhs: u64) -> Beats {
+        Beats(self.0 * rhs)
+    }
+}
+
+/// Identity of a logical data qubit stored on the lattice.
+///
+/// The tag is assigned by the compiler / memory controller and stays with the
+/// qubit as it moves between cells, banks, and the computational register.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct QubitTag(pub u32);
+
+impl fmt::Display for QubitTag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "q{}", self.0)
+    }
+}
+
+/// Occupancy state of a single cell.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
+enum CellState {
+    /// No logical qubit is stored here; the cell can act as surgery ancilla.
+    #[default]
+    Vacant,
+    /// A logical qubit is stored here.
+    Occupied(QubitTag),
+}
+
+impl CellState {
+    /// True if the cell holds no logical qubit.
+    fn is_vacant(self) -> bool {
+        matches!(self, CellState::Vacant)
+    }
+
+    /// Returns the occupant, if any.
+    fn occupant(self) -> Option<QubitTag> {
+        match self {
+            CellState::Vacant => None,
+            CellState::Occupied(q) => Some(q),
+        }
+    }
+}
+
+/// A cell coordinate on the 2D grid: `x` grows to the right, `y` grows downward.
+///
+/// All positions are addressed by non-negative integer coordinates measured
+/// in cells. The SAM latency models only need Manhattan-style metrics
+/// (per-axis distances for transports, the L1 distance for seeks).
+///
+/// ```
+/// use lsqca_arch::lattice::Coord;
+/// let a = Coord::new(1, 2);
+/// let b = Coord::new(4, 6);
+/// assert_eq!(a.manhattan_distance(b), 7);
+/// ```
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Coord {
+    /// Horizontal position in cells, growing to the right.
+    pub x: u32,
+    /// Vertical position in cells, growing downward.
+    pub y: u32,
+}
+
+impl Coord {
+    /// Creates a new coordinate.
+    pub const fn new(x: u32, y: u32) -> Self {
+        Coord { x, y }
+    }
+
+    /// Manhattan (L1) distance to `other`.
+    pub fn manhattan_distance(self, other: Coord) -> u32 {
+        self.x.abs_diff(other.x) + self.y.abs_diff(other.y)
+    }
+
+    /// Horizontal distance (|Δx|) to `other`.
+    pub(crate) fn dx(self, other: Coord) -> u32 {
+        self.x.abs_diff(other.x)
+    }
+
+    /// Vertical distance (|Δy|) to `other`.
+    pub(crate) fn dy(self, other: Coord) -> u32 {
+        self.y.abs_diff(other.y)
+    }
+
+    /// The four edge-adjacent neighbors (north, south, east, west) that
+    /// remain in the non-negative quadrant.
+    pub fn neighbors(self) -> impl Iterator<Item = Coord> {
+        [(0, -1), (0, 1), (1, 0), (-1, 0)]
+            .into_iter()
+            .filter_map(move |(dx, dy)| {
+                let x = self.x.checked_add_signed(dx)?;
+                let y = self.y.checked_add_signed(dy)?;
+                Some(Coord::new(x, y))
+            })
+    }
+}
+
+impl fmt::Display for Coord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "({}, {})", self.x, self.y)
+    }
+}
+
+/// Errors raised by cell-grid manipulation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum LatticeError {
+    /// The coordinate is outside the grid.
+    OutOfBounds {
+        /// The offending coordinate.
+        coord: Coord,
+        /// Grid width in cells.
+        width: u32,
+        /// Grid height in cells.
+        height: u32,
+    },
+    /// The target cell is already occupied by another logical qubit.
+    CellOccupied {
+        /// The occupied coordinate.
+        coord: Coord,
+        /// The qubit currently holding the cell.
+        occupant: QubitTag,
+    },
+    /// The referenced qubit is not present on this grid.
+    QubitNotPresent {
+        /// The missing qubit.
+        qubit: QubitTag,
+    },
+    /// The qubit is already placed on this grid.
+    QubitAlreadyPlaced {
+        /// The duplicate qubit.
+        qubit: QubitTag,
+        /// Where it currently sits.
+        at: Coord,
+    },
+    /// No path of vacant cells exists between the requested endpoints.
+    NoVacantPath {
+        /// Path start.
+        from: Coord,
+        /// Path goal.
+        to: Coord,
+    },
+    /// The grid has no vacant cell left.
+    GridFull,
+    /// A store was attempted for a qubit that was never checked out of this
+    /// bank (it was never loaded from it, or belongs to a different bank).
+    QubitNotCheckedOut {
+        /// The qubit that is not in the checkout ledger.
+        qubit: QubitTag,
+    },
+    /// The memory-system-level checkout audit found the qubit's residence and
+    /// checkout records pointing at different banks: it left one bank but its
+    /// residence now names another (or the conventional region). Accepting
+    /// the access would silently consume the wrong bank's scan vacancy.
+    CrossBankCheckout {
+        /// The qubit whose records disagree.
+        qubit: QubitTag,
+        /// The bank the qubit was checked out of.
+        checked_out_of: u32,
+        /// The bank its residence currently names (`None` = conventional).
+        resident_bank: Option<u32>,
+    },
+    /// A hot-set migration request violated the swap shape: the promoted
+    /// qubit must be stored in a SAM bank and the demoted qubit must live in
+    /// the conventional region (and the two must differ).
+    InvalidMigration {
+        /// The qubit requested to move into the conventional region.
+        promote: QubitTag,
+        /// The qubit requested to take its place in the SAM bank.
+        demote: QubitTag,
+    },
+}
+
+impl fmt::Display for LatticeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LatticeError::OutOfBounds {
+                coord,
+                width,
+                height,
+            } => write!(f, "coordinate {coord} is outside the {width}x{height} grid"),
+            LatticeError::CellOccupied { coord, occupant } => {
+                write!(f, "cell {coord} is already occupied by {occupant}")
+            }
+            LatticeError::QubitNotPresent { qubit } => {
+                write!(f, "qubit {qubit} is not present on the grid")
+            }
+            LatticeError::QubitAlreadyPlaced { qubit, at } => {
+                write!(f, "qubit {qubit} is already placed at {at}")
+            }
+            LatticeError::NoVacantPath { from, to } => {
+                write!(f, "no vacant path from {from} to {to}")
+            }
+            LatticeError::GridFull => write!(f, "grid has no vacant cell"),
+            LatticeError::QubitNotCheckedOut { qubit } => {
+                write!(f, "qubit {qubit} was never checked out of this bank")
+            }
+            LatticeError::CrossBankCheckout {
+                qubit,
+                checked_out_of,
+                resident_bank,
+            } => match resident_bank {
+                Some(bank) => write!(
+                    f,
+                    "qubit {qubit} is checked out of bank {checked_out_of} but resident in bank {bank}"
+                ),
+                None => write!(
+                    f,
+                    "qubit {qubit} is checked out of bank {checked_out_of} but resident in the conventional region"
+                ),
+            },
+            LatticeError::InvalidMigration { promote, demote } => {
+                write!(
+                    f,
+                    "migration of {promote} (to conventional) against {demote} (to SAM) violates the swap shape"
+                )
+            }
+        }
+    }
+}
+
+impl Error for LatticeError {}
+
+/// Code-beat latencies of the primitive protocols (Fig. 4 / Sec. II-C).
+///
+/// These are the building blocks from Fig. 4 of the paper: lattice surgery
+/// (merge + split), patch moves realized by expand/contract, the
+/// deformation-based Hadamard and phase gates, and state preparations /
+/// destructive measurements. The SAM latency models are derived from these
+/// per-primitive costs.
+///
+/// The defaults are the values assumed throughout the paper's evaluation:
+///
+/// | primitive | beats |
+/// |---|---|
+/// | lattice surgery (merge+split) | 1 |
+/// | single move step | 1 |
+/// | point-SAM diagonal move | 6 (4 with a second vacancy) |
+/// | point-SAM straight move | 5 (3 with a second vacancy) |
+/// | Hadamard | 3 |
+/// | Phase (S) | 2 |
+/// | preparations and 1-qubit measurements | 0 |
+/// | line-SAM line shift | 1 |
+///
+/// The struct is plain data so alternative device assumptions can be explored by
+/// constructing a different instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ProtocolLatencies {
+    /// Lattice surgery merge+split.
+    pub lattice_surgery: Beats,
+    /// One-cell patch move.
+    pub move_step: Beats,
+    /// Diagonal target move with a single vacancy.
+    pub diagonal_move: Beats,
+    /// Straight target move with a single vacancy.
+    pub straight_move: Beats,
+    /// Diagonal target move with two vacancies.
+    pub diagonal_move_two_vacancies: Beats,
+    /// Straight target move with two vacancies.
+    pub straight_move_two_vacancies: Beats,
+    /// Hadamard gate.
+    pub hadamard: Beats,
+    /// Phase (S) gate.
+    pub phase: Beats,
+    /// |0⟩ preparation.
+    pub prepare_zero: Beats,
+    /// |+⟩ preparation.
+    pub prepare_plus: Beats,
+    /// Single-qubit Pauli-X measurement.
+    pub measure_x: Beats,
+    /// Single-qubit Pauli-Z measurement.
+    pub measure_z: Beats,
+    /// Line-SAM row shift by one cell.
+    pub line_shift: Beats,
+}
+
+impl ProtocolLatencies {
+    /// The latencies assumed by the paper (see the table in the type docs).
+    pub(crate) const fn paper() -> Self {
+        ProtocolLatencies {
+            lattice_surgery: Beats(1),
+            move_step: Beats(1),
+            diagonal_move: Beats(6),
+            straight_move: Beats(5),
+            diagonal_move_two_vacancies: Beats(4),
+            straight_move_two_vacancies: Beats(3),
+            hadamard: Beats(3),
+            phase: Beats(2),
+            prepare_zero: Beats(0),
+            prepare_plus: Beats(0),
+            measure_x: Beats(0),
+            measure_z: Beats(0),
+            line_shift: Beats(1),
+        }
+    }
+
+    /// Latency of transporting a target cell `dx` cells horizontally and `dy`
+    /// cells vertically inside a point SAM, combining diagonal and straight moves
+    /// (the `6·min + 5·|dx−dy|` term of the paper's load-cost estimate).
+    ///
+    /// With `two_vacancies` the cheaper per-move costs of the second-load
+    /// optimization are used.
+    pub(crate) fn point_transport(&self, dx: u32, dy: u32, two_vacancies: bool) -> Beats {
+        let diagonal = dx.min(dy) as u64;
+        let straight = dx.abs_diff(dy) as u64;
+        if two_vacancies {
+            self.diagonal_move_two_vacancies * diagonal
+                + self.straight_move_two_vacancies * straight
+        } else {
+            self.diagonal_move * diagonal + self.straight_move * straight
+        }
+    }
+}
+
+/// Incrementally-maintained index of vacant cells, bucketed by Manhattan
+/// distance to a fixed anchor coordinate (the bank port).
+///
+/// The SAM models ask the occupancy grid *which vacant cell is nearest the
+/// bank port?* on every simulated store and in-memory two-qubit access. A
+/// full O(cells) linear scan per query made point-SAM simulation ~2.5× slower
+/// per instruction than line-SAM; this index, maintained by every grid
+/// mutation, answers it in amortized O(1).
+///
+/// Each distance-`d` bucket is a **bitmask** over the ring's fixed slot
+/// layout rather than a sorted `Vec` of cell indices: slot `2·r + side`
+/// covers the cell in the ring's `r`-th row (`y = anchor.y - d + r`) on the
+/// left (`x = anchor.x - rem`) or right (`x = anchor.x + rem`) flank, where
+/// `rem = d - |y - anchor.y|`. Slots whose cell falls outside the grid are
+/// simply never set. Ascending slot order is ascending `(y, x)` order, so
+/// scanning for the lowest set bit reproduces the row-major tie-break of the
+/// legacy linear scan bit-for-bit — and arbitrary insertion/removal is a
+/// single O(1) bit flip instead of a binary search plus `Vec` shuffle.
+#[derive(Debug, Clone)]
+struct VacancyIndex {
+    anchor: Coord,
+    /// All rings' mask words, concatenated; ring `d` spans
+    /// `words[offsets[d]..offsets[d + 1]]` and owns `4d + 2` slots.
+    words: Vec<u64>,
+    /// Per-ring start offset into `words` (`rings + 1` entries).
+    offsets: Vec<u32>,
+    /// Number of set bits per ring, so emptiness checks are O(1).
+    counts: Vec<u32>,
+    /// Index of the first non-empty ring; maintained so recomputing the
+    /// nearest cache starts at the right ring.
+    min_ring: usize,
+    /// Total number of vacancies tracked.
+    len: usize,
+    /// Cached minimal `(ring, slot, coord)`: the nearest vacancy, maintained
+    /// incrementally so [`VacancyIndex::nearest`] — the query every simulated
+    /// store issues — is a single field read. Inserting a nearer cell
+    /// replaces it in O(1); removing the cached cell rescans the minimal
+    /// ring's one or two mask words.
+    cached: Option<(u32, u32, Coord)>,
+}
+
+impl VacancyIndex {
+    /// Builds the index for a `width × height` grid from an iterator over the
+    /// currently vacant cells.
+    fn new(anchor: Coord, width: u32, height: u32, vacancies: impl Iterator<Item = Coord>) -> Self {
+        // Farthest grid cell from the anchor, not the grid diameter: rings
+        // beyond it can never hold a vacancy.
+        let max_distance =
+            (anchor.x.max(width - 1 - anchor.x) + anchor.y.max(height - 1 - anchor.y)) as usize;
+        let rings = max_distance + 1;
+        let mut offsets = Vec::with_capacity(rings + 1);
+        let mut total = 0u32;
+        for d in 0..rings {
+            offsets.push(total);
+            total += Self::ring_words(d);
+        }
+        offsets.push(total);
+        let mut index = VacancyIndex {
+            anchor,
+            words: vec![0; total as usize],
+            offsets,
+            counts: vec![0; rings],
+            min_ring: rings,
+            len: 0,
+            cached: None,
+        };
+        for coord in vacancies {
+            index.insert(coord);
+        }
+        index
+    }
+
+    /// Words needed for ring `d`'s `4d + 2` slots.
+    #[inline]
+    fn ring_words(d: usize) -> u32 {
+        (4 * d + 2).div_ceil(64) as u32
+    }
+
+    /// The anchor this index accelerates queries against.
+    fn anchor(&self) -> Coord {
+        self.anchor
+    }
+
+    /// Number of distance rings: one past the farthest grid cell's distance
+    /// from the anchor.
+    fn ring_count(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Number of vacancies currently tracked.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no vacancy is tracked.
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `(ring, slot)` coordinates of `coord` in the fixed ring layout.
+    #[inline]
+    fn slot_of(&self, coord: Coord) -> (u32, u32) {
+        let d = coord.manhattan_distance(self.anchor);
+        // `d >= |coord.y - anchor.y|`, so the row offset never underflows.
+        let row = coord.y + d - self.anchor.y;
+        let side = u32::from(coord.x > self.anchor.x);
+        (d, 2 * row + side)
+    }
+
+    /// The cell covered by `slot` of ring `d` (only called for set slots,
+    /// which always decode to in-grid cells).
+    #[inline]
+    fn decode(&self, d: u32, slot: u32) -> Coord {
+        let row = slot / 2;
+        let y = self.anchor.y + row - d;
+        let rem = d - y.abs_diff(self.anchor.y);
+        let x = if slot % 2 == 1 {
+            self.anchor.x + rem
+        } else {
+            self.anchor.x - rem
+        };
+        Coord::new(x, y)
+    }
+
+    /// Records that `coord` became vacant. One bit set plus a cache compare,
+    /// O(1).
+    fn insert(&mut self, coord: Coord) {
+        let (d, slot) = self.slot_of(coord);
+        let word = &mut self.words[self.offsets[d as usize] as usize + (slot / 64) as usize];
+        let bit = 1u64 << (slot % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            self.counts[d as usize] += 1;
+            self.len += 1;
+            self.min_ring = self.min_ring.min(d as usize);
+            // A nearer cell (ring, then slot = row-major order) replaces the
+            // cached nearest.
+            match self.cached {
+                Some((cd, cs, _)) if (cd, cs) <= (d, slot) => {}
+                _ => self.cached = Some((d, slot, coord)),
+            }
+        }
+    }
+
+    /// Records that `coord` became occupied. One bit cleared, O(1), plus a
+    /// rescan of the minimal ring's mask words when the cached nearest cell
+    /// is the one removed.
+    fn remove(&mut self, coord: Coord) {
+        let (d, slot) = self.slot_of(coord);
+        let word = &mut self.words[self.offsets[d as usize] as usize + (slot / 64) as usize];
+        let bit = 1u64 << (slot % 64);
+        if *word & bit != 0 {
+            *word &= !bit;
+            self.counts[d as usize] -= 1;
+            self.len -= 1;
+            if let Some((cd, cs, _)) = self.cached {
+                if (cd, cs) == (d, slot) {
+                    self.recompute_nearest();
+                }
+            }
+        }
+    }
+
+    /// First set slot of ring `d`, if any.
+    #[inline]
+    fn first_slot(&self, d: usize) -> Option<u32> {
+        let start = self.offsets[d] as usize;
+        let end = self.offsets[d + 1] as usize;
+        for (i, &word) in self.words[start..end].iter().enumerate() {
+            if word != 0 {
+                return Some((i as u32) * 64 + word.trailing_zeros());
+            }
+        }
+        None
+    }
+
+    /// Rebuilds the cached nearest cell: advance the first-non-empty ring
+    /// hint, then scan that ring's (one or two) mask words.
+    fn recompute_nearest(&mut self) {
+        if self.len == 0 {
+            self.min_ring = self.counts.len();
+            self.cached = None;
+            return;
+        }
+        while self.min_ring < self.counts.len() && self.counts[self.min_ring] == 0 {
+            self.min_ring += 1;
+        }
+        let d = self.min_ring as u32;
+        let slot = self
+            .first_slot(self.min_ring)
+            .expect("min_ring points at a non-empty ring");
+        self.cached = Some((d, slot, self.decode(d, slot)));
+    }
+
+    /// The vacant cell nearest the anchor, ties broken row-major — the same
+    /// answer as the legacy linear scan, served from the incrementally
+    /// maintained cache in O(1).
+    fn nearest(&self) -> Option<Coord> {
+        self.cached.map(|(_, _, coord)| coord)
+    }
+
+    /// The vacant cell nearest an arbitrary `target`, ties broken row-major:
+    /// the minimum `(manhattan(target), y, x)` over the tracked vacancies.
+    /// Costs one count read per ring plus one decode per vacancy in the rings
+    /// that can still beat the best cell found: a cell on ring `d` lies at
+    /// least `|d - manhattan(target, anchor)|` from `target`.
+    fn nearest_to(&self, target: Coord) -> Option<Coord> {
+        let dt = target.manhattan_distance(self.anchor);
+        let mut best: Option<((u32, u32, u32), Coord)> = None;
+        for d in self.min_ring..self.counts.len() {
+            if self.counts[d] == 0 {
+                continue;
+            }
+            let ring = d as u32;
+            if let Some(((distance, _, _), _)) = best {
+                if ring.abs_diff(dt) > distance {
+                    if ring > dt {
+                        break;
+                    }
+                    continue;
+                }
+            }
+            let start = self.offsets[d] as usize;
+            let end = self.offsets[d + 1] as usize;
+            for (i, &word) in self.words[start..end].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let slot = (i as u32) * 64 + bits.trailing_zeros();
+                    bits &= bits - 1;
+                    let coord = self.decode(ring, slot);
+                    let key = (coord.manhattan_distance(target), coord.y, coord.x);
+                    if best.is_none_or(|(best_key, _)| key < best_key) {
+                        best = Some((key, coord));
+                    }
+                }
+            }
+        }
+        best.map(|(_, coord)| coord)
+    }
+
+    /// Removes and returns the vacant cell nearest the anchor. Equivalent to
+    /// `nearest()` followed by `remove()`.
+    fn take_nearest(&mut self) -> Option<Coord> {
+        let (d, slot, coord) = self.cached?;
+        self.words[self.offsets[d as usize] as usize + (slot / 64) as usize] &=
+            !(1u64 << (slot % 64));
+        self.counts[d as usize] -= 1;
+        self.len -= 1;
+        self.recompute_nearest();
+        Some(coord)
+    }
+
+    /// Records that `freed` became vacant and `taken` became occupied in one
+    /// call — the index update of a fused relocation. With bitmask rings both
+    /// halves are O(1) bit flips, so this is plain `insert` + `remove`.
+    fn swap(&mut self, freed: Coord, taken: Coord) {
+        if freed == taken {
+            return;
+        }
+        self.insert(freed);
+        self.remove(taken);
+    }
+}
 
 /// A rectangular grid of surface-code cells with logical-qubit occupancy.
+///
+/// The grid tracks which cell each logical qubit currently occupies within
+/// one rectangular region (a point-SAM bank). The bank uses it to simulate
+/// the sliding-puzzle load procedure: moving a target cell requires vacant
+/// neighbours, and the scan cell is the vacancy that walks around the grid.
+/// The grid therefore answers vacancy-aware nearest-cell queries in addition
+/// to plain placement bookkeeping.
 ///
 /// Coordinates are local to the grid: `(0, 0)` is the top-left cell and the grid
 /// spans `width × height` cells.
 ///
 /// ```
-/// use lsqca_lattice::{CellGrid, Coord, QubitTag};
+/// use lsqca_arch::lattice::{CellGrid, Coord, QubitTag};
 /// let mut grid = CellGrid::new(3, 3);
 /// grid.place(QubitTag(0), Coord::new(0, 0)).unwrap();
 /// grid.place(QubitTag(1), Coord::new(1, 0)).unwrap();
@@ -33,7 +728,7 @@ pub struct CellGrid {
     width: u32,
     height: u32,
     cells: Vec<CellState>,
-    /// Position per qubit tag, indexed directly by `QubitTag::index()` (tags
+    /// Position per qubit tag, indexed directly by the tag value `QubitTag.0` (tags
     /// are dense). Grown on demand; `None` for tags not on this grid. This
     /// replaces the former `HashMap<QubitTag, Coord>` so hot-path position
     /// lookups are single array reads. May carry trailing `None`s from
@@ -44,7 +739,7 @@ pub struct CellGrid {
     /// Distance-bucketed vacancy indices, one per registered anchor (bank
     /// port). Single-port banks register one; multi-port banks (the dual-port
     /// point SAM) register one per port. Derived acceleration state: excluded
-    /// from equality, kept in sync by `place`/`remove`/`relocate`.
+    /// from equality, kept in sync by every mutation.
     vacancy: Vec<VacancyIndex>,
 }
 
@@ -84,15 +779,10 @@ impl CellGrid {
         }
     }
 
-    /// Registers `anchor` (typically the bank port) and builds the
-    /// [`VacancyIndex`] that makes `nearest_vacant(anchor)` amortized O(1).
-    /// Re-registering replaces every previously registered anchor; use
-    /// [`CellGrid::register_anchors`] for multi-port banks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LatticeError::OutOfBounds`] if `anchor` is outside the grid.
-    pub fn register_anchor(&mut self, anchor: Coord) -> Result<(), LatticeError> {
+    /// Registers `anchor` (typically the bank port) and builds its vacancy
+    /// index, replacing every previously registered anchor.
+    #[cfg(test)]
+    fn register_anchor(&mut self, anchor: Coord) -> Result<(), LatticeError> {
         self.register_anchors(&[anchor])
     }
 
@@ -105,7 +795,7 @@ impl CellGrid {
     ///
     /// Returns [`LatticeError::OutOfBounds`] if any anchor is outside the
     /// grid; nothing is registered in that case.
-    pub fn register_anchors(&mut self, anchors: &[Coord]) -> Result<(), LatticeError> {
+    pub(crate) fn register_anchors(&mut self, anchors: &[Coord]) -> Result<(), LatticeError> {
         for &anchor in anchors {
             self.check_bounds(anchor)?;
         }
@@ -125,12 +815,14 @@ impl CellGrid {
     }
 
     /// The first registered anchor, if any.
-    pub fn anchor(&self) -> Option<Coord> {
+    #[cfg(test)]
+    fn anchor(&self) -> Option<Coord> {
         self.vacancy.first().map(VacancyIndex::anchor)
     }
 
     /// Every registered anchor, in registration order.
-    pub fn anchors(&self) -> impl Iterator<Item = Coord> + '_ {
+    #[cfg(test)]
+    pub(crate) fn anchors(&self) -> impl Iterator<Item = Coord> + '_ {
         self.vacancy.iter().map(VacancyIndex::anchor)
     }
 
@@ -139,18 +831,8 @@ impl CellGrid {
         self.vacancy.iter().find(|index| index.anchor() == target)
     }
 
-    /// Grid width in cells.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Grid height in cells.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Total number of cells.
-    pub fn cell_count(&self) -> u64 {
+    pub(crate) fn cell_count(&self) -> u64 {
         self.width as u64 * self.height as u64
     }
 
@@ -185,23 +867,14 @@ impl CellGrid {
         }
     }
 
-    /// The state of the cell at `coord`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LatticeError::OutOfBounds`] if the coordinate is outside the grid.
-    pub fn state(&self, coord: Coord) -> Result<CellState, LatticeError> {
-        self.check_bounds(coord)?;
-        Ok(self.cells[self.index(coord)])
-    }
-
     /// True if the cell at `coord` exists and is vacant.
     pub fn is_vacant(&self, coord: Coord) -> bool {
         self.in_bounds(coord) && self.cells[self.index(coord)].is_vacant()
     }
 
     /// The occupant of `coord`, if the cell exists and is occupied.
-    pub fn occupant(&self, coord: Coord) -> Option<QubitTag> {
+    #[cfg(test)]
+    fn occupant(&self, coord: Coord) -> Option<QubitTag> {
         if !self.in_bounds(coord) {
             return None;
         }
@@ -214,7 +887,7 @@ impl CellGrid {
     }
 
     /// True if the qubit is stored on this grid.
-    pub fn contains(&self, qubit: QubitTag) -> bool {
+    pub(crate) fn contains(&self, qubit: QubitTag) -> bool {
         self.position_of(qubit).is_some()
     }
 
@@ -256,18 +929,8 @@ impl CellGrid {
             _ => {}
         }
         // Trailing `None`s are left in place — removals stay O(1) and
-        // `PartialEq` compares the canonical content regardless; call
-        // `canonicalize` to shrink the table explicitly.
+        // `PartialEq` compares the canonical content regardless.
         self.positions[idx] = coord;
-    }
-
-    /// Drops trailing `None` entries from the position table so its length
-    /// reflects logical content rather than growth history. Equality already
-    /// ignores the trailing entries; this only reclaims their memory.
-    pub fn canonicalize(&mut self) {
-        while self.positions.last() == Some(&None) {
-            self.positions.pop();
-        }
     }
 
     /// Removes `qubit` from the grid and returns the cell it occupied.
@@ -288,13 +951,10 @@ impl CellGrid {
         Ok(coord)
     }
 
-    /// Moves `qubit` to the vacant cell at `to`.
-    ///
-    /// # Errors
-    ///
-    /// * [`LatticeError::QubitNotPresent`] if the qubit is not on the grid.
-    /// * [`LatticeError::OutOfBounds`] / [`LatticeError::CellOccupied`] for the target.
-    pub fn relocate(&mut self, qubit: QubitTag, to: Coord) -> Result<(), LatticeError> {
+    /// Moves `qubit` to the vacant cell at `to`: the tests' reference
+    /// mutation for the fused primitives and the vacancy index.
+    #[cfg(test)]
+    fn relocate(&mut self, qubit: QubitTag, to: Coord) -> Result<(), LatticeError> {
         self.check_bounds(to)?;
         let from = self
             .position_of(qubit)
@@ -325,7 +985,7 @@ impl CellGrid {
     /// returns `(from, to)`. Equivalent to `remove` → `nearest_vacant` →
     /// `place` but performed in a single pass: the position table is written
     /// once (the occupied count never moves), and the vacancy rings see one
-    /// fused [`VacancyIndex::swap`] — or no update at all when the qubit
+    /// fused `VacancyIndex::swap` — or no update at all when the qubit
     /// already sits on the nearest vacancy-to-be, instead of the legacy
     /// insert/read/remove triple.
     ///
@@ -335,7 +995,7 @@ impl CellGrid {
     /// # Errors
     ///
     /// Returns [`LatticeError::QubitNotPresent`] if the qubit is not on the grid.
-    pub fn relocate_into_nearest_vacancy(
+    pub(crate) fn relocate_into_nearest_vacancy(
         &mut self,
         qubit: QubitTag,
         target: Coord,
@@ -379,7 +1039,7 @@ impl CellGrid {
     ///
     /// * [`LatticeError::QubitAlreadyPlaced`] if the qubit is already on the grid.
     /// * [`LatticeError::GridFull`] if no vacant cell exists.
-    pub fn place_at_nearest_vacancy(
+    pub(crate) fn place_at_nearest_vacancy(
         &mut self,
         qubit: QubitTag,
         target: Coord,
@@ -412,7 +1072,8 @@ impl CellGrid {
     }
 
     /// Iterates over all `(qubit, position)` pairs in ascending tag order.
-    pub fn iter(&self) -> impl Iterator<Item = (QubitTag, Coord)> + '_ {
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (QubitTag, Coord)> + '_ {
         self.positions
             .iter()
             .enumerate()
@@ -420,7 +1081,7 @@ impl CellGrid {
     }
 
     /// Iterates over all vacant cell coordinates in row-major order.
-    pub fn vacant_cells(&self) -> impl Iterator<Item = Coord> + '_ {
+    fn vacant_cells(&self) -> impl Iterator<Item = Coord> + '_ {
         (0..self.height).flat_map(move |y| {
             (0..self.width)
                 .map(move |x| Coord::new(x, y))
@@ -431,15 +1092,15 @@ impl CellGrid {
     /// Finds the vacant cell closest (Manhattan metric) to `target`, breaking ties
     /// by row-major order. Returns `None` if the grid is full.
     ///
-    /// When `target` is a registered anchor (see [`CellGrid::register_anchor`]
-    /// / [`CellGrid::register_anchors`]) this is an amortized O(1) read of
-    /// that anchor's [`VacancyIndex`]. Otherwise it is an outward ring search
+    /// When `target` is a registered anchor (see
+    /// [`CellGrid::register_anchors`]) this is an amortized O(1) read of
+    /// that anchor's vacancy index. Otherwise it is an outward ring search
     /// that visits O(ring) cells per distance instead of scanning every cell;
     /// on an anchored grid the ring search stops once it has cost as much as
-    /// a scan of the index ([`VacancyIndex::nearest_to`]), which then answers.
+    /// a scan of the index (`VacancyIndex::nearest_to`), which then answers.
     /// That keeps a SAM bank's home-store target, whose few vacancies sit
     /// far from it, from walking rings of occupied cells.
-    pub fn nearest_vacant(&self, target: Coord) -> Option<Coord> {
+    pub(crate) fn nearest_vacant(&self, target: Coord) -> Option<Coord> {
         let vacant = |_, cell: CellState| cell.is_vacant();
         if let Some(index) = self.index_for(target) {
             return index.nearest();
@@ -459,12 +1120,6 @@ impl CellGrid {
         }
         self.rings_around(target, radius, vacant)
             .or_else(|| index.nearest_to(target))
-    }
-
-    /// Finds the occupied cell closest (Manhattan metric) to `target` by the
-    /// same outward ring search, ties broken row-major.
-    pub fn nearest_occupied(&self, target: Coord) -> Option<Coord> {
-        self.ring_search(target, |_, cell| !cell.is_vacant())
     }
 
     /// Expanding ring search around `target`: visits cells in ascending
@@ -518,38 +1173,270 @@ impl CellGrid {
         }
         None
     }
-
-    /// Fraction of cells currently holding a logical qubit.
-    pub fn occupancy(&self) -> f64 {
-        self.occupied_count() as f64 / self.cell_count() as f64
-    }
-}
-
-impl fmt::Display for CellGrid {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{}x{} grid, {} occupied / {} cells",
-            self.width,
-            self.height,
-            self.occupied_count(),
-            self.cell_count()
-        )?;
-        for y in 0..self.height {
-            for x in 0..self.width {
-                let c = Coord::new(x, y);
-                let ch = if self.is_vacant(c) { '.' } else { 'Q' };
-                write!(f, "{ch}")?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Beats.
+
+    #[test]
+    fn arithmetic_behaves_like_u64() {
+        assert_eq!(Beats(2) + Beats(3), Beats(5));
+        assert_eq!(Beats(5) - Beats(3), Beats(2));
+        assert_eq!(Beats(5) * 3, Beats(15));
+        let mut t = Beats(1);
+        t += Beats(2);
+        assert_eq!(t, Beats(3));
+        t -= Beats(1);
+        assert_eq!(t, Beats(2));
+    }
+
+    #[test]
+    fn subtraction_saturates_at_zero() {
+        assert_eq!(Beats(2) - Beats(5), Beats::ZERO);
+        assert_eq!(Beats(2).saturating_sub(Beats(5)), Beats::ZERO);
+    }
+
+    #[test]
+    fn ordering_and_min_max() {
+        assert!(Beats(3) < Beats(4));
+        assert_eq!(Beats(3).max(Beats(4)), Beats(4));
+        assert_eq!(Beats(3).min(Beats(4)), Beats(3));
+    }
+
+    #[test]
+    fn conversions_round_trip() {
+        let b = Beats(17);
+        assert_eq!(b.as_u64(), 17);
+        assert_eq!(b.as_f64(), 17.0);
+        assert!(!b.is_zero());
+        assert!(Beats::ZERO.is_zero());
+    }
+
+    #[test]
+    fn display_is_nonempty() {
+        assert_eq!(Beats(4).to_string(), "4 beats");
+    }
+
+    // Qubit tags and cell states.
+
+    #[test]
+    fn qubit_tag_display() {
+        assert_eq!(QubitTag(12).to_string(), "q12");
+    }
+
+    #[test]
+    fn cell_state_occupancy() {
+        let vacant = CellState::Vacant;
+        let occupied = CellState::Occupied(QubitTag(3));
+        assert!(vacant.is_vacant());
+        assert!(!occupied.is_vacant());
+        assert_eq!(vacant.occupant(), None);
+        assert_eq!(occupied.occupant(), Some(QubitTag(3)));
+        assert_eq!(CellState::default(), CellState::Vacant);
+    }
+
+    // Coordinates.
+
+    #[test]
+    fn distances() {
+        let a = Coord::new(2, 3);
+        let b = Coord::new(5, 1);
+        assert_eq!(a.manhattan_distance(b), 5);
+        assert_eq!(a.dx(b), 3);
+        assert_eq!(a.dy(b), 2);
+        assert_eq!(a.manhattan_distance(a), 0);
+    }
+
+    #[test]
+    fn neighbors_of_interior_cell() {
+        let n: Vec<_> = Coord::new(2, 2).neighbors().collect();
+        assert_eq!(n.len(), 4);
+        assert!(n.contains(&Coord::new(2, 1)));
+        assert!(n.contains(&Coord::new(2, 3)));
+        assert!(n.contains(&Coord::new(1, 2)));
+        assert!(n.contains(&Coord::new(3, 2)));
+    }
+
+    #[test]
+    fn neighbors_of_origin_are_clipped() {
+        let n: Vec<_> = Coord::new(0, 0).neighbors().collect();
+        assert_eq!(n.len(), 2);
+    }
+
+    // Errors.
+
+    #[test]
+    fn display_messages_are_lowercase_and_nonempty() {
+        let errors = [
+            LatticeError::OutOfBounds {
+                coord: Coord::new(9, 9),
+                width: 4,
+                height: 4,
+            },
+            LatticeError::CellOccupied {
+                coord: Coord::new(1, 1),
+                occupant: QubitTag(3),
+            },
+            LatticeError::QubitNotPresent { qubit: QubitTag(5) },
+            LatticeError::QubitAlreadyPlaced {
+                qubit: QubitTag(5),
+                at: Coord::new(0, 0),
+            },
+            LatticeError::NoVacantPath {
+                from: Coord::new(0, 0),
+                to: Coord::new(3, 3),
+            },
+            LatticeError::GridFull,
+            LatticeError::QubitNotCheckedOut { qubit: QubitTag(8) },
+            LatticeError::CrossBankCheckout {
+                qubit: QubitTag(4),
+                checked_out_of: 0,
+                resident_bank: Some(1),
+            },
+            LatticeError::CrossBankCheckout {
+                qubit: QubitTag(4),
+                checked_out_of: 1,
+                resident_bank: None,
+            },
+            LatticeError::InvalidMigration {
+                promote: QubitTag(2),
+                demote: QubitTag(3),
+            },
+        ];
+        for e in errors {
+            let msg = e.to_string();
+            assert!(!msg.is_empty());
+            assert!(msg.chars().next().unwrap().is_lowercase());
+            assert!(!msg.ends_with('.'));
+        }
+    }
+
+    #[test]
+    fn error_trait_is_implemented() {
+        fn assert_error<E: Error + Send + Sync + 'static>() {}
+        assert_error::<LatticeError>();
+    }
+
+    // Protocol latencies.
+
+    #[test]
+    fn paper_values_match_the_text() {
+        let lat = ProtocolLatencies::paper();
+        assert_eq!(lat.lattice_surgery, Beats(1));
+        assert_eq!(lat.hadamard, Beats(3));
+        assert_eq!(lat.phase, Beats(2));
+        assert_eq!(lat.diagonal_move, Beats(6));
+        assert_eq!(lat.straight_move, Beats(5));
+        assert_eq!(lat.diagonal_move_two_vacancies, Beats(4));
+        assert_eq!(lat.straight_move_two_vacancies, Beats(3));
+        assert_eq!(lat.prepare_zero, Beats(0));
+        assert_eq!(lat.measure_x, Beats(0));
+    }
+
+    #[test]
+    fn point_transport_matches_paper_formula() {
+        let lat = ProtocolLatencies::paper();
+        // W = 3, H = 2: 2 diagonal moves (6 beats) + 1 straight move (5 beats).
+        assert_eq!(lat.point_transport(3, 2, false), Beats(2 * 6 + 5));
+        // Same distance with two vacancies available is cheaper.
+        assert_eq!(lat.point_transport(3, 2, true), Beats(2 * 4 + 3));
+        // Degenerate cases.
+        assert_eq!(lat.point_transport(0, 0, false), Beats(0));
+        assert_eq!(lat.point_transport(4, 0, false), Beats(20));
+        assert_eq!(lat.point_transport(0, 4, false), Beats(20));
+    }
+
+    // The vacancy index.
+
+    #[test]
+    fn nearest_tracks_inserts_and_removes() {
+        let mut index = VacancyIndex::new(Coord::new(0, 1), 4, 4, std::iter::empty());
+        assert!(index.is_empty());
+        assert_eq!(index.nearest(), None);
+        index.insert(Coord::new(3, 3));
+        index.insert(Coord::new(1, 1));
+        assert_eq!(index.len(), 2);
+        assert_eq!(index.nearest(), Some(Coord::new(1, 1)));
+        index.remove(Coord::new(1, 1));
+        assert_eq!(index.nearest(), Some(Coord::new(3, 3)));
+        index.remove(Coord::new(3, 3));
+        assert_eq!(index.nearest(), None);
+    }
+
+    #[test]
+    fn ties_break_row_major() {
+        // (2, 0) and (0, 2) are both at distance 2 from (1, 1); the smaller
+        // (y, x) must win, matching the legacy scan order.
+        let mut index = VacancyIndex::new(Coord::new(1, 1), 4, 4, std::iter::empty());
+        index.insert(Coord::new(0, 2));
+        index.insert(Coord::new(2, 0));
+        assert_eq!(index.nearest(), Some(Coord::new(2, 0)));
+    }
+
+    #[test]
+    fn duplicate_inserts_and_missing_removes_are_ignored() {
+        let mut index = VacancyIndex::new(Coord::new(0, 0), 3, 3, std::iter::empty());
+        index.insert(Coord::new(2, 2));
+        index.insert(Coord::new(2, 2));
+        assert_eq!(index.len(), 1);
+        index.remove(Coord::new(1, 1));
+        assert_eq!(index.len(), 1);
+        assert_eq!(index.nearest(), Some(Coord::new(2, 2)));
+    }
+
+    #[test]
+    fn take_nearest_pops_the_minimal_ring() {
+        let mut index = VacancyIndex::new(Coord::new(0, 0), 4, 4, std::iter::empty());
+        assert_eq!(index.take_nearest(), None);
+        index.insert(Coord::new(3, 3));
+        index.insert(Coord::new(1, 0));
+        index.insert(Coord::new(0, 1));
+        // Ties at distance 1 break row-major: (1,0) before (0,1).
+        assert_eq!(index.take_nearest(), Some(Coord::new(1, 0)));
+        assert_eq!(index.take_nearest(), Some(Coord::new(0, 1)));
+        assert_eq!(index.len(), 1);
+        assert_eq!(index.take_nearest(), Some(Coord::new(3, 3)));
+        assert!(index.is_empty());
+        assert_eq!(index.take_nearest(), None);
+    }
+
+    #[test]
+    fn swap_equals_insert_then_remove() {
+        let cases = [
+            // Same ring (both at distance 2 from the origin).
+            (Coord::new(2, 0), Coord::new(0, 2)),
+            // Different rings, freed nearer.
+            (Coord::new(1, 0), Coord::new(3, 3)),
+            // Different rings, taken nearer.
+            (Coord::new(3, 2), Coord::new(0, 1)),
+        ];
+        for (freed, taken) in cases {
+            let vacancies = [Coord::new(0, 1), Coord::new(2, 2), taken];
+            let mut fused = VacancyIndex::new(Coord::new(0, 0), 4, 4, vacancies.iter().copied());
+            let mut legacy = fused.clone();
+            fused.swap(freed, taken);
+            legacy.insert(freed);
+            legacy.remove(taken);
+            assert_eq!(fused.len(), legacy.len());
+            assert_eq!(fused.nearest(), legacy.nearest());
+            // Drain both to compare full content.
+            while let Some(a) = fused.take_nearest() {
+                assert_eq!(Some(a), legacy.take_nearest());
+            }
+            assert!(legacy.is_empty());
+        }
+        // Degenerate same-cell swap is a no-op.
+        let mut index = VacancyIndex::new(Coord::new(0, 0), 3, 3, std::iter::empty());
+        index.insert(Coord::new(1, 1));
+        index.swap(Coord::new(1, 1), Coord::new(1, 1));
+        assert_eq!(index.len(), 1);
+        assert_eq!(index.nearest(), Some(Coord::new(1, 1)));
+    }
+
+    // The cell grid.
 
     fn filled_grid(width: u32, height: u32, qubits: u32) -> CellGrid {
         let mut grid = CellGrid::new(width, height);
@@ -593,7 +1480,6 @@ mod tests {
         let mut grid = CellGrid::new(2, 2);
         let err = grid.place(QubitTag(0), Coord::new(2, 0)).unwrap_err();
         assert!(matches!(err, LatticeError::OutOfBounds { .. }));
-        assert!(grid.state(Coord::new(0, 5)).is_err());
     }
 
     #[test]
@@ -625,7 +1511,6 @@ mod tests {
         assert_eq!(grid.occupied_count(), 10);
         assert_eq!(grid.vacant_count(), 6);
         assert_eq!(grid.cell_count(), 16);
-        assert!((grid.occupancy() - 10.0 / 16.0).abs() < 1e-12);
     }
 
     #[test]
@@ -637,26 +1522,6 @@ mod tests {
         );
         let full = filled_grid(2, 2, 4);
         assert_eq!(full.nearest_vacant(Coord::new(0, 0)), None);
-    }
-
-    #[test]
-    fn nearest_occupied_finds_target() {
-        let mut grid = CellGrid::new(3, 3);
-        grid.place(QubitTag(0), Coord::new(2, 2)).unwrap();
-        assert_eq!(
-            grid.nearest_occupied(Coord::new(0, 0)),
-            Some(Coord::new(2, 2))
-        );
-        let empty = CellGrid::new(2, 2);
-        assert_eq!(empty.nearest_occupied(Coord::new(0, 0)), None);
-    }
-
-    #[test]
-    fn display_renders_one_row_per_line() {
-        let grid = filled_grid(3, 2, 2);
-        let s = grid.to_string();
-        assert!(s.contains("3x2 grid"));
-        assert!(s.contains("QQ."));
     }
 
     #[test]
@@ -694,10 +1559,13 @@ mod tests {
     #[test]
     fn anchored_full_grid_has_no_vacancy() {
         let mut grid = filled_grid(2, 2, 4);
-        grid.register_anchor(Coord::ORIGIN).unwrap();
-        assert_eq!(grid.nearest_vacant(Coord::ORIGIN), None);
+        grid.register_anchor(Coord::new(0, 0)).unwrap();
+        assert_eq!(grid.nearest_vacant(Coord::new(0, 0)), None);
         grid.remove(QubitTag(3)).unwrap();
-        assert_eq!(grid.nearest_vacant(Coord::ORIGIN), Some(Coord::new(1, 1)));
+        assert_eq!(
+            grid.nearest_vacant(Coord::new(0, 0)),
+            Some(Coord::new(1, 1))
+        );
     }
 
     #[test]
@@ -705,10 +1573,6 @@ mod tests {
         let mut grid = CellGrid::new(3, 3);
         grid.place(QubitTag(0), Coord::new(1, 1)).unwrap();
         // Targets outside the grid fall back to the exact scan.
-        assert_eq!(
-            grid.nearest_occupied(Coord::new(10, 10)),
-            Some(Coord::new(1, 1))
-        );
         assert_eq!(
             grid.nearest_vacant(Coord::new(0, 7)),
             Some(Coord::new(0, 2))
@@ -727,9 +1591,6 @@ mod tests {
         assert_eq!(grown, fresh);
         assert_eq!(grown.occupied_count(), 0);
         assert_eq!(grown.position_of(QubitTag(20)), None);
-        // Canonicalize reclaims the trailing entries without changing content.
-        grown.canonicalize();
-        assert_eq!(grown, fresh);
         // Same content reached through different histories compares equal.
         let mut a = CellGrid::new(3, 3);
         a.place(QubitTag(1), Coord::new(0, 0)).unwrap();
@@ -768,7 +1629,7 @@ mod tests {
         // Park a qubit directly on the port-adjacent optimum; relocating it
         // again must keep it (and the vacancy structure) in place.
         let mut grid = CellGrid::new(3, 3);
-        let port = Coord::ORIGIN;
+        let port = Coord::new(0, 0);
         grid.register_anchor(port).unwrap();
         grid.place(QubitTag(0), port).unwrap();
         grid.place(QubitTag(1), Coord::new(2, 2)).unwrap();
@@ -783,7 +1644,7 @@ mod tests {
     #[test]
     fn fused_relocate_works_without_an_anchor() {
         let mut grid = filled_grid(3, 3, 8); // only (2,2) vacant
-        let target = Coord::ORIGIN;
+        let target = Coord::new(0, 0);
         let (from, to) = grid
             .relocate_into_nearest_vacancy(QubitTag(5), target)
             .unwrap();
@@ -801,7 +1662,7 @@ mod tests {
         let (from, to) = grid
             .relocate_into_nearest_vacancy(QubitTag(0), target)
             .unwrap();
-        assert_eq!((from, to), (Coord::new(2, 2), Coord::ORIGIN));
+        assert_eq!((from, to), (Coord::new(2, 2), Coord::new(0, 0)));
     }
 
     #[test]
@@ -828,9 +1689,9 @@ mod tests {
             Err(LatticeError::QubitAlreadyPlaced { .. })
         ));
         let mut full = filled_grid(2, 2, 4);
-        full.register_anchor(Coord::ORIGIN).unwrap();
+        full.register_anchor(Coord::new(0, 0)).unwrap();
         assert!(matches!(
-            full.place_at_nearest_vacancy(QubitTag(9), Coord::ORIGIN),
+            full.place_at_nearest_vacancy(QubitTag(9), Coord::new(0, 0)),
             Err(LatticeError::GridFull)
         ));
         // Non-anchor targets go through the ring search.
@@ -885,6 +1746,19 @@ mod proptests {
     }
 
     proptest! {
+        /// The transport cost is monotone in both axes and the two-vacancy
+        /// optimization never makes a load slower.
+        #[test]
+        fn transport_cost_monotone(dx in 0u32..60, dy in 0u32..60) {
+            let lat = ProtocolLatencies::paper();
+            let base = lat.point_transport(dx, dy, false);
+            prop_assert!(lat.point_transport(dx + 1, dy, false) >= base);
+            prop_assert!(lat.point_transport(dx, dy + 1, false) >= base);
+            prop_assert!(lat.point_transport(dx, dy, true) <= base);
+            // Symmetric in dx/dy.
+            prop_assert_eq!(lat.point_transport(dy, dx, false), base);
+        }
+
         /// The anchor-indexed and ring-search `nearest_vacant` answers equal
         /// the legacy linear scan under random place/remove/relocate
         /// sequences, for the anchor and for arbitrary other targets.
@@ -915,11 +1789,6 @@ mod proptests {
                 prop_assert_eq!(
                     grid.nearest_vacant(coord),
                     nearest_vacant_scan(&grid, coord)
-                );
-                prop_assert_eq!(
-                    grid.nearest_occupied(coord),
-                    grid.iter().map(|(_, c)| c)
-                        .min_by_key(|&c| (c.manhattan_distance(coord), c.y, c.x))
                 );
             }
         }

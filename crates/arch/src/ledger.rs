@@ -8,9 +8,9 @@
 //! vacancy and silently corrupt the accounting. [`CheckoutLedger`] is the
 //! dense bit set each bank keeps of exactly which of its qubits are checked
 //! out, so `store` can reject anything else with
-//! [`LatticeError::QubitNotCheckedOut`](lsqca_lattice::LatticeError::QubitNotCheckedOut).
+//! [`LatticeError::QubitNotCheckedOut`](crate::lattice::LatticeError::QubitNotCheckedOut).
 
-use lsqca_lattice::QubitTag;
+use crate::lattice::QubitTag;
 
 /// Dense bit set of the qubits a bank has checked out to the CR.
 ///

@@ -6,6 +6,9 @@
 //! * [`config`] — [`ArchConfig`]: which floorplan (point SAM,
 //!   line SAM, conventional), how many SAM banks, how many magic-state factories,
 //!   the hybrid-floorplan fraction `f`, and the CR size.
+//! * [`lattice`] — the surface-code substrate: [`Beats`](lattice::Beats),
+//!   [`QubitTag`](lattice::QubitTag), the point SAM's [`CellGrid`](lattice::CellGrid)
+//!   occupancy map, the primitive protocol latencies and [`LatticeError`](lattice::LatticeError).
 //! * [`ledger`] — the [`CheckoutLedger`]: the dense
 //!   per-bank bit set of qubits currently checked out to the CR, backing the
 //!   banks' store-side validation and `n + ports`-cell invariants.
@@ -33,7 +36,7 @@
 //!
 //! ```
 //! use lsqca_arch::{ArchConfig, FloorplanKind, MemorySystem};
-//! use lsqca_lattice::QubitTag;
+//! use lsqca_arch::lattice::QubitTag;
 //!
 //! // 400 data qubits in a single line-SAM bank: ≈87% memory density.
 //! let config = ArchConfig::new(FloorplanKind::LineSam { banks: 1 }, 1);
@@ -48,6 +51,7 @@
 
 pub mod config;
 pub mod floorplan;
+pub mod lattice;
 pub mod ledger;
 pub mod line;
 pub mod memory;

@@ -15,13 +15,13 @@
 //! vacancy closest to the most recently accessed row, so co-accessed qubits end
 //! up sharing a row and later multi-qubit operations become cheap.
 
+use crate::lattice::{Beats, LatticeError, QubitTag};
 use crate::ledger::CheckoutLedger;
-use lsqca_lattice::{Beats, LatticeError, QubitTag};
 
 /// A single line-SAM bank.
 ///
 /// Qubit tags are dense (`0..num_qubits` across the whole memory system), so
-/// the per-qubit row tables are plain `Vec`s indexed by `QubitTag::index()`
+/// the per-qubit row tables are plain `Vec`s indexed by the tag value `QubitTag.0`
 /// instead of hash maps: every row lookup on the simulator's hot path is one
 /// array read.
 ///
@@ -250,7 +250,7 @@ impl LineSamBank {
         if let Some(row) = self.row_of(qubit) {
             return Err(LatticeError::QubitAlreadyPlaced {
                 qubit,
-                at: lsqca_lattice::Coord::new(0, row),
+                at: crate::lattice::Coord::new(0, row),
             });
         }
         if !self.ledger.is_checked_out(qubit) {
@@ -313,7 +313,7 @@ impl LineSamBank {
         if let Some(at) = self.row_of(incoming) {
             return Err(LatticeError::QubitAlreadyPlaced {
                 qubit: incoming,
-                at: lsqca_lattice::Coord::new(0, at),
+                at: crate::lattice::Coord::new(0, at),
             });
         }
         let out_cost = self.distance(row) + Beats(1);
@@ -354,7 +354,7 @@ impl LineSamBank {
     pub fn seek_row(&mut self, row: u32) -> Result<Beats, LatticeError> {
         if row >= self.storage_rows {
             return Err(LatticeError::OutOfBounds {
-                coord: lsqca_lattice::Coord::new(0, row),
+                coord: crate::lattice::Coord::new(0, row),
                 width: self.cols,
                 height: self.storage_rows,
             });

@@ -20,9 +20,9 @@
 
 use crate::config::{ArchConfig, FloorplanKind};
 use crate::floorplan::{BankKind, FloorplanSpec};
+use crate::lattice::{Beats, LatticeError, QubitTag};
 use crate::line::LineSamBank;
 use crate::point::PointSamBank;
-use lsqca_lattice::{Beats, LatticeError, QubitTag};
 use std::fmt;
 
 /// Where a qubit lives in the memory system.
@@ -134,7 +134,7 @@ pub struct MemorySystem {
     /// systems, the [`FloorplanSpec`] label for mixed ones).
     label: String,
     cr_slots: u32,
-    /// Residence per qubit tag, indexed directly by `QubitTag::index()`.
+    /// Residence per qubit tag, indexed directly by the tag value `QubitTag.0`.
     /// Tags are contiguous `0..num_qubits`, so a dense table replaces the
     /// former `HashMap<QubitTag, Residence>` and turns every lookup on the
     /// simulator's hot path into one bounds-checked array read. Hot-set

@@ -8,7 +8,7 @@
 //! multiplier), which is precisely the bottleneck LSQCA hides its load/store
 //! latency behind.
 
-use lsqca_lattice::Beats;
+use crate::lattice::Beats;
 use std::fmt;
 
 /// Static configuration of the magic-state supply.

@@ -24,8 +24,8 @@
 //! Fig. 11 applies to every transport. The price is one extra cell and a
 //! second CR block (see `MemorySystem::cr_cells`).
 
+use crate::lattice::{Beats, CellGrid, Coord, LatticeError, ProtocolLatencies, QubitTag};
 use crate::ledger::CheckoutLedger;
-use lsqca_lattice::{Beats, CellGrid, Coord, LatticeError, ProtocolLatencies, QubitTag};
 
 /// Calls `$bank.$method::<P>(..)` with the bank's port count as the const
 /// `P`: one branch per public call, after which a single-port bank has every
@@ -70,7 +70,7 @@ pub struct PointSamBank {
     /// Current position of each port's scan vacancy (approximate head tracking).
     scan: [Coord; 2],
     /// Original home cell of every qubit, for the non-locality-aware store.
-    /// Indexed densely by `QubitTag::index()`; `None` for tags held elsewhere.
+    /// Indexed densely by the tag value `QubitTag.0`; `None` for tags held elsewhere.
     home: Vec<Option<Coord>>,
     /// Exactly which of this bank's qubits are checked out to the CR.
     ledger: CheckoutLedger,

@@ -18,11 +18,11 @@
 //! compile only on a miss.
 
 use lsqca_analysis::{hot_set_by_role_map, hot_set_size};
+use lsqca_arch::lattice::{Beats, QubitTag};
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
 use lsqca_compiler::CompilerConfig;
 use lsqca_isa::trace_compile::ExecutionTrace;
-use lsqca_lattice::{Beats, QubitTag};
 use lsqca_sim::{ExecutionStats, MemoryTrace, SimConfig, SimError, Simulator};
 use lsqca_workloads::CompiledWorkload;
 use std::fmt;

@@ -12,7 +12,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`lattice`] | surface-code cells, grids, primitive protocol latencies |
+//! | [`lattice`] | code beats, qubit tags and the point SAM's cell grid (`arch::lattice`) |
 //! | [`isa`] | the LSQCA instruction set (Table I), programs, execution traces |
 //! | [`circuit`] | logical circuit IR, registers, decomposition |
 //! | [`workloads`] | the seven benchmark generators of the evaluation |
@@ -45,10 +45,10 @@
 
 pub use lsqca_analysis as analysis;
 pub use lsqca_arch as arch;
+pub use lsqca_arch::lattice;
 pub use lsqca_circuit as circuit;
 pub use lsqca_compiler as compiler;
 pub use lsqca_isa as isa;
-pub use lsqca_lattice as lattice;
 pub use lsqca_sim as sim;
 pub use lsqca_workloads as workloads;
 

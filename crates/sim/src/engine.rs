@@ -8,9 +8,9 @@ use crate::config::SimConfig;
 use crate::metrics::ExecutionStats;
 use crate::trace::MemoryTrace;
 pub use interpret::Classified;
+use lsqca_arch::lattice::{LatticeError, QubitTag};
 use lsqca_arch::{ArchConfig, FloorplanKind, MemorySystem, MigrationPolicy};
 use lsqca_isa::{ExecKind, ExecutionTrace, Instruction, OpInfo, Program, Slot};
-use lsqca_lattice::{LatticeError, QubitTag};
 use lsqca_workloads::CompiledWorkload;
 use memory_pass::{bank_mode, BlockScratch, MemoryPass, BLOCK};
 use std::error::Error;
@@ -741,9 +741,9 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsqca_arch::lattice::Beats;
     use lsqca_arch::FloorplanKind;
     use lsqca_isa::{ClassicalId, Instruction, MemAddr, RegId};
-    use lsqca_lattice::Beats;
 
     fn point(factories: u32) -> ArchConfig {
         ArchConfig::new(FloorplanKind::PointSam { banks: 1 }, factories)
@@ -1038,7 +1038,7 @@ mod tests {
         assert!(matches!(
             err,
             SimError::Instruction {
-                source: lsqca_lattice::LatticeError::QubitAlreadyPlaced { .. },
+                source: lsqca_arch::lattice::LatticeError::QubitAlreadyPlaced { .. },
                 ..
             }
         ));

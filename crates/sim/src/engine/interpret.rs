@@ -11,8 +11,8 @@
 
 use super::timing::TimingLanes;
 use super::{no_cr_slots, Executable, SimError, SimOutcome, Simulator};
+use lsqca_arch::lattice::{Beats, LatticeError, QubitTag};
 use lsqca_isa::{Instruction, LatencyClass, MemAddr, Program};
-use lsqca_lattice::{Beats, LatticeError, QubitTag};
 
 /// The reference interpreter's read of a one-lane ready table: entries it
 /// never wrote read as zero.

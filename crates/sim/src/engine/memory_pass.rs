@@ -15,10 +15,10 @@
 
 use super::SimError;
 use crate::metrics::ExecutionStats;
+use lsqca_arch::lattice::{Beats, LatticeError, QubitTag};
 use lsqca_arch::{MemorySystem, MigrationPolicy};
 use lsqca_isa::trace_compile::{flags, is_teleport, TELEPORT};
 use lsqca_isa::{ExecKind, ExecutionTrace, OpInfo, Slot};
-use lsqca_lattice::{Beats, LatticeError, QubitTag};
 use std::ops::Range;
 
 /// Instructions per block of the trace walk. The memory pass resolves one

@@ -20,10 +20,10 @@ use super::memory_pass::{bank_mode, BlockScratch, NO_BANK};
 use super::{no_cr_slots, SimError, SimOutcome, Simulator};
 use crate::metrics::ExecutionStats;
 use crate::trace::MemoryTrace;
+use lsqca_arch::lattice::Beats;
 use lsqca_arch::{ArchConfig, FloorplanKind, MagicStateSupply, MemorySystem, MsfConfig};
 use lsqca_isa::trace_compile::{flags, is_teleport, DEAD_SLOT, FIRST_LIVE_SLOT, TELEPORT};
 use lsqca_isa::{ExecKind, ExecutionTrace, MemAddr, OpInfo, Slot};
-use lsqca_lattice::Beats;
 use std::ops::Range;
 
 /// The factory-dependent half of a walk: every quantity that depends on

@@ -1,7 +1,7 @@
 //! Execution statistics reported by the simulator.
 
+use lsqca_arch::lattice::Beats;
 use lsqca_json::{Json, ToJson};
-use lsqca_lattice::Beats;
 use std::fmt;
 
 /// Schema tag of the serialized-stats payload stored per sweep point.

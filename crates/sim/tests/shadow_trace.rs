@@ -11,10 +11,10 @@
 //! The same holds for factory sweeps: one [`Simulator::execute_factories`]
 //! walk, shared by every factory count, must equal one fresh run per count.
 
+use lsqca_arch::lattice::QubitTag;
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
 use lsqca_isa::trace_compile::{is_teleport, NARROW_CLASSICAL};
 use lsqca_isa::{ClassicalId, ExecutionTrace, Instruction, LatencyTable, MemAddr, Program, RegId};
-use lsqca_lattice::QubitTag;
 use lsqca_sim::{Classified, SimConfig, SimError, SimOutcome, Simulator};
 use lsqca_workloads::{Benchmark, CompiledWorkload, InstanceSize};
 use proptest::prelude::*;

@@ -29,7 +29,19 @@
 
 use lsqca_circuit::register::RegisterRole;
 use lsqca_circuit::{Circuit, Qubit};
-use lsqca_lattice::Pauli;
+
+/// A single-qubit Pauli operator: the coupling a Hamiltonian term applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Pauli {
+    /// The identity operator.
+    I,
+    /// Pauli-X.
+    X,
+    /// Pauli-Y.
+    Y,
+    /// Pauli-Z.
+    Z,
+}
 
 /// Emission-logic revision of this generator, part of the workload key (see
 /// `lsqca_workloads::workload_key`) that result-store records and cached
