@@ -71,24 +71,21 @@ impl fmt::Display for FloorplanKind {
 pub struct ArchConfig {
     /// The floorplan strategy.
     pub floorplan: FloorplanKind,
-    /// Number of magic-state factories.
+    /// Number of magic-state factories. Their output buffer holds
+    /// `2 × factories` states, as in the paper (see [`crate::msf`]).
     pub factories: u32,
-    /// Magic-state buffer capacity; defaults to `2 × factories` as in the paper.
-    pub magic_buffer: Option<u32>,
     /// Fraction `f` of data cells placed in an attached conventional floorplan
     /// (the hybrid layout of Sec. V-D / VI-C). `0.0` is pure LSQCA; the
     /// conventional floorplan ignores this field (it behaves as `f = 1`).
     pub hybrid_fraction: f64,
-    /// Number of register cells in the CR (the paper fixes this to two).
-    pub cr_slots: u32,
     /// Use the locality-aware store policy (Sec. V-B). The paper's evaluation
     /// always enables it; disabling it is useful for ablation studies.
     pub locality_aware_store: bool,
 }
 
 impl ArchConfig {
-    /// Creates a configuration with the paper's defaults: no hybrid region,
-    /// two CR register slots, magic buffer of `2 × factories`.
+    /// Creates a configuration with the paper's defaults: no hybrid region
+    /// and the locality-aware store.
     ///
     /// # Panics
     ///
@@ -98,9 +95,7 @@ impl ArchConfig {
         let config = ArchConfig {
             floorplan,
             factories,
-            magic_buffer: None,
             hybrid_fraction: 0.0,
-            cr_slots: 2,
             locality_aware_store: true,
         };
         config.validate();
@@ -124,17 +119,6 @@ impl ArchConfig {
         );
         self.hybrid_fraction = fraction;
         self
-    }
-
-    /// Returns a copy with an explicit magic-state buffer capacity.
-    pub fn with_magic_buffer(mut self, capacity: u32) -> Self {
-        self.magic_buffer = Some(capacity);
-        self
-    }
-
-    /// Effective magic-state buffer capacity (`2 × factories` unless overridden).
-    pub fn magic_buffer_capacity(&self) -> u32 {
-        self.magic_buffer.unwrap_or(2 * self.factories)
     }
 
     fn validate(&self) {
@@ -183,12 +167,8 @@ impl fmt::Display for ArchConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} with {} factories (buffer {}), hybrid f={:.2}, {} CR slots",
-            self.floorplan,
-            self.factories,
-            self.magic_buffer_capacity(),
-            self.hybrid_fraction,
-            self.cr_slots
+            "{} with {} factories, hybrid f={:.2}",
+            self.floorplan, self.factories, self.hybrid_fraction,
         )
     }
 }
@@ -200,21 +180,15 @@ mod tests {
     #[test]
     fn defaults_match_the_paper() {
         let c = ArchConfig::new(FloorplanKind::PointSam { banks: 1 }, 1);
-        assert_eq!(c.cr_slots, 2);
-        assert_eq!(c.magic_buffer_capacity(), 2);
         assert_eq!(c.hybrid_fraction, 0.0);
-        let c = ArchConfig::new(FloorplanKind::LineSam { banks: 4 }, 4);
-        assert_eq!(c.magic_buffer_capacity(), 8);
+        assert!(c.locality_aware_store);
     }
 
     #[test]
     fn builder_methods() {
-        let c = ArchConfig::conventional(2)
-            .with_hybrid_fraction(0.5)
-            .with_magic_buffer(7);
+        let c = ArchConfig::conventional(2).with_hybrid_fraction(0.5);
         assert!(c.floorplan.is_conventional());
         assert_eq!(c.hybrid_fraction, 0.5);
-        assert_eq!(c.magic_buffer_capacity(), 7);
     }
 
     #[test]

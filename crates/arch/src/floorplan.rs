@@ -1,16 +1,14 @@
-//! Hybrid floorplan composition and runtime hot-set migration.
+//! Runtime hot-set migration for hybrid floorplans.
 //!
 //! The paper's hybrid floorplan (Sec. V-D / VI-C) pins a *statically chosen*
 //! hot set into a conventional unit-latency region and leaves the rest in
 //! SAM. The memory-hierarchy literature it builds on (Thaker et al., ISCA
 //! 2006) treats **dynamic** promotion/demotion between hierarchy levels as
-//! the defining feature of a memory hierarchy; this module supplies the
-//! missing pieces:
+//! the defining feature of a memory hierarchy; this module supplies it. The
+//! banks themselves are uniform: a [`FloorplanKind`](crate::FloorplanKind)
+//! names one bank flavour and a count, and
+//! [`MemorySystem::new`](crate::MemorySystem::new) builds them.
 //!
-//! * [`FloorplanSpec`] — a descriptor composing N banks of *mixed* flavours
-//!   (point, dual-port point, line) behind one
-//!   [`MemorySystem`](crate::MemorySystem), via
-//!   [`MemorySystem::from_spec`](crate::MemorySystem::from_spec).
 //! * [`MigrationPolicy`] — the pluggable runtime policy deciding, on every
 //!   load/store event, whether the accessed qubit should swap places with a
 //!   conventional-region resident. [`StaticPolicy`] (never migrate — the
@@ -31,71 +29,6 @@ use crate::lattice::{Beats, QubitTag};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-
-/// The flavour of one SAM bank inside a [`FloorplanSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BankKind {
-    /// Single-port point SAM (`n + 1` cells, one scan vacancy).
-    PointSam,
-    /// Dual-port point SAM (`n + 2` cells, a scan vacancy at each of two
-    /// opposing CR ports).
-    DualPointSam,
-    /// Line SAM (`n + C` cells, a scan line).
-    LineSam,
-}
-
-impl BankKind {
-    /// Short label used in floorplan descriptors.
-    pub fn label(self) -> &'static str {
-        match self {
-            BankKind::PointSam => "point",
-            BankKind::DualPointSam => "dual-point",
-            BankKind::LineSam => "line",
-        }
-    }
-}
-
-/// A floorplan descriptor composing an arbitrary mix of SAM banks behind one
-/// memory system. [`crate::FloorplanKind`] covers the paper's uniform
-/// designs; a spec additionally expresses heterogeneous hierarchies (e.g. a
-/// fast dual-port point bank backed by a dense line bank).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FloorplanSpec {
-    /// One entry per SAM bank; cold qubits are distributed round-robin over
-    /// them in order. Empty means every qubit lives in the conventional
-    /// region (the baseline floorplan).
-    pub banks: Vec<BankKind>,
-    /// Number of register cells in the CR.
-    pub cr_slots: u32,
-    /// Use the locality-aware store policy (Sec. V-B).
-    pub locality_aware_store: bool,
-}
-
-impl FloorplanSpec {
-    /// A spec of `count` identical banks with the paper's CR defaults.
-    pub fn uniform(kind: BankKind, count: usize) -> Self {
-        FloorplanSpec {
-            banks: vec![kind; count],
-            cr_slots: 2,
-            locality_aware_store: true,
-        }
-    }
-
-    /// A human-readable label, e.g. `"point+line floorplan"`.
-    pub fn label(&self) -> String {
-        if self.banks.is_empty() {
-            return "Conventional".to_string();
-        }
-        let kinds: Vec<&str> = self.banks.iter().map(|k| k.label()).collect();
-        format!("{} floorplan", kinds.join("+"))
-    }
-}
-
-impl fmt::Display for FloorplanSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
 
 /// A runtime promotion/demotion policy for hybrid floorplans.
 ///
@@ -324,14 +257,11 @@ impl MigrationPolicy for LruPolicy {
 }
 
 /// Exponentially-decayed access-frequency ranking: each access adds one to
-/// the qubit's score, and scores halve every [`half_life`] accesses. A cold
-/// qubit is promoted only when its decayed score overtakes the coldest hot
-/// qubit's by the [`margin`] factor, so one-off touches never trigger the
-/// (physically expensive) migration but a phase shift in the working set
-/// does.
-///
-/// [`half_life`]: FreqDecayPolicy::half_life
-/// [`margin`]: FreqDecayPolicy::margin
+/// the qubit's score, and scores halve every 64 accesses (the half-life). A
+/// cold qubit is promoted only when its decayed score overtakes the coldest
+/// hot qubit's by a margin factor of 1.5, so one-off touches never
+/// trigger the (physically expensive) migration but a phase shift in the
+/// working set does.
 ///
 /// Like [`LruPolicy`], victim selection is a lazily-invalidated min-heap,
 /// rebuilt from its live entries once it outgrows `4·|hot| + 64`. Decayed
@@ -344,23 +274,25 @@ impl MigrationPolicy for LruPolicy {
 /// promotion pushes it. Decay factors for ages below 1 024 come from a table
 /// built at [`begin`](MigrationPolicy::begin) with the same expression, so
 /// they are bit-identical to computing them per access.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FreqDecayPolicy {
-    /// Accesses after which a score halves. Set it before a run:
-    /// [`begin`](MigrationPolicy::begin) tabulates the decay factors from it.
-    pub half_life: u64,
-    /// Promote only when `cold_score > margin * coldest_hot_score`.
-    pub margin: f64,
     score: Vec<f64>,
     last_seen: Vec<u64>,
     /// Per-qubit log-domain rank, current for every hot qubit (set when it
     /// is pushed); the heap's validity check compares entries against it.
     rank: Vec<f64>,
-    /// `0.5^(age / half_life)` for every age below [`DECAY_TABLE_AGES`].
+    /// `0.5^(age / HALF_LIFE)` for every age below [`DECAY_TABLE_AGES`].
     decay: Vec<f64>,
     hot: HotSet,
     queue: VictimHeap<RankKey>,
 }
+
+/// Accesses after which a [`FreqDecayPolicy`] score halves.
+const HALF_LIFE: u64 = 64;
+
+/// [`FreqDecayPolicy`] promotes only when
+/// `cold_score > MARGIN * coldest_hot_score`.
+const MARGIN: f64 = 1.5;
 
 /// Ages whose decay factor [`FreqDecayPolicy`] tabulates.
 const DECAY_TABLE_AGES: u64 = 1024;
@@ -392,30 +324,15 @@ impl Ord for RankKey {
 }
 
 /// The time-invariant log-domain rank of a qubit with `score` last touched
-/// at `last_seen`: `ln(score) + last_seen · ln2 / half_life`.
-fn rank_key(score: f64, last_seen: u64, half_life: u64) -> f64 {
-    score.ln() + (last_seen as f64) * std::f64::consts::LN_2 / half_life as f64
-}
-
-impl Default for FreqDecayPolicy {
-    fn default() -> Self {
-        FreqDecayPolicy {
-            half_life: 64,
-            margin: 1.5,
-            score: Vec::new(),
-            last_seen: Vec::new(),
-            rank: Vec::new(),
-            decay: Vec::new(),
-            hot: HotSet::default(),
-            queue: BinaryHeap::new(),
-        }
-    }
+/// at `last_seen`: `ln(score) + last_seen · ln2 / HALF_LIFE`.
+fn rank_key(score: f64, last_seen: u64) -> f64 {
+    score.ln() + (last_seen as f64) * std::f64::consts::LN_2 / HALF_LIFE as f64
 }
 
 impl FreqDecayPolicy {
-    /// `0.5^(age / half_life)`, the factor a score decays by over `age`.
-    fn decay_factor(half_life: u64, age: u64) -> f64 {
-        0.5f64.powf(age as f64 / half_life as f64)
+    /// `0.5^(age / HALF_LIFE)`, the factor a score decays by over `age`.
+    fn decay_factor(age: u64) -> f64 {
+        0.5f64.powf(age as f64 / HALF_LIFE as f64)
     }
 
     /// The score of `q` decayed to time `now`.
@@ -424,7 +341,7 @@ impl FreqDecayPolicy {
         let age = now.saturating_sub(self.last_seen[idx]);
         let factor = match self.decay.get(age as usize) {
             Some(&factor) => factor,
-            None => Self::decay_factor(self.half_life, age),
+            None => Self::decay_factor(age),
         };
         self.score[idx] * factor
     }
@@ -447,7 +364,7 @@ impl FreqDecayPolicy {
     /// entry, rebuilding a bloated heap.
     fn push(&mut self, q: QubitTag) {
         let idx = q.0 as usize;
-        self.rank[idx] = rank_key(self.score[idx], self.last_seen[idx], self.half_life);
+        self.rank[idx] = rank_key(self.score[idx], self.last_seen[idx]);
         self.queue.push(Reverse((RankKey(self.rank[idx]), q.0)));
         let rank = &self.rank;
         rebuild_if_bloated(&mut self.queue, &self.hot, |q| RankKey(rank[q.0 as usize]));
@@ -465,12 +382,10 @@ impl MigrationPolicy for FreqDecayPolicy {
         self.last_seen.clear();
         self.last_seen.resize(num_qubits as usize, 0);
         self.rank.clear();
-        self.rank
-            .resize(num_qubits as usize, rank_key(0.0, 0, self.half_life));
-        let half_life = self.half_life;
+        self.rank.resize(num_qubits as usize, rank_key(0.0, 0));
         self.decay.clear();
         self.decay
-            .extend((0..DECAY_TABLE_AGES).map(|age| Self::decay_factor(half_life, age)));
+            .extend((0..DECAY_TABLE_AGES).map(Self::decay_factor));
         self.hot.begin(num_qubits, hot);
         self.queue.clear();
         for &q in &self.hot.list {
@@ -493,7 +408,7 @@ impl MigrationPolicy for FreqDecayPolicy {
         }
         let victim = self.coldest()?;
         let coldest = self.decayed(victim, now);
-        (victim != qubit && fresh > self.margin * coldest).then_some(victim)
+        (victim != qubit && fresh > MARGIN * coldest).then_some(victim)
     }
 
     fn applied(&mut self, promoted: QubitTag, demoted: QubitTag) {
@@ -568,28 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_labels_and_uniform_construction() {
-        let spec = FloorplanSpec::uniform(BankKind::LineSam, 2);
-        assert_eq!(spec.banks.len(), 2);
-        assert_eq!(spec.label(), "line+line floorplan");
-        let mixed = FloorplanSpec {
-            banks: vec![BankKind::DualPointSam, BankKind::LineSam],
-            cr_slots: 2,
-            locality_aware_store: true,
-        };
-        assert_eq!(mixed.to_string(), "dual-point+line floorplan");
-        assert_eq!(
-            FloorplanSpec {
-                banks: vec![],
-                cr_slots: 2,
-                locality_aware_store: true
-            }
-            .label(),
-            "Conventional"
-        );
-    }
-
-    #[test]
     fn static_policy_never_proposes() {
         let mut policy = StaticPolicy;
         policy.begin(10, &tags(&[0, 1]));
@@ -641,7 +534,7 @@ mod tests {
         policy.begin(2, &[]);
         policy.score[0] = 3.0;
         for age in (0..DECAY_TABLE_AGES + 8).chain([5_000, 1 << 40]) {
-            let expected = 3.0 * 0.5f64.powf(age as f64 / policy.half_life as f64);
+            let expected = 3.0 * 0.5f64.powf(age as f64 / 64.0);
             assert_eq!(
                 policy.decayed(QubitTag(0), age).to_bits(),
                 expected.to_bits(),
@@ -828,8 +721,8 @@ mod proptests {
             let bound = policy.hot.heap_bound();
             prop_assert!(policy.queue.len() <= bound);
             let mut naive = NaiveFreqDecay {
-                half_life: policy.half_life as f64,
-                margin: policy.margin,
+                half_life: 64.0,
+                margin: 1.5,
                 score: HashMap::new(),
                 last: HashMap::new(),
                 hot: hot.iter().map(|q| q.0).collect(),

@@ -5,10 +5,10 @@
 //!
 //! * [`config`] — [`ArchConfig`]: which floorplan (point SAM,
 //!   line SAM, conventional), how many SAM banks, how many magic-state factories,
-//!   the hybrid-floorplan fraction `f`, and the CR size.
+//!   and the hybrid-floorplan fraction `f`.
 //! * [`lattice`] — the surface-code substrate: [`Beats`](lattice::Beats),
 //!   [`QubitTag`](lattice::QubitTag), the point SAM's [`CellGrid`](lattice::CellGrid)
-//!   occupancy map, the primitive protocol latencies and [`LatticeError`](lattice::LatticeError).
+//!   occupancy map, the point SAM's move costs and [`LatticeError`](lattice::LatticeError).
 //! * [`ledger`] — the [`CheckoutLedger`]: the dense
 //!   per-bank bit set of qubits currently checked out to the CR, backing the
 //!   banks' store-side validation and `n + ports`-cell invariants.
@@ -21,16 +21,19 @@
 //!   locality-aware stores into the most recently accessed row.
 //! * [`memory`] — [`MemorySystem`]: hybrid floorplans (hot
 //!   qubits in a conventional 1/2-density region, cold qubits distributed
-//!   round-robin over SAM banks — mixed bank flavours via
-//!   [`MemorySystem::from_spec`]), memory-density accounting, the load / store
-//!   / in-memory access latencies the simulator consumes, the cross-bank
-//!   checkout audit, and runtime hot-set migration
-//!   ([`MemorySystem::migrate`]).
-//! * [`floorplan`] — [`FloorplanSpec`] descriptors composing mixed banks, and
-//!   the pluggable [`MigrationPolicy`] trait with its [`StaticPolicy`] /
-//!   [`LruPolicy`] / [`FreqDecayPolicy`] implementations.
+//!   round-robin over SAM banks of the floorplan's one flavour),
+//!   memory-density accounting, the load / store / in-memory access latencies
+//!   the simulator consumes, the cross-bank checkout audit, and runtime
+//!   hot-set migration ([`MemorySystem::migrate`]).
+//! * [`floorplan`] — the pluggable [`MigrationPolicy`] trait with its
+//!   [`StaticPolicy`] / [`LruPolicy`] / [`FreqDecayPolicy`] implementations.
 //! * [`msf`] — the magic-state factory model (one state per 15 beats per factory,
 //!   buffer of `2 × factories`).
+//!
+//! The paper fixes the rest of the machine, and so does this crate: the CR
+//! has two register cells ([`MemorySystem::CR_SLOTS`]), a factory distills a
+//! state every 15 beats into a buffer of `2 × factories`, and the point SAM's
+//! move costs are those of Fig. 4. None of these is a setting.
 //!
 //! # Example
 //!
@@ -59,11 +62,9 @@ pub mod msf;
 pub mod point;
 
 pub use config::{ArchConfig, FloorplanKind};
-pub use floorplan::{
-    BankKind, FloorplanSpec, FreqDecayPolicy, LruPolicy, MigrationPolicy, PolicyKind, StaticPolicy,
-};
+pub use floorplan::{FreqDecayPolicy, LruPolicy, MigrationPolicy, PolicyKind, StaticPolicy};
 pub use ledger::CheckoutLedger;
 pub use line::LineSamBank;
 pub use memory::{MemorySystem, Residence};
-pub use msf::{MagicStateSupply, MsfConfig};
+pub use msf::MagicStateSupply;
 pub use point::PointSamBank;

@@ -4,11 +4,12 @@
 //!
 //! * an optional **conventional region** holding the "hot" qubits of a hybrid
 //!   floorplan (Sec. V-D / VI-C) at 50% density with zero access latency, and
-//! * zero or more **SAM banks** (single- or two-port point, or line — mixed
-//!   flavours are allowed via [`MemorySystem::from_spec`]) holding the
-//!   remaining qubits, distributed round-robin over the banks as in the
-//!   paper's evaluation, plus
-//! * the **CR** cell accounting, and
+//! * zero or more **SAM banks** of one flavour (single- or two-port point, or
+//!   line, as the [`FloorplanKind`] names) holding the remaining qubits,
+//!   distributed round-robin over the banks as in the paper's evaluation,
+//!   plus
+//! * the **CR** cell accounting (the paper's two register slots,
+//!   [`MemorySystem::CR_SLOTS`]), and
 //! * the **memory-level checkout audit**: a record of which bank every
 //!   checked-out qubit left, so a store that would land in a *different* bank
 //!   (possible once hot-set migration mutates residences at runtime) is a
@@ -19,7 +20,6 @@
 //! cells)`, excluding MSFs, exactly as defined in Sec. VI-A.
 
 use crate::config::{ArchConfig, FloorplanKind};
-use crate::floorplan::{BankKind, FloorplanSpec};
 use crate::lattice::{Beats, LatticeError, QubitTag};
 use crate::line::LineSamBank;
 use crate::point::PointSamBank;
@@ -42,13 +42,20 @@ enum Bank {
 }
 
 impl Bank {
-    fn build(kind: BankKind, qubits: &[QubitTag], locality_aware_store: bool) -> Bank {
-        match kind {
-            BankKind::PointSam => Bank::Point(PointSamBank::new(qubits, 1, locality_aware_store)),
-            BankKind::DualPointSam => {
+    /// A bank of the flavour `floorplan` names. The conventional floorplan
+    /// has no banks, so it never gets here.
+    fn build(floorplan: FloorplanKind, qubits: &[QubitTag], locality_aware_store: bool) -> Bank {
+        match floorplan {
+            FloorplanKind::PointSam { .. } => {
+                Bank::Point(PointSamBank::new(qubits, 1, locality_aware_store))
+            }
+            FloorplanKind::DualPointSam { .. } => {
                 Bank::Point(PointSamBank::new(qubits, 2, locality_aware_store))
             }
-            BankKind::LineSam => Bank::Line(LineSamBank::new(qubits, locality_aware_store)),
+            FloorplanKind::LineSam { .. } => {
+                Bank::Line(LineSamBank::new(qubits, locality_aware_store))
+            }
+            FloorplanKind::Conventional => unreachable!("the conventional floorplan has no banks"),
         }
     }
 
@@ -130,10 +137,8 @@ impl Bank {
 /// The complete memory system for one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemorySystem {
-    /// Human-readable floorplan label (the `FloorplanKind` label for uniform
-    /// systems, the [`FloorplanSpec`] label for mixed ones).
-    label: String,
-    cr_slots: u32,
+    /// The floorplan, for display.
+    floorplan: FloorplanKind,
     /// Residence per qubit tag, indexed directly by the tag value `QubitTag.0`.
     /// Tags are contiguous `0..num_qubits`, so a dense table replaces the
     /// former `HashMap<QubitTag, Residence>` and turns every lookup on the
@@ -151,59 +156,25 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
-    /// Builds the memory system for `num_qubits` data qubits from a uniform
+    /// Builds the memory system for `num_qubits` data qubits from an
     /// [`ArchConfig`] floorplan.
     ///
     /// `hot_qubits` lists the qubits pinned into the conventional region of a
     /// hybrid floorplan (ignored duplicates and out-of-range tags are dropped).
     /// With [`FloorplanKind::Conventional`] every qubit is treated as hot
     /// regardless of the list. The remaining qubits are distributed round-robin
-    /// over the configured number of SAM banks.
+    /// over the configured number of SAM banks, all of the floorplan's flavour.
     ///
     /// # Panics
     ///
     /// Panics if `num_qubits` is zero.
     pub fn new(config: &ArchConfig, num_qubits: u32, hot_qubits: &[QubitTag]) -> Self {
-        let kind = match config.floorplan {
-            FloorplanKind::PointSam { .. } => Some(BankKind::PointSam),
-            FloorplanKind::DualPointSam { .. } => Some(BankKind::DualPointSam),
-            FloorplanKind::LineSam { .. } => Some(BankKind::LineSam),
-            FloorplanKind::Conventional => None,
-        };
-        let spec = FloorplanSpec {
-            banks: match kind {
-                Some(kind) => vec![kind; config.floorplan.bank_count() as usize],
-                None => Vec::new(),
-            },
-            cr_slots: config.cr_slots,
-            locality_aware_store: config.locality_aware_store,
-        };
-        Self::build(config.floorplan.label(), &spec, num_qubits, hot_qubits)
-    }
-
-    /// Builds the memory system from a [`FloorplanSpec`], which may compose
-    /// banks of *different* flavours (e.g. a fast two-port point bank backed
-    /// by a dense line bank). An empty bank list is the conventional
-    /// baseline: every qubit is hot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_qubits` is zero.
-    pub fn from_spec(spec: &FloorplanSpec, num_qubits: u32, hot_qubits: &[QubitTag]) -> Self {
-        Self::build(spec.label(), spec, num_qubits, hot_qubits)
-    }
-
-    fn build(
-        label: String,
-        spec: &FloorplanSpec,
-        num_qubits: u32,
-        hot_qubits: &[QubitTag],
-    ) -> Self {
         assert!(num_qubits > 0, "the memory system needs at least one qubit");
 
         // Dense hot-set membership: tags are contiguous, so a bit per tag
         // replaces the former `HashSet` dedup pass.
-        let all_hot = spec.banks.is_empty();
+        let floorplan = config.floorplan;
+        let all_hot = floorplan.bank_count() == 0;
         let mut is_hot = vec![all_hot; num_qubits as usize];
         let mut hot_count: u64 = 0;
         if all_hot {
@@ -222,7 +193,11 @@ impl MemorySystem {
             .filter(|q| !is_hot[q.0 as usize])
             .collect();
 
-        let bank_count = if cold.is_empty() { 0 } else { spec.banks.len() };
+        let bank_count = if cold.is_empty() {
+            0
+        } else {
+            floorplan.bank_count() as usize
+        };
         let mut residence = vec![Residence::Conventional; num_qubits as usize];
         let mut per_bank: Vec<Vec<QubitTag>> = vec![Vec::new(); bank_count];
         for (i, &q) in cold.iter().enumerate() {
@@ -233,30 +208,20 @@ impl MemorySystem {
 
         // Round-robin fills banks front to back, so only *trailing* banks can
         // be empty; dropping them keeps the bank indices in `residence` valid.
-        let banks: Vec<Bank> = spec
-            .banks
-            .iter()
-            .zip(per_bank)
-            .filter(|(_, qs)| !qs.is_empty())
-            .map(|(&kind, qs)| Bank::build(kind, &qs, spec.locality_aware_store))
+        let banks: Vec<Bank> = per_bank
+            .into_iter()
+            .filter(|qs| !qs.is_empty())
+            .map(|qs| Bank::build(floorplan, &qs, config.locality_aware_store))
             .collect();
 
         MemorySystem {
-            label,
-            cr_slots: spec.cr_slots,
+            floorplan,
             residence,
             banks,
             conventional_qubits: hot_count,
             num_qubits,
             out_of: vec![None; num_qubits as usize],
         }
-    }
-
-    /// The floorplan label this memory system was built with (a
-    /// [`FloorplanKind`] label for uniform systems, a [`FloorplanSpec`] label
-    /// for mixed ones).
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// Number of data qubits managed by the system.
@@ -313,50 +278,24 @@ impl MemorySystem {
 
     /// Cells occupied by the computational register.
     ///
-    /// The point-SAM CR is charged at three cells per register slot: the
-    /// minimal six-cell block of Fig. 10a holds the default
-    /// [`MemorySystem::MIN_CR_SLOTS`] register cells (plus surgery-ancilla and
-    /// routing space), and a wider configured CR grows proportionally, so the
-    /// area charged always contains the slot count the simulator schedules
-    /// with ([`MemorySystem::effective_cr_slots`]). A two-port point bank
-    /// claims that block on *both* its sides, doubling the charge. The
-    /// line-SAM CR is two columns spanning the bank height (Fig. 10b); with
-    /// more than two line banks the CR is stacked, growing proportionally.
-    /// Mixed floorplans are charged the sum of both shapes. When every qubit
-    /// is hot (or the floorplan is conventional) no CR is charged.
+    /// The point-SAM CR is the six-cell block of Fig. 10a: the
+    /// [`MemorySystem::CR_SLOTS`] register cells plus surgery-ancilla and
+    /// routing space, three cells per slot. Single-port banks share one
+    /// block; a two-port bank claims one on *both* its sides, doubling the
+    /// charge. The line-SAM CR is two columns spanning the bank height
+    /// (Fig. 10b); with more than two line banks the CR is stacked, growing
+    /// proportionally. When every qubit is hot (or the floorplan is
+    /// conventional) no CR is charged.
     pub fn cr_cells(&self) -> u64 {
-        if self.banks.is_empty() {
-            return 0;
+        let banks = self.banks.len() as u64;
+        match self.banks.first() {
+            None => 0,
+            Some(Bank::Point(p)) => p.port_count() as u64 * 3 * u64::from(self.cr_slots()),
+            Some(Bank::Line(_)) => {
+                let height = self.banks.iter().map(Bank::total_height).max().unwrap_or(0);
+                2 * u64::from(height) * banks.div_ceil(2)
+            }
         }
-        let mut cells = 0u64;
-        let line_count = self
-            .banks
-            .iter()
-            .filter(|b| matches!(b, Bank::Line(_)))
-            .count() as u64;
-        if line_count > 0 {
-            let height = self
-                .banks
-                .iter()
-                .filter(|b| matches!(b, Bank::Line(_)))
-                .map(|b| b.total_height() as u64)
-                .max()
-                .unwrap_or(0);
-            cells += 2 * height * line_count.div_ceil(2);
-        }
-        // One Fig. 10a CR block per point-bank side facing it: single-port
-        // banks share one block, a two-port bank claims one on each side.
-        let point_sides = self
-            .banks
-            .iter()
-            .filter_map(|b| match b {
-                Bank::Point(p) => Some(p.port_count() as u64),
-                Bank::Line(_) => None,
-            })
-            .max()
-            .unwrap_or(0);
-        cells += point_sides * 3 * self.effective_cr_slots() as u64;
-        cells
     }
 
     /// Total cells charged to the architecture (conventional + SAM + CR),
@@ -370,30 +309,20 @@ impl MemorySystem {
         self.num_qubits as f64 / self.total_cells() as f64
     }
 
-    /// Number of CR register slots available to hold loaded qubits, as
-    /// configured (the paper fixes this to two).
+    /// Register cells in the CR of every floorplan with banks: the six-cell
+    /// point-SAM block of Fig. 10a and the two line-SAM columns of Fig. 10b
+    /// both hold two, and the paper fixes the CR to that.
+    pub const CR_SLOTS: u32 = 2;
+
+    /// Number of CR register slots the simulator schedules with:
+    /// [`MemorySystem::CR_SLOTS`], or zero when the floorplan has no CR at
+    /// all (conventional, or a hybrid whose hot set covers every qubit) —
+    /// register slots impose no constraint there.
     pub fn cr_slots(&self) -> u32 {
-        self.cr_slots
-    }
-
-    /// Minimum number of register slots any physical CR provides: the minimal
-    /// six-cell point-SAM CR block of Fig. 10a and the two-column line-SAM CR
-    /// of Fig. 10b both hold two register cells, so [`MemorySystem::cr_cells`]
-    /// always charges at least this many slots and the simulator always
-    /// schedules with at least this many.
-    pub const MIN_CR_SLOTS: u32 = 2;
-
-    /// Number of CR register slots the simulator should schedule with: the
-    /// configured count, floored at [`MemorySystem::MIN_CR_SLOTS`] because the
-    /// smallest CR charged by [`MemorySystem::cr_cells`] already contains two
-    /// register cells. Zero when the floorplan has no CR at all (conventional,
-    /// or a hybrid whose hot set covers every qubit) — register slots impose
-    /// no constraint there.
-    pub fn effective_cr_slots(&self) -> u32 {
         if self.banks.is_empty() {
             0
         } else {
-            self.cr_slots.max(Self::MIN_CR_SLOTS)
+            Self::CR_SLOTS
         }
     }
 
@@ -675,7 +604,7 @@ impl fmt::Display for MemorySystem {
         write!(
             f,
             "{}: {} qubits in {} cells ({} conventional, {} SAM, {} CR), density {:.1}%",
-            self.label,
+            self.floorplan,
             self.num_qubits,
             self.total_cells(),
             self.conventional_cells(),
@@ -735,31 +664,6 @@ mod tests {
                 .unwrap()
         };
         assert!(worst(&mem) < worst(&single));
-    }
-
-    #[test]
-    fn mixed_spec_composes_heterogeneous_banks() {
-        use crate::floorplan::{BankKind, FloorplanSpec};
-        let spec = FloorplanSpec {
-            banks: vec![BankKind::DualPointSam, BankKind::LineSam],
-            cr_slots: 2,
-            locality_aware_store: true,
-        };
-        let mut mem = MemorySystem::from_spec(&spec, 100, &[]);
-        assert_eq!(mem.bank_count(), 2);
-        assert_eq!(mem.label(), "dual-point+line floorplan");
-        // CR charge combines both shapes: two point blocks + line columns.
-        assert!(mem.cr_cells() > 12);
-        // Round-robin: even tags in bank 0, odd in bank 1.
-        assert_eq!(mem.bank_of(QubitTag(0)), Some(0));
-        assert_eq!(mem.bank_of(QubitTag(1)), Some(1));
-        // Both flavours serve loads and stores through one facade.
-        for q in [QubitTag(4), QubitTag(5)] {
-            let load = mem.load(q).unwrap();
-            assert!(load > Beats::ZERO);
-            mem.store(q).unwrap();
-        }
-        assert_eq!(mem.checked_out_count(), 0);
     }
 
     #[test]
@@ -968,31 +872,19 @@ mod tests {
     }
 
     #[test]
-    fn effective_cr_slots_floors_at_the_physical_minimum() {
-        // The minimal CR already holds two register cells.
-        assert_eq!(MemorySystem::MIN_CR_SLOTS, 2);
-        let mut config = point(1);
-        config.cr_slots = 1;
-        let mem = MemorySystem::new(&config, 20, &[]);
-        assert_eq!(mem.cr_slots(), 1);
-        assert_eq!(mem.effective_cr_slots(), 2);
-        // The charged point CR always contains the scheduled slots: the
-        // six-cell Fig. 10a block for the default two, growing with wider
-        // configurations.
-        assert_eq!(mem.cr_cells(), 6);
-        let mut config = point(1);
-        config.cr_slots = 4;
-        let mem = MemorySystem::new(&config, 20, &[]);
-        assert_eq!(mem.effective_cr_slots(), 4);
-        assert_eq!(mem.cr_cells(), 12);
-        // Larger configured CRs are taken as configured.
-        let mut config = line(1);
-        config.cr_slots = 4;
-        let mem = MemorySystem::new(&config, 20, &[]);
-        assert_eq!(mem.effective_cr_slots(), 4);
+    fn banked_floorplans_schedule_the_two_cr_slots_their_cr_holds() {
+        // The six-cell Fig. 10a block holds the two register cells.
+        let mem = MemorySystem::new(&point(1), 20, &[]);
+        assert_eq!(mem.cr_slots(), MemorySystem::CR_SLOTS);
+        assert_eq!(mem.cr_cells(), 3 * u64::from(MemorySystem::CR_SLOTS));
+        let mem = MemorySystem::new(&line(1), 20, &[]);
+        assert_eq!(mem.cr_slots(), 2);
         // No banks → no CR → no slot constraint.
         let mem = MemorySystem::new(&ArchConfig::conventional(1), 20, &[]);
-        assert_eq!(mem.effective_cr_slots(), 0);
+        assert_eq!(mem.cr_slots(), 0);
+        let all_hot: Vec<QubitTag> = (0..20).map(QubitTag).collect();
+        let mem = MemorySystem::new(&point(1).with_hybrid_fraction(1.0), 20, &all_hot);
+        assert_eq!(mem.cr_slots(), 0);
     }
 
     #[test]
@@ -1017,7 +909,6 @@ mod tests {
         let s = mem.to_string();
         assert!(s.contains("density"));
         assert!(s.contains("Line #SAM=1"));
-        assert_eq!(mem.label(), "Line #SAM=1");
     }
 
     #[test]

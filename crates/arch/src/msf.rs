@@ -1,52 +1,23 @@
 //! Magic-state factory model.
 //!
 //! The paper uses Litinski's factory design: a single factory distills one magic
-//! state every 15 code beats, and generated states are buffered (buffer capacity
-//! `2 × factories`) so that production can run ahead of consumption and hide its
-//! latency (Sec. IV-A, VI-A). With one factory the supply rate (1/15 per beat) is
+//! state every 15 code beats, and generated states are buffered (capacity
+//! `2 × factories`) so that production can run ahead of consumption and hide
+//! its latency (Sec. IV-A, VI-A). Both are fixed: the factory count is the
+//! model's one parameter. With one factory the supply rate (1/15 per beat) is
 //! far below the demand of the arithmetic benchmarks (one per ≈2 beats for the
 //! multiplier), which is precisely the bottleneck LSQCA hides its load/store
 //! latency behind.
 
 use crate::lattice::Beats;
-use std::fmt;
 
-/// Static configuration of the magic-state supply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MsfConfig {
-    /// Number of factories distilling in parallel.
-    pub factories: u32,
-    /// Beats needed by one factory to distill one state (15 in the paper).
-    pub beats_per_state: u64,
-    /// Capacity of the shared output buffer (`2 × factories` in the paper).
-    pub buffer_capacity: u32,
-}
+/// Beats one factory needs to distill one magic state (15 in the paper).
+const BEATS_PER_STATE: u64 = 15;
 
-impl MsfConfig {
-    /// The paper's configuration for a given factory count.
-    pub fn paper(factories: u32) -> Self {
-        assert!(factories > 0, "at least one factory is required");
-        MsfConfig {
-            factories,
-            beats_per_state: 15,
-            buffer_capacity: 2 * factories,
-        }
-    }
-
-    /// Average steady-state production rate in states per beat.
-    pub fn production_rate(&self) -> f64 {
-        self.factories as f64 / self.beats_per_state as f64
-    }
-}
-
-impl fmt::Display for MsfConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} factories, 1 state / {} beats each, buffer {}",
-            self.factories, self.beats_per_state, self.buffer_capacity
-        )
-    }
+/// Capacity of the shared output buffer of `factories` factories: two states
+/// per factory, as in the paper.
+const fn buffer_capacity(factories: u32) -> u32 {
+    2 * factories
 }
 
 /// Stateful magic-state supply used by the simulator.
@@ -55,21 +26,20 @@ impl fmt::Display for MsfConfig {
 /// shared buffer (if a slot is free) or is held in the factory's output port,
 /// blocking that factory from starting its next distillation until the state is
 /// delivered. States are consumed strictly in production order. Consequently the
-/// sustained supply rate is `factories / beats_per_state` and the maximum
-/// run-ahead is `buffer_capacity` buffered states plus one held state per
-/// factory.
+/// sustained supply rate is `factories / 15` per beat and the maximum run-ahead
+/// is `2 × factories` buffered states plus one held state per factory.
 ///
 /// A `PM` instruction asks [`MagicStateSupply::acquire`] for the earliest beat at
 /// which a state is available; the state is consumed at that beat.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MagicStateSupply {
-    config: MsfConfig,
+    factories: u32,
     /// Delivery times of the last `factories` states (oldest first): a factory is
     /// free to start a new distillation once it has delivered its previous state.
     recent_deliveries: Window,
-    /// Consumption times of the last `buffer_capacity` states (oldest first): a
+    /// Consumption times of the last `2 × factories` states (oldest first): a
     /// completed state can be delivered only once a buffer slot is free, i.e.
-    /// once the state `buffer_capacity` places earlier has been consumed.
+    /// once the state that many places earlier has been consumed.
     recent_consumptions: Window,
     /// Total number of states handed out.
     consumed: u64,
@@ -95,14 +65,12 @@ impl Window {
     }
 
     /// The oldest time once the window holds `capacity` entries; zero while
-    /// it is still filling, and always zero for a zero-capacity window, which
-    /// never constrains anything (a state with no buffer slot waits in its
-    /// factory's output port instead).
+    /// it is still filling.
     fn oldest_when_full(&self) -> Beats {
         if self.len < self.times.len() {
             Beats::ZERO
         } else {
-            self.times.get(self.head).copied().unwrap_or(Beats::ZERO)
+            self.times[self.head]
         }
     }
 
@@ -117,7 +85,7 @@ impl Window {
                 slot
             }] = time;
             self.len += 1;
-        } else if capacity > 0 {
+        } else {
             self.times[self.head] = time;
             self.head = if self.head + 1 == capacity {
                 0
@@ -144,19 +112,20 @@ impl PartialEq for Window {
 impl Eq for Window {}
 
 impl MagicStateSupply {
-    /// Creates a supply that starts distilling at beat zero with an empty buffer.
-    pub fn new(config: MsfConfig) -> Self {
+    /// Creates the supply of `factories` factories, distilling from beat zero
+    /// into an empty buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factories` is zero.
+    pub fn new(factories: u32) -> Self {
+        assert!(factories > 0, "at least one factory is required");
         MagicStateSupply {
-            config,
-            recent_deliveries: Window::new(config.factories),
-            recent_consumptions: Window::new(config.buffer_capacity),
+            factories,
+            recent_deliveries: Window::new(factories),
+            recent_consumptions: Window::new(buffer_capacity(factories)),
             consumed: 0,
         }
-    }
-
-    /// The static configuration.
-    pub fn config(&self) -> MsfConfig {
-        self.config
     }
 
     /// Number of states consumed so far.
@@ -168,10 +137,9 @@ impl MagicStateSupply {
     fn next_delivery(&self) -> Beats {
         // The producing factory can start once it delivered its previous state
         // (the state `factories` places earlier).
-        let distilled =
-            self.recent_deliveries.oldest_when_full() + Beats(self.config.beats_per_state);
+        let distilled = self.recent_deliveries.oldest_when_full() + Beats(BEATS_PER_STATE);
         // The state can leave the factory once a buffer slot is guaranteed: the
-        // state `buffer_capacity` places earlier must have been consumed.
+        // state `2 × factories` places earlier must have been consumed.
         distilled.max(self.recent_consumptions.oldest_when_full())
     }
 
@@ -190,7 +158,7 @@ impl MagicStateSupply {
     /// states plus states held in factory output ports).
     pub fn buffered(&mut self, now: Beats) -> usize {
         let mut probe = self.clone();
-        let limit = (self.config.buffer_capacity + self.config.factories) as usize;
+        let limit = (buffer_capacity(self.factories) + self.factories) as usize;
         let mut ready = 0;
         for _ in 0..limit {
             if probe.next_delivery() <= now {
@@ -209,24 +177,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_config_values() {
-        let cfg = MsfConfig::paper(4);
-        assert_eq!(cfg.factories, 4);
-        assert_eq!(cfg.beats_per_state, 15);
-        assert_eq!(cfg.buffer_capacity, 8);
-        assert!((cfg.production_rate() - 4.0 / 15.0).abs() < 1e-12);
-        assert!(!cfg.to_string().is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "at least one factory")]
     fn zero_factories_panics() {
-        let _ = MsfConfig::paper(0);
+        let _ = MagicStateSupply::new(0);
     }
 
     #[test]
     fn first_state_is_ready_after_fifteen_beats() {
-        let mut supply = MagicStateSupply::new(MsfConfig::paper(1));
+        let mut supply = MagicStateSupply::new(1);
         assert_eq!(supply.acquire(Beats(0)), Beats(15));
         // The next one needs another distillation round.
         assert_eq!(supply.acquire(Beats(15)), Beats(30));
@@ -235,7 +193,7 @@ mod tests {
 
     #[test]
     fn buffered_states_hide_the_latency() {
-        let mut supply = MagicStateSupply::new(MsfConfig::paper(1));
+        let mut supply = MagicStateSupply::new(1);
         // After a long idle period the buffer (capacity 2) is full and the
         // factory holds one more finished state, so three requests are served
         // instantly.
@@ -252,11 +210,11 @@ mod tests {
 
     #[test]
     fn buffer_capacity_limits_run_ahead() {
-        let mut supply = MagicStateSupply::new(MsfConfig::paper(1));
+        let mut supply = MagicStateSupply::new(1);
         // No matter how long production idles, the run-ahead is bounded by the
         // buffer capacity plus one held state per factory.
         assert_eq!(supply.buffered(Beats(10_000)), 3);
-        let mut supply = MagicStateSupply::new(MsfConfig::paper(4));
+        let mut supply = MagicStateSupply::new(4);
         assert_eq!(supply.buffered(Beats(10_000)), 12);
     }
 
@@ -264,7 +222,7 @@ mod tests {
     fn sustained_rate_is_bounded_by_the_factory_count() {
         // Draining 100 states as fast as possible cannot beat factories/15.
         for factories in [1u32, 2, 4] {
-            let mut supply = MagicStateSupply::new(MsfConfig::paper(factories));
+            let mut supply = MagicStateSupply::new(factories);
             let last = (0..100).map(|_| supply.acquire(Beats(0))).max().unwrap();
             let min_beats = (100 - 2 * factories as u64 - factories as u64).saturating_mul(15)
                 / factories as u64;
@@ -277,8 +235,8 @@ mod tests {
 
     #[test]
     fn more_factories_produce_faster() {
-        let mut one = MagicStateSupply::new(MsfConfig::paper(1));
-        let mut four = MagicStateSupply::new(MsfConfig::paper(4));
+        let mut one = MagicStateSupply::new(1);
+        let mut four = MagicStateSupply::new(4);
         // Drain the initial buffers first.
         for _ in 0..2 {
             one.acquire(Beats(0));
@@ -295,60 +253,39 @@ mod tests {
     #[test]
     fn ring_windows_match_the_full_history_model() {
         // The model stated in full: the state `factories` places earlier
-        // frees its factory, the state `buffer_capacity` places earlier
-        // frees a buffer slot. Irregular demand exercises both windows
-        // filling and wrapping.
+        // frees its factory, the state `2 × factories` places earlier frees
+        // a buffer slot. Irregular demand exercises both windows filling and
+        // wrapping.
         for factories in 1..=4u32 {
-            for buffer_capacity in 1..=6u32 {
-                let mut supply = MagicStateSupply::new(MsfConfig {
-                    factories,
-                    beats_per_state: 15,
-                    buffer_capacity,
-                });
-                let (mut deliveries, mut consumptions) = (Vec::new(), Vec::new());
-                let earlier = |history: &Vec<Beats>, places: u32| {
-                    let places = places as usize;
-                    if history.len() < places {
-                        Beats::ZERO
-                    } else {
-                        history[history.len() - places]
-                    }
-                };
-                let (mut now, mut seed) = (0u64, 0x2545_f491_4f6c_dd1du64);
-                for _ in 0..300 {
-                    seed = seed
-                        .wrapping_mul(6_364_136_223_846_793_005)
-                        .wrapping_add(1_442_695_040_888_963_407);
-                    now += (seed >> 33) % 23;
-                    let delivery = (earlier(&deliveries, factories) + Beats(15))
-                        .max(earlier(&consumptions, buffer_capacity));
-                    let expected = delivery.max(Beats(now));
-                    assert_eq!(supply.acquire(Beats(now)), expected);
-                    deliveries.push(delivery);
-                    consumptions.push(expected);
+            let mut supply = MagicStateSupply::new(factories);
+            let (mut deliveries, mut consumptions) = (Vec::new(), Vec::new());
+            let earlier = |history: &Vec<Beats>, places: u32| {
+                let places = places as usize;
+                if history.len() < places {
+                    Beats::ZERO
+                } else {
+                    history[history.len() - places]
                 }
+            };
+            let (mut now, mut seed) = (0u64, 0x2545_f491_4f6c_dd1du64);
+            for _ in 0..300 {
+                seed = seed
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                now += (seed >> 33) % 23;
+                let delivery = (earlier(&deliveries, factories) + Beats(15))
+                    .max(earlier(&consumptions, 2 * factories));
+                let expected = delivery.max(Beats(now));
+                assert_eq!(supply.acquire(Beats(now)), expected);
+                deliveries.push(delivery);
+                consumptions.push(expected);
             }
         }
     }
 
     #[test]
-    fn zero_capacity_buffer_delivers_at_the_factory_rate() {
-        // No buffer slot: each state waits in the factory's output port, so
-        // back-to-back requests are served one distillation apart.
-        let mut supply = MagicStateSupply::new(MsfConfig {
-            factories: 1,
-            beats_per_state: 15,
-            buffer_capacity: 0,
-        });
-        assert_eq!(supply.acquire(Beats(0)), Beats(15));
-        assert_eq!(supply.acquire(Beats(0)), Beats(30));
-        assert_eq!(supply.consumed(), 2);
-        assert_eq!(supply.buffered(Beats(100)), 1);
-    }
-
-    #[test]
     fn demand_slower_than_production_never_waits() {
-        let mut supply = MagicStateSupply::new(MsfConfig::paper(1));
+        let mut supply = MagicStateSupply::new(1);
         let mut now = Beats(40);
         for _ in 0..20 {
             let ready = supply.acquire(now);

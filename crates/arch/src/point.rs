@@ -24,7 +24,8 @@
 //! Fig. 11 applies to every transport. The price is one extra cell and a
 //! second CR block (see `MemorySystem::cr_cells`).
 
-use crate::lattice::{Beats, CellGrid, Coord, LatticeError, ProtocolLatencies, QubitTag};
+use crate::lattice::moves::{point_transport, STEP};
+use crate::lattice::{Beats, CellGrid, Coord, LatticeError, QubitTag};
 use crate::ledger::CheckoutLedger;
 
 /// Calls `$bank.$method::<P>(..)` with the bank's port count as the const
@@ -74,7 +75,6 @@ pub struct PointSamBank {
     home: Vec<Option<Coord>>,
     /// Exactly which of this bank's qubits are checked out to the CR.
     ledger: CheckoutLedger,
-    latencies: ProtocolLatencies,
     /// Exact cell count charged to this bank (`data qubits + ports`).
     cell_count: u64,
     /// Store returning qubits near a port (true) or at their home cell (false).
@@ -133,7 +133,6 @@ impl PointSamBank {
             scan: port,
             home,
             ledger: CheckoutLedger::new(table_len),
-            latencies: ProtocolLatencies::paper(),
             cell_count: cells_needed,
             locality_aware_store,
         };
@@ -215,13 +214,9 @@ impl PointSamBank {
     fn load_cost_via<const P: usize>(&self, pos: Coord, side: usize) -> Beats {
         let port = self.port[side];
         let seek = Beats(self.scan[side].manhattan_distance(pos) as u64);
-        let transport = self.latencies.point_transport(
-            pos.dx(port),
-            pos.dy(port),
-            self.has_second_vacancy::<P>(),
-        );
+        let transport = point_transport(pos.dx(port), pos.dy(port), self.has_second_vacancy::<P>());
         // One final move from the port into a CR register cell.
-        seek + transport + self.latencies.move_step
+        seek + transport + STEP
     }
 
     /// The port a qubit at `pos` loads through: the cheaper side, ties west.
@@ -348,12 +343,10 @@ impl PointSamBank {
             (dest, self.best_side::<P>(dest))
         };
         let port = self.port[side];
-        let transport = self
-            .latencies
-            .point_transport(dest.dx(port), dest.dy(port), two);
+        let transport = point_transport(dest.dx(port), dest.dy(port), two);
         self.ledger.check_in(qubit);
         self.scan[side] = port;
-        Ok(transport + self.latencies.move_step)
+        Ok(transport + STEP)
     }
 
     /// Walks the nearer scan cell next to `qubit` for an in-memory
@@ -421,9 +414,7 @@ impl PointSamBank {
             .grid
             .relocate_into_nearest_vacancy(qubit, self.port[side])?;
         let seek = Beats(self.scan[side].manhattan_distance(pos) as u64);
-        let transport = self
-            .latencies
-            .point_transport(pos.dx(dest), pos.dy(dest), two);
+        let transport = point_transport(pos.dx(dest), pos.dy(dest), two);
         self.scan[side] = pos;
         Ok(seek + transport)
     }
@@ -544,10 +535,7 @@ impl PointSamBank {
         let two = self.has_second_vacancy::<P>();
         let port = self.port[self.nearer_vacancy_side::<P>()];
         let dest = self.grid.place_at_nearest_vacancy(incoming, port)?;
-        let in_cost = self
-            .latencies
-            .point_transport(dest.dx(port), dest.dy(port), two)
-            + self.latencies.move_step;
+        let in_cost = point_transport(dest.dx(port), dest.dy(port), two) + STEP;
         self.home[outgoing.0 as usize] = None;
         self.home[incoming.0 as usize] = Some(dest);
         self.scan[out_side] = self.port[out_side];

@@ -423,7 +423,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 pub mod table1 {
     use super::*;
     use lsqca::isa::instruction::example_instructions;
-    use lsqca::isa::LatencyTable;
+    use lsqca::isa::latency::latency;
 
     /// One row of Table I.
     #[derive(Debug, Clone)]
@@ -448,13 +448,12 @@ pub mod table1 {
 
     /// Generates every row of Table I from the ISA definition itself.
     pub fn rows() -> Vec<Row> {
-        let table = LatencyTable::paper();
         example_instructions()
             .into_iter()
             .map(|instr| Row {
                 kind: instr.kind().to_string(),
                 syntax: instr.to_string(),
-                latency: table.latency(&instr).to_string(),
+                latency: latency(&instr).to_string(),
             })
             .collect()
     }
@@ -1230,7 +1229,6 @@ pub mod ablation {
                 [true, false].map(|in_memory_ops| {
                     let compiler = CompilerConfig {
                         use_in_memory_ops: in_memory_ops,
-                        ..CompilerConfig::default()
                     };
                     // The compiler configuration is part of the workload
                     // key, so the two arms get distinct workloads and records.

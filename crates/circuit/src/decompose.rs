@@ -3,13 +3,16 @@
 //! The LSQCA compiler (and the paper's benchmark flow, Sec. VI-A) consumes
 //! circuits expressed with Clifford gates (H, S, CNOT), T gates, preparations and
 //! single-qubit Pauli measurements. The benchmark generators emit higher-level
-//! gates — Toffoli and multi-controlled X — which are lowered here:
+//! gates — CZ, Toffoli and multi-controlled X — which are lowered here:
 //!
 //! * Toffoli → the standard seven-T-gate Clifford+T network.
 //! * Multi-controlled X over `k ≥ 3` controls → a ladder of `2(k−1) − 1` Toffolis
 //!   using `k − 2` freshly allocated ancilla qubits (compute / apply / uncompute),
 //!   then each Toffoli is expanded in turn.
 //! * CZ → H-conjugated CNOT.
+//!
+//! Every composite gate is always expanded: the output holds base gates only
+//! ([`Gate::is_base_gate`]), which is what the LSQCA compiler accepts.
 //!
 //! [`lower_each`] is the pass itself: it hands each lowered gate to a
 //! callback as it is produced, so a consumer such as the LSQCA compiler
@@ -19,26 +22,6 @@
 use crate::circuit::{check_operands, Circuit};
 use crate::gate::{Gate, Qubit};
 use crate::register::RegisterRole;
-
-/// Options controlling the lowering pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecomposeConfig {
-    /// Expand Toffoli gates into the seven-T Clifford+T network. When `false`,
-    /// Toffolis produced by the multi-controlled-X ladder are kept as-is (useful
-    /// for inspecting Toffoli-level structure).
-    pub expand_toffoli: bool,
-    /// Expand CZ gates into H·CNOT·H.
-    pub expand_cz: bool,
-}
-
-impl Default for DecomposeConfig {
-    fn default() -> Self {
-        DecomposeConfig {
-            expand_toffoli: true,
-            expand_cz: true,
-        }
-    }
-}
 
 /// The standard seven-T-gate decomposition of a Toffoli gate.
 ///
@@ -156,15 +139,14 @@ pub fn mcx_ladder(controls: &[Qubit], ancillas: &[Qubit], target: Qubit) -> Vec<
 /// after the circuit's own.
 ///
 /// This is the pass behind [`lower_to_clifford_t`], gate for gate: every
-/// emitted gate has passed the operand checks [`Circuit::push`] applies on
-/// the lowered circuit, and the gates are base gates when `expand_toffoli`
-/// is enabled.
+/// emitted gate is a base gate and has passed the operand checks
+/// [`Circuit::push`] applies on the lowered circuit.
 ///
 /// # Panics
 ///
 /// Panics as [`Circuit::push`] does if a lowered gate has an operand out of
 /// range or repeats one.
-pub fn lower_each(circuit: &Circuit, config: DecomposeConfig, mut emit: impl FnMut(Gate)) -> u32 {
+pub fn lower_each(circuit: &Circuit, mut emit: impl FnMut(Gate)) -> u32 {
     let base_qubits = circuit.num_qubits();
     let num_qubits = base_qubits + max_mcx_ancillas(circuit);
     let ancillas: Vec<Qubit> = (base_qubits..num_qubits).collect();
@@ -176,10 +158,10 @@ pub fn lower_each(circuit: &Circuit, config: DecomposeConfig, mut emit: impl FnM
         match gate {
             Gate::MultiControlledX { controls, target } => {
                 for g in mcx_ladder(controls, &ancillas, *target) {
-                    expand_toffoli(g, config, &mut emit);
+                    expand_toffoli(g, &mut emit);
                 }
             }
-            Gate::Cz { a, b } if config.expand_cz => {
+            Gate::Cz { a, b } => {
                 emit(Gate::H(*b));
                 emit(Gate::Cnot {
                     control: *a,
@@ -187,21 +169,20 @@ pub fn lower_each(circuit: &Circuit, config: DecomposeConfig, mut emit: impl FnM
                 });
                 emit(Gate::H(*b));
             }
-            other => expand_toffoli(other.clone(), config, &mut emit),
+            other => expand_toffoli(other.clone(), &mut emit),
         }
     }
     num_qubits
 }
 
-/// Emits `gate`, as its seven-T network if it is a Toffoli and `config`
-/// expands Toffolis.
-fn expand_toffoli(gate: Gate, config: DecomposeConfig, emit: &mut impl FnMut(Gate)) {
+/// Emits `gate`, as its seven-T network if it is a Toffoli.
+fn expand_toffoli(gate: Gate, emit: &mut impl FnMut(Gate)) {
     match gate {
         Gate::Toffoli {
             control1,
             control2,
             target,
-        } if config.expand_toffoli => {
+        } => {
             for g in toffoli_gates(control1, control2, target) {
                 emit(g);
             }
@@ -216,8 +197,8 @@ fn expand_toffoli(gate: Gate, config: DecomposeConfig, emit: &mut impl FnMut(Gat
 /// Multi-controlled X gates allocate fresh ancilla qubits appended after the
 /// original qubits (registered as an `Ancilla`-role register named
 /// `"mcx_ancilla"` when any are needed). The returned circuit satisfies
-/// [`Circuit::is_lowered`] when `expand_toffoli` is enabled.
-pub fn lower_to_clifford_t(circuit: &Circuit, config: DecomposeConfig) -> Circuit {
+/// [`Circuit::is_lowered`].
+pub fn lower_to_clifford_t(circuit: &Circuit) -> Circuit {
     let max_mcx_ancillas = max_mcx_ancillas(circuit);
     let base_qubits = circuit.num_qubits();
 
@@ -239,7 +220,7 @@ pub fn lower_to_clifford_t(circuit: &Circuit, config: DecomposeConfig) -> Circui
     if max_mcx_ancillas > 0 {
         lowered.add_register("mcx_ancilla", RegisterRole::Ancilla, max_mcx_ancillas);
     }
-    lower_each(circuit, config, |gate| lowered.push(gate));
+    lower_each(circuit, |gate| lowered.push(gate));
     lowered
 }
 
@@ -333,24 +314,11 @@ mod tests {
         c.mcx(vec![0, 1, 2, 3], 4);
         c.cz(4, 5);
         c.t(5);
-        let lowered = lower_to_clifford_t(&c, DecomposeConfig::default());
+        let lowered = lower_to_clifford_t(&c);
         assert!(lowered.is_lowered());
         assert!(lowered.num_qubits() >= c.num_qubits());
         // T-count: 7 (toffoli) + 5 toffolis * 7 (mcx over 4 controls) + 1 = 43.
         assert_eq!(lowered.stats().t_count, 7 + 5 * 7 + 1);
-    }
-
-    #[test]
-    fn lowering_without_toffoli_expansion_keeps_toffolis() {
-        let mut c = Circuit::new("composite", 5);
-        c.mcx(vec![0, 1, 2], 3);
-        let cfg = DecomposeConfig {
-            expand_toffoli: false,
-            expand_cz: true,
-        };
-        let lowered = lower_to_clifford_t(&c, cfg);
-        assert_eq!(lowered.stats().toffoli_count, 3);
-        assert_eq!(lowered.stats().t_count, 0);
     }
 
     #[test]
@@ -359,7 +327,7 @@ mod tests {
         c.add_register("control", RegisterRole::Control, 4);
         c.add_register("system", RegisterRole::System, 2);
         c.mcx(vec![0, 1, 2, 3], 4);
-        let lowered = lower_to_clifford_t(&c, DecomposeConfig::default());
+        let lowered = lower_to_clifford_t(&c);
         assert_eq!(lowered.registers().role_of(0), Some(RegisterRole::Control));
         assert_eq!(lowered.registers().role_of(4), Some(RegisterRole::System));
         assert_eq!(
@@ -375,7 +343,7 @@ mod tests {
         c.cnot(0, 1);
         c.t(1);
         c.measure_z(1);
-        let lowered = lower_to_clifford_t(&c, DecomposeConfig::default());
+        let lowered = lower_to_clifford_t(&c);
         assert_eq!(lowered.gates(), c.gates());
         assert_eq!(lowered.num_qubits(), 2);
     }
@@ -389,7 +357,7 @@ mod proptests {
     /// The lowering as it was built before the register map moved up front:
     /// lower into a plain circuit, then re-extend every gate into one that
     /// carries the registers. Kept only as the oracle of the one-pass pass.
-    fn lower_two_pass(circuit: &Circuit, config: DecomposeConfig) -> Circuit {
+    fn lower_two_pass(circuit: &Circuit) -> Circuit {
         let max_mcx_ancillas = max_mcx_ancillas(circuit);
         let base_qubits = circuit.num_qubits();
         let total_qubits = base_qubits + max_mcx_ancillas;
@@ -401,7 +369,7 @@ mod proptests {
                     control1,
                     control2,
                     target,
-                } if config.expand_toffoli => {
+                } => {
                     lowered.extend(toffoli_gates(*control1, *control2, *target));
                 }
                 Gate::MultiControlledX { controls, target } => {
@@ -411,14 +379,14 @@ mod proptests {
                                 control1,
                                 control2,
                                 target,
-                            } if config.expand_toffoli => {
+                            } => {
                                 lowered.extend(toffoli_gates(control1, control2, target));
                             }
                             other => lowered.push(other),
                         }
                     }
                 }
-                Gate::Cz { a, b } if config.expand_cz => {
+                Gate::Cz { a, b } => {
                     lowered.push(Gate::H(*b));
                     lowered.push(Gate::Cnot {
                         control: *a,
@@ -470,8 +438,6 @@ mod proptests {
                 0..40,
             ),
             layout in 0u32..3,
-            expand_toffoli in proptest::bool::ANY,
-            expand_cz in proptest::bool::ANY,
         ) {
             let mut c = Circuit::new("prop", QUBITS);
             match layout {
@@ -501,9 +467,9 @@ mod proptests {
                     }
                 }
             }
-            let config = DecomposeConfig { expand_toffoli, expand_cz };
-            let one_pass = lower_to_clifford_t(&c, config);
-            let two_pass = lower_two_pass(&c, config);
+            let one_pass = lower_to_clifford_t(&c);
+            let two_pass = lower_two_pass(&c);
+            prop_assert!(one_pass.is_lowered());
             prop_assert_eq!(one_pass.num_qubits(), two_pass.num_qubits());
             prop_assert_eq!(one_pass.registers(), two_pass.registers());
             prop_assert_eq!(one_pass.gates(), two_pass.gates());

@@ -8,8 +8,8 @@ pub type Qubit = u32;
 /// A logical gate or operation on circuit qubits.
 ///
 /// The set covers everything the benchmark generators need: the Clifford+T base
-/// set the compiler consumes plus the composite gates (Toffoli, multi-controlled
-/// X) that the decomposition passes lower.
+/// set the compiler consumes plus the composite gates (CZ, Toffoli,
+/// multi-controlled X) that the decomposition passes lower.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Gate {
     /// Prepare a qubit in |0⟩.
@@ -111,9 +111,13 @@ impl Gate {
     }
 
     /// True for gates already in the Clifford+T+measurement base set accepted by
-    /// the LSQCA compiler.
+    /// the LSQCA compiler. CZ is not one: lowering always rewrites it as an
+    /// H-conjugated CNOT.
     pub fn is_base_gate(&self) -> bool {
-        !matches!(self, Gate::Toffoli { .. } | Gate::MultiControlledX { .. })
+        !matches!(
+            self,
+            Gate::Cz { .. } | Gate::Toffoli { .. } | Gate::MultiControlledX { .. }
+        )
     }
 
     /// True for single-qubit Pauli gates, which have negligible latency on a
@@ -204,6 +208,7 @@ mod tests {
         assert!(Gate::Tdg(0).is_t_like());
         assert!(!Gate::S(0).is_t_like());
         assert!(Gate::H(0).is_base_gate());
+        assert!(!Gate::Cz { a: 0, b: 1 }.is_base_gate());
         assert!(!Gate::Toffoli {
             control1: 0,
             control2: 1,

@@ -8,8 +8,9 @@
 //!   methods and named [`registers`](register::RegisterMap) (control / temporal /
 //!   system registers for SELECT, operand registers for arithmetic, ...).
 //! * [`decompose`] — lowering passes: Toffoli → Clifford+T (the standard
-//!   seven-T-gate network) and multi-controlled Pauli → Toffoli ladder, producing
-//!   the Clifford+T+measurement form the LSQCA compiler consumes.
+//!   seven-T-gate network), multi-controlled Pauli → Toffoli ladder and
+//!   CZ → H·CNOT·H, producing the Clifford+T+measurement form the LSQCA
+//!   compiler consumes.
 //! * [`stats`] — gate counting (T-count, Toffoli count, two-qubit count).
 //!
 //! # Example
@@ -36,7 +37,7 @@ pub mod register;
 pub mod stats;
 
 pub use circuit::Circuit;
-pub use decompose::{lower_each, lower_to_clifford_t, DecomposeConfig};
+pub use decompose::{lower_each, lower_to_clifford_t};
 pub use gate::{Gate, Qubit};
 pub use register::{RegisterMap, RegisterRole};
 pub use stats::CircuitStats;

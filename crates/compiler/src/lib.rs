@@ -4,9 +4,10 @@
 //!
 //! 1. **Lowering** — the circuit is expressed with Clifford gates (H, S, CNOT),
 //!    T gates, preparations and single-qubit Pauli measurements
-//!    ([`lsqca_circuit::lower_each`]). The lowering is streamed: each lowered
-//!    gate goes straight to instruction selection, so no lowered circuit is
-//!    ever built. A circuit that is already lowered is read as it is.
+//!    ([`lsqca_circuit::lower_each`]): Toffolis, multi-controlled X and CZ
+//!    are always expanded. The lowering is streamed: each lowered gate goes
+//!    straight to instruction selection, so no lowered circuit is ever
+//!    built. A circuit that is already lowered is read as it is.
 //! 2. **T-gate decomposition** — every T gate becomes a magic-state
 //!    teleportation: fetch a magic state (`PM`), measure Pauli-ZZ between the
 //!    magic state and the target (`MZZ.M`, in-memory), measure the magic state
@@ -49,26 +50,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use lsqca_circuit::{lower_each, Circuit, DecomposeConfig, Gate};
+use lsqca_circuit::{lower_each, Circuit, Gate};
 use lsqca_isa::trace_compile::{DEAD_SLOT, FIRST_LIVE_SLOT};
 use lsqca_isa::{ClassicalId, Instruction, InstructionSink, MemAddr, Program, RegId};
 
 /// Options controlling compilation.
+///
+/// The one option is the Sec. V-C ablation. Lowering is fixed: Toffolis,
+/// multi-controlled X and CZ are always expanded, and the CR always has the
+/// paper's two register slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompilerConfig {
     /// Emit in-memory instructions for single-qubit gates and T-gate surgery
     /// (the paper's default). When disabled, every gate loads its operands into
     /// the CR and stores them back — useful as an ablation of Sec. V-C.
     pub use_in_memory_ops: bool,
-    /// Options for lowering composite gates before instruction selection.
-    pub decompose: DecomposeConfig,
 }
 
 impl Default for CompilerConfig {
     fn default() -> Self {
         CompilerConfig {
             use_in_memory_ops: true,
-            decompose: DecomposeConfig::default(),
         }
     }
 }
@@ -81,24 +83,18 @@ impl CompilerConfig {
     /// v1;in-memory-ops=1;expand-toffoli=1;expand-cz=1
     /// ```
     ///
-    /// Each field, including those of [`DecomposeConfig`], is written
-    /// explicitly, so a derive reorder or a `Debug` change cannot re-key
-    /// anything, and adding a field fails to compile here until it is encoded.
-    /// Changing the format means bumping the leading version.
+    /// Each field is written explicitly, so a derive reorder or a `Debug`
+    /// change cannot re-key anything, and adding a field fails to compile here
+    /// until it is encoded. Changing the format means bumping the leading
+    /// version.
     pub fn canonical_encoding(&self) -> String {
-        let CompilerConfig {
-            use_in_memory_ops,
-            decompose:
-                DecomposeConfig {
-                    expand_toffoli,
-                    expand_cz,
-                },
-        } = *self;
+        let CompilerConfig { use_in_memory_ops } = *self;
+        // Lowering always expands Toffolis and CZ. The two fixed `=1`
+        // fields keep every workload and result key byte-identical to the
+        // keys stored while those expansions were settings.
         format!(
-            "v1;in-memory-ops={};expand-toffoli={};expand-cz={}",
+            "v1;in-memory-ops={};expand-toffoli=1;expand-cz=1",
             u8::from(use_in_memory_ops),
-            u8::from(expand_toffoli),
-            u8::from(expand_cz),
         )
     }
 }
@@ -114,6 +110,9 @@ pub struct CompiledProgram {
     pub t_gates: u64,
 }
 
+/// The CR register slots instructions are allocated to: the paper's two.
+const CR_SLOTS: u32 = 2;
+
 /// The SAM address of circuit qubit `q`.
 fn mem(q: u32) -> MemAddr {
     MemAddr(q)
@@ -126,7 +125,6 @@ struct Lowering<'s, S> {
     /// live slots.
     next_value: Option<u32>,
     next_magic_slot: u32,
-    cr_slots: u32,
     use_in_memory: bool,
     t_gates: u64,
 }
@@ -150,7 +148,7 @@ impl<S: InstructionSink> Lowering<'_, S> {
     /// Round-robin CR slot used for transient magic states / loads, so that two
     /// independent teleportations can overlap up to the CR capacity.
     fn next_slot(&mut self) -> RegId {
-        let slot = RegId(self.next_magic_slot % self.cr_slots);
+        let slot = RegId(self.next_magic_slot % CR_SLOTS);
         self.next_magic_slot += 1;
         slot
     }
@@ -206,15 +204,6 @@ impl<S: InstructionSink> Lowering<'_, S> {
                 control: mem(control),
                 target: mem(target),
             }),
-            Gate::Cz { a, b } => {
-                // Lowering normally removes CZ; translate conservatively if not.
-                self.sink.push(Instruction::HdM { mem: mem(b) });
-                self.sink.push(Instruction::Cx {
-                    control: mem(a),
-                    target: mem(b),
-                });
-                self.sink.push(Instruction::HdM { mem: mem(b) });
-            }
             Gate::PrepZ(q)
             | Gate::PrepX(q)
             | Gate::H(q)
@@ -222,14 +211,14 @@ impl<S: InstructionSink> Lowering<'_, S> {
             | Gate::Sdg(q)
             | Gate::MeasureZ(q)
             | Gate::MeasureX(q) => self.emit_single_qubit(gate, q),
-            Gate::Toffoli { .. } | Gate::MultiControlledX { .. } => {
+            Gate::Cz { .. } | Gate::Toffoli { .. } | Gate::MultiControlledX { .. } => {
                 unreachable!("composite gates are removed by lowering")
             }
         }
     }
 
     fn other_slot(&self, slot: RegId) -> RegId {
-        RegId((slot.0 + 1) % self.cr_slots)
+        RegId((slot.0 + 1) % CR_SLOTS)
     }
 
     fn emit_single_qubit(&mut self, gate: &Gate, qubit: u32) {
@@ -294,7 +283,7 @@ impl<S: InstructionSink> Lowering<'_, S> {
 
 /// Compiles `circuit` into an LSQCA program.
 ///
-/// Composite gates (Toffoli, multi-controlled X, CZ) are lowered first; Pauli
+/// Composite gates (Toffoli, multi-controlled X, CZ) are always lowered first; Pauli
 /// unitaries are dropped (they are tracked in the Pauli frame and have
 /// negligible latency, matching the paper's evaluation). Memory address `m_i`
 /// corresponds to circuit qubit `i` (plus any ancillas introduced by lowering).
@@ -348,7 +337,6 @@ fn compile_with(
         sink,
         next_value: (!live_slots).then_some(0),
         next_magic_slot: 0,
-        cr_slots: 2,
         use_in_memory: config.use_in_memory_ops,
         t_gates: 0,
     };
@@ -358,7 +346,7 @@ fn compile_with(
         }
         circuit.num_qubits()
     } else {
-        lower_each(circuit, config.decompose, |gate| state.emit(&gate))
+        lower_each(circuit, |gate| state.emit(&gate))
     };
     (num_qubits, state.t_gates)
 }
@@ -375,7 +363,6 @@ mod tests {
     fn load_store() -> CompilerConfig {
         CompilerConfig {
             use_in_memory_ops: false,
-            ..CompilerConfig::default()
         }
     }
 
@@ -385,16 +372,9 @@ mod tests {
             in_memory().canonical_encoding(),
             "v1;in-memory-ops=1;expand-toffoli=1;expand-cz=1"
         );
-        let raw = CompilerConfig {
-            use_in_memory_ops: false,
-            decompose: DecomposeConfig {
-                expand_toffoli: false,
-                expand_cz: true,
-            },
-        };
         assert_eq!(
-            raw.canonical_encoding(),
-            "v1;in-memory-ops=0;expand-toffoli=0;expand-cz=1"
+            load_store().canonical_encoding(),
+            "v1;in-memory-ops=0;expand-toffoli=1;expand-cz=1"
         );
     }
 
@@ -462,6 +442,29 @@ mod tests {
         // 6 CNOTs become 6 CX instructions.
         assert_eq!(stats.kind_counts[&InstructionKind::OptimizedUnitary], 6);
         assert!(compiled.program.validate().is_ok());
+    }
+
+    #[test]
+    fn cz_compiles_alike_with_or_without_a_toffoli_elsewhere() {
+        let mut lone = Circuit::new("cz", 5);
+        lone.cz(0, 1);
+        let mut with_toffoli = lone.renamed("cz-then-ccx");
+        with_toffoli.toffoli(2, 3, 4);
+        let mut conjugated = Circuit::new("h-cx-h", 5);
+        conjugated.h(1);
+        conjugated.cnot(0, 1);
+        conjugated.h(1);
+        for config in all_configs() {
+            let expected = compile(&conjugated, config).program;
+            let lone = compile(&lone, config).program;
+            assert_eq!(lone.instructions(), expected.instructions(), "{config:?}");
+            let with_toffoli = compile(&with_toffoli, config).program;
+            assert_eq!(
+                &with_toffoli.instructions()[..expected.len()],
+                expected.instructions(),
+                "{config:?}"
+            );
+        }
     }
 
     #[test]
@@ -557,7 +560,7 @@ mod tests {
     /// which takes the already-lowered branch. Both must agree exactly.
     fn assert_streaming_equals_materializing(circuit: &Circuit, config: CompilerConfig) {
         use lsqca_isa::ExecutionTrace;
-        let lowered = lsqca_circuit::lower_to_clifford_t(circuit, config.decompose);
+        let lowered = lsqca_circuit::lower_to_clifford_t(circuit);
         assert!(lowered.is_lowered());
         let mut streamed = ExecutionTrace::new();
         let mut materialized = ExecutionTrace::new();
@@ -567,18 +570,9 @@ mod tests {
         assert_eq!(streamed, materialized, "{}", circuit.name());
     }
 
-    /// Every compiler configuration that can compile a circuit (Toffoli
-    /// expansion stays on).
-    fn compilable_configs() -> impl Iterator<Item = CompilerConfig> {
-        [(true, true), (true, false), (false, true), (false, false)]
-            .into_iter()
-            .map(|(use_in_memory_ops, expand_cz)| CompilerConfig {
-                use_in_memory_ops,
-                decompose: DecomposeConfig {
-                    expand_toffoli: true,
-                    expand_cz,
-                },
-            })
+    /// Every compiler configuration.
+    fn all_configs() -> [CompilerConfig; 2] {
+        [in_memory(), load_store()]
     }
 
     #[test]
@@ -586,7 +580,7 @@ mod tests {
         use lsqca_workloads::Benchmark;
         for benchmark in Benchmark::ALL {
             let circuit = benchmark.reduced_instance();
-            for config in compilable_configs() {
+            for config in all_configs() {
                 assert_streaming_equals_materializing(&circuit, config);
             }
         }
@@ -598,7 +592,7 @@ mod tests {
         c.cz(4, 5);
         c.toffoli(0, 4, 5);
         c.measure_z(4);
-        for config in compilable_configs() {
+        for config in all_configs() {
             assert_streaming_equals_materializing(&c, config);
             assert_eq!(compile(&c, config).num_qubits, 8);
         }

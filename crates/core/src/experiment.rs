@@ -773,7 +773,6 @@ mod tests {
             circuit(1),
             CompilerConfig {
                 use_in_memory_ops: false,
-                ..CompilerConfig::default()
             },
         );
         assert_ne!(a.result_key(&config), load_store.result_key(&config));
@@ -871,31 +870,13 @@ mod tests {
             a in (compiler_strategy(), config_strategy()),
             other in (compiler_strategy(), config_strategy()),
         ) {
-            use lsqca_circuit::DecomposeConfig;
             let key = |(compiler, config): &(CompilerConfig, ExperimentConfig)| {
                 result_key(&lsqca_workloads::workload_key("Ghz#rev1", compiler), config)
             };
             let (ca, ea) = &a;
             let (cb, eb) = &other;
             let neighbours = [
-                (CompilerConfig { use_in_memory_ops: cb.use_in_memory_ops, ..*ca }, ea.clone()),
-                (
-                    CompilerConfig {
-                        decompose: DecomposeConfig {
-                            expand_toffoli: cb.decompose.expand_toffoli,
-                            ..ca.decompose
-                        },
-                        ..*ca
-                    },
-                    ea.clone(),
-                ),
-                (
-                    CompilerConfig {
-                        decompose: DecomposeConfig { expand_cz: cb.decompose.expand_cz, ..ca.decompose },
-                        ..*ca
-                    },
-                    ea.clone(),
-                ),
+                (*cb, ea.clone()),
                 (*ca, eb.clone()),
                 other.clone(),
             ];
@@ -906,20 +887,8 @@ mod tests {
     }
 
     fn compiler_strategy() -> impl proptest::strategy::Strategy<Value = CompilerConfig> {
-        use lsqca_circuit::DecomposeConfig;
         use proptest::prelude::*;
-        (
-            proptest::bool::ANY,
-            proptest::bool::ANY,
-            proptest::bool::ANY,
-        )
-            .prop_map(|(in_memory, toffoli, cz)| CompilerConfig {
-                use_in_memory_ops: in_memory,
-                decompose: DecomposeConfig {
-                    expand_toffoli: toffoli,
-                    expand_cz: cz,
-                },
-            })
+        proptest::bool::ANY.prop_map(|use_in_memory_ops| CompilerConfig { use_in_memory_ops })
     }
 
     /// The memoized ranking, counted from the trace columns, reproduces the

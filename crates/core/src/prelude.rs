@@ -9,9 +9,7 @@
 
 pub use crate::experiment::{ExperimentConfig, ExperimentResult, HotSetStrategy, Workload};
 pub use lsqca_arch::lattice::{Beats, QubitTag};
-pub use lsqca_arch::{
-    ArchConfig, BankKind, FloorplanKind, FloorplanSpec, MemorySystem, MigrationPolicy, PolicyKind,
-};
+pub use lsqca_arch::{ArchConfig, FloorplanKind, MemorySystem, MigrationPolicy, PolicyKind};
 pub use lsqca_circuit::{Circuit, Gate, RegisterRole};
 pub use lsqca_compiler::{compile, CompilerConfig};
 pub use lsqca_isa::{Instruction, MemAddr, Program, RegId};

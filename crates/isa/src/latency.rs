@@ -5,9 +5,11 @@
 //! fetches, in-memory gates whose seek distance depends on the SAM layout). The
 //! table here is the architectural contract; the simulator resolves the variable
 //! entries against a concrete SAM model.
+//!
+//! The table is fixed, so it is a set of free functions: [`latency`],
+//! [`is_negligible`] and [`classify`].
 
 use crate::instruction::Instruction;
-use crate::program::Program;
 use std::fmt;
 
 /// Code-beat latency of one instruction as specified by the ISA.
@@ -43,75 +45,54 @@ impl fmt::Display for InstructionLatency {
     }
 }
 
-/// The architectural latency table (Table I).
+/// The ISA latency of `instruction`: the latency column of Table I.
 ///
 /// ```
-/// use lsqca_isa::{Instruction, LatencyTable, RegId, InstructionLatency};
-/// let table = LatencyTable::paper();
+/// use lsqca_isa::latency::latency;
+/// use lsqca_isa::{Instruction, InstructionLatency, RegId};
 /// assert_eq!(
-///     table.latency(&Instruction::HdC { reg: RegId(0) }),
+///     latency(&Instruction::HdC { reg: RegId(0) }),
 ///     InstructionLatency::Fixed(3)
 /// );
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyTable {
-    _private: (),
-}
-
-impl LatencyTable {
-    /// The latency table as published in the paper.
-    pub const fn paper() -> Self {
-        LatencyTable { _private: () }
-    }
-
-    /// The ISA latency of `instruction`.
-    pub fn latency(&self, instruction: &Instruction) -> InstructionLatency {
-        use Instruction::*;
-        use InstructionLatency::{Fixed, Variable};
-        match instruction {
-            Ld { .. } | St { .. } => Variable,
-            PzC { .. } | PpC { .. } => Fixed(0),
-            Pm { .. } => Variable,
-            HdC { .. } => Fixed(3),
-            PhC { .. } => Fixed(2),
-            MxC { .. } | MzC { .. } => Fixed(0),
-            MxxC { .. } | MzzC { .. } => Fixed(1),
-            Sk { .. } => Variable,
-            PzM { .. } | PpM { .. } => Fixed(0),
-            HdM { .. } | PhM { .. } => Variable,
-            MxM { .. } | MzM { .. } => Fixed(0),
-            MxxM { .. } | MzzM { .. } => Variable,
-            Cx { .. } => Variable,
-        }
-    }
-
-    /// True if the instruction has negligible (zero-beat) fixed latency; the
-    /// paper ignores such instructions when counting commands for CPI.
-    pub fn is_negligible(&self, instruction: &Instruction) -> bool {
-        self.latency(instruction) == InstructionLatency::Fixed(0)
-    }
-
-    /// The compact [`LatencyClass`] of `instruction`.
-    pub fn classify(&self, instruction: &Instruction) -> LatencyClass {
-        match self.latency(instruction) {
-            InstructionLatency::Fixed(0) => LatencyClass::Negligible,
-            InstructionLatency::Fixed(_) => LatencyClass::Command,
-            InstructionLatency::Variable => LatencyClass::Variable,
-        }
-    }
-
-    /// Precompiles the latency class of every instruction of `program` into a
-    /// vector parallel to the instruction stream, so per-instruction consumers
-    /// (the simulator's CPI bookkeeping, program statistics) replace the
-    /// per-instruction latency match with a single array read.
-    pub fn classify_program(&self, program: &Program) -> Vec<LatencyClass> {
-        program.iter().map(|instr| self.classify(instr)).collect()
+pub fn latency(instruction: &Instruction) -> InstructionLatency {
+    use Instruction::*;
+    use InstructionLatency::{Fixed, Variable};
+    match instruction {
+        Ld { .. } | St { .. } => Variable,
+        PzC { .. } | PpC { .. } => Fixed(0),
+        Pm { .. } => Variable,
+        HdC { .. } => Fixed(3),
+        PhC { .. } => Fixed(2),
+        MxC { .. } | MzC { .. } => Fixed(0),
+        MxxC { .. } | MzzC { .. } => Fixed(1),
+        Sk { .. } => Variable,
+        PzM { .. } | PpM { .. } => Fixed(0),
+        HdM { .. } | PhM { .. } => Variable,
+        MxM { .. } | MzM { .. } => Fixed(0),
+        MxxM { .. } | MzzM { .. } => Variable,
+        Cx { .. } => Variable,
     }
 }
 
-/// Compact per-instruction latency classification, precompiled per program by
-/// [`LatencyTable::classify_program`] so hot loops read a dense byte vector
-/// instead of re-matching on the instruction variant.
+/// True if the instruction has negligible (zero-beat) fixed latency; the
+/// paper ignores such instructions when counting commands for CPI.
+pub fn is_negligible(instruction: &Instruction) -> bool {
+    latency(instruction) == InstructionLatency::Fixed(0)
+}
+
+/// The compact [`LatencyClass`] of `instruction`.
+pub fn classify(instruction: &Instruction) -> LatencyClass {
+    match latency(instruction) {
+        InstructionLatency::Fixed(0) => LatencyClass::Negligible,
+        InstructionLatency::Fixed(_) => LatencyClass::Command,
+        InstructionLatency::Variable => LatencyClass::Variable,
+    }
+}
+
+/// Compact per-instruction latency classification ([`classify`]), which
+/// consumers precompile once per program so hot loops read a dense byte
+/// vector instead of re-matching on the instruction variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum LatencyClass {
@@ -150,21 +131,20 @@ mod tests {
 
     #[test]
     fn table_one_fixed_latencies() {
-        let t = LatencyTable::paper();
         assert_eq!(
-            t.latency(&Instruction::PzC { reg: RegId(0) }),
+            latency(&Instruction::PzC { reg: RegId(0) }),
             InstructionLatency::Fixed(0)
         );
         assert_eq!(
-            t.latency(&Instruction::HdC { reg: RegId(0) }),
+            latency(&Instruction::HdC { reg: RegId(0) }),
             InstructionLatency::Fixed(3)
         );
         assert_eq!(
-            t.latency(&Instruction::PhC { reg: RegId(0) }),
+            latency(&Instruction::PhC { reg: RegId(0) }),
             InstructionLatency::Fixed(2)
         );
         assert_eq!(
-            t.latency(&Instruction::MzzC {
+            latency(&Instruction::MzzC {
                 reg1: RegId(0),
                 reg2: RegId(1),
                 out: ClassicalId(0)
@@ -172,7 +152,7 @@ mod tests {
             InstructionLatency::Fixed(1)
         );
         assert_eq!(
-            t.latency(&Instruction::MxM {
+            latency(&Instruction::MxM {
                 mem: MemAddr(0),
                 out: ClassicalId(0)
             }),
@@ -182,10 +162,9 @@ mod tests {
 
     #[test]
     fn table_one_variable_latencies() {
-        let t = LatencyTable::paper();
         for instr in example_instructions() {
             assert_eq!(
-                t.latency(&instr).is_variable(),
+                latency(&instr).is_variable(),
                 instr.has_variable_latency(),
                 "latency table and instruction metadata disagree for {instr}"
             );
@@ -194,14 +173,13 @@ mod tests {
 
     #[test]
     fn negligible_instructions_are_the_zero_beat_ones() {
-        let t = LatencyTable::paper();
-        assert!(t.is_negligible(&Instruction::PzC { reg: RegId(0) }));
-        assert!(t.is_negligible(&Instruction::MzM {
+        assert!(is_negligible(&Instruction::PzC { reg: RegId(0) }));
+        assert!(is_negligible(&Instruction::MzM {
             mem: MemAddr(0),
             out: ClassicalId(0)
         }));
-        assert!(!t.is_negligible(&Instruction::HdC { reg: RegId(0) }));
-        assert!(!t.is_negligible(&Instruction::Ld {
+        assert!(!is_negligible(&Instruction::HdC { reg: RegId(0) }));
+        assert!(!is_negligible(&Instruction::Ld {
             mem: MemAddr(0),
             reg: RegId(0)
         }));
@@ -209,34 +187,15 @@ mod tests {
 
     #[test]
     fn classes_agree_with_the_latency_table() {
-        let t = LatencyTable::paper();
         for instr in example_instructions() {
-            let class = t.classify(&instr);
-            assert_eq!(class.is_negligible(), t.is_negligible(&instr), "{instr}");
+            let class = classify(&instr);
+            assert_eq!(class.is_negligible(), is_negligible(&instr), "{instr}");
             assert_eq!(
                 class == LatencyClass::Variable,
-                t.latency(&instr).is_variable(),
+                latency(&instr).is_variable(),
                 "{instr}"
             );
         }
-    }
-
-    #[test]
-    fn classify_program_is_parallel_to_the_stream() {
-        use crate::program::Program;
-        let t = LatencyTable::paper();
-        let mut program = Program::new("classes");
-        for instr in example_instructions() {
-            program.push(instr);
-        }
-        let classes = t.classify_program(&program);
-        assert_eq!(classes.len(), program.len());
-        for (instr, class) in program.iter().zip(&classes) {
-            assert_eq!(*class, t.classify(instr));
-        }
-        assert_eq!(LatencyClass::Negligible.to_string(), "negligible");
-        assert_eq!(LatencyClass::Command.to_string(), "command");
-        assert_eq!(LatencyClass::Variable.to_string(), "variable");
     }
 
     #[test]
@@ -245,5 +204,8 @@ mod tests {
         assert_eq!(InstructionLatency::Variable.to_string(), "variable");
         assert_eq!(InstructionLatency::Fixed(2).fixed_beats(), Some(2));
         assert_eq!(InstructionLatency::Variable.fixed_beats(), None);
+        assert_eq!(LatencyClass::Negligible.to_string(), "negligible");
+        assert_eq!(LatencyClass::Command.to_string(), "command");
+        assert_eq!(LatencyClass::Variable.to_string(), "variable");
     }
 }

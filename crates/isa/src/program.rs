@@ -1,7 +1,7 @@
 //! LSQCA programs: ordered instruction sequences plus summary statistics.
 
 use crate::instruction::{Instruction, InstructionKind};
-use crate::latency::LatencyTable;
+use crate::latency::is_negligible;
 use crate::operand::{ClassicalId, MemAddr, RegId};
 use crate::validate::{validate_program, ValidationReport};
 use std::collections::BTreeMap;
@@ -78,12 +78,11 @@ impl Program {
 
     /// Computes summary statistics for the program.
     pub fn stats(&self) -> ProgramStats {
-        let table = LatencyTable::paper();
         let mut stats = ProgramStats::default();
         let mut mem_touch: BTreeMap<MemAddr, u64> = BTreeMap::new();
         for instr in &self.instructions {
             stats.instruction_count += 1;
-            if !table.is_negligible(instr) {
+            if !is_negligible(instr) {
                 stats.command_count += 1;
             }
             *stats.kind_counts.entry(instr.kind()).or_insert(0) += 1;

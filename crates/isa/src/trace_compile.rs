@@ -985,7 +985,7 @@ impl std::error::Error for TraceDecodeError {}
 mod tests {
     use super::*;
     use crate::instruction::example_instructions;
-    use crate::latency::{LatencyClass, LatencyTable};
+    use crate::latency::{classify, latency, LatencyClass};
     use proptest::prelude::*;
 
     fn example_program() -> Program {
@@ -1084,10 +1084,9 @@ mod tests {
     #[test]
     fn opcode_table_agrees_with_instruction_metadata() {
         // The opcode table is the one place that re-derives per-variant
-        // facts; this pins every entry to the Instruction/LatencyTable
+        // facts; this pins every entry to the Instruction/latency-table
         // metadata, and every slot to its operand, so the two can never
         // drift apart silently.
-        let table = LatencyTable::paper();
         let program = distinct_operand_program();
         let trace = lower(&program);
         assert_eq!(trace.len(), OPCODES.len());
@@ -1138,11 +1137,11 @@ mod tests {
             // CPI bookkeeping relies on this equivalence.
             assert_eq!(
                 info.exec == ExecKind::Negligible,
-                table.classify(instr) == LatencyClass::Negligible,
+                classify(instr) == LatencyClass::Negligible,
                 "{instr}: negligible"
             );
             // A fixed-latency instruction charges exactly its Table I beats.
-            if let Some(beats) = table.latency(instr).fixed_beats() {
+            if let Some(beats) = latency(instr).fixed_beats() {
                 let charged = if info.exec == ExecKind::Fixed {
                     u64::from(info.fixed)
                 } else {

@@ -9,8 +9,8 @@ use crate::metrics::ExecutionStats;
 use crate::trace::MemoryTrace;
 pub use interpret::Classified;
 use lsqca_arch::lattice::{LatticeError, QubitTag};
-use lsqca_arch::{ArchConfig, FloorplanKind, MemorySystem, MigrationPolicy};
-use lsqca_isa::{ExecKind, ExecutionTrace, Instruction, OpInfo, Program, Slot};
+use lsqca_arch::{ArchConfig, MemorySystem, MigrationPolicy};
+use lsqca_isa::{ExecutionTrace, Instruction, Program, Slot};
 use lsqca_workloads::CompiledWorkload;
 use memory_pass::{bank_mode, BlockScratch, MemoryPass, BLOCK};
 use std::error::Error;
@@ -98,14 +98,6 @@ pub enum SimError {
         /// The underlying memory-system error.
         source: LatticeError,
     },
-    /// The architecture bounds CR registers but provides zero register slots,
-    /// so no `CX` (or any register-dependent instruction) could ever be
-    /// scheduled. Detected at [`SimulatorBuilder::build`] so a sweep fails before
-    /// executing a single instruction instead of panicking mid-program.
-    NoCrSlots {
-        /// Debug rendering of the offending floorplan.
-        floorplan: String,
-    },
     /// The run exceeded the configured instruction budget (the sharded-sweep
     /// per-point timeout hook, set via `LSQCA_INSTRUCTION_BUDGET` or
     /// [`SimulatorBuilder::instruction_budget`]): a deterministic stand-in for a
@@ -122,7 +114,7 @@ impl SimError {
     pub fn instruction_index(&self) -> Option<usize> {
         match self {
             SimError::Instruction { index, .. } => Some(*index),
-            SimError::NoCrSlots { .. } | SimError::InstructionBudget { .. } => None,
+            SimError::InstructionBudget { .. } => None,
         }
     }
 }
@@ -135,10 +127,6 @@ impl fmt::Display for SimError {
                 instruction,
                 source,
             } => write!(f, "instruction {index} (`{instruction}`) failed: {source}"),
-            SimError::NoCrSlots { floorplan } => write!(
-                f,
-                "floorplan {floorplan} bounds CR registers but provides no register slot"
-            ),
             SimError::InstructionBudget { budget } => write!(
                 f,
                 "run exceeded the instruction budget of {budget} \
@@ -152,7 +140,7 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Instruction { source, .. } => Some(source),
-            SimError::NoCrSlots { .. } | SimError::InstructionBudget { .. } => None,
+            SimError::InstructionBudget { .. } => None,
         }
     }
 }
@@ -164,13 +152,6 @@ pub struct SimOutcome {
     pub stats: ExecutionStats,
     /// The memory reference trace (empty unless trace recording was enabled).
     pub trace: MemoryTrace,
-}
-
-/// The typed error for a bounded-register floorplan with no register slot.
-fn no_cr_slots(floorplan: &FloorplanKind) -> SimError {
-    SimError::NoCrSlots {
-        floorplan: format!("{floorplan:?}"),
-    }
 }
 
 /// The code-beat-accurate simulator.
@@ -230,40 +211,25 @@ impl Simulator {
         }
     }
 
-    /// The validated construction behind [`SimulatorBuilder::build`]. Every
-    /// successful pass counts as one full warm-up in [`warm_count`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoCrSlots`] if the architecture bounds CR registers
-    /// (a non-conventional floorplan with at least one bank) yet provides zero
-    /// register slots, a state no instruction stream could execute under.
+    /// The construction behind [`SimulatorBuilder::build`]. Every pass
+    /// counts as one full warm-up in [`warm_count`].
     fn construct(
         arch: &ArchConfig,
         num_qubits: u32,
         hot_qubits: &[QubitTag],
         config: SimConfig,
-    ) -> Result<Self, SimError> {
+    ) -> Self {
         let _span = lsqca_telemetry::span("sim.warm");
         let memory = MemorySystem::new(arch, num_qubits, hot_qubits);
-        // The register-slot count is the memory system's own CR accounting:
-        // `effective_cr_slots` floors the configured count at
-        // `MemorySystem::MIN_CR_SLOTS` because the minimal CR charged by
-        // `cr_cells` (the six-cell block of Fig. 10a / the two line columns
-        // of Fig. 10b) already contains two register cells. On CR-less
-        // floorplans the value only sizes the scheduler's slot array — the
-        // slots impose no constraint there (see `unbounded_registers`).
-        let cr_slots = memory.effective_cr_slots();
         // The conventional baseline has no CR, so register slots impose no
         // constraint; a hybrid floorplan whose hot set covers every qubit
         // (f = 1) degenerates to the same baseline, matching the paper's
         // statement that the f = 1 endpoint is the conventional floorplan.
+        // Every other floorplan schedules with the CR's two register slots
+        // (`MemorySystem::cr_slots`).
         let unbounded_registers = arch.floorplan.is_conventional() || memory.bank_count() == 0;
-        if !unbounded_registers && cr_slots == 0 {
-            return Err(no_cr_slots(&arch.floorplan));
-        }
         builds_counter().inc();
-        Ok(Simulator {
+        Simulator {
             unbounded_registers,
             arch: arch.clone(),
             num_qubits,
@@ -274,7 +240,7 @@ impl Simulator {
             config,
             block: BlockScratch::default(),
             instruction_budget: env_instruction_budget(),
-        })
+        }
     }
 
     /// The memory system being simulated (for density queries).
@@ -334,7 +300,7 @@ impl Simulator {
     /// The pristine timing lanes for `factories` magic-state factories, one
     /// lane per count.
     fn timing_lanes<const W: usize>(&self, factories: &[u32]) -> TimingLanes<W> {
-        TimingLanes::new(&self.arch, factories, &self.memory, self.num_qubits)
+        TimingLanes::new(factories, &self.memory, self.num_qubits)
     }
 
     /// The memory-side statistics every run starts from.
@@ -385,14 +351,13 @@ impl Simulator {
     /// advance in groups of at most four lanes over the same block. A
     /// [`Classified`] input runs the reference interpreter once per count
     /// instead, resetting between runs, which makes it the oracle for the
-    /// shared walk. A magic-buffer override on the architecture applies to
-    /// every count.
+    /// shared walk.
     ///
     /// # Errors
     ///
     /// Returns exactly the error [`Simulator::execute`] returns for the same
-    /// input at any of the counts: the earliest of the instruction budget, a
-    /// missing CR slot, or a memory error. An empty `factories` list runs
+    /// input at any of the counts: the earliest of the instruction budget or
+    /// a memory error. An empty `factories` list runs
     /// nothing and returns no outcome.
     pub fn execute_factories(
         &mut self,
@@ -468,7 +433,6 @@ impl Simulator {
             bounded_registers: !self.unbounded_registers,
             infinite_magic: self.config.assume_infinite_magic,
             record_trace: self.config.record_trace,
-            floorplan: &self.arch.floorplan,
         };
         let mut pass = MemoryPass {
             memory: &mut self.memory,
@@ -494,35 +458,17 @@ impl Simulator {
         while start < len && failure.is_none() {
             let end = (start + BLOCK).min(len);
             // A failing memory pass stops at the offending record; the
-            // timing pass still covers the records before it, where an
-            // earlier missing-CR-slot error would take precedence.
+            // timing pass still covers the records before it.
             let memory_failure = pass
                 .run::<MODE, S>(trace, start..end, &mut stats, block)
                 .err();
             lap(0);
             let walked = memory_failure.as_ref().map_or(end, |&(index, _)| index);
-            let advanced = groups
-                .iter_mut()
-                .try_for_each(|group| group.advance::<MODE, S>(trace, start..walked, block, &ctx));
+            for group in &mut groups {
+                group.advance::<MODE, S>(trace, start..walked, block, &ctx);
+            }
             lap(1);
-            failure = match (advanced, memory_failure) {
-                (Err(err), _) => Some(err),
-                // The single run claims the CX slot before the memory access,
-                // so a slotless CX reports `NoCrSlots` over its memory error.
-                // The slot table is identical across lanes.
-                (Ok(()), Some((index, err))) => Some(
-                    if OpInfo::of(trace.ops()[index]).exec == ExecKind::Cx
-                        && ctx.bounded_registers
-                        && groups[0].slotless()
-                        && matches!(err, SimError::Instruction { .. })
-                    {
-                        no_cr_slots(ctx.floorplan)
-                    } else {
-                        err
-                    },
-                ),
-                (Ok(()), None) => None,
-            };
+            failure = memory_failure.map(|(_, err)| err);
             start = end;
         }
         let [memory_pass, timing_pass, teleport_steps] = pass_counters();
@@ -659,17 +605,16 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Validates the configuration and builds the simulator.
+    /// Builds the simulator.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NoCrSlots`] if the architecture bounds CR
-    /// registers (a non-conventional floorplan with at least one bank) yet
-    /// provides zero register slots, a state no instruction stream could
-    /// execute under.
+    /// None today: [`ArchConfig::new`] already rejects every configuration
+    /// no simulator could run, and the CR always has its two register slots.
+    /// The `Result` keeps the signature callers already match on.
     pub fn build(self) -> Result<Simulator, SimError> {
         let mut simulator =
-            Simulator::construct(&self.arch, self.num_qubits, &self.hot_qubits, self.config)?;
+            Simulator::construct(&self.arch, self.num_qubits, &self.hot_qubits, self.config);
         if let Some(budget) = self.instruction_budget {
             simulator.instruction_budget = budget;
         }
@@ -918,23 +863,6 @@ mod tests {
         let err = simulator.execute(&program).unwrap_err();
         assert_eq!(err.instruction_index(), Some(1));
         assert!(err.to_string().contains("LD"));
-    }
-
-    #[test]
-    fn construction_is_validated_up_front() {
-        // Every floorplan the architecture model can currently express either
-        // bounds registers with at least `MIN_CR_SLOTS` slots or lifts the
-        // bound entirely, so `build` accepts them all; the typed error is
-        // the contract for configurations that violate the invariant.
-        let simulator = Simulator::builder(&point(1), 4).build();
-        assert!(simulator.is_ok());
-
-        let err = SimError::NoCrSlots {
-            floorplan: "PointSam { banks: 1 }".to_string(),
-        };
-        assert_eq!(err.instruction_index(), None);
-        assert!(err.to_string().contains("no register slot"));
-        assert!(std::error::Error::source(&err).is_none());
     }
 
     #[test]

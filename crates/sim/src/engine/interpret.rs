@@ -10,7 +10,7 @@
 //! this path through [`Classified`].
 
 use super::timing::TimingLanes;
-use super::{no_cr_slots, Executable, SimError, SimOutcome, Simulator};
+use super::{Executable, SimError, SimOutcome, Simulator};
 use lsqca_arch::lattice::{Beats, LatticeError, QubitTag};
 use lsqca_isa::{Instruction, LatencyClass, MemAddr, Program};
 
@@ -136,19 +136,14 @@ impl Simulator {
             // An optimized CX claims one CR slot for its surgery ancilla.
             let mut cx_slot: Option<usize> = None;
             if matches!(instr, Instruction::Cx { .. }) && !self.unbounded_registers {
-                // `SimulatorBuilder::build` rejects the bounded-registers-
-                // with-zero-slots state, so a slot always exists; the `else`
-                // keeps the error typed instead of panicking if that
-                // invariant is ever broken.
-                let Some((slot, ready)) = timing
+                // Bounded registers come with the CR's slots.
+                let (slot, ready) = timing
                     .slot_ready
                     .iter()
                     .map(|&[t]| t)
                     .enumerate()
                     .min_by_key(|&(_, t)| t)
-                else {
-                    return Err(no_cr_slots(&self.arch.floorplan));
-                };
+                    .expect("bounded registers come with the CR's slots");
                 start = start.max(Beats(ready));
                 cx_slot = Some(slot);
             }

@@ -17,11 +17,11 @@
 //! lazily grown slot table, runs record by record.
 
 use super::memory_pass::{bank_mode, BlockScratch, NO_BANK};
-use super::{no_cr_slots, SimError, SimOutcome, Simulator};
+use super::{SimOutcome, Simulator};
 use crate::metrics::ExecutionStats;
 use crate::trace::MemoryTrace;
 use lsqca_arch::lattice::Beats;
-use lsqca_arch::{ArchConfig, FloorplanKind, MagicStateSupply, MemorySystem, MsfConfig};
+use lsqca_arch::{MagicStateSupply, MemorySystem};
 use lsqca_isa::trace_compile::{flags, is_teleport, DEAD_SLOT, FIRST_LIVE_SLOT, TELEPORT};
 use lsqca_isa::{ExecKind, ExecutionTrace, MemAddr, OpInfo, Slot};
 use std::ops::Range;
@@ -47,44 +47,24 @@ pub(super) struct TimingLanes<const W: usize> {
 }
 
 /// The run-wide inputs of a timing pass.
-pub(super) struct TimingContext<'a> {
+pub(super) struct TimingContext {
     pub(super) bounded_registers: bool,
     pub(super) infinite_magic: bool,
     pub(super) record_trace: bool,
-    pub(super) floorplan: &'a FloorplanKind,
 }
 
 impl<const W: usize> TimingLanes<W> {
-    /// The pristine timing lanes of `memory` under `arch`, lane `l` with
-    /// `factories[l]` magic-state factories. Each buffer follows its factory
-    /// count unless `arch` overrides it, exactly as a simulator built for
-    /// that count.
-    pub(super) fn new(
-        arch: &ArchConfig,
-        factories: &[u32],
-        memory: &MemorySystem,
-        num_qubits: u32,
-    ) -> TimingLanes<W> {
+    /// The pristine timing lanes of `memory`, lane `l` with `factories[l]`
+    /// magic-state factories, exactly as a simulator built for that count.
+    pub(super) fn new(factories: &[u32], memory: &MemorySystem, num_qubits: u32) -> TimingLanes<W> {
         assert_eq!(factories.len(), W, "one factory count per lane");
         TimingLanes {
-            magic: std::array::from_fn(|l| {
-                let factories = factories[l];
-                let buffer_capacity = ArchConfig {
-                    factories,
-                    ..arch.clone()
-                }
-                .magic_buffer_capacity();
-                MagicStateSupply::new(MsfConfig {
-                    factories,
-                    beats_per_state: 15,
-                    buffer_capacity,
-                })
-            }),
+            magic: std::array::from_fn(|l| MagicStateSupply::new(factories[l])),
             mem_ready: vec![[0; W]; num_qubits as usize],
             // The CX scheduler treats every entry as a claimable slot, so the
             // table starts at the memory system's CR slot count and grows
             // only when a program touches a `RegId` beyond it.
-            slot_ready: vec![[0; W]; memory.effective_cr_slots() as usize],
+            slot_ready: vec![[0; W]; memory.cr_slots() as usize],
             classical_ready: Vec::new(),
             bank_ready: vec![[0; W]; memory.bank_count()],
             guard: [0; W],
@@ -130,8 +110,8 @@ impl<const W: usize> TimingLanes<W> {
         trace: &ExecutionTrace,
         range: Range<usize>,
         scratch: &BlockScratch,
-        ctx: &TimingContext<'_>,
-    ) -> Result<(), SimError> {
+        ctx: &TimingContext,
+    ) {
         let len = range.len();
         let [slot0, slot1] = trace.slots::<S>();
         let op = &trace.ops()[range.clone()];
@@ -322,9 +302,9 @@ impl<const W: usize> TimingLanes<W> {
             let cx = kind == ExecKind::Cx && bounded_registers;
             let mut cx_slot = [0usize; W];
             if cx {
-                let Some((first, rest)) = slot_ready.split_first() else {
-                    return Err(no_cr_slots(ctx.floorplan));
-                };
+                let (first, rest) = slot_ready
+                    .split_first()
+                    .expect("bounded registers come with the CR's slots");
                 let mut ready = *first;
                 for (slot, times) in rest.iter().enumerate() {
                     for l in 0..W {
@@ -417,7 +397,6 @@ impl<const W: usize> TimingLanes<W> {
         self.guard = guard;
         self.makespan = makespan;
         self.magic_wait = magic_wait;
-        Ok(())
     }
 
     /// Appends one outcome per lane to `outcomes`: the shared memory-side
@@ -543,14 +522,9 @@ impl LaneGroup {
         trace: &ExecutionTrace,
         range: Range<usize>,
         scratch: &BlockScratch,
-        ctx: &TimingContext<'_>,
-    ) -> Result<(), SimError> {
+        ctx: &TimingContext,
+    ) {
         with_lanes!(self, lanes => lanes.advance::<MODE, S>(trace, range, scratch, ctx))
-    }
-
-    /// True while no CR slot exists to claim (identical across lanes).
-    pub(super) fn slotless(&self) -> bool {
-        with_lanes!(self, lanes => lanes.slot_ready.is_empty())
     }
 
     /// [`TimingLanes::finish`] on the group's lanes.
@@ -564,6 +538,7 @@ impl LaneGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsqca_arch::{ArchConfig, FloorplanKind};
     use lsqca_isa::{ClassicalId, Instruction, Program, RegId};
 
     /// Runs `$check::<W>()` for 1-, 2- and 4-lane groups.
@@ -607,14 +582,13 @@ mod tests {
         let arch = ArchConfig::new(floorplan, 1);
         let memory = MemorySystem::new(&arch, 8, &[]);
         let factories: Vec<u32> = (1..=W as u32).collect();
-        let mut lanes = TimingLanes::new(&arch, &factories, &memory, 8);
+        let mut lanes = TimingLanes::new(&factories, &memory, 8);
         lanes.presize(&trace, true);
         setup(&mut lanes);
         let ctx = TimingContext {
             bounded_registers,
             infinite_magic,
             record_trace: true,
-            floorplan: &arch.floorplan,
         };
         let ends = splits.iter().copied().chain([trace.len()]);
         let mut start = 0;
@@ -628,7 +602,6 @@ mod tests {
             } else {
                 lanes.advance::<MODE, u32>(&trace, start..end, &scratch, &ctx)
             }
-            .unwrap();
             start = end;
         }
         lanes

@@ -13,8 +13,9 @@
 
 use lsqca_arch::lattice::QubitTag;
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
+use lsqca_isa::latency::classify;
 use lsqca_isa::trace_compile::{is_teleport, NARROW_CLASSICAL};
-use lsqca_isa::{ClassicalId, ExecutionTrace, Instruction, LatencyTable, MemAddr, Program, RegId};
+use lsqca_isa::{ClassicalId, ExecutionTrace, Instruction, LatencyClass, MemAddr, Program, RegId};
 use lsqca_sim::{Classified, SimConfig, SimError, SimOutcome, Simulator};
 use lsqca_workloads::{Benchmark, CompiledWorkload, InstanceSize};
 use proptest::prelude::*;
@@ -113,6 +114,11 @@ fn any_arch() -> impl Strategy<Value = ArchConfig> {
                     .with_hybrid_fraction(f64::from(hybrid_tenths) * 0.1)
             },
         )
+}
+
+/// The latency class of every instruction of `program`, in order.
+fn classes(program: &Program) -> Vec<LatencyClass> {
+    program.iter().map(classify).collect()
 }
 
 fn any_policy() -> impl Strategy<Value = Option<PolicyKind>> {
@@ -350,19 +356,6 @@ fn any_wide_program() -> impl Strategy<Value = (Program, Option<PolicyKind>)> {
         })
 }
 
-/// [`any_arch`], sometimes with an explicit magic-state buffer (zero
-/// included), which applies to every factory count of a group.
-fn any_group_arch() -> impl Strategy<Value = ArchConfig> {
-    (
-        any_arch(),
-        prop_oneof![Just(None), (0u32..4).prop_map(Some)],
-    )
-        .prop_map(|(arch, buffer)| match buffer {
-            Some(capacity) => arch.with_magic_buffer(capacity),
-            None => arch,
-        })
-}
-
 /// Factory lists in any order, duplicates included, long enough to span
 /// two lane groups.
 fn any_factories() -> impl Strategy<Value = Vec<u32>> {
@@ -491,7 +484,7 @@ proptest! {
             assume_infinite_magic: toggles.1 == 1,
         };
         let (mut reference, mut optimized) = pair(&arch, &hot, config, policy, budget);
-        let classes = LatencyTable::paper().classify_program(&program);
+        let classes = classes(&program);
         let classified = Classified::new(&program, &classes);
         let expected = reference.execute(&classified);
         let trace = lsqca_isa::lower(&program);
@@ -551,7 +544,7 @@ proptest! {
     #[test]
     fn factory_groups_match_independent_runs(
         program in prop_oneof![any_program(), any_long_program()],
-        arch in any_group_arch(),
+        arch in any_arch(),
         hot in proptest::collection::vec(0u32..QUBITS, 0..4),
         policy in any_policy(),
         factories in any_factories(),
@@ -573,7 +566,7 @@ proptest! {
         // A rerun on the now-dirty simulator resets first, like `execute`.
         prop_assert_eq!(&grouped, &group.execute_factories(&trace, &factories));
 
-        let classes = LatencyTable::paper().classify_program(&program);
+        let classes = classes(&program);
         let mut reference = build(&arch, &hot, config, policy, budget);
         let oracle = reference.execute_factories(&Classified::new(&program, &classes), &factories);
         prop_assert_eq!(&oracle, &grouped);
@@ -587,7 +580,7 @@ proptest! {
     #[test]
     fn compacted_traces_execute_like_uncompacted_ones(
         program in prop_oneof![any_program(), any_long_program(), any_classical_heavy_program()],
-        arch in any_group_arch(),
+        arch in any_arch(),
         hot in proptest::collection::vec(0u32..QUBITS, 0..4),
         policy in any_policy(),
         infinite_magic in proptest::bool::ANY,
@@ -623,7 +616,7 @@ proptest! {
     #[test]
     fn narrow_and_wide_traces_execute_alike(
         case in any_wide_program(),
-        arch in any_group_arch(),
+        arch in any_arch(),
         infinite_magic in proptest::bool::ANY,
     ) {
         let (program, policy) = case;
@@ -652,7 +645,7 @@ proptest! {
             }
             builder.build().unwrap()
         };
-        let classes = LatencyTable::paper().classify_program(&program);
+        let classes = classes(&program);
         let oracle = Classified::new(&program, &classes);
         // Each simulator runs twice: a rerun resets first, like a fresh one.
         let (mut engine, mut reference) = (build(), build());
@@ -682,7 +675,7 @@ proptest! {
             (NARROW_CLASSICAL..16).prop_map(Some),
             (16u32..5_000).prop_map(Some),
         ],
-        arch in any_group_arch(),
+        arch in any_arch(),
         hot in proptest::collection::vec(0u32..QUBITS, 0..4),
         policy in any_policy(),
         infinite_magic in proptest::bool::ANY,
@@ -701,7 +694,7 @@ proptest! {
             record_trace: true,
             assume_infinite_magic: infinite_magic,
         };
-        let classes = LatencyTable::paper().classify_program(&program);
+        let classes = classes(&program);
         let oracle = Classified::new(&program, &classes);
         let (mut engine, mut reference) = pair(&arch, &hot, config, policy, budget);
         prop_assert_eq!(engine.execute(&trace), reference.execute(&oracle));
@@ -900,7 +893,7 @@ proptest! {
     #[test]
     fn teleports_execute_like_the_interpreter(
         case in any_teleport_program(),
-        arch in any_group_arch(),
+        arch in any_arch(),
         hot in proptest::collection::vec(0u32..QUBITS, 0..4),
         policy in any_policy(),
         factories in any_factories(),
@@ -930,7 +923,7 @@ proptest! {
             record_trace: true,
             assume_infinite_magic: infinite_magic,
         };
-        let classes = LatencyTable::paper().classify_program(&program);
+        let classes = classes(&program);
         let oracle = Classified::new(&program, &classes);
         let (mut engine, mut reference) = pair(&arch, &hot, config, policy, budget);
         prop_assert_eq!(engine.execute(&trace), reference.execute(&oracle));
@@ -951,7 +944,7 @@ fn wide_trace_at_address_70_000_runs_like_the_interpreter() {
     let trace = lsqca_isa::lower(&program);
     assert!(!trace.is_narrow());
     assert_eq!(trace.mem_bound(), 70_001);
-    let classes = LatencyTable::paper().classify_program(&program);
+    let classes = classes(&program);
     let oracle = Classified::new(&program, &classes);
     let mut cases: Vec<(ArchConfig, Option<PolicyKind>)> = ArchConfig::paper_floorplans()
         .into_iter()
@@ -1042,7 +1035,7 @@ fn register_indices_in_shared_slots_never_index_memory() {
     }
     let trace = lsqca_isa::lower(&program);
     assert_eq!(trace.mem_bound(), 2);
-    let classes = LatencyTable::paper().classify_program(&program);
+    let classes = classes(&program);
     let oracle = Classified::new(&program, &classes);
     for arch in [
         ArchConfig::new(FloorplanKind::PointSam { banks: 1 }, 1),
@@ -1087,7 +1080,7 @@ fn compiled_workloads() -> Vec<(CompiledWorkload, Program)> {
 #[test]
 fn interpreter_matches_the_trace_engine_on_compiled_workloads() {
     for (workload, program) in compiled_workloads() {
-        let classes = LatencyTable::paper().classify_program(&program);
+        let classes = classes(&program);
         let oracle = Classified::new(&program, &classes);
         let qubits = workload.num_qubits().max(1);
         for floorplan in ArchConfig::paper_floorplans() {

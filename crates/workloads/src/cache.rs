@@ -431,7 +431,6 @@ mod tests {
         let in_memory = CompilerConfig::default();
         let load_store = CompilerConfig {
             use_in_memory_ops: false,
-            ..CompilerConfig::default()
         };
         cache.load_or_compile(&desc, in_memory, &build);
         let (w, event) = cache.load_or_compile(&desc, load_store, &build);

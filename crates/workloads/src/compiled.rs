@@ -455,7 +455,6 @@ impl Error for ArtifactError {}
 mod tests {
     use super::*;
     use crate::registry::{Benchmark, InstanceSize};
-    use lsqca_circuit::DecomposeConfig;
     use lsqca_compiler::compile;
     use lsqca_isa::trace_compile::is_teleport;
     use lsqca_isa::{Instruction, MemAddr, Program};
@@ -507,10 +506,7 @@ mod tests {
     }
 
     fn in_memory_ops(use_in_memory_ops: bool) -> CompilerConfig {
-        CompilerConfig {
-            use_in_memory_ops,
-            ..CompilerConfig::default()
-        }
+        CompilerConfig { use_in_memory_ops }
     }
 
     /// Emission equals compaction on every registry benchmark's reduced
@@ -640,22 +636,13 @@ mod tests {
 
     proptest! {
         /// The two sinks agree on random circuits under every compiler
-        /// configuration that can compile them (Toffoli expansion stays on:
-        /// the compiler needs Toffolis lowered).
+        /// configuration.
         #[test]
         fn both_sinks_agree_on_random_circuits(
             circuit in circuit_strategy(),
             use_in_memory_ops in proptest::bool::ANY,
-            expand_cz in proptest::bool::ANY,
         ) {
-            let config = CompilerConfig {
-                use_in_memory_ops,
-                decompose: DecomposeConfig {
-                    expand_toffoli: true,
-                    expand_cz,
-                },
-            };
-            assert_sinks_agree(&circuit, config);
+            assert_sinks_agree(&circuit, CompilerConfig { use_in_memory_ops });
         }
     }
 
@@ -739,7 +726,6 @@ mod tests {
         );
         let load_store = CompilerConfig {
             use_in_memory_ops: false,
-            ..config
         };
         assert_ne!(
             workload_key(&cfg.descriptor(), &config),

@@ -192,8 +192,7 @@ mod tests {
             operand_bits: 3,
             partial_products: None,
         });
-        let lowered =
-            lsqca_circuit::lower_to_clifford_t(&c, lsqca_circuit::DecomposeConfig::default());
+        let lowered = lsqca_circuit::lower_to_clifford_t(&c);
         assert!(lowered.is_lowered());
         assert!(lowered.stats().t_count > 0);
     }

@@ -276,8 +276,7 @@ mod tests {
             grover_rounds: 1,
             target: 4,
         });
-        let lowered =
-            lsqca_circuit::lower_to_clifford_t(&c, lsqca_circuit::DecomposeConfig::default());
+        let lowered = lsqca_circuit::lower_to_clifford_t(&c);
         assert!(lowered.is_lowered());
         assert!(lowered.stats().t_count > 50);
     }

@@ -137,6 +137,9 @@ if [[ "${1:-}" == "--quick" ]]; then
   cargo build --release -p lsqca-bench
   out="$(mktemp /tmp/lsqca-hotpath-XXXXXX.json)"
   metrics="$(mktemp /tmp/lsqca-metrics-XXXXXX.json)"
+  retry=""
+  # The reports are only read here: remove them however the gate ends.
+  trap 'rm -f "$out" "$metrics" ${retry:+"$retry"}' EXIT
   echo "== quick-scale hotpath report =="
   # `--metrics-out` exports the registry without enabling spans, so the
   # timed end-to-end section below measures the span-free path; the
@@ -173,6 +176,7 @@ echo "== hot-path baseline =="
 # Validate into a temp file first so a schema regression cannot clobber the
 # committed baseline.
 tmp="$(mktemp /tmp/lsqca-hotpath-XXXXXX.json)"
+trap 'rm -f "$tmp"' EXIT
 ./target/release/experiments hotpath --json > "$tmp"
 validate_hotpath_json "$tmp"
 mv "$tmp" BENCH_hotpath.json

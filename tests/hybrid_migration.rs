@@ -1,6 +1,6 @@
 //! End-to-end tests of the adaptive hybrid-floorplan subsystem: the
 //! `hybrid-migrate` sweep's acceptance criterion, cross-bank checkout
-//! auditing through the full stack, and mixed-bank floorplan specs.
+//! auditing through the full stack, and deterministic, metered migration.
 
 use lsqca::experiment::{ExperimentConfig, Workload};
 use lsqca::lattice::LatticeError;
@@ -61,32 +61,6 @@ fn cross_bank_audit_rejects_migration_of_checked_out_qubits() {
     assert_eq!(mem.checked_out_count(), 0);
     let cost = mem.migrate(q, QubitTag(0)).unwrap();
     assert!(cost.as_u64() > 0);
-}
-
-/// A mixed floorplan spec (dual-port point + line) serves a real compiled
-/// workload end to end through the memory system facade.
-#[test]
-fn mixed_floorplan_spec_serves_a_compiled_workload() {
-    let spec = FloorplanSpec {
-        banks: vec![BankKind::DualPointSam, BankKind::LineSam],
-        cr_slots: 2,
-        locality_aware_store: true,
-    };
-    let workload = Workload::from_circuit(Benchmark::Ghz.reduced_instance());
-    let mut mem = MemorySystem::from_spec(&spec, workload.num_qubits().max(1), &[]);
-    assert_eq!(mem.bank_count(), 2);
-    // Drive every qubit through a load/store round trip.
-    for q in 0..mem.num_qubits() {
-        let q = QubitTag(q);
-        mem.load(q).unwrap();
-        assert!(mem.is_checked_out(q));
-        mem.store(q).unwrap();
-    }
-    assert_eq!(mem.checked_out_count(), 0);
-    // The toy instance is dominated by the two CR shapes (a dual-point block
-    // per side plus the line columns); the SAM regions themselves stay dense.
-    assert!(mem.memory_density() > 0.3);
-    assert!(mem.sam_cells() < 2 * u64::from(mem.num_qubits()));
 }
 
 /// Migration-enabled experiment runs are deterministic and keep the explicit

@@ -100,7 +100,6 @@ fn in_memory_compilation_reduces_explicit_loads_and_stores() {
         &circuit,
         CompilerConfig {
             use_in_memory_ops: false,
-            ..CompilerConfig::default()
         },
     );
     let ldst = |p: &Program| {
