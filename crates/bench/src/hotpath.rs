@@ -211,7 +211,7 @@ pub fn generate(scale: Scale) -> HotpathReport {
 /// Runs every measurement under an explicit time budget.
 pub fn generate_with(scale: Scale, budget: MeasureBudget) -> HotpathReport {
     let workload = workload(scale);
-    let instructions = workload.compiled().trace().len() as u64;
+    let instructions = workload.compiled().trace().instruction_count() as u64;
     let floorplans = [
         FloorplanKind::PointSam { banks: 1 },
         FloorplanKind::LineSam { banks: 1 },
@@ -280,7 +280,11 @@ mod tests {
         // `scripts/bench.sh`, not unit tests.
         let report = generate_with(Scale::Quick, MeasureBudget::smoke());
         assert_eq!(report.end_to_end.len(), 4);
+        // The simulator counts the multiplier's instructions on its own.
+        let config = ExperimentConfig::new(FloorplanKind::Conventional, 1);
+        let instructions = workload(Scale::Quick).run(&config).stats.instruction_count;
         for row in &report.end_to_end {
+            assert_eq!(row.instructions, instructions, "{}", row.floorplan);
             assert!(row.ns_per_instruction > 0.0);
             assert!(row.calibration_ns_per_op > 0.0);
         }

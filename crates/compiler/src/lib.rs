@@ -159,37 +159,27 @@ impl<S: InstructionSink> Lowering<'_, S> {
         let mem = mem(target);
         let zz = self.outcome(true);
         let mx = self.outcome(false);
-        self.sink.push(Instruction::Pm { reg: slot });
         if self.use_in_memory {
-            self.sink.push(Instruction::MzzM {
-                reg: slot,
-                mem,
-                out: zz,
-            });
-        } else {
-            self.sink.push(Instruction::Ld {
-                mem,
-                reg: self.other_slot(slot),
-            });
-            self.sink.push(Instruction::MzzC {
-                reg1: slot,
-                reg2: self.other_slot(slot),
-                out: zz,
-            });
+            // `PM`, `MZZ.M`, `MX.C`, and the conditional phase correction
+            // `SK` + `PH.M`, whose branch the evaluation always takes.
+            self.sink.push_teleport(slot, mem, zz, mx);
+            return;
         }
-        self.sink.push(Instruction::MxC { reg: slot, out: mx });
-        // Conditional phase correction; the evaluation always takes the branch.
-        self.sink.push(Instruction::Sk { cond: zz });
-        if self.use_in_memory {
-            self.sink.push(Instruction::PhM { mem });
-        } else {
-            self.sink.push(Instruction::PhC {
-                reg: self.other_slot(slot),
-            });
-            self.sink.push(Instruction::St {
-                reg: self.other_slot(slot),
-                mem,
-            });
+        let cr = self.other_slot(slot);
+        for instruction in [
+            Instruction::Pm { reg: slot },
+            Instruction::Ld { mem, reg: cr },
+            Instruction::MzzC {
+                reg1: slot,
+                reg2: cr,
+                out: zz,
+            },
+            Instruction::MxC { reg: slot, out: mx },
+            Instruction::Sk { cond: zz },
+            Instruction::PhC { reg: cr },
+            Instruction::St { reg: cr, mem },
+        ] {
+            self.sink.push(instruction);
         }
     }
 
@@ -307,12 +297,14 @@ pub fn compile(circuit: &Circuit, config: CompilerConfig) -> CompiledProgram {
 /// T / T† gates translated into magic-state teleportations.
 ///
 /// The classical operands are live slots, not [`compile`]'s identifiers:
-/// each T gate's `MZZ` outcome and the `SK` two records later that reads
-/// it take [`FIRST_LIVE_SLOT`], and every other outcome, which
+/// each T gate's `MZZ` outcome and the `SK` two instructions later that
+/// reads it take [`FIRST_LIVE_SLOT`], and every other outcome, which
 /// nothing reads, takes [`DEAD_SLOT`]. That is exactly the renumbering
 /// [`lsqca_isa::ExecutionTrace::compact_classical`] derives from
 /// [`compile`]'s program, so the trace never holds more than three
-/// classical slots.
+/// classical slots. With in-memory operations on, every T gate reaches
+/// `sink` through [`InstructionSink::push_teleport`], which an
+/// [`lsqca_isa::ExecutionTrace`] stores as one record.
 ///
 /// A circuit that is not yet lowered is lowered gate by gate
 /// ([`lsqca_circuit::lower_each`]) and each lowered gate is translated as it
@@ -510,8 +502,8 @@ mod tests {
         for config in [in_memory(), load_store()] {
             let mut trace = ExecutionTrace::new();
             compile_into(&c, config, &mut trace);
-            let classical: Vec<_> = (0..trace.len())
-                .map(|k| trace.instruction(k))
+            let classical: Vec<_> = trace
+                .instructions()
                 .filter_map(|i| i.classical_input().or(i.classical_output()))
                 .map(|v| v.0)
                 .collect();

@@ -6,8 +6,8 @@
 //! table here is the architectural contract; the simulator resolves the variable
 //! entries against a concrete SAM model.
 //!
-//! The table is fixed, so it is a set of free functions: [`latency`],
-//! [`is_negligible`] and [`classify`].
+//! The table is fixed, so it is a set of free functions: [`latency`] and
+//! [`is_negligible`].
 
 use crate::instruction::Instruction;
 use std::fmt;
@@ -81,48 +81,6 @@ pub fn is_negligible(instruction: &Instruction) -> bool {
     latency(instruction) == InstructionLatency::Fixed(0)
 }
 
-/// The compact [`LatencyClass`] of `instruction`.
-pub fn classify(instruction: &Instruction) -> LatencyClass {
-    match latency(instruction) {
-        InstructionLatency::Fixed(0) => LatencyClass::Negligible,
-        InstructionLatency::Fixed(_) => LatencyClass::Command,
-        InstructionLatency::Variable => LatencyClass::Variable,
-    }
-}
-
-/// Compact per-instruction latency classification ([`classify`]), which
-/// consumers precompile once per program so hot loops read a dense byte
-/// vector instead of re-matching on the instruction variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum LatencyClass {
-    /// Fixed zero-beat latency; excluded from CPI command counts.
-    Negligible,
-    /// Fixed non-zero latency (a counted command).
-    Command,
-    /// Latency resolved at runtime by the memory controller (also counted).
-    Variable,
-}
-
-impl LatencyClass {
-    /// True for the zero-beat fixed class the paper excludes from CPI.
-    #[inline]
-    pub fn is_negligible(self) -> bool {
-        matches!(self, LatencyClass::Negligible)
-    }
-}
-
-impl fmt::Display for LatencyClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            LatencyClass::Negligible => "negligible",
-            LatencyClass::Command => "command",
-            LatencyClass::Variable => "variable",
-        };
-        f.write_str(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,26 +144,10 @@ mod tests {
     }
 
     #[test]
-    fn classes_agree_with_the_latency_table() {
-        for instr in example_instructions() {
-            let class = classify(&instr);
-            assert_eq!(class.is_negligible(), is_negligible(&instr), "{instr}");
-            assert_eq!(
-                class == LatencyClass::Variable,
-                latency(&instr).is_variable(),
-                "{instr}"
-            );
-        }
-    }
-
-    #[test]
     fn latency_display() {
         assert_eq!(InstructionLatency::Fixed(2).to_string(), "2 beat");
         assert_eq!(InstructionLatency::Variable.to_string(), "variable");
         assert_eq!(InstructionLatency::Fixed(2).fixed_beats(), Some(2));
         assert_eq!(InstructionLatency::Variable.fixed_beats(), None);
-        assert_eq!(LatencyClass::Negligible.to_string(), "negligible");
-        assert_eq!(LatencyClass::Command.to_string(), "command");
-        assert_eq!(LatencyClass::Variable.to_string(), "variable");
     }
 }

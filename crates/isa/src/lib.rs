@@ -55,7 +55,7 @@ pub mod trace_compile;
 pub mod validate;
 
 pub use instruction::{Instruction, InstructionKind, OperandLocation};
-pub use latency::{InstructionLatency, LatencyClass};
+pub use latency::InstructionLatency;
 pub use operand::{ClassicalId, MemAddr, Operands, RegId, MAX_OPERANDS};
 pub use program::{InstructionSink, Program, ProgramStats};
 pub use trace_compile::{

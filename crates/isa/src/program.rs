@@ -3,6 +3,7 @@
 use crate::instruction::{Instruction, InstructionKind};
 use crate::latency::is_negligible;
 use crate::operand::{ClassicalId, MemAddr, RegId};
+use crate::trace_compile::teleport;
 use crate::validate::{validate_program, ValidationReport};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -10,10 +11,19 @@ use std::fmt;
 /// A destination for an instruction stream: the one interface the compiler
 /// emits through. [`Program`] keeps the instructions as written;
 /// [`ExecutionTrace`](crate::ExecutionTrace) lowers each one into its
-/// execution record as it arrives.
+/// execution record as it arrives, and a teleport into one record.
 pub trait InstructionSink {
     /// Appends one instruction.
     fn push(&mut self, instruction: Instruction);
+
+    /// Appends an in-memory T-gate teleportation, the five instructions of
+    /// [`teleport`]`(reg, mem, zz, mx)`. The default pushes them one by
+    /// one; a sink that stores a teleport as one record overrides it.
+    fn push_teleport(&mut self, reg: RegId, mem: MemAddr, zz: ClassicalId, mx: ClassicalId) {
+        for instruction in teleport(reg, mem, zz, mx) {
+            self.push(instruction);
+        }
+    }
 }
 
 /// An ordered sequence of LSQCA instructions with a name.

@@ -22,12 +22,29 @@
 //!
 //! Every static fact about a record is a pure function of its opcode, so the
 //! trace stores only the opcode and looks the rest up in [`OPCODES`], one
-//! 21-entry table: the execution kind (the pre-resolved duration dispatch
+//! 22-entry table: the execution kind (the pre-resolved duration dispatch
 //! arm, [`ExecKind`]), a flags byte (operand shape, scan-resource,
 //! in-memory, classical in/out) and the fixed beat component. The opcode
 //! also serves the cold paths: reconstructing an [`Instruction`] for
 //! `SimError::Instruction`, and serialization ([`ExecutionTrace::encode`]),
 //! which is lossless, so the trace is the whole compiled instruction stream.
+//!
+//! # Teleport records
+//!
+//! Opcodes 0–20 are one instruction each. Opcode 21 is an in-memory T-gate
+//! teleportation, the five instructions `PM r`, `MZZ.M r,m → 2`,
+//! `MX.C r → 1`, `SK 2`, `PH.M m` ([`teleport`]) as one record: `m` in slot
+//! 0, `r` in slot 1, and the classical slots [`FIRST_LIVE_SLOT`] and
+//! [`DEAD_SLOT`] implied. A trace writes one when it is handed a teleport
+//! in those slots ([`InstructionSink::push_teleport`], which
+//! `lsqca_compiler::compile_into` calls for every T gate), and [`lower`]
+//! and [`ExecutionTrace::decode`] fold every exact window of the five
+//! instructions ([`teleport_operands`], the one matcher) the same way.
+//! Everything else stays one record per instruction. Every count and index
+//! the trace reports outward is in instructions:
+//! [`ExecutionTrace::instructions`] and [`ExecutionTrace::encode`] expand a
+//! teleport to its five instructions, so the encoded text does not depend
+//! on the folding.
 //!
 //! # Record layout
 //!
@@ -44,7 +61,7 @@
 //!                        │ mem0 / reg1 │ mem1 / reg0 │ cio
 //! ```
 //!
-//! The opcode takes the low [`OPCODE_BITS`] bits of its byte (21 opcodes
+//! The opcode takes the low [`OPCODE_BITS`] bits of its byte (22 opcodes
 //! need 5). A trace is *narrow* while every memory address and register
 //! index is below 2¹⁶ and every classical operand is below
 //! [`NARROW_CLASSICAL`]: slots 0 and 1 are `u16` and the classical operand
@@ -84,17 +101,19 @@
 //!   write to its last read, the lowest free slot first.
 //!
 //! The only live values of a compiled trace are T gates' `MZZ` outcomes,
-//! each read by its `SK` two records later, so a compiled workload uses at
-//! most slots 1 and 2, has `classical_bound` of at most 3 and is narrow
-//! unless an operand reaches 2¹⁶. [`ExecutionTrace::instruction`] and [`ExecutionTrace::encode`]
-//! therefore report slots, not per-measurement identifiers, on a compiled
-//! workload's trace. A [`Program`], [`lower`]ed or
-//! [`decode`](ExecutionTrace::decode)d, keeps its own identifiers (each
-//! compiled measurement has its own), so its trace is wide once one reaches
-//! [`NARROW_CLASSICAL`]. [`ExecutionTrace::compact_classical`] renumbers
-//! any trace into live slots; no compile path calls it: it is the reference
-//! the compiler's emission is tested against, and the shadow proptests
-//! check that a renumbered trace executes exactly like the original.
+//! each read by its `SK` two instructions later, so a compiled workload
+//! uses at most slots 1 and 2, has `classical_bound` of at most 3 and is
+//! narrow unless an operand reaches 2¹⁶. [`ExecutionTrace::instructions`]
+//! and [`ExecutionTrace::encode`] therefore report slots, not
+//! per-measurement identifiers, on a compiled workload's trace. A
+//! [`Program`], [`lower`]ed or [`decode`](ExecutionTrace::decode)d, keeps
+//! its own identifiers (each compiled measurement has its own), so its
+//! teleports stay five records and its trace is wide once an identifier
+//! reaches [`NARROW_CLASSICAL`]. [`ExecutionTrace::compact_classical`]
+//! renumbers any trace into live slots; no compile path calls it: it is the
+//! reference the compiler's emission is tested against, and the shadow
+//! proptests check that a renumbered trace executes exactly like the
+//! original.
 
 use crate::instruction::Instruction;
 use crate::operand::{ClassicalId, MemAddr, RegId};
@@ -144,10 +163,10 @@ pub const TRACE_REVISION: u32 = 1;
 
 /// The pre-resolved duration dispatch arm of one trace record.
 ///
-/// The interpreter's 21-arm duration `match` collapses into these nine
-/// execution kinds; everything variant-specific beyond the kind (the fixed
-/// beat component, operand shape) lives in the rest of the opcode's
-/// [`OpInfo`].
+/// The interpreter's 21-arm duration `match` collapses into nine execution
+/// kinds, plus [`ExecKind::Teleport`] for the five-instruction teleport
+/// record; everything variant-specific beyond the kind (the fixed beat
+/// component, operand shape) lives in the rest of the opcode's [`OpInfo`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ExecKind {
@@ -171,6 +190,11 @@ pub enum ExecKind {
     Cx,
     /// `SK`: zero-beat, but arms the skip guard for the next instruction.
     Skip,
+    /// An in-memory T-gate teleportation, `PM r`, `MZZ.M r,m → 2`,
+    /// `MX.C r → 1`, `SK 2`, `PH.M m` (see the
+    /// [module docs](self#teleport-records)): `fixed` holds `PM`'s beat;
+    /// `MZZ.M` and `PH.M` add their surgery beats to their accesses.
+    Teleport,
 }
 
 /// Flag bits of one opcode ([`OpInfo::flags`]).
@@ -230,7 +254,7 @@ impl OpInfo {
 /// The static columns of every opcode, indexed by opcode: the one place the
 /// per-variant latency class, operand shape and scan/in-memory flags of
 /// Table I are written down for the engine.
-pub const OPCODES: [OpInfo; 21] = {
+pub const OPCODES: [OpInfo; 22] = {
     use flags::*;
     use ExecKind as E;
     const fn op(exec: ExecKind, flags: u8, fixed: u8) -> OpInfo {
@@ -265,41 +289,59 @@ pub const OPCODES: [OpInfo; 21] = {
         op(E::TwoQubitAccess, JOINT_M, 1),                          // 18 MXX.M
         op(E::TwoQubitAccess, JOINT_M, 1),                          // 19 MZZ.M
         op(E::Cx, HAS_MEM0 | HAS_MEM1 | NEEDS_SCAN | IN_MEMORY, 2), // 20 CX
+        op(E::Teleport, SEEK_M | HAS_REG0, 1),                      // 21 teleport
     ]
 };
 
-/// The opcode bytes of an in-memory T-gate teleportation in a narrow trace,
-/// as `lsqca_compiler::compile_into` lowers every T gate with in-memory
-/// operations on: `PM r`, `MZZ.M r,m → 2`, `MX.C r → 1`, `SK 2`, `PH.M m`
-/// (the magic state, its joint measurement with `m` into live slot
-/// [`FIRST_LIVE_SLOT`], the magic qubit's measurement into [`DEAD_SLOT`],
-/// the skip on the first outcome, and the phase correction).
-pub const TELEPORT: [u8; 5] = [
-    4,
-    19 | (FIRST_LIVE_SLOT as u8) << OPCODE_BITS,
-    7 | (DEAD_SLOT as u8) << OPCODE_BITS,
-    11 | (FIRST_LIVE_SLOT as u8) << OPCODE_BITS,
-    15,
-];
+/// The opcode of a teleport record.
+const TELEPORT_OPCODE: u8 = 21;
 
-/// True if records `k..k + 5` of a trace, whose opcode bytes are `op` and
-/// whose slots 0 and 1 are `slot0` and `slot1`, form an in-memory
-/// teleport: exactly the opcode bytes of [`TELEPORT`], one register `r` in
-/// `PM`, `MZZ.M` and `MX.C`, and one address `m` in `MZZ.M` and `PH.M`.
-/// The only recognizer of the shape: an engine that advances a teleport as
-/// one step calls this, and nothing else decides what a teleport is.
-///
-/// Records past the end of the slices are absent, so a teleport cut by
-/// them is not one. A wide trace never holds one, because its opcode bytes
-/// carry no classical operand.
-#[inline(always)]
-pub fn is_teleport<S: Slot>(op: &[u8], [slot0, slot1]: [&[S]; 2], k: usize) -> bool {
-    op.get(k..k + TELEPORT.len()) == Some(&TELEPORT[..]) && {
-        let r = slot1[k].value();
-        slot1[k + 1].value() == r
-            && slot1[k + 2].value() == r
-            && slot0[k + 1].value() == slot0[k + 4].value()
-    }
+/// The fixed beats a teleport's `MZZ.M` and `PH.M` add to their memory
+/// accesses: their opcodes' [`OpInfo::fixed`].
+pub const TELEPORT_SURGERY_BEATS: [u64; 2] = [OPCODES[19].fixed as u64, OPCODES[15].fixed as u64];
+
+/// The five instructions of an in-memory T-gate teleportation on CR slot
+/// `reg` and SAM address `mem`, as `lsqca_compiler` lowers every T gate
+/// with in-memory operations on: the magic state (`PM`), its joint
+/// measurement with `mem` into `zz`, the magic qubit's measurement into
+/// `mx`, the skip on `zz`, and the phase correction.
+pub fn teleport(reg: RegId, mem: MemAddr, zz: ClassicalId, mx: ClassicalId) -> [Instruction; 5] {
+    use Instruction::*;
+    [
+        Pm { reg },
+        MzzM { reg, mem, out: zz },
+        MxC { reg, out: mx },
+        Sk { cond: zz },
+        PhM { mem },
+    ]
+}
+
+/// The operands `(reg, mem, zz, mx)` for which `window` is exactly
+/// [`teleport`]`(reg, mem, zz, mx)`, or `None`. The one matcher of the
+/// teleport shape: [`lower`] and [`ExecutionTrace::decode`] fold the
+/// windows it accepts, and a trace writes the fold as one record when
+/// `zz` and `mx` are the live slots the compiler gives them.
+pub fn teleport_operands(
+    window: &[Instruction],
+) -> Option<(RegId, MemAddr, ClassicalId, ClassicalId)> {
+    let &[Instruction::Pm { reg }, Instruction::MzzM { mem, out: zz, .. }, Instruction::MxC { out: mx, .. }, ..] =
+        window
+    else {
+        return None;
+    };
+    (window == teleport(reg, mem, zz, mx)).then_some((reg, mem, zz, mx))
+}
+
+/// The teleport record of [`teleport`]`(reg, mem, zz, mx)`, if a trace
+/// stores those five instructions as one: when `zz` and `mx` are
+/// [`FIRST_LIVE_SLOT`] and [`DEAD_SLOT`].
+fn teleport_record(
+    reg: RegId,
+    mem: MemAddr,
+    zz: ClassicalId,
+    mx: ClassicalId,
+) -> Option<(u8, [u32; 2], u32)> {
+    ((zz.0, mx.0) == (FIRST_LIVE_SLOT, DEAD_SLOT)).then_some((TELEPORT_OPCODE, [mem.0, reg.0], 0))
 }
 
 /// The type of operand slots 0 and 1: `u16` in a narrow trace, `u32` in a
@@ -400,24 +442,39 @@ pub struct TraceShape {
 }
 
 impl TraceShape {
-    /// Number of instructions pushed.
+    /// Number of records pushed: one per instruction, and one per folded
+    /// teleport.
     pub fn records(&self) -> usize {
         self.records
     }
-}
 
-impl InstructionSink for TraceShape {
-    fn push(&mut self, instr: Instruction) {
-        let (_, [slot0, slot1], cio) = record(instr);
+    /// Counts one record with these slot values and classical operand.
+    fn count(&mut self, (_, [slot0, slot1], cio): (u8, [u32; 2], u32)) {
         self.records += 1;
         self.largest_slot = self.largest_slot.max(slot0).max(slot1);
         self.largest_classical = self.largest_classical.max(cio);
     }
 }
 
+impl InstructionSink for TraceShape {
+    fn push(&mut self, instr: Instruction) {
+        self.count(record(instr));
+    }
+
+    fn push_teleport(&mut self, reg: RegId, mem: MemAddr, zz: ClassicalId, mx: ClassicalId) {
+        match teleport_record(reg, mem, zz, mx) {
+            Some(record) => self.count(record),
+            None => teleport(reg, mem, zz, mx)
+                .into_iter()
+                .for_each(|i| self.push(i)),
+        }
+    }
+}
+
 /// A program lowered into dense struct-of-arrays execution records.
 ///
-/// Columns are parallel vectors, one entry per instruction: the opcode byte
+/// Columns are parallel vectors, one entry per record (an instruction, or a
+/// folded teleport; see the [module docs](self#teleport-records)): the opcode byte
 /// and two `u16` operand slots in a narrow trace (5 bytes per record, the
 /// classical operand in the opcode byte), or the opcode and three `u32`
 /// slots in a wide one (13 bytes); see the
@@ -461,9 +518,19 @@ impl ExecutionTrace {
         }
     }
 
-    /// Number of records (one per instruction).
+    /// Number of records: one per instruction, and one per folded teleport.
     pub fn len(&self) -> usize {
         self.op.len()
+    }
+
+    /// Number of instructions the records hold: a teleport record holds
+    /// five.
+    pub fn instruction_count(&self) -> usize {
+        let teleports = self
+            .op
+            .iter()
+            .filter(|&&op| op & OPCODE_MASK == TELEPORT_OPCODE);
+        self.len() + 4 * teleports.count()
     }
 
     /// True if the trace has no records.
@@ -540,8 +607,9 @@ impl ExecutionTrace {
         self.op.capacity() + slots
     }
 
-    /// Calls `visit` with every SAM operand, in record order (`mem0` before
-    /// `mem1`).
+    /// Calls `visit` with every SAM operand, in instruction order (`mem0`
+    /// before `mem1`): a teleport's address twice, once for its `MZZ.M` and
+    /// once for its `PH.M`.
     pub fn for_each_memory_operand(&self, mut visit: impl FnMut(u32)) {
         fn each<S: Slot>(trace: &ExecutionTrace, visit: &mut impl FnMut(u32)) {
             let [slot0, slot1] = trace.slots::<S>();
@@ -552,6 +620,8 @@ impl ExecutionTrace {
                 }
                 if fl & flags::HAS_MEM1 != 0 {
                     visit(m1.value());
+                } else if op & OPCODE_MASK == TELEPORT_OPCODE {
+                    visit(m0.value());
                 }
             }
         }
@@ -596,7 +666,7 @@ impl ExecutionTrace {
     /// Appends the record of opcode `op` with slot values `slots` and
     /// classical operand `cio`, widening the trace first if they do not fit
     /// a narrow record.
-    fn push_record(&mut self, op: u8, [slot0, slot1]: [u32; 2], cio: u32) {
+    fn push_record(&mut self, (op, [slot0, slot1], cio): (u8, [u32; 2], u32)) {
         use flags::*;
         let fl = OpInfo::of(op).flags;
         if fl & HAS_MEM0 != 0 {
@@ -607,6 +677,8 @@ impl ExecutionTrace {
         }
         if fl & (HAS_CIN | HAS_COUT) != 0 {
             self.classical_bound = self.classical_bound.max(cio + 1);
+        } else if op == TELEPORT_OPCODE {
+            self.classical_bound = self.classical_bound.max(FIRST_LIVE_SLOT + 1);
         }
         if !fits_narrow(slot0.max(slot1), cio) {
             self.widen();
@@ -639,16 +711,18 @@ impl ExecutionTrace {
     }
 
     /// This trace with its classical operands renumbered into live slots
-    /// (see the [module docs](self#classical-slots)). The renumbered trace
-    /// executes exactly as the original: every `SK` reads the slot of the
-    /// value it read before, nothing overwrites that slot in between, and a
-    /// read of a never-written value reads [`UNWRITTEN_SLOT`], which no
-    /// record writes. Deterministic and idempotent, and exact for any trace;
-    /// its width follows its records, like any trace's.
+    /// (see the [module docs](self#classical-slots)), one record per
+    /// instruction: a teleport record comes out as its five instructions'
+    /// records. The renumbered trace executes exactly as the original: every
+    /// `SK` reads the slot of the value it read before, nothing overwrites
+    /// that slot in between, and a read of a never-written value reads
+    /// [`UNWRITTEN_SLOT`], which no record writes. Deterministic and
+    /// idempotent, and exact for any trace; its width follows its records,
+    /// like any trace's.
     ///
     /// The compiler emits these slots directly, so nothing on a compile path
     /// calls this: it is the reference the emitted traces are tested
-    /// against. Two passes over the records:
+    /// against. Two passes over the instructions:
     ///
     /// - backward, marking each write that a later `SK` reads (its value is
     ///   live) and each read that is the last one of its value;
@@ -657,34 +731,24 @@ impl ExecutionTrace {
     ///   sending every dead write to [`DEAD_SLOT`].
     ///
     /// A value written twice is two values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a record both reads and writes a classical value (no
-    /// instruction does).
     pub fn compact_classical(&self) -> ExecutionTrace {
         use flags::{HAS_CIN, HAS_COUT};
-        let len = self.len();
         let ids = self.classical_bound as usize;
         // Per write: some later read sees it. Per read: it is the last read
-        // of its value. No record is both, so one mark per record serves both.
-        let mut marked = vec![false; len];
+        // of its value. No instruction is both, so one mark per instruction
+        // serves both.
+        let mut marked = vec![false; self.instruction_count()];
         let mut read_later = vec![false; ids];
-        for k in (0..len).rev() {
-            let fl = OpInfo::of(self.op[k]).flags;
-            if fl & (HAS_CIN | HAS_COUT) == 0 {
-                continue;
-            }
-            assert!(
-                fl & HAS_CIN == 0 || fl & HAS_COUT == 0,
-                "record {k} both reads and writes a classical value"
-            );
-            let id = self.classical(k) as usize;
+        let mut k = marked.len();
+        for instr in self.instructions().rev() {
+            k -= 1;
+            let (op, _, id) = record(instr);
+            let fl = OpInfo::of(op).flags;
             // A read with no read after it is its value's last; a write with
             // a read after it is live. Either way the mark flips the flag.
-            if (fl & HAS_CIN != 0) != read_later[id] {
+            if fl & (HAS_CIN | HAS_COUT) != 0 && (fl & HAS_CIN != 0) != read_later[id as usize] {
                 marked[k] = true;
-                read_later[id] = !read_later[id];
+                read_later[id as usize] = !read_later[id as usize];
             }
         }
 
@@ -692,9 +756,10 @@ impl ExecutionTrace {
         let mut slot_of = vec![UNWRITTEN_SLOT; ids];
         let mut free = BinaryHeap::new();
         let mut fresh = FIRST_LIVE_SLOT;
-        for (k, &live) in marked.iter().enumerate() {
-            let fl = OpInfo::of(self.op[k]).flags;
-            let id = self.classical(k) as usize;
+        for (instr, &live) in self.instructions().zip(&marked) {
+            let (op, slots, id) = record(instr);
+            let fl = OpInfo::of(op).flags;
+            let id = id as usize;
             let slot = if fl & HAS_CIN != 0 {
                 let slot = slot_of[id];
                 if live && slot != UNWRITTEN_SLOT {
@@ -716,68 +781,68 @@ impl ExecutionTrace {
             } else {
                 DEAD_SLOT
             };
-            compacted.push_record(self.opcode(k), self.slot_values(k), slot);
+            compacted.push_record((op, slots, slot));
         }
         compacted
     }
 
-    /// Writes the operands of record `index` into `operands` in canonical
-    /// (encode) order — memory operands, register operands, classical in/out
-    /// — and returns how many there are.
-    fn operands(&self, index: usize, operands: &mut [u32; 5]) -> usize {
-        use flags::*;
-        let fl = OpInfo::of(self.op[index]).flags;
-        let [slot0, slot1] = self.slot_values(index);
-        let mut n = 0;
-        for (role, value) in [
-            (HAS_MEM0, slot0),
-            (HAS_MEM1, slot1),
-            (HAS_REG0, slot1),
-            (HAS_REG1, slot0),
-            (HAS_CIN | HAS_COUT, self.classical(index)),
-        ] {
-            if fl & role != 0 {
-                operands[n] = value;
-                n += 1;
-            }
-        }
-        n
+    /// The instructions the records hold, in order: a teleport record's five
+    /// ([`teleport`]), every other record's one. Their classical operands
+    /// are the records', so on a compiled workload's trace they are live
+    /// slots.
+    pub fn instructions(&self) -> impl DoubleEndedIterator<Item = Instruction> + '_ {
+        (0..self.len()).flat_map(move |k| {
+            let (op, [slot0, slot1]) = (self.opcode(k), self.slot_values(k));
+            let (window, n) = if op == TELEPORT_OPCODE {
+                let (zz, mx) = (ClassicalId(FIRST_LIVE_SLOT), ClassicalId(DEAD_SLOT));
+                (teleport(RegId(slot1), MemAddr(slot0), zz, mx), 5)
+            } else {
+                let mut operands = [0u32; 5];
+                let n = operands_of((op, [slot0, slot1], self.classical(k)), &mut operands);
+                match reconstruct(op, &operands[..n]) {
+                    Some(instr) => ([instr; 5], 1),
+                    None => unreachable!("trace record {k} holds an invalid opcode"),
+                }
+            };
+            window.into_iter().take(n)
+        })
     }
 
-    /// Reconstructs the instruction behind record `index` — the cold path for
-    /// `SimError::Instruction` and for display; the hot loop never calls this.
-    /// Its classical operand is the record's, so on a compiled workload's
-    /// trace it is a live slot.
+    /// The instruction at instruction index `index` (a teleport record
+    /// holds five) — the cold path for `SimError::Instruction` and for
+    /// display, which scans the records before it; the hot loop never calls
+    /// this.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
+    /// Panics if `index` is not below [`ExecutionTrace::instruction_count`].
+    #[cold]
     pub fn instruction(&self, index: usize) -> Instruction {
-        let mut operands = [0u32; 5];
-        let n = self.operands(index, &mut operands);
-        match reconstruct(self.opcode(index), &operands[..n]) {
+        match self.instructions().nth(index) {
             Some(instr) => instr,
-            None => unreachable!("trace record {index} holds an invalid opcode"),
+            None => panic!("instruction {index} is past the end of the trace"),
         }
     }
 
-    /// Serializes the trace to its compact artifact text: one record per
-    /// instruction (`;`-separated), each record the hex opcode followed by
-    /// its hex operand values (`.`-separated, canonical order: memory
-    /// operands, register operands, classical in/out).
+    /// Serializes the trace to its compact artifact text: one entry per
+    /// instruction (`;`-separated), a teleport record's five included, each
+    /// the hex opcode followed by its hex operand values (`.`-separated,
+    /// canonical order: memory operands, register operands, classical
+    /// in/out).
     ///
     /// Only the opcode and operand values are stored — the static columns
-    /// are the opcode's [`OpInfo`], and the bounds and width are rebuilt by
-    /// [`ExecutionTrace::decode`].
+    /// are the opcode's [`OpInfo`], and the bounds, width and teleport
+    /// records are rebuilt by [`ExecutionTrace::decode`].
     pub fn encode(&self) -> String {
         let mut text = String::with_capacity(self.len() * 6);
         let mut operands = [0u32; 5];
-        for index in 0..self.len() {
+        for (index, instr) in self.instructions().enumerate() {
             if index > 0 {
                 text.push(';');
             }
-            push_hex(&mut text, u32::from(self.opcode(index)));
-            let n = self.operands(index, &mut operands);
+            let record = record(instr);
+            push_hex(&mut text, u32::from(record.0));
+            let n = operands_of(record, &mut operands);
             for &operand in &operands[..n] {
                 text.push('.');
                 push_hex(&mut text, operand);
@@ -786,7 +851,8 @@ impl ExecutionTrace {
         text
     }
 
-    /// Decodes [`ExecutionTrace::encode`] output.
+    /// Decodes [`ExecutionTrace::encode`] output, folding every exact
+    /// teleport window as [`lower`] does.
     ///
     /// # Errors
     ///
@@ -797,31 +863,64 @@ impl ExecutionTrace {
         if text.is_empty() {
             return Ok(trace);
         }
-        for (index, record) in text.split(';').enumerate() {
-            let mut fields = record.split('.');
-            let op = parse_hex(fields.next().unwrap_or(""), index)?;
-            let mut operands = [0u32; 5];
-            let mut n = 0;
-            for field in fields {
-                if n == operands.len() {
-                    return Err(TraceDecodeError {
-                        what: format!("record {index} has too many operand fields"),
-                    });
-                }
-                operands[n] = parse_hex(field, index)?;
-                n += 1;
-            }
-            let op = u8::try_from(op).unwrap_or(u8::MAX);
-            let instr = reconstruct(op, &operands[..n]).ok_or_else(|| TraceDecodeError {
-                what: format!(
-                    "record {index}: opcode {op} with {n} operand field(s) \
-                     matches no instruction shape"
-                ),
-            })?;
-            trace.push(instr);
+        let mut error = None;
+        let instructions = text.split(';').enumerate().map_while(|(index, record)| {
+            decode_instruction(index, record)
+                .map_err(|err| error = Some(err))
+                .ok()
+        });
+        fold(instructions, &mut trace);
+        match error {
+            Some(err) => Err(err),
+            None => Ok(trace),
         }
-        Ok(trace)
     }
+}
+
+/// The instruction entry `index` of [`ExecutionTrace::encode`] text holds.
+fn decode_instruction(index: usize, record: &str) -> Result<Instruction, TraceDecodeError> {
+    let mut fields = record.split('.');
+    let op = parse_hex(fields.next().unwrap_or(""), index)?;
+    let mut operands = [0u32; 5];
+    let mut n = 0;
+    for field in fields {
+        if n == operands.len() {
+            return Err(TraceDecodeError {
+                what: format!("record {index} has too many operand fields"),
+            });
+        }
+        operands[n] = parse_hex(field, index)?;
+        n += 1;
+    }
+    let op = u8::try_from(op).unwrap_or(u8::MAX);
+    reconstruct(op, &operands[..n]).ok_or_else(|| TraceDecodeError {
+        what: format!(
+            "record {index}: opcode {op} with {n} operand field(s) \
+             matches no instruction shape"
+        ),
+    })
+}
+
+/// Writes the operands of the record `(op, slots, cio)` of one instruction
+/// into `operands` in canonical (encode) order — memory operands, register
+/// operands, classical in/out — and returns how many there are.
+fn operands_of((op, [slot0, slot1], cio): (u8, [u32; 2], u32), operands: &mut [u32; 5]) -> usize {
+    use flags::*;
+    let fl = OpInfo::of(op).flags;
+    let mut n = 0;
+    for (role, value) in [
+        (HAS_MEM0, slot0),
+        (HAS_MEM1, slot1),
+        (HAS_REG0, slot1),
+        (HAS_REG1, slot0),
+        (HAS_CIN | HAS_COUT, cio),
+    ] {
+        if fl & role != 0 {
+            operands[n] = value;
+            n += 1;
+        }
+    }
+    n
 }
 
 /// The opcode and slot values of `instr`'s record: slot 0 holds `mem0` or
@@ -857,12 +956,41 @@ fn record(instr: Instruction) -> (u8, [u32; 2], u32) {
 }
 
 /// Appending an instruction lowers it into its record, widening the trace
-/// first if it does not fit a narrow record.
+/// first if it does not fit a narrow record; a teleport in the live slots
+/// the compiler gives it becomes one record.
 impl InstructionSink for ExecutionTrace {
     fn push(&mut self, instr: Instruction) {
-        let (op, slots, cio) = record(instr);
-        self.push_record(op, slots, cio);
+        self.push_record(record(instr));
     }
+
+    fn push_teleport(&mut self, reg: RegId, mem: MemAddr, zz: ClassicalId, mx: ClassicalId) {
+        match teleport_record(reg, mem, zz, mx) {
+            Some(record) => self.push_record(record),
+            None => teleport(reg, mem, zz, mx)
+                .into_iter()
+                .for_each(|i| self.push(i)),
+        }
+    }
+}
+
+/// Pushes `instructions` into `sink`, each exact teleport window
+/// ([`teleport_operands`]) through one [`InstructionSink::push_teleport`].
+fn fold(instructions: impl IntoIterator<Item = Instruction>, sink: &mut impl InstructionSink) {
+    let mut window = Vec::with_capacity(5);
+    for instr in instructions {
+        window.push(instr);
+        if window.len() == 5 {
+            match teleport_operands(&window) {
+                Some((reg, mem, zz, mx)) => {
+                    sink.push_teleport(reg, mem, zz, mx);
+                    window.clear();
+                }
+                None => sink.push(window.remove(0)),
+            }
+        }
+    }
+    // The end of the stream cuts any window these begin.
+    window.into_iter().for_each(|instr| sink.push(instr));
 }
 
 fn push_hex(text: &mut String, value: u32) {
@@ -953,16 +1081,17 @@ fn reconstruct(op: u8, operands: &[u32]) -> Option<Instruction> {
 }
 
 /// Lowers `program` into a fresh [`ExecutionTrace`]: the program's
-/// instructions pushed through the trace's [`InstructionSink`]. The trace
-/// keeps the program's classical identifiers.
+/// instructions pushed through the trace's [`InstructionSink`], each exact
+/// teleport window ([`teleport_operands`]) through
+/// [`InstructionSink::push_teleport`]. The trace keeps the program's
+/// classical identifiers, so a window becomes one record only where they
+/// are the live slots a compiled teleport takes.
 pub fn lower(program: &Program) -> ExecutionTrace {
     let mut trace = ExecutionTrace::with_shape(&TraceShape {
         records: program.len(),
         ..TraceShape::default()
     });
-    for &instr in program.iter() {
-        trace.push(instr);
-    }
+    fold(program.iter().copied(), &mut trace);
     trace
 }
 
@@ -985,7 +1114,7 @@ impl std::error::Error for TraceDecodeError {}
 mod tests {
     use super::*;
     use crate::instruction::example_instructions;
-    use crate::latency::{classify, latency, LatencyClass};
+    use crate::latency::{is_negligible, latency};
     use proptest::prelude::*;
 
     fn example_program() -> Program {
@@ -1089,7 +1218,8 @@ mod tests {
         // drift apart silently.
         let program = distinct_operand_program();
         let trace = lower(&program);
-        assert_eq!(trace.len(), OPCODES.len());
+        // Every opcode but the teleport's, which the next test covers.
+        assert_eq!(trace.len() + 1, OPCODES.len());
         let [slot0, slot1] = trace.slots::<u16>();
         for (i, instr) in program.iter().enumerate() {
             let info = OpInfo::of(trace.ops()[i]);
@@ -1137,7 +1267,7 @@ mod tests {
             // CPI bookkeeping relies on this equivalence.
             assert_eq!(
                 info.exec == ExecKind::Negligible,
-                classify(instr) == LatencyClass::Negligible,
+                is_negligible(instr),
                 "{instr}: negligible"
             );
             // A fixed-latency instruction charges exactly its Table I beats.
@@ -1194,39 +1324,61 @@ mod tests {
         assert_eq!(ExecutionTrace::decode(&wide.encode()).unwrap(), wide);
     }
 
-    /// The recognizer accepts the lowered teleport, and no teleport with
-    /// one register, address or classical slot changed, cut short, or in a
-    /// wide trace.
+    /// A teleport in the compiler's live slots lowers, decodes and is
+    /// pushed as one record, which expands back to its five instructions
+    /// and encodes as they do. Every near miss stays one record per
+    /// instruction: one register, address or classical slot changed, other
+    /// classical operands, the window cut by the end of the stream, and the
+    /// load/store shape of a T gate.
     #[test]
-    fn the_teleport_recognizer_accepts_exactly_the_teleport() {
+    fn the_teleport_fold_takes_exactly_the_teleport() {
         use Instruction::*;
         let (reg, mem) = (RegId(3), MemAddr(7));
         let (zz, mx) = (ClassicalId(FIRST_LIVE_SLOT), ClassicalId(DEAD_SLOT));
-        let teleport = [
-            Pm { reg },
-            MzzM { reg, mem, out: zz },
-            MxC { reg, out: mx },
-            Sk { cond: zz },
-            PhM { mem },
-        ];
-        let recognized = |records: &[Instruction]| {
-            let trace = lower(&Program::from_iter(records.iter().copied()));
-            if trace.is_narrow() {
-                is_teleport(trace.ops(), trace.slots::<u16>(), 0)
-            } else {
-                is_teleport(trace.ops(), trace.slots::<u32>(), 0)
-            }
-        };
-        assert!(recognized(&teleport));
-        assert!(!recognized(&teleport[..4]));
+        let exact = teleport(reg, mem, zz, mx);
+        let folded = lower(&Program::from_iter(exact));
+        let info = OpInfo::of(folded.ops()[0]);
+        assert_eq!((folded.len(), info.exec), (1, ExecKind::Teleport));
+        // `PM`'s beat, then `MZZ.M`'s and `PH.M`'s surgery.
+        assert_eq!(info.fixed, OPCODES[4].fixed);
+        assert_eq!(
+            TELEPORT_SURGERY_BEATS,
+            [exact[1], exact[4]].map(|instr| u64::from(OpInfo::of(record(instr).0).fixed))
+        );
+        assert!(folded.instructions().eq(exact));
+        assert_eq!(folded.instruction_count(), 5);
+        assert_eq!(folded.instruction(4), exact[4]);
+        assert_eq!((folded.mem_bound(), folded.classical_bound()), (8, 3));
+        let mut memory_operands = Vec::new();
+        folded.for_each_memory_operand(|m| memory_operands.push(m));
+        assert_eq!(memory_operands, [7, 7]);
+        let mut pushed = ExecutionTrace::new();
+        let mut shape = TraceShape::default();
+        pushed.push_teleport(reg, mem, zz, mx);
+        shape.push_teleport(reg, mem, zz, mx);
+        assert_eq!((&pushed, shape.records()), (&folded, 1));
+        let unfolded = shaped(&Program::from_iter(exact));
+        assert_eq!(unfolded.len(), 5);
+        assert_eq!(folded.encode(), unfolded.encode());
+        assert_eq!(ExecutionTrace::decode(&unfolded.encode()).unwrap(), folded);
+
         let (other_reg, other_mem) = (RegId(4), MemAddr(8));
-        let misses = [
+        let cr = RegId(4);
+        let mut misses: Vec<Vec<Instruction>> = [
             (0, Pm { reg: other_reg }),
             (
                 1,
                 MzzM {
                     reg: other_reg,
                     mem,
+                    out: zz,
+                },
+            ),
+            (
+                1,
+                MzzM {
+                    reg,
+                    mem: other_mem,
                     out: zz,
                 },
             ),
@@ -1241,33 +1393,45 @@ mod tests {
             (1, MzzM { reg, mem, out: mx }),
             (2, MxC { reg, out: zz }),
             (3, Sk { cond: mx }),
-            // An operand past 2¹⁶ widens the trace.
-            (
-                4,
-                PhM {
-                    mem: MemAddr(70_000),
-                },
-            ),
-            (
-                1,
-                MzzM {
-                    reg,
-                    mem,
-                    out: ClassicalId(NARROW_CLASSICAL),
-                },
-            ),
-        ];
-        for (k, miss) in misses {
-            let mut records = teleport;
+        ]
+        .into_iter()
+        .map(|(k, miss)| {
+            let mut records = exact;
             records[k] = miss;
-            assert!(!recognized(&records), "{miss} at record {k}");
+            records.to_vec()
+        })
+        .collect();
+        misses.push(teleport(reg, mem, ClassicalId(5), ClassicalId(6)).to_vec());
+        misses.push(exact[..4].to_vec());
+        misses.push(vec![
+            Pm { reg },
+            Ld { mem, reg: cr },
+            MzzC {
+                reg1: reg,
+                reg2: cr,
+                out: zz,
+            },
+            MxC { reg, out: mx },
+            Sk { cond: zz },
+            PhC { reg: cr },
+            St { reg: cr, mem },
+        ]);
+        for records in misses {
+            let trace = lower(&Program::from_iter(records.iter().copied()));
+            assert_eq!(trace.len(), records.len(), "{records:?}");
+            assert!(trace.instructions().eq(records.iter().copied()));
+            assert_eq!(ExecutionTrace::decode(&trace.encode()).unwrap(), trace);
         }
-        let wide = teleport.iter().copied().chain([PzM {
-            mem: MemAddr(70_000),
-        }]);
-        let trace = lower(&Program::from_iter(wide));
+
+        // A teleport folds in place after a `PM` that begins none, and past
+        // 2¹⁶ in a wide trace.
+        let far = teleport(reg, MemAddr(70_000), zz, mx);
+        let stream: Vec<Instruction> = [Pm { reg }].into_iter().chain(exact).chain(far).collect();
+        let trace = lower(&Program::from_iter(stream.iter().copied()));
         assert!(!trace.is_narrow());
-        assert!(!is_teleport(trace.ops(), trace.slots::<u32>(), 0));
+        assert_eq!((trace.len(), trace.instruction_count()), (3, 11));
+        assert!(trace.instructions().eq(stream.iter().copied()));
+        assert_eq!(ExecutionTrace::decode(&trace.encode()).unwrap(), trace);
     }
 
     #[test]

@@ -55,9 +55,9 @@ pub fn memory_walk_count() -> u64 {
 /// Registry counters of the walk split: nanoseconds of thread time that
 /// trace walks spent in the memory pass (`sim.memory_pass`) and in the
 /// timing pass (`sim.timing_pass`), summed over every walk of the process,
-/// and the in-memory teleports the memory pass advanced as one step
-/// (`sim.teleport_steps`). Each walk reads the clock twice per block of
-/// records and adds its totals once, when it ends.
+/// and the teleport records the memory pass walked (`sim.teleport_steps`).
+/// Each walk reads the clock twice per block of records and adds its totals
+/// once, when it ends.
 fn pass_counters() -> &'static [&'static lsqca_telemetry::Counter; 3] {
     static COUNTERS: OnceLock<[&'static lsqca_telemetry::Counter; 3]> = OnceLock::new();
     COUNTERS.get_or_init(|| {
@@ -319,7 +319,7 @@ impl Simulator {
     /// The input kind selects the engine path: a [`Program`] is lowered into
     /// a fresh trace and executed through the trace engine, an
     /// [`ExecutionTrace`] or [`CompiledWorkload`] executes its trace
-    /// directly (no per-run lowering), and a [`Classified`] pair
+    /// directly (no per-run lowering), and a [`Classified`] program
     /// drives the retained reference interpreter. All paths share one
     /// contract: each call starts from the pristine architectural state — if
     /// the simulator has already run (even a run that failed part-way),
@@ -455,20 +455,20 @@ impl Simulator {
         };
         let mut failure = None;
         let mut start = 0;
-        while start < len && failure.is_none() {
+        while start < len {
             let end = (start + BLOCK).min(len);
-            // A failing memory pass stops at the offending record; the
-            // timing pass still covers the records before it.
-            let memory_failure = pass
-                .run::<MODE, S>(trace, start..end, &mut stats, block)
-                .err();
+            // A failing memory pass ends the walk: the run returns only
+            // its error.
+            let walked = pass.run::<MODE, S>(trace, start..end, &mut stats, block);
             lap(0);
-            let walked = memory_failure.as_ref().map_or(end, |&(index, _)| index);
+            if let Err(err) = walked {
+                failure = Some(err);
+                break;
+            }
             for group in &mut groups {
-                group.advance::<MODE, S>(trace, start..walked, block, &ctx);
+                group.advance::<MODE, S>(trace, start..end, block, &ctx);
             }
             lap(1);
-            failure = memory_failure.map(|(_, err)| err);
             start = end;
         }
         let [memory_pass, timing_pass, teleport_steps] = pass_counters();
@@ -1009,15 +1009,6 @@ mod tests {
         let via_artifact = simulator.execute(&workload).unwrap();
         assert_eq!(via_program, via_artifact);
         assert!(via_artifact.stats.command_count > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not parallel")]
-    fn mismatched_class_vector_is_rejected() {
-        let mut program = Program::new("mismatch");
-        program.push(Instruction::HdM { mem: MemAddr(0) });
-        let mut simulator = sim(&point(1), 1);
-        let _ = simulator.execute(&Classified::new(&program, &[]));
     }
 
     #[test]

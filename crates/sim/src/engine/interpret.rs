@@ -12,7 +12,8 @@
 use super::timing::TimingLanes;
 use super::{Executable, SimError, SimOutcome, Simulator};
 use lsqca_arch::lattice::{Beats, LatticeError, QubitTag};
-use lsqca_isa::{Instruction, LatencyClass, MemAddr, Program};
+use lsqca_isa::latency::is_negligible;
+use lsqca_isa::{Instruction, MemAddr, Program};
 
 /// The reference interpreter's read of a one-lane ready table: entries it
 /// never wrote read as zero.
@@ -51,35 +52,19 @@ impl Simulator {
 
     /// The [`Classified`] engine path: one reference-interpreter run per
     /// factory count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is not parallel to the instruction stream; a
-    /// mismatched vector means the caller is holding a stale artifact.
     pub(super) fn execute_classified(
         &mut self,
         program: &Program,
-        classes: &[LatencyClass],
         factories: &[u32],
     ) -> Result<Vec<SimOutcome>, SimError> {
-        assert_eq!(
-            classes.len(),
-            program.len(),
-            "latency-class vector is not parallel to the program"
-        );
         factories
             .iter()
-            .map(|&f| self.interpret(program, classes, f))
+            .map(|&f| self.interpret(program, f))
             .collect()
     }
 
     /// One reference-interpreter run at `factories` magic-state factories.
-    fn interpret(
-        &mut self,
-        program: &Program,
-        classes: &[LatencyClass],
-        factories: u32,
-    ) -> Result<SimOutcome, SimError> {
+    fn interpret(&mut self, program: &Program, factories: u32) -> Result<SimOutcome, SimError> {
         self.begin_walk(1);
         let mut timing: TimingLanes<1> = self.timing_lanes(&[factories]);
         let mut stats = self.initial_stats();
@@ -265,7 +250,7 @@ impl Simulator {
 
             // Bookkeeping.
             stats.instruction_count += 1;
-            if !classes[index].is_negligible() {
+            if !is_negligible(instr) {
                 stats.command_count += 1;
             }
             if instr.is_in_memory() {
@@ -301,20 +286,18 @@ impl Simulator {
     }
 }
 
-/// A program paired with its precompiled latency-class vector: executing it
-/// drives the **reference interpreter**, the executable specification the
-/// trace engine is checked against, instead of the trace engine.
+/// A program whose execution drives the **reference interpreter**, the
+/// executable specification the trace engine is checked against, instead
+/// of the trace engine.
 #[derive(Debug, Clone, Copy)]
 pub struct Classified<'a> {
     program: &'a Program,
-    classes: &'a [LatencyClass],
 }
 
 impl<'a> Classified<'a> {
-    /// Pairs `program` with its latency-class vector. The vector's length is
-    /// checked at execution time, not here, so construction is free.
-    pub fn new(program: &'a Program, classes: &'a [LatencyClass]) -> Self {
-        Classified { program, classes }
+    /// Wraps `program` for the reference interpreter.
+    pub fn new(program: &'a Program) -> Self {
+        Classified { program }
     }
 }
 
@@ -324,6 +307,6 @@ impl Executable for Classified<'_> {
         simulator: &mut Simulator,
         factories: &[u32],
     ) -> Result<Vec<SimOutcome>, SimError> {
-        simulator.execute_classified(self.program, self.classes, factories)
+        simulator.execute_classified(self.program, factories)
     }
 }

@@ -5,23 +5,23 @@
 //! memory-side statistic, and leaves each record's cost and banks in the
 //! block scratch. Nothing here depends on when a record starts.
 //!
-//! A T-gate teleport ([`is_teleport`]) that lies wholly inside the range
-//! and the instruction budget advances as one step: the same bank lookups,
-//! migration offers and memory calls as its five records, in the same
-//! order (`MZZ.M`'s and `PH.M`'s banks each resolved before that record's
-//! migration), the same costs and bank rows, and the five records' counters
-//! added at once. A failure inside it stops at the failing record with the
-//! rows before it written, as the record-by-record loop does.
+//! A teleport record ([`ExecKind::Teleport`]) makes the same bank lookups,
+//! migration offers and memory calls as its five instructions, in the same
+//! order (`MZZ.M`'s and `PH.M`'s banks each resolved before that
+//! instruction's migration), and leaves both costs and both banks in its
+//! one row. The budget and the error index count instructions, so a run
+//! stops inside a teleport exactly where the instruction-by-instruction
+//! interpreter does.
 
 use super::SimError;
 use crate::metrics::ExecutionStats;
 use lsqca_arch::lattice::{Beats, LatticeError, QubitTag};
 use lsqca_arch::{MemorySystem, MigrationPolicy};
-use lsqca_isa::trace_compile::{flags, is_teleport, TELEPORT};
+use lsqca_isa::trace_compile::{flags, TELEPORT_SURGERY_BEATS};
 use lsqca_isa::{ExecKind, ExecutionTrace, OpInfo, Slot};
 use std::ops::Range;
 
-/// Instructions per block of the trace walk. The memory pass resolves one
+/// Records per block of the trace walk. The memory pass resolves one
 /// block into the simulator's [`BlockScratch`], then each lane group (up to
 /// [`LANES`](super::timing::LANES) factory counts, usually all of them)
 /// advances over the same block in one timing pass, so the block's trace
@@ -54,12 +54,16 @@ pub(super) mod bank_mode {
 /// columns are allocated once and reused across blocks and runs.
 #[derive(Debug, Clone, Default)]
 pub(super) struct BlockScratch {
-    /// Beats each instruction occupies after its start, magic wait excluded:
-    /// the migration delay plus the memory or fixed-latency duration.
+    /// Beats each record occupies after its start, magic wait excluded:
+    /// the migration delay plus the memory or fixed-latency duration. A
+    /// teleport's is its `MZZ.M`'s.
     pub(super) cost: Vec<u64>,
-    /// The distinct banks each instruction serializes on, resolved before
-    /// migration can move an operand ([`NO_BANK`] when absent). Sized and
-    /// written only under [`bank_mode::RESOLVED`].
+    /// A teleport's `PH.M` cost; unwritten for every other record.
+    pub(super) phase_cost: Vec<u64>,
+    /// The distinct banks each record serializes on, resolved before
+    /// migration can move an operand ([`NO_BANK`] when absent); a
+    /// teleport's `MZZ.M` bank and its `PH.M` bank. Sized and written only
+    /// under [`bank_mode::RESOLVED`].
     pub(super) banks: Vec<[u32; 2]>,
 }
 
@@ -69,6 +73,7 @@ impl BlockScratch {
         let rows = len.min(BLOCK);
         if self.cost.len() < rows {
             self.cost.resize(rows, 0);
+            self.phase_cost.resize(rows, 0);
         }
         if resolve_banks && self.banks.len() < rows {
             self.banks.resize(rows, [NO_BANK; 2]);
@@ -82,7 +87,7 @@ pub(super) struct MemoryPass<'a> {
     pub(super) memory: &'a mut MemorySystem,
     pub(super) migration: Option<&'a mut (dyn MigrationPolicy + 'static)>,
     pub(super) budget: u64,
-    /// The in-memory teleports advanced as one step so far.
+    /// The teleport records walked so far.
     pub(super) teleports: u64,
 }
 
@@ -90,22 +95,21 @@ impl MemoryPass<'_> {
     /// Runs the memory side of the records in `range`, counting memory-side
     /// statistics into `stats` and leaving each record's cost (and, under
     /// [`bank_mode::RESOLVED`], its banks) in `scratch`, indexed from
-    /// `range.start`. Stops at the first failing record with its index.
-    /// `S` is the trace's slot type.
+    /// `range.start`. Stops at the first failing instruction. `S` is the
+    /// trace's slot type.
     pub(super) fn run<const MODE: u8, S: Slot>(
         &mut self,
         trace: &ExecutionTrace,
         range: Range<usize>,
         stats: &mut ExecutionStats,
         scratch: &mut BlockScratch,
-    ) -> Result<(), (usize, SimError)> {
-        let base = range.start;
+    ) -> Result<(), SimError> {
         let [slot0, slot1] = trace.slots::<S>();
         let op = &trace.ops()[range.clone()];
         let mem0 = &slot0[range.clone()];
         let mem1 = &slot1[range.clone()];
-        let len = range.len();
-        let cost = &mut scratch.cost[..len];
+        let cost = &mut scratch.cost[..range.len()];
+        let phase_cost = &mut scratch.phase_cost[..range.len()];
         let MemoryPass {
             memory,
             migration,
@@ -113,70 +117,71 @@ impl MemoryPass<'_> {
             teleports,
         } = self;
         let budget = *budget;
+        let over_budget = |index: usize| {
+            (index as u64 >= budget).then_some(SimError::InstructionBudget { budget })
+        };
         // The counters live in a local for the block, so the opaque memory
         // calls below cannot force them through memory.
         let mut local = std::mem::take(stats);
         // The instruction is only rendered on the (cold) error path.
-        let fail = |index: usize, source: LatticeError| {
-            (
-                index,
-                SimError::Instruction {
-                    index,
-                    instruction: trace.instruction(index),
-                    source,
-                },
-            )
+        let fail = |index: usize, source: LatticeError| SimError::Instruction {
+            index,
+            instruction: trace.instruction(index),
+            source,
         };
 
-        let mut k = 0;
-        while k < len {
-            let index = base + k;
-            if index as u64 >= budget {
-                return Err((index, SimError::InstructionBudget { budget }));
-            }
-            if is_teleport(op, [mem0, mem1], k) && (index + TELEPORT.len()) as u64 <= budget {
-                *teleports += 1;
-                // `PM r`, `MZZ.M r,m → 2`, `MX.C r → 1`, `SK 2`, `PH.M m`:
-                // only the two in-memory records touch memory or scan.
-                let m = QubitTag(mem0[k + 1].value());
-                local.magic_states += 1;
-                cost[k] = u64::from(OpInfo::of(TELEPORT[0]).fixed);
-                if MODE == bank_mode::RESOLVED {
-                    scratch.banks[k] = [NO_BANK; 2];
-                    scratch.banks[k + 1] = [bank_or_none(memory, m), NO_BANK];
-                }
-                let delay = migrate(memory, migration, &mut local, m, index + 1);
-                let access = memory
-                    .in_memory_two_qubit_access(m)
-                    .map_err(|source| fail(index + 1, source))?;
-                local.memory_access_beats += access;
-                cost[k + 1] = (delay + access).0 + u64::from(OpInfo::of(TELEPORT[1]).fixed);
-                cost[k + 2] = 0;
-                cost[k + 3] = 0;
-                if MODE == bank_mode::RESOLVED {
-                    scratch.banks[k + 2] = [NO_BANK; 2];
-                    scratch.banks[k + 3] = [NO_BANK; 2];
-                    scratch.banks[k + 4] = [bank_or_none(memory, m), NO_BANK];
-                }
-                let delay = migrate(memory, migration, &mut local, m, index + 4);
-                let seek = memory
-                    .in_memory_seek(m)
-                    .map_err(|source| fail(index + 4, source))?;
-                local.memory_access_beats += seek;
-                cost[k + 4] = (delay + seek).0 + u64::from(OpInfo::of(TELEPORT[4]).fixed);
-                local.instruction_count += 5;
-                // Every record but `MX.C` is a command; `MZZ.M` and `PH.M`
-                // run in memory.
-                local.command_count += 4;
-                local.in_memory_ops += 2;
-                k += TELEPORT.len();
-                continue;
+        for k in 0..cost.len() {
+            // Every instruction before this record has run.
+            let index = local.instruction_count as usize;
+            if let Some(err) = over_budget(index) {
+                return Err(err);
             }
             let OpInfo {
                 exec: kind,
                 flags: fl,
                 fixed,
             } = OpInfo::of(op[k]);
+            if kind == ExecKind::Teleport {
+                // `PM r`, `MZZ.M r,m → 2`, `MX.C r → 1`, `SK 2`, `PH.M m`:
+                // only `MZZ.M` (instruction `index + 1`) and `PH.M`
+                // (`index + 4`) touch memory or scan.
+                *teleports += 1;
+                let m = QubitTag(mem0[k].value());
+                let [zz_beats, ph_beats] = TELEPORT_SURGERY_BEATS;
+                local.magic_states += 1;
+                let mut banks = [NO_BANK; 2];
+                if let Some(err) = over_budget(index + 1) {
+                    return Err(err);
+                }
+                if MODE == bank_mode::RESOLVED {
+                    banks[0] = bank_or_none(memory, m);
+                }
+                let delay = migrate(memory, migration, &mut local, m, index + 1);
+                let access = memory
+                    .in_memory_two_qubit_access(m)
+                    .map_err(|source| fail(index + 1, source))?;
+                local.memory_access_beats += access;
+                cost[k] = (delay + access).0 + zz_beats;
+                if let Some(err) = over_budget(index + 4) {
+                    return Err(err);
+                }
+                if MODE == bank_mode::RESOLVED {
+                    banks[1] = bank_or_none(memory, m);
+                    scratch.banks[k] = banks;
+                }
+                let delay = migrate(memory, migration, &mut local, m, index + 4);
+                let seek = memory
+                    .in_memory_seek(m)
+                    .map_err(|source| fail(index + 4, source))?;
+                local.memory_access_beats += seek;
+                phase_cost[k] = (delay + seek).0 + ph_beats;
+                local.instruction_count += 5;
+                // Every instruction but `MX.C` is a command; `MZZ.M` and
+                // `PH.M` run in memory.
+                local.command_count += 4;
+                local.in_memory_ops += 2;
+                continue;
+            }
             let wrap = |source: LatticeError| fail(index, source);
             let has_m0 = fl & flags::HAS_MEM0 != 0;
             let has_m1 = fl & flags::HAS_MEM1 != 0;
@@ -269,13 +274,13 @@ impl MemoryPass<'_> {
                     // MZZ with the ancilla, then MXX with the target.
                     load + access + Beats(u64::from(fixed)) + store
                 }
+                ExecKind::Teleport => unreachable!("a teleport record takes its own arm"),
             };
             cost[k] = (migration_delay + duration).0;
 
             local.instruction_count += 1;
             local.command_count += u64::from(kind != ExecKind::Negligible);
             local.in_memory_ops += u64::from(fl & flags::IN_MEMORY != 0);
-            k += 1;
         }
         *stats = local;
         Ok(())

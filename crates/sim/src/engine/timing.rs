@@ -1,20 +1,17 @@
 //! The timing pass of a trace walk: for up to four factory counts at once,
 //! the dependency max, CR-slot claim, magic acquisition, ready-table writes,
 //! makespan and memory reference profile of each record, one lane per
-//! count. Its input is a block of trace records plus the `cost` and `banks`
-//! columns.
+//! count. Its input is a block of trace records plus the `cost`,
+//! `phase_cost` and `banks` columns.
 //!
-//! A T-gate teleport ([`is_teleport`]: `PM r`, `MZZ.M r,m → 2`,
-//! `MX.C r → 1`, `SK 2`, `PH.M m`) advances as one step that equals its
-//! five records run in order: `PM` takes the skip guard, its slot (under
-//! bounded registers) and a magic state (unless magic is infinite);
-//! `MZZ.M` waits for `m`, the slot and its bank; `MX.C` reads its slot only
-//! under bounded registers; `SK` waits for the `MZZ.M` outcome and guards
-//! `PH.M`, which waits for its own bank from the bank column (migration may
-//! have moved `m`). The intermediate ready times stay in registers, and each
-//! table, bank entry, `makespan` and `magic_wait` is written once. A
-//! teleport cut by the end of the range, or whose register is past the
-//! lazily grown slot table, runs record by record.
+//! A teleport record (`PM r`, `MZZ.M r,m → 2`, `MX.C r → 1`, `SK 2`,
+//! `PH.M m`) advances as its five instructions run in order: `PM` takes the
+//! skip guard, its slot (under bounded registers) and a magic state (unless
+//! magic is infinite); `MZZ.M` waits for `m`, the slot and its bank;
+//! `MX.C` reads its slot only under bounded registers; `SK` waits for the
+//! `MZZ.M` outcome and guards `PH.M`, which waits for its own bank (migration
+//! may have moved `m`). The intermediate ready times stay in registers, and
+//! each table, bank entry, `makespan` and `magic_wait` is written once.
 
 use super::memory_pass::{bank_mode, BlockScratch, NO_BANK};
 use super::{SimOutcome, Simulator};
@@ -22,7 +19,7 @@ use crate::metrics::ExecutionStats;
 use crate::trace::MemoryTrace;
 use lsqca_arch::lattice::Beats;
 use lsqca_arch::{MagicStateSupply, MemorySystem};
-use lsqca_isa::trace_compile::{flags, is_teleport, DEAD_SLOT, FIRST_LIVE_SLOT, TELEPORT};
+use lsqca_isa::trace_compile::{flags, DEAD_SLOT, FIRST_LIVE_SLOT};
 use lsqca_isa::{ExecKind, ExecutionTrace, MemAddr, OpInfo, Slot};
 use std::ops::Range;
 
@@ -123,6 +120,7 @@ impl<const W: usize> TimingLanes<W> {
         // operands.
         let classical = trace.classical_column().get(range).unwrap_or(&[]);
         let cost = &scratch.cost[..len];
+        let phase_cost = &scratch.phase_cost[..len];
         let bounded_registers = ctx.bounded_registers;
         let infinite_magic = ctx.infinite_magic;
         let record_trace = ctx.record_trace;
@@ -161,22 +159,23 @@ impl<const W: usize> TimingLanes<W> {
             [0; W]
         };
 
-        let mut k = 0;
-        while k < len {
-            if is_teleport(op, [slot0, slot1], k)
-                && (!bounded_registers || (reg0[k].value() as usize) < slot_ready.len())
-            {
-                // `PM r`, `MZZ.M r,m → 2`, `MX.C r → 1`, `SK 2`, `PH.M m`
-                // as one step, equal to the five records run in order: the
-                // intermediate ready times stay in registers, and each table
-                // is written once.
+        for k in 0..len {
+            let OpInfo {
+                exec: kind,
+                flags: fl,
+                fixed,
+            } = OpInfo::of(op[k]);
+            if kind == ExecKind::Teleport {
+                // The five instructions in order, their intermediate ready
+                // times in registers and each table written once.
                 let r = reg0[k].value() as usize;
-                let m = mem0[k + 1].value();
-                let c = &cost[k..k + TELEPORT.len()];
+                let m = mem0[k].value();
                 // `PM` takes the guard, its slot, then a magic state.
                 let mut pm = guard;
                 if bounded_registers {
-                    max_lanes(&mut pm, &slot_ready[r]);
+                    if let Some(ready) = slot_ready.get(r) {
+                        max_lanes(&mut pm, ready);
+                    }
                 }
                 let mut pm_finish = [0u64; W];
                 for l in 0..W {
@@ -186,36 +185,32 @@ impl<const W: usize> TimingLanes<W> {
                         magic[l].acquire(Beats(pm[l])).0.saturating_sub(pm[l])
                     };
                     magic_wait[l] += wait;
-                    pm_finish[l] = pm[l] + c[0] + wait;
+                    pm_finish[l] = pm[l] + u64::from(fixed) + wait;
                 }
                 // `MZZ.M` waits for `m`, the magic state's slot and its bank.
                 let mut zz = mem_ready[m as usize];
                 if bounded_registers {
                     max_lanes(&mut zz, &pm_finish);
                 }
-                let zz_finish = teleport_record::<W, MODE>(
-                    &mut zz,
-                    c[1],
-                    &mut bank0,
-                    bank_ready,
-                    &scratch.banks,
-                    k + 1,
-                );
-                // `MX.C` reads its slot only under bounded registers.
-                let mx = if bounded_registers { zz_finish } else { [0; W] };
-                let mx_finish = add_lanes(mx, c[2]);
-                // `SK` waits for the `MZZ.M` outcome and guards `PH.M`, which
-                // then waits for `m` and its bank.
-                let sk_finish = add_lanes(zz_finish, c[3]);
-                let mut ph = sk_finish;
-                max_lanes(&mut ph, &zz_finish);
-                let ph_finish = teleport_record::<W, MODE>(
+                let [zz_bank, ph_bank] = if MODE == bank_mode::RESOLVED {
+                    scratch.banks[k]
+                } else {
+                    [NO_BANK; 2]
+                };
+                let zz_finish =
+                    teleport_step::<W, MODE>(&mut zz, cost[k], &mut bank0, bank_ready, zz_bank);
+                // `MX.C` reads its slot only under bounded registers and
+                // takes no beats. `SK` waits for the `MZZ.M` outcome, takes
+                // no beats, and guards `PH.M`, which then waits for `m` (both
+                // ready at `zz_finish`) and its bank.
+                let mx_finish = if bounded_registers { zz_finish } else { [0; W] };
+                let mut ph = zz_finish;
+                let ph_finish = teleport_step::<W, MODE>(
                     &mut ph,
-                    c[4],
+                    phase_cost[k],
                     &mut bank0,
                     bank_ready,
-                    &scratch.banks,
-                    k + 4,
+                    ph_bank,
                 );
                 if record_trace {
                     for l in 0..W {
@@ -224,25 +219,17 @@ impl<const W: usize> TimingLanes<W> {
                     }
                 }
                 mem_ready[m as usize] = ph_finish;
-                mem_ready[mem_scratch] = ph_finish;
                 if bounded_registers {
-                    slot_ready[r] = mx_finish;
+                    *slot_mut(slot_ready, r) = mx_finish;
                 }
                 classical_ready[FIRST_LIVE_SLOT as usize] = zz_finish;
                 classical_ready[DEAD_SLOT as usize] = mx_finish;
-                classical_ready[classical_scratch] = ph_finish;
                 guard = [0; W];
-                for finish in [pm_finish, zz_finish, mx_finish, sk_finish, ph_finish] {
-                    max_lanes(&mut makespan, &finish);
-                }
-                k += TELEPORT.len();
+                // `MX.C` and `SK` finish by `zz_finish`, before `PH.M`.
+                max_lanes(&mut makespan, &pm_finish);
+                max_lanes(&mut makespan, &ph_finish);
                 continue;
             }
-            let OpInfo {
-                exec: kind,
-                flags: fl,
-                ..
-            } = OpInfo::of(op[k]);
             let has_m0 = fl & flags::HAS_MEM0 != 0;
             let has_m1 = fl & flags::HAS_MEM1 != 0;
             let mask0 = (has_m0 as u64).wrapping_neg();
@@ -351,18 +338,10 @@ impl<const W: usize> TimingLanes<W> {
             // Register slots are only ever read under bounded registers.
             if bounded_registers {
                 if fl & flags::HAS_REG0 != 0 {
-                    let idx = reg0[k].value() as usize;
-                    if idx >= slot_ready.len() {
-                        slot_ready.resize(idx + 1, [0; W]);
-                    }
-                    slot_ready[idx] = finish;
+                    *slot_mut(slot_ready, reg0[k].value() as usize) = finish;
                 }
                 if fl & flags::HAS_REG1 != 0 {
-                    let idx = reg1[k].value() as usize;
-                    if idx >= slot_ready.len() {
-                        slot_ready.resize(idx + 1, [0; W]);
-                    }
-                    slot_ready[idx] = finish;
+                    *slot_mut(slot_ready, reg1[k].value() as usize) = finish;
                 }
                 if cx {
                     for l in 0..W {
@@ -389,7 +368,6 @@ impl<const W: usize> TimingLanes<W> {
                 guard = finish;
             }
             max_lanes(&mut makespan, &finish);
-            k += 1;
         }
         if MODE == bank_mode::UNIFORM {
             bank_ready[0] = bank0;
@@ -415,39 +393,40 @@ impl<const W: usize> TimingLanes<W> {
     }
 }
 
-/// The scanning record `k` of a teleport, whose start has reached `start`
-/// on every other input: serializes it on its banks under `MODE` (`bank0`
-/// for a uniform bank, the bank column when resolved), returns its finish
-/// after `cost` beats and marks the banks busy until then.
+/// The scanning instruction of a teleport whose start has reached `start`
+/// on every other input: serializes it on its bank under `MODE` (`bank0`
+/// for a uniform bank, `bank` from the bank column when resolved), returns
+/// its finish after `cost` beats and marks the bank busy until then.
 #[inline(always)]
-fn teleport_record<const W: usize, const MODE: u8>(
+fn teleport_step<const W: usize, const MODE: u8>(
     start: &mut [u64; W],
     cost: u64,
     bank0: &mut [u64; W],
     bank_ready: &mut [[u64; W]],
-    banks: &[[u32; 2]],
-    k: usize,
+    bank: u32,
 ) -> [u64; W] {
     if MODE == bank_mode::UNIFORM {
         max_lanes(start, bank0);
-    } else if MODE == bank_mode::RESOLVED {
-        for b in banks[k] {
-            if b != NO_BANK {
-                max_lanes(start, &bank_ready[b as usize]);
-            }
-        }
+    } else if MODE == bank_mode::RESOLVED && bank != NO_BANK {
+        max_lanes(start, &bank_ready[bank as usize]);
     }
     let finish = add_lanes(*start, cost);
     if MODE == bank_mode::UNIFORM {
         *bank0 = finish;
-    } else if MODE == bank_mode::RESOLVED {
-        for b in banks[k] {
-            if b != NO_BANK {
-                bank_ready[b as usize] = finish;
-            }
-        }
+    } else if MODE == bank_mode::RESOLVED && bank != NO_BANK {
+        bank_ready[bank as usize] = finish;
     }
     finish
+}
+
+/// The slot table's entry for register `index`, growing the table to it
+/// first: it grows only when a record touches a register beyond it.
+#[inline(always)]
+fn slot_mut<const W: usize>(slot_ready: &mut Vec<[u64; W]>, index: usize) -> &mut [u64; W] {
+    if index >= slot_ready.len() {
+        slot_ready.resize(index + 1, [0; W]);
+    }
+    &mut slot_ready[index]
 }
 
 /// Every lane of `start` plus `cost`.
@@ -556,29 +535,11 @@ mod tests {
     fn run<const W: usize, const MODE: u8>(
         floorplan: FloorplanKind,
         records: &[Instruction],
-        columns: (&[u64], &[[u32; 2]]),
+        (cost, banks): (&[u64], &[[u32; 2]]),
         bounded_registers: bool,
         setup: impl FnOnce(&mut TimingLanes<W>),
     ) -> TimingLanes<W> {
-        let flags = (true, bounded_registers);
-        run_split::<W, MODE>(floorplan, records, columns, flags, &[], setup)
-    }
-
-    /// [`run`] with finite or infinite magic (`infinite_magic`) and the
-    /// records advanced in consecutive ranges that end at each of `splits`
-    /// and at the end of the block, each range with its own slice of the
-    /// columns, as the walk hands over its blocks.
-    fn run_split<const W: usize, const MODE: u8>(
-        floorplan: FloorplanKind,
-        records: &[Instruction],
-        (cost, banks): (&[u64], &[[u32; 2]]),
-        (infinite_magic, bounded_registers): (bool, bool),
-        splits: &[usize],
-        setup: impl FnOnce(&mut TimingLanes<W>),
-    ) -> TimingLanes<W> {
-        let mut program = Program::new("kernel");
-        records.iter().for_each(|&record| program.push(record));
-        let trace = lsqca_isa::lower(&program);
+        let trace = lsqca_isa::lower(&Program::from_iter(records.iter().copied()));
         let arch = ArchConfig::new(floorplan, 1);
         let memory = MemorySystem::new(&arch, 8, &[]);
         let factories: Vec<u32> = (1..=W as u32).collect();
@@ -587,22 +548,18 @@ mod tests {
         setup(&mut lanes);
         let ctx = TimingContext {
             bounded_registers,
-            infinite_magic,
+            infinite_magic: true,
             record_trace: true,
         };
-        let ends = splits.iter().copied().chain([trace.len()]);
-        let mut start = 0;
-        for end in ends {
-            let scratch = BlockScratch {
-                cost: cost[start..end].to_vec(),
-                banks: banks.get(start..end).unwrap_or(&[]).to_vec(),
-            };
-            if trace.is_narrow() {
-                lanes.advance::<MODE, u16>(&trace, start..end, &scratch, &ctx)
-            } else {
-                lanes.advance::<MODE, u32>(&trace, start..end, &scratch, &ctx)
-            }
-            start = end;
+        let scratch = BlockScratch {
+            cost: cost.to_vec(),
+            phase_cost: vec![0; cost.len()],
+            banks: banks.to_vec(),
+        };
+        if trace.is_narrow() {
+            lanes.advance::<MODE, u16>(&trace, 0..trace.len(), &scratch, &ctx)
+        } else {
+            lanes.advance::<MODE, u32>(&trace, 0..trace.len(), &scratch, &ctx)
         }
         lanes
     }
@@ -741,124 +698,5 @@ mod tests {
     #[test]
     fn skip_guard_gates_only_the_next_record() {
         each_width!(skip_guards_only_the_next_record);
-    }
-
-    /// Everything a teleport step writes: the ready tables, the guard,
-    /// `makespan`, `magic_wait` and the reference profile of every lane.
-    fn observed<const W: usize>(lanes: &TimingLanes<W>) -> impl PartialEq + std::fmt::Debug + '_ {
-        (
-            (&lanes.mem_ready, &lanes.slot_ready),
-            (&lanes.classical_ready, &lanes.bank_ready),
-            (lanes.guard, lanes.makespan, lanes.magic_wait),
-            &lanes.trace,
-        )
-    }
-
-    fn teleport_steps_equal_their_records<const W: usize>() {
-        use Instruction::{Cx, MzM, Sk};
-        // Two teleports (records 3..8 and 8..13), the first behind a skip
-        // whose guard its `PM` consumes, between records on the same
-        // qubits and registers. Every cost is nonzero, and the resolved
-        // bank column moves qubit 5 from bank 0 to bank 1 between its
-        // `MZZ.M` and its `PH.M`, as a migration would, and puts qubit 6's
-        // `PH.M` in no bank (a conventional resident).
-        let teleport = |reg, mem| {
-            let (zz, mx) = (ClassicalId(2), ClassicalId(1));
-            [
-                Instruction::Pm { reg },
-                Instruction::MzzM { reg, mem, out: zz },
-                Instruction::MxC { reg, out: mx },
-                Sk { cond: zz },
-                Instruction::PhM { mem },
-            ]
-        };
-        let (q5, q6) = (MemAddr(5), MemAddr(6));
-        let mut records = vec![
-            hd(5),
-            MzM {
-                mem: q6,
-                out: ClassicalId(3),
-            },
-            Sk {
-                cond: ClassicalId(3),
-            },
-        ];
-        records.extend(teleport(RegId(0), q5));
-        records.extend(teleport(RegId(1), q6));
-        records.extend([
-            Cx {
-                control: q5,
-                target: q6,
-            },
-            hd(6),
-        ]);
-        let cost = [3, 2, 1, 1, 4, 2, 1, 3, 1, 5, 1, 2, 2, 4, 3];
-        let none = [NO_BANK; 2];
-        let banks = [
-            [0, NO_BANK],
-            none,
-            none,
-            none,
-            [0, NO_BANK],
-            none,
-            none,
-            [1, NO_BANK],
-            none,
-            [1, NO_BANK],
-            none,
-            none,
-            none,
-            [0, 1],
-            [1, NO_BANK],
-        ];
-        let trace = lsqca_isa::lower(&Program::from_iter(records.iter().copied()));
-        let ops = trace.ops();
-        let teleports: Vec<usize> = (0..trace.len())
-            .filter(|&k| is_teleport(ops, trace.slots::<u16>(), k))
-            .collect();
-        assert_eq!(teleports, [3, 8]);
-        let interior: Vec<usize> = teleports.iter().flat_map(|&k| k + 1..k + 5).collect();
-        // Each interior split cuts one teleport; the last run cuts both.
-        let mut splits: Vec<Vec<usize>> = interior.iter().map(|&k| vec![k]).collect();
-        splits.push(interior);
-        let point = |banks| FloorplanKind::PointSam { banks };
-        // Both registers start in the slot table, busy until distinct beats,
-        // so each teleport may take the step and its `PM` waits for its slot.
-        let slots = |lanes: &mut TimingLanes<W>| {
-            lanes.slot_ready = (0..2)
-                .map(|r| std::array::from_fn(|l| 7 * r + l as u64))
-                .collect();
-        };
-        for (infinite_magic, bounded) in
-            [(true, false), (true, true), (false, false), (false, true)]
-        {
-            let flags = (infinite_magic, bounded);
-            macro_rules! check {
-                ($mode:expr, $floorplan:expr, $banks:expr) => {{
-                    let columns = (&cost[..], $banks);
-                    let whole =
-                        run_split::<W, { $mode }>($floorplan, &records, columns, flags, &[], slots);
-                    for split in &splits {
-                        let parts = run_split::<W, { $mode }>(
-                            $floorplan, &records, columns, flags, split, slots,
-                        );
-                        assert_eq!(
-                            observed(&whole),
-                            observed(&parts),
-                            "mode {}, magic {infinite_magic}, bounded {bounded}, splits {split:?}",
-                            $mode
-                        );
-                    }
-                }};
-            }
-            check!(bank_mode::BANKLESS, FloorplanKind::Conventional, &[][..]);
-            check!(bank_mode::UNIFORM, point(1), &[][..]);
-            check!(bank_mode::RESOLVED, point(2), &banks[..]);
-        }
-    }
-
-    #[test]
-    fn teleport_steps_equal_their_records_run_one_by_one() {
-        each_width!(teleport_steps_equal_their_records);
     }
 }

@@ -13,9 +13,10 @@
 
 use lsqca_arch::lattice::QubitTag;
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
-use lsqca_isa::latency::classify;
-use lsqca_isa::trace_compile::{is_teleport, NARROW_CLASSICAL};
-use lsqca_isa::{ClassicalId, ExecutionTrace, Instruction, LatencyClass, MemAddr, Program, RegId};
+use lsqca_isa::trace_compile::NARROW_CLASSICAL;
+use lsqca_isa::{
+    ClassicalId, ExecKind, ExecutionTrace, Instruction, MemAddr, OpInfo, Program, RegId,
+};
 use lsqca_sim::{Classified, SimConfig, SimError, SimOutcome, Simulator};
 use lsqca_workloads::{Benchmark, CompiledWorkload, InstanceSize};
 use proptest::prelude::*;
@@ -114,11 +115,6 @@ fn any_arch() -> impl Strategy<Value = ArchConfig> {
                     .with_hybrid_fraction(f64::from(hybrid_tenths) * 0.1)
             },
         )
-}
-
-/// The latency class of every instruction of `program`, in order.
-fn classes(program: &Program) -> Vec<LatencyClass> {
-    program.iter().map(classify).collect()
 }
 
 fn any_policy() -> impl Strategy<Value = Option<PolicyKind>> {
@@ -484,8 +480,7 @@ proptest! {
             assume_infinite_magic: toggles.1 == 1,
         };
         let (mut reference, mut optimized) = pair(&arch, &hot, config, policy, budget);
-        let classes = classes(&program);
-        let classified = Classified::new(&program, &classes);
+        let classified = Classified::new(&program);
         let expected = reference.execute(&classified);
         let trace = lsqca_isa::lower(&program);
         let actual = optimized.execute(&trace);
@@ -566,9 +561,8 @@ proptest! {
         // A rerun on the now-dirty simulator resets first, like `execute`.
         prop_assert_eq!(&grouped, &group.execute_factories(&trace, &factories));
 
-        let classes = classes(&program);
         let mut reference = build(&arch, &hot, config, policy, budget);
-        let oracle = reference.execute_factories(&Classified::new(&program, &classes), &factories);
+        let oracle = reference.execute_factories(&Classified::new(&program), &factories);
         prop_assert_eq!(&oracle, &grouped);
     }
 
@@ -645,8 +639,7 @@ proptest! {
             }
             builder.build().unwrap()
         };
-        let classes = classes(&program);
-        let oracle = Classified::new(&program, &classes);
+        let oracle = Classified::new(&program);
         // Each simulator runs twice: a rerun resets first, like a fresh one.
         let (mut engine, mut reference) = (build(), build());
         prop_assert_eq!(engine.execute(&trace), reference.execute(&oracle));
@@ -694,8 +687,7 @@ proptest! {
             record_trace: true,
             assume_infinite_magic: infinite_magic,
         };
-        let classes = classes(&program);
-        let oracle = Classified::new(&program, &classes);
+        let oracle = Classified::new(&program);
         let (mut engine, mut reference) = pair(&arch, &hot, config, policy, budget);
         prop_assert_eq!(engine.execute(&trace), reference.execute(&oracle));
         let factories = [1, 2, 4];
@@ -706,26 +698,21 @@ proptest! {
     }
 }
 
-/// The records `lsqca_compiler::compile_into` lowers a T gate into with
-/// in-memory operations on: `PM r`, `MZZ.M r,m → 2`, `MX.C r → 1`, `SK 2`,
-/// `PH.M m`.
+/// The instructions `lsqca_compiler::compile_into` lowers a T gate into
+/// with in-memory operations on: `PM r`, `MZZ.M r,m → 2`, `MX.C r → 1`,
+/// `SK 2`, `PH.M m`.
 fn teleport(reg: RegId, mem: MemAddr) -> Vec<Instruction> {
-    use Instruction::*;
     let (zz, mx) = (ClassicalId(2), ClassicalId(1));
-    vec![
-        Pm { reg },
-        MzzM { reg, mem, out: zz },
-        MxC { reg, out: mx },
-        Sk { cond: zz },
-        PhM { mem },
-    ]
+    lsqca_isa::trace_compile::teleport(reg, mem, zz, mx).to_vec()
 }
 
 /// One piece of a teleport-heavy program, with its role.
 #[derive(Debug, Clone, PartialEq)]
 enum Piece {
-    /// An exact teleport, which the engine may advance as one step.
+    /// An exact teleport, which a trace holds as one record.
     Teleport,
+    /// An exact teleport between a load and a store of its qubit.
+    CheckedOut,
     /// Records that begin like a teleport but are not one.
     NearMiss,
     /// Anything else.
@@ -824,7 +811,7 @@ fn any_piece() -> impl Strategy<Value = (Piece, Vec<Instruction>)> {
                     let cr = RegId(r + 1);
                     records.insert(0, Ld { mem, reg: cr });
                     records.push(St { reg: cr, mem });
-                    Piece::Other
+                    Piece::CheckedOut
                 }
                 _ => {
                     let other = match other {
@@ -844,19 +831,19 @@ fn any_piece() -> impl Strategy<Value = (Piece, Vec<Instruction>)> {
 }
 
 /// A program of [`any_piece`]s, the start of every exact teleport, and the
-/// start of every near miss. Some programs begin with ~1 020 records of
-/// filler followed by a teleport that straddles record 1 024, where one
-/// walk block ends.
+/// start of every near miss. Some programs begin with ~1 020 instructions
+/// of filler and a teleport, so the pieces after them run in the walk's
+/// second block.
 fn any_teleport_program() -> impl Strategy<Value = (Program, Vec<usize>, Vec<usize>)> {
     (
         proptest::collection::vec(any_piece(), 1..40),
         prop_oneof![Just(None), Just(None), (1usize..5).prop_map(Some)],
     )
-        .prop_map(|(pieces, straddle)| {
+        .prop_map(|(pieces, filler)| {
             let mut program = Program::new("teleports");
             let (mut teleports, mut near_misses) = (Vec::new(), Vec::new());
             let mut pieces = pieces;
-            if let Some(cut) = straddle {
+            if let Some(cut) = filler {
                 for i in 0..1024 - cut as u32 {
                     program.push(if i % 2 == 0 {
                         Instruction::HdM {
@@ -871,6 +858,7 @@ fn any_teleport_program() -> impl Strategy<Value = (Program, Vec<usize>, Vec<usi
             for (piece, records) in pieces {
                 match piece {
                     Piece::Teleport => teleports.push(program.len()),
+                    Piece::CheckedOut => teleports.push(program.len() + 1),
                     Piece::NearMiss => near_misses.push(program.len()),
                     Piece::Other => {}
                 }
@@ -881,15 +869,16 @@ fn any_teleport_program() -> impl Strategy<Value = (Program, Vec<usize>, Vec<usi
 }
 
 proptest! {
-    /// Teleports advanced as one step execute like the interpreter. Random
-    /// programs of exact teleports, near misses, teleports on checked-out
-    /// qubits and random instructions, some with a teleport straddling
-    /// record 1 024 and some with an instruction budget that lands inside
-    /// a teleport, run on every floorplan (hybrid layouts and either store
-    /// policy included) under every migration policy, with finite or
-    /// infinite magic: a single run and a factory group each equal the
-    /// [`Classified`] oracle's, memory traces on. The trace must recognize
-    /// every exact teleport and no near miss.
+    /// Teleport records execute like the interpreter. Random programs of
+    /// exact teleports, near misses, teleports on checked-out qubits (their
+    /// `MZZ.M` fails) and random instructions, some spanning two walk blocks
+    /// and some with an instruction budget that lands inside a teleport,
+    /// run on every floorplan (hybrid layouts and either store policy
+    /// included) under every migration policy, with finite or infinite
+    /// magic: a single run and a factory group each equal the
+    /// [`Classified`] oracle's, memory traces on, errors included. The
+    /// trace must fold every exact teleport into one record and no near
+    /// miss.
     #[test]
     fn teleports_execute_like_the_interpreter(
         case in any_teleport_program(),
@@ -907,12 +896,16 @@ proptest! {
         let (program, teleports, near_misses) = case;
         let trace = lsqca_isa::lower(&program);
         prop_assert!(trace.is_narrow());
-        let slots = trace.slots::<u16>();
+        prop_assert_eq!(trace.len() + 4 * teleports.len(), program.len());
+        // The record of instruction `p`: each exact teleport before it
+        // folds four instructions away.
+        let record = |p: usize| p - 4 * teleports.iter().filter(|&&t| t < p).count();
+        let folded = |p: usize| OpInfo::of(trace.ops()[record(p)]).exec == ExecKind::Teleport;
         for &start in &teleports {
-            prop_assert!(is_teleport(trace.ops(), slots, start), "teleport at {}", start);
+            prop_assert!(folded(start), "teleport at {}", start);
         }
         for &start in &near_misses {
-            prop_assert!(!is_teleport(trace.ops(), slots, start), "near miss at {}", start);
+            prop_assert!(!folded(start), "near miss at {}", start);
         }
         let budget = budget.map(|(teleport, offset)| match teleport {
             Some(i) if !teleports.is_empty() => teleports[i % teleports.len()] as u64 + offset,
@@ -923,8 +916,7 @@ proptest! {
             record_trace: true,
             assume_infinite_magic: infinite_magic,
         };
-        let classes = classes(&program);
-        let oracle = Classified::new(&program, &classes);
+        let oracle = Classified::new(&program);
         let (mut engine, mut reference) = pair(&arch, &hot, config, policy, budget);
         prop_assert_eq!(engine.execute(&trace), reference.execute(&oracle));
         prop_assert_eq!(
@@ -944,8 +936,7 @@ fn wide_trace_at_address_70_000_runs_like_the_interpreter() {
     let trace = lsqca_isa::lower(&program);
     assert!(!trace.is_narrow());
     assert_eq!(trace.mem_bound(), 70_001);
-    let classes = classes(&program);
-    let oracle = Classified::new(&program, &classes);
+    let oracle = Classified::new(&program);
     let mut cases: Vec<(ArchConfig, Option<PolicyKind>)> = ArchConfig::paper_floorplans()
         .into_iter()
         .map(|floorplan| (ArchConfig::new(floorplan, 1), None))
@@ -1035,8 +1026,7 @@ fn register_indices_in_shared_slots_never_index_memory() {
     }
     let trace = lsqca_isa::lower(&program);
     assert_eq!(trace.mem_bound(), 2);
-    let classes = classes(&program);
-    let oracle = Classified::new(&program, &classes);
+    let oracle = Classified::new(&program);
     for arch in [
         ArchConfig::new(FloorplanKind::PointSam { banks: 1 }, 1),
         ArchConfig::conventional(1),
@@ -1080,8 +1070,7 @@ fn compiled_workloads() -> Vec<(CompiledWorkload, Program)> {
 #[test]
 fn interpreter_matches_the_trace_engine_on_compiled_workloads() {
     for (workload, program) in compiled_workloads() {
-        let classes = classes(&program);
-        let oracle = Classified::new(&program, &classes);
+        let oracle = Classified::new(&program);
         let qubits = workload.num_qubits().max(1);
         for floorplan in ArchConfig::paper_floorplans() {
             let arch = ArchConfig::new(floorplan, 1);

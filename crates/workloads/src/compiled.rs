@@ -8,9 +8,9 @@
 //!
 //! * the [`ExecutionTrace`], which the compiler writes straight into
 //!   ([`lsqca_compiler::compile_into`]); it is the one compiled form of the
-//!   instruction stream, and it reconstructs any instruction losslessly
-//!   ([`ExecutionTrace::instruction`]), so no `Program` or latency-class
-//!   vector is kept next to it,
+//!   instruction stream, and it reconstructs every instruction losslessly
+//!   ([`ExecutionTrace::instructions`]), so no `Program` is kept next to
+//!   it,
 //! * the circuit's register map, which role-based hybrid placement
 //!   (Fig. 15) needs,
 //! * the circuit name and qubit-count metadata (`num_qubits`, `t_gates`),
@@ -96,8 +96,8 @@ impl CompiledWorkload {
     /// Compiles `circuit` straight into an execution trace. The compiler
     /// writes classical operands as live slots ([`compile_into`]), so a
     /// walk's classical ready table holds four entries instead of one per
-    /// measurement, and every record fits the 5-byte narrow layout unless an
-    /// operand reaches 2¹⁶. A counting pass over the same stream
+    /// measurement, each T gate's teleport is one record, and every record
+    /// fits the 5-byte narrow layout unless an operand reaches 2¹⁶. A counting pass over the same stream
     /// ([`TraceShape`]) comes first, so the trace is allocated once, at its
     /// final length and width. `descriptor` identifies the workload and is
     /// what result-store keys are derived from, so it must determine the
@@ -164,9 +164,10 @@ impl CompiledWorkload {
     }
 
     /// The execution trace: the compiled instruction stream, one record per
-    /// instruction, its classical operands in live slots (so
-    /// [`ExecutionTrace::instruction`] reports slots, not the per-measurement
-    /// identifiers of [`lsqca_compiler::compile`]'s program). Built once by
+    /// instruction except each T gate's teleport, which is one record, its
+    /// classical operands in live slots (so [`ExecutionTrace::instructions`]
+    /// reports slots, not the per-measurement identifiers of
+    /// [`lsqca_compiler::compile`]'s program). Built once by
     /// [`CompiledWorkload::compile`]; a cached artifact carries the
     /// serialized trace and decodes it on load.
     pub fn trace(&self) -> &ExecutionTrace {
@@ -456,8 +457,7 @@ mod tests {
     use super::*;
     use crate::registry::{Benchmark, InstanceSize};
     use lsqca_compiler::compile;
-    use lsqca_isa::trace_compile::is_teleport;
-    use lsqca_isa::{Instruction, MemAddr, Program};
+    use lsqca_isa::{ExecKind, Instruction, MemAddr, OpInfo, Program};
     use proptest::prelude::*;
 
     fn sample() -> CompiledWorkload {
@@ -466,31 +466,36 @@ mod tests {
     }
 
     /// `circuit` compiled through the `Program` sink and through the trace
-    /// sink: the trace the compiler emits in live slots equals, record by
-    /// record, the program's own trace (per-measurement identifiers)
-    /// renumbered by [`ExecutionTrace::compact_classical`], and the name, T
-    /// count, qubit count and footprint agree. Returns the emitted trace's
-    /// workload.
+    /// sink. The trace the compiler emits in live slots holds the program's
+    /// instructions, renumbered as [`ExecutionTrace::compact_classical`]
+    /// renumbers the program's own trace (per-measurement identifiers), one
+    /// record per instruction. The two encode to the same text and so hash
+    /// alike; decoding that text folds it into exactly the emitted records;
+    /// and the name, T count, qubit count and footprint agree. Returns the
+    /// emitted trace's workload.
     fn assert_sinks_agree(circuit: &Circuit, config: CompilerConfig) -> CompiledWorkload {
+        let name = circuit.name();
         let compiled = compile(circuit, config);
         let w = CompiledWorkload::compile("sinks", circuit, config);
-        let compacted = lsqca_isa::lower(&compiled.program).compact_classical();
+        let unfolded = lsqca_isa::lower(&compiled.program).compact_classical();
         let emitted = w.trace();
-        assert_eq!(emitted.len(), compacted.len(), "{}", circuit.name());
-        if let Some(k) = (0..emitted.len()).find(|&k| {
-            emitted.instruction(k) != compacted.instruction(k)
-                || emitted.ops()[k] != compacted.ops()[k]
-        }) {
-            panic!(
-                "{}: record {k} emitted as {} (byte {:#x}), compacted {} (byte {:#x})",
-                circuit.name(),
-                emitted.instruction(k),
-                emitted.ops()[k],
-                compacted.instruction(k),
-                compacted.ops()[k]
-            );
+        assert_eq!(unfolded.len(), compiled.program.len(), "{name}");
+        assert_eq!(emitted.instruction_count(), unfolded.len(), "{name}");
+        let pairs = emitted.instructions().zip(unfolded.instructions());
+        if let Some((k, (e, u))) = pairs.enumerate().find(|(_, (e, u))| e != u) {
+            panic!("{name}: instruction {k} emitted as {e}, compacted {u}");
         }
-        assert_eq!(*emitted, compacted, "{}", circuit.name());
+        let text = emitted.encode();
+        assert!(text == unfolded.encode(), "{name}: encoded text differs");
+        let reference = CompiledWorkload {
+            trace: unfolded,
+            ..w.clone()
+        };
+        assert_eq!(w.payload_hash(), reference.payload_hash(), "{name}");
+        assert!(
+            ExecutionTrace::decode(&text).unwrap() == *emitted,
+            "{name}: decoding the text does not give the emitted records"
+        );
         let footprint = compiled
             .program
             .iter()
@@ -509,8 +514,9 @@ mod tests {
         CompilerConfig { use_in_memory_ops }
     }
 
-    /// Emission equals compaction on every registry benchmark's reduced
-    /// instance, with and without in-memory operations.
+    /// Emission equals compaction on every registry benchmark: the reduced
+    /// instance with and without in-memory operations, and the paper
+    /// instance with them.
     #[test]
     fn emitted_live_slots_equal_the_compacted_compile_on_every_benchmark() {
         for benchmark in Benchmark::ALL {
@@ -518,13 +524,14 @@ mod tests {
             for use_in_memory_ops in [true, false] {
                 assert_sinks_agree(&circuit, in_memory_ops(use_in_memory_ops));
             }
+            assert_sinks_agree(&benchmark.paper_instance(), in_memory_ops(true));
         }
     }
 
     /// Every paper multiplier T gate writes two classical values and skips
-    /// on one of them two records later, so the emitted trace equals the
-    /// compacted compile, uses the two reserved slots plus one live one, and
-    /// is narrow at 5 bytes per record, with and without in-memory
+    /// on one of them two instructions later, so the emitted trace equals
+    /// the compacted compile, uses the two reserved slots plus one live one,
+    /// and is narrow at 5 bytes per record, with and without in-memory
     /// operations.
     #[test]
     fn paper_multiplier_emits_three_classical_slots_in_five_byte_records() {
@@ -538,28 +545,19 @@ mod tests {
         }
     }
 
-    /// The number of records of `trace` that start an in-memory teleport.
+    /// The number of teleport records of `trace`.
     fn teleports(trace: &ExecutionTrace) -> usize {
-        fn count<S: lsqca_isa::Slot>(trace: &ExecutionTrace) -> usize {
-            let slots = trace.slots::<S>();
-            (0..trace.len())
-                .filter(|&k| is_teleport(trace.ops(), slots, k))
-                .count()
-        }
-        if trace.is_narrow() {
-            count::<u16>(trace)
-        } else {
-            count::<u32>(trace)
-        }
+        let teleport = |&op: &u8| OpInfo::of(op).exec == ExecKind::Teleport;
+        trace.ops().iter().filter(|op| teleport(op)).count()
     }
 
-    /// The compiler lowers every T gate into exactly the records the
-    /// engine's teleport recognizer accepts, and nothing else into them:
-    /// on every registry benchmark's reduced instance and on the paper
-    /// multiplier, the in-memory compile holds one teleport per T gate and
-    /// the load/store compile none.
+    /// The compiler writes every T gate as one teleport record, and nothing
+    /// else as one: on every registry benchmark's reduced instance and on
+    /// the paper multiplier, the in-memory compile holds one teleport record
+    /// per T gate, four records fewer than instructions each, and the
+    /// load/store compile none.
     #[test]
-    fn every_t_gate_compiles_into_one_recognized_teleport() {
+    fn every_t_gate_compiles_into_one_teleport_record() {
         let circuits = Benchmark::ALL
             .iter()
             .map(|benchmark| benchmark.reduced_instance())
@@ -568,7 +566,12 @@ mod tests {
         for circuit in circuits {
             let name = circuit.name();
             let w = CompiledWorkload::compile("teleports", &circuit, in_memory_ops(true));
-            assert_eq!(teleports(w.trace()), w.t_gates() as usize, "{name}");
+            let trace = w.trace();
+            assert_eq!(teleports(trace), w.t_gates() as usize, "{name}");
+            assert_eq!(
+                trace.len() + 4 * teleports(trace),
+                trace.instruction_count()
+            );
             t_gates += w.t_gates();
             let w = CompiledWorkload::compile("teleports", &circuit, in_memory_ops(false));
             assert_eq!(teleports(w.trace()), 0, "{name}");

@@ -32,7 +32,7 @@ fn main() {
     let workload = Workload::from_circuit(circuit);
     println!(
         "compiled into {} instructions, {} magic states",
-        workload.compiled().trace().len(),
+        workload.compiled().trace().instruction_count(),
         workload.compiled().t_gates()
     );
 

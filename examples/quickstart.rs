@@ -28,7 +28,7 @@ fn main() {
     let workload = Workload::from_circuit(circuit);
     println!(
         "compiled into {} instructions using {} data qubits",
-        workload.compiled().trace().len(),
+        workload.compiled().trace().instruction_count(),
         workload.num_qubits()
     );
 
